@@ -108,7 +108,6 @@ main(int argc, char **argv)
         {"pgu", false, true},
         {"both", true, true},
     };
-    const std::size_t ncfg = std::size(configs);
 
     /** One point of the interference grid; contexts == 1 is the
      *  interference-free baseline (schedule/sharing are degenerate

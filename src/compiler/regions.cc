@@ -82,9 +82,12 @@ selectRegions(const IrFunction &fn, const HyperblockHeuristics &heuristics)
         bool changed = true;
         while (changed && region.blocks.size() < heuristics.maxBlocks) {
             changed = false;
-            // Scan a snapshot: additions re-trigger the outer loop.
-            std::vector<BlockId> snapshot = region.blocks;
-            for (BlockId b : snapshot) {
+            // Scan the blocks present at the start of this pass (by
+            // index: the loop appends); additions re-trigger the outer
+            // loop.
+            const std::size_t n = region.blocks.size();
+            for (std::size_t k = 0; k < n; ++k) {
+                const BlockId b = region.blocks[k];
                 for (BlockId s : fn.successors(b)) {
                     if (!candidateAdmissible(
                             fn, preds, out.blockRegion, in_region, seed, s,

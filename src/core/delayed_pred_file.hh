@@ -17,6 +17,7 @@
 #ifndef PABP_CORE_DELAYED_PRED_FILE_HH
 #define PABP_CORE_DELAYED_PRED_FILE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -174,7 +175,9 @@ class DelayedPredicateFile
 
 /**
  * Register-indexed overlay that answers a whole batch worth of
- * delayed-visibility queries without touching the FIFO.
+ * delayed-visibility queries without touching the FIFO - the SFPF
+ * kernel of the replay loop's schedule capture (core/engine.cc),
+ * which runs it over a copy of the engine's file.
  *
  * The reference loop pays a queue push per define plus an advanceTo()
  * retirement sweep per instruction. Over a batch [first, endSeq] none
@@ -185,7 +188,7 @@ class DelayedPredicateFile
  * S exactly when its newest write w satisfies w.seq + delay <= S, and
  * the visible value is then the newest *architectural* write's value.
  * begin() folds the file's current FIFO into those per-register
- * summaries; write()/read() during the batch are then O(1) array
+ * summaries; writes and read() during the batch are then O(1) array
  * operations with no queue traffic at all.
  *
  * commit() restores the file to byte-for-byte the state the reference
@@ -197,6 +200,11 @@ class DelayedPredicateFile
  * writes replay into the FIFO in order. Pre-batch leftovers all
  * precede batch writes in sequence, so FIFO order is preserved - and
  * a batch write can only be in flight if every leftover is too.
+ *
+ * "Retired" means what the reference loop's LAST advanceTo(endSeq)
+ * retired - and that call runs before event endSeq's own define
+ * writes. So a write at endSeq stays in flight even at delay 0: the
+ * retirement test uses a delay of at least one (retireDelay).
  */
 class BatchPredicateView
 {
@@ -208,6 +216,7 @@ class BatchPredicateView
     {
         file = &f;
         endSeq = endSeq_;
+        retireDelay = std::max(f.visDelay, 1u);
         tail.clear();
         for (unsigned r = 0; r < numPredRegs; ++r) {
             visibleAt[r] = 0;
@@ -233,20 +242,11 @@ class BatchPredicateView
         return curVal[reg];
     }
 
-    void
-    write(std::uint64_t seq, unsigned reg, bool value)
-    {
-        pabp_assert(reg < numPredRegs);
-        if (reg == 0)
-            return;
-        writeMasked(seq, reg, value);
-    }
-
     /**
      * A define's register lane slot cannot be masked out of the
      * dataflow cheaply (whether slot w architecturally writes is
      * data-dependent, and a conditional call is a host-branch
-     * mispredict per irregular define), so the define kernel maps
+     * mispredict per irregular define), so the schedule capture maps
      * dead slots - and writes to the constant-true p0, which the
      * file discards - to @p trashReg and calls this unconditionally:
      * the overlay arrays carry one scratch entry that nothing ever
@@ -258,10 +258,9 @@ class BatchPredicateView
     writeMasked(std::uint64_t seq, unsigned reg, bool value)
     {
         pabp_assert(reg <= trashReg);
-        const std::uint64_t vis = seq + file->visDelay;
-        visibleAt[reg] = vis;
+        visibleAt[reg] = seq + file->visDelay;
         curVal[reg] = value;
-        if (vis <= endSeq) [[likely]] {
+        if (seq + retireDelay <= endSeq) [[likely]] {
             retiredAny[reg] = true;
             retiredVal[reg] = value;
         } else if (reg != 0 && reg != trashReg) {
@@ -276,9 +275,8 @@ class BatchPredicateView
         pabp_assert(reg < numPredRegs);
         if (reg == 0)
             return;
-        const std::uint64_t vis = seq + file->visDelay;
-        visibleAt[reg] = vis;
-        if (vis > endSeq)
+        visibleAt[reg] = seq + file->visDelay;
+        if (seq + retireDelay > endSeq)
             tail.push_back(DelayedPredicateFile::Pending{
                 seq, static_cast<std::uint8_t>(reg), false, false});
         // A noop that retires within the batch nets to nothing: no
@@ -306,6 +304,9 @@ class BatchPredicateView
   private:
     DelayedPredicateFile *file = nullptr;
     std::uint64_t endSeq = 0;
+    /** max(delay, 1): a write at seq retires within the batch iff
+     *  seq + retireDelay <= endSeq (see the class comment). */
+    std::uint64_t retireDelay = 1;
     /** Sequence at which the register's newest write becomes fetch
      *  visible; 0 = nothing in flight (writes start at seq 0 but gain
      *  a positive delay, and delay 0 means instant visibility). One

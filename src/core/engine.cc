@@ -1,6 +1,7 @@
 #include "core/engine.hh"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "bpred/combining.hh"
 #include "bpred/gshare.hh"
@@ -28,7 +29,8 @@ static_assert(static_cast<std::uint8_t>(
 PredictionEngine::PredictionEngine(BranchPredictor &base,
                                    EngineConfig config)
     : pred(base), cfg(config), predFile(config.availDelay),
-      sfpf(predFile), pgu(base, config.pgu), pvp(config.pvpEntriesLog2),
+      shadowFile(config.availDelay), sfpf(predFile),
+      pgu(base, config.pgu), pvp(config.pvpEntriesLog2),
       jrs(config.jrsEntriesLog2), profile(config.branchProfileCapacity)
 {
     if (cfg.modelTargets) {
@@ -276,8 +278,8 @@ PredictionEngine::batchCondBranch(Pred &bp, std::uint32_t pc,
     // MIRROR of processConditionalBranch(): the configuration flags
     // are template parameters, the predictor is held by its concrete
     // type where known, the profile row arrives pre-resolved from the
-    // caller's cache and the predicate read goes through the batch
-    // view - but every counter and every side effect must stay in
+    // caller's cache and the predicate read comes from the replay
+    // schedule - but every counter and every side effect must stay in
     // lockstep with the reference path; any semantic change there
     // lands here too. The fast-vs-reference equivalence tests
     // (tests/test_replay_fast.cc) pin the two bit-identical.
@@ -287,10 +289,10 @@ PredictionEngine::batchCondBranch(Pred &bp, std::uint32_t pc,
     ++prof.lookups;
     // A decoded CondBranch is a guarded Br by construction (qp != 0),
     // so SquashFalsePathFilter::shouldSquash() reduces to "qp reads a
-    // resolved false" - the define kernel performed that read at this
-    // branch's sequence and handed the result over in guardState; one
-    // resolved value serves both the guard-known attribution and the
-    // squash decision.
+    // resolved false" - the schedule capture performed that read at
+    // this branch's sequence and handed the result over in
+    // guardState; one resolved value serves both the guard-known
+    // attribution and the squash decision.
     const bool guard_known = UseSfpf && (guardState & 1);
     if (guard_known)
         ++prof.guardKnown;
@@ -365,52 +367,135 @@ PredictionEngine::batchCondBranch(Pred &bp, std::uint32_t pc,
 }
 
 template <bool UseSfpf, bool UsePgu>
-PABP_ALWAYS_INLINE void
-PredictionEngine::batchPredDefine(const DecodedTrace &trace,
-                                  std::uint64_t i)
+void
+PredictionEngine::captureSchedule(const DecodedTrace &trace,
+                                  const simd::CollectResult &stops,
+                                  std::uint64_t endSeq, ReplaySchedule &s)
 {
-    // MIRROR of handlePredicateDefine() over the trace's flat lanes:
-    // the configuration flags are template parameters, no DynInst is
-    // built at all (the PGU's batch view observes the lanes through
-    // the per-pc kind byte), and the writes land in the batch views
-    // instead of the FIFO-backed components - the views' commit()
-    // restores byte-identical component state. The caller counts
-    // defines in bulk (engineStats.predicateDefines). Any semantic
-    // change in the reference handler lands here too; the equivalence
-    // tests (tests/test_replay_fast.cc) pin the two event for event.
+    // MIRROR of handlePredicateDefine() plus the reference loop's
+    // per-branch predicate-file read and PGU drains, over the batch's
+    // define and branch streams only. Nothing here reads the base
+    // predictor, which is what lets the schedule serve every predictor
+    // replaying this batch. Any semantic change in the reference
+    // handler lands here too; tests/test_replay_fast.cc pins the two
+    // event for event.
+    //
+    // The SFPF kernel is the flat BatchPredicateView overlay over a
+    // COPY of the predicate file (the engine's own file only changes
+    // when the replay restores the captured exit state), so each
+    // define is a pair of array stores rather than a queue push and
+    // retirement with data-dependent host branches.
+    const std::uint32_t *branches = stopBuf.get();
+    const std::uint32_t *defs = defBuf.get();
+    s.nBranches = stops.branches;
+
     if constexpr (UseSfpf) {
-        // Both register slots are written unconditionally: dead slots
-        // (and p0 writes, which the file discards) route to the
-        // overlay's scratch entry, so the data-dependent write count
-        // never becomes a host branch. Slot order is preserved for
-        // the pathological pdst1 == pdst2 case.
-        const unsigned writes = trace.numPredWrites(i);
-        const std::uint8_t v = trace.predVal[i];
-        const unsigned r0 = writes >= 1 ? trace.predReg0[i]
-                                        : BatchPredicateView::trashReg;
-        const unsigned r1 = writes >= 2 ? trace.predReg1[i]
-                                        : BatchPredicateView::trashReg;
-        predView.writeMasked(i, r0, v & 1);
-        predView.writeMasked(i, r1, (v >> 1) & 1);
-        if (cfg.conservativeDefTracking) {
-            const std::uint8_t regs[2] = {trace.predReg0[i],
-                                          trace.predReg1[i]};
-            const Inst &inst = trace.inst(i);
-            auto written = [&](unsigned reg) {
-                for (unsigned w = 0; w < writes; ++w)
-                    if (regs[w] == reg)
-                        return true;
-                return false;
-            };
-            if (!written(inst.pdst1))
-                predView.writeNoop(i, inst.pdst1);
-            if (inst.op == Opcode::Cmp && !written(inst.pdst2))
-                predView.writeNoop(i, inst.pdst2);
+        shadowFile = predFile;
+        predView.begin(shadowFile, endSeq);
+        s.guard.resize(stops.branches);
+    }
+    if constexpr (UsePgu) {
+        // The stream starts with the carried queue (s.pguBits holds it
+        // already); each define contributes at most two bits
+        // (BothWrites), so this reserve bounds every append.
+        s.pguBits.reserve(s.pguBits.size() + 2 * stops.defines);
+    }
+    auto define = [&](std::uint32_t i) {
+        if constexpr (UseSfpf) {
+            // Both register slots are written unconditionally: dead
+            // slots (and p0 writes, which the file discards) route to
+            // the overlay's scratch entry, so the data-dependent write
+            // count never becomes a host branch. Slot order is
+            // preserved for the pathological pdst1 == pdst2 case.
+            const unsigned writes = trace.numPredWrites(i);
+            const std::uint8_t v = trace.predVal[i];
+            constexpr unsigned trash = BatchPredicateView::trashReg;
+            const unsigned r0 = writes >= 1 ? trace.predReg0[i] : trash;
+            const unsigned r1 = writes >= 2 ? trace.predReg1[i] : trash;
+            predView.writeMasked(i, r0, v & 1);
+            predView.writeMasked(i, r1, (v >> 1) & 1);
+            if (cfg.conservativeDefTracking) {
+                const std::uint8_t regs[2] = {trace.predReg0[i],
+                                              trace.predReg1[i]};
+                const Inst &inst = trace.inst(i);
+                auto written = [&](unsigned reg) {
+                    for (unsigned w = 0; w < writes; ++w)
+                        if (regs[w] == reg)
+                            return true;
+                    return false;
+                };
+                if (!written(inst.pdst1))
+                    predView.writeNoop(i, inst.pdst1);
+                if (inst.op == Opcode::Cmp && !written(inst.pdst2))
+                    predView.writeNoop(i, inst.pdst2);
+            }
+        }
+        if constexpr (UsePgu) {
+            pgu.observeInto(trace.materialise(i),
+                            [&](const PredicateGlobalUpdate::Pending &p) {
+                                s.pguBits.push_back(
+                                    (p.seq << 1) |
+                                    static_cast<std::uint64_t>(p.bit));
+                            });
+        }
+    };
+
+    // Branch-major merge of the two ascending index streams: before
+    // each branch's guard read, apply every define that precedes it.
+    // Without the SFPF no guard is read, so the defines run straight.
+    std::uint64_t d = 0;
+    if constexpr (UseSfpf) {
+        for (std::uint64_t b = 0; b < stops.branches; ++b) {
+            const std::uint32_t i = branches[b];
+            while (d < stops.defines && defs[d] < i)
+                define(defs[d++]);
+            const std::optional<bool> g =
+                predView.read(trace.inst(i).qp, i);
+            s.guard[b] = g.has_value()
+                ? static_cast<std::uint8_t>(
+                      1u | (static_cast<unsigned>(*g) << 1))
+                : 0u;
         }
     }
-    if constexpr (UsePgu)
-        pguView.observe(i, pguKind[trace.pcs[i]], trace.flags[i],
-                        trace.predVal[i]);
+    while (d < stops.defines)
+        define(defs[d++]);
+
+    if constexpr (UseSfpf) {
+        predView.commit(); // advanceTo(endSeq) + batch writes
+        s.postVisibleBits = shadowFile.visibleBits();
+        shadowFile.exportQueue(s.postPredQueue);
+    }
+    if constexpr (UsePgu) {
+        // The schedule outlives the batch (the cache keeps it for the
+        // next predictor), so give back the unused reserve: Rel and
+        // FirstWrite use at most half of it.
+        s.pguBits.shrink_to_fit();
+        // The drain plan: cumulative cursor and rolling bit word at
+        // each branch, plus the batch-end drain - drainTo()'s ripeness
+        // rule over the same stream, so the replay lands each bit at
+        // the same point. A bit is also never ripe at its own define's
+        // sequence: the reference loop drains before it observes, which
+        // only matters at the batch end (a branch is never a define) -
+        // hence a delay of at least one.
+        const std::uint64_t delay =
+            std::max<std::uint64_t>(cfg.pgu.delay, 1);
+        const std::vector<std::uint64_t> &bits = s.pguBits;
+        pabp_assert(bits.size() <= 0xffffffffu);
+        s.drainTargets.resize(stops.branches + 1);
+        s.drainWords.resize(stops.branches + 1);
+        std::uint32_t c = 0;
+        std::uint64_t word = 0;
+        for (std::uint64_t b = 0; b <= stops.branches; ++b) {
+            const std::uint64_t seq =
+                b < stops.branches ? branches[b] : endSeq;
+            while (c < bits.size() && (bits[c] >> 1) + delay <= seq) {
+                word = (word << 1) | (bits[c] & 1);
+                ++c;
+            }
+            s.drainTargets[b] = c;
+            s.drainWords[b] = word;
+        }
+    }
 }
 
 template <bool UseSfpf, bool UsePgu, bool UseSpec, typename Pred>
@@ -419,36 +504,36 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
                             std::uint64_t first, std::uint64_t count)
 {
     // MIRROR of process() over the trace's flat lanes: no DynInst is
-    // built anywhere (predicate defines and the PGU's observe both
-    // read the lanes directly), and seq is the lane index by the
-    // decoded trace's construction.
+    // built anywhere, and seq is the lane index by the decoded trace's
+    // construction.
     //
     // Three deliberate restructurings, each invisible to every
     // observer (stats, profile, exported metrics, checkpoint bytes -
     // all pinned by tests/test_replay_fast.cc):
     //
-    //  1. Deferral, as before: the reference path advances the
-    //     predicate file and drains the PGU on EVERY instruction, but
-    //     both operations are monotonic and idempotent in seq, and
-    //     their state is only read at a conditional branch or after
-    //     the run. Performing them at the branch (and syncing at the
-    //     batch end) reproduces every read and every counter.
-    //     Likewise shiftsSincePguBit (only moves at drains and branch
-    //     shifts) and the instruction counter (one add).
+    //  1. Deferral: the reference path advances the predicate file
+    //     and drains the PGU on EVERY instruction, but both operations
+    //     are monotonic and idempotent in seq, and their state is only
+    //     read at a conditional branch or after the run. Performing
+    //     them at the branch (and syncing at the batch end) reproduces
+    //     every read and every counter. Likewise shiftsSincePguBit
+    //     (only moves at drains and branch shifts) and the instruction
+    //     counter (one add).
     //
-    //  2. Batch views: predicate-file writes/reads and PGU
-    //     observe/drain run against flat per-batch overlays
-    //     (BatchPredicateView, PguBatchView) instead of the
-    //     FIFO-backed components, eliminating the queue push/pop per
-    //     define. commit() restores the components to byte-identical
-    //     state, including the checkpoint-serialised queues.
+    //  2. Replay schedules: with a predicate technique armed, the
+    //     guard read and PGU drain before each branch come from a
+    //     ReplaySchedule (sim/replay_schedule.hh) - found in the
+    //     trace's cache, or captured by captureSchedule()'s
+    //     define-only pass - and the predicate components jump to the
+    //     schedule's exit state at the batch end. The defines are
+    //     never visited by this loop.
     //
-    //  3. Class scanning: events the configuration only counts
-    //     (Other always; UncondControl always; PredDefine when no
-    //     predicate technique is armed) are skipped in bulk by a
-    //     SIMD compare+popcount scan of the cls lane - the count IS
-    //     the processing, and the per-event counter increments farm
-    //     into totals nothing can observe mid-batch.
+    //  3. Class scanning: events the loop only counts (Other,
+    //     UncondControl without target modelling, PredDefine) are
+    //     skipped in bulk by a SIMD compare+popcount scan of the cls
+    //     lane - the count IS the processing, and the per-event
+    //     counter increments farm into totals nothing can observe
+    //     mid-batch.
     if (count == 0)
         return;
     engineStats.insts += count;
@@ -462,58 +547,48 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
 
     constexpr bool definesInteresting = UseSfpf || UsePgu;
 
-    // Replay-schedule cache probe (sim/replay_schedule.hh): the
-    // define kernel's outputs are predictor-independent, so a batch
-    // over the same (range, predicate config, predicate-component
-    // entry state) of this trace has run before - in a sweep, for
-    // every predictor after the first - and its recorded schedule
-    // lets this replay skip the defines entirely. The key is
-    // compared exactly (no hashing), so a hit is always sound; on a
-    // miss the kernel runs as normal and `capture` records the
-    // schedule for the next identical batch.
+    // Replay-schedule lookup: the schedule's outputs are
+    // predictor-independent, so a batch over the same (range,
+    // predicate config, predicate-component entry state) of this
+    // trace has run before - in a sweep, for every predictor after
+    // the first - and reuses its schedule. The key is compared
+    // exactly (no hashing), so a hit is always sound. A miss (or a
+    // trace without a cache) captures a fresh schedule below.
     std::shared_ptr<const ReplaySchedule> sched;
-    std::shared_ptr<ReplaySchedule> capture;
+    std::shared_ptr<ReplaySchedule> fresh;
     if constexpr (definesInteresting) {
-        if (trace.schedCache) {
-            std::uint64_t preVis = 0;
-            keyPredQ.clear();
-            keyPguQ.clear();
-            if constexpr (UseSfpf) {
-                preVis = predFile.visibleBits();
-                predFile.exportQueue(keyPredQ);
-            }
-            if constexpr (UsePgu)
-                pgu.exportQueuePacked(keyPguQ);
-            const std::uint64_t cfg0 =
-                static_cast<std::uint64_t>(cfg.availDelay) |
-                (static_cast<std::uint64_t>(cfg.pgu.delay) << 32);
-            const std::uint64_t cfg1 =
-                (UseSfpf ? 1u : 0u) | (UsePgu ? 2u : 0u) |
-                (cfg.conservativeDefTracking ? 4u : 0u) |
-                (static_cast<std::uint64_t>(cfg.pgu.source) << 3) |
-                (static_cast<std::uint64_t>(cfg.pgu.value) << 5) |
-                (cfg.pgu.includePSet ? 128u : 0u);
+        std::uint64_t preVis = 0;
+        keyPredQ.clear();
+        keyPguQ.clear();
+        if constexpr (UseSfpf) {
+            preVis = predFile.visibleBits();
+            predFile.exportQueue(keyPredQ);
+        }
+        if constexpr (UsePgu)
+            pgu.exportQueuePacked(keyPguQ);
+        const std::uint64_t cfg0 =
+            static_cast<std::uint64_t>(cfg.availDelay) |
+            (static_cast<std::uint64_t>(cfg.pgu.delay) << 32);
+        const std::uint64_t cfg1 =
+            (UseSfpf ? 1u : 0u) | (UsePgu ? 2u : 0u) |
+            (cfg.conservativeDefTracking ? 4u : 0u) |
+            (static_cast<std::uint64_t>(cfg.pgu.source) << 3) |
+            (static_cast<std::uint64_t>(cfg.pgu.value) << 5) |
+            (cfg.pgu.includePSet ? 128u : 0u);
+        if (trace.schedCache)
             sched = trace.schedCache->find(cfg0, cfg1, first, count,
                                            preVis, keyPredQ, keyPguQ);
-            if (!sched) {
-                capture = std::make_shared<ReplaySchedule>();
-                capture->cfg0 = cfg0;
-                capture->cfg1 = cfg1;
-                capture->first = first;
-                capture->count = count;
-                capture->preVisibleBits = preVis;
-                capture->prePredQueue = keyPredQ;
-                capture->prePguLen = keyPguQ.size();
-            }
+        if (!sched) {
+            fresh = std::make_shared<ReplaySchedule>();
+            fresh->cfg0 = cfg0;
+            fresh->cfg1 = cfg1;
+            fresh->first = first;
+            fresh->count = count;
+            fresh->preVisibleBits = preVis;
+            fresh->prePredQueue = keyPredQ;
+            fresh->prePguLen = keyPguQ.size();
+            fresh->pguBits = keyPguQ;
         }
-    }
-    // With a schedule in hand the define kernel is skipped: defines
-    // are counted by the class scan but never visited.
-    const bool runDefines = definesInteresting && !sched;
-
-    if constexpr (UseSfpf) {
-        if (!sched)
-            predView.begin(predFile, endSeq);
     }
 
     // Target modelling stays a runtime flag (not a fourth template
@@ -521,12 +596,13 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     // scan already isolates, so doubling the specialisation count
     // would buy nothing.
     const bool targets = cfg.modelTargets;
+    const bool capture = fresh != nullptr;
     if (stopBufCap < count) {
         stopBuf = std::make_unique_for_overwrite<std::uint32_t[]>(
             count);
         stopBufCap = count;
     }
-    if (runDefines && defBufCap < count) {
+    if (capture && defBufCap < count) {
         defBuf = std::make_unique_for_overwrite<std::uint32_t[]>(
             count);
         defBufCap = count;
@@ -537,52 +613,42 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
         uncondBufCap = count;
     }
     const simd::CollectResult stops = simd::collectStops(
-        trace.cls, first, end, runDefines, stopBuf.get(),
-        runDefines ? defBuf.get() : nullptr,
+        trace.cls, first, end, capture, stopBuf.get(),
+        capture ? defBuf.get() : nullptr,
         targets ? uncondBuf.get() : nullptr);
     engineStats.uncondBranches += stops.uncond;
     engineStats.predicateDefines += stops.defines;
 
-    // PGU machinery: on a hit the drain walks the schedule's packed
-    // bit stream with a local cursor (the carried queue is its
-    // prefix, matched exactly by the probe); on a miss the batch view
-    // collects bits from the define kernel as before.
-    const std::uint64_t *pq = nullptr;
-    std::uint64_t pqN = 0, pqCursor = 0, pqInjected = 0;
-    if constexpr (UsePgu) {
-        if (sched) {
-            pq = sched->pguBits.data();
-            pqN = sched->pguBits.size();
-        } else {
-            // Each define contributes up to two bits (BothWrites), so
-            // prior queue + 2x defines bounds the batch's appends.
-            pguView.begin(pgu, pguBuf, pguBufCap, 2 * stops.defines);
-            pguView.buildKinds(trace.prog.insts, pguKind);
+    if constexpr (definesInteresting) {
+        if (capture) {
+            captureSchedule<UseSfpf, UsePgu>(trace, stops, endSeq,
+                                             *fresh);
+            if (trace.schedCache)
+                trace.schedCache->insert(fresh);
+            sched = std::move(fresh);
         }
+        pabp_assert(sched->nBranches == stops.branches);
     }
-    // Miss-path drain: the batch view scans for ripe bits.
-    auto drain = [&](std::uint64_t seq) {
-        if (pguView.drainTo(bp, seq) > 0)
-            shiftsSincePguBit = 0;
-    };
-    // Hit-path drain: the schedule already knows the cursor after
-    // every drain point (index b for branch b, nBranches for the
-    // batch-end drain), so there is no per-entry ripeness scan at
-    // all - the k new bits land in one injectHistoryBits() shift.
-    // The per-entry fallback covers k > 64 (can only happen with
-    // very define-dense gaps between branches) bit-exactly. The
-    // concrete-predictor instantiations bind the injection
-    // statically; the BranchPredictor fallback keeps the virtual
-    // call.
+
+    // PGU drain: the schedule already knows the cursor after every
+    // drain point (index b for branch b, nBranches for the batch-end
+    // drain), so there is no per-entry ripeness scan at all - the k
+    // new bits land in one injectHistoryBits() shift. The per-entry
+    // fallback covers k > 64 (can only happen with very define-dense
+    // gaps between branches) bit-exactly. The concrete-predictor
+    // instantiations bind the injection statically; the
+    // BranchPredictor fallback keeps the virtual call.
+    const std::uint64_t *pq = nullptr;
     const std::uint32_t *drainTgt = nullptr;
     const std::uint64_t *drainWord = nullptr;
+    // Stream entries before the cursor were injected by this batch.
+    std::uint64_t pqCursor = 0;
     if constexpr (UsePgu) {
-        if (sched) {
-            drainTgt = sched->drainTargets.data();
-            drainWord = sched->drainWords.data();
-        }
+        pq = sched->pguBits.data();
+        drainTgt = sched->drainTargets.data();
+        drainWord = sched->drainWords.data();
     }
-    auto drainSched = [&](std::uint64_t idx) {
+    auto drain = [&](std::uint64_t idx) {
         const std::uint32_t tgt = drainTgt[idx];
         if (tgt == pqCursor)
             return;
@@ -604,79 +670,32 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
             }
         }
         pqCursor = tgt;
-        pqInjected += k;
         shiftsSincePguBit = 0;
     };
 
-    // Branch-major merge of the two ascending index streams: before
-    // each branch, a short inner run applies every not-yet-applied
-    // define that precedes it (the batch views then carry exactly the
-    // state the interleaved order would have had - defines never read
-    // predictor or profile state, and their PGU bits ripen strictly
-    // by sequence, so a define between two branches can act anywhere
-    // between them). The guard is resolved, pending history bits
-    // drained and the branch predicted in the same iteration, so no
-    // per-event class re-test and no per-branch side buffers exist;
-    // the merge's only data-dependent branch is the inner run's exit,
-    // one well-predicted test per branch instead of one mispredicting
-    // classify per stop event. On a schedule hit the merge vanishes
-    // too: guards load from the schedule and only branches remain.
     const std::uint32_t *stop = stopBuf.get();
-    const std::uint32_t *defs = defBuf.get();
     const std::uint8_t *cachedGuard = nullptr;
-    if (sched) {
-        pabp_assert(sched->nBranches == stops.branches);
-        if constexpr (UseSfpf)
-            cachedGuard = sched->guard.data();
-    }
-    if (capture) {
-        capture->nBranches = stops.branches;
-        if constexpr (UseSfpf)
-            capture->guard.reserve(stops.branches);
-    }
+    if constexpr (UseSfpf)
+        cachedGuard = sched->guard.data();
     // Uncond-control merge (target modelling): the BTB and RAS are
     // shared by conditional and unconditional transfers, so the two
     // ascending index streams must be applied in original trace
-    // order - same merge shape as the define stream. Defines never
-    // touch the target structures, so the two merges are independent.
+    // order.
     const std::uint32_t *uncs = uncondBuf.get();
     std::uint64_t uNext = 0;
-    std::uint64_t dNext = 0;
     for (std::uint64_t b = 0; b < stops.branches; ++b) {
         const std::uint32_t i = stop[b];
         if (targets) {
             while (uNext < stops.uncond && uncs[uNext] < i)
                 batchControlEvent(trace, uncs[uNext++]);
         }
-        if constexpr (definesInteresting) {
-            if (!sched) {
-                while (dNext < stops.defines && defs[dNext] < i)
-                    batchPredDefine<UseSfpf, UsePgu>(trace,
-                                                     defs[dNext++]);
-            }
-        }
         const std::uint32_t pc = trace.pcs[i];
         const Inst &inst = trace.prog.insts[pc];
         std::uint8_t guardState = 0;
-        if constexpr (UseSfpf) {
-            if (sched) {
-                guardState = cachedGuard[b];
-            } else {
-                const std::optional<bool> g = predView.read(inst.qp, i);
-                guardState = g.has_value()
-                    ? static_cast<std::uint8_t>(
-                          1u | (static_cast<unsigned>(*g) << 1))
-                    : 0u;
-                if (capture)
-                    capture->guard.push_back(guardState);
-            }
-        }
-        if constexpr (UsePgu) {
-            if (sched)
-                drainSched(b);
-            else
-                drain(i);
-        }
+        if constexpr (UseSfpf)
+            guardState = cachedGuard[b];
+        if constexpr (UsePgu)
+            drain(b);
         const std::uint8_t f = trace.flags[i];
         const bool misp = batchCondBranch<UseSfpf, UsePgu, UseSpec>(
             bp, pc, inst, f & 1, (f >> 1) & 1, profileRowFor(pc),
@@ -692,77 +711,20 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
         while (uNext < stops.uncond)
             batchControlEvent(trace, uncs[uNext++]);
     }
-    if constexpr (definesInteresting) {
-        // Defines after the last branch of the batch.
-        if (!sched) {
-            while (dNext < stops.defines)
-                batchPredDefine<UseSfpf, UsePgu>(trace, defs[dNext++]);
-        }
-    }
 
     // Sync the deferred state to where the reference loop leaves it
-    // after its last per-instruction advance/drain, then fold the
-    // batch state back into the components, so end-of-run observers
-    // (metric gauges, a checkpoint taken after the batch) see
-    // identical bytes. A capture records the stream and exit state
-    // just before they fold away.
+    // after its last per-instruction advance/drain: the batch-end
+    // drain, then the schedule's exit state for both components, so
+    // end-of-run observers (metric gauges, a checkpoint taken after
+    // the batch) see identical bytes.
     if constexpr (UsePgu) {
-        if (sched) {
-            drainSched(stops.branches);
-            pgu.commitCachedBatch(pq + pqCursor, pqN - pqCursor,
-                                  pqInjected);
-        } else {
-            drain(endSeq);
-            if (capture) {
-                const PguBatchView::Pending *s = pguView.streamData();
-                const std::size_t n = pguView.streamSize();
-                capture->pguBits.reserve(n);
-                for (std::size_t k = 0; k < n; ++k)
-                    capture->pguBits.push_back(
-                        (s[k].seq << 1) |
-                        static_cast<std::uint64_t>(s[k].bit ? 1 : 0));
-                // Precompute the hit path's drain plan: cumulative
-                // cursor and rolling bit word at each branch, plus
-                // the batch-end drain - same ripeness rule drainTo()
-                // applies, over the same stream, so a replayed batch
-                // lands each bit at the same point.
-                const std::uint64_t delay = cfg.pgu.delay;
-                const std::vector<std::uint64_t> &bits =
-                    capture->pguBits;
-                pabp_assert(bits.size() <= 0xffffffffu);
-                capture->drainTargets.resize(stops.branches + 1);
-                capture->drainWords.resize(stops.branches + 1);
-                std::uint32_t c = 0;
-                std::uint64_t word = 0;
-                for (std::uint64_t b = 0; b <= stops.branches; ++b) {
-                    const std::uint64_t seq =
-                        b < stops.branches ? stop[b] : endSeq;
-                    while (c < bits.size() &&
-                           (bits[c] >> 1) + delay <= seq) {
-                        word = (word << 1) | (bits[c] & 1);
-                        ++c;
-                    }
-                    capture->drainTargets[b] = c;
-                    capture->drainWords[b] = word;
-                }
-            }
-            pguView.commit();
-        }
+        drain(stops.branches);
+        pgu.commitCachedBatch(pq + pqCursor,
+                              sched->pguBits.size() - pqCursor, pqCursor);
     }
-    if constexpr (UseSfpf) {
-        if (sched) {
-            predFile.restoreBatchState(sched->postVisibleBits,
-                                       sched->postPredQueue);
-        } else {
-            predView.commit(); // advanceTo(endSeq) + batch writes
-            if (capture) {
-                capture->postVisibleBits = predFile.visibleBits();
-                predFile.exportQueue(capture->postPredQueue);
-            }
-        }
-    }
-    if (capture)
-        trace.schedCache->insert(std::move(capture));
+    if constexpr (UseSfpf)
+        predFile.restoreBatchState(sched->postVisibleBits,
+                                   sched->postPredQueue);
 }
 
 template <bool UseSfpf, bool UsePgu, bool UseSpec>

@@ -26,6 +26,7 @@
 #include "sim/decoded_trace.hh"
 #include "sim/emulator.hh"
 #include "sim/trace_io.hh"
+#include "util/simd.hh"
 #include "util/stats.hh"
 
 namespace pabp {
@@ -175,13 +176,19 @@ class PredictionEngine
      * Fast replay: feed events [@p first, @p first + @p max_insts) of
      * a pre-decoded trace. Bit-identical to calling process() on
      * trace.materialise(i) for each i - the equivalence tests pin
-     * stats, profile and exported metrics - but substantially faster:
-     * the useSfpf/usePgu/useSpeculativeSquash configuration branches
-     * are hoisted out of the loop into template specialisations, the
-     * per-step DynInst construction disappears (the loop reads the
-     * trace's flat lanes), and the predict+update pair on the hot
-     * predictors (gshare, combining, perceptron) devirtualises into
-     * one statically-bound predictAndUpdate call. See docs/PERF.md.
+     * stats, profile, exported metrics and checkpoint bytes - but
+     * substantially faster. With SFPF or PGU armed, every batch
+     * replays from a ReplaySchedule (sim/replay_schedule.hh): the
+     * predictor-independent guard states and PGU drain plan of the
+     * batch, looked up in the trace's schedule cache or, on a miss,
+     * captured by one define-only pass that never touches the
+     * predictor. The replay loop then visits branches only: the
+     * useSfpf/usePgu/useSpeculativeSquash configuration branches are
+     * hoisted out into template specialisations, no DynInst is built
+     * (the loop reads the trace's flat lanes), and the predict+update
+     * pair on the hot predictors (gshare, combining, perceptron, TAGE)
+     * devirtualises into one statically-bound predictAndUpdate call.
+     * See docs/PERF.md.
      *
      * Returns the index one past the last event processed; @p first
      * at or past the end processes nothing and returns @p first
@@ -278,6 +285,8 @@ class PredictionEngine
     BranchPredictor &pred;
     EngineConfig cfg;
     DelayedPredicateFile predFile;
+    /** captureSchedule()'s working copy of predFile. */
+    DelayedPredicateFile shadowFile;
     SquashFalsePathFilter sfpf;
     PredicateGlobalUpdate pgu;
     PredicateValuePredictor pvp;
@@ -318,7 +327,7 @@ class PredictionEngine
     /** @} */
 
     /** The reference path's predicate-define handling (process());
-     *  batchPredDefine() is its lane-level mirror. */
+     *  captureSchedule() is its batch-level mirror. */
     void handlePredicateDefine(const DynInst &dyn);
 
     /** @name processBatch internals (defined in engine.cc)
@@ -334,9 +343,9 @@ class PredictionEngine
     template <bool UseSfpf, bool UsePgu, bool UseSpec, typename Pred>
     void batchLoop(Pred &bp, const DecodedTrace &trace,
                    std::uint64_t first, std::uint64_t count);
-    /** @p guardState is the SFPF guard pre-resolved by the define
-     *  kernel at this branch's sequence: bit0 = known at fetch, bit1
-     *  = its value (0 when UseSfpf is off). Returns mispredicted, so
+    /** @p guardState is the SFPF guard the replay schedule resolved
+     *  at this branch's sequence: bit0 = known at fetch, bit1 = its
+     *  value (0 when UseSfpf is off). Returns mispredicted, so
      *  the caller's target-modelling step can mirror the reference
      *  path's "no BTB touch after a restart" rule. */
     template <bool UseSfpf, bool UsePgu, bool UseSpec, typename Pred>
@@ -344,8 +353,15 @@ class PredictionEngine
                          bool guard, bool taken,
                          BranchProfile::Counters &prof,
                          std::uint8_t guardState);
+    /** The define-only pass: fill @p s's payload (guards, PGU bit
+     *  stream and drain plan, predicate-file exit state) from the
+     *  batch's @p stops, starting from the engine's current predicate
+     *  state. Reads no predictor state and leaves the engine's
+     *  predicate components untouched (it works on shadowFile). */
     template <bool UseSfpf, bool UsePgu>
-    void batchPredDefine(const DecodedTrace &trace, std::uint64_t i);
+    void captureSchedule(const DecodedTrace &trace,
+                         const simd::CollectResult &stops,
+                         std::uint64_t endSeq, ReplaySchedule &s);
 
     /** Look up (and cache) the profile row for @p pc. The per-pc
      *  cache turns the reference path's per-branch std::map walk into
@@ -370,13 +386,9 @@ class PredictionEngine
 
     /** @name Batch-scoped machinery (reused so capacity persists)
      *  @{ */
+    /** The capture's SFPF kernel. */
     BatchPredicateView predView;
-    PguBatchView pguView;
-    std::unique_ptr<PguBatchView::Pending[]> pguBuf;
-    std::size_t pguBufCap = 0;
     std::vector<BranchProfile::Counters *> profCache;
-    /** Per-pc PGU contribution byte (PguBatchView::buildKinds). */
-    std::vector<std::uint8_t> pguKind;
     /** Branch- and define-index buffers for simd::collectStops
      *  (uninitialised on purpose: the collect pass defines exactly
      *  the prefixes read). */

@@ -16,6 +16,7 @@
 #include "util/journal.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
+#include "util/serialize.hh"
 #include "util/stats.hh"
 
 namespace pabp::fuzz {
@@ -108,6 +109,18 @@ metricsBytes(PredictionEngine &engine)
     exporter.addGroup(group);
     std::ostringstream os;
     exporter.writeJson(os);
+    return os.str();
+}
+
+/** Checkpoint bytes of an engine (saveState): every queue, table and
+ *  counter a resumed run would continue from, so in-flight predicate
+ *  writes and PGU bits are compared too. */
+std::string
+stateBytes(const PredictionEngine &engine)
+{
+    std::ostringstream os;
+    StateSink sink(os);
+    engine.saveState(sink);
     return os.str();
 }
 
@@ -258,6 +271,10 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
     if (metricsBytes(ref) != metricsBytes(fast))
         return diverged("exported metrics bytes differ between "
                         "reference and fast replay");
+    const std::string refState = stateBytes(ref);
+    if (refState != stateBytes(fast))
+        return diverged("checkpoint bytes differ between reference "
+                        "and fast replay");
 
     // The first fast replay captured a replay schedule on the decoded
     // trace (sim/replay_schedule.hh); a second replay takes the cache
@@ -290,6 +307,9 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
     if (metricsBytes(ref) != metricsBytes(hit))
         return diverged("exported metrics bytes differ between "
                         "reference and schedule-cache hit replay");
+    if (refState != stateBytes(hit))
+        return diverged("checkpoint bytes differ between reference "
+                        "and schedule-cache hit replay");
 
     // Chunked replay with a case-derived batch size: each chunk keys
     // its own schedule on the carried predicate state, so awkward
@@ -328,6 +348,11 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
         if (ref.pguBitsInserted() != chunked.pguBitsInserted())
             return diverged(
                 "chunked fast replay PGU bits differ (chunk " +
+                std::to_string(chunk) + ", pass " +
+                std::to_string(pass) + ")");
+        if (refState != stateBytes(chunked))
+            return diverged(
+                "chunked fast replay checkpoint bytes differ (chunk " +
                 std::to_string(chunk) + ", pass " +
                 std::to_string(pass) + ")");
     }

@@ -183,10 +183,11 @@ struct DecodedTrace
     /**
      * Predictor-independent replay schedules derived from this trace
      * (sim/replay_schedule.hh), shared by every engine that batch
-     * replays it - a sweep's repeated replays skip the define kernel
-     * after the first pass. Created by build()/mapDecodedTraceFile();
-     * a default-constructed trace has none and the engine simply
-     * never caches.
+     * replays it - a sweep's repeated replays skip the schedule
+     * capture after the first pass. Created by
+     * build()/mapDecodedTraceFile(); a default-constructed trace has
+     * none, and the engine then captures a schedule for every batch
+     * without publishing it.
      */
     std::shared_ptr<ReplayScheduleCache> schedCache;
 

@@ -10,26 +10,27 @@
  * stream depends only on the defines and the PGU configuration. A
  * sweep replays one decoded trace against MANY predictors (and the
  * throughput bench against many repeats), so the fast replay loop
- * factors that work out: the first batch over a given (range, config,
- * entry state) runs the define kernel and records its outputs - the
- * per-branch guard states, the packed PGU bit stream, and the
- * predicate file's exit state - as a ReplaySchedule on the trace;
- * every later identical batch replays branches only, skipping the
- * defines entirely. This is what closes the `+both` throughput gap to
- * the base configuration: after warm-up both loops touch only the
- * branch events (docs/PERF.md).
+ * factors that work out. Every batch with a predicate technique armed
+ * replays from a ReplaySchedule - the per-branch guard states, the
+ * packed PGU bit stream and its drain plan, and the predicate file's
+ * exit state - and visits branches only. The first batch over a given
+ * (range, config, entry state) captures its schedule in one
+ * define-only pass and publishes it here; every later identical batch
+ * skips the defines entirely. This is what closes the `+both`
+ * throughput gap to the base configuration: after warm-up both loops
+ * touch only the branch events (docs/PERF.md).
  *
  * Correctness: a schedule is reused only when every input it was
  * derived from matches EXACTLY - trace identity (the cache lives on
- * the trace), event range, the configuration fields the define kernel
+ * the trace), event range, the configuration fields the capture
  * reads, and the full entry state of the predicate file and PGU queue
  * (compared value for value, not hashed, so a stale hit is
  * impossible). The fast-vs-reference equivalence suite replays warm
  * caches and pins stats, profile and checkpoint bytes bit-identical.
  *
- * Thread safety: find/insert are mutex-guarded; schedules are
- * immutable once published (shared_ptr<const>), so concurrent sweep
- * threads replaying one trace share them freely.
+ * Thread safety: find/insert/counters are mutex-guarded; schedules
+ * are immutable once published (shared_ptr<const>), so concurrent
+ * sweep threads replaying one trace share them freely.
  */
 
 #ifndef PABP_SIM_REPLAY_SCHEDULE_HH
@@ -60,13 +61,13 @@ struct ReplayPredWrite
     bool operator==(const ReplayPredWrite &) const = default;
 };
 
-/** The define-kernel outputs for one exact (range, config, entry
+/** The capture's outputs for one exact (range, config, entry
  *  state); see the file comment. */
 struct ReplaySchedule
 {
     /** @name Key - every field must match for reuse
      *  @{ */
-    /** Packed configuration the define kernel reads: cfg0 =
+    /** Packed configuration the capture reads: cfg0 =
      *  availDelay | pguDelay << 32; cfg1 = useSfpf | usePgu << 1 |
      *  conservativeDefTracking << 2 | pguSource << 3 | pguValue << 5
      *  | pguIncludePSet << 7. */
@@ -103,7 +104,8 @@ struct ReplaySchedule
      *  shift when k <= 64 (larger drains fall back to the per-entry
      *  stream, which is always kept). */
     std::vector<std::uint64_t> drainWords;
-    /** Predicate file exit state (what commit() left). */
+    /** Predicate file exit state (what the reference loop leaves
+     *  after the batch's last event). */
     std::uint64_t postVisibleBits = 0;
     std::vector<ReplayPredWrite> postPredQueue;
     /** Branch count of the range - cross-checked against the replay's
@@ -116,6 +118,15 @@ struct ReplaySchedule
 class ReplayScheduleCache
 {
   public:
+    /** Lifetime traffic: successful find()s, insert()s, and inserts
+     *  that dropped the oldest entry. */
+    struct Counters
+    {
+        std::uint64_t hits = 0;
+        std::uint64_t inserts = 0;
+        std::uint64_t evictions = 0;
+    };
+
     /** Return the schedule matching every key field, or null. */
     std::shared_ptr<const ReplaySchedule>
     find(std::uint64_t cfg0, std::uint64_t cfg1, std::uint64_t first,
@@ -134,6 +145,7 @@ class ReplayScheduleCache
             if (!std::equal(prePguQueue.begin(), prePguQueue.end(),
                             s->pguBits.begin()))
                 continue;
+            ++traffic.hits;
             return s;
         }
         return nullptr;
@@ -146,15 +158,26 @@ class ReplayScheduleCache
     insert(std::shared_ptr<const ReplaySchedule> s)
     {
         std::lock_guard<std::mutex> lock(mu);
-        if (entries.size() >= kMaxEntries)
+        if (entries.size() >= kMaxEntries) {
             entries.erase(entries.begin());
+            ++traffic.evictions;
+        }
         entries.push_back(std::move(s));
+        ++traffic.inserts;
+    }
+
+    Counters
+    counters() const
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        return traffic;
     }
 
     static constexpr std::size_t kMaxEntries = 64;
 
   private:
-    std::mutex mu;
+    mutable std::mutex mu;
+    Counters traffic;
     std::vector<std::shared_ptr<const ReplaySchedule>> entries;
 };
 

@@ -348,7 +348,7 @@ readTraceV2(StateSource &src, const TraceReadOptions &opts,
     if (std::memcmp(footer, traceFooter, sizeof(footer)) != 0)
         return salvage_or(Status(StatusCode::Corrupt,
                                  "missing end-of-trace sentinel"));
-    return std::move(trace);
+    return trace;
 }
 
 } // anonymous namespace

@@ -161,10 +161,12 @@ TEST_P(PredictorKindGrid, InvariantsHoldWithTargetsModelled)
     EXPECT_LE(s.all.mispredicts, s.all.branches);
     EXPECT_LE(s.all.taken, s.all.branches);
     EXPECT_LE(s.all.taken, s.all.branches - s.all.falseGuard);
-    if (!sfpf)
+    if (!sfpf) {
         EXPECT_EQ(s.all.squashed, 0u);
-    if (!pgu)
+    }
+    if (!pgu) {
         EXPECT_EQ(engine.pguBitsInserted(), 0u);
+    }
 
     // The degenerate statics bound the rest: nothing mispredicts
     // MORE dynamic branches than there are dynamic branches, and a

@@ -189,8 +189,9 @@ expectCheckpointLoadIsGraceful(const std::string &bytes,
     std::uint64_t pos = 0;
     CheckpointRefs refs{nullptr, &engine, &pos};
     Status status = loadCheckpoint(path, refs);
-    if (!status.ok())
+    if (!status.ok()) {
         EXPECT_FALSE(status.message().empty());
+    }
     std::remove(path.c_str());
 }
 

@@ -2,8 +2,8 @@
  * @file
  * Fast-replay equivalence: PredictionEngine::processBatch over a
  * DecodedTrace must be bit-identical - stats, per-branch profile,
- * PGU bit count, exported metrics BYTES - to the reference
- * replayTrace() loop, across predictor kinds (the E2 axis) and
+ * PGU bit count, checkpoint BYTES, exported metrics BYTES - to the
+ * reference replayTrace() loop, across predictor kinds (the E2 axis) and
  * engine configurations (the E6 axis plus the speculative-squash
  * extension). Also pins the DecodedTrace lane packing against
  * RecordedTrace::materialise, the clamped cursor contracts of
@@ -28,6 +28,7 @@
 #include "sim/decoded_trace.hh"
 #include "sim/emulator.hh"
 #include "sim/trace_io.hh"
+#include "util/serialize.hh"
 #include "sweep.hh"
 #include "workloads/workload.hh"
 
@@ -71,6 +72,17 @@ tempPath(const std::string &name)
     return ::testing::TempDir() + info->name() + "_" + name;
 }
 
+/** The engine's checkpoint bytes (saveState): every queue, table and
+ *  counter a resumed run would continue from. */
+std::string
+stateBytes(const PredictionEngine &engine)
+{
+    std::ostringstream os;
+    StateSink sink(os);
+    engine.saveState(sink);
+    return os.str();
+}
+
 /** Everything the engine exposes after a replay. */
 struct ReplayOutcome
 {
@@ -78,34 +90,42 @@ struct ReplayOutcome
     BranchProfile profile;
     std::uint64_t pguBits = 0;
     std::uint64_t processed = 0;
+    std::string state;
 };
 
 ReplayOutcome
-runReference(const RecordedTrace &trace, const std::string &kind,
-             const EngineConfig &ecfg)
+outcomeOf(const PredictionEngine &engine, std::uint64_t processed)
 {
-    PredictorPtr pred = makePredictor(kind, 12);
-    PredictionEngine engine(*pred, ecfg);
     ReplayOutcome out;
-    out.processed = replayTrace(trace, engine, trace.size());
+    out.processed = processed;
     out.stats = engine.stats();
     out.profile = engine.branchProfile();
     out.pguBits = engine.pguBitsInserted();
+    out.state = stateBytes(engine);
     return out;
 }
 
+/** Reference replay of the first @p n events (default: all). */
 ReplayOutcome
-runFast(const DecodedTrace &trace, const std::string &kind,
-        const EngineConfig &ecfg)
+runReference(const RecordedTrace &trace, const std::string &kind,
+             const EngineConfig &ecfg,
+             std::uint64_t n = ~std::uint64_t{0})
 {
     PredictorPtr pred = makePredictor(kind, 12);
     PredictionEngine engine(*pred, ecfg);
-    ReplayOutcome out;
-    out.processed = engine.processBatch(trace, 0, trace.size());
-    out.stats = engine.stats();
-    out.profile = engine.branchProfile();
-    out.pguBits = engine.pguBitsInserted();
-    return out;
+    const std::uint64_t processed = replayTrace(trace, engine, n);
+    return outcomeOf(engine, processed);
+}
+
+/** One processBatch over the first @p n events (default: all). */
+ReplayOutcome
+runFast(const DecodedTrace &trace, const std::string &kind,
+        const EngineConfig &ecfg, std::uint64_t n = ~std::uint64_t{0})
+{
+    PredictorPtr pred = makePredictor(kind, 12);
+    PredictionEngine engine(*pred, ecfg);
+    const std::uint64_t processed = engine.processBatch(trace, 0, n);
+    return outcomeOf(engine, processed);
 }
 
 void
@@ -115,6 +135,9 @@ expectEquivalent(const ReplayOutcome &ref, const ReplayOutcome &fast)
     EXPECT_EQ(ref.stats, fast.stats);
     EXPECT_EQ(ref.profile, fast.profile);
     EXPECT_EQ(ref.pguBits, fast.pguBits);
+    EXPECT_TRUE(ref.state == fast.state)
+        << "checkpoint bytes differ (" << ref.state.size() << " vs "
+        << fast.state.size() << " bytes)";
     // Guard against a vacuous pass: the trace must actually have
     // exercised the predictor.
     EXPECT_GT(ref.stats.all.branches, 0u);
@@ -386,12 +409,13 @@ TEST(FastReplayEquivalence, TargetStructureCountersMatchReference)
 
 // ---------------------------------------------------------------------
 // Replay-schedule cache: the first fast replay of a (range, config,
-// entry state) runs the define kernel and records a schedule on the
-// trace; every later identical replay takes the hit path (cached
-// guards, word-at-a-time PGU drain, restored predicate-file exit
-// state). Both paths must be bit-identical to the reference loop -
-// and to each other - or the sweep use case (one trace, many
-// predictors) silently simulates two different machines.
+// entry state) captures a schedule in a define-only pass and
+// publishes it on the trace; every later identical replay finds it
+// (cached guards, word-at-a-time PGU drain, restored predicate-file
+// exit state). Both must be bit-identical to the reference loop - and
+// to each other - or the sweep use case (one trace, many predictors)
+// silently simulates two different machines. The cache counters pin
+// that the lookups really hit, so the equivalence is not vacuous.
 
 TEST(FastReplayEquivalence, ScheduleCacheHitMatchesReference)
 {
@@ -400,17 +424,24 @@ TEST(FastReplayEquivalence, ScheduleCacheHitMatchesReference)
         DecodedTrace dec = DecodedTrace::build(trace);
         for (const auto &[name, ecfg] : configGrid()) {
             SCOPED_TRACE(std::string(wl) + "/" + name);
+            const bool schedules = ecfg.useSfpf || ecfg.usePgu;
             const ReplayOutcome ref =
                 runReference(trace, "gshare", ecfg);
             const ReplayOutcome miss = runFast(dec, "gshare", ecfg);
+            std::uint64_t hits = dec.schedCache->counters().hits;
             const ReplayOutcome hit = runFast(dec, "gshare", ecfg);
+            EXPECT_EQ(dec.schedCache->counters().hits,
+                      hits + (schedules ? 1 : 0));
             expectEquivalent(ref, miss);
             expectEquivalent(ref, hit);
             // A different predictor kind must reuse the same schedule
             // (it is predictor-independent) and still match ITS
             // reference.
+            hits = dec.schedCache->counters().hits;
             expectEquivalent(runReference(trace, "perceptron", ecfg),
                              runFast(dec, "perceptron", ecfg));
+            EXPECT_EQ(dec.schedCache->counters().hits,
+                      hits + (schedules ? 1 : 0));
         }
     }
 }
@@ -426,16 +457,84 @@ TEST(FastReplayEquivalence, ChunkedScheduleCacheHitMatches)
     ecfg.usePgu = true;
 
     const ReplayOutcome oneshot = runFast(dec, "gshare", ecfg);
+    const std::uint64_t chunk = 7777;
+    const std::uint64_t chunks = (dec.size() + chunk - 1) / chunk;
+    ASSERT_GT(chunks, 1u);
+    ASSERT_LE(chunks, ReplayScheduleCache::kMaxEntries - 1);
     for (int pass = 0; pass < 2; ++pass) {
+        SCOPED_TRACE(pass == 0 ? "capture pass" : "hit pass");
+        const ReplayScheduleCache::Counters before =
+            dec.schedCache->counters();
         PredictorPtr pred = makePredictor("gshare", 12);
         PredictionEngine engine(*pred, ecfg);
         std::uint64_t cursor = 0;
         while (cursor < dec.size())
-            cursor = engine.processBatch(dec, cursor, 7777);
-        SCOPED_TRACE(pass == 0 ? "capture pass" : "hit pass");
+            cursor = engine.processBatch(dec, cursor, chunk);
+        const ReplayScheduleCache::Counters after =
+            dec.schedCache->counters();
+        EXPECT_EQ(after.inserts - before.inserts,
+                  pass == 0 ? chunks : 0u);
+        EXPECT_EQ(after.hits - before.hits, pass == 0 ? 0u : chunks);
+        EXPECT_EQ(after.evictions, 0u);
         EXPECT_EQ(engine.stats(), oneshot.stats);
         EXPECT_EQ(engine.branchProfile(), oneshot.profile);
         EXPECT_EQ(engine.pguBitsInserted(), oneshot.pguBits);
+        EXPECT_TRUE(stateBytes(engine) == oneshot.state);
+    }
+}
+
+TEST(FastReplayEquivalence, NoScheduleCacheMatchesReference)
+{
+    // A trace without a schedule cache still replays from a schedule:
+    // each batch captures a local one and replays from it, unpublished.
+    RecordedTrace trace = recordWorkload("interp", 40000);
+    DecodedTrace dec = DecodedTrace::build(trace);
+    dec.schedCache.reset();
+    for (const auto &[name, ecfg] : configGrid()) {
+        SCOPED_TRACE(name);
+        const ReplayOutcome ref = runReference(trace, "gshare", ecfg);
+        expectEquivalent(ref, runFast(dec, "gshare", ecfg));
+        expectEquivalent(ref, runFast(dec, "gshare", ecfg));
+    }
+}
+
+TEST(FastReplayEquivalence, ZeroDelayDefineAtBatchEndStaysInFlight)
+{
+    // The reference loop's last advanceTo/drainTo(endSeq) runs BEFORE
+    // the event at endSeq, so a define there stays in flight - at
+    // delay 0 too: its predicate write is still queued and its PGU
+    // bit not yet injected when the batch returns. Batches ending on a
+    // define, one-shot (capture, then hit) and chunked, must leave the
+    // reference's bit count and checkpoint bytes at every delay.
+    RecordedTrace trace = recordWorkload("interp", 40000);
+    DecodedTrace dec = DecodedTrace::build(trace);
+    std::vector<std::uint64_t> ends; // k with event k-1 a define
+    for (std::uint64_t i = 1000; i < dec.size() && ends.size() < 3; ++i)
+        if (dec.inst(i).writesPredicate())
+            ends.push_back(i + 1);
+    ASSERT_EQ(ends.size(), 3u);
+
+    for (const unsigned delay : {0u, 1u, 8u}) {
+        EngineConfig ecfg;
+        ecfg.useSfpf = true;
+        ecfg.usePgu = true;
+        ecfg.availDelay = delay;
+        ecfg.pgu.delay = delay;
+        for (const std::uint64_t k : ends) {
+            SCOPED_TRACE("delay " + std::to_string(delay) + ", k " +
+                         std::to_string(k));
+            const ReplayOutcome ref =
+                runReference(trace, "gshare", ecfg, k);
+            expectEquivalent(ref, runFast(dec, "gshare", ecfg, k));
+            expectEquivalent(ref, runFast(dec, "gshare", ecfg, k));
+
+            // The same boundary inside a chunked run.
+            PredictorPtr pred = makePredictor("gshare", 12);
+            PredictionEngine engine(*pred, ecfg);
+            std::uint64_t cursor = engine.processBatch(dec, 0, k / 2);
+            cursor = engine.processBatch(dec, cursor, k - cursor);
+            expectEquivalent(ref, outcomeOf(engine, cursor));
+        }
     }
 }
 

@@ -177,8 +177,9 @@ TEST(SimdScan, CollectStopsMatchesAcrossLevels)
             ASSERT_EQ(s.uncond, v.uncond);
             // Written prefixes match; untouched tails stay poisoned.
             ASSERT_EQ(brS, brV);
-            if (defs)
+            if (defs) {
                 ASSERT_EQ(dfS, dfV);
+            }
         }
     }
 }
@@ -230,8 +231,9 @@ TEST(SimdScan, CollectStopsUncondStreamIsOptionalAndExact)
             for (std::size_t i = 0; i < want.size(); ++i)
                 ASSERT_EQ(ucS[i], want[i]);
             // Untouched tail stays poisoned.
-            if (want.size() < n)
+            if (want.size() < n) {
                 ASSERT_EQ(ucS[want.size()], 0xdeadbeefu);
+            }
         }
     }
 }
@@ -279,9 +281,10 @@ TEST(SimdScan, CollectStopsAgreesWithScanClasses)
             ASSERT_EQ(got.defines, defines);
             for (std::size_t i = 0; i < wantBr.size(); ++i)
                 ASSERT_EQ(br[i], wantBr[i]);
-            if (defs)
+            if (defs) {
                 for (std::size_t i = 0; i < wantDf.size(); ++i)
                     ASSERT_EQ(df[i], wantDf[i]);
+            }
         }
     }
 }

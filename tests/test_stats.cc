@@ -209,9 +209,11 @@ TEST(EngineResetStats, ClearsEveryRegisteredCounter)
         << "pgu.inserted must not survive a stats reset";
     EXPECT_EQ(engine.stats(), EngineStats{});
     EXPECT_TRUE(engine.branchProfile().entries().empty());
-    for (const auto &[name, value] : group.snapshot())
-        if (name != "pgu.pending_bits") // state, not a statistic
+    for (const auto &[name, value] : group.snapshot()) {
+        if (name != "pgu.pending_bits") { // state, not a statistic
             EXPECT_EQ(value, 0u) << name;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
