@@ -73,13 +73,15 @@ doReplay(const Options &opts)
 
     // Optional checkpoint/resume around the replay loop. The replay
     // cursor travels inside the checkpoint, so a resumed run picks up
-    // exactly where the saved one stopped.
+    // exactly where the saved one stopped; the trace fingerprint
+    // travels with it, so a resume on any other trace is refused.
+    const std::uint64_t trace_id = traceFingerprint(trace);
     std::uint64_t pos = 0;
     std::string ckpt_path = opts.str("checkpoint-file");
     auto every =
         static_cast<std::uint64_t>(opts.integer("checkpoint-every"));
     if (!opts.str("resume").empty()) {
-        CheckpointRefs refs{nullptr, &engine, &pos};
+        CheckpointRefs refs{nullptr, &engine, &pos, &trace_id};
         Status status = loadCheckpoint(opts.str("resume"), refs);
         if (!status.ok())
             pabp_fatal(status.toString());
@@ -92,7 +94,7 @@ doReplay(const Options &opts)
     } else {
         while (pos < trace.size()) {
             pos = replayTraceFrom(trace, engine, pos, every);
-            CheckpointRefs refs{nullptr, &engine, &pos};
+            CheckpointRefs refs{nullptr, &engine, &pos, &trace_id};
             Status status = saveCheckpoint(ckpt_path, refs);
             if (!status.ok())
                 pabp_fatal(status.toString());

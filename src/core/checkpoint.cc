@@ -24,6 +24,7 @@ constexpr std::uint32_t ckptVersion = 3;
 constexpr std::uint8_t sectionEmulator = 1;
 constexpr std::uint8_t sectionEngine = 2;
 constexpr std::uint8_t sectionStreamPos = 4;
+constexpr std::uint8_t sectionTraceId = 8;
 
 std::uint8_t
 sectionMask(const CheckpointRefs &refs)
@@ -35,6 +36,8 @@ sectionMask(const CheckpointRefs &refs)
         mask |= sectionEngine;
     if (refs.streamPos)
         mask |= sectionStreamPos;
+    if (refs.traceId)
+        mask |= sectionTraceId;
     return mask;
 }
 
@@ -62,6 +65,8 @@ saveCheckpoint(const std::string &path, const CheckpointRefs &refs)
             refs.engine->saveState(sink);
         if (refs.streamPos)
             sink.writeU64(*refs.streamPos);
+        if (refs.traceId)
+            sink.writeU64(*refs.traceId);
         sink.writeU32(sink.crc32());
 
         sink.writeBytes(ckptFooter, sizeof(ckptFooter));
@@ -119,6 +124,9 @@ loadCheckpoint(const std::string &path, const CheckpointRefs &refs)
         PABP_TRY(refs.engine->loadState(src));
     if (refs.streamPos)
         PABP_TRY(src.readPod(*refs.streamPos));
+    std::uint64_t trace_id = 0;
+    if (refs.traceId)
+        PABP_TRY(src.readPod(trace_id));
 
     std::uint32_t crc = src.crc32();
     std::uint32_t stored_crc = 0;
@@ -126,6 +134,11 @@ loadCheckpoint(const std::string &path, const CheckpointRefs &refs)
     if (stored_crc != crc)
         return Status(StatusCode::ChecksumMismatch,
                       "checkpoint CRC mismatch");
+    // Compared only once the CRC verified: a damaged id is corruption,
+    // an intact different one is a resume on the wrong trace.
+    if (refs.traceId && trace_id != *refs.traceId)
+        return Status(StatusCode::InvalidArgument,
+                      "checkpoint was taken on a different trace");
 
     char footer[8];
     PABP_TRY(src.readBytes(footer, sizeof(footer)));

@@ -10,8 +10,9 @@
  * InvalidArgument when they do not.
  *
  * On-disk layout (little-endian):
- *   | magic "PABPCKP1" | u32 version = 2
- *   | u8 section mask (1 = emulator, 2 = engine, 4 = stream position)
+ *   | magic "PABPCKP1" | u32 version = 3
+ *   | u8 section mask (1 = emulator, 2 = engine, 4 = stream position,
+ *   |                  8 = trace id)
  *   | section payloads in mask order
  *   | u32 crc   - CRC-32 of mask + payloads
  *   | footer "PABPCKPE"
@@ -45,6 +46,13 @@ struct CheckpointRefs
     PredictionEngine *engine = nullptr;
     std::uint64_t *streamPos = nullptr; ///< replay cursor, for
                                         ///< trace-driven runs
+    /**
+     * Identity of the replayed trace (traceFingerprint(),
+     * sim/trace_io.hh). Saved as-is; on load the stored id must equal
+     * *traceId, or the load fails with InvalidArgument - a cursor is
+     * meaningless on any other trace.
+     */
+    const std::uint64_t *traceId = nullptr;
 };
 
 /** Atomically write a checkpoint of every non-null ref. */

@@ -613,7 +613,7 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
         uncondBufCap = count;
     }
     const simd::CollectResult stops = simd::collectStops(
-        trace.cls, first, end, capture, stopBuf.get(),
+        trace.cls.data(), first, end, capture, stopBuf.get(),
         capture ? defBuf.get() : nullptr,
         targets ? uncondBuf.get() : nullptr);
     engineStats.uncondBranches += stops.uncond;

@@ -12,42 +12,17 @@
  * sequence number, so the inner loop is a handful of indexed loads
  * with no per-step DynInst construction. The pc lane doubles as the
  * static-instruction index (a trace pc IS an index into the owned
- * program), so the old pre-resolved `const Inst *` lane is gone -
- * `inst(i)` is one add off the pc the loop already loaded, and the
- * lanes are pure POD, which is what makes the zero-copy file mapping
- * below possible.
+ * program), so `inst(i)` is one add off the pc the loop already
+ * loaded.
  *
- * The lanes live behind raw const pointers into one of two backings:
- *
- *  - build(): decodes a RecordedTrace into owned vectors (the
- *    in-memory path every existing caller uses), or
- *  - mapDecodedTraceFile(): points the lanes straight into a
- *    read-only mmap of a PABPDTF1 file written by
- *    saveDecodedTraceFile(). Opening cost is header + program
- *    validation plus one bounds scan of the pc lane - it no longer
- *    scales with re-decoding the event stream, so cold-starting a
- *    sweep over a huge trace is cheap (docs/PERF.md).
- *
- * A built or mapped DecodedTrace is immutable and safe to share
- * READ-ONLY across threads - the sweep runner caches one per
- * (workload, measurement seed, budget) and replays every matching
- * cell against it, exactly like the compiled-program cache
- * (docs/PARALLEL.md, docs/PERF.md). It owns a copy of the program so
- * `inst(i)` can never dangle; copying is deleted while moving is
- * allowed (vector/mapping moves keep the underlying buffers, so the
- * lane pointers stay valid).
- *
- * PABPDTF1 layout (little-endian):
- *   | magic[8]="PABPDTF1" | u32 version=1 | u64 numInsts
- *   | u64 numEvents | u32 laneCrc | u32 headerCrc
- *   | program: numInsts x 20-byte records | u32 progCrc
- *   | pad to 8 | pcs u32[n] | nextPcs u32[n]
- *   | cls u8[n] | flags u8[n] | predReg0 u8[n] | predReg1 u8[n]
- *   | predVal u8[n]
- * headerCrc covers the 32 bytes before it; progCrc the program
- * records; laneCrc the whole lane region. Every malformed-input path
- * is a typed Status (BadMagic / VersionMismatch / ChecksumMismatch /
- * Truncated / Corrupt), never a crash.
+ * A DecodedTrace lives in memory only: build() decodes a RecordedTrace
+ * (loaded from a PABPTRC2 file or recorded live, sim/trace_io.hh).
+ * Once built it is immutable and safe to share READ-ONLY across
+ * threads - the sweep runner caches one per (workload, measurement
+ * seed, budget) and replays every matching cell against it, exactly
+ * like the compiled-program cache (docs/PARALLEL.md, docs/PERF.md).
+ * It owns a copy of the program so `inst(i)` can never dangle;
+ * copying is deleted while moving is allowed.
  */
 
 #ifndef PABP_SIM_DECODED_TRACE_HH
@@ -60,7 +35,6 @@
 #include "isa/program.hh"
 #include "sim/replay_schedule.hh"
 #include "sim/trace_io.hh"
-#include "util/mmap_file.hh"
 
 namespace pabp {
 
@@ -71,8 +45,8 @@ struct DecodedTrace
      * How PredictionEngine::process() would dispatch the event.
      * The classes are mutually exclusive by construction: Br/Call/Ret
      * never write predicates and Cmp/PSet are never control.
-     * The numeric values are pinned by the PABPDTF1 format and the
-     * simd class-scan kernels (util/simd.hh).
+     * The numeric values are pinned by the simd class-scan kernels
+     * (util/simd.hh).
      */
     enum class Class : std::uint8_t
     {
@@ -86,19 +60,17 @@ struct DecodedTrace
     Program prog;
 
     /** @name Per-event lanes, all of size() entries
-     * Read-only views into either the owned vectors (build()) or the
-     * file mapping (mapDecodedTraceFile()).
      *  @{ */
-    const std::uint32_t *pcs = nullptr;
-    const std::uint8_t *cls = nullptr; ///< a Class value
+    std::vector<std::uint32_t> pcs;
+    std::vector<std::uint8_t> cls; ///< a Class value
     /** bit0 guard, bit1 taken, bits 2-3 numPredWrites - the exact
      *  RecordedTrace::Event::flags packing. */
-    const std::uint8_t *flags = nullptr;
-    const std::uint8_t *predReg0 = nullptr;
-    const std::uint8_t *predReg1 = nullptr;
+    std::vector<std::uint8_t> flags;
+    std::vector<std::uint8_t> predReg0;
+    std::vector<std::uint8_t> predReg1;
     /** bit0/bit1 = write values, bit2 cmpRel (Event::predVal). */
-    const std::uint8_t *predVal = nullptr;
-    const std::uint32_t *nextPcs = nullptr;
+    std::vector<std::uint8_t> predVal;
+    std::vector<std::uint32_t> nextPcs;
     /** @} */
 
     DecodedTrace() = default;
@@ -107,10 +79,7 @@ struct DecodedTrace
     DecodedTrace(const DecodedTrace &) = delete;
     DecodedTrace &operator=(const DecodedTrace &) = delete;
 
-    std::size_t size() const { return count; }
-
-    /** True when the lanes point into a file mapping. */
-    bool isMapped() const { return mapping != nullptr; }
+    std::size_t size() const { return pcs.size(); }
 
     bool guard(std::size_t i) const { return flags[i] & 1; }
     bool taken(std::size_t i) const { return (flags[i] >> 1) & 1; }
@@ -122,7 +91,7 @@ struct DecodedTrace
 
     /** The static instruction of event @p i: the pc lane is the
      *  instruction index, pre-validated against the program at
-     *  build/map time, so this is a single indexed load. */
+     *  build time, so this is a single indexed load. */
     const Inst &
     inst(std::size_t i) const
     {
@@ -161,67 +130,19 @@ struct DecodedTrace
         return dyn;
     }
 
-    /** Decode @p trace into owned in-memory lanes. */
+    /** Decode @p trace into in-memory lanes. */
     static DecodedTrace build(const RecordedTrace &trace);
-
-    /** Owned-vector backing for the build() path. */
-    struct Lanes
-    {
-        std::vector<std::uint32_t> pcs;
-        std::vector<std::uint8_t> cls;
-        std::vector<std::uint8_t> flags;
-        std::vector<std::uint8_t> predReg0;
-        std::vector<std::uint8_t> predReg1;
-        std::vector<std::uint8_t> predVal;
-        std::vector<std::uint32_t> nextPcs;
-    };
-
-    std::size_t count = 0;
-    std::unique_ptr<Lanes> store;      ///< build() backing
-    std::unique_ptr<MmapFile> mapping; ///< mapped-file backing
 
     /**
      * Predictor-independent replay schedules derived from this trace
      * (sim/replay_schedule.hh), shared by every engine that batch
      * replays it - a sweep's repeated replays skip the schedule
-     * capture after the first pass. Created by
-     * build()/mapDecodedTraceFile(); a default-constructed trace has
-     * none, and the engine then captures a schedule for every batch
-     * without publishing it.
+     * capture after the first pass. Created by build(); a
+     * default-constructed trace has none, and the engine then
+     * captures a schedule for every batch without publishing it.
      */
     std::shared_ptr<ReplayScheduleCache> schedCache;
-
-    /** Re-point the lane views at the owned vectors. */
-    void bindStore();
 };
-
-/** Knobs for mapDecodedTraceFile(). */
-struct DecodedMapOptions
-{
-    /**
-     * Verify the lane CRC and the per-event invariants (class lane
-     * consistent with the program, predicate-write registers in
-     * range). Costs one sequential pass over the lanes; disable only
-     * for trusted, locally-written files. The pc-lane bounds scan
-     * ALWAYS runs - the batch loop indexes the program with lane pcs
-     * unchecked, so out-of-range pcs must be impossible regardless of
-     * this knob.
-     */
-    bool verifyLanes = true;
-};
-
-/** Serialise @p trace as a PABPDTF1 file (write-then-rename). */
-Status saveDecodedTraceFile(const DecodedTrace &trace,
-                            const std::string &path);
-
-/**
- * Map a PABPDTF1 file zero-copy: the program section is deserialised
- * (it is small and the Inst layout is not the disk layout), the event
- * lanes stay in the read-only mapping. Torn, truncated or corrupt
- * files yield typed errors; nothing aborts.
- */
-Expected<DecodedTrace> mapDecodedTraceFile(
-    const std::string &path, const DecodedMapOptions &opts = {});
 
 } // namespace pabp
 

@@ -13,13 +13,14 @@ namespace pabp {
 
 namespace {
 
-constexpr char traceMagicV1[8] = {'P', 'A', 'B', 'P', 'T', 'R', 'C', '1'};
 constexpr char traceMagicV2[8] = {'P', 'A', 'B', 'P', 'T', 'R', 'C', '2'};
 constexpr char traceFooter[8] = {'P', 'A', 'B', 'P', 'E', 'N', 'D', '2'};
 
 constexpr std::uint32_t traceVersion2 = 2;
 
-/** On-disk record sizes (fixed by both format versions). */
+/** On-disk record sizes. The instruction record is the architectural
+ *  encoding plus the regionId sidecar. */
+constexpr std::size_t instRecordSize = 20;
 constexpr std::size_t eventRecordBytes = 12; // pc,flags,regs,val,nextPc
 
 /** Events per CRC-protected v2 block. Small enough that salvage
@@ -78,11 +79,6 @@ unpackEvent(const unsigned char *p)
     return event;
 }
 
-Expected<RecordedTrace> readTraceV1(StateSource &src, TraceReadInfo &info);
-Expected<RecordedTrace> readTraceV2(StateSource &src,
-                                    const TraceReadOptions &opts,
-                                    TraceReadInfo &info);
-
 } // anonymous namespace
 
 DynInst
@@ -136,6 +132,33 @@ recordTrace(Emulator &emu, std::uint64_t max_insts)
 }
 
 std::uint64_t
+traceFingerprint(const RecordedTrace &trace)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    auto feed = [&hash](const unsigned char *p, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            hash ^= p[i];
+            hash *= 0x100000001b3ull;
+        }
+    };
+    // The section sizes first, so no shift of bytes between the
+    // program and the events can collide.
+    const std::uint64_t sizes[2] = {trace.prog.size(),
+                                    trace.events.size()};
+    feed(reinterpret_cast<const unsigned char *>(sizes), sizeof(sizes));
+    unsigned char record[instRecordSize];
+    for (const Inst &inst : trace.prog.insts) {
+        packInst(inst, record);
+        feed(record, instRecordSize);
+    }
+    for (const RecordedTrace::Event &event : trace.events) {
+        packEvent(event, record);
+        feed(record, eventRecordBytes);
+    }
+    return hash;
+}
+
+std::uint64_t
 writeTrace(const RecordedTrace &trace, std::ostream &os)
 {
     StateSink sink(os);
@@ -180,72 +203,12 @@ writeTrace(const RecordedTrace &trace, std::ostream &os)
     return sink.bytesWritten();
 }
 
-std::uint64_t
-writeTraceV1(const RecordedTrace &trace, std::ostream &os)
-{
-    StateSink sink(os);
-    sink.writeBytes(traceMagicV1, sizeof(traceMagicV1));
-    sink.writeU64(trace.prog.size());
-    unsigned char record[instRecordSize];
-    for (const Inst &inst : trace.prog.insts) {
-        packInst(inst, record);
-        sink.writeBytes(record, instRecordSize);
-    }
-    sink.writeU64(trace.events.size());
-    unsigned char event_record[eventRecordBytes];
-    for (const RecordedTrace::Event &event : trace.events) {
-        packEvent(event, event_record);
-        sink.writeBytes(event_record, eventRecordBytes);
-    }
-    return sink.bytesWritten();
-}
-
 namespace {
-
-Expected<RecordedTrace>
-readTraceV1(StateSource &src, TraceReadInfo &info)
-{
-    info.version = 1;
-    RecordedTrace trace;
-
-    std::uint64_t num_insts = 0;
-    PABP_TRY(src.readPod(num_insts));
-    // Never trust an unprotected count for preallocation.
-    trace.prog.insts.reserve(
-        std::min<std::uint64_t>(num_insts, 1u << 16));
-    unsigned char record[instRecordSize];
-    for (std::uint64_t i = 0; i < num_insts; ++i) {
-        PABP_TRY(src.readBytes(record, instRecordSize));
-        Inst inst;
-        if (!unpackInst(record, inst))
-            return Status(StatusCode::Corrupt,
-                          "invalid instruction encoding at pc " +
-                              std::to_string(i));
-        trace.prog.insts.push_back(inst);
-    }
-
-    std::uint64_t num_events = 0;
-    PABP_TRY(src.readPod(num_events));
-    trace.events.reserve(std::min<std::uint64_t>(num_events, 1u << 20));
-    unsigned char event_record[eventRecordBytes];
-    for (std::uint64_t i = 0; i < num_events; ++i) {
-        PABP_TRY(src.readBytes(event_record, eventRecordBytes));
-        RecordedTrace::Event event = unpackEvent(event_record);
-        if (event.pc >= trace.prog.size())
-            return Status(StatusCode::Corrupt,
-                          "trace event pc " + std::to_string(event.pc) +
-                              " out of range");
-        trace.events.push_back(event);
-    }
-    return trace;
-}
 
 Expected<RecordedTrace>
 readTraceV2(StateSource &src, const TraceReadOptions &opts,
             TraceReadInfo &info)
 {
-    info.version = 2;
-
     // Header (the magic already passed through the CRC in readTrace).
     std::uint32_t version = 0;
     std::uint64_t num_insts = 0, num_events = 0;
@@ -364,12 +327,10 @@ readTrace(std::istream &is, const TraceReadOptions &opts,
     StateSource src(is);
     char magic[8];
     PABP_TRY(src.readBytes(magic, sizeof(magic)));
-    if (std::memcmp(magic, traceMagicV1, 7) != 0)
+    if (std::memcmp(magic, traceMagicV2, 7) != 0)
         return Status(StatusCode::BadMagic,
                       "not a pabp trace (bad magic)");
-    if (magic[7] == '1')
-        return readTraceV1(src, out);
-    if (magic[7] == '2')
+    if (magic[7] == traceMagicV2[7])
         return readTraceV2(src, opts, out);
     return Status(StatusCode::VersionMismatch,
                   std::string("unsupported trace container version '") +
@@ -417,18 +378,6 @@ loadTraceFile(const std::string &path)
     if (!loaded.ok())
         pabp_fatal(loaded.status().toString());
     return std::move(loaded.value());
-}
-
-void
-packInstRecord(const Inst &inst, unsigned char *out)
-{
-    packInst(inst, out);
-}
-
-bool
-unpackInstRecord(const unsigned char *p, Inst &inst)
-{
-    return unpackInst(p, inst);
 }
 
 } // namespace pabp

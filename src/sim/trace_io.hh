@@ -6,12 +6,7 @@
  * emulated once and replayed against many predictor configurations
  * (the record/replay methodology of trace-driven studies).
  *
- * Two on-disk versions exist (both little-endian):
- *
- *  v1 ("PABPTRC1"): the original unprotected layout - program size,
- *    instruction records, event count, event records. Still readable.
- *
- *  v2 ("PABPTRC2"): the hardened layout this library writes.
+ * One on-disk format exists, "PABPTRC2" (little-endian):
  *    | magic[8] | u32 version | u64 numInsts | u64 numEvents
  *    | u32 headerCrc   - CRC-32 of the 28 bytes above
  *    | program section - 20 bytes per instruction
@@ -70,11 +65,20 @@ struct RecordedTrace
 /** Record up to @p max_insts instructions of @p emu. */
 RecordedTrace recordTrace(Emulator &emu, std::uint64_t max_insts);
 
+/**
+ * 64-bit FNV-1a over the section sizes, the on-disk program records
+ * and every event:
+ * equal for a trace and its saved-and-reloaded copy, different (up to
+ * hash collisions) for traces of different programs or streams. Ties a
+ * replay checkpoint to its trace (CheckpointRefs::traceId).
+ */
+std::uint64_t traceFingerprint(const RecordedTrace &trace);
+
 /** Reader knobs. */
 struct TraceReadOptions
 {
     /**
-     * Best-effort recovery: when the event section of a v2 trace is
+     * Best-effort recovery: when the event section of a trace is
      * damaged (CRC failure, truncation, corrupt block), return the
      * longest prefix of events from fully-valid blocks instead of an
      * error. The header and program section must still verify - a
@@ -86,20 +90,17 @@ struct TraceReadOptions
 /** What the reader learned about the artifact. */
 struct TraceReadInfo
 {
-    std::uint32_t version = 0;      ///< 1 or 2
     bool salvaged = false;          ///< salvage mode recovered a prefix
     std::uint64_t eventsDropped = 0; ///< events lost to salvage
 };
 
-/** Serialise in the current (v2) format. Returns bytes written. */
+/** Serialise as PABPTRC2. Returns bytes written. */
 std::uint64_t writeTrace(const RecordedTrace &trace, std::ostream &os);
 
-/** Serialise in the legacy v1 format (compatibility testing). */
-std::uint64_t writeTraceV1(const RecordedTrace &trace, std::ostream &os);
-
 /**
- * Deserialise a v1 or v2 trace (dispatched on the magic). All
- * malformed-input paths return a typed Status; nothing aborts.
+ * Deserialise a PABPTRC2 trace. Any other container version
+ * (including the retired unprotected PABPTRC1) is VersionMismatch;
+ * every malformed-input path returns a typed Status, nothing aborts.
  */
 Expected<RecordedTrace> readTrace(std::istream &is,
                                   const TraceReadOptions &opts = {},
@@ -115,19 +116,6 @@ Expected<RecordedTrace> tryLoadTraceFile(const std::string &path,
 /** CLI shims: fatal on any failure. Library code wants the try* forms. */
 void saveTraceFile(const RecordedTrace &trace, const std::string &path);
 RecordedTrace loadTraceFile(const std::string &path);
-
-/**
- * @name Static-instruction record packing
- * The 20-byte on-disk instruction record (architectural encoding plus
- * the regionId sidecar) shared by the trace formats and the decoded-
- * trace file format (sim/decoded_trace.hh).
- * @{
- */
-constexpr std::size_t instRecordSize = 20;
-void packInstRecord(const Inst &inst, unsigned char *out);
-/** False when the record is not a valid encoding. */
-bool unpackInstRecord(const unsigned char *p, Inst &inst);
-/** @} */
 
 } // namespace pabp
 

@@ -5,7 +5,7 @@
  * must produce *bit-identical* EngineStats to the uninterrupted run,
  * for every predictor whose state travels in the checkpoint. Plus
  * the artifact-level guarantees: atomic write-then-rename, typed
- * errors on damage, and configuration-mismatch detection.
+ * errors on damage, and configuration- and trace-mismatch detection.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "bpred/factory.hh"
@@ -196,6 +197,63 @@ TEST(Checkpoint, MissingFileIsTypedError)
         loadCheckpoint(tempPath("pabp_no_such.ckpt"), refs);
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), StatusCode::IoError);
+}
+
+TEST(Checkpoint, TraceIdMustMatchOnResume)
+{
+    const RecordedTrace interp = recordWorkload("interp", 20000);
+    const RecordedTrace histogram = recordWorkload("histogram", 20000);
+    const std::uint64_t id = traceFingerprint(interp);
+    const std::uint64_t other = traceFingerprint(histogram);
+    ASSERT_NE(id, other);
+
+    // The id survives a save/reload of the trace itself.
+    std::stringstream buffer;
+    writeTrace(interp, buffer);
+    Expected<RecordedTrace> reloaded = readTrace(buffer);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().toString();
+    EXPECT_EQ(traceFingerprint(reloaded.value()), id);
+
+    std::string path = tempPath("pabp_ckpt_trace_id.ckpt");
+    {
+        PredictorPtr pred = makePredictor("gshare", 10);
+        PredictionEngine engine(*pred, fullConfig());
+        std::uint64_t pos = replayTraceFrom(interp, engine, 0, 7000);
+        CheckpointRefs refs{nullptr, &engine, &pos, &id};
+        ASSERT_TRUE(saveCheckpoint(path, refs).ok());
+    }
+
+    auto resume = [&](const std::uint64_t *trace_id,
+                      std::uint64_t &pos) {
+        PredictorPtr pred = makePredictor("gshare", 10);
+        PredictionEngine engine(*pred, fullConfig());
+        return loadCheckpoint(
+            path, CheckpointRefs{nullptr, &engine, &pos, trace_id});
+    };
+
+    std::uint64_t pos = 0;
+    Status same = resume(&id, pos);
+    ASSERT_TRUE(same.ok()) << same.toString();
+    EXPECT_EQ(pos, 7000u);
+
+    Status wrong = resume(&other, pos);
+    ASSERT_FALSE(wrong.ok());
+    EXPECT_EQ(wrong.code(), StatusCode::InvalidArgument);
+
+    // Asking for no id is a section mismatch, not a silent pass.
+    Status missing = resume(nullptr, pos);
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.code(), StatusCode::InvalidArgument);
+
+    // A damaged stored id is corruption, caught by the CRC. The id is
+    // the last payload field: before the u32 CRC and 8-byte footer.
+    std::string bytes = readFileBytes(path);
+    bytes[bytes.size() - 8 - 4 - 1] ^= 0x01;
+    writeFileBytes(path, bytes);
+    Status damaged = resume(&id, pos);
+    ASSERT_FALSE(damaged.ok());
+    EXPECT_EQ(damaged.code(), StatusCode::ChecksumMismatch);
+    std::remove(path.c_str());
 }
 
 class CheckpointArtifact : public ::testing::Test

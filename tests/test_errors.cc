@@ -71,7 +71,7 @@ TEST(ErrorPaths, SatCounterWidthAsserted)
 // surface as StatusCode::Truncated through the recoverable API.
 TEST(ErrorPaths, TruncatedTraceIsRecoverableNotPanic)
 {
-    std::string bytes("PABPTRC1\x05", 9); // magic + partial count
+    std::string bytes("PABPTRC2\x02", 9); // magic + partial version
     std::istringstream is(bytes);
     Expected<RecordedTrace> loaded = readTrace(is);
     ASSERT_FALSE(loaded.ok());

@@ -7,18 +7,29 @@
  * warm-up rule: the first k occurrences of a PC never enter the
  * k-conditioned table, so a fully-determined sequence really reports
  * H == 0.0, with no cold-start residue. Also covers the bounded-table
- * eviction remainders and the trace-level characterization fronts.
+ * eviction remainders, the trace-level characterization fronts and
+ * the `pabp-stats --characterize` command line.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "core/predictability.hh"
 #include "sim/decoded_trace.hh"
 #include "sim/emulator.hh"
 #include "sim/trace_io.hh"
+#include "util/metrics.hh"
 #include "workloads/workload.hh"
+
+#ifndef PABP_STATS_BIN
+#error "PABP_STATS_BIN must point at the pabp-stats executable"
+#endif
 
 namespace pabp {
 namespace {
@@ -264,6 +275,83 @@ TEST(PredictabilityTrace, EventBudgetMatchesReplayBudget)
                           trace.size() / 2);
     EXPECT_LT(half.occurrences, whole.occurrences);
     EXPECT_GT(half.occurrences, 0u);
+}
+
+// ---------------------------------------------------------------------
+// `pabp-stats --characterize`: the tool prints exactly the document
+// the library builds, and refuses anything but a PABPTRC2 trace with
+// a typed error and exit status 2.
+
+struct ToolRun
+{
+    int exitCode = -1;
+    std::string out;
+    std::string err;
+};
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+ToolRun
+runStats(const std::string &args)
+{
+    const std::string base = ::testing::TempDir() + "pabp-stats-cli";
+    const std::string cmd = std::string(PABP_STATS_BIN) + " " + args +
+        " > " + base + ".out 2> " + base + ".err";
+    const int rc = std::system(cmd.c_str());
+    EXPECT_NE(rc, -1);
+    return {WEXITSTATUS(rc), slurp(base + ".out"),
+            slurp(base + ".err")};
+}
+
+TEST(PabpStatsCharacterize, MatchesLibraryOnRecordedTrace)
+{
+    Workload wl = makeWorkload("interp", 42);
+    CompileOptions copts;
+    CompiledProgram cp = compileWorkload(wl, copts);
+    Emulator emu(cp.prog);
+    if (wl.init)
+        wl.init(emu.state());
+    const RecordedTrace trace = recordTrace(emu, 30'000);
+    const std::string path =
+        ::testing::TempDir() + "pabp-stats-characterize.trace";
+    ASSERT_TRUE(trySaveTraceFile(trace, path).ok());
+
+    MetricsExporter ex;
+    ex.setText("source", path);
+    exportPredictability(ex, characterizeTrace(trace));
+    std::ostringstream expected;
+    ex.writeJson(expected);
+
+    const ToolRun run = runStats("--characterize " + path);
+    EXPECT_EQ(run.exitCode, 0) << run.err;
+    EXPECT_EQ(run.out, expected.str());
+    // Guard against a vacuous pass.
+    EXPECT_NE(run.out.find("\"predictability.occurrences\""),
+              std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(PabpStatsCharacterize, RetiredV1TraceIsVersionMismatch)
+{
+    const std::string path =
+        ::testing::TempDir() + "pabp-stats-characterize-v1.trace";
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << "PABPTRC1" << std::string(32, '\0');
+    }
+    const ToolRun run = runStats("--characterize " + path);
+    EXPECT_EQ(run.exitCode, 2);
+    EXPECT_TRUE(run.out.empty()) << run.out;
+    EXPECT_NE(run.err.find("VersionMismatch"), std::string::npos)
+        << run.err;
+    std::remove(path.c_str());
 }
 
 } // namespace

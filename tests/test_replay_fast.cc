@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -536,111 +535,6 @@ TEST(FastReplayEquivalence, ZeroDelayDefineAtBatchEndStaysInFlight)
             expectEquivalent(ref, outcomeOf(engine, cursor));
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Decoded-trace files: a mapped trace must behave byte-for-byte like
-// the in-memory build it was saved from, and damage must surface as
-// TYPED errors, never as a crash or a silently different replay.
-
-TEST(DecodedTraceFile, MmapMatchesInMemory)
-{
-    RecordedTrace trace = recordWorkload("filter", 30000);
-    DecodedTrace dec = DecodedTrace::build(trace);
-    const std::string path = tempPath("decoded.pabpdtf");
-    ASSERT_TRUE(saveDecodedTraceFile(dec, path).ok());
-
-    Expected<DecodedTrace> mapped = mapDecodedTraceFile(path);
-    ASSERT_TRUE(mapped.ok()) << mapped.status().toString();
-    const DecodedTrace &mm = mapped.value();
-
-    // Lane bytes, not just semantics.
-    ASSERT_EQ(mm.size(), dec.size());
-    const std::size_t n = dec.size();
-    EXPECT_EQ(std::memcmp(mm.pcs, dec.pcs, n * 4), 0);
-    EXPECT_EQ(std::memcmp(mm.nextPcs, dec.nextPcs, n * 4), 0);
-    EXPECT_EQ(std::memcmp(mm.cls, dec.cls, n), 0);
-    EXPECT_EQ(std::memcmp(mm.flags, dec.flags, n), 0);
-    EXPECT_EQ(std::memcmp(mm.predReg0, dec.predReg0, n), 0);
-    EXPECT_EQ(std::memcmp(mm.predReg1, dec.predReg1, n), 0);
-    EXPECT_EQ(std::memcmp(mm.predVal, dec.predVal, n), 0);
-
-    // And the replay over the mapping matches the reference loop,
-    // miss and schedule-cache hit alike.
-    EngineConfig ecfg;
-    ecfg.useSfpf = true;
-    ecfg.usePgu = true;
-    const ReplayOutcome ref = runReference(trace, "gshare", ecfg);
-    expectEquivalent(ref, runFast(mm, "gshare", ecfg));
-    expectEquivalent(ref, runFast(mm, "gshare", ecfg));
-    std::remove(path.c_str());
-}
-
-TEST(DecodedTraceFile, TruncationIsTyped)
-{
-    RecordedTrace trace = recordWorkload("bsort", 8000);
-    DecodedTrace dec = DecodedTrace::build(trace);
-    const std::string path = tempPath("trunc.pabpdtf");
-    ASSERT_TRUE(saveDecodedTraceFile(dec, path).ok());
-    const std::string bytes = readFile(path);
-
-    // Torn anywhere - inside the header, the program section, or the
-    // lane region - the mapping must come back Truncated.
-    for (const std::size_t keep :
-         {std::size_t{10}, std::size_t{100}, bytes.size() - 1}) {
-        SCOPED_TRACE("keep=" + std::to_string(keep));
-        ASSERT_LT(keep, bytes.size());
-        {
-            std::ofstream out(path, std::ios::binary | std::ios::trunc);
-            out.write(bytes.data(),
-                      static_cast<std::streamsize>(keep));
-        }
-        Expected<DecodedTrace> mapped = mapDecodedTraceFile(path);
-        ASSERT_FALSE(mapped.ok());
-        EXPECT_EQ(mapped.status().code(), StatusCode::Truncated);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(DecodedTraceFile, CorruptionIsTyped)
-{
-    RecordedTrace trace = recordWorkload("bsort", 8000);
-    DecodedTrace dec = DecodedTrace::build(trace);
-    const std::string path = tempPath("corrupt.pabpdtf");
-    ASSERT_TRUE(saveDecodedTraceFile(dec, path).ok());
-    const std::string bytes = readFile(path);
-
-    auto mapWithFlip = [&](std::size_t at) {
-        std::string copy = bytes;
-        copy[at] = static_cast<char>(copy[at] ^ 0x40);
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(copy.data(),
-                  static_cast<std::streamsize>(copy.size()));
-        out.close();
-        return mapDecodedTraceFile(path);
-    };
-
-    {
-        // Magic damage: not our file at all.
-        Expected<DecodedTrace> mapped = mapWithFlip(2);
-        ASSERT_FALSE(mapped.ok());
-        EXPECT_EQ(mapped.status().code(), StatusCode::BadMagic);
-    }
-    {
-        // Header field damage: the header CRC catches it.
-        Expected<DecodedTrace> mapped = mapWithFlip(14);
-        ASSERT_FALSE(mapped.ok());
-        EXPECT_EQ(mapped.status().code(),
-                  StatusCode::ChecksumMismatch);
-    }
-    {
-        // Lane damage: the (default-on) lane CRC catches it.
-        Expected<DecodedTrace> mapped = mapWithFlip(bytes.size() - 1);
-        ASSERT_FALSE(mapped.ok());
-        EXPECT_EQ(mapped.status().code(),
-                  StatusCode::ChecksumMismatch);
-    }
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

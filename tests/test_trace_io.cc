@@ -4,8 +4,9 @@
  * key property that replaying a recorded trace produces *exactly* the
  * same prediction statistics as a live run, and the PABPTRC2
  * hardening guarantees - every corruption or truncation of the byte
- * stream yields a typed Status (never a process abort), v1 traces
- * still load, and salvage mode recovers the longest valid prefix.
+ * stream yields a typed Status (never a process abort), retired
+ * container versions are refused, and salvage mode recovers the
+ * longest valid prefix.
  */
 
 #include <gtest/gtest.h>
@@ -98,7 +99,6 @@ TEST(TraceIo, StreamRoundTripExact)
     TraceReadInfo info;
     Expected<RecordedTrace> loaded = readTrace(buffer, {}, &info);
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-    EXPECT_EQ(info.version, 2u);
     EXPECT_FALSE(info.salvaged);
 
     const RecordedTrace &back = loaded.value();
@@ -123,12 +123,16 @@ TEST(TraceIo, BadMagicIsTypedError)
 
 TEST(TraceIo, UnknownContainerVersionIsTypedError)
 {
+    // '1' is the retired unprotected layout: no longer readable.
     RecordedTrace trace = recordWorkload("rle", 1000);
-    std::string bytes = serializeV2(trace);
-    bytes[7] = '9'; // "PABPTRC9"
-    Expected<RecordedTrace> loaded = readFromBytes(bytes);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::VersionMismatch);
+    for (const char version : {'9', '1'}) {
+        std::string bytes = serializeV2(trace);
+        bytes[7] = version; // "PABPTRC9", "PABPTRC1"
+        Expected<RecordedTrace> loaded = readFromBytes(bytes);
+        ASSERT_FALSE(loaded.ok()) << version;
+        EXPECT_EQ(loaded.status().code(), StatusCode::VersionMismatch)
+            << version;
+    }
 }
 
 TEST(TraceIo, HeaderCorruptionFailsChecksum)
@@ -195,33 +199,6 @@ TEST(TraceIo, TruncationAtEverySectionBoundaryIsTyped)
         EXPECT_EQ(loaded.status().code(), StatusCode::Truncated)
             << "cut at " << cut << ": " << loaded.status().toString();
     }
-}
-
-TEST(TraceIo, V1TracesStillLoad)
-{
-    RecordedTrace trace = recordWorkload("histogram", 20000);
-    std::stringstream buffer;
-    writeTraceV1(trace, buffer);
-
-    TraceReadInfo info;
-    Expected<RecordedTrace> loaded = readTrace(buffer, {}, &info);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-    EXPECT_EQ(info.version, 1u);
-    ASSERT_EQ(loaded.value().size(), trace.size());
-    EXPECT_EQ(loaded.value().events, trace.events);
-}
-
-TEST(TraceIo, V1TruncationIsTypedError)
-{
-    RecordedTrace trace = recordWorkload("rle", 500);
-    std::stringstream buffer;
-    writeTraceV1(trace, buffer);
-    std::string bytes = buffer.str();
-
-    Expected<RecordedTrace> loaded =
-        readFromBytes(bytes.substr(0, bytes.size() / 2));
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::Truncated);
 }
 
 TEST(TraceIo, SalvageRecoversWholeBlockPrefix)
