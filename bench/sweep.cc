@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
+#include <set>
 #include <sstream>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -120,6 +122,115 @@ programCacheKey(const RunSpec &spec)
     return spec.workload + ":" +
         std::to_string(resolvedCompileSeed(spec)) + ":" +
         std::to_string(copt_hash.value());
+}
+
+/** Measurement seed of context @p c of a cell (c = 0 for an ordinary
+ *  cell): the contexts of a multi-context cell are independent draws
+ *  of the same workload. */
+std::uint64_t
+contextSeed(const RunSpec &spec, unsigned c)
+{
+    return spec.seed + c;
+}
+
+/** Decoded-trace cache key. Recording is deterministic in (program,
+ *  measurement seed, budget): the same key always yields the same
+ *  events, so the decoded trace is shared read-only like the program. */
+std::string
+traceCacheKey(const RunSpec &spec, std::uint64_t seed)
+{
+    return programCacheKey(spec) + ":" + std::to_string(seed) + ":" +
+        std::to_string(spec.maxInsts) + ":decoded";
+}
+
+/** The cell belongs to another shard (RunSpec::shard) and is skipped
+ *  in place. */
+bool
+skippedByShard(const RunSpec &spec)
+{
+    return spec.shard.count > 1 &&
+        shardOf(specFingerprint(spec), spec.shard.count) !=
+        spec.shard.index;
+}
+
+/** Trace-mode cells that replay shared decoded traces through the
+ *  batched engine loop. Checkpointing or resuming cells step their own
+ *  emulator: mid-run checkpoints serialise emulator state the decoded
+ *  trace does not carry. */
+bool
+replaysDecodedTrace(const RunSpec &spec)
+{
+    return spec.mode == RunMode::Trace && spec.fastReplay &&
+        spec.checkpointEvery == 0 && spec.resumePath.empty();
+}
+
+/**
+ * Every trace key a cell consumes, each once - the single source of
+ * truth for the trace demand count. A cell only ever calls
+ * decodedFor() with one of these keys: context c of a replaying cell
+ * with contextSeed(spec, c), and a characterized single-context cell
+ * with spec.seed. Over-counting would only delay a release;
+ * under-counting would free a trace a later cell records again.
+ */
+std::vector<std::string>
+traceKeysOf(const RunSpec &spec)
+{
+    std::vector<std::string> keys;
+    if (skippedByShard(spec) || spec.mode == RunMode::Observe)
+        return keys;
+    if (replaysDecodedTrace(spec)) {
+        for (unsigned c = 0; c < std::max(1u, spec.context.contexts); ++c)
+            keys.push_back(traceCacheKey(spec, contextSeed(spec, c)));
+    } else if (spec.characterize && spec.context.contexts <= 1) {
+        keys.push_back(traceCacheKey(spec, spec.seed));
+    }
+    return keys;
+}
+
+/**
+ * Record-ahead dispatch order over a grid whose cell i consumes trace
+ * keys @p keys[i] (docs/PARALLEL.md). A "leader" is the first cell of
+ * at least one key; it records that trace. Leaders go out in grid
+ * order but up to @p window leaders early: before a non-leader that
+ * follows t leaders in grid order, leaders up to t + window are
+ * submitted. Every other cell keeps its grid order. So on a
+ * workload-major grid the next @p window traces are recording while
+ * the repeats of the current one replay, and a grid whose leaders
+ * already come first is dispatched unchanged.
+ */
+std::vector<std::size_t>
+recordAheadOrder(const std::vector<std::vector<std::string>> &keys,
+                 std::size_t window)
+{
+    std::set<std::string_view> seen;
+    std::vector<std::size_t> leaders;
+    std::vector<std::size_t> others;
+    std::vector<std::size_t> leadersBefore; ///< per entry of others
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        bool leads = false;
+        for (const std::string &key : keys[i])
+            leads = seen.insert(key).second || leads;
+        if (leads) {
+            leaders.push_back(i);
+        } else {
+            others.push_back(i);
+            leadersBefore.push_back(leaders.size());
+        }
+    }
+
+    std::vector<std::size_t> order;
+    order.reserve(keys.size());
+    std::size_t next = 0;
+    for (std::size_t j = 0; j < others.size(); ++j) {
+        const std::size_t due =
+            std::min(leaders.size(), leadersBefore[j] + window);
+        while (next < due)
+            order.push_back(leaders[next++]);
+        order.push_back(others[j]);
+    }
+    while (next < leaders.size())
+        order.push_back(leaders[next++]);
+    return order;
 }
 
 /** Build the spec's workload for the given input seed. */
@@ -523,15 +634,10 @@ SweepRunner::decodedFor(const RunSpec &spec,
                         const ProgramHandle &program,
                         std::uint64_t seed)
 {
-    // Recording is deterministic in (program, measurement seed,
-    // budget): the same key always yields the same events, so the
-    // decoded trace can be shared read-only like the program itself.
-    std::string key = programCacheKey(spec) + ":" +
-        std::to_string(seed) + ":" +
-        std::to_string(spec.maxInsts) + ":decoded";
+    const std::string key = traceCacheKey(spec, seed);
 
     std::promise<TraceHandle> promise;
-    std::shared_future<TraceHandle> future;
+    TraceFuture future;
     bool record_here = false;
     {
         std::lock_guard<std::mutex> lock(cacheMtx);
@@ -541,6 +647,9 @@ SweepRunner::decodedFor(const RunSpec &spec,
             traceCache.emplace(key, future);
             record_here = true;
             ++stats.records;
+            stats.peakLiveTraces =
+                std::max<std::uint64_t>(stats.peakLiveTraces,
+                                        traceCache.size());
         } else {
             future = it->second;
             ++stats.traceHits;
@@ -652,9 +761,7 @@ SweepRunner::executeSpecGuarded(const RunSpec &spec)
     // Cells owned by another shard are skipped in place: the grid keeps
     // its positional layout (table builders index by position) and the
     // cell reports Ok so reportFailures() stays quiet about it.
-    if (spec.shard.count > 1 &&
-        shardOf(specFingerprint(spec), spec.shard.count) !=
-            spec.shard.index) {
+    if (skippedByShard(spec)) {
         RunResult result;
         result.skipped = true;
         return result;
@@ -858,10 +965,9 @@ SweepRunner::executeSpec(const RunSpec &spec)
     // tests pin stats, profile and metrics bytes - so only cells
     // that must serialise emulator state mid-run (checkpointing or
     // resuming) are excluded.
-    if (spec.fastReplay && spec.checkpointEvery == 0 &&
-        spec.resumePath.empty()) {
+    if (replaysDecodedTrace(spec)) {
         Expected<TraceHandle> decoded =
-            decodedFor(spec, program.value(), spec.seed);
+            decodedFor(spec, program.value(), contextSeed(spec, 0));
         if (!decoded.ok()) {
             result.status = decoded.status();
             return result;
@@ -1017,9 +1123,8 @@ SweepRunner::executeMultiCtx(const RunSpec &spec,
     mcfg.engine = spec.engine;
     MultiContextReplayer replayer(pred, mcfg);
 
-    if (spec.fastReplay) {
-        // Context c records with measurement seed spec.seed + c: the
-        // contexts are independent draws of the same workload, so the
+    if (replaysDecodedTrace(spec)) {
+        // Context c records with its own measurement seed, so the
         // decoded lanes stay shareable across cells the usual way.
         std::vector<TraceHandle> handles;
         std::vector<const DecodedTrace *> traces;
@@ -1027,7 +1132,7 @@ SweepRunner::executeMultiCtx(const RunSpec &spec,
         traces.reserve(n);
         for (unsigned c = 0; c < n; ++c) {
             Expected<TraceHandle> decoded =
-                decodedFor(spec, program, spec.seed + c);
+                decodedFor(spec, program, contextSeed(spec, c));
             if (!decoded.ok()) {
                 result.status = decoded.status();
                 return result;
@@ -1041,7 +1146,7 @@ SweepRunner::executeMultiCtx(const RunSpec &spec,
         std::vector<Emulator *> emus;
         for (unsigned c = 0; c < n; ++c) {
             Expected<Workload> wl =
-                materialiseWorkload(spec, spec.seed + c);
+                materialiseWorkload(spec, contextSeed(spec, c));
             if (!wl.ok()) {
                 result.status = wl.status();
                 return result;
@@ -1074,20 +1179,100 @@ SweepRunner::executeMultiCtx(const RunSpec &spec,
     return result;
 }
 
+SweepRunner::TraceDemand::TraceDemand(SweepRunner &owner,
+                                      const std::vector<RunSpec> &specs)
+    : runner(owner)
+{
+    for (const RunSpec &spec : specs)
+        for (std::string &key : traceKeysOf(spec))
+            ++pending[std::move(key)];
+    std::lock_guard<std::mutex> lock(runner.cacheMtx);
+    for (const auto &[key, cells] : pending)
+        runner.traceDemand[key] += cells;
+}
+
+SweepRunner::TraceDemand::~TraceDemand()
+{
+    std::vector<TraceFuture> freed; // destroyed after the lock drops
+    std::lock_guard<std::mutex> lock(runner.cacheMtx);
+    while (!pending.empty()) {
+        const std::string key = pending.begin()->first;
+        runner.dropDemandLocked(*this, key, pending.begin()->second,
+                                freed);
+    }
+}
+
+void
+SweepRunner::dropDemandLocked(TraceDemand &demand, const std::string &key,
+                              std::size_t cells,
+                              std::vector<TraceFuture> &freed)
+{
+    // A cell the demand does not hold (run() handed cells outside its
+    // demand) leaves the counts alone, like a runOne() cell.
+    auto mine = demand.pending.find(key);
+    if (mine == demand.pending.end())
+        return;
+    cells = std::min(cells, mine->second);
+    if ((mine->second -= cells) == 0)
+        demand.pending.erase(mine);
+    auto all = traceDemand.find(key);
+    if ((all->second -= cells) > 0)
+        return;
+    traceDemand.erase(all);
+    auto it = traceCache.find(key);
+    if (it == traceCache.end())
+        return; // its cells failed before recording
+    freed.push_back(std::move(it->second));
+    traceCache.erase(it);
+    ++stats.traceReleases;
+}
+
+void
+SweepRunner::finishCell(TraceDemand &demand,
+                        const std::vector<std::string> &keys)
+{
+    if (keys.empty())
+        return;
+    // Freeing a trace's lanes and schedules is the costly part; the
+    // futures moved out of the cache die after the lock is released.
+    std::vector<TraceFuture> freed;
+    std::lock_guard<std::mutex> lock(cacheMtx);
+    for (const std::string &key : keys)
+        dropDemandLocked(demand, key, 1, freed);
+}
+
 std::vector<RunResult>
 SweepRunner::run(const std::vector<RunSpec> &specs)
 {
+    TraceDemand demand(*this, specs);
+    return run(specs, demand);
+}
+
+std::vector<RunResult>
+SweepRunner::run(const std::vector<RunSpec> &specs, TraceDemand &demand)
+{
+    pabp_assert(&demand.runner == this);
+    std::vector<std::vector<std::string>> keys(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        keys[i] = traceKeysOf(specs[i]);
+
+    // A cell's traces are released once it is final, retries included.
     std::vector<RunResult> results(specs.size());
+    const auto runCell = [&](std::size_t i) {
+        results[i] = executeSpecGuarded(specs[i]);
+        finishCell(demand, keys[i]);
+    };
+    // One worker gains nothing from recording ahead, so the serial
+    // path keeps grid order (and holds one trace at a time on a
+    // workload-major grid).
     if (jobs <= 1 || specs.size() <= 1) {
         for (std::size_t i = 0; i < specs.size(); ++i)
-            results[i] = executeSpecGuarded(specs[i]);
+            runCell(i);
         return results;
     }
     ThreadPool pool(jobs, queueCapacity);
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        pool.submit([this, &specs, &results, i] {
-            results[i] = executeSpecGuarded(specs[i]);
-        });
+    for (std::size_t i : recordAheadOrder(keys, jobs))
+        pool.submit([&runCell, i] { runCell(i); });
     pool.drain();
     return results;
 }

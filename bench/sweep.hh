@@ -15,10 +15,14 @@
  *  - every piece of mutable simulation state (Emulator, predictor,
  *    PredictionEngine, Pipeline, workload init closures, Rng streams)
  *    is constructed per run and touched by exactly one worker;
- *  - compiled programs are shared across runs strictly read-only,
- *    through a cache keyed by (workload id, compile-seed, compile
- *    options fingerprint) - a sweep that varies only the predictor
- *    side compiles each workload once.
+ *  - compiled programs, decoded traces (with their replay schedules)
+ *    and predictability reports are shared across runs strictly
+ *    read-only, through caches keyed by what determines them - a
+ *    sweep that varies only the predictor side compiles each
+ *    workload once and records each trace once;
+ *  - run() dispatches the first cell of each trace ahead of its
+ *    repeats and frees each trace when its last cell finishes;
+ *    neither changes which cell writes which result slot.
  *
  * Failure contract: a cell that cannot run (unknown predictor or
  * workload, damaged checkpoint, leaked exception) fails THAT CELL
@@ -352,8 +356,44 @@ class SweepRunner
     {
         std::uint64_t compiles = 0; ///< distinct programs built
         std::uint64_t hits = 0;     ///< runs served a cached program
-        std::uint64_t records = 0;  ///< distinct traces decoded
+        std::uint64_t records = 0;  ///< traces recorded and decoded
         std::uint64_t traceHits = 0; ///< runs served a cached trace
+        /** Traces freed because the last cell of a run() (or of a
+         *  TraceDemand) that consumes them finished. */
+        std::uint64_t traceReleases = 0;
+        /** High-water mark of traces cached at once. */
+        std::uint64_t peakLiveTraces = 0;
+    };
+
+    /**
+     * The trace demand of a cell list (docs/PARALLEL.md, "Dispatch
+     * order and trace lifetime"): how many of its cells consume each
+     * trace key. A trace stays cached until the last cell of every
+     * live demand that names it has finished, then its decoded lanes
+     * - and the replay schedules cached inside them - are freed.
+     *
+     * run(specs) registers the demand of @p specs itself. A caller
+     * that feeds one cell list through several run() calls (the
+     * SweepService batches) registers the whole list once and passes
+     * it to each call, so a trace whose cells straddle two batches is
+     * recorded once. Destruction drops the demand of cells that never
+     * ran (a stopped campaign), freeing the traces only they held.
+     */
+    class TraceDemand
+    {
+      public:
+        TraceDemand(SweepRunner &runner,
+                    const std::vector<RunSpec> &specs);
+        ~TraceDemand();
+        TraceDemand(const TraceDemand &) = delete;
+        TraceDemand &operator=(const TraceDemand &) = delete;
+
+      private:
+        friend class SweepRunner;
+        SweepRunner &runner;
+        /** Cells of this demand not yet finished, per trace key
+         *  (guarded by the runner's cacheMtx). */
+        std::map<std::string, std::size_t> pending;
     };
 
     SweepRunner() : SweepRunner(Config{}) {}
@@ -361,8 +401,13 @@ class SweepRunner
 
     /** Run every spec; results match @p specs index for index. */
     std::vector<RunResult> run(const std::vector<RunSpec> &specs);
+    /** run() for cells whose trace demand @p demand (made on this
+     *  runner) already holds. */
+    std::vector<RunResult> run(const std::vector<RunSpec> &specs,
+                               TraceDemand &demand);
 
-    /** Execute one spec on the calling thread (cache still applies). */
+    /** Execute one spec on the calling thread (cache still applies).
+     *  Its traces are not demand-counted: they stay cached. */
     RunResult runOne(const RunSpec &spec);
 
     CacheStats cacheStats() const;
@@ -376,6 +421,18 @@ class SweepRunner
     using ProgramHandle = std::shared_ptr<const CompiledProgram>;
     using TraceHandle = std::shared_ptr<const DecodedTrace>;
     using ReportHandle = std::shared_ptr<const PredictabilityReport>;
+    using TraceFuture = std::shared_future<TraceHandle>;
+
+    /** Take @p cells cells off @p demand's count for @p key; when no
+     *  live demand names the key any more, move its cache entry into
+     *  @p freed, for the caller to destroy outside cacheMtx.
+     *  Requires cacheMtx. */
+    void dropDemandLocked(TraceDemand &demand, const std::string &key,
+                          std::size_t cells,
+                          std::vector<TraceFuture> &freed);
+    /** A cell of @p demand that consumed @p keys has finished. */
+    void finishCell(TraceDemand &demand,
+                    const std::vector<std::string> &keys);
 
     RunResult executeSpec(const RunSpec &spec);
     /** One try: fault hook, then executeSpec under the exception
@@ -416,8 +473,10 @@ class SweepRunner
 
     mutable std::mutex cacheMtx;
     std::map<std::string, std::shared_future<ProgramHandle>> cache;
-    std::map<std::string, std::shared_future<TraceHandle>> traceCache;
+    std::map<std::string, TraceFuture> traceCache;
     std::map<std::string, std::shared_future<ReportHandle>> predCache;
+    /** Unfinished cells per trace key, summed over live demands. */
+    std::map<std::string, std::size_t> traceDemand;
     CacheStats stats;
     std::uint64_t resumeFallbackCount = 0;
 };

@@ -112,19 +112,26 @@ SweepService::runShard(std::vector<RunSpec> grid)
             pending.push_back(owned[pos]);
     }
 
+    std::vector<RunSpec> todo;
+    todo.reserve(pending.size());
+    for (std::size_t i : pending)
+        todo.push_back(std::move(grid[i]));
+    // One demand over every pending cell, not one per batch: a trace
+    // whose cells straddle two batches stays cached between them
+    // instead of being freed after the first and recorded again.
+    SweepRunner::TraceDemand demand(runner, todo);
+
     const std::uint64_t fallbacksBefore = runner.resumeFallbacks();
     const std::size_t batch = config.batchCells
         ? config.batchCells
         : std::max<std::size_t>(1, 4 * runner.effectiveJobs());
 
-    for (std::size_t at = 0; at < pending.size() && !report.stopped;
+    for (std::size_t at = 0; at < todo.size() && !report.stopped;
          at += batch) {
-        const std::size_t end = std::min(pending.size(), at + batch);
-        std::vector<RunSpec> specs;
-        specs.reserve(end - at);
-        for (std::size_t k = at; k < end; ++k)
-            specs.push_back(grid[pending[k]]);
-        std::vector<RunResult> results = runner.run(specs);
+        const std::size_t end = std::min(todo.size(), at + batch);
+        const std::vector<RunSpec> specs(todo.begin() + at,
+                                         todo.begin() + end);
+        std::vector<RunResult> results = runner.run(specs, demand);
 
         for (std::size_t k = 0; k < results.size(); ++k) {
             if (config.stopAfter &&

@@ -95,7 +95,9 @@ struct ServiceConfig
     std::uint64_t stopAfter = 0;
 
     /** Cells handed to the runner per batch (0 = 4x runner jobs).
-     *  Smaller batches commit sooner; the bytes are identical. */
+     *  Smaller batches commit sooner; the bytes are identical, and a
+     *  trace shared across batches is still recorded once (the shard
+     *  holds one SweepRunner::TraceDemand over every pending cell). */
     std::size_t batchCells = 0;
 };
 

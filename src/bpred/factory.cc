@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <iterator>
+#include <mutex>
+#include <set>
+#include <string>
 
 #include "bpred/agree.hh"
 #include "bpred/combining.hh"
@@ -32,9 +35,20 @@ logClampedSize(const std::string &kind, const char *what,
 {
     if (static_cast<int>(effective) == nominal)
         return;
-    pabp_warn(kind + ": nominal " + what + " " +
-              std::to_string(nominal) + " clamped to " +
-              std::to_string(effective));
+    std::string msg = kind + ": nominal " + what + " " +
+        std::to_string(nominal) + " clamped to " +
+        std::to_string(effective);
+    // Once per distinct message per process: a sweep builds the same
+    // clamped predictor for every cell, and hundreds of identical
+    // lines would bury the warnings that differ.
+    static std::mutex mtx;
+    static std::set<std::string> warned;
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        if (!warned.insert(msg).second)
+            return;
+    }
+    pabp_warn(msg);
 }
 
 /**

@@ -331,5 +331,24 @@ TEST(Factory, ExtremeValidSizesBuildEveryKind)
     }
 }
 
+TEST(Factory, ClampWarningPrintsOncePerProcess)
+{
+    // local caps its history at 10 bits, so 2^17 entries clamp. No
+    // other test builds local at 17, so the first build here is the
+    // first time this process meets the message; the second build
+    // must stay quiet.
+    const std::string line =
+        "local: nominal local history bits 17 clamped to 10";
+    ::testing::internal::CaptureStderr();
+    ASSERT_TRUE(tryMakePredictor("local", 17).ok());
+    ASSERT_TRUE(tryMakePredictor("local", 17).ok());
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    std::size_t lines = 0;
+    for (std::size_t at = err.find(line); at != std::string::npos;
+         at = err.find(line, at + line.size()))
+        ++lines;
+    EXPECT_EQ(lines, 1u) << err;
+}
+
 } // namespace
 } // namespace pabp

@@ -17,14 +17,22 @@
  *  - Typed cell failure: a bad spec (unknown predictor/workload,
  *    damaged checkpoint) fails its own cell with a pabp::Status while
  *    the rest of the grid completes.
+ *  - Trace dispatch and lifetime: the next trace's first cell runs
+ *    ahead of the current trace's repeats, every trace is recorded
+ *    once and freed once, and the number held at a time stays within
+ *    the bound the dispatch order implies - also across SweepService
+ *    batches.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -593,6 +601,208 @@ TEST(SweepRobustness, CapturedMetricsMatchExportedFile)
     EXPECT_EQ(result.metricsJson, file_bytes.str());
 }
 
+bool
+samePipe(const PipelineStats &a, const PipelineStats &b)
+{
+    return a.insts == b.insts && a.cycles == b.cycles &&
+        a.icacheMisses == b.icacheMisses &&
+        a.dcacheMisses == b.dcacheMisses && a.l2Misses == b.l2Misses &&
+        a.btbMisses == b.btbMisses && a.rasHits == b.rasHits &&
+        a.rasMisses == b.rasMisses &&
+        a.mispredictStallCycles == b.mispredictStallCycles;
+}
+
+TEST(SweepRunner, EveryCellModeIsIdenticalAcrossJobCounts)
+{
+    // One grid with every cell mode. The trace cells of bsort and
+    // interp alternate, so their repeats are not adjacent and
+    // record-ahead reorders dispatch; the 2-context cell shares trace
+    // (bsort, 42) with the single-context cells and adds (bsort, 43).
+    // Distinct trace keys: (bsort, 42), (interp, 42), (bsort, 43).
+    const std::string ckpt = tempPath("mixed.ckpt");
+    std::vector<RunSpec> specs;
+    const auto add = [&](const char *workload) -> RunSpec & {
+        RunSpec spec;
+        spec.workload = workload;
+        spec.maxInsts = 12000;
+        spec.captureMetrics = true;
+        specs.push_back(spec);
+        return specs.back();
+    };
+    for (int config = 0; config < 2; ++config) {
+        for (const char *workload : {"bsort", "interp"})
+            add(workload).engine.useSfpf = config == 1;
+    }
+    add("bsort").mode = RunMode::Timed;
+    add("interp").characterize = true;
+    RunSpec &multi = add("bsort");
+    multi.context.contexts = 2;
+    multi.context.quantum = 500;
+    add("interp").engine.usePgu = true;
+    RunSpec &timed = add("interp");
+    timed.mode = RunMode::Timed;
+    timed.engine.useSfpf = true;
+    RunSpec &checkpointing = add("bsort");
+    checkpointing.checkpointEvery = 5000;
+    checkpointing.checkpointPath = ckpt;
+    const std::uint64_t checkpointing_fp = specFingerprint(checkpointing);
+    const std::uint64_t distinct_traces = 3;
+
+    std::vector<RunResult> serial;
+    for (unsigned jobs : {1u, 4u, 8u}) {
+        SweepRunner runner(SweepRunner::Config{jobs, 0});
+        const std::vector<RunResult> results = runner.run(specs);
+        ASSERT_EQ(results.size(), specs.size());
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            ASSERT_TRUE(results[i].status.ok())
+                << "jobs " << jobs << " cell " << i << ": "
+                << results[i].status.toString();
+            ASSERT_FALSE(results[i].metricsJson.empty());
+        }
+        // No trace is recorded twice, and each is freed exactly once
+        // when its last cell finishes.
+        const SweepRunner::CacheStats stats = runner.cacheStats();
+        EXPECT_EQ(stats.records, distinct_traces) << "jobs " << jobs;
+        EXPECT_EQ(stats.traceReleases, stats.records) << "jobs " << jobs;
+
+        if (jobs == 1) {
+            serial = results;
+            continue;
+        }
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            EXPECT_EQ(results[i].metricsJson, serial[i].metricsJson)
+                << "jobs " << jobs << " cell " << i;
+            EXPECT_EQ(results[i].engine, serial[i].engine)
+                << "jobs " << jobs << " cell " << i;
+            EXPECT_TRUE(samePipe(results[i].pipe, serial[i].pipe))
+                << "jobs " << jobs << " cell " << i;
+            ASSERT_EQ(results[i].contexts.size(),
+                      serial[i].contexts.size());
+            for (std::size_t c = 0; c < results[i].contexts.size(); ++c)
+                EXPECT_EQ(results[i].contexts[c].engine,
+                          serial[i].contexts[c].engine);
+        }
+    }
+
+    // Sanity: the modes really ran as intended.
+    EXPECT_GT(serial[4].pipe.cycles, 0u);
+    EXPECT_NE(serial[5].predictability, nullptr);
+    EXPECT_EQ(serial[6].contexts.size(), 2u);
+    std::remove(derivedCheckpointPath(ckpt, checkpointing_fp).c_str());
+}
+
+TEST(SweepRunner, RecordsTheNextTraceAheadOfRepeats)
+{
+    // Two traces with three cells each, workload-major: A0 A1 A2 B0
+    // B1 B2. At --jobs 2 record-ahead submits B0 second, so it runs
+    // beside A0. The hooks make that observable: A0 and A1 both wait
+    // for B0 to start. In plain grid order A0 and A1 would hold both
+    // workers, B0 could not start, and both would time out.
+    struct Gate
+    {
+        std::mutex mtx;
+        std::condition_variable cv;
+        bool open = false;
+    };
+    const auto gate = std::make_shared<Gate>();
+    const auto waitForB0 = [gate](unsigned) {
+        std::unique_lock<std::mutex> lock(gate->mtx);
+        return gate->cv.wait_for(lock, std::chrono::seconds(5),
+                                 [&] { return gate->open; })
+            ? Status()
+            : Status(StatusCode::DeadlineExceeded,
+                     "B0 did not run beside A0");
+    };
+    const auto openGate = [gate](unsigned) {
+        {
+            std::lock_guard<std::mutex> lock(gate->mtx);
+            gate->open = true;
+        }
+        gate->cv.notify_all();
+        return Status();
+    };
+
+    std::vector<RunSpec> specs;
+    for (const char *workload : {"bsort", "interp"}) {
+        for (int config = 0; config < 3; ++config) {
+            RunSpec spec;
+            spec.workload = workload;
+            spec.engine.useSfpf = config >= 1;
+            spec.engine.usePgu = config >= 2;
+            spec.maxInsts = 3000;
+            specs.push_back(spec);
+        }
+    }
+    specs[0].faultHook = waitForB0;
+    specs[1].faultHook = waitForB0;
+    specs[3].faultHook = openGate;
+    SweepRunner runner(SweepRunner::Config{2, 0});
+    for (const RunResult &result : runner.run(specs))
+        EXPECT_TRUE(result.status.ok()) << result.status.toString();
+}
+
+TEST(SweepRunner, TraceCacheHoldsABoundedWindow)
+{
+    // 24 traces (3 workloads x 8 measurement seeds, one compile
+    // each), three engine configurations per trace, workload-major.
+    constexpr std::uint64_t traces = 24;
+    std::vector<RunSpec> specs;
+    for (const char *workload : {"bsort", "interp", "dchain"}) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            for (int config = 0; config < 3; ++config) {
+                RunSpec spec;
+                spec.workload = workload;
+                spec.seed = seed;
+                spec.compileSeed = 42;
+                spec.engine.useSfpf = config >= 1;
+                spec.engine.usePgu = config >= 2;
+                spec.maxInsts = 3000;
+                specs.push_back(spec);
+            }
+        }
+    }
+
+    // Serially, in grid order, a trace is freed before the next one
+    // is recorded.
+    SweepRunner serial(SweepRunner::Config{1, 0});
+    for (const RunResult &result : serial.run(specs))
+        ASSERT_TRUE(result.status.ok()) << result.status.toString();
+    EXPECT_EQ(serial.cacheStats().records, traces);
+    EXPECT_EQ(serial.cacheStats().traceReleases, traces);
+    EXPECT_EQ(serial.cacheStats().peakLiveTraces, 1u);
+
+    // With J workers the bound is 2J + 1, from the dispatch order
+    // alone. A trace is cached from the start of its first cell until
+    // its last cell finishes. Workers start cells in submission order,
+    // so the started cells are always a prefix of the dispatch order.
+    // A cached trace therefore either has a cell running (at most J
+    // traces) or has started cells before the end of that prefix and
+    // unstarted cells after it. Record-ahead submits the leader of
+    // trace t + J just before the repeats of trace t, so at most
+    // J + 1 traces straddle the prefix end. The queue depth does not
+    // enter: a queued cell holds no trace.
+    constexpr unsigned jobs = 4;
+    SweepRunner parallel(SweepRunner::Config{jobs, 0});
+    for (const RunResult &result : parallel.run(specs))
+        ASSERT_TRUE(result.status.ok()) << result.status.toString();
+    EXPECT_EQ(parallel.cacheStats().records, traces);
+    EXPECT_EQ(parallel.cacheStats().traceReleases, traces);
+    EXPECT_LE(parallel.cacheStats().peakLiveTraces, 2u * jobs + 1);
+}
+
+TEST(SweepRunner, RunOneKeepsItsTracesCached)
+{
+    RunSpec spec;
+    spec.workload = "bsort";
+    spec.maxInsts = 3000;
+    SweepRunner runner(SweepRunner::Config{1, 0});
+    ASSERT_TRUE(runner.runOne(spec).status.ok());
+    ASSERT_TRUE(runner.runOne(spec).status.ok());
+    EXPECT_EQ(runner.cacheStats().records, 1u);
+    EXPECT_EQ(runner.cacheStats().traceHits, 1u);
+    EXPECT_EQ(runner.cacheStats().traceReleases, 0u);
+}
+
 // ---------------------------------------------------------------------
 // SweepService: the crash-safe campaign coordinator
 // (bench/sweep_service.hh).
@@ -776,6 +986,49 @@ TEST(SweepService, ShardJournalsTogetherCoverTheGridExactlyOnce)
         ASSERT_NE(it, coverage.end());
         EXPECT_EQ(it->second, 1u);
     }
+}
+
+TEST(SweepService, BatchesStraddlingATraceRecordItOnce)
+{
+    // Four traces with five cells each, workload-major: with three
+    // cells per batch every trace straddles at least two batches.
+    std::vector<RunSpec> grid;
+    for (const char *workload : {"bsort", "interp"}) {
+        for (std::uint64_t seed : {1u, 2u}) {
+            for (const char *predictor :
+                 {"gshare", "bimodal", "gag", "agree", "yags"}) {
+                RunSpec spec;
+                spec.workload = workload;
+                spec.seed = seed;
+                spec.compileSeed = 42;
+                spec.predictor = predictor;
+                spec.maxInsts = 4000;
+                grid.push_back(spec);
+            }
+        }
+    }
+    const std::uint64_t distinct_traces = 4;
+
+    const std::string batched = tempPath("batched.pabpj");
+    const std::string whole = tempPath("whole.pabpj");
+    for (std::size_t batch_cells : {std::size_t{3}, std::size_t{0}}) {
+        SweepRunner runner(SweepRunner::Config{2, 0});
+        ServiceConfig config =
+            serviceConfig(batch_cells ? batched : whole);
+        config.batchCells = batch_cells;
+        SweepService service(runner, config);
+        Expected<ServiceReport> report = service.runShard(grid);
+        ASSERT_TRUE(report.ok()) << report.status().toString();
+        ASSERT_TRUE(report.value().drained);
+        EXPECT_EQ(report.value().quarantined, 0u);
+        EXPECT_EQ(runner.cacheStats().records, distinct_traces)
+            << "batchCells " << batch_cells;
+        EXPECT_EQ(runner.cacheStats().traceReleases, distinct_traces)
+            << "batchCells " << batch_cells;
+    }
+    EXPECT_EQ(readBytes(batched), readBytes(whole));
+    std::remove(batched.c_str());
+    std::remove(whole.c_str());
 }
 
 TEST(SweepService, DeriveShardJournalPathNamesShards)
