@@ -3,9 +3,10 @@
  * E12 - Define-to-branch distance distributions: for every guarded
  * conditional branch, the dynamic distance (in instructions) from the
  * last write of its qualifying predicate. This is the quantity that
- * decides whether the squash filter can act (it needs distance >
- * availability delay), so the paper-style analysis of "how far ahead
- * are guards known" reduces to this histogram.
+ * decides whether the squash filter can act (it needs distance >=
+ * availability delay: a write at W is visible from W + delay on, see
+ * core/delayed_pred_file.hh), so the paper-style analysis of "how far
+ * ahead are guards known" reduces to this histogram.
  */
 
 #include <memory>

@@ -83,7 +83,7 @@ test "${PIPESTATUS[0]}" -eq 0
     if [ -z "$baseline_both" ]; then
         baseline_both=$(json_metric BENCH_replay.json replay.min_speedup)
     fi
-    # The predictor matrix covers the devirtualised specialisations
+    # The predictor matrix covers the devirtualised predictor bindings
     # worth gating: gshare (the classic path) and tage (folded
     # histories make its batched loop the easiest to regress). The
     # aggregate replay.min_speedup.both spans every predictor x

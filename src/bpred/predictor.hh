@@ -64,7 +64,7 @@ class BranchPredictor
      * equivalent to predict(pc) followed by update(pc, taken),
      * returning the prediction. The default does just that (two
      * virtual dispatches); the predictors on the replay fast path
-     * (gshare, combining, perceptron) provide a `final` override
+     * (gshare, combining, perceptron, TAGE) provide a `final` override
      * whose internal calls are non-virtual, so a caller holding the
      * concrete type pays no virtual dispatch at all. Overrides MUST
      * preserve bit-identical behaviour with the unfused pair - the

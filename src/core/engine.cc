@@ -267,7 +267,7 @@ PredictionEngine::handlePredicateDefine(const DynInst &dyn)
         pgu.observe(dyn);
 }
 
-template <bool UseSfpf, bool UsePgu, bool UseSpec, typename Pred>
+template <bool Armed, typename Pred>
 bool
 PredictionEngine::batchCondBranch(Pred &bp, std::uint32_t pc,
                                   const Inst &inst, bool guard,
@@ -275,14 +275,17 @@ PredictionEngine::batchCondBranch(Pred &bp, std::uint32_t pc,
                                   BranchProfile::Counters &prof,
                                   std::uint8_t guardState)
 {
-    // MIRROR of processConditionalBranch(): the configuration flags
-    // are template parameters, the predictor is held by its concrete
-    // type where known, the profile row arrives pre-resolved from the
-    // caller's cache and the predicate read comes from the replay
-    // schedule - but every counter and every side effect must stay in
-    // lockstep with the reference path; any semantic change there
-    // lands here too. The fast-vs-reference equivalence tests
-    // (tests/test_replay_fast.cc) pin the two bit-identical.
+    // MIRROR of processConditionalBranch(): the unarmed specialisation
+    // compiles every technique branch away, the predictor is held by
+    // its concrete type where known, the profile row arrives
+    // pre-resolved from the caller's cache and the predicate read
+    // comes from the replay schedule - but every counter and every
+    // side effect must stay in lockstep with the reference path; any
+    // semantic change there lands here too. The fast-vs-reference
+    // equivalence tests (tests/test_replay_fast.cc) pin the two
+    // bit-identical.
+    const bool useSfpf = Armed && cfg.useSfpf;
+    const bool usePgu = Armed && cfg.usePgu;
     BranchClassStats &cls =
         inst.regionBranch ? engineStats.region : engineStats.normal;
 
@@ -293,24 +296,24 @@ PredictionEngine::batchCondBranch(Pred &bp, std::uint32_t pc,
     // this branch's sequence and handed the result over in
     // guardState; one resolved value serves both the guard-known
     // attribution and the squash decision.
-    const bool guard_known = UseSfpf && (guardState & 1);
+    const bool guard_known = useSfpf && (guardState & 1);
     if (guard_known)
         ++prof.guardKnown;
     else
         ++prof.guardUnknown;
-    if (UsePgu && shiftsSincePguBit < pguInfluenceWindow)
+    if (usePgu && shiftsSincePguBit < pguInfluenceWindow)
         ++prof.pguInfluenced;
 
     bool squash = guard_known && !(guardState & 2);
 
     bool spec_squash = false;
-    if constexpr (UseSpec) {
+    if (Armed && cfg.useSpeculativeSquash) {
         bool predicted_guard = pvp.predictGuard(pc);
         bool confident =
             cfg.specGate == EngineConfig::SpecGate::Saturation
                 ? pvp.confident(pc)
                 : jrs.highConfidence(pc);
-        if (!squash && UseSfpf && !guard_known && confident &&
+        if (!squash && useSfpf && !guard_known && confident &&
             !predicted_guard) {
             spec_squash = true;
         }
@@ -498,7 +501,7 @@ PredictionEngine::captureSchedule(const DecodedTrace &trace,
     }
 }
 
-template <bool UseSfpf, bool UsePgu, bool UseSpec, typename Pred>
+template <bool Armed, typename Pred>
 void
 PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
                             std::uint64_t first, std::uint64_t count)
@@ -545,7 +548,9 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     // row pointers. Refilling costs one map walk per distinct pc.
     profCache.assign(trace.prog.insts.size(), nullptr);
 
-    constexpr bool definesInteresting = UseSfpf || UsePgu;
+    const bool useSfpf = Armed && cfg.useSfpf;
+    const bool usePgu = Armed && cfg.usePgu;
+    const bool definesInteresting = useSfpf || usePgu;
 
     // Replay-schedule lookup: the schedule's outputs are
     // predictor-independent, so a batch over the same (range,
@@ -556,21 +561,21 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     // trace without a cache) captures a fresh schedule below.
     std::shared_ptr<const ReplaySchedule> sched;
     std::shared_ptr<ReplaySchedule> fresh;
-    if constexpr (definesInteresting) {
+    if (definesInteresting) {
         std::uint64_t preVis = 0;
         keyPredQ.clear();
         keyPguQ.clear();
-        if constexpr (UseSfpf) {
+        if (useSfpf) {
             preVis = predFile.visibleBits();
             predFile.exportQueue(keyPredQ);
         }
-        if constexpr (UsePgu)
+        if (usePgu)
             pgu.exportQueuePacked(keyPguQ);
         const std::uint64_t cfg0 =
             static_cast<std::uint64_t>(cfg.availDelay) |
             (static_cast<std::uint64_t>(cfg.pgu.delay) << 32);
         const std::uint64_t cfg1 =
-            (UseSfpf ? 1u : 0u) | (UsePgu ? 2u : 0u) |
+            (useSfpf ? 1u : 0u) | (usePgu ? 2u : 0u) |
             (cfg.conservativeDefTracking ? 4u : 0u) |
             (static_cast<std::uint64_t>(cfg.pgu.source) << 3) |
             (static_cast<std::uint64_t>(cfg.pgu.value) << 5) |
@@ -591,10 +596,9 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
         }
     }
 
-    // Target modelling stays a runtime flag (not a fourth template
-    // axis): it adds work only at control events, which the class
-    // scan already isolates, so doubling the specialisation count
-    // would buy nothing.
+    // Target modelling stays a runtime flag, like the techniques in
+    // the armed loop: it adds work only at control events, which the
+    // class scan already isolates.
     const bool targets = cfg.modelTargets;
     const bool capture = fresh != nullptr;
     if (stopBufCap < count) {
@@ -619,9 +623,15 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     engineStats.uncondBranches += stops.uncond;
     engineStats.predicateDefines += stops.defines;
 
-    if constexpr (definesInteresting) {
+    if (definesInteresting) {
         if (capture) {
-            captureSchedule<UseSfpf, UsePgu>(trace, stops, endSeq,
+            if (useSfpf && usePgu)
+                captureSchedule<true, true>(trace, stops, endSeq, *fresh);
+            else if (useSfpf)
+                captureSchedule<true, false>(trace, stops, endSeq,
+                                             *fresh);
+            else
+                captureSchedule<false, true>(trace, stops, endSeq,
                                              *fresh);
             if (trace.schedCache)
                 trace.schedCache->insert(fresh);
@@ -643,7 +653,7 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     const std::uint64_t *drainWord = nullptr;
     // Stream entries before the cursor were injected by this batch.
     std::uint64_t pqCursor = 0;
-    if constexpr (UsePgu) {
+    if (usePgu) {
         pq = sched->pguBits.data();
         drainTgt = sched->drainTargets.data();
         drainWord = sched->drainWords.data();
@@ -675,7 +685,7 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
 
     const std::uint32_t *stop = stopBuf.get();
     const std::uint8_t *cachedGuard = nullptr;
-    if constexpr (UseSfpf)
+    if (useSfpf)
         cachedGuard = sched->guard.data();
     // Uncond-control merge (target modelling): the BTB and RAS are
     // shared by conditional and unconditional transfers, so the two
@@ -692,12 +702,12 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
         const std::uint32_t pc = trace.pcs[i];
         const Inst &inst = trace.prog.insts[pc];
         std::uint8_t guardState = 0;
-        if constexpr (UseSfpf)
+        if (useSfpf)
             guardState = cachedGuard[b];
-        if constexpr (UsePgu)
+        if (usePgu)
             drain(b);
         const std::uint8_t f = trace.flags[i];
-        const bool misp = batchCondBranch<UseSfpf, UsePgu, UseSpec>(
+        const bool misp = batchCondBranch<Armed>(
             bp, pc, inst, f & 1, (f >> 1) & 1, profileRowFor(pc),
             guardState);
         // Taken and correctly predicted: the front end followed a
@@ -717,17 +727,17 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     // drain, then the schedule's exit state for both components, so
     // end-of-run observers (metric gauges, a checkpoint taken after
     // the batch) see identical bytes.
-    if constexpr (UsePgu) {
+    if (usePgu) {
         drain(stops.branches);
         pgu.commitCachedBatch(pq + pqCursor,
                               sched->pguBits.size() - pqCursor, pqCursor);
     }
-    if constexpr (UseSfpf)
+    if (useSfpf)
         predFile.restoreBatchState(sched->postVisibleBits,
                                    sched->postPredQueue);
 }
 
-template <bool UseSfpf, bool UsePgu, bool UseSpec>
+template <bool Armed>
 void
 PredictionEngine::batchDispatch(const DecodedTrace &trace,
                                 std::uint64_t first,
@@ -738,15 +748,15 @@ PredictionEngine::batchDispatch(const DecodedTrace &trace,
     // else runs the same loop through the base interface (still one
     // virtual call per branch instead of two).
     if (auto *g = dynamic_cast<GSharePredictor *>(&pred))
-        batchLoop<UseSfpf, UsePgu, UseSpec>(*g, trace, first, count);
+        batchLoop<Armed>(*g, trace, first, count);
     else if (auto *c = dynamic_cast<CombiningPredictor *>(&pred))
-        batchLoop<UseSfpf, UsePgu, UseSpec>(*c, trace, first, count);
+        batchLoop<Armed>(*c, trace, first, count);
     else if (auto *p = dynamic_cast<PerceptronPredictor *>(&pred))
-        batchLoop<UseSfpf, UsePgu, UseSpec>(*p, trace, first, count);
+        batchLoop<Armed>(*p, trace, first, count);
     else if (auto *t = dynamic_cast<TagePredictor *>(&pred))
-        batchLoop<UseSfpf, UsePgu, UseSpec>(*t, trace, first, count);
+        batchLoop<Armed>(*t, trace, first, count);
     else
-        batchLoop<UseSfpf, UsePgu, UseSpec>(pred, trace, first, count);
+        batchLoop<Armed>(pred, trace, first, count);
 }
 
 std::uint64_t
@@ -759,34 +769,12 @@ PredictionEngine::processBatch(const DecodedTrace &trace,
     std::uint64_t count =
         std::min<std::uint64_t>(max_insts, trace.size() - first);
 
-    // One three-way configuration dispatch per batch; each arm is a
-    // loop specialisation containing only its configuration's code.
-    if (cfg.useSfpf) {
-        if (cfg.usePgu) {
-            if (cfg.useSpeculativeSquash)
-                batchDispatch<true, true, true>(trace, first, count);
-            else
-                batchDispatch<true, true, false>(trace, first, count);
-        } else {
-            if (cfg.useSpeculativeSquash)
-                batchDispatch<true, false, true>(trace, first, count);
-            else
-                batchDispatch<true, false, false>(trace, first, count);
-        }
-    } else {
-        if (cfg.usePgu) {
-            if (cfg.useSpeculativeSquash)
-                batchDispatch<false, true, true>(trace, first, count);
-            else
-                batchDispatch<false, true, false>(trace, first, count);
-        } else {
-            if (cfg.useSpeculativeSquash)
-                batchDispatch<false, false, true>(trace, first, count);
-            else
-                batchDispatch<false, false, false>(trace, first,
-                                                   count);
-        }
-    }
+    // A base run takes the loop with every technique branch folded
+    // away; any armed technique takes the loop that reads them.
+    if (cfg.useSfpf || cfg.usePgu || cfg.useSpeculativeSquash)
+        batchDispatch<true>(trace, first, count);
+    else
+        batchDispatch<false>(trace, first, count);
     return first + count;
 }
 

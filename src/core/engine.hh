@@ -182,11 +182,11 @@ class PredictionEngine
      * predictor-independent guard states and PGU drain plan of the
      * batch, looked up in the trace's schedule cache or, on a miss,
      * captured by one define-only pass that never touches the
-     * predictor. The replay loop then visits branches only: the
-     * useSfpf/usePgu/useSpeculativeSquash configuration branches are
-     * hoisted out into template specialisations, no DynInst is built
-     * (the loop reads the trace's flat lanes), and the predict+update
-     * pair on the hot predictors (gshare, combining, perceptron, TAGE)
+     * predictor. The replay loop then visits branches only: a run
+     * with no technique armed takes a loop specialisation with every
+     * technique branch compiled away, no DynInst is built (the loop
+     * reads the trace's flat lanes), and the predict+update pair on
+     * the hot predictors (gshare, combining, perceptron, TAGE)
      * devirtualises into one statically-bound predictAndUpdate call.
      * See docs/PERF.md.
      *
@@ -331,24 +331,26 @@ class PredictionEngine
     void handlePredicateDefine(const DynInst &dyn);
 
     /** @name processBatch internals (defined in engine.cc)
-     * The configuration flags become template parameters so each of
-     * the eight loop specialisations contains only the code its
-     * configuration needs; Pred is the predictor's CONCRETE type
-     * where known (gshare/combining/perceptron), devirtualising
-     * predictAndUpdate.
+     * Armed is "any of useSfpf, usePgu, useSpeculativeSquash": the
+     * unarmed loop specialisation folds every technique branch away,
+     * the armed one reads the three flags from cfg at run time. Pred
+     * is the predictor's CONCRETE type where known (gshare, combining,
+     * perceptron, TAGE), devirtualising predictAndUpdate; anything
+     * else binds BranchPredictor. See docs/PERF.md for why these two
+     * axes, and no others, are template parameters.
      * @{ */
-    template <bool UseSfpf, bool UsePgu, bool UseSpec>
+    template <bool Armed>
     void batchDispatch(const DecodedTrace &trace, std::uint64_t first,
                        std::uint64_t count);
-    template <bool UseSfpf, bool UsePgu, bool UseSpec, typename Pred>
+    template <bool Armed, typename Pred>
     void batchLoop(Pred &bp, const DecodedTrace &trace,
                    std::uint64_t first, std::uint64_t count);
     /** @p guardState is the SFPF guard the replay schedule resolved
      *  at this branch's sequence: bit0 = known at fetch, bit1 = its
-     *  value (0 when UseSfpf is off). Returns mispredicted, so
+     *  value (0 when the SFPF is off). Returns mispredicted, so
      *  the caller's target-modelling step can mirror the reference
      *  path's "no BTB touch after a restart" rule. */
-    template <bool UseSfpf, bool UsePgu, bool UseSpec, typename Pred>
+    template <bool Armed, typename Pred>
     bool batchCondBranch(Pred &bp, std::uint32_t pc, const Inst &inst,
                          bool guard, bool taken,
                          BranchProfile::Counters &prof,
@@ -357,7 +359,9 @@ class PredictionEngine
      *  stream and drain plan, predicate-file exit state) from the
      *  batch's @p stops, starting from the engine's current predicate
      *  state. Reads no predictor state and leaves the engine's
-     *  predicate components untouched (it works on shadowFile). */
+     *  predicate components untouched (it works on shadowFile). Its
+     *  two flags stay template parameters: this pass is the whole
+     *  cost of a schedule-cache miss, and it visits every define. */
     template <bool UseSfpf, bool UsePgu>
     void captureSchedule(const DecodedTrace &trace,
                          const simd::CollectResult &stops,

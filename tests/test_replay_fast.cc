@@ -252,9 +252,10 @@ TEST(FastReplayEquivalence, EveryPredictorKind)
 
 // ---------------------------------------------------------------------
 // Equivalence across the configuration axis (the E6 grid plus the
-// extension knobs): each flag combination instantiates a different
-// batchLoop specialisation, and every ablation that branches inside
-// the loop body gets its own cell.
+// extension knobs): "base" takes the unarmed batchLoop specialisation,
+// every other cell the armed one, where each technique flag and each
+// ablation is a run-time branch - so every one of them gets its own
+// cell.
 
 std::vector<std::pair<std::string, EngineConfig>>
 configGrid()
@@ -275,6 +276,13 @@ configGrid()
     both.useSfpf = true;
     both.usePgu = true;
     grid.emplace_back("+both", both);
+
+    // Armed loop with no replay schedule: speculative squash alone
+    // trains the guard predictor but never squashes (it needs the
+    // SFPF's fetch-time view).
+    EngineConfig spec_only;
+    spec_only.useSpeculativeSquash = true;
+    grid.emplace_back("+spec", spec_only);
 
     EngineConfig spec = sfpf;
     spec.useSpeculativeSquash = true;
@@ -327,35 +335,21 @@ TEST(FastReplayEquivalence, EveryEngineConfig)
 
 // The history-carrying predictors with their own injectHistoryBits
 // fast paths (perceptron's SIMD dot/train, yags' tagged tables through
-// the generic fallback, tage's folded-history re-fold on its
-// devirtualised arm) get the full predicate-config axis, not just
-// the base/+both corners of EveryPredictorKind: each config arms a
-// different slice of the schedule-cache machinery.
+// the generic fallback, comb and tage on their devirtualised arms,
+// tage's folded-history re-fold) get the full configuration grid, not
+// just the base/+both corners of EveryPredictorKind: every binding
+// shares the armed loop's run-time technique branches, and each config
+// arms a different slice of them and of the schedule-cache machinery.
 
 TEST(FastReplayEquivalence, PerceptronAndYagsAcrossConfigs)
 {
-    struct Cell
-    {
-        const char *name;
-        bool sfpf;
-        bool pgu;
-    };
-    static const Cell cells[] = {{"base", false, false},
-                                 {"+sfpf", true, false},
-                                 {"+pgu", false, true},
-                                 {"+both", true, true}};
-
     for (const char *wl : {"interp", "fsm"}) {
         RecordedTrace trace = recordWorkload(wl, 40000);
         DecodedTrace dec = DecodedTrace::build(trace);
         for (const char *kind : {"perceptron", "yags", "comb",
                                  "tage"}) {
-            for (const Cell &cell : cells) {
-                SCOPED_TRACE(std::string(wl) + "/" + kind + "/" +
-                             cell.name);
-                EngineConfig ecfg;
-                ecfg.useSfpf = cell.sfpf;
-                ecfg.usePgu = cell.pgu;
+            for (const auto &[name, ecfg] : configGrid()) {
+                SCOPED_TRACE(std::string(wl) + "/" + kind + "/" + name);
                 expectEquivalent(runReference(trace, kind, ecfg),
                                  runFast(dec, kind, ecfg));
             }

@@ -22,13 +22,18 @@
  *    once and freed once, and the number held at a time stays within
  *    the bound the dispatch order implies - also across SweepService
  *    batches.
+ *  - pabp-sweepd option checks: a malformed --seeds or --sizes entry
+ *    is a setup error (exit 2, named in the message), never an
+ *    uncaught exception or a silently truncated number.
  */
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -42,6 +47,10 @@
 #include "sweep_service.hh"
 #include "util/table.hh"
 #include "workloads/workload.hh"
+
+#ifndef PABP_SWEEPD_BIN
+#error "PABP_SWEEPD_BIN must point at the pabp-sweepd executable"
+#endif
 
 namespace pabp::bench {
 namespace {
@@ -1041,6 +1050,61 @@ TEST(SweepService, DeriveShardJournalPathNamesShards)
               "plain-shard1of2");
     EXPECT_EQ(deriveShardJournalPath("dir.d/plain", {1, 2}),
               "dir.d/plain-shard1of2");
+}
+
+struct SweepdRun
+{
+    int exitCode = -1;
+    std::string err;
+};
+
+SweepdRun
+runSweepd(const std::string &args)
+{
+    const std::string err = tempPath("sweepd.err");
+    const std::string cmd = std::string(PABP_SWEEPD_BIN) + " " + args +
+        " > /dev/null 2> " + err;
+    const int rc = std::system(cmd.c_str());
+    EXPECT_NE(rc, -1);
+    std::ifstream in(err);
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::remove(err.c_str());
+    return {WIFEXITED(rc) ? WEXITSTATUS(rc) : -1, text.str()};
+}
+
+TEST(SweepdOptions, BadSeedsAndSizesAreSetupErrors)
+{
+    const std::string journal = tempPath("bad.pabpj");
+    const std::string cell = "--workloads interp --predictors gshare "
+                             "--configs base --steps 4000 --journal " +
+        journal;
+    struct Case
+    {
+        const char *flag;
+        const char *value;
+    };
+    for (const Case &c : {Case{"seeds", "abc"},
+                          Case{"seeds", "99999999999999999999999"},
+                          Case{"sizes", "12x"}}) {
+        const SweepdRun run = runSweepd(
+            cell + " --" + c.flag + " '" + c.value + "'");
+        EXPECT_EQ(run.exitCode, 2) << c.flag << " " << c.value;
+        EXPECT_NE(run.err.find(std::string("pabp-sweepd: bad --") +
+                               c.flag + " '" + c.value + "'"),
+                  std::string::npos)
+            << run.err;
+    }
+    // Rejected before the journal is touched.
+    EXPECT_FALSE(fileExists(journal));
+
+    const SweepdRun good = runSweepd(cell + " --seeds 1,2");
+    EXPECT_EQ(good.exitCode, 0) << good.err;
+    Expected<std::vector<JournalRecord>> records =
+        readJournalFile(journal);
+    ASSERT_TRUE(records.ok()) << records.status().toString();
+    EXPECT_EQ(records.value().size(), 2u); // one cell per seed
+    std::remove(journal.c_str());
 }
 
 } // namespace

@@ -20,8 +20,10 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -73,6 +75,25 @@ parseShard(const std::string &text, ShardSpec &shard)
     } catch (const std::exception &) {
         return false;
     }
+}
+
+/** Parse a comma list of decimal integers, each at most @p max, into
+ *  @p out. Every entry must be digits only and consumed whole; false
+ *  on the first that is not (or overflows, or exceeds @p max). */
+bool
+parseUnsignedList(const std::string &text, std::uint64_t max,
+                  std::vector<std::uint64_t> &out)
+{
+    for (const std::string &item : splitList(text)) {
+        // Unlike stoull, from_chars takes no blanks, sign or suffix.
+        std::uint64_t v = 0;
+        const char *end = item.data() + item.size();
+        const auto [ptr, ec] = std::from_chars(item.data(), end, v);
+        if (ec != std::errc() || ptr != end || v > max)
+            return false;
+        out.push_back(v);
+    }
+    return true;
 }
 
 struct EngineVariant
@@ -177,23 +198,36 @@ main(int argc, char **argv)
         }
     }
 
+    std::vector<std::uint64_t> seeds;
+    if (!parseUnsignedList(opts.str("seeds"),
+                           std::numeric_limits<std::uint64_t>::max(),
+                           seeds)) {
+        std::cerr << "pabp-sweepd: bad --seeds '" << opts.str("seeds")
+                  << "' (want a comma list of unsigned integers)\n";
+        return 2;
+    }
+    std::vector<std::uint64_t> sizes;
+    if (!parseUnsignedList(opts.str("sizes"),
+                           std::numeric_limits<unsigned>::max(), sizes)) {
+        std::cerr << "pabp-sweepd: bad --sizes '" << opts.str("sizes")
+                  << "' (want a comma list of unsigned integers)\n";
+        return 2;
+    }
+
     const std::uint64_t steps =
         static_cast<std::uint64_t>(opts.integer("steps"));
     std::vector<RunSpec> grid;
-    for (const std::string &seed_text : splitList(opts.str("seeds"))) {
+    for (const std::uint64_t seed : seeds) {
         for (const std::string &name : names) {
             for (const std::string &pred :
                  splitList(opts.str("predictors"))) {
-                for (const std::string &size_text :
-                     splitList(opts.str("sizes"))) {
+                for (const std::uint64_t size : sizes) {
                     for (const EngineVariant &variant : configs) {
                         RunSpec spec;
                         spec.workload = name;
                         spec.predictor = pred;
-                        spec.seed = static_cast<std::uint64_t>(
-                            std::stoull(seed_text));
-                        spec.sizeLog2 = static_cast<unsigned>(
-                            std::stoul(size_text));
+                        spec.seed = seed;
+                        spec.sizeLog2 = static_cast<unsigned>(size);
                         spec.engine.useSfpf = variant.sfpf;
                         spec.engine.usePgu = variant.pgu;
                         spec.maxInsts = steps;
