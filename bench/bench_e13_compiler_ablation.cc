@@ -27,9 +27,8 @@ main(int argc, char **argv)
     Options opts = standardOptions();
     if (!opts.parse(argc, argv))
         return 0;
-    std::uint64_t steps =
-        static_cast<std::uint64_t>(opts.integer("steps"));
-    std::uint64_t seed = static_cast<std::uint64_t>(opts.integer("seed"));
+    std::uint64_t steps = opts.unsignedInteger("steps");
+    std::uint64_t seed = opts.unsignedInteger("seed");
 
     const std::vector<unsigned> max_blocks_sweep = {2, 4, 6, 8, 12, 16};
 

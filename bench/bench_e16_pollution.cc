@@ -30,9 +30,8 @@ main(int argc, char **argv)
     declareContextOptions(opts);
     if (!opts.parse(argc, argv))
         return 0;
-    std::uint64_t steps =
-        static_cast<std::uint64_t>(opts.integer("steps"));
-    std::uint64_t seed = static_cast<std::uint64_t>(opts.integer("seed"));
+    std::uint64_t steps = opts.unsignedInteger("steps");
+    std::uint64_t seed = opts.unsignedInteger("seed");
     const ContextSpec context = contextSpecFromOptions(opts);
 
     std::cout << "E16: gshare table pollution with/without the filter "

@@ -33,7 +33,7 @@ main(int argc, char **argv)
     Options opts = standardOptions();
     if (!opts.parse(argc, argv))
         return 0;
-    std::uint64_t seed = static_cast<std::uint64_t>(opts.integer("seed"));
+    std::uint64_t seed = opts.unsignedInteger("seed");
 
     const std::vector<double> thetas = {0.0, 0.005, 0.01, 0.02, 0.05,
                                         0.10};

@@ -22,12 +22,9 @@ main(int argc, char **argv)
     opts.declare("ref-seed", "20260706", "measurement input seed");
     if (!opts.parse(argc, argv))
         return 0;
-    std::uint64_t steps =
-        static_cast<std::uint64_t>(opts.integer("steps"));
-    std::uint64_t train = static_cast<std::uint64_t>(
-        opts.integer("train-seed"));
-    std::uint64_t ref =
-        static_cast<std::uint64_t>(opts.integer("ref-seed"));
+    std::uint64_t steps = opts.unsignedInteger("steps");
+    std::uint64_t train = opts.unsignedInteger("train-seed");
+    std::uint64_t ref = opts.unsignedInteger("ref-seed");
 
     std::cout << "E18: profile on train input (" << train
               << "), measure on ref input (" << ref << ")\n\n";

@@ -22,8 +22,8 @@ main(int argc, char **argv)
     // (extra fetched instructions for the same work) is visible; the
     // --steps option is only a safety cap here.
     std::uint64_t steps = std::max<std::uint64_t>(
-        static_cast<std::uint64_t>(opts.integer("steps")), 40'000'000);
-    std::uint64_t seed = static_cast<std::uint64_t>(opts.integer("seed"));
+        opts.unsignedInteger("steps"), 40'000'000);
+    std::uint64_t seed = opts.unsignedInteger("seed");
 
     std::cout << "E1: workload characterisation (to halt, seed=" << seed
               << ")\n\n";

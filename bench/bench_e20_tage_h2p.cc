@@ -40,11 +40,9 @@ main(int argc, char **argv)
                  "(comma-separated, strictly increasing, in (0,1))");
     if (!opts.parse(argc, argv))
         return 0;
-    std::uint64_t steps =
-        static_cast<std::uint64_t>(opts.integer("steps"));
-    std::uint64_t seed = static_cast<std::uint64_t>(opts.integer("seed"));
-    const unsigned size_log2 =
-        static_cast<unsigned>(opts.integer("size-log2"));
+    std::uint64_t steps = opts.unsignedInteger("steps");
+    std::uint64_t seed = opts.unsignedInteger("seed");
+    const unsigned size_log2 = opts.unsignedInteger<unsigned>("size-log2");
 
     // Range/ordering problems surface later as classifyH2p's typed
     // InvalidArgument; only non-numeric text is rejected here.

@@ -85,12 +85,10 @@ main(int argc, char **argv)
                  "empty = skip)");
     if (!opts.parse(argc, argv))
         return 0;
-    std::uint64_t steps =
-        static_cast<std::uint64_t>(opts.integer("steps"));
-    std::uint64_t seed = static_cast<std::uint64_t>(opts.integer("seed"));
+    std::uint64_t steps = opts.unsignedInteger("steps");
+    std::uint64_t seed = opts.unsignedInteger("seed");
     const std::string predictor = opts.str("predictor");
-    const unsigned size_log2 =
-        static_cast<unsigned>(opts.integer("size-log2"));
+    const unsigned size_log2 = opts.unsignedInteger<unsigned>("size-log2");
     // --ctx-quantum/--ctx-seed/--ctx-tag-bits shape every
     // multi-context cell; --contexts/--ctx-schedule/--ctx-shared are
     // grid axes here and are ignored.

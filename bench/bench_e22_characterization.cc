@@ -55,12 +55,9 @@ main(int argc, char **argv)
                  "0 for reduced smoke runs");
     if (!opts.parse(argc, argv))
         return 0;
-    const std::uint64_t steps =
-        static_cast<std::uint64_t>(opts.integer("steps"));
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(opts.integer("seed"));
-    const unsigned size_log2 =
-        static_cast<unsigned>(opts.integer("size-log2"));
+    const std::uint64_t steps = opts.unsignedInteger("steps");
+    const std::uint64_t seed = opts.unsignedInteger("seed");
+    const unsigned size_log2 = opts.unsignedInteger<unsigned>("size-log2");
 
     std::cout << "E22: workload predictability characterization + "
                  "adversarial mining (gshare-2^"
@@ -70,12 +67,10 @@ main(int argc, char **argv)
     // the campaign is in-process (no .pabp round-trip) and every
     // winner has already survived the full oracle set.
     fuzz::MiningConfig mcfg;
-    mcfg.baseSeed =
-        static_cast<std::uint64_t>(opts.integer("mine-seed"));
-    mcfg.restarts =
-        static_cast<unsigned>(opts.integer("mine-restarts"));
-    mcfg.steps = static_cast<unsigned>(opts.integer("mine-steps"));
-    mcfg.emitTop = static_cast<unsigned>(opts.integer("mine-top"));
+    mcfg.baseSeed = opts.unsignedInteger("mine-seed");
+    mcfg.restarts = opts.unsignedInteger<unsigned>("mine-restarts");
+    mcfg.steps = opts.unsignedInteger<unsigned>("mine-steps");
+    mcfg.emitTop = opts.unsignedInteger<unsigned>("mine-top");
     mcfg.maxInsts = std::min<std::uint64_t>(steps, 200'000);
     fuzz::RunEnv env;
     Expected<fuzz::MiningResult> mined =

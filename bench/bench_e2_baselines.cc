@@ -19,11 +19,9 @@ main(int argc, char **argv)
     opts.declare("size-log2", "12", "predictor table size (log2)");
     if (!opts.parse(argc, argv))
         return 0;
-    std::uint64_t steps =
-        static_cast<std::uint64_t>(opts.integer("steps"));
-    std::uint64_t seed = static_cast<std::uint64_t>(opts.integer("seed"));
-    unsigned size_log2 =
-        static_cast<unsigned>(opts.integer("size-log2"));
+    std::uint64_t steps = opts.unsignedInteger("steps");
+    std::uint64_t seed = opts.unsignedInteger("seed");
+    unsigned size_log2 = opts.unsignedInteger<unsigned>("size-log2");
 
     const std::vector<std::string> kinds = {
         "static-nottaken", "bimodal", "gag",   "gshare",    "local",

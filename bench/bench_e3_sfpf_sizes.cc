@@ -19,10 +19,9 @@ main(int argc, char **argv)
     opts.declare("delay", "8", "predicate availability delay (insts)");
     if (!opts.parse(argc, argv))
         return 0;
-    std::uint64_t steps =
-        static_cast<std::uint64_t>(opts.integer("steps"));
-    std::uint64_t seed = static_cast<std::uint64_t>(opts.integer("seed"));
-    unsigned delay = static_cast<unsigned>(opts.integer("delay"));
+    std::uint64_t steps = opts.unsignedInteger("steps");
+    std::uint64_t seed = opts.unsignedInteger("seed");
+    unsigned delay = opts.unsignedInteger<unsigned>("delay");
 
     std::cout << "E3: gshare vs gshare+SFPF across sizes (delay="
               << delay << ")\n\n";

@@ -22,12 +22,10 @@ main(int argc, char **argv)
     opts.declare("size-log2", "12", "predictor table size (log2)");
     if (!opts.parse(argc, argv))
         return 0;
-    std::uint64_t steps =
-        static_cast<std::uint64_t>(opts.integer("steps"));
-    std::uint64_t seed = static_cast<std::uint64_t>(opts.integer("seed"));
+    std::uint64_t steps = opts.unsignedInteger("steps");
+    std::uint64_t seed = opts.unsignedInteger("seed");
     std::string predictor = opts.str("predictor");
-    unsigned size_log2 =
-        static_cast<unsigned>(opts.integer("size-log2"));
+    unsigned size_log2 = opts.unsignedInteger<unsigned>("size-log2");
 
     std::cout << "E6: technique composition on " << predictor << "-2^"
               << size_log2 << "\n\n";

@@ -17,9 +17,8 @@ main(int argc, char **argv)
     Options opts = standardOptions();
     if (!opts.parse(argc, argv))
         return 0;
-    std::uint64_t steps =
-        static_cast<std::uint64_t>(opts.integer("steps"));
-    std::uint64_t seed = static_cast<std::uint64_t>(opts.integer("seed"));
+    std::uint64_t steps = opts.unsignedInteger("steps");
+    std::uint64_t seed = opts.unsignedInteger("seed");
 
     std::cout << "E7: region-based branch mispredict rates "
               << "(gshare-4K base)\n\n";

@@ -19,10 +19,9 @@ main(int argc, char **argv)
     opts.declare("penalty", "8", "mispredict penalty (cycles)");
     if (!opts.parse(argc, argv))
         return 0;
-    std::uint64_t steps =
-        static_cast<std::uint64_t>(opts.integer("steps"));
-    std::uint64_t seed = static_cast<std::uint64_t>(opts.integer("seed"));
-    unsigned penalty = static_cast<unsigned>(opts.integer("penalty"));
+    std::uint64_t steps = opts.unsignedInteger("steps");
+    std::uint64_t seed = opts.unsignedInteger("seed");
+    unsigned penalty = opts.unsignedInteger<unsigned>("penalty");
 
     std::cout << "E8: pipeline IPC and speedup (width=6, penalty="
               << penalty << ")\n\n";

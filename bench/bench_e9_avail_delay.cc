@@ -19,9 +19,8 @@ main(int argc, char **argv)
     Options opts = standardOptions();
     if (!opts.parse(argc, argv))
         return 0;
-    std::uint64_t steps =
-        static_cast<std::uint64_t>(opts.integer("steps"));
-    std::uint64_t seed = static_cast<std::uint64_t>(opts.integer("seed"));
+    std::uint64_t steps = opts.unsignedInteger("steps");
+    std::uint64_t seed = opts.unsignedInteger("seed");
 
     const std::vector<unsigned> distances = {2, 4, 8, 16, 24, 32};
     const std::vector<unsigned> delays = {0, 4, 8, 16, 32};

@@ -59,15 +59,12 @@ main(int argc, char **argv)
                  "throughput record path (pabp.metrics JSON)");
     if (!opts.parse(argc, argv))
         return 0;
-    const std::uint64_t steps =
-        static_cast<std::uint64_t>(opts.integer("steps"));
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(opts.integer("seed"));
+    const std::uint64_t steps = opts.unsignedInteger("steps");
+    const std::uint64_t seed = opts.unsignedInteger("seed");
     const std::string predictor_list = opts.str("predictor");
-    const unsigned size_log2 =
-        static_cast<unsigned>(opts.integer("size-log2"));
-    const int repeats =
-        std::max<int>(1, static_cast<int>(opts.integer("repeats")));
+    const unsigned size_log2 = opts.unsignedInteger<unsigned>("size-log2");
+    const unsigned repeats =
+        std::max(1u, opts.unsignedInteger<unsigned>("repeats"));
 
     std::vector<std::string> predictors;
     for (std::size_t pos = 0; pos <= predictor_list.size();) {
@@ -161,7 +158,7 @@ main(int argc, char **argv)
             EngineStats ref_stats, fast_stats;
             BranchProfile ref_profile, fast_profile;
             double ref_best = 0.0, fast_best = 0.0;
-            for (int r = 0; r < repeats; ++r) {
+            for (unsigned r = 0; r < repeats; ++r) {
                 double t = run_ref(ref_stats, ref_profile);
                 ref_best = r == 0 ? t : std::min(ref_best, t);
                 t = run_fast(fast_stats, fast_profile);

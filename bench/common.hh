@@ -50,10 +50,8 @@ standardOptions()
     opts.declare("fast-replay", "1",
                  "Trace cells replay a shared pre-decoded trace "
                  "through the batched engine loop (docs/PERF.md); "
-                 "results are identical, only faster");
-    opts.declare("no-fast-replay", "0",
-                 "force the reference per-instruction loop "
-                 "(overrides --fast-replay)");
+                 "results are identical, only faster; 0 forces the "
+                 "reference per-instruction loop");
     opts.declare("shard", "0/1",
                  "run only the cells shard i of N owns ('i/N'); "
                  "other cells are skipped in place, keeping table "
@@ -77,58 +75,25 @@ standardOptions()
     return opts;
 }
 
-/** Parse the standard --shard option ('i/N'). Malformed values are
- *  fatal - this is the CLI shim layer (util/status.hh). */
-inline ShardSpec
-shardFromOptions(const Options &opts)
-{
-    const std::string text = opts.str("shard");
-    ShardSpec shard;
-    const std::size_t slash = text.find('/');
-    bool ok = slash != std::string::npos && slash > 0 &&
-        slash + 1 < text.size();
-    if (ok) {
-        try {
-            std::size_t used = 0;
-            const unsigned long i =
-                std::stoul(text.substr(0, slash), &used);
-            ok = used == slash;
-            const std::string count = text.substr(slash + 1);
-            const unsigned long n = std::stoul(count, &used);
-            ok = ok && used == count.size() && n > 0 && i < n;
-            shard.index = static_cast<std::uint32_t>(i);
-            shard.count = static_cast<std::uint32_t>(n);
-        } catch (const std::exception &) {
-            ok = false;
-        }
-    }
-    if (!ok)
-        pabp_fatal("bad --shard '" + text + "' (want 'i/N', i < N)");
-    return shard;
-}
-
 /** Copy the robust-execution options (shard, retry, watchdog) into a
- *  run spec. */
+ *  run spec. A malformed --shard is fatal - this is the CLI shim
+ *  layer (util/status.hh). */
 inline void
 applyRobustnessOptions(RunSpec &spec, const Options &opts)
 {
-    spec.shard = shardFromOptions(opts);
+    const std::optional<ShardSpec> shard =
+        parseShardSpec(opts.str("shard"));
+    if (!shard)
+        pabp_fatal("bad --shard '" + opts.str("shard") +
+                   "' (want 'i/N', i < N)");
+    spec.shard = *shard;
     spec.maxAttempts =
-        std::max<std::int64_t>(1, opts.integer("max-attempts"));
+        std::max(1u, opts.unsignedInteger<unsigned>("max-attempts"));
     spec.retryBackoffMillis =
-        static_cast<std::uint32_t>(opts.integer("backoff-ms"));
-    spec.watchdogMillis =
-        static_cast<std::uint32_t>(opts.integer("watchdog-ms"));
-    spec.heartbeatInsts = std::max<std::int64_t>(
-        1, opts.integer("heartbeat-insts"));
-}
-
-/** Effective --fast-replay value: the parser has no native --no-X
- *  negation, so the off switch is its own declared flag. */
-inline bool
-fastReplayFromOptions(const Options &opts)
-{
-    return opts.flag("fast-replay") && !opts.flag("no-fast-replay");
+        opts.unsignedInteger<std::uint32_t>("backoff-ms");
+    spec.watchdogMillis = opts.unsignedInteger<std::uint32_t>("watchdog-ms");
+    spec.heartbeatInsts = std::max<std::uint64_t>(
+        1, opts.unsignedInteger("heartbeat-insts"));
 }
 
 /** Declare the multi-context replay options (bench E21 and any
@@ -161,21 +126,19 @@ inline ContextSpec
 contextSpecFromOptions(const Options &opts)
 {
     ContextSpec ctx;
-    ctx.contexts = static_cast<unsigned>(
-        std::max<std::int64_t>(1, opts.integer("contexts")));
+    ctx.contexts =
+        std::max(1u, opts.unsignedInteger<unsigned>("contexts"));
     Expected<ScheduleKind> kind =
         parseScheduleKind(opts.str("ctx-schedule"));
     if (!kind.ok())
         pabp_fatal("bad --ctx-schedule: " +
                    kind.status().toString());
     ctx.schedule = kind.value();
-    ctx.quantum = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(1, opts.integer("ctx-quantum")));
-    ctx.scheduleSeed =
-        static_cast<std::uint64_t>(opts.integer("ctx-seed"));
+    ctx.quantum = std::max<std::uint64_t>(
+        1, opts.unsignedInteger("ctx-quantum"));
+    ctx.scheduleSeed = opts.unsignedInteger("ctx-seed");
     ctx.shared = opts.flag("ctx-shared");
-    ctx.tagBits =
-        static_cast<unsigned>(opts.integer("ctx-tag-bits"));
+    ctx.tagBits = opts.unsignedInteger<unsigned>("ctx-tag-bits");
     return ctx;
 }
 
@@ -184,12 +147,11 @@ contextSpecFromOptions(const Options &opts)
 inline void
 applyCheckpointOptions(RunSpec &spec, const Options &opts)
 {
-    spec.checkpointEvery =
-        static_cast<std::uint64_t>(opts.integer("checkpoint-every"));
+    spec.checkpointEvery = opts.unsignedInteger("checkpoint-every");
     spec.checkpointPath = opts.str("checkpoint-file");
     spec.resumePath = opts.str("resume");
     spec.metricsDir = opts.str("metrics-dir");
-    spec.fastReplay = fastReplayFromOptions(opts);
+    spec.fastReplay = opts.flag("fast-replay");
     spec.characterize = opts.flag("characterize");
     applyRobustnessOptions(spec, opts);
 }
@@ -201,7 +163,7 @@ inline void
 applyMetricsOptions(std::vector<RunSpec> &specs, const Options &opts)
 {
     const std::string dir = opts.str("metrics-dir");
-    const bool fast = fastReplayFromOptions(opts);
+    const bool fast = opts.flag("fast-replay");
     const bool characterize = opts.flag("characterize");
     for (RunSpec &spec : specs) {
         spec.metricsDir = dir;
@@ -216,7 +178,7 @@ inline SweepRunner::Config
 sweepConfigFromOptions(const Options &opts)
 {
     SweepRunner::Config cfg;
-    cfg.jobs = static_cast<unsigned>(opts.integer("jobs"));
+    cfg.jobs = opts.unsignedInteger<unsigned>("jobs");
     return cfg;
 }
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string_view>
@@ -19,6 +20,7 @@
 #include "core/multictx.hh"
 #include "sim/emulator.hh"
 #include "util/metrics.hh"
+#include "util/options.hh"
 #include "util/stats.hh"
 #include "util/thread_pool.hh"
 
@@ -527,6 +529,24 @@ finishMultiCtxOutputs(const RunSpec &spec, RunResult &result)
 }
 
 } // anonymous namespace
+
+std::optional<ShardSpec>
+parseShardSpec(std::string_view text)
+{
+    const std::size_t slash = text.find('/');
+    if (slash == std::string_view::npos)
+        return std::nullopt;
+    constexpr std::uint64_t maxCount =
+        std::numeric_limits<std::uint32_t>::max();
+    std::uint64_t index = 0;
+    std::uint64_t count = 0;
+    if (!parseUnsigned(text.substr(0, slash), maxCount, index) ||
+        !parseUnsigned(text.substr(slash + 1), maxCount, count) ||
+        count == 0 || index >= count)
+        return std::nullopt;
+    return ShardSpec{static_cast<std::uint32_t>(index),
+                     static_cast<std::uint32_t>(count)};
+}
 
 std::uint64_t
 specFingerprint(const RunSpec &spec)

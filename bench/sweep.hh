@@ -42,6 +42,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "compiler/compile.hh"
@@ -75,6 +76,14 @@ struct ShardSpec
 
     bool operator==(const ShardSpec &) const = default;
 };
+
+/**
+ * Parse a shard spec 'i/N'. Both parts must be decimal digits only -
+ * no sign, blanks or suffix - with 0 < N <= UINT32_MAX and i < N;
+ * nullopt for any other text. The one parser behind every --shard
+ * option.
+ */
+std::optional<ShardSpec> parseShardSpec(std::string_view text);
 
 /** Which shard owns the cell with fingerprint @p fingerprint. */
 constexpr std::uint32_t
@@ -250,9 +259,12 @@ struct RunSpec
      * and check the deadline between slices, so a cell stuck in a
      * pathological configuration (or a hung Observe closure) is
      * reaped with StatusCode::DeadlineExceeded instead of stalling
-     * its worker forever. Covers Trace and Observe cells; a Timed
-     * cell runs the cycle-level pipeline in one shot and is bounded
-     * by its instruction budget alone.
+     * its worker forever. Covers single-context Trace cells and
+     * Observe cells. Two kinds of cell are bounded by their
+     * instruction budget alone: a Timed cell runs the cycle-level
+     * pipeline in one shot, and a multi-context Trace cell
+     * (context.contexts > 1) runs the interleaved replayer without a
+     * deadline.
      */
     std::uint32_t watchdogMillis = 0;
     /** Instructions between watchdog checks (the heartbeat grain).

@@ -31,8 +31,8 @@ main(int argc, char **argv)
     if (!opts.parse(argc, argv))
         return 0;
 
-    unsigned size_log2 = static_cast<unsigned>(opts.integer("size-log2"));
-    auto steps = static_cast<std::uint64_t>(opts.integer("steps"));
+    unsigned size_log2 = opts.unsignedInteger<unsigned>("size-log2");
+    auto steps = opts.unsignedInteger("steps");
     EngineConfig ecfg;
     ecfg.useSfpf = opts.flag("sfpf");
     ecfg.usePgu = opts.flag("pgu");

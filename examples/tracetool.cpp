@@ -31,7 +31,7 @@ doRecord(const Options &opts)
 {
     std::string name = opts.str("record");
     std::string out = opts.str("out");
-    auto steps = static_cast<std::uint64_t>(opts.integer("steps"));
+    auto steps = opts.unsignedInteger("steps");
 
     Workload wl = makeWorkload(name, 42);
     CompileOptions copts;
@@ -65,7 +65,7 @@ doReplay(const Options &opts)
 
     PredictorPtr pred = makePredictor(
         opts.str("predictor"),
-        static_cast<unsigned>(opts.integer("size-log2")));
+        opts.unsignedInteger<unsigned>("size-log2"));
     EngineConfig ecfg;
     ecfg.useSfpf = opts.flag("sfpf");
     ecfg.usePgu = opts.flag("pgu");
@@ -78,8 +78,7 @@ doReplay(const Options &opts)
     const std::uint64_t trace_id = traceFingerprint(trace);
     std::uint64_t pos = 0;
     std::string ckpt_path = opts.str("checkpoint-file");
-    auto every =
-        static_cast<std::uint64_t>(opts.integer("checkpoint-every"));
+    auto every = opts.unsignedInteger("checkpoint-every");
     if (!opts.str("resume").empty()) {
         CheckpointRefs refs{nullptr, &engine, &pos, &trace_id};
         Status status = loadCheckpoint(opts.str("resume"), refs);

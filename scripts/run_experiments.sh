@@ -110,7 +110,7 @@ test "${PIPESTATUS[0]}" -eq 0
     build/bench/bench_e6_combined --steps 200000 --jobs "$JOBS" \
         --metrics-dir "$fast_dir" > /dev/null
     build/bench/bench_e6_combined --steps 200000 --jobs "$JOBS" \
-        --no-fast-replay --metrics-dir "$ref_dir" > /dev/null
+        --fast-replay 0 --metrics-dir "$ref_dir" > /dev/null
     pairs=0
     for fast_file in "$fast_dir"/pabp-metrics-*.json; do
         ref_file=$ref_dir/$(basename "$fast_file")
@@ -145,7 +145,7 @@ test "${PIPESTATUS[0]}" -eq 0
     build/bench/bench_e21_interference --steps 100000 --jobs "$JOBS" \
         --out "" --metrics-dir "$itf_fast_dir" > /dev/null
     build/bench/bench_e21_interference --steps 100000 --jobs "$JOBS" \
-        --no-fast-replay --out "" --metrics-dir "$itf_ref_dir" > /dev/null
+        --fast-replay 0 --out "" --metrics-dir "$itf_ref_dir" > /dev/null
     itf_pairs=0
     for fast_file in "$itf_fast_dir"/pabp-metrics-*.json; do
         ref_file=$itf_ref_dir/$(basename "$fast_file")

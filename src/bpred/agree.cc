@@ -54,16 +54,6 @@ AgreePredictor::injectHistoryBit(bool bit)
     ghr = (ghr << 1) | (bit ? 1 : 0);
 }
 
-void
-AgreePredictor::reset()
-{
-    for (auto &c : agreeTable)
-        c = SatCounter(2, 2);
-    for (auto &b : biasTable)
-        b = Bias{};
-    ghr = 0;
-}
-
 std::string
 AgreePredictor::name() const
 {

@@ -57,21 +57,10 @@ Btb::update(std::uint32_t pc, std::uint32_t target)
 }
 
 void
-Btb::reset()
-{
-    for (auto &e : entries)
-        e = Entry{};
-    useClock = 0;
-    hitCount = 0;
-    missCount = 0;
-}
-
-void
 Btb::registerStats(StatGroup &group, const std::string &prefix)
 {
     group.gauge(prefix + "hits", [this] { return hitCount; });
     group.gauge(prefix + "misses", [this] { return missCount; });
-    group.onReset([this] { resetStats(); });
 }
 
 void
@@ -154,17 +143,6 @@ ReturnAddressStack::pop()
 }
 
 void
-ReturnAddressStack::reset()
-{
-    top = 0;
-    count = 0;
-    pushCount = 0;
-    popCount = 0;
-    overflowCount = 0;
-    underflowCount = 0;
-}
-
-void
 ReturnAddressStack::registerStats(StatGroup &group,
                                   const std::string &prefix)
 {
@@ -172,7 +150,6 @@ ReturnAddressStack::registerStats(StatGroup &group,
     group.gauge(prefix + "pops", [this] { return popCount; });
     group.gauge(prefix + "overflows", [this] { return overflowCount; });
     group.gauge(prefix + "underflows", [this] { return underflowCount; });
-    group.onReset([this] { resetStats(); });
 }
 
 void

@@ -47,17 +47,8 @@ class Btb
     /** Install/refresh a branch's target. Never counts. */
     void update(std::uint32_t pc, std::uint32_t target);
 
-    void reset();
     std::uint64_t hits() const { return hitCount; }
     std::uint64_t misses() const { return missCount; }
-
-    /** Zero the counters; table contents and recency persist. */
-    void
-    resetStats()
-    {
-        hitCount = 0;
-        missCount = 0;
-    }
 
     /** Gauges under "<prefix>hits" / "<prefix>misses". */
     void registerStats(StatGroup &group, const std::string &prefix);
@@ -103,7 +94,6 @@ class ReturnAddressStack
     /** Pop a prediction; empty stack returns nullopt. */
     std::optional<std::uint32_t> pop();
 
-    void reset();
     unsigned size() const { return count; }
 
     std::uint64_t pushes() const { return pushCount; }
@@ -112,16 +102,6 @@ class ReturnAddressStack
     std::uint64_t overflows() const { return overflowCount; }
     /** Pops on an empty stack (no prediction available). */
     std::uint64_t underflows() const { return underflowCount; }
-
-    /** Zero the counters; stack contents persist. */
-    void
-    resetStats()
-    {
-        pushCount = 0;
-        popCount = 0;
-        overflowCount = 0;
-        underflowCount = 0;
-    }
 
     /** Gauges under "<prefix>pushes" / "pops" / "overflows" /
      *  "underflows". */

@@ -49,15 +49,6 @@ CombiningPredictor::hasGlobalHistory() const
     return firstPred->hasGlobalHistory() || secondPred->hasGlobalHistory();
 }
 
-void
-CombiningPredictor::reset()
-{
-    firstPred->reset();
-    secondPred->reset();
-    for (auto &c : chooser)
-        c = SatCounter(2);
-}
-
 std::string
 CombiningPredictor::name() const
 {

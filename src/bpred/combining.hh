@@ -59,7 +59,6 @@ class CombiningPredictor : public BranchPredictor
         used += secondPred->importHistory(words + used, n - used);
         return used;
     }
-    void reset() override;
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;

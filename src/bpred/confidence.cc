@@ -43,12 +43,6 @@ ConfidenceEstimator::registerStats(StatGroup &group,
     group.gauge(prefix + "low_resets", [this] { return resetCount; });
 }
 
-void
-ConfidenceEstimator::reset()
-{
-    std::fill(table.begin(), table.end(), 0);
-}
-
 std::size_t
 ConfidenceEstimator::storageBits() const
 {

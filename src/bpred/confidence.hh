@@ -41,7 +41,6 @@ class ConfidenceEstimator
      *  increments (saturating), incorrect resets to zero. */
     void update(std::uint32_t pc, bool correct);
 
-    void reset();
     std::size_t storageBits() const;
 
     /** @name Observability
@@ -52,7 +51,6 @@ class ConfidenceEstimator
     std::uint64_t updates() const { return updateCount; }
     std::uint64_t lowResets() const { return resetCount; }
     void registerStats(StatGroup &group, const std::string &prefix);
-    void resetStats() { updateCount = 0; resetCount = 0; }
     /** @} */
 
     void saveState(StateSink &sink) const;

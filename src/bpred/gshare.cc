@@ -74,14 +74,6 @@ GSharePredictor::registerStats(StatGroup &group,
 }
 
 
-void
-GSharePredictor::reset()
-{
-    for (auto &c : table)
-        c = SatCounter(counterBits);
-    ghr = 0;
-}
-
 std::string
 GSharePredictor::name() const
 {
@@ -119,14 +111,6 @@ void
 GAgPredictor::injectHistoryBit(bool bit)
 {
     ghr = (ghr << 1) | (bit ? 1 : 0);
-}
-
-void
-GAgPredictor::reset()
-{
-    for (auto &c : table)
-        c = SatCounter(counterBits);
-    ghr = 0;
 }
 
 std::string

@@ -63,7 +63,6 @@ class GSharePredictor : public BranchPredictor
             ghr = words[0];
         return 1;
     }
-    void reset() override;
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;
@@ -88,7 +87,6 @@ class GSharePredictor : public BranchPredictor
 
     void registerStats(StatGroup &group,
                        const std::string &prefix) override;
-    void resetStats() override { lookups = 0; conflicts = 0; }
 
   private:
     std::vector<SatCounter> table;
@@ -135,7 +133,6 @@ class GAgPredictor : public BranchPredictor
             ghr = words[0];
         return 1;
     }
-    void reset() override;
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;

@@ -38,15 +38,6 @@ LocalPredictor::update(std::uint32_t pc, bool taken)
         ((std::uint32_t{1} << localBits) - 1);
 }
 
-void
-LocalPredictor::reset()
-{
-    for (auto &h : bht)
-        h = 0;
-    for (auto &c : pht)
-        c = SatCounter(counterBits);
-}
-
 std::string
 LocalPredictor::name() const
 {

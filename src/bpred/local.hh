@@ -29,7 +29,6 @@ class LocalPredictor : public BranchPredictor
 
     bool predict(std::uint32_t pc) override;
     void update(std::uint32_t pc, bool taken) override;
-    void reset() override;
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;

@@ -70,16 +70,6 @@ PerceptronPredictor::predictAndUpdate(std::uint32_t pc, bool taken)
 }
 
 
-void
-PerceptronPredictor::reset()
-{
-    std::fill(weights.begin(), weights.end(), 0);
-    ghr = 0;
-    lastOutput = 0;
-    lastHistory = 0;
-    lastRow = 0;
-}
-
 std::string
 PerceptronPredictor::name() const
 {

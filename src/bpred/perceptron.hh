@@ -61,7 +61,6 @@ class PerceptronPredictor : public BranchPredictor
             ghr = words[0];
         return 1;
     }
-    void reset() override;
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;

@@ -38,9 +38,10 @@ class BranchPredictor
      * @name Statistics registry
      * Predictors with observable counters (e.g. gshare's aliasing
      * profiler) register them into @p group under @p prefix as
-     * callback gauges; resetStats() zeroes those counters without
-     * touching predictive state (tables, histories). The defaults
-     * are for predictors with nothing to report.
+     * callback gauges. There is no reset: cold state, counters
+     * included, comes only from constructing a fresh predictor, as
+     * every sweep cell does. The default is for predictors with
+     * nothing to report.
      * @{
      */
     virtual void
@@ -49,7 +50,6 @@ class BranchPredictor
         (void)group;
         (void)prefix;
     }
-    virtual void resetStats() {}
     /** @} */
 
     /** Predicted direction for the branch at @p pc. */
@@ -117,7 +117,7 @@ class BranchPredictor
      * importHistory() reads them back from @p words and returns how
      * many words it consumed (composite predictors delegate in the
      * same order both ways). A fresh context imports the words a
-     * freshly-reset predictor exports. The defaults are for
+     * freshly-constructed predictor exports. The defaults are for
      * predictors with no global history: nothing exported, nothing
      * consumed.
      * @{
@@ -135,9 +135,6 @@ class BranchPredictor
         return 0;
     }
     /** @} */
-
-    /** Forget all state. */
-    virtual void reset() = 0;
 
     /**
      * @name Checkpointing

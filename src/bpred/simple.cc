@@ -24,13 +24,6 @@ BimodalPredictor::update(std::uint32_t pc, bool taken)
     table[index(pc)].update(taken);
 }
 
-void
-BimodalPredictor::reset()
-{
-    for (auto &c : table)
-        c = SatCounter(counterBits);
-}
-
 std::string
 BimodalPredictor::name() const
 {

@@ -23,7 +23,6 @@ class StaticPredictor : public BranchPredictor
 
     bool predict(std::uint32_t) override { return predictTaken; }
     void update(std::uint32_t, bool) override {}
-    void reset() override {}
     std::string name() const override
     {
         return predictTaken ? "static-taken" : "static-nottaken";
@@ -47,7 +46,6 @@ class BimodalPredictor : public BranchPredictor
 
     bool predict(std::uint32_t pc) override;
     void update(std::uint32_t pc, bool taken) override;
-    void reset() override;
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;

@@ -307,32 +307,6 @@ TagePredictor::registerStats(StatGroup &group,
                 [this] { return scOverrideCorrect; });
 }
 
-void
-TagePredictor::reset()
-{
-    for (auto &c : base)
-        c = SatCounter(2);
-    for (auto &table : tables)
-        for (TaggedEntry &e : table) {
-            e.tag = 0;
-            e.ctr = SatCounter(cfg.counterBits);
-            e.u = SatCounter(cfg.usefulBits, 0);
-        }
-    for (auto &c : scTable)
-        c = SatCounter(cfg.scCounterBits);
-    std::fill(hist.begin(), hist.end(), 0);
-    histPtr = 0;
-    for (unsigned t = 0; t < cfg.numTables; ++t) {
-        foldedIdx[t].comp = 0;
-        foldedTag0[t].comp = 0;
-        foldedTag1[t].comp = 0;
-    }
-    useAltOnNa = SatCounter(4, 7);
-    lfsr = 0x2545f4u;
-    tick = 0;
-    tickFlip = false;
-}
-
 std::string
 TagePredictor::name() const
 {

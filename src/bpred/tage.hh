@@ -86,7 +86,6 @@ class TagePredictor : public BranchPredictor
     void exportHistory(std::vector<std::uint64_t> &out) const override;
     std::size_t importHistory(const std::uint64_t *words,
                               std::size_t n) override;
-    void reset() override;
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;
@@ -94,17 +93,6 @@ class TagePredictor : public BranchPredictor
 
     void registerStats(StatGroup &group,
                        const std::string &prefix) override;
-    void
-    resetStats() override
-    {
-        providerHits = 0;
-        altOverrides = 0;
-        allocations = 0;
-        allocFailures = 0;
-        uResets = 0;
-        scOverrides = 0;
-        scOverrideCorrect = 0;
-    }
 
     const TageConfig &config() const { return cfg; }
 

@@ -72,18 +72,6 @@ YagsPredictor::injectHistoryBit(bool bit)
     ghr = (ghr << 1) | (bit ? 1 : 0);
 }
 
-void
-YagsPredictor::reset()
-{
-    for (auto &c : choice)
-        c = SatCounter(2);
-    for (auto &e : takenCache)
-        e = CacheEntry{};
-    for (auto &e : notTakenCache)
-        e = CacheEntry{};
-    ghr = 0;
-}
-
 std::string
 YagsPredictor::name() const
 {

@@ -36,7 +36,6 @@ class YagsPredictor : public BranchPredictor
     void update(std::uint32_t pc, bool taken) override;
     void injectHistoryBit(bool bit) override;
     bool hasGlobalHistory() const override { return true; }
-    void reset() override;
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;

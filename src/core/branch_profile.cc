@@ -71,14 +71,6 @@ BranchProfile::topByMispredicts(std::size_t k) const
 }
 
 void
-BranchProfile::reset()
-{
-    table.clear();
-    evicted = Counters{};
-    evictedCount = 0;
-}
-
-void
 BranchProfile::saveState(StateSink &sink) const
 {
     sink.writeU64(table.size());

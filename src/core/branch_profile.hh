@@ -91,9 +91,6 @@ class BranchProfile
     std::vector<std::pair<std::uint32_t, Counters>>
     topByMispredicts(std::size_t k = 0) const;
 
-    /** Zero everything (the table forgets its PCs too). */
-    void reset();
-
     bool operator==(const BranchProfile &) const = default;
 
     /** @name Checkpointing

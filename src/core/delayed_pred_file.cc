@@ -12,16 +12,6 @@ DelayedPredicateFile::DelayedPredicateFile(unsigned delay)
 }
 
 void
-DelayedPredicateFile::reset()
-{
-    std::fill(visible.begin(), visible.end(), false);
-    visible[0] = true;
-    std::fill(inFlight.begin(), inFlight.end(), 0u);
-    queue.clear();
-}
-
-
-void
 DelayedPredicateFile::saveState(StateSink &sink) const
 {
     sink.writeBoolVector(visible);

@@ -100,7 +100,6 @@ class DelayedPredicateFile
     }
 
     unsigned delay() const { return visDelay; }
-    void reset();
 
     void saveState(StateSink &sink) const;
     Status loadState(StateSource &src);

@@ -543,9 +543,9 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     const std::uint64_t end = first + count;
     const std::uint64_t endSeq = end - 1;
 
-    // Rebuilt per batch: a profile reset/restore between batches (a
-    // reused engine, a checkpoint load) would otherwise leave stale
-    // row pointers. Refilling costs one map walk per distinct pc.
+    // Rebuilt per batch: a profile restore between batches (a
+    // checkpoint load) would otherwise leave stale row pointers.
+    // Refilling costs one map walk per distinct pc.
     profCache.assign(trace.prog.insts.size(), nullptr);
 
     const bool useSfpf = Armed && cfg.useSfpf;
@@ -826,29 +826,6 @@ PredictionEngine::registerStats(StatGroup &group)
     pvp.registerStats(group, "pvp.");
     jrs.registerStats(group, "jrs.");
     pred.registerStats(group, "pred.");
-
-    group.onReset([this] { resetStats(); });
-}
-
-void
-PredictionEngine::resetStats()
-{
-    engineStats = EngineStats{};
-    sfpf.resetStats();
-    // Components added after the original engine kept their own
-    // counters; forgetting them here made a reused engine leak the
-    // previous cell's counts into the next (the pgu.inserted
-    // double-count bug).
-    pgu.resetStats();
-    pvp.resetStats();
-    jrs.resetStats();
-    pred.resetStats();
-    if (btbPtr)
-        btbPtr->resetStats();
-    if (rasPtr)
-        rasPtr->resetStats();
-    profile.reset();
-    shiftsSincePguBit = pguInfluenceWindow;
 }
 
 namespace {

@@ -256,17 +256,10 @@ class PredictionEngine
      * Register every engine counter - and those of all owned
      * components plus the base predictor - into @p group under
      * stable dotted names ("engine.all.branches", "sfpf.squashes",
-     * "pgu.bits_inserted", ...). Also installs a reset hook so
-     * group.reset() and resetStats() stay symmetric. @p group must
-     * not outlive this engine.
+     * "pgu.bits_inserted", ...). @p group must not outlive this
+     * engine.
      */
     void registerStats(StatGroup &group);
-
-    /** Zero the counters of the engine AND every registered
-     *  component (SFPF, PGU, value predictor, confidence estimator,
-     *  base predictor diagnostics, per-branch profile); predictor
-     *  and history state persist. */
-    void resetStats();
 
     /**
      * @name Checkpointing

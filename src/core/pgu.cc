@@ -3,14 +3,6 @@
 namespace pabp {
 
 void
-PredicateGlobalUpdate::reset()
-{
-    queue.clear();
-    inserted = 0;
-}
-
-
-void
 PredicateGlobalUpdate::saveState(StateSink &sink) const
 {
     sink.writeU64(queue.size());

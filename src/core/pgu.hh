@@ -145,7 +145,6 @@ class PredicateGlobalUpdate
     std::uint64_t bitsInserted() const { return inserted; }
     std::uint64_t pendingBits() const { return queue.size(); }
     const PguConfig &config() const { return cfg; }
-    void reset();
 
     /** @name Replay-schedule state exchange (core/engine.cc)
      * The batched replay loop keys its per-trace schedule cache on
@@ -175,12 +174,6 @@ class PredicateGlobalUpdate
         inserted += injected;
     }
     /** @} */
-
-    /** Zero the insertion counter; the pending queue (state, not a
-     *  statistic) survives. Engine resetStats() delegates here - it
-     *  used to forget to, so a reused engine carried the previous
-     *  cell's bit count into the next one. */
-    void resetStats() { inserted = 0; }
 
     void
     registerStats(StatGroup &group, const std::string &prefix)

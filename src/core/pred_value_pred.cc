@@ -36,11 +36,4 @@ PredicateValuePredictor::confident(std::uint32_t pc) const
     return table[index(pc)].isSaturated();
 }
 
-void
-PredicateValuePredictor::reset()
-{
-    for (auto &c : table)
-        c = SatCounter(2);
-}
-
 } // namespace pabp

@@ -43,7 +43,6 @@ class PredicateValuePredictor
     /** Confidence gate: only act on saturated counters. */
     bool confident(std::uint32_t pc) const;
 
-    void reset();
     std::size_t storageBits() const { return table.size() * 2; }
 
     /** @name Observability
@@ -54,7 +53,6 @@ class PredicateValuePredictor
      * @{ */
     std::uint64_t trains() const { return trainCount; }
     void registerStats(StatGroup &group, const std::string &prefix);
-    void resetStats() { trainCount = 0; }
     /** @} */
 
     void

@@ -47,7 +47,6 @@ class SquashFalsePathFilter
 
     std::uint64_t squashes() const { return squashCount; }
     void noteSquash() { ++squashCount; }
-    void resetStats() { squashCount = 0; }
 
     void
     registerStats(StatGroup &group, const std::string &prefix)

@@ -923,14 +923,6 @@ runOracleWith(Oracle oracle, const FuzzCase &c, const RunEnv &env,
 
 } // anonymous namespace
 
-Status
-runOracle(Oracle oracle, const FuzzCase &fuzz_case, const RunEnv &env)
-{
-    CaseContext ctx;
-    ctx.progs = buildFuzzPrograms(fuzz_case.seed, fuzz_case.gen);
-    return runOracleWith(oracle, fuzz_case, env, ctx);
-}
-
 Expected<CaseOutcome>
 runCase(const FuzzCase &fuzz_case, const RunEnv &env)
 {

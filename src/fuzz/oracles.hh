@@ -88,10 +88,6 @@ struct RunEnv
     bool injectScorerFailure = false;
 };
 
-/** Run one oracle. Ok = agreement; non-Ok = divergence report. */
-Status runOracle(Oracle oracle, const FuzzCase &fuzz_case,
-                 const RunEnv &env);
-
 /** Run every oracle selected by the case's mask. Error path = setup
  *  problems only (bad predictor kind, unwritable scratch). */
 Expected<CaseOutcome> runCase(const FuzzCase &fuzz_case,

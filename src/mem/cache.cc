@@ -46,14 +46,4 @@ Cache::capacityWords() const
         (std::size_t{1} << cfg.lineWordsLog2);
 }
 
-void
-Cache::reset()
-{
-    for (auto &line : lines)
-        line = Line{};
-    useClock = 0;
-    hitCount = 0;
-    missCount = 0;
-}
-
 } // namespace pabp

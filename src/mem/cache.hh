@@ -47,8 +47,6 @@ class Cache
     /** Total capacity in 64-bit words. */
     std::size_t capacityWords() const;
 
-    void reset();
-
   private:
     struct Line
     {

@@ -21,17 +21,6 @@ ArchState::ArchState(std::size_t mem_words)
     pred[0] = true;
 }
 
-void
-ArchState::resetRegs()
-{
-    gpr.fill(0);
-    pred.fill(false);
-    pred[0] = true;
-    pc = 0;
-    halted = false;
-    callStack.clear();
-}
-
 bool
 ArchState::sameArchOutcome(const ArchState &other) const
 {

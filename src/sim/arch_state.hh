@@ -67,9 +67,6 @@ class ArchState
 
     std::size_t memWords() const { return mem.size(); }
 
-    /** Reset registers, predicates, pc and call stack; keep memory. */
-    void resetRegs();
-
     /** Equality over registers + predicates + memory (for the
      *  if-conversion equivalence property tests). */
     bool sameArchOutcome(const ArchState &other) const;

@@ -175,32 +175,6 @@ MetricsExporter::writeJson(std::ostream &os) const
     os << "}\n";
 }
 
-void
-MetricsExporter::writeCsv(std::ostream &os) const
-{
-    os << "name,value\n";
-    for (const auto &[name, v] : metrics) {
-        os << name << ",";
-        switch (v.kind) {
-          case Value::Kind::Int: os << v.i; break;
-          case Value::Kind::Real: os << formatReal(v.d); break;
-          case Value::Kind::Text: os << v.s; break;
-        }
-        os << "\n";
-    }
-    for (const auto &[name, t] : tables) {
-        os << "\ntable," << name << "\n";
-        for (std::size_t i = 0; i < t.columns.size(); ++i)
-            os << (i ? "," : "") << t.columns[i];
-        os << "\n";
-        for (const auto &row : t.rows) {
-            for (std::size_t c = 0; c < row.size(); ++c)
-                os << (c ? "," : "") << row[c];
-            os << "\n";
-        }
-    }
-}
-
 Status
 MetricsExporter::writeJsonFile(const std::string &path) const
 {

@@ -4,11 +4,11 @@
  *
  * MetricsExporter serialises a run's statistics - StatGroup
  * snapshots, Histograms, free-standing counters and numeric tables -
- * under stable dotted names into a versioned JSON document (and a
- * flat CSV view). The JSON layout is the canonical machine-readable
- * output of every bench binary; its byte-for-byte stability (sorted
- * keys, fixed number formatting) is part of the determinism contract
- * in docs/PARALLEL.md and is pinned by a golden test.
+ * under stable dotted names into a versioned JSON document. The JSON
+ * layout is the canonical machine-readable output of every bench
+ * binary; its byte-for-byte stability (sorted keys, fixed number
+ * formatting) is part of the determinism contract in
+ * docs/PARALLEL.md and is pinned by a golden test.
  *
  * Document shape (schema "pabp.metrics", version 1):
  *
@@ -81,9 +81,6 @@ class MetricsExporter
     /** Write the JSON document. Byte-stable: keys sorted, fixed
      *  formatting. */
     void writeJson(std::ostream &os) const;
-
-    /** Flat CSV: "name,value" per metric, then each table. */
-    void writeCsv(std::ostream &os) const;
 
     /** writeJson() to @p path via write-then-rename (a crash cannot
      *  leave a torn half-document behind). */

@@ -1,11 +1,26 @@
 #include "util/options.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
 #include "util/logging.hh"
 
 namespace pabp {
+
+bool
+parseUnsigned(std::string_view text, std::uint64_t max,
+              std::uint64_t &out)
+{
+    // Unlike strtoull, from_chars takes no blanks, sign or base prefix.
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (text.empty() || ec != std::errc() || ptr != end || v > max)
+        return false;
+    out = v;
+    return true;
+}
 
 void
 Options::declare(const std::string &name, const std::string &default_value,
@@ -81,7 +96,35 @@ Options::str(const std::string &name) const
 std::int64_t
 Options::integer(const std::string &name) const
 {
-    return std::strtoll(str(name).c_str(), nullptr, 0);
+    const std::string text = str(name);
+    const bool negative = !text.empty() && text[0] == '-';
+    const std::string_view digits =
+        std::string_view(text).substr(negative ? 1 : 0);
+    // |INT64_MIN| is one more than INT64_MAX.
+    constexpr std::uint64_t maxPositive =
+        std::numeric_limits<std::int64_t>::max();
+    std::uint64_t magnitude = 0;
+    if (!parseUnsigned(digits, maxPositive + (negative ? 1 : 0),
+                       magnitude))
+        pabp_fatal("bad --" + name + " '" + text +
+                   "' (want an integer)");
+    return negative ? static_cast<std::int64_t>(0 - magnitude)
+                    : static_cast<std::int64_t>(magnitude);
+}
+
+std::uint64_t
+Options::unsignedUpTo(const std::string &name, std::uint64_t max) const
+{
+    const std::string text = str(name);
+    std::uint64_t value = 0;
+    if (!parseUnsigned(text, max, value))
+        pabp_fatal("bad --" + name + " '" + text +
+                   "' (want an unsigned integer" +
+                   (max < std::numeric_limits<std::uint64_t>::max()
+                        ? " up to " + std::to_string(max)
+                        : std::string()) +
+                   ")");
+    return value;
 }
 
 double

@@ -55,24 +55,6 @@ trainScalar(std::int16_t *w, std::uint64_t hist, unsigned n, bool taken,
     }
 }
 
-ScanResult
-scanScalar(const std::uint8_t *cls, std::uint64_t begin,
-           std::uint64_t end, bool definesInteresting)
-{
-    ScanResult r;
-    std::uint64_t i = begin;
-    for (; i < end; ++i) {
-        const std::uint8_t c = cls[i];
-        if (c == classCondBranch ||
-            (definesInteresting && c == classPredDefine))
-            break;
-        r.uncond += c == classUncondControl;
-        r.defines += c == classPredDefine;
-    }
-    r.next = i;
-    return r;
-}
-
 CollectResult
 collectScalar(const std::uint8_t *cls, std::uint64_t begin,
               std::uint64_t end, bool definesInteresting,
@@ -204,48 +186,6 @@ trainAvx2(std::int16_t *w, std::uint64_t hist, unsigned n, bool taken,
         bool bit = (hist >> i) & 1;
         adjustScalar(w[i + 1], bit == taken, wmax, wmin);
     }
-}
-
-__attribute__((target("avx2"))) ScanResult
-scanAvx2(const std::uint8_t *cls, std::uint64_t begin,
-         std::uint64_t end, bool definesInteresting)
-{
-    ScanResult r;
-    std::uint64_t i = begin;
-    const __m256i branch_v = _mm256_set1_epi8(classCondBranch);
-    const __m256i uncond_v = _mm256_set1_epi8(classUncondControl);
-    const __m256i define_v = _mm256_set1_epi8(classPredDefine);
-    while (i + 32 <= end) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(cls + i));
-        const std::uint32_t branches = static_cast<std::uint32_t>(
-            _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, branch_v)));
-        const std::uint32_t unconds = static_cast<std::uint32_t>(
-            _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, uncond_v)));
-        const std::uint32_t defines = static_cast<std::uint32_t>(
-            _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, define_v)));
-        std::uint32_t stops = branches;
-        if (definesInteresting)
-            stops |= defines;
-        if (stops) {
-            const unsigned pos =
-                static_cast<unsigned>(__builtin_ctz(stops));
-            const std::uint32_t before =
-                pos ? (std::uint32_t{1} << pos) - 1 : 0;
-            r.uncond += __builtin_popcount(unconds & before);
-            r.defines += __builtin_popcount(defines & before);
-            r.next = i + pos;
-            return r;
-        }
-        r.uncond += __builtin_popcount(unconds);
-        r.defines += __builtin_popcount(defines);
-        i += 32;
-    }
-    ScanResult tail = scanScalar(cls, i, end, definesInteresting);
-    r.next = tail.next;
-    r.uncond += tail.uncond;
-    r.defines += tail.defines;
-    return r;
 }
 
 __attribute__((target("avx2"))) CollectResult
@@ -388,17 +328,6 @@ perceptronTrain(std::int16_t *w, std::uint64_t hist, unsigned n,
     }
 #endif
     trainScalar(w, hist, n, taken, wmax, wmin);
-}
-
-ScanResult
-scanClasses(const std::uint8_t *cls, std::uint64_t begin,
-            std::uint64_t end, bool definesInteresting)
-{
-#if PABP_SIMD_X86
-    if (currentLevel == Level::Avx2)
-        return scanAvx2(cls, begin, end, definesInteresting);
-#endif
-    return scanScalar(cls, begin, end, definesInteresting);
 }
 
 CollectResult

@@ -9,12 +9,12 @@
  *     adjustments (update) over a contiguous int16 weight row - the
  *     textbook SIMD target the ROADMAP names.
  *
- *  2. Class-lane scanning: the decoded trace's `cls` lane is a flat
- *     byte array, and between two predictor-relevant events
+ *  2. Class-lane stop collection: the decoded trace's `cls` lane is a
+ *     flat byte array, and between two predictor-relevant events
  *     (conditional branches, and predicate defines when a predicate
  *     technique is armed) the loop only counts the classes it skips.
- *     A 32-lane compare+movemask scan finds the next interesting
- *     event and popcounts the skipped classes in one step.
+ *     A 32-lane compare+movemask pass gathers the indices of every
+ *     interesting event and popcounts the skipped classes.
  *
  * Every kernel has a scalar implementation and (on x86-64 with
  * PABP_SIMD enabled) an AVX2 implementation that is BYTE-IDENTICAL:
@@ -80,18 +80,6 @@ std::int32_t perceptronDot(const std::int16_t *w, std::uint64_t hist,
 void perceptronTrain(std::int16_t *w, std::uint64_t hist, unsigned n,
                      bool taken, std::int16_t wmax, std::int16_t wmin);
 
-/** What a class-lane scan found. */
-struct ScanResult
-{
-    /** Index of the next interesting event, or `end` when none. */
-    std::uint64_t next = 0;
-    /** UncondControl events skipped in [begin, next). */
-    std::uint64_t uncond = 0;
-    /** PredDefine events skipped in [begin, next); always 0 when
-     *  defines are interesting (the scan stops on them instead). */
-    std::uint64_t defines = 0;
-};
-
 /**
  * @name Class-lane byte encoding
  * The scan kernels bake in the DecodedTrace::Class byte values so the
@@ -104,17 +92,6 @@ constexpr std::uint8_t classCondBranch = 1;
 constexpr std::uint8_t classUncondControl = 2;
 constexpr std::uint8_t classPredDefine = 3;
 /** @} */
-
-/**
- * Scan a class lane from @p begin for the next event the batch loop
- * must process: classCondBranch always stops the scan, and
- * classPredDefine stops it when @p definesInteresting (a predicate
- * technique is armed). Skipped UncondControl and PredDefine events
- * are counted - for configurations where those classes only bump a
- * counter, the count IS the processing.
- */
-ScanResult scanClasses(const std::uint8_t *cls, std::uint64_t begin,
-                       std::uint64_t end, bool definesInteresting);
 
 /** What a whole-batch stop collection found. */
 struct CollectResult
@@ -130,11 +107,13 @@ struct CollectResult
 };
 
 /**
- * One-pass form of scanClasses over the whole range: writes the index
- * of every classCondBranch event into @p outBranches and (when
- * @p definesInteresting) every classPredDefine index into
- * @p outDefines - each buffer must have room for `end - begin`
- * entries - and counts the skipped classes. Splitting the two stop
+ * Collect the events the batch loop must process over the whole
+ * range in one pass: writes the index of every classCondBranch event
+ * into @p outBranches and (when @p definesInteresting) every
+ * classPredDefine index into @p outDefines - each buffer must have
+ * room for `end - begin` entries - and counts the skipped classes.
+ * For configurations where UncondControl and PredDefine events only
+ * bump a counter, the count IS the processing. Splitting the two stop
  * kinds into separate ascending streams lets the batch loop consume
  * defines from a branch-major merge (a short inner run per branch)
  * instead of re-classifying a mixed stream one mispredicting test per

@@ -32,94 +32,32 @@ Histogram::mean() const
 }
 
 void
-Histogram::reset()
-{
-    for (auto &b : buckets)
-        b = 0;
-    overflow = 0;
-    total = 0;
-    sum = 0;
-}
-
-void
-Histogram::print(std::ostream &os, const std::string &name) const
-{
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-        os << name << "[" << i * width << "-" << ((i + 1) * width - 1)
-           << "] " << buckets[i] << "\n";
-    }
-    os << name << "[overflow] " << overflow << "\n";
-}
-
-Scalar &
-StatGroup::scalar(const std::string &name)
-{
-    pabp_assert(gauges.find(name) == gauges.end());
-    return scalars[name];
-}
-
-void
 StatGroup::gauge(const std::string &name, Gauge fn)
 {
-    pabp_assert(fn && scalars.find(name) == scalars.end());
+    pabp_assert(fn);
     gauges[name] = std::move(fn);
-}
-
-void
-StatGroup::onReset(std::function<void()> hook)
-{
-    pabp_assert(hook);
-    resetHooks.push_back(std::move(hook));
 }
 
 std::uint64_t
 StatGroup::value(const std::string &name) const
 {
-    auto it = scalars.find(name);
-    if (it != scalars.end())
-        return it->second.value();
-    auto git = gauges.find(name);
-    return git == gauges.end() ? 0 : git->second();
+    auto it = gauges.find(name);
+    return it == gauges.end() ? 0 : it->second();
 }
 
 bool
 StatGroup::has(const std::string &name) const
 {
-    return scalars.find(name) != scalars.end() ||
-        gauges.find(name) != gauges.end();
-}
-
-double
-StatGroup::ratio(std::uint64_t a, std::uint64_t b)
-{
-    return b ? static_cast<double>(a) / static_cast<double>(b) : 0.0;
+    return gauges.find(name) != gauges.end();
 }
 
 std::map<std::string, std::uint64_t>
 StatGroup::snapshot() const
 {
     std::map<std::string, std::uint64_t> out;
-    for (const auto &[name, stat] : scalars)
-        out.emplace(name, stat.value());
     for (const auto &[name, fn] : gauges)
         out.emplace(name, fn());
     return out;
-}
-
-void
-StatGroup::print(std::ostream &os) const
-{
-    for (const auto &[name, v] : snapshot())
-        os << name << " " << v << "\n";
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &[name, stat] : scalars)
-        stat.reset();
-    for (const auto &hook : resetHooks)
-        hook();
 }
 
 } // namespace pabp

@@ -1,16 +1,15 @@
 /**
  * @file
- * Statistics primitives: named scalar counters and callback-backed
- * gauges grouped in a registry, ratio formatting, and fixed-bucket
- * histograms. Modeled loosely on gem5's stats package but kept
- * deliberately small.
+ * Statistics primitives: callback-backed gauges grouped in a
+ * registry, and fixed-bucket histograms. Modeled loosely on gem5's
+ * stats package but kept deliberately small.
  *
  * The registry (StatGroup) is the metrics backbone: components
  * register their counters under stable dotted names
- * ("engine.all.branches", "sfpf.squashes"), harnesses snapshot the
- * whole group for export (util/metrics.hh), and reset() returns every
- * registered component to a fresh-run state - including counters the
- * component keeps privately, via reset hooks.
+ * ("engine.all.branches", "sfpf.squashes") and harnesses snapshot the
+ * whole group for export (util/metrics.hh). Nothing is ever reset:
+ * every sweep cell constructs its own components, so cold counters
+ * come from construction alone.
  */
 
 #ifndef PABP_UTIL_STATS_HH
@@ -19,27 +18,10 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
 namespace pabp {
-
-/** A named monotonically adjustable scalar statistic. */
-class Scalar
-{
-  public:
-    Scalar() = default;
-
-    Scalar &operator++() { ++val; return *this; }
-    Scalar &operator+=(std::uint64_t n) { val += n; return *this; }
-    void reset() { val = 0; }
-
-    std::uint64_t value() const { return val; }
-
-  private:
-    std::uint64_t val = 0;
-};
 
 /**
  * A histogram with uniform integer buckets plus an overflow bucket.
@@ -71,12 +53,6 @@ class Histogram
     std::size_t numBuckets() const { return buckets.size(); }
     std::uint64_t bucketWidth() const { return width; }
 
-    /** Reset all buckets and counts. */
-    void reset();
-
-    /** Print "lo-hi: count" lines. */
-    void print(std::ostream &os, const std::string &name) const;
-
   private:
     std::vector<std::uint64_t> buckets;
     std::uint64_t width;
@@ -87,10 +63,9 @@ class Histogram
 
 /**
  * A registry of named statistics. Components register their counters
- * by dotted name ("fetch.branches") - either as Scalars owned by the
- * group, or as gauges: callbacks reading a counter the component
- * itself owns (and possibly checkpoints). Harnesses snapshot or dump
- * them all.
+ * by dotted name ("fetch.branches") as gauges: callbacks reading a
+ * counter the component itself owns (and possibly checkpoints).
+ * Harnesses snapshot them all.
  *
  * Gauge callbacks capture component pointers; the group must not
  * outlive the components registered into it.
@@ -99,9 +74,6 @@ class StatGroup
 {
   public:
     using Gauge = std::function<std::uint64_t()>;
-
-    /** Fetch-or-create a scalar by name. References stay valid. */
-    Scalar &scalar(const std::string &name);
 
     /**
      * Register a callback-backed stat. The component keeps ownership
@@ -112,39 +84,17 @@ class StatGroup
      */
     void gauge(const std::string &name, Gauge fn);
 
-    /**
-     * Register a hook run by reset(). Components whose counters live
-     * behind gauges add one so that resetting the group really
-     * zeroes every registered statistic, not just the owned scalars -
-     * the reset()/resetStats() symmetry the sweep layer depends on.
-     */
-    void onReset(std::function<void()> hook);
-
-    /** Value of a named scalar or gauge, 0 when absent. */
+    /** Value of a named gauge, 0 when absent. */
     std::uint64_t value(const std::string &name) const;
 
-    /** Is @p name a registered scalar or gauge? */
+    /** Is @p name a registered gauge? */
     bool has(const std::string &name) const;
 
-    /** a/b as a double; 0 when b is 0. */
-    static double ratio(std::uint64_t a, std::uint64_t b);
-
-    /** All current values (scalars + gauges), sorted by name. */
+    /** All current values, sorted by name. */
     std::map<std::string, std::uint64_t> snapshot() const;
 
-    /** Dump "name value" lines sorted by name. */
-    void print(std::ostream &os) const;
-
-    /** Zero all scalars and run every reset hook. */
-    void reset();
-
-    const std::map<std::string, Scalar> &all() const { return scalars; }
-    std::size_t numGauges() const { return gauges.size(); }
-
   private:
-    std::map<std::string, Scalar> scalars;
     std::map<std::string, Gauge> gauges;
-    std::vector<std::function<void()>> resetHooks;
 };
 
 } // namespace pabp

@@ -138,15 +138,6 @@ TEST(GShare, InjectedCorrelationIsLearnable)
     EXPECT_LT(correct_without, total * 0.8);
 }
 
-TEST(GShare, ResetClearsState)
-{
-    GSharePredictor pred(8);
-    accuracyOnPattern(pred, 3, {true}, 10);
-    pred.reset();
-    EXPECT_EQ(pred.history(), 0u);
-    EXPECT_FALSE(pred.predict(3)); // back to weakly not-taken
-}
-
 TEST(GShare, StorageBits)
 {
     GSharePredictor pred(12);
@@ -283,7 +274,6 @@ TEST(Factory, BuildsEveryKind)
         ASSERT_NE(pred, nullptr) << kind;
         pred->predict(1);
         pred->update(1, true);
-        pred->reset();
     }
 }
 

@@ -55,15 +55,6 @@ TEST(Confidence, StorageBits)
     EXPECT_EQ(conf.storageBits(), 1024u * 4);
 }
 
-TEST(Confidence, ResetClears)
-{
-    ConfidenceEstimator conf(8, 15, 4);
-    for (int i = 0; i < 10; ++i)
-        conf.update(1, true);
-    conf.reset();
-    EXPECT_FALSE(conf.highConfidence(1));
-}
-
 TEST(GShareProfiler, NoConflictsForSingleBranchConstantHistory)
 {
     GSharePredictor pred(8);

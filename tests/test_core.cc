@@ -83,15 +83,6 @@ TEST(DelayedPredFile, NoopWriteBlocksWithoutChangingValue)
     EXPECT_EQ(file.read(3), std::optional<bool>(true)); // unchanged
 }
 
-TEST(DelayedPredFile, ResetRestoresColdState)
-{
-    DelayedPredicateFile file(4);
-    file.write(10, 3, true);
-    file.advanceTo(100);
-    file.reset();
-    EXPECT_EQ(file.read(3), std::optional<bool>(false));
-}
-
 TEST(Sfpf, SquashesOnlyKnownFalseGuards)
 {
     DelayedPredicateFile file(2);
@@ -286,21 +277,6 @@ TEST(Engine, CountsClassesConsistently)
               stats.region.squashed + stats.normal.squashed);
     EXPECT_GT(stats.region.branches, 0u);
     EXPECT_GT(stats.predicateDefines, 0u);
-}
-
-TEST(Engine, ResetStatsKeepsPredictorState)
-{
-    Workload wl = makeWorkload("bsearch", 3);
-    GSharePredictor pred(10);
-    CompileOptions copts;
-    CompiledProgram cp = compileWorkload(wl, copts);
-    Emulator emu(cp.prog);
-    PredictionEngine engine(pred, EngineConfig{});
-    runTrace(emu, engine, 100000);
-    EXPECT_GT(engine.stats().insts, 0u);
-    engine.resetStats();
-    EXPECT_EQ(engine.stats().insts, 0u);
-    EXPECT_EQ(engine.stats().all.branches, 0u);
 }
 
 TEST(Engine, TrainOnSquashedAblationStillCorrect)

@@ -166,15 +166,6 @@ TEST(PredValuePredictor, NotConfidentWhenFluttering)
     EXPECT_FALSE(pvp.confident(7));
 }
 
-TEST(PredValuePredictor, ResetForgets)
-{
-    PredicateValuePredictor pvp(8);
-    for (int i = 0; i < 10; ++i)
-        pvp.train(3, true);
-    pvp.reset();
-    EXPECT_FALSE(pvp.confident(3));
-}
-
 /** Engine helper (duplicated small utility, kept local on purpose). */
 EngineStats
 runWorkloadEngine(Workload wl, EngineConfig ecfg,

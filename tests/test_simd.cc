@@ -125,32 +125,6 @@ randomClassLane(Rng &rng, std::size_t n)
     return cls;
 }
 
-TEST(SimdScan, ScanClassesMatchesAcrossLevels)
-{
-    LevelGuard guard;
-    Rng rng(77);
-    for (int trial = 0; trial < 50; ++trial) {
-        // Deliberately awkward sizes around the 32-byte vector width.
-        const std::size_t n = 1 + rng.next() % 200;
-        const auto cls = randomClassLane(rng, n);
-        for (const bool defs : {false, true}) {
-            std::uint64_t begin = rng.next() % n;
-            while (begin < n) {
-                simd::forceLevel(simd::Level::Scalar);
-                const simd::ScanResult s =
-                    simd::scanClasses(cls.data(), begin, n, defs);
-                simd::forceLevel(simd::Level::Avx2);
-                const simd::ScanResult v =
-                    simd::scanClasses(cls.data(), begin, n, defs);
-                ASSERT_EQ(s.next, v.next);
-                ASSERT_EQ(s.uncond, v.uncond);
-                ASSERT_EQ(s.defines, v.defines);
-                begin = s.next + 1;
-            }
-        }
-    }
-}
-
 TEST(SimdScan, CollectStopsMatchesAcrossLevels)
 {
     LevelGuard guard;
@@ -240,50 +214,47 @@ TEST(SimdScan, CollectStopsUncondStreamIsOptionalAndExact)
 
 TEST(SimdScan, CollectStopsAgreesWithScanClasses)
 {
-    // collectStops is the one-pass form of repeated scanClasses: the
-    // stop indices and skip counts must agree exactly, on whichever
-    // tier is active.
+    // collectStops against the plainest possible reference: scan the
+    // classes one byte at a time, collecting branch (and, when
+    // defines are interesting, define) indices and counting the rest.
+    // Run on both tiers.
+    LevelGuard guard;
     Rng rng(5150);
     for (int trial = 0; trial < 30; ++trial) {
         const std::size_t n = 1 + rng.next() % 300;
+        const std::uint64_t begin = rng.next() % n;
         const auto cls = randomClassLane(rng, n);
         for (const bool defs : {false, true}) {
-            std::vector<std::uint32_t> br(n), df(n);
-            const simd::CollectResult got = simd::collectStops(
-                cls.data(), 0, n, defs, br.data(),
-                defs ? df.data() : nullptr);
-
             std::vector<std::uint32_t> wantBr, wantDf;
-            std::uint64_t uncond = 0, defines = 0, begin = 0;
-            while (true) {
-                const simd::ScanResult s =
-                    simd::scanClasses(cls.data(), begin, n, defs);
-                uncond += s.uncond;
-                defines += s.defines;
-                if (s.next >= n)
-                    break;
-                if (cls[s.next] == simd::classCondBranch)
-                    wantBr.push_back(
-                        static_cast<std::uint32_t>(s.next));
-                else {
-                    wantDf.push_back(
-                        static_cast<std::uint32_t>(s.next));
+            std::uint64_t uncond = 0, defines = 0;
+            for (std::uint64_t i = begin; i < n; ++i) {
+                const auto idx = static_cast<std::uint32_t>(i);
+                if (cls[i] == simd::classCondBranch)
+                    wantBr.push_back(idx);
+                else if (cls[i] == simd::classUncondControl)
+                    ++uncond;
+                else if (cls[i] == simd::classPredDefine) {
                     ++defines;
+                    if (defs)
+                        wantDf.push_back(idx);
                 }
-                begin = s.next + 1;
             }
-            if (!defs) {
-                // Counted, never collected.
-                ASSERT_TRUE(wantDf.empty());
-            }
-            ASSERT_EQ(got.branches, wantBr.size());
-            ASSERT_EQ(got.uncond, uncond);
-            ASSERT_EQ(got.defines, defines);
-            for (std::size_t i = 0; i < wantBr.size(); ++i)
-                ASSERT_EQ(br[i], wantBr[i]);
-            if (defs) {
-                for (std::size_t i = 0; i < wantDf.size(); ++i)
-                    ASSERT_EQ(df[i], wantDf[i]);
+            for (const simd::Level level :
+                 {simd::Level::Scalar, simd::Level::Avx2}) {
+                simd::forceLevel(level);
+                std::vector<std::uint32_t> br(n), df(n);
+                const simd::CollectResult got = simd::collectStops(
+                    cls.data(), begin, n, defs, br.data(),
+                    defs ? df.data() : nullptr);
+                ASSERT_EQ(got.branches, wantBr.size());
+                ASSERT_EQ(got.uncond, uncond);
+                ASSERT_EQ(got.defines, defines);
+                br.resize(wantBr.size());
+                EXPECT_EQ(br, wantBr);
+                if (defs) {
+                    df.resize(wantDf.size());
+                    EXPECT_EQ(df, wantDf);
+                }
             }
         }
     }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Observability-layer tests: Histogram edge cases, the StatGroup
- * gauge/reset-hook registry, per-branch attribution (BranchProfile),
+ * gauge registry, per-branch attribution (BranchProfile),
  * the metrics exporter's golden JSON bytes and round-trip parser,
  * checkpoint-resume equivalence of exported metrics, jobs-1-vs-N
  * byte identity of metric files, and the diffMetrics report backing
@@ -74,18 +74,8 @@ TEST(HistogramStats, BoundarySamplesLandInTheirOwnBucket)
     EXPECT_DOUBLE_EQ(h.mean(), 98.0 / 5.0);
 }
 
-TEST(HistogramStats, ResetRestoresZeroMean)
-{
-    Histogram h(2, 5);
-    h.sample(3);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.mean(), 0.0);
-    EXPECT_EQ(h.bucketCount(0), 0u);
-}
-
 // ---------------------------------------------------------------------
-// StatGroup registry: scalars, gauges, reset hooks.
+// StatGroup registry: gauges over component-owned counters.
 
 TEST(StatGroupRegistry, GaugesReadTheLiveComponentCounter)
 {
@@ -99,31 +89,18 @@ TEST(StatGroupRegistry, GaugesReadTheLiveComponentCounter)
     EXPECT_FALSE(group.has("component.other"));
 }
 
-TEST(StatGroupRegistry, SnapshotMergesScalarsAndGauges)
+TEST(StatGroupRegistry, SnapshotReadsEveryGauge)
 {
     StatGroup group;
-    group.scalar("a.scalar") += 3;
-    std::uint64_t owned = 11;
-    group.gauge("b.gauge", [&owned] { return owned; });
+    std::uint64_t first = 3;
+    std::uint64_t second = 11;
+    group.gauge("b.gauge", [&second] { return second; });
+    group.gauge("a.gauge", [&first] { return first; });
     auto snap = group.snapshot();
     ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap.at("a.scalar"), 3u);
+    EXPECT_EQ(snap.begin()->first, "a.gauge"); // sorted by name
+    EXPECT_EQ(snap.at("a.gauge"), 3u);
     EXPECT_EQ(snap.at("b.gauge"), 11u);
-}
-
-TEST(StatGroupRegistry, ResetZeroesScalarsAndRunsHooks)
-{
-    // The reset()/resetStats() symmetry: components whose counters
-    // live behind gauges register an onReset hook, so group.reset()
-    // really zeroes every exported value, not just the owned scalars.
-    StatGroup group;
-    group.scalar("owned") += 5;
-    std::uint64_t component = 9;
-    group.gauge("component", [&component] { return component; });
-    group.onReset([&component] { component = 0; });
-    group.reset();
-    EXPECT_EQ(group.value("owned"), 0u);
-    EXPECT_EQ(group.value("component"), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -175,48 +152,6 @@ TEST(BranchProfileTable, TopByMispredictsIsDeterministic)
 }
 
 // ---------------------------------------------------------------------
-// Engine reset symmetry. Pins the double-count bug: resetStats() used
-// to skip the PGU's insertion counter (and the newer component
-// counters), so a harness that reset between measurement cells
-// carried the previous cell's counts into the next export.
-
-TEST(EngineResetStats, ClearsEveryRegisteredCounter)
-{
-    Workload wl = makeWorkload("interp", 42);
-    CompileOptions copts;
-    CompiledProgram cp = compileWorkload(wl, copts);
-    GSharePredictor pred(12);
-
-    EngineConfig ecfg;
-    ecfg.useSfpf = true;
-    ecfg.usePgu = true;
-    PredictionEngine engine(pred, ecfg);
-    StatGroup group;
-    engine.registerStats(group);
-
-    Emulator emu(cp.prog);
-    if (wl.init)
-        wl.init(emu.state());
-    runTrace(emu, engine, 50000);
-
-    ASSERT_GT(engine.pguBitsInserted(), 0u);
-    ASSERT_GT(engine.stats().all.branches, 0u);
-    ASSERT_FALSE(engine.branchProfile().entries().empty());
-
-    // group.reset() runs the engine's hook == engine.resetStats().
-    group.reset();
-    EXPECT_EQ(engine.pguBitsInserted(), 0u)
-        << "pgu.inserted must not survive a stats reset";
-    EXPECT_EQ(engine.stats(), EngineStats{});
-    EXPECT_TRUE(engine.branchProfile().entries().empty());
-    for (const auto &[name, value] : group.snapshot()) {
-        if (name != "pgu.pending_bits") { // state, not a statistic
-            EXPECT_EQ(value, 0u) << name;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Value-predictor training population. Pins the gating fix: with the
 // speculative-squash extension armed, the guard value predictor
 // trains ONLY on branches whose guard was unresolved at fetch - the
@@ -263,9 +198,10 @@ TEST(EngineSpecSquash, PvpTrainsOnlyOnFetchUnresolvedGuards)
 // Target-structure observability: with EngineConfig::modelTargets
 // armed, the engine registers the btb.* / ras.* gauges and the
 // engine.btb_target_misses / ras_hits / ras_misses counters; they
-// agree with EngineStats and clear on reset. (Direction-only engines
-// register none of these - the gated-export contract that keeps old
-// metric files byte-identical.)
+// agree with EngineStats, and a freshly constructed engine - the only
+// way back to cold counters - reads zero on all of them.
+// (Direction-only engines register none of these - the gated-export
+// contract that keeps old metric files byte-identical.)
 
 TEST(EngineTargetStats, BtbAndRasGaugesCountAndReset)
 {
@@ -313,13 +249,18 @@ TEST(EngineTargetStats, BtbAndRasGaugesCountAndReset)
               stats.btbTargetMisses);
     EXPECT_GT(stats.btbTargetMisses, 0u);
 
-    group.reset();
-    EXPECT_EQ(engine.stats(), EngineStats{});
+    GSharePredictor coldPred(12);
+    PredictionEngine cold(coldPred, ecfg);
+    StatGroup coldGroup;
+    cold.registerStats(coldGroup);
+    EXPECT_EQ(cold.stats(), EngineStats{});
     for (const char *name :
          {"btb.hits", "btb.misses", "ras.pushes", "ras.pops",
           "engine.btb_target_misses", "engine.ras_hits",
-          "engine.ras_misses"})
-        EXPECT_EQ(group.value(name), 0u) << name;
+          "engine.ras_misses"}) {
+        EXPECT_TRUE(coldGroup.has(name)) << name;
+        EXPECT_EQ(coldGroup.value(name), 0u) << name;
+    }
 }
 
 TEST(EngineTargetStats, DirectionOnlyEngineRegistersNoTargetGauges)
@@ -618,8 +559,8 @@ TEST(SweepMetrics, TwoCellExportsDoNotLeakAcrossCells)
 {
     // Two identical cells in one grid: each builds, runs and exports
     // independently, so the second file's counters equal the first's
-    // (a shared/reused engine whose resetStats() forgot a component
-    // would double-count into the second export).
+    // (a shared/reused engine would double-count into the second
+    // export).
     const std::string dir1 = tempPath("cell1");
     const std::string dir2 = tempPath("cell2");
     std::vector<RunSpec> specs = {metricsSpec(dir1),

@@ -38,6 +38,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1052,6 +1053,44 @@ TEST(SweepService, DeriveShardJournalPathNamesShards)
               "dir.d/plain-shard1of2");
 }
 
+TEST(SweepShard, ParseShardSpecTakesDigitsOnlyIOfN)
+{
+    struct Case
+    {
+        const char *text;
+        std::optional<ShardSpec> want;
+    };
+    for (const Case &c : {
+             Case{"0/1", ShardSpec{0, 1}},
+             Case{"2/4", ShardSpec{2, 4}},
+             Case{"03/08", ShardSpec{3, 8}},
+             Case{"4294967294/4294967295",
+                  ShardSpec{4294967294u, 4294967295u}},
+             Case{"1/-2", std::nullopt},
+             Case{"0/-1", std::nullopt},
+             Case{"-0/2", std::nullopt},
+             Case{"+0/2", std::nullopt},
+             Case{"0/+2", std::nullopt},
+             Case{" 0/2", std::nullopt},
+             Case{"0/2 ", std::nullopt},
+             Case{"0 /2", std::nullopt},
+             Case{"0x0/2", std::nullopt},
+             Case{"0/2x", std::nullopt},
+             Case{"0/0", std::nullopt},
+             Case{"2/2", std::nullopt},
+             Case{"5/2", std::nullopt},
+             Case{"0/4294967296", std::nullopt},
+             Case{"0/99999999999999999999999", std::nullopt},
+             Case{"0/1/2", std::nullopt},
+             Case{"/2", std::nullopt},
+             Case{"0/", std::nullopt},
+             Case{"0", std::nullopt},
+             Case{"", std::nullopt},
+         }) {
+        EXPECT_EQ(parseShardSpec(c.text), c.want) << "'" << c.text << "'";
+    }
+}
+
 struct SweepdRun
 {
     int exitCode = -1;
@@ -1105,6 +1144,44 @@ TEST(SweepdOptions, BadSeedsAndSizesAreSetupErrors)
     ASSERT_TRUE(records.ok()) << records.status().toString();
     EXPECT_EQ(records.value().size(), 2u); // one cell per seed
     std::remove(journal.c_str());
+}
+
+TEST(SweepdOptions, BadShardAndIntegersAreSetupErrors)
+{
+    // A signed shard count once parsed as a huge unsigned one: sweepd
+    // wrote '<base>-shard0of4294967295.pabpj', ran nothing and said
+    // "drained". A non-numeric --steps ran 0-instruction cells.
+    const std::string journal = tempPath("badnum.pabpj");
+    const std::string wrapped =
+        deriveShardJournalPath(journal, {0, 4294967295u});
+    std::remove(journal.c_str());
+    std::remove(wrapped.c_str());
+    const std::string cell = "--workloads interp --predictors gshare "
+                             "--configs base --steps 4000 --journal " +
+        journal;
+    struct Case
+    {
+        const char *flag;
+        const char *value;
+    };
+    for (const Case &c :
+         {Case{"shard", "0/-1"}, Case{"shard", "1/-2"},
+          Case{"shard", "+0/2"}, Case{"shard", "0/4294967296"},
+          Case{"steps", "abc"}, Case{"steps", "-1"},
+          Case{"steps", "12x"}, Case{"jobs", "-1"},
+          Case{"jobs", "4294967296"}, Case{"batch-cells", "-5"},
+          Case{"max-attempts", "1.5"}}) {
+        const SweepdRun run = runSweepd(
+            cell + " --" + c.flag + " '" + c.value + "'");
+        EXPECT_EQ(run.exitCode, 2) << c.flag << " " << c.value;
+        EXPECT_NE(run.err.find(std::string("pabp-sweepd: bad --") +
+                               c.flag + " '" + c.value + "'"),
+                  std::string::npos)
+            << run.err;
+    }
+    // Rejected before any journal is created.
+    EXPECT_FALSE(fileExists(journal));
+    EXPECT_FALSE(fileExists(wrapped));
 }
 
 } // namespace

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "util/options.hh"
 #include "util/rng.hh"
@@ -160,44 +163,6 @@ TEST(Histogram, BucketsAndOverflow)
     EXPECT_DOUBLE_EQ(h.mean(), (0 + 9 + 10 + 39 + 40) / 5.0);
 }
 
-TEST(Histogram, ResetClearsEverything)
-{
-    Histogram h(2, 1);
-    h.sample(0);
-    h.sample(5);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.overflowCount(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(StatGroup, ScalarLifecycle)
-{
-    StatGroup g;
-    ++g.scalar("a.b");
-    g.scalar("a.b") += 4;
-    EXPECT_EQ(g.value("a.b"), 5u);
-    EXPECT_EQ(g.value("missing"), 0u);
-    g.reset();
-    EXPECT_EQ(g.value("a.b"), 0u);
-}
-
-TEST(StatGroup, RatioHandlesZeroDenominator)
-{
-    EXPECT_DOUBLE_EQ(StatGroup::ratio(5, 0), 0.0);
-    EXPECT_DOUBLE_EQ(StatGroup::ratio(1, 4), 0.25);
-}
-
-TEST(StatGroup, PrintSortedByName)
-{
-    StatGroup g;
-    ++g.scalar("z");
-    ++g.scalar("a");
-    std::ostringstream os;
-    g.print(os);
-    EXPECT_EQ(os.str(), "a 1\nz 1\n");
-}
-
 TEST(Table, AlignedPrint)
 {
     Table t({"name", "value"});
@@ -270,6 +235,95 @@ TEST(Options, FlagAndRealParsing)
     ASSERT_TRUE(o.parse(3, argv));
     EXPECT_TRUE(o.flag("csv"));
     EXPECT_DOUBLE_EQ(o.real("ratio"), 0.25);
+}
+
+TEST(Options, ParseUnsignedTakesWholeDecimalTokensOnly)
+{
+    struct Case
+    {
+        const char *text;
+        std::uint64_t max;
+        bool ok;
+        std::uint64_t value;
+    };
+    constexpr std::uint64_t u64max = ~std::uint64_t{0};
+    for (const Case &c : {
+             Case{"0", u64max, true, 0},
+             Case{"42", u64max, true, 42},
+             Case{"007", u64max, true, 7},
+             Case{"18446744073709551615", u64max, true, u64max},
+             Case{"4294967295", 4294967295u, true, 4294967295u},
+             Case{"4294967296", 4294967295u, false, 0},
+             Case{"18446744073709551616", u64max, false, 0},
+             Case{"99999999999999999999999", u64max, false, 0},
+             Case{"", u64max, false, 0},
+             Case{"-1", u64max, false, 0},
+             Case{"+1", u64max, false, 0},
+             Case{" 1", u64max, false, 0},
+             Case{"1 ", u64max, false, 0},
+             Case{"12x", u64max, false, 0},
+             Case{"abc", u64max, false, 0},
+             Case{"0x10", u64max, false, 0},
+             Case{"1e3", u64max, false, 0},
+         }) {
+        std::uint64_t out = 123;
+        EXPECT_EQ(parseUnsigned(c.text, c.max, out), c.ok) << c.text;
+        EXPECT_EQ(out, c.ok ? c.value : 123u) << c.text;
+    }
+}
+
+TEST(Options, IntegerAcceptsSignedDecimalInRange)
+{
+    Options o;
+    o.declare("n", "0", "n");
+    for (const auto &[text, want] :
+         std::vector<std::pair<const char *, std::int64_t>>{
+             {"0", 0},
+             {"-5", -5},
+             {"9223372036854775807", INT64_MAX},
+             {"-9223372036854775808", INT64_MIN}}) {
+        const std::string arg = std::string("--n=") + text;
+        const char *argv[] = {"prog", arg.c_str()};
+        ASSERT_TRUE(o.parse(2, argv));
+        EXPECT_EQ(o.integer("n"), want) << text;
+    }
+}
+
+TEST(Options, MalformedIntegersAreFatalAndNameTheOption)
+{
+    for (const char *text :
+         {"abc", "12x", "", "-", "--1", "+5", " 5", "0x10",
+          "9223372036854775808", "-9223372036854775809"}) {
+        Options o;
+        o.declare("steps", "0", "steps");
+        const std::string arg = std::string("--steps=") + text;
+        const char *argv[] = {"prog", arg.c_str()};
+        ASSERT_TRUE(o.parse(2, argv));
+        EXPECT_EXIT((void)o.integer("steps"),
+                    ::testing::ExitedWithCode(1), "bad --steps")
+            << text;
+    }
+}
+
+TEST(Options, UnsignedIntegerRejectsNegativeAndOutOfRange)
+{
+    Options o;
+    o.declare("jobs", "0", "jobs");
+    o.declare("steps", "0", "steps");
+    const char *good[] = {"prog", "--jobs=4294967295",
+                          "--steps=18446744073709551615"};
+    ASSERT_TRUE(o.parse(3, good));
+    EXPECT_EQ(o.unsignedInteger<unsigned>("jobs"), 4294967295u);
+    EXPECT_EQ(o.unsignedInteger("steps"), ~std::uint64_t{0});
+
+    for (const char *text : {"-1", "4294967296", "abc", "1.5"}) {
+        const std::string arg = std::string("--jobs=") + text;
+        const char *argv[] = {"prog", arg.c_str()};
+        ASSERT_TRUE(o.parse(2, argv));
+        EXPECT_EXIT((void)o.unsignedInteger<unsigned>("jobs"),
+                    ::testing::ExitedWithCode(1), "bad --jobs")
+            << text;
+    }
 }
 
 } // namespace

@@ -89,15 +89,6 @@ TEST(Yags, InjectionShiftsHistory)
     pred.update(0, true);
 }
 
-TEST(Yags, ResetClears)
-{
-    YagsPredictor pred(8, 8);
-    patternAccuracy(pred, 3, {true}, 20);
-    pred.reset();
-    // Back to weakly-not-taken choice default.
-    EXPECT_FALSE(pred.predict(3));
-}
-
 TEST(Yags, StorageAccounting)
 {
     YagsPredictor pred(10, 9, 8);

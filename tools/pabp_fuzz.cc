@@ -118,8 +118,7 @@ main(int argc, char **argv)
     env.scratchDir = opts.str("scratch-dir");
     env.injectClampBug = opts.flag("inject-clamp-bug");
     env.injectScorerFailure = opts.flag("inject-scorer-failure");
-    const unsigned budget =
-        static_cast<unsigned>(opts.integer("shrink-budget"));
+    const unsigned budget = opts.unsignedInteger<unsigned>("shrink-budget");
 
     if (!opts.str("mine").empty()) {
         MiningConfig cfg;
@@ -129,17 +128,13 @@ main(int argc, char **argv)
             std::cerr << "pabp-fuzz: " << valid.toString() << "\n";
             return 2;
         }
-        cfg.baseSeed =
-            static_cast<std::uint64_t>(opts.integer("seed"));
-        const std::int64_t mineRuns = opts.integer("runs");
+        cfg.baseSeed = opts.unsignedInteger("seed");
+        const unsigned mineRuns = opts.unsignedInteger<unsigned>("runs");
         if (mineRuns > 0)
-            cfg.restarts = static_cast<unsigned>(mineRuns);
-        cfg.steps =
-            static_cast<unsigned>(opts.integer("mine-steps"));
-        cfg.emitTop =
-            static_cast<unsigned>(opts.integer("mine-top"));
-        cfg.maxInsts = static_cast<std::uint64_t>(
-            opts.integer("mine-max-insts"));
+            cfg.restarts = mineRuns;
+        cfg.steps = opts.unsignedInteger<unsigned>("mine-steps");
+        cfg.emitTop = opts.unsignedInteger<unsigned>("mine-top");
+        cfg.maxInsts = opts.unsignedInteger("mine-max-insts");
         cfg.emitDir = opts.str("emit-dir");
         Expected<MiningResult> mined =
             runMiningCampaign(cfg, env, std::cout);
@@ -202,11 +197,11 @@ main(int argc, char **argv)
         return worst;
     }
 
-    const std::int64_t runs = opts.integer("runs");
+    const unsigned runs = opts.unsignedInteger<unsigned>("runs");
     if (runs > 0) {
         CampaignConfig cfg;
-        cfg.baseSeed = static_cast<std::uint64_t>(opts.integer("seed"));
-        cfg.runs = static_cast<unsigned>(runs);
+        cfg.baseSeed = opts.unsignedInteger("seed");
+        cfg.runs = runs;
         cfg.emitDir = opts.str("emit-dir");
         cfg.shrinkBudget = budget;
         Expected<CampaignResult> result =

@@ -20,10 +20,10 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -50,46 +50,16 @@ splitList(const std::string &text)
     return out;
 }
 
-bool
-parseShard(const std::string &text, ShardSpec &shard)
-{
-    const std::size_t slash = text.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= text.size()) {
-        return false;
-    }
-    try {
-        std::size_t used = 0;
-        const unsigned long i = std::stoul(text.substr(0, slash), &used);
-        if (used != slash)
-            return false;
-        const std::string count_text = text.substr(slash + 1);
-        const unsigned long n = std::stoul(count_text, &used);
-        if (used != count_text.size())
-            return false;
-        if (n == 0 || i >= n)
-            return false;
-        shard.index = static_cast<std::uint32_t>(i);
-        shard.count = static_cast<std::uint32_t>(n);
-        return true;
-    } catch (const std::exception &) {
-        return false;
-    }
-}
-
 /** Parse a comma list of decimal integers, each at most @p max, into
- *  @p out. Every entry must be digits only and consumed whole; false
- *  on the first that is not (or overflows, or exceeds @p max). */
+ *  @p out. Every entry must pass parseUnsigned (util/options.hh);
+ *  false on the first that does not. */
 bool
 parseUnsignedList(const std::string &text, std::uint64_t max,
                   std::vector<std::uint64_t> &out)
 {
     for (const std::string &item : splitList(text)) {
-        // Unlike stoull, from_chars takes no blanks, sign or suffix.
         std::uint64_t v = 0;
-        const char *end = item.data() + item.size();
-        const auto [ptr, ec] = std::from_chars(item.data(), end, v);
-        if (ec != std::errc() || ptr != end || v > max)
+        if (!parseUnsigned(item, max, v))
             return false;
         out.push_back(v);
     }
@@ -173,12 +143,14 @@ main(int argc, char **argv)
     if (!opts.parse(argc, argv))
         return 0;
 
-    ShardSpec shard;
-    if (!parseShard(opts.str("shard"), shard)) {
+    const std::optional<ShardSpec> parsed_shard =
+        parseShardSpec(opts.str("shard"));
+    if (!parsed_shard) {
         std::cerr << "pabp-sweepd: bad --shard '" << opts.str("shard")
                   << "' (want 'i/N' with i < N)\n";
         return 2;
     }
+    const ShardSpec shard = *parsed_shard;
     std::vector<EngineVariant> configs;
     if (!parseConfigs(opts.str("configs"), configs)) {
         std::cerr << "pabp-sweepd: bad --configs '"
@@ -214,8 +186,39 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const std::uint64_t steps =
-        static_cast<std::uint64_t>(opts.integer("steps"));
+    // Every numeric option is checked here, before any cell runs; the
+    // first malformed one is a setup error naming the option.
+    const char *bad_option = nullptr;
+    auto number = [&](const char *name, std::uint64_t max) {
+        std::uint64_t v = 0;
+        if (!parseUnsigned(opts.str(name), max, v) && !bad_option)
+            bad_option = name;
+        return v;
+    };
+    constexpr std::uint64_t u32max =
+        std::numeric_limits<std::uint32_t>::max();
+    constexpr std::uint64_t u64max =
+        std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t steps = number("steps", u64max);
+    const auto watchdog_ms =
+        static_cast<std::uint32_t>(number("watchdog-ms", u32max));
+    const std::uint64_t heartbeat = number("heartbeat-insts", u64max);
+    const auto max_attempts =
+        static_cast<unsigned>(number("max-attempts", u32max));
+    const auto backoff_ms =
+        static_cast<std::uint32_t>(number("backoff-ms", u32max));
+    const auto jobs = static_cast<unsigned>(number("jobs", u32max));
+    const std::uint64_t compact_every = number("compact-every", u64max);
+    const std::uint64_t stop_after = number("stop-after", u64max);
+    const auto batch_cells =
+        static_cast<std::size_t>(number("batch-cells", u64max));
+    if (bad_option) {
+        std::cerr << "pabp-sweepd: bad --" << bad_option << " '"
+                  << opts.str(bad_option)
+                  << "' (want an unsigned integer)\n";
+        return 2;
+    }
+
     std::vector<RunSpec> grid;
     for (const std::uint64_t seed : seeds) {
         for (const std::string &name : names) {
@@ -232,16 +235,10 @@ main(int argc, char **argv)
                         spec.engine.usePgu = variant.pgu;
                         spec.maxInsts = steps;
                         spec.metricsDir = opts.str("metrics-dir");
-                        spec.watchdogMillis = static_cast<std::uint32_t>(
-                            opts.integer("watchdog-ms"));
-                        spec.heartbeatInsts =
-                            static_cast<std::uint64_t>(
-                                opts.integer("heartbeat-insts"));
-                        spec.maxAttempts = static_cast<unsigned>(
-                            opts.integer("max-attempts"));
-                        spec.retryBackoffMillis =
-                            static_cast<std::uint32_t>(
-                                opts.integer("backoff-ms"));
+                        spec.watchdogMillis = watchdog_ms;
+                        spec.heartbeatInsts = heartbeat;
+                        spec.maxAttempts = max_attempts;
+                        spec.retryBackoffMillis = backoff_ms;
                         grid.push_back(spec);
                     }
                 }
@@ -249,18 +246,14 @@ main(int argc, char **argv)
         }
     }
 
-    SweepRunner runner(SweepRunner::Config{
-        static_cast<unsigned>(opts.integer("jobs")), 0});
+    SweepRunner runner(SweepRunner::Config{jobs, 0});
     ServiceConfig config;
     config.journalPath =
         deriveShardJournalPath(opts.str("journal"), shard);
     config.shard = shard;
-    config.compactEvery =
-        static_cast<std::uint64_t>(opts.integer("compact-every"));
-    config.stopAfter =
-        static_cast<std::uint64_t>(opts.integer("stop-after"));
-    config.batchCells =
-        static_cast<std::size_t>(opts.integer("batch-cells"));
+    config.compactEvery = compact_every;
+    config.stopAfter = stop_after;
+    config.batchCells = batch_cells;
 
     SweepService service(runner, config);
     Expected<ServiceReport> outcome = service.runShard(std::move(grid));
