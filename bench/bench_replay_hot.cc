@@ -2,9 +2,9 @@
  * @file
  * Replay-loop throughput microbench (docs/PERF.md). Records each
  * suite workload once, then replays the identical event stream
- * through the reference loop (replayTrace: materialise a DynInst per
- * event, virtual predict+update) and the fast loop
- * (PredictionEngine::processBatch over the pre-decoded lanes),
+ * through the reference loop (replayTraceFrom: materialise a DynInst
+ * per event, virtual predict+update) and the fast loop
+ * (PredictionEngine::processBatch over the trace's lanes),
  * timing both and HARD-FAILING unless their EngineStats and
  * BranchProfile are bit-identical - a fast path that drifts is not a
  * fast path, it is a different simulator.
@@ -28,7 +28,7 @@
 #include "bpred/factory.hh"
 #include "common.hh"
 #include "core/engine.hh"
-#include "sim/decoded_trace.hh"
+#include "sim/trace_io.hh"
 #include "util/metrics.hh"
 
 using namespace pabp;
@@ -119,11 +119,10 @@ main(int argc, char **argv)
         Emulator rec_emu(cp.prog);
         if (wl.init)
             wl.init(rec_emu.state());
-        const RecordedTrace recorded = recordTrace(rec_emu, steps);
-        const DecodedTrace decoded = DecodedTrace::build(recorded);
+        const DecodedTrace trace = recordTrace(rec_emu, steps);
 
-        // Predictor matrix inside the workload loop: the recorded and
-        // decoded traces are predictor-independent and shared.
+        // Predictor matrix inside the workload loop: the recorded
+        // trace is predictor-independent and shared.
         for (const std::string &predictor : predictors)
         for (const Config &config : configs) {
             EngineConfig ecfg;
@@ -136,7 +135,7 @@ main(int argc, char **argv)
                     makePredictor(predictor, size_log2);
                 PredictionEngine engine(*pred, ecfg);
                 auto start = std::chrono::steady_clock::now();
-                replayTrace(recorded, engine, steps);
+                replayTraceFrom(trace, engine, 0, steps);
                 double elapsed = secondsSince(start);
                 stats = engine.stats();
                 profile = engine.branchProfile();
@@ -148,7 +147,7 @@ main(int argc, char **argv)
                     makePredictor(predictor, size_log2);
                 PredictionEngine engine(*pred, ecfg);
                 auto start = std::chrono::steady_clock::now();
-                engine.processBatch(decoded, 0, steps);
+                engine.processBatch(trace, 0, steps);
                 double elapsed = secondsSince(start);
                 stats = engine.stats();
                 profile = engine.branchProfile();
@@ -176,7 +175,7 @@ main(int argc, char **argv)
             }
 
             const double events =
-                static_cast<double>(decoded.size());
+                static_cast<double>(trace.size());
             const double ref_ips =
                 ref_best > 0.0 ? events / ref_best : 0.0;
             const double fast_ips =
@@ -203,14 +202,14 @@ main(int argc, char **argv)
             table.cell(predictor);
             table.cell(name);
             table.cell(std::string(config.label));
-            table.cell(static_cast<std::uint64_t>(decoded.size()));
+            table.cell(static_cast<std::uint64_t>(trace.size()));
             table.cell(ref_ips / 1e6, 1);
             table.cell(fast_ips / 1e6, 1);
             table.cell(speedup, 2);
 
             const std::string key = "replay." + predictor + "." +
                 name + "." + config.label + ".";
-            ex.setInt(key + "events", decoded.size());
+            ex.setInt(key + "events", trace.size());
             ex.setReal(key + "ref_insts_per_sec", ref_ips);
             ex.setReal(key + "fast_insts_per_sec", fast_ips);
             ex.setReal(key + "speedup", speedup);

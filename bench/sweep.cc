@@ -135,9 +135,9 @@ contextSeed(const RunSpec &spec, unsigned c)
     return spec.seed + c;
 }
 
-/** Decoded-trace cache key. Recording is deterministic in (program,
+/** Trace cache key. Recording is deterministic in (program,
  *  measurement seed, budget): the same key always yields the same
- *  events, so the decoded trace is shared read-only like the program. */
+ *  events, so the trace is shared read-only like the program. */
 std::string
 traceCacheKey(const RunSpec &spec, std::uint64_t seed)
 {
@@ -697,9 +697,8 @@ SweepRunner::decodedFor(const RunSpec &spec,
     Emulator emu(program->prog);
     if (wl.value().init)
         wl.value().init(emu.state());
-    RecordedTrace recorded = recordTrace(emu, spec.maxInsts);
-    TraceHandle handle = std::make_shared<const DecodedTrace>(
-        DecodedTrace::build(recorded));
+    TraceHandle handle =
+        std::make_shared<const DecodedTrace>(recordTrace(emu, spec.maxInsts));
     promise.set_value(handle);
     return handle;
 }

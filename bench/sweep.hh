@@ -368,7 +368,7 @@ class SweepRunner
     {
         std::uint64_t compiles = 0; ///< distinct programs built
         std::uint64_t hits = 0;     ///< runs served a cached program
-        std::uint64_t records = 0;  ///< traces recorded and decoded
+        std::uint64_t records = 0;  ///< traces recorded
         std::uint64_t traceHits = 0; ///< runs served a cached trace
         /** Traces freed because the last cell of a run() (or of a
          *  TraceDemand) that consumes them finished. */
@@ -456,9 +456,9 @@ class SweepRunner
                             const std::string &resume_file,
                             const Status &status);
     Expected<ProgramHandle> compiledFor(const RunSpec &spec);
-    /** The decoded-trace analogue of compiledFor(): the first
-     *  requester of a (program, measurement seed, budget) key records
-     *  and decodes the trace, everyone else blocks on the shared
+    /** The trace analogue of compiledFor(): the first requester of
+     *  a (program, measurement seed, budget) key records the trace
+     *  straight into its lanes, everyone else blocks on the shared
      *  future and replays the same immutable lanes. @p seed is the
      *  measurement seed to record with - spec.seed for ordinary
      *  cells, spec.seed + c for context c of a multi-context cell. */
@@ -466,7 +466,7 @@ class SweepRunner
                                      const ProgramHandle &program,
                                      std::uint64_t seed);
     /** RunSpec::characterize: one shared predictability report per
-     *  (program, seed, budget) key, computed over the same decoded
+     *  (program, seed, budget) key, computed over the same recorded
      *  trace every replaying cell of that key consumes. */
     Expected<ReportHandle> characterizedFor(const RunSpec &spec,
                                             const ProgramHandle &program);

@@ -39,7 +39,7 @@ doRecord(const Options &opts)
     Emulator emu(cp.prog);
     if (wl.init)
         wl.init(emu.state());
-    RecordedTrace trace = recordTrace(emu, steps);
+    DecodedTrace trace = recordTrace(emu, steps);
     saveTraceFile(trace, out);
     std::printf("recorded %zu events of %s into %s\n", trace.size(),
                 name.c_str(), out.c_str());
@@ -52,11 +52,11 @@ doReplay(const Options &opts)
     TraceReadOptions topts;
     topts.salvage = opts.flag("salvage");
     TraceReadInfo tinfo;
-    Expected<RecordedTrace> loaded =
+    Expected<DecodedTrace> loaded =
         tryLoadTraceFile(opts.str("replay"), topts, &tinfo);
     if (!loaded.ok())
         pabp_fatal(loaded.status().toString());
-    const RecordedTrace &trace = loaded.value();
+    const DecodedTrace &trace = loaded.value();
     if (tinfo.salvaged)
         std::printf("salvaged trace: kept %zu events, dropped %llu\n",
                     trace.size(),
@@ -120,7 +120,7 @@ doReplay(const Options &opts)
 int
 doInspect(const Options &opts)
 {
-    RecordedTrace trace = loadTraceFile(opts.str("inspect"));
+    DecodedTrace trace = loadTraceFile(opts.str("inspect"));
     std::uint64_t branches = 0, taken = 0, guards_false = 0;
     std::uint64_t defines = 0, region_insts = 0;
     for (std::size_t i = 0; i < trace.size(); ++i) {

@@ -51,14 +51,16 @@ FUZZ_SEED=${FUZZ_SEED:-1}
 # bulk-vs-sequential inject contract for every predictor kind - the
 # paths where a fold-width or wrap off-by-one would read garbage
 # without ever failing a plain assertion. 'MultiCtx' interleaves N
-# decoded traces through one predictor with per-slice history
+# recorded traces through one predictor with per-slice history
 # export/import swaps and shared BTB/RAS borrowing, and 'Btb' covers
 # the target structures themselves - new pointer-juggling paths that
-# deserve both tiers sanitized.
+# deserve both tiers sanitized. 'TraceIo' runs the PABPTRC2 reader,
+# which fills the class lane the scan kernels read straight from
+# (possibly damaged) file bytes.
 for tier in scalar avx2; do
     PABP_SIMD=$tier ctest --test-dir "$BUILD_DIR" --output-on-failure \
         -j "$(nproc)" \
-        -R 'Simd|FastReplay|DecodedTrace|Tage|InjectContract|MultiCtx|Btb|ContextSchedule|Predictability|Mining'
+        -R 'Simd|FastReplay|DecodedTrace|TraceIo|Tage|InjectContract|MultiCtx|Btb|ContextSchedule|Predictability|Mining'
 done
 
 if [ "${PABP_SKIP_TSAN:-0}" != "1" ]; then
@@ -69,11 +71,11 @@ if [ "${PABP_SKIP_TSAN:-0}" != "1" ]; then
     # commits from the coordinator while workers run); 'Journal'
     # covers the journal unit tests themselves. 'FastReplay' adds the
     # replay-schedule cache, whose find/insert runs under a mutex
-    # against concurrent sweep workers sharing one decoded trace - the
+    # against concurrent sweep workers sharing one recorded trace - the
     # sweep tests drive that concurrently, the FastReplay tests pin
     # the single-threaded semantics under the same build. 'MultiCtx'
     # rides along because multi-context cells run inside sweep worker
-    # threads and share the per-context decoded traces through the
+    # threads and share the per-context recorded traces through the
     # same cache.
     # 'Metrics' also catches the characterized-cell byte-identity
     # suite: predictability reports are computed once per program in

@@ -993,14 +993,7 @@ runTrace(Emulator &emu, PredictionEngine &engine, std::uint64_t max_insts)
 }
 
 std::uint64_t
-replayTrace(const RecordedTrace &trace, PredictionEngine &engine,
-            std::uint64_t max_insts)
-{
-    return replayTraceFrom(trace, engine, 0, max_insts);
-}
-
-std::uint64_t
-replayTraceFrom(const RecordedTrace &trace, PredictionEngine &engine,
+replayTraceFrom(const DecodedTrace &trace, PredictionEngine &engine,
                 std::uint64_t first, std::uint64_t max_insts)
 {
     // Clamp, returning FIRST unchanged: a resume cursor positioned at

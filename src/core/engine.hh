@@ -424,23 +424,17 @@ std::uint64_t runTrace(Emulator &emu, PredictionEngine &engine,
                        std::uint64_t max_insts);
 
 /**
- * Replay a recorded trace through @p engine (record once with
- * recordTrace(), replay against many predictor configurations).
- * Returns the number of events processed.
- */
-std::uint64_t replayTrace(const RecordedTrace &trace,
-                          PredictionEngine &engine,
-                          std::uint64_t max_insts);
-
-/**
- * Replay starting at event @p first (a position restored from a
+ * Reference replay: feed events [@p first, @p first + @p max_insts)
+ * of @p trace through process(), one materialised DynInst each
+ * (record once with recordTrace(), replay against many predictor
+ * configurations; @p first is 0 or a position restored from a
  * checkpoint). Returns the index one past the last event processed.
  * Clamped semantics: @p first at or past the end of the trace
  * processes nothing and returns @p first UNCHANGED - a resume cursor
  * positioned past a (shorter) trace must not be yanked backwards, or
  * the caller's progress bookkeeping would silently re-run events.
  */
-std::uint64_t replayTraceFrom(const RecordedTrace &trace,
+std::uint64_t replayTraceFrom(const DecodedTrace &trace,
                               PredictionEngine &engine,
                               std::uint64_t first,
                               std::uint64_t max_insts);

@@ -228,60 +228,21 @@ PredictabilityAnalyzer::report() const
     return rep;
 }
 
-namespace {
-
-template <typename IsBranch, typename Taken, typename Pc>
-PredictabilityReport
-characterizeStream(std::size_t events, const PredictabilityConfig &cfg,
-                   std::uint64_t max_events, IsBranch is_branch,
-                   Taken taken, Pc pc)
-{
-    PredictabilityAnalyzer an(cfg);
-    std::size_t n = events;
-    if (max_events && max_events < n)
-        n = static_cast<std::size_t>(max_events);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!is_branch(i))
-            continue;
-        an.observe(pc(i), taken(i));
-    }
-    return an.report();
-}
-
-} // namespace
-
-PredictabilityReport
-characterizeTrace(const RecordedTrace &trace,
-                  const PredictabilityConfig &cfg,
-                  std::uint64_t max_events)
-{
-    return characterizeStream(
-        trace.events.size(), cfg, max_events,
-        [&](std::size_t i) {
-            const RecordedTrace::Event &e = trace.events[i];
-            return e.pc < trace.prog.insts.size() &&
-                trace.prog.insts[e.pc].isConditionalBranch();
-        },
-        [&](std::size_t i) {
-            return (trace.events[i].flags >> 1) & 1;
-        },
-        [&](std::size_t i) { return trace.events[i].pc; });
-}
-
 PredictabilityReport
 characterizeTrace(const DecodedTrace &trace,
                   const PredictabilityConfig &cfg,
                   std::uint64_t max_events)
 {
-    return characterizeStream(
-        trace.size(), cfg, max_events,
-        [&](std::size_t i) {
-            return trace.cls[i] ==
-                static_cast<std::uint8_t>(
-                       DecodedTrace::Class::CondBranch);
-        },
-        [&](std::size_t i) { return trace.taken(i); },
-        [&](std::size_t i) { return trace.pcs[i]; });
+    PredictabilityAnalyzer an(cfg);
+    std::size_t n = trace.size();
+    if (max_events && max_events < n)
+        n = static_cast<std::size_t>(max_events);
+    constexpr auto cond_branch =
+        static_cast<std::uint8_t>(DecodedTrace::Class::CondBranch);
+    for (std::size_t i = 0; i < n; ++i)
+        if (trace.cls[i] == cond_branch)
+            an.observe(trace.pcs[i], trace.taken(i));
+    return an.report();
 }
 
 std::vector<std::string>

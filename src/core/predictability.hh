@@ -6,7 +6,7 @@
  * meaningful relative to how predictable the workload was in the
  * first place. Following the workload-characterization literature
  * (PAPERS.md), this module computes three predictor-independent
- * metrics over a recorded or decoded trace, per static conditional
+ * metrics over a recorded trace, per static conditional
  * branch and aggregated occurrence-weighted over the whole trace:
  *
  *  - taken rate: fraction of dynamic outcomes that were taken,
@@ -55,7 +55,6 @@
 
 #include "core/h2p.hh"
 #include "sim/decoded_trace.hh"
-#include "sim/trace_io.hh"
 #include "util/metrics.hh"
 #include "util/status.hh"
 
@@ -205,17 +204,13 @@ class PredictabilityAnalyzer
 double binaryEntropy(double p);
 
 /**
- * Characterize the conditional-branch stream of a trace. Events are
- * classified exactly like the prediction engine (a Br with a
- * qualifying predicate); @p max_events == 0 means the whole trace,
+ * Characterize the conditional-branch stream of a trace: one pass
+ * over its class and flags lanes. Events are classified exactly like
+ * the prediction engine (a Br with a qualifying predicate); @p max_events == 0 means the whole trace,
  * otherwise only the first max_events trace events are scanned -
  * matching a replay budget so characterization and measurement see
  * the same stream.
  */
-PredictabilityReport
-characterizeTrace(const RecordedTrace &trace,
-                  const PredictabilityConfig &cfg = {},
-                  std::uint64_t max_events = 0);
 PredictabilityReport
 characterizeTrace(const DecodedTrace &trace,
                   const PredictabilityConfig &cfg = {},

@@ -30,7 +30,7 @@ mixMine(std::uint64_t seed, std::uint64_t stream)
 }
 
 Expected<std::uint64_t>
-replayMispredicts(const RecordedTrace &trace, const FuzzCase &c,
+replayMispredicts(const DecodedTrace &trace, const FuzzCase &c,
                   const EngineConfig &ecfg)
 {
     Expected<PredictorPtr> pred =
@@ -38,7 +38,7 @@ replayMispredicts(const RecordedTrace &trace, const FuzzCase &c,
     if (!pred.ok())
         return pred.status();
     PredictionEngine engine(*pred.value(), ecfg);
-    replayTrace(trace, engine, trace.size());
+    replayTraceFrom(trace, engine, 0, trace.size());
     return engine.stats().all.mispredicts;
 }
 
@@ -78,7 +78,7 @@ scoreCase(const FuzzCase &fuzz_case, const RunEnv &env,
     Emulator emu(conv.prog, EmuConfig{miningMemWords, 0});
     if (body.init)
         body.init(emu.state());
-    RecordedTrace trace = recordTrace(emu, fuzz_case.maxInsts);
+    DecodedTrace trace = recordTrace(emu, fuzz_case.maxInsts);
 
     PredictabilityReport rep = characterizeTrace(trace);
     if (rep.occurrences < minScoredBranches)
@@ -100,7 +100,7 @@ scoreCase(const FuzzCase &fuzz_case, const RunEnv &env,
     EngineConfig baseCfg;
     baseCfg.modelTargets = true;
     PredictionEngine base(*basePred.value(), baseCfg);
-    replayTrace(trace, base, trace.size());
+    replayTraceFrom(trace, base, 0, trace.size());
 
     EngineConfig bothCfg = baseCfg;
     bothCfg.useSfpf = true;

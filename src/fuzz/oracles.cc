@@ -1,5 +1,6 @@
 #include "fuzz/oracles.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -10,7 +11,6 @@
 #include "core/checkpoint.hh"
 #include "core/multictx.hh"
 #include "pipeline/pipeline.hh"
-#include "sim/decoded_trace.hh"
 #include "sim/trace_io.hh"
 #include "sweep.hh"
 #include "util/journal.hh"
@@ -44,16 +44,24 @@ struct CaseContext
 {
     FuzzPrograms progs;
     bool haveTrace = false;
-    RecordedTrace trace; ///< converted program, c.maxInsts budget
+    DecodedTrace trace; ///< converted program, c.maxInsts budget
 
-    const RecordedTrace &
+    /** A fresh emulator on the converted program, initialised for
+     *  the case's input seed - the live stream the trace records. */
+    Emulator
+    convertedEmulator() const
+    {
+        Emulator emu(progs.converted.prog, EmuConfig{oracleMemWords, 0});
+        if (progs.body.init)
+            progs.body.init(emu.state());
+        return emu;
+    }
+
+    const DecodedTrace &
     traceFor(const FuzzCase &c)
     {
         if (!haveTrace) {
-            Emulator emu(progs.converted.prog,
-                         EmuConfig{oracleMemWords, 0});
-            if (progs.body.init)
-                progs.body.init(emu.state());
+            Emulator emu = convertedEmulator();
             trace = recordTrace(emu, c.maxInsts);
             haveTrace = true;
         }
@@ -234,7 +242,7 @@ oraclePipeline(const FuzzCase &c, CaseContext &ctx)
 Status
 oracleReplay(const FuzzCase &c, CaseContext &ctx)
 {
-    const RecordedTrace &trace = ctx.traceFor(c);
+    const DecodedTrace &trace = ctx.traceFor(c);
     if (trace.size() == 0)
         return diverged("recorded trace is empty (generator bug)");
 
@@ -245,13 +253,15 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
     if (!predB.ok())
         return predB.status();
 
+    // The reference engine runs off a live emulator, not the trace:
+    // a recorder bug would otherwise feed both sides the same wrong
+    // lanes and pass.
     PredictionEngine ref(*predA.value(), c.engine);
-    std::uint64_t refProcessed = replayTrace(trace, ref, trace.size());
+    Emulator live = ctx.convertedEmulator();
+    std::uint64_t refProcessed = runTrace(live, ref, c.maxInsts);
 
-    DecodedTrace decoded = DecodedTrace::build(trace);
     PredictionEngine fast(*predB.value(), c.engine);
-    std::uint64_t fastProcessed =
-        fast.processBatch(decoded, 0, decoded.size());
+    std::uint64_t fastProcessed = fast.processBatch(trace, 0, trace.size());
 
     if (refProcessed != fastProcessed)
         return diverged("processed-count mismatch: reference " +
@@ -276,7 +286,7 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
         return diverged("checkpoint bytes differ between reference "
                         "and fast replay");
 
-    // The first fast replay captured a replay schedule on the decoded
+    // The first fast replay captured a replay schedule on the
     // trace (sim/replay_schedule.hh); a second replay takes the cache
     // HIT path - cached guards, word-at-a-time PGU drain, restored
     // predicate-file exit state - and must still match the reference
@@ -286,7 +296,7 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
         return predC.status();
     PredictionEngine hit(*predC.value(), c.engine);
     const std::uint64_t hitProcessed =
-        hit.processBatch(decoded, 0, decoded.size());
+        hit.processBatch(trace, 0, trace.size());
     if (refProcessed != hitProcessed)
         return diverged(
             "schedule-cache hit processed-count mismatch: reference " +
@@ -317,15 +327,15 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
     // capture/restore seams the one-shot replay never crosses. Two
     // passes: the first captures per-chunk schedules, the second hits
     // every one.
-    const std::uint64_t chunk = 1 + (c.seed % 97) % decoded.size();
+    const std::uint64_t chunk = 1 + (c.seed % 97) % trace.size();
     for (int pass = 0; pass < 2; ++pass) {
         Expected<PredictorPtr> predD = makeCasePredictor(c);
         if (!predD.ok())
             return predD.status();
         PredictionEngine chunked(*predD.value(), c.engine);
         std::uint64_t cursor = 0;
-        while (cursor < decoded.size())
-            cursor = chunked.processBatch(decoded, cursor, chunk);
+        while (cursor < trace.size())
+            cursor = chunked.processBatch(trace, cursor, chunk);
         if (cursor != refProcessed)
             return diverged(
                 "chunked replay cursor mismatch (chunk " +
@@ -365,7 +375,7 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
 Status
 oracleCheckpoint(const FuzzCase &c, CaseContext &ctx, const RunEnv &env)
 {
-    const RecordedTrace &trace = ctx.traceFor(c);
+    const DecodedTrace &trace = ctx.traceFor(c);
     if (trace.size() == 0)
         return diverged("recorded trace is empty (generator bug)");
 
@@ -373,7 +383,7 @@ oracleCheckpoint(const FuzzCase &c, CaseContext &ctx, const RunEnv &env)
     // self-check: reintroduce the PR-4 clamp bug (a past-the-end
     // cursor yanked back to trace.size()) to prove the oracle and
     // the shrinker catch it.
-    auto replayFrom = [&env](const RecordedTrace &t,
+    auto replayFrom = [&env](const DecodedTrace &t,
                              PredictionEngine &e, std::uint64_t first,
                              std::uint64_t max) -> std::uint64_t {
         if (env.injectClampBug && first >= t.size())
@@ -484,8 +494,22 @@ sameProgram(const Program &a, const Program &b)
     return true;
 }
 
+/** Whether the first @p n events of @p a and @p b agree in every lane.
+ *  Both traces must hold at least @p n events. */
+bool
+sameEvents(const DecodedTrace &a, const DecodedTrace &b, std::size_t n)
+{
+    auto same = [n](const auto &x, const auto &y) {
+        return std::equal(x.begin(), x.begin() + n, y.begin());
+    };
+    return same(a.pcs, b.pcs) && same(a.cls, b.cls) &&
+        same(a.flags, b.flags) && same(a.predReg0, b.predReg0) &&
+        same(a.predReg1, b.predReg1) && same(a.predVal, b.predVal) &&
+        same(a.nextPcs, b.nextPcs);
+}
+
 Status
-checkCorrupted(const RecordedTrace &original, const std::string &bytes,
+checkCorrupted(const DecodedTrace &original, const std::string &bytes,
                const CorruptSpec &spec)
 {
     auto describe = [&spec]() {
@@ -499,10 +523,12 @@ checkCorrupted(const RecordedTrace &original, const std::string &bytes,
     // silent divergence.
     {
         std::istringstream in(bytes);
-        Expected<RecordedTrace> strict = readTrace(in);
+        Expected<DecodedTrace> strict = readTrace(in);
         if (strict.ok()) {
-            if (!sameProgram(strict.value().prog, original.prog) ||
-                strict.value().events != original.events)
+            const DecodedTrace &t = strict.value();
+            if (!sameProgram(t.prog, original.prog) ||
+                t.size() != original.size() ||
+                !sameEvents(t, original, t.size()))
                 return diverged("strict read of a corrupted trace "
                                 "returned Ok with DIFFERENT content (" +
                                 describe() + ")");
@@ -516,22 +542,19 @@ checkCorrupted(const RecordedTrace &original, const std::string &bytes,
         TraceReadOptions opts;
         opts.salvage = true;
         TraceReadInfo info;
-        Expected<RecordedTrace> salvaged = readTrace(in, opts, &info);
+        Expected<DecodedTrace> salvaged = readTrace(in, opts, &info);
         if (salvaged.ok()) {
-            const RecordedTrace &s = salvaged.value();
+            const DecodedTrace &s = salvaged.value();
             if (!sameProgram(s.prog, original.prog))
                 return diverged(
                     "salvage returned Ok with a corrupted program "
                     "section (" + describe() + ")");
-            if (s.events.size() > original.events.size())
+            if (s.size() > original.size())
                 return diverged("salvage returned MORE events than "
                                 "were written (" + describe() + ")");
-            for (std::size_t i = 0; i < s.events.size(); ++i)
-                if (!(s.events[i] == original.events[i]))
-                    return diverged(
-                        "salvaged event " + std::to_string(i) +
-                        " is not a prefix of the original (" +
-                        describe() + ")");
+            if (!sameEvents(s, original, s.size()))
+                return diverged("salvaged events are not a prefix of "
+                                "the original (" + describe() + ")");
         }
     }
     return {};
@@ -540,7 +563,7 @@ checkCorrupted(const RecordedTrace &original, const std::string &bytes,
 Status
 oracleTrace(const FuzzCase &c, CaseContext &ctx)
 {
-    const RecordedTrace &trace = ctx.traceFor(c);
+    const DecodedTrace &trace = ctx.traceFor(c);
     std::ostringstream os;
     writeTrace(trace, os);
     const std::string bytes = os.str();
@@ -768,7 +791,7 @@ oracleJournal(const FuzzCase &c, const RunEnv &env)
 // Oracle 8: multi-context replay (core/multictx.hh). With
 // contexts == 1 a 1-context replayer must be byte-identical to the
 // ordinary single-stream batch loop - the schedule machinery adds
-// nothing. With contexts > 1 the fast (decoded-trace) and reference
+// nothing. With contexts > 1 the fast (trace-lane) and reference
 // (live-emulator) interleaved replays must agree context for context,
 // and a repeated fast run must reproduce itself exactly.
 
@@ -786,10 +809,9 @@ oracleMultiCtx(const FuzzCase &c, CaseContext &ctx)
     const unsigned n = mcfg.schedule.contexts;
 
     if (n == 1) {
-        const RecordedTrace &trace = ctx.traceFor(c);
+        const DecodedTrace &trace = ctx.traceFor(c);
         if (trace.size() == 0)
             return diverged("recorded trace is empty (generator bug)");
-        DecodedTrace decoded = DecodedTrace::build(trace);
 
         Expected<PredictorPtr> predA = makeCasePredictor(c);
         Expected<PredictorPtr> predB = makeCasePredictor(c);
@@ -799,10 +821,10 @@ oracleMultiCtx(const FuzzCase &c, CaseContext &ctx)
             return predB.status();
 
         MultiContextReplayer replayer(*predA.value(), mcfg);
-        replayer.replayDecoded({&decoded}, c.maxInsts);
+        replayer.replayDecoded({&trace}, c.maxInsts);
 
         PredictionEngine single(*predB.value(), c.engine);
-        single.processBatch(decoded, 0, decoded.size());
+        single.processBatch(trace, 0, trace.size());
 
         PredictionEngine &only = replayer.engine(0);
         if (!(only.stats() == single.stats()))
@@ -825,22 +847,20 @@ oracleMultiCtx(const FuzzCase &c, CaseContext &ctx)
     // Context k replays the shared converted program from input seed
     // c.seed + k (the same per-context seeding the sweep uses; the
     // generator's init closure depends only on (seed, dataWindow)).
-    std::vector<RecordedTrace> recorded;
-    std::vector<DecodedTrace> decoded;
+    std::vector<DecodedTrace> traces;
     for (unsigned k = 0; k < n; ++k) {
         Emulator emu(ctx.progs.converted.prog,
                      EmuConfig{oracleMemWords, 0});
         makeFuzzWorkload(c.seed + k, c.gen).init(emu.state());
-        recorded.push_back(recordTrace(emu, c.maxInsts));
-        if (recorded.back().size() == 0)
+        traces.push_back(recordTrace(emu, c.maxInsts));
+        if (traces.back().size() == 0)
             return diverged("recorded trace for context " +
                             std::to_string(k) +
                             " is empty (generator bug)");
-        decoded.push_back(DecodedTrace::build(recorded.back()));
     }
     std::vector<const DecodedTrace *> lanes;
-    for (const DecodedTrace &d : decoded)
-        lanes.push_back(&d);
+    for (const DecodedTrace &t : traces)
+        lanes.push_back(&t);
 
     Expected<PredictorPtr> preds[3] = {makeCasePredictor(c),
                                        makeCasePredictor(c),

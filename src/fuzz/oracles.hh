@@ -12,9 +12,11 @@
  *  pipeline:   the prediction engine sees the same stream (same
  *              EngineStats, bit for bit) whether driven by the bare
  *              emulator (runTrace) or by the cycle-level pipeline.
- *  replay:     reference replayTrace vs PredictionEngine::processBatch:
+ *  replay:     a reference engine driven by a live emulator
+ *              (runTrace) vs PredictionEngine::processBatch over the
+ *              recorded trace (one-shot, schedule-cache hit, chunked):
  *              stats, per-branch profile, PGU bit count, processed
- *              count AND exported metrics bytes identical.
+ *              count, exported metrics AND checkpoint bytes identical.
  *  checkpoint: save mid-replay, restore into fresh objects, finish -
  *              identical stats to a straight-through run; plus the
  *              past-the-end cursor contract of replayTraceFrom.

@@ -1,23 +1,21 @@
 /**
  * @file
- * Structure-of-arrays form of a RecordedTrace, pre-decoded for the
- * hot replay loop (PredictionEngine::processBatch).
+ * The one in-memory trace: a structure-of-arrays event stream laid
+ * out for the hot replay loop (PredictionEngine::processBatch).
  *
- * RecordedTrace::materialise() re-resolves the static instruction
- * (a bounds-checked map lookup), re-unpacks the event bitfields and
- * fills a full DynInst for EVERY replayed instruction. A DecodedTrace
- * does that work exactly once at build time: each per-event lane the
- * engine's batch loop touches (pc, opcode class, guard/taken flags,
- * predicate-write payload) is a flat contiguous array indexed by
- * sequence number, so the inner loop is a handful of indexed loads
- * with no per-step DynInst construction. The pc lane doubles as the
- * static-instruction index (a trace pc IS an index into the owned
- * program), so `inst(i)` is one add off the pc the loop already
- * loaded.
+ * Each per-event lane the engine's batch loop touches (pc, opcode
+ * class, guard/taken flags, predicate-write payload) is a flat
+ * contiguous array indexed by sequence number, so the inner loop is a
+ * handful of indexed loads with no per-step DynInst construction. The
+ * pc lane doubles as the static-instruction index (a trace pc IS an
+ * index into the owned program), so `inst(i)` is one add off the pc
+ * the loop already loaded.
  *
- * A DecodedTrace lives in memory only: build() decodes a RecordedTrace
- * (loaded from a PABPTRC2 file or recorded live, sim/trace_io.hh).
- * Once built it is immutable and safe to share READ-ONLY across
+ * The lanes are filled as events arrive: recordTrace() appends each
+ * executed instruction and the PABPTRC2 reader appends each verified
+ * on-disk event (sim/trace_io.hh), classifying it once against the
+ * program.
+ * Once filled a trace is immutable and safe to share READ-ONLY across
  * threads - the sweep runner caches one per (workload, measurement
  * seed, budget) and replays every matching cell against it, exactly
  * like the compiled-program cache (docs/PARALLEL.md, docs/PERF.md).
@@ -33,12 +31,13 @@
 #include <vector>
 
 #include "isa/program.hh"
+#include "sim/emulator.hh"
 #include "sim/replay_schedule.hh"
-#include "sim/trace_io.hh"
 
 namespace pabp {
 
-/** A RecordedTrace unpacked into per-field lanes (seq = index). */
+/** Program text plus its dynamic events in per-field lanes
+ *  (seq = index). */
 struct DecodedTrace
 {
     /**
@@ -63,12 +62,12 @@ struct DecodedTrace
      *  @{ */
     std::vector<std::uint32_t> pcs;
     std::vector<std::uint8_t> cls; ///< a Class value
-    /** bit0 guard, bit1 taken, bits 2-3 numPredWrites - the exact
-     *  RecordedTrace::Event::flags packing. */
+    /** bit0 guard, bit1 taken, bits 2-3 numPredWrites - byte 4 of
+     *  the on-disk event record. */
     std::vector<std::uint8_t> flags;
     std::vector<std::uint8_t> predReg0;
     std::vector<std::uint8_t> predReg1;
-    /** bit0/bit1 = write values, bit2 cmpRel (Event::predVal). */
+    /** bit0/bit1 = write values, bit2 cmpRel. */
     std::vector<std::uint8_t> predVal;
     std::vector<std::uint32_t> nextPcs;
     /** @} */
@@ -89,9 +88,9 @@ struct DecodedTrace
         return (flags[i] >> 2) & 3;
     }
 
-    /** The static instruction of event @p i: the pc lane is the
-     *  instruction index, pre-validated against the program at
-     *  build time, so this is a single indexed load. */
+    /** The static instruction of event @p i: every pc was validated
+     *  against the program when its event was appended, so this is a
+     *  single indexed load. */
     const Inst &
     inst(std::size_t i) const
     {
@@ -99,10 +98,10 @@ struct DecodedTrace
     }
 
     /**
-     * Reconstitute the full DynInst for event @p i - field-for-field
-     * what RecordedTrace::materialise(i) returns. The reference-path
-     * comparisons and lane-packing tests use this; the batch loop
-     * itself reads the lanes directly.
+     * Reconstitute the full DynInst for event @p i - every field the
+     * emulator produced except effAddr, which no trace carries. The
+     * reference replay loop (replayTraceFrom) and the lane-packing
+     * tests use this; the batch loop itself reads the lanes directly.
      */
     DynInst
     materialise(std::size_t i) const
@@ -130,16 +129,38 @@ struct DecodedTrace
         return dyn;
     }
 
-    /** Decode @p trace into in-memory lanes. */
-    static DecodedTrace build(const RecordedTrace &trace);
+    /**
+     * Deep copy of @p trace with a fresh, empty schedule cache. Kept
+     * for the benchmark mirror (benchmark/traced.cc), which records
+     * and then times this copy as its decode layer; the benchmark
+     * change that reads the sweep's own stage spans (ROADMAP, "One
+     * timing source") deletes it. No other code may call it; a test
+     * may, where it needs an independent cold-cache copy.
+     */
+    static DecodedTrace
+    build(const DecodedTrace &trace)
+    {
+        DecodedTrace out;
+        out.prog = trace.prog;
+        out.pcs = trace.pcs;
+        out.cls = trace.cls;
+        out.flags = trace.flags;
+        out.predReg0 = trace.predReg0;
+        out.predReg1 = trace.predReg1;
+        out.predVal = trace.predVal;
+        out.nextPcs = trace.nextPcs;
+        out.schedCache = std::make_shared<ReplayScheduleCache>();
+        return out;
+    }
 
     /**
      * Predictor-independent replay schedules derived from this trace
      * (sim/replay_schedule.hh), shared by every engine that batch
      * replays it - a sweep's repeated replays skip the schedule
-     * capture after the first pass. Created by build(); a
-     * default-constructed trace has none, and the engine then
-     * captures a schedule for every batch without publishing it.
+     * capture after the first pass. Created by recordTrace() and the
+     * trace reader; a default-constructed trace has none, and the
+     * engine then captures a schedule for every batch without
+     * publishing it.
      */
     std::shared_ptr<ReplayScheduleCache> schedCache;
 };

@@ -55,84 +55,98 @@ unpackInst(const unsigned char *p, Inst &inst)
     return true;
 }
 
+/** Pack event @p i of @p trace into its 12 on-disk bytes. */
 void
-packEvent(const RecordedTrace::Event &event, unsigned char *out)
+packEvent(const DecodedTrace &trace, std::size_t i, unsigned char *out)
 {
-    std::memcpy(out, &event.pc, 4);
-    out[4] = event.flags;
-    out[5] = event.predReg[0];
-    out[6] = event.predReg[1];
-    out[7] = event.predVal;
-    std::memcpy(out + 8, &event.nextPc, 4);
+    std::memcpy(out, &trace.pcs[i], 4);
+    out[4] = trace.flags[i];
+    out[5] = trace.predReg0[i];
+    out[6] = trace.predReg1[i];
+    out[7] = trace.predVal[i];
+    std::memcpy(out + 8, &trace.nextPcs[i], 4);
 }
 
-RecordedTrace::Event
-unpackEvent(const unsigned char *p)
+DecodedTrace::Class
+classify(const Inst &inst)
 {
-    RecordedTrace::Event event{};
-    std::memcpy(&event.pc, p, 4);
-    event.flags = p[4];
-    event.predReg[0] = p[5];
-    event.predReg[1] = p[6];
-    event.predVal = p[7];
-    std::memcpy(&event.nextPc, p + 8, 4);
-    return event;
+    using Class = DecodedTrace::Class;
+    if (inst.op == Opcode::Br)
+        return inst.qp ? Class::CondBranch : Class::UncondControl;
+    if (inst.op == Opcode::Call || inst.op == Opcode::Ret)
+        return Class::UncondControl;
+    if (inst.writesPredicate())
+        return Class::PredDefine;
+    return Class::Other;
+}
+
+/** Append one event to the lanes of @p trace, classifying it against
+ *  the program. The caller guarantees pc < trace.prog.size(). */
+void
+appendEvent(DecodedTrace &trace, std::uint32_t pc, std::uint8_t flags,
+            std::uint8_t reg0, std::uint8_t reg1, std::uint8_t val,
+            std::uint32_t next_pc)
+{
+    trace.pcs.push_back(pc);
+    trace.cls.push_back(
+        static_cast<std::uint8_t>(classify(trace.prog.insts[pc])));
+    trace.flags.push_back(flags);
+    trace.predReg0.push_back(reg0);
+    trace.predReg1.push_back(reg1);
+    trace.predVal.push_back(val);
+    trace.nextPcs.push_back(next_pc);
+}
+
+/** Apply @p op to each of the seven event lanes of @p trace. */
+template <typename Op>
+void
+forEachLane(DecodedTrace &trace, Op op)
+{
+    op(trace.pcs);
+    op(trace.cls);
+    op(trace.flags);
+    op(trace.predReg0);
+    op(trace.predReg1);
+    op(trace.predVal);
+    op(trace.nextPcs);
 }
 
 } // anonymous namespace
 
-DynInst
-RecordedTrace::materialise(std::size_t i) const
-{
-    const Event &event = events.at(i);
-    const Inst &inst = prog.insts.at(event.pc);
-
-    DynInst dyn;
-    dyn.seq = i;
-    dyn.pc = event.pc;
-    dyn.inst = &inst;
-    dyn.guard = event.flags & 1;
-    dyn.taken = (event.flags >> 1) & 1;
-    dyn.isControl = inst.isControl();
-    dyn.nextPc = event.nextPc;
-    dyn.numPredWrites = (event.flags >> 2) & 3;
-    for (unsigned w = 0; w < dyn.numPredWrites; ++w) {
-        dyn.predWrites[w].reg = event.predReg[w];
-        dyn.predWrites[w].value = (event.predVal >> w) & 1;
-    }
-    dyn.cmpRel = (event.predVal >> 2) & 1;
-    dyn.isMem = inst.op == Opcode::Load || inst.op == Opcode::Store;
-    return dyn;
-}
-
-RecordedTrace
+DecodedTrace
 recordTrace(Emulator &emu, std::uint64_t max_insts)
 {
-    RecordedTrace trace;
+    DecodedTrace trace;
     trace.prog = emu.program();
+    trace.schedCache = std::make_shared<ReplayScheduleCache>();
+    const auto budget = static_cast<std::size_t>(
+        std::min<std::uint64_t>(max_insts, maxTraceInsts));
+    forEachLane(trace, [budget](auto &lane) { lane.reserve(budget); });
 
     DynInst dyn;
     for (std::uint64_t i = 0; i < max_insts && emu.step(dyn); ++i) {
-        RecordedTrace::Event event{};
-        event.pc = dyn.pc;
-        event.flags = static_cast<std::uint8_t>(
-            (dyn.guard ? 1 : 0) | (dyn.taken ? 2 : 0) |
-            (dyn.numPredWrites << 2));
+        std::uint8_t regs[2] = {0, 0};
+        std::uint8_t val = dyn.cmpRel ? 4 : 0;
         for (unsigned w = 0; w < dyn.numPredWrites; ++w) {
-            event.predReg[w] = dyn.predWrites[w].reg;
+            regs[w] = dyn.predWrites[w].reg;
             if (dyn.predWrites[w].value)
-                event.predVal |= static_cast<std::uint8_t>(1u << w);
+                val |= static_cast<std::uint8_t>(1u << w);
         }
-        if (dyn.cmpRel)
-            event.predVal |= 4;
-        event.nextPc = dyn.nextPc;
-        trace.events.push_back(event);
+        appendEvent(trace, dyn.pc,
+                    static_cast<std::uint8_t>(
+                        (dyn.guard ? 1 : 0) | (dyn.taken ? 2 : 0) |
+                        (dyn.numPredWrites << 2)),
+                    regs[0], regs[1], val, dyn.nextPc);
     }
+    // A program that halts short of the budget gives the unused
+    // reservation back before the trace is cached.
+    if (trace.size() < budget)
+        forEachLane(trace, [](auto &lane) { lane.shrink_to_fit(); });
     return trace;
 }
 
 std::uint64_t
-traceFingerprint(const RecordedTrace &trace)
+traceFingerprint(const DecodedTrace &trace)
 {
     std::uint64_t hash = 0xcbf29ce484222325ull;
     auto feed = [&hash](const unsigned char *p, std::size_t n) {
@@ -143,23 +157,22 @@ traceFingerprint(const RecordedTrace &trace)
     };
     // The section sizes first, so no shift of bytes between the
     // program and the events can collide.
-    const std::uint64_t sizes[2] = {trace.prog.size(),
-                                    trace.events.size()};
+    const std::uint64_t sizes[2] = {trace.prog.size(), trace.size()};
     feed(reinterpret_cast<const unsigned char *>(sizes), sizeof(sizes));
     unsigned char record[instRecordSize];
     for (const Inst &inst : trace.prog.insts) {
         packInst(inst, record);
         feed(record, instRecordSize);
     }
-    for (const RecordedTrace::Event &event : trace.events) {
-        packEvent(event, record);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        packEvent(trace, i, record);
         feed(record, eventRecordBytes);
     }
     return hash;
 }
 
 std::uint64_t
-writeTrace(const RecordedTrace &trace, std::ostream &os)
+writeTrace(const DecodedTrace &trace, std::ostream &os)
 {
     StateSink sink(os);
 
@@ -167,7 +180,7 @@ writeTrace(const RecordedTrace &trace, std::ostream &os)
     sink.writeBytes(traceMagicV2, sizeof(traceMagicV2));
     sink.writeU32(traceVersion2);
     sink.writeU64(trace.prog.size());
-    sink.writeU64(trace.events.size());
+    sink.writeU64(trace.size());
     sink.writeU32(sink.crc32());
     sink.resetCrc();
 
@@ -183,13 +196,13 @@ writeTrace(const RecordedTrace &trace, std::ostream &os)
     // localised and salvage can keep everything before the damage.
     std::uint64_t next = 0;
     std::vector<unsigned char> payload;
-    while (next < trace.events.size()) {
+    while (next < trace.size()) {
         auto count = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(eventBlockCapacity,
-                                    trace.events.size() - next));
+                                    trace.size() - next));
         payload.resize(count * eventRecordBytes);
         for (std::uint32_t i = 0; i < count; ++i)
-            packEvent(trace.events[next + i],
+            packEvent(trace, next + i,
                       payload.data() + i * eventRecordBytes);
 
         sink.resetCrc();
@@ -205,7 +218,7 @@ writeTrace(const RecordedTrace &trace, std::ostream &os)
 
 namespace {
 
-Expected<RecordedTrace>
+Expected<DecodedTrace>
 readTraceV2(StateSource &src, const TraceReadOptions &opts,
             TraceReadInfo &info)
 {
@@ -242,7 +255,8 @@ readTraceV2(StateSource &src, const TraceReadOptions &opts,
         return Status(StatusCode::ChecksumMismatch,
                       "program section CRC mismatch");
 
-    RecordedTrace trace;
+    DecodedTrace trace;
+    trace.schedCache = std::make_shared<ReplayScheduleCache>();
     trace.prog.insts.reserve(num_insts);
     for (std::uint64_t i = 0; i < num_insts; ++i) {
         Inst inst;
@@ -256,15 +270,17 @@ readTraceV2(StateSource &src, const TraceReadOptions &opts,
     // Event blocks. In salvage mode any damage here ends the read
     // with the events of every fully-verified block kept; damage to
     // the header or program above is never salvageable.
-    auto salvage_or = [&](Status error) -> Expected<RecordedTrace> {
+    auto salvage_or = [&](Status error) -> Expected<DecodedTrace> {
         if (!opts.salvage)
             return error;
         info.salvaged = true;
-        info.eventsDropped = num_events - trace.events.size();
+        info.eventsDropped = num_events - trace.size();
         return std::move(trace);
     };
 
-    trace.events.reserve(std::min<std::uint64_t>(num_events, 1u << 20));
+    const auto reserve = static_cast<std::size_t>(
+        std::min<std::uint64_t>(num_events, 1u << 20));
+    forEachLane(trace, [reserve](auto &lane) { lane.reserve(reserve); });
     std::uint64_t remaining = num_events;
     std::vector<unsigned char> payload;
     while (remaining > 0) {
@@ -290,17 +306,24 @@ readTraceV2(StateSource &src, const TraceReadOptions &opts,
             return salvage_or(Status(StatusCode::ChecksumMismatch,
                                      "event block CRC mismatch"));
 
-        // Only append once the whole block verified, so a salvaged
-        // trace is always a prefix of whole valid blocks.
+        // Only append once the whole block verified - its CRC and
+        // every pc - so a salvaged trace is always a prefix of whole
+        // valid blocks and inst(i) never indexes past the program.
         for (std::uint32_t i = 0; i < count; ++i) {
-            RecordedTrace::Event event =
-                unpackEvent(payload.data() + i * eventRecordBytes);
-            if (event.pc >= trace.prog.size())
+            std::uint32_t pc = 0;
+            std::memcpy(&pc, payload.data() + i * eventRecordBytes, 4);
+            if (pc >= trace.prog.size())
                 return salvage_or(
                     Status(StatusCode::Corrupt,
-                           "trace event pc " + std::to_string(event.pc) +
+                           "trace event pc " + std::to_string(pc) +
                                " out of range"));
-            trace.events.push_back(event);
+        }
+        for (std::uint32_t i = 0; i < count; ++i) {
+            const unsigned char *p = payload.data() + i * eventRecordBytes;
+            std::uint32_t pc = 0, next_pc = 0;
+            std::memcpy(&pc, p, 4);
+            std::memcpy(&next_pc, p + 8, 4);
+            appendEvent(trace, pc, p[4], p[5], p[6], p[7], next_pc);
         }
         remaining -= count;
     }
@@ -316,7 +339,7 @@ readTraceV2(StateSource &src, const TraceReadOptions &opts,
 
 } // anonymous namespace
 
-Expected<RecordedTrace>
+Expected<DecodedTrace>
 readTrace(std::istream &is, const TraceReadOptions &opts,
           TraceReadInfo *info)
 {
@@ -338,7 +361,7 @@ readTrace(std::istream &is, const TraceReadOptions &opts,
 }
 
 Status
-trySaveTraceFile(const RecordedTrace &trace, const std::string &path)
+trySaveTraceFile(const DecodedTrace &trace, const std::string &path)
 {
     std::ofstream os(path, std::ios::binary);
     if (!os)
@@ -352,7 +375,7 @@ trySaveTraceFile(const RecordedTrace &trace, const std::string &path)
     return Status();
 }
 
-Expected<RecordedTrace>
+Expected<DecodedTrace>
 tryLoadTraceFile(const std::string &path, const TraceReadOptions &opts,
                  TraceReadInfo *info)
 {
@@ -364,17 +387,17 @@ tryLoadTraceFile(const std::string &path, const TraceReadOptions &opts,
 }
 
 void
-saveTraceFile(const RecordedTrace &trace, const std::string &path)
+saveTraceFile(const DecodedTrace &trace, const std::string &path)
 {
     Status status = trySaveTraceFile(trace, path);
     if (!status.ok())
         pabp_fatal(status.toString());
 }
 
-RecordedTrace
+DecodedTrace
 loadTraceFile(const std::string &path)
 {
-    Expected<RecordedTrace> loaded = tryLoadTraceFile(path);
+    Expected<DecodedTrace> loaded = tryLoadTraceFile(path);
     if (!loaded.ok())
         pabp_fatal(loaded.status().toString());
     return std::move(loaded.value());

@@ -1,10 +1,13 @@
 /**
  * @file
- * Binary trace serialisation. A recorded trace captures everything a
- * prediction study needs from the dynamic stream - static instruction
- * table plus per-instruction events - so expensive workloads can be
- * emulated once and replayed against many predictor configurations
- * (the record/replay methodology of trace-driven studies).
+ * Trace recording and binary serialisation. A trace captures
+ * everything a prediction study needs from the dynamic stream - static
+ * instruction table plus per-instruction events - so expensive
+ * workloads can be emulated once and replayed against many predictor
+ * configurations (the record/replay methodology of trace-driven
+ * studies). The recorder and the reader both fill the DecodedTrace
+ * replay lanes directly (sim/decoded_trace.hh); the writer and the
+ * fingerprint pack each event back into its 12 on-disk bytes.
  *
  * One on-disk format exists, "PABPTRC2" (little-endian):
  *    | magic[8] | u32 version | u64 numInsts | u64 numEvents
@@ -12,7 +15,9 @@
  *    | program section - 20 bytes per instruction
  *    | u32 progCrc     - CRC-32 of the program section
  *    | event blocks    - u32 count (<= 4096), count*12 payload bytes,
- *    |                   u32 blockCrc over count + payload
+ *    |                   u32 blockCrc over count + payload; an event
+ *    |                   is u32 pc, u8 flags, u8 predReg[2],
+ *    |                   u8 predVal, u32 nextPc
  *    | u64 footer      - ASCII "PABPEND2" end-of-artifact sentinel
  *    Per-block CRCs localise corruption, which is what makes salvage
  *    (recovering the longest valid event prefix) possible.
@@ -31,39 +36,25 @@
 #include <string>
 #include <vector>
 
-#include "isa/program.hh"
+#include "sim/decoded_trace.hh"
 #include "sim/emulator.hh"
 #include "util/status.hh"
 
 namespace pabp {
 
-/** A fully materialised trace: program text + dynamic events. */
-struct RecordedTrace
-{
-    Program prog;
+/**
+ * The old name of the trace type. Kept for the benchmark mirror
+ * (benchmark/traced.cc), which still spells it; the benchmark change
+ * that reads the sweep's own stage spans (ROADMAP, "One timing
+ * source") deletes it. No other code may use it.
+ */
+using RecordedTrace = DecodedTrace;
 
-    /** Compact per-instruction dynamic record. */
-    struct Event
-    {
-        std::uint32_t pc;
-        std::uint8_t flags; ///< bit0 guard, bit1 taken, bits 2-3
-                            ///< numPredWrites
-        std::uint8_t predReg[2];
-        std::uint8_t predVal; ///< bit0/bit1 = write values, bit2 cmpRel
-        std::uint32_t nextPc;
-
-        bool operator==(const Event &) const = default;
-    };
-    std::vector<Event> events;
-
-    std::size_t size() const { return events.size(); }
-
-    /** Reconstitute the DynInst for event @p i (seq = i). */
-    DynInst materialise(std::size_t i) const;
-};
-
-/** Record up to @p max_insts instructions of @p emu. */
-RecordedTrace recordTrace(Emulator &emu, std::uint64_t max_insts);
+/**
+ * Record up to @p max_insts instructions of @p emu straight into the
+ * replay lanes, with a fresh schedule cache.
+ */
+DecodedTrace recordTrace(Emulator &emu, std::uint64_t max_insts);
 
 /**
  * 64-bit FNV-1a over the section sizes, the on-disk program records
@@ -72,7 +63,7 @@ RecordedTrace recordTrace(Emulator &emu, std::uint64_t max_insts);
  * hash collisions) for traces of different programs or streams. Ties a
  * replay checkpoint to its trace (CheckpointRefs::traceId).
  */
-std::uint64_t traceFingerprint(const RecordedTrace &trace);
+std::uint64_t traceFingerprint(const DecodedTrace &trace);
 
 /** Reader knobs. */
 struct TraceReadOptions
@@ -95,27 +86,27 @@ struct TraceReadInfo
 };
 
 /** Serialise as PABPTRC2. Returns bytes written. */
-std::uint64_t writeTrace(const RecordedTrace &trace, std::ostream &os);
+std::uint64_t writeTrace(const DecodedTrace &trace, std::ostream &os);
 
 /**
  * Deserialise a PABPTRC2 trace. Any other container version
  * (including the retired unprotected PABPTRC1) is VersionMismatch;
  * every malformed-input path returns a typed Status, nothing aborts.
  */
-Expected<RecordedTrace> readTrace(std::istream &is,
+Expected<DecodedTrace> readTrace(std::istream &is,
                                   const TraceReadOptions &opts = {},
                                   TraceReadInfo *info = nullptr);
 
 /** Recoverable file wrappers. */
-Status trySaveTraceFile(const RecordedTrace &trace,
+Status trySaveTraceFile(const DecodedTrace &trace,
                         const std::string &path);
-Expected<RecordedTrace> tryLoadTraceFile(const std::string &path,
+Expected<DecodedTrace> tryLoadTraceFile(const std::string &path,
                                          const TraceReadOptions &opts = {},
                                          TraceReadInfo *info = nullptr);
 
 /** CLI shims: fatal on any failure. Library code wants the try* forms. */
-void saveTraceFile(const RecordedTrace &trace, const std::string &path);
-RecordedTrace loadTraceFile(const std::string &path);
+void saveTraceFile(const DecodedTrace &trace, const std::string &path);
+DecodedTrace loadTraceFile(const std::string &path);
 
 } // namespace pabp
 

@@ -42,7 +42,7 @@ tempPath(const std::string &name)
     return ::testing::TempDir() + tag + "_" + name;
 }
 
-RecordedTrace
+DecodedTrace
 recordWorkload(const std::string &name, std::uint64_t steps)
 {
     Workload wl = makeWorkload(name, 77);
@@ -92,13 +92,13 @@ TEST_P(CheckpointEquivalence, SplitReplayReproducesStatsExactly)
     const std::string kind = GetParam();
     constexpr std::uint64_t steps = 120000;
     constexpr std::uint64_t cut = 50001; // deliberately unaligned
-    RecordedTrace trace = recordWorkload("interp", steps);
+    DecodedTrace trace = recordWorkload("interp", steps);
     EngineConfig ecfg = fullConfig();
 
     // Uninterrupted reference run.
     PredictorPtr ref_pred = makePredictor(kind, 10);
     PredictionEngine ref(*ref_pred, ecfg);
-    replayTrace(trace, ref, trace.size());
+    replayTraceFrom(trace, ref, 0, trace.size());
 
     // First half, then checkpoint engine + replay cursor.
     std::string path = tempPath("pabp_ckpt_" + kind + ".ckpt");
@@ -201,8 +201,8 @@ TEST(Checkpoint, MissingFileIsTypedError)
 
 TEST(Checkpoint, TraceIdMustMatchOnResume)
 {
-    const RecordedTrace interp = recordWorkload("interp", 20000);
-    const RecordedTrace histogram = recordWorkload("histogram", 20000);
+    const DecodedTrace interp = recordWorkload("interp", 20000);
+    const DecodedTrace histogram = recordWorkload("histogram", 20000);
     const std::uint64_t id = traceFingerprint(interp);
     const std::uint64_t other = traceFingerprint(histogram);
     ASSERT_NE(id, other);
@@ -210,7 +210,7 @@ TEST(Checkpoint, TraceIdMustMatchOnResume)
     // The id survives a save/reload of the trace itself.
     std::stringstream buffer;
     writeTrace(interp, buffer);
-    Expected<RecordedTrace> reloaded = readTrace(buffer);
+    Expected<DecodedTrace> reloaded = readTrace(buffer);
     ASSERT_TRUE(reloaded.ok()) << reloaded.status().toString();
     EXPECT_EQ(traceFingerprint(reloaded.value()), id);
 

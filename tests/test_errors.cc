@@ -73,7 +73,7 @@ TEST(ErrorPaths, TruncatedTraceIsRecoverableNotPanic)
 {
     std::string bytes("PABPTRC2\x02", 9); // magic + partial version
     std::istringstream is(bytes);
-    Expected<RecordedTrace> loaded = readTrace(is);
+    Expected<DecodedTrace> loaded = readTrace(is);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::Truncated);
 }

@@ -36,7 +36,7 @@ recordedTraceBytes(std::uint64_t steps)
     Emulator emu(cp.prog);
     if (wl.init)
         wl.init(emu.state());
-    RecordedTrace trace = recordTrace(emu, steps);
+    DecodedTrace trace = recordTrace(emu, steps);
     std::stringstream buffer;
     writeTrace(trace, buffer);
     return buffer.str();
@@ -90,7 +90,7 @@ expectTraceReadIsGraceful(const std::string &bytes,
     TraceReadOptions opts;
     opts.salvage = salvage;
     TraceReadInfo info;
-    Expected<RecordedTrace> loaded =
+    Expected<DecodedTrace> loaded =
         readTrace(faulty.stream(), opts, &info);
     if (!loaded.ok()) {
         // Typed, specific error - never the catch-all Ok/Unknown.
@@ -130,7 +130,7 @@ TEST(FaultInjection, TraceSurvivesTruncationAtEveryStride)
     for (std::size_t off = 0; off < bytes.size();
          off += (off < 64 ? 1 : 61)) {
         FaultyStream faulty(bytes, FaultSpec::truncate(off));
-        Expected<RecordedTrace> loaded = readTrace(faulty.stream());
+        Expected<DecodedTrace> loaded = readTrace(faulty.stream());
         ASSERT_FALSE(loaded.ok()) << "cut at " << off;
         EXPECT_EQ(loaded.status().code(), StatusCode::Truncated)
             << "cut at " << off << ": " << loaded.status().toString();
@@ -143,7 +143,7 @@ TEST(FaultInjection, TraceReportsIoErrorOnHardReadFailure)
     for (std::size_t off = 0; off < bytes.size();
          off += (off < 64 ? 1 : 61)) {
         FaultyStream faulty(bytes, FaultSpec::failRead(off));
-        Expected<RecordedTrace> loaded = readTrace(faulty.stream());
+        Expected<DecodedTrace> loaded = readTrace(faulty.stream());
         ASSERT_FALSE(loaded.ok()) << "failure at " << off;
         EXPECT_EQ(loaded.status().code(), StatusCode::IoError)
             << "failure at " << off << ": "
@@ -161,7 +161,7 @@ TEST(FaultInjection, SalvageRecoversPrefixUnderEventDamage)
     TraceReadOptions opts;
     opts.salvage = true;
     TraceReadInfo info;
-    Expected<RecordedTrace> loaded =
+    Expected<DecodedTrace> loaded =
         readTrace(faulty.stream(), opts, &info);
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     EXPECT_TRUE(info.salvaged);

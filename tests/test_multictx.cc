@@ -112,7 +112,7 @@ TEST(ContextSchedule, ParseAndNameRoundTrip)
 }
 
 // ---------------------------------------------------------------------
-// Replay fixtures: one compiled workload + recorded/decoded trace per
+// Replay fixtures: one compiled workload + recorded trace per
 // context, plus a way to mint fresh emulators for the reference path.
 
 constexpr std::uint64_t budget = 20000;
@@ -121,8 +121,7 @@ struct CtxFixture
 {
     Workload wl;
     CompiledProgram cp;
-    RecordedTrace trace;
-    DecodedTrace dec;
+    DecodedTrace trace;
 };
 
 CtxFixture
@@ -135,7 +134,6 @@ makeCtx(const std::string &name, std::uint64_t seed)
     if (f.wl.init)
         f.wl.init(emu.state());
     f.trace = recordTrace(emu, budget);
-    f.dec = DecodedTrace::build(f.trace);
     return f;
 }
 
@@ -169,7 +167,6 @@ makeCallCtx(std::int64_t iterations, unsigned pad)
     f.cp.prog = p;
     Emulator emu(f.cp.prog);
     f.trace = recordTrace(emu, budget);
-    f.dec = DecodedTrace::build(f.trace);
     return f;
 }
 
@@ -213,7 +210,7 @@ runFast(const CtxSet &ctxs, const std::string &kind,
     MultiContextReplayer replayer(*pred, cfg);
     std::vector<const DecodedTrace *> traces;
     for (const CtxFixture *f : ctxs)
-        traces.push_back(&f->dec);
+        traces.push_back(&f->trace);
     return collect(replayer, replayer.replayDecoded(traces, budget));
 }
 
@@ -284,7 +281,7 @@ TEST(MultiCtxReplay, SingleContextMatchesSingleStream)
             PredictorPtr pred = makePredictor("gshare", 12);
             PredictionEngine engine(*pred, cfg.engine);
             std::uint64_t processed =
-                engine.processBatch(only.dec, 0, only.dec.size());
+                engine.processBatch(only.trace, 0, only.trace.size());
 
             EXPECT_EQ(multi.processed, processed);
             ASSERT_EQ(multi.stats.size(), 1u);

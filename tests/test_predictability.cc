@@ -232,32 +232,7 @@ TEST(PredictabilityConfigCheck, RejectsMalformedConfigs)
 }
 
 // ---------------------------------------------------------------------
-// Trace-level characterization: both trace representations see the
-// same conditional-branch stream.
-
-TEST(PredictabilityTrace, RecordedAndDecodedAgree)
-{
-    Workload wl = makeWorkload("interp", 42);
-    CompileOptions copts;
-    CompiledProgram cp = compileWorkload(wl, copts);
-    Emulator emu(cp.prog);
-    if (wl.init)
-        wl.init(emu.state());
-    RecordedTrace trace = recordTrace(emu, 30'000);
-    DecodedTrace dec = DecodedTrace::build(trace);
-
-    const PredictabilityReport a = characterizeTrace(trace);
-    const PredictabilityReport b = characterizeTrace(dec);
-    ASSERT_EQ(a.perPc.size(), b.perPc.size());
-    EXPECT_EQ(a.occurrences, b.occurrences);
-    EXPECT_EQ(a.taken, b.taken);
-    EXPECT_EQ(a.transitions, b.transitions);
-    ASSERT_EQ(a.entropy.size(), b.entropy.size());
-    for (std::size_t k = 0; k < a.entropy.size(); ++k)
-        EXPECT_DOUBLE_EQ(a.entropy[k], b.entropy[k]);
-    // Guard against a vacuous pass.
-    EXPECT_GT(a.occurrences, 1000u);
-}
+// Trace-level characterization.
 
 TEST(PredictabilityTrace, EventBudgetMatchesReplayBudget)
 {
@@ -267,7 +242,7 @@ TEST(PredictabilityTrace, EventBudgetMatchesReplayBudget)
     Emulator emu(cp.prog);
     if (wl.init)
         wl.init(emu.state());
-    RecordedTrace trace = recordTrace(emu, 20'000);
+    DecodedTrace trace = recordTrace(emu, 20'000);
 
     const PredictabilityReport whole = characterizeTrace(trace);
     const PredictabilityReport half =
@@ -318,7 +293,7 @@ TEST(PabpStatsCharacterize, MatchesLibraryOnRecordedTrace)
     Emulator emu(cp.prog);
     if (wl.init)
         wl.init(emu.state());
-    const RecordedTrace trace = recordTrace(emu, 30'000);
+    const DecodedTrace trace = recordTrace(emu, 30'000);
     const std::string path =
         ::testing::TempDir() + "pabp-stats-characterize.trace";
     ASSERT_TRUE(trySaveTraceFile(trace, path).ok());

@@ -3,10 +3,10 @@
  * Fast-replay equivalence: PredictionEngine::processBatch over a
  * DecodedTrace must be bit-identical - stats, per-branch profile,
  * PGU bit count, checkpoint BYTES, exported metrics BYTES - to the
- * reference replayTrace() loop, across predictor kinds (the E2 axis) and
- * engine configurations (the E6 axis plus the speculative-squash
- * extension). Also pins the DecodedTrace lane packing against
- * RecordedTrace::materialise, the clamped cursor contracts of
+ * reference replayTraceFrom() loop, across predictor kinds (the E2
+ * axis) and engine configurations (the E6 axis plus the
+ * speculative-squash extension). Also pins recordTrace's lanes against
+ * a live emulator, the clamped cursor contracts of
  * processBatch and replayTraceFrom, the chunked-batch invariant, the
  * ProcessResult::specSquashed/squashed separation, and the sweep
  * runner's fast-vs-reference byte equality and trace-cache counters.
@@ -39,9 +39,9 @@ using bench::RunSpec;
 using bench::SweepRunner;
 
 // ---------------------------------------------------------------------
-// Shared fixtures: one recorded + decoded trace per workload.
+// Shared fixtures: one recorded trace per workload.
 
-RecordedTrace
+DecodedTrace
 recordWorkload(const std::string &name, std::uint64_t max_insts)
 {
     Workload wl = makeWorkload(name, 42);
@@ -106,13 +106,13 @@ outcomeOf(const PredictionEngine &engine, std::uint64_t processed)
 
 /** Reference replay of the first @p n events (default: all). */
 ReplayOutcome
-runReference(const RecordedTrace &trace, const std::string &kind,
+runReference(const DecodedTrace &trace, const std::string &kind,
              const EngineConfig &ecfg,
              std::uint64_t n = ~std::uint64_t{0})
 {
     PredictorPtr pred = makePredictor(kind, 12);
     PredictionEngine engine(*pred, ecfg);
-    const std::uint64_t processed = replayTrace(trace, engine, n);
+    const std::uint64_t processed = replayTraceFrom(trace, engine, 0, n);
     return outcomeOf(engine, processed);
 }
 
@@ -143,56 +143,64 @@ expectEquivalent(const ReplayOutcome &ref, const ReplayOutcome &fast)
 }
 
 // ---------------------------------------------------------------------
-// Lane packing: DecodedTrace::materialise vs RecordedTrace.
+// Lane packing: recordTrace's lanes vs the emulator they recorded.
 
-TEST(DecodedTraceLanes, MaterialiseMatchesRecordedTrace)
+TEST(DecodedTraceLanes, MaterialiseMatchesEmulator)
 {
-    RecordedTrace trace = recordWorkload("interp", 30000);
-    DecodedTrace dec = DecodedTrace::build(trace);
-    ASSERT_EQ(dec.size(), trace.size());
+    for (const char *name : {"interp", "filter"}) {
+        SCOPED_TRACE(name);
+        Workload wl = makeWorkload(name, 42);
+        CompiledProgram cp = compileWorkload(wl, CompileOptions{});
+        Emulator rec_emu(cp.prog);
+        Emulator live(cp.prog);
+        if (wl.init) {
+            wl.init(rec_emu.state());
+            wl.init(live.state());
+        }
+        const DecodedTrace trace = recordTrace(rec_emu, 30000);
+        ASSERT_EQ(trace.size(), 30000u);
 
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        DynInst a = trace.materialise(i);
-        DynInst b = dec.materialise(i);
-        ASSERT_EQ(a.seq, b.seq) << i;
-        ASSERT_EQ(a.pc, b.pc) << i;
-        ASSERT_EQ(a.guard, b.guard) << i;
-        ASSERT_EQ(a.taken, b.taken) << i;
-        ASSERT_EQ(a.isControl, b.isControl) << i;
-        ASSERT_EQ(a.nextPc, b.nextPc) << i;
-        ASSERT_EQ(a.cmpRel, b.cmpRel) << i;
-        ASSERT_EQ(a.isMem, b.isMem) << i;
-        ASSERT_EQ(a.numPredWrites, b.numPredWrites) << i;
-        for (unsigned w = 0; w < a.numPredWrites; ++w) {
-            ASSERT_EQ(a.predWrites[w].reg, b.predWrites[w].reg) << i;
-            ASSERT_EQ(a.predWrites[w].value, b.predWrites[w].value)
+        DynInst want;
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            ASSERT_TRUE(live.step(want)) << i;
+            const DynInst got = trace.materialise(i);
+            ASSERT_EQ(got.seq, want.seq) << i;
+            ASSERT_EQ(got.pc, want.pc) << i;
+            ASSERT_EQ(got.guard, want.guard) << i;
+            ASSERT_EQ(got.taken, want.taken) << i;
+            ASSERT_EQ(got.isControl, want.isControl) << i;
+            ASSERT_EQ(got.nextPc, want.nextPc) << i;
+            ASSERT_EQ(got.cmpRel, want.cmpRel) << i;
+            ASSERT_EQ(got.isMem, want.isMem) << i;
+            ASSERT_EQ(got.numPredWrites, want.numPredWrites) << i;
+            for (unsigned w = 0; w < want.numPredWrites; ++w) {
+                ASSERT_EQ(got.predWrites[w].reg, want.predWrites[w].reg)
+                    << i;
+                ASSERT_EQ(got.predWrites[w].value,
+                          want.predWrites[w].value)
+                    << i;
+            }
+            // effAddr is carried by no trace. The trace owns a
+            // program COPY, so the pointers differ by design; every
+            // static field must still agree.
+            ASSERT_EQ(got.inst, &trace.prog.insts[want.pc]) << i;
+            ASSERT_EQ(encode(*got.inst), encode(*want.inst)) << i;
+            ASSERT_EQ(got.inst->regionId, want.inst->regionId) << i;
+            ASSERT_EQ(got.inst->regionBranch, want.inst->regionBranch)
                 << i;
         }
-        // The decoded trace owns a program COPY, so the pointers
-        // differ by design; every static field the engine reads must
-        // still agree.
-        ASSERT_NE(a.inst, nullptr);
-        ASSERT_NE(b.inst, nullptr);
-        ASSERT_EQ(a.inst->op, b.inst->op) << i;
-        ASSERT_EQ(a.inst->qp, b.inst->qp) << i;
-        ASSERT_EQ(a.inst->imm, b.inst->imm) << i;
-        ASSERT_EQ(a.inst->pdst1, b.inst->pdst1) << i;
-        ASSERT_EQ(a.inst->pdst2, b.inst->pdst2) << i;
-        ASSERT_EQ(a.inst->regionId, b.inst->regionId) << i;
-        ASSERT_EQ(a.inst->regionBranch, b.inst->regionBranch) << i;
     }
 }
 
 TEST(DecodedTraceLanes, ClassLaneMatchesDispatchRules)
 {
-    RecordedTrace trace = recordWorkload("filter", 30000);
-    DecodedTrace dec = DecodedTrace::build(trace);
+    DecodedTrace trace = recordWorkload("filter", 30000);
 
     std::uint64_t seen[4] = {0, 0, 0, 0};
-    for (std::size_t i = 0; i < dec.size(); ++i) {
-        const Inst &inst = dec.inst(i);
-        auto cls = static_cast<DecodedTrace::Class>(dec.cls[i]);
-        ++seen[dec.cls[i]];
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const Inst &inst = trace.inst(i);
+        auto cls = static_cast<DecodedTrace::Class>(trace.cls[i]);
+        ++seen[trace.cls[i]];
         switch (cls) {
           case DecodedTrace::Class::CondBranch:
             EXPECT_EQ(inst.op, Opcode::Br) << i;
@@ -234,8 +242,7 @@ TEST(FastReplayEquivalence, EveryPredictorKind)
         "perceptron",   "comb",            "tage"};
 
     for (const char *wl : {"interp", "bsort"}) {
-        RecordedTrace trace = recordWorkload(wl, 40000);
-        DecodedTrace dec = DecodedTrace::build(trace);
+        DecodedTrace trace = recordWorkload(wl, 40000);
         for (const char *kind : kinds) {
             for (int armed = 0; armed < 2; ++armed) {
                 SCOPED_TRACE(std::string(wl) + "/" + kind +
@@ -244,7 +251,7 @@ TEST(FastReplayEquivalence, EveryPredictorKind)
                 ecfg.useSfpf = armed != 0;
                 ecfg.usePgu = armed != 0;
                 expectEquivalent(runReference(trace, kind, ecfg),
-                                 runFast(dec, kind, ecfg));
+                                 runFast(trace, kind, ecfg));
             }
         }
     }
@@ -323,12 +330,11 @@ TEST(FastReplayEquivalence, EveryEngineConfig)
 {
     for (const char *wl : {"bsort", "interp", "dchain", "filter",
                            "histogram"}) {
-        RecordedTrace trace = recordWorkload(wl, 40000);
-        DecodedTrace dec = DecodedTrace::build(trace);
+        DecodedTrace trace = recordWorkload(wl, 40000);
         for (const auto &[name, ecfg] : configGrid()) {
             SCOPED_TRACE(std::string(wl) + "/" + name);
             expectEquivalent(runReference(trace, "gshare", ecfg),
-                             runFast(dec, "gshare", ecfg));
+                             runFast(trace, "gshare", ecfg));
         }
     }
 }
@@ -344,14 +350,13 @@ TEST(FastReplayEquivalence, EveryEngineConfig)
 TEST(FastReplayEquivalence, PerceptronAndYagsAcrossConfigs)
 {
     for (const char *wl : {"interp", "fsm"}) {
-        RecordedTrace trace = recordWorkload(wl, 40000);
-        DecodedTrace dec = DecodedTrace::build(trace);
+        DecodedTrace trace = recordWorkload(wl, 40000);
         for (const char *kind : {"perceptron", "yags", "comb",
                                  "tage"}) {
             for (const auto &[name, ecfg] : configGrid()) {
                 SCOPED_TRACE(std::string(wl) + "/" + kind + "/" + name);
                 expectEquivalent(runReference(trace, kind, ecfg),
-                                 runFast(dec, kind, ecfg));
+                                 runFast(trace, kind, ecfg));
             }
         }
     }
@@ -370,8 +375,7 @@ TEST(FastReplayEquivalence, TargetStructureCountersMatchReference)
 {
     for (const char *wl : {"interp", "bsort", "fsm"}) {
         SCOPED_TRACE(wl);
-        RecordedTrace trace = recordWorkload(wl, 40000);
-        DecodedTrace dec = DecodedTrace::build(trace);
+        DecodedTrace trace = recordWorkload(wl, 40000);
         EngineConfig ecfg;
         ecfg.useSfpf = true;
         ecfg.usePgu = true;
@@ -379,11 +383,11 @@ TEST(FastReplayEquivalence, TargetStructureCountersMatchReference)
 
         PredictorPtr predA = makePredictor("gshare", 12);
         PredictionEngine ref(*predA, ecfg);
-        replayTrace(trace, ref, trace.size());
+        replayTraceFrom(trace, ref, 0, trace.size());
 
         PredictorPtr predB = makePredictor("gshare", 12);
         PredictionEngine fast(*predB, ecfg);
-        fast.processBatch(dec, 0, dec.size());
+        fast.processBatch(trace, 0, trace.size());
 
         EXPECT_EQ(ref.stats(), fast.stats());
         ASSERT_NE(ref.btb(), nullptr);
@@ -413,27 +417,26 @@ TEST(FastReplayEquivalence, TargetStructureCountersMatchReference)
 TEST(FastReplayEquivalence, ScheduleCacheHitMatchesReference)
 {
     for (const char *wl : {"interp", "fsm", "listwalk"}) {
-        RecordedTrace trace = recordWorkload(wl, 40000);
-        DecodedTrace dec = DecodedTrace::build(trace);
+        DecodedTrace trace = recordWorkload(wl, 40000);
         for (const auto &[name, ecfg] : configGrid()) {
             SCOPED_TRACE(std::string(wl) + "/" + name);
             const bool schedules = ecfg.useSfpf || ecfg.usePgu;
             const ReplayOutcome ref =
                 runReference(trace, "gshare", ecfg);
-            const ReplayOutcome miss = runFast(dec, "gshare", ecfg);
-            std::uint64_t hits = dec.schedCache->counters().hits;
-            const ReplayOutcome hit = runFast(dec, "gshare", ecfg);
-            EXPECT_EQ(dec.schedCache->counters().hits,
+            const ReplayOutcome miss = runFast(trace, "gshare", ecfg);
+            std::uint64_t hits = trace.schedCache->counters().hits;
+            const ReplayOutcome hit = runFast(trace, "gshare", ecfg);
+            EXPECT_EQ(trace.schedCache->counters().hits,
                       hits + (schedules ? 1 : 0));
             expectEquivalent(ref, miss);
             expectEquivalent(ref, hit);
             // A different predictor kind must reuse the same schedule
             // (it is predictor-independent) and still match ITS
             // reference.
-            hits = dec.schedCache->counters().hits;
+            hits = trace.schedCache->counters().hits;
             expectEquivalent(runReference(trace, "perceptron", ecfg),
-                             runFast(dec, "perceptron", ecfg));
-            EXPECT_EQ(dec.schedCache->counters().hits,
+                             runFast(trace, "perceptron", ecfg));
+            EXPECT_EQ(trace.schedCache->counters().hits,
                       hits + (schedules ? 1 : 0));
         }
     }
@@ -443,28 +446,27 @@ TEST(FastReplayEquivalence, ChunkedScheduleCacheHitMatches)
 {
     // Chunked replay captures one schedule per chunk (keyed on the
     // carried predicate state); a second chunked pass hits every one.
-    RecordedTrace trace = recordWorkload("interp", 40000);
-    DecodedTrace dec = DecodedTrace::build(trace);
+    DecodedTrace trace = recordWorkload("interp", 40000);
     EngineConfig ecfg;
     ecfg.useSfpf = true;
     ecfg.usePgu = true;
 
-    const ReplayOutcome oneshot = runFast(dec, "gshare", ecfg);
+    const ReplayOutcome oneshot = runFast(trace, "gshare", ecfg);
     const std::uint64_t chunk = 7777;
-    const std::uint64_t chunks = (dec.size() + chunk - 1) / chunk;
+    const std::uint64_t chunks = (trace.size() + chunk - 1) / chunk;
     ASSERT_GT(chunks, 1u);
     ASSERT_LE(chunks, ReplayScheduleCache::kMaxEntries - 1);
     for (int pass = 0; pass < 2; ++pass) {
         SCOPED_TRACE(pass == 0 ? "capture pass" : "hit pass");
         const ReplayScheduleCache::Counters before =
-            dec.schedCache->counters();
+            trace.schedCache->counters();
         PredictorPtr pred = makePredictor("gshare", 12);
         PredictionEngine engine(*pred, ecfg);
         std::uint64_t cursor = 0;
-        while (cursor < dec.size())
-            cursor = engine.processBatch(dec, cursor, chunk);
+        while (cursor < trace.size())
+            cursor = engine.processBatch(trace, cursor, chunk);
         const ReplayScheduleCache::Counters after =
-            dec.schedCache->counters();
+            trace.schedCache->counters();
         EXPECT_EQ(after.inserts - before.inserts,
                   pass == 0 ? chunks : 0u);
         EXPECT_EQ(after.hits - before.hits, pass == 0 ? 0u : chunks);
@@ -480,14 +482,13 @@ TEST(FastReplayEquivalence, NoScheduleCacheMatchesReference)
 {
     // A trace without a schedule cache still replays from a schedule:
     // each batch captures a local one and replays from it, unpublished.
-    RecordedTrace trace = recordWorkload("interp", 40000);
-    DecodedTrace dec = DecodedTrace::build(trace);
-    dec.schedCache.reset();
+    DecodedTrace trace = recordWorkload("interp", 40000);
+    trace.schedCache.reset();
     for (const auto &[name, ecfg] : configGrid()) {
         SCOPED_TRACE(name);
         const ReplayOutcome ref = runReference(trace, "gshare", ecfg);
-        expectEquivalent(ref, runFast(dec, "gshare", ecfg));
-        expectEquivalent(ref, runFast(dec, "gshare", ecfg));
+        expectEquivalent(ref, runFast(trace, "gshare", ecfg));
+        expectEquivalent(ref, runFast(trace, "gshare", ecfg));
     }
 }
 
@@ -499,11 +500,10 @@ TEST(FastReplayEquivalence, ZeroDelayDefineAtBatchEndStaysInFlight)
     // bit not yet injected when the batch returns. Batches ending on a
     // define, one-shot (capture, then hit) and chunked, must leave the
     // reference's bit count and checkpoint bytes at every delay.
-    RecordedTrace trace = recordWorkload("interp", 40000);
-    DecodedTrace dec = DecodedTrace::build(trace);
+    DecodedTrace trace = recordWorkload("interp", 40000);
     std::vector<std::uint64_t> ends; // k with event k-1 a define
-    for (std::uint64_t i = 1000; i < dec.size() && ends.size() < 3; ++i)
-        if (dec.inst(i).writesPredicate())
+    for (std::uint64_t i = 1000; i < trace.size() && ends.size() < 3; ++i)
+        if (trace.inst(i).writesPredicate())
             ends.push_back(i + 1);
     ASSERT_EQ(ends.size(), 3u);
 
@@ -518,14 +518,14 @@ TEST(FastReplayEquivalence, ZeroDelayDefineAtBatchEndStaysInFlight)
                          std::to_string(k));
             const ReplayOutcome ref =
                 runReference(trace, "gshare", ecfg, k);
-            expectEquivalent(ref, runFast(dec, "gshare", ecfg, k));
-            expectEquivalent(ref, runFast(dec, "gshare", ecfg, k));
+            expectEquivalent(ref, runFast(trace, "gshare", ecfg, k));
+            expectEquivalent(ref, runFast(trace, "gshare", ecfg, k));
 
             // The same boundary inside a chunked run.
             PredictorPtr pred = makePredictor("gshare", 12);
             PredictionEngine engine(*pred, ecfg);
-            std::uint64_t cursor = engine.processBatch(dec, 0, k / 2);
-            cursor = engine.processBatch(dec, cursor, k - cursor);
+            std::uint64_t cursor = engine.processBatch(trace, 0, k / 2);
+            cursor = engine.processBatch(trace, cursor, k - cursor);
             expectEquivalent(ref, outcomeOf(engine, cursor));
         }
     }
@@ -536,13 +536,12 @@ TEST(FastReplayEquivalence, ZeroDelayDefineAtBatchEndStaysInFlight)
 
 TEST(FastReplayEquivalence, ChunkedBatchesMatchOneShot)
 {
-    RecordedTrace trace = recordWorkload("interp", 40000);
-    DecodedTrace dec = DecodedTrace::build(trace);
+    DecodedTrace trace = recordWorkload("interp", 40000);
     EngineConfig ecfg;
     ecfg.useSfpf = true;
     ecfg.usePgu = true;
 
-    ReplayOutcome oneshot = runFast(dec, "gshare", ecfg);
+    ReplayOutcome oneshot = runFast(trace, "gshare", ecfg);
 
     // Deliberately awkward chunk size: chunks end mid-define-window,
     // so the deferred advance/drain sync at each batch boundary is
@@ -550,9 +549,9 @@ TEST(FastReplayEquivalence, ChunkedBatchesMatchOneShot)
     PredictorPtr pred = makePredictor("gshare", 12);
     PredictionEngine engine(*pred, ecfg);
     std::uint64_t cursor = 0;
-    while (cursor < dec.size())
-        cursor = engine.processBatch(dec, cursor, 7777);
-    EXPECT_EQ(cursor, dec.size());
+    while (cursor < trace.size())
+        cursor = engine.processBatch(trace, cursor, 7777);
+    EXPECT_EQ(cursor, trace.size());
     EXPECT_EQ(engine.stats(), oneshot.stats);
     EXPECT_EQ(engine.branchProfile(), oneshot.profile);
     EXPECT_EQ(engine.pguBitsInserted(), oneshot.pguBits);
@@ -560,21 +559,20 @@ TEST(FastReplayEquivalence, ChunkedBatchesMatchOneShot)
 
 TEST(FastReplayEquivalence, ProcessBatchClampsPastTheEnd)
 {
-    RecordedTrace trace = recordWorkload("bsort", 5000);
-    DecodedTrace dec = DecodedTrace::build(trace);
+    DecodedTrace trace = recordWorkload("bsort", 5000);
     PredictorPtr pred = makePredictor("gshare", 12);
     EngineConfig ecfg;
     ecfg.useSfpf = true;
     PredictionEngine engine(*pred, ecfg);
 
-    engine.processBatch(dec, 0, dec.size());
+    engine.processBatch(trace, 0, trace.size());
     const EngineStats done = engine.stats();
 
     // At the end and past it: nothing processed, cursor returned
     // UNCHANGED (not yanked back to size()), no counter moves.
-    EXPECT_EQ(engine.processBatch(dec, dec.size(), 100), dec.size());
-    EXPECT_EQ(engine.processBatch(dec, dec.size() + 7, 100),
-              dec.size() + 7);
+    EXPECT_EQ(engine.processBatch(trace, trace.size(), 100), trace.size());
+    EXPECT_EQ(engine.processBatch(trace, trace.size() + 7, 100),
+              trace.size() + 7);
     EXPECT_EQ(engine.stats(), done);
 }
 
@@ -584,12 +582,12 @@ TEST(FastReplayEquivalence, ReplayTraceFromClampsPastTheEnd)
     // with first PAST the end used to misbehave instead of returning
     // the cursor unchanged - a resume positioned past a shorter trace
     // would silently re-run events.
-    RecordedTrace trace = recordWorkload("bsort", 5000);
+    DecodedTrace trace = recordWorkload("bsort", 5000);
     PredictorPtr pred = makePredictor("gshare", 12);
     EngineConfig ecfg;
     PredictionEngine engine(*pred, ecfg);
 
-    replayTrace(trace, engine, trace.size());
+    replayTraceFrom(trace, engine, 0, trace.size());
     const EngineStats done = engine.stats();
 
     EXPECT_EQ(replayTraceFrom(trace, engine, trace.size(), 100),
@@ -606,7 +604,7 @@ TEST(FastReplayEquivalence, ReplayTraceFromClampsPastTheEnd)
 
 TEST(ProcessResultFlags, SpecSquashedIsDistinctFromSquashed)
 {
-    RecordedTrace trace = recordWorkload("interp", 60000);
+    DecodedTrace trace = recordWorkload("interp", 60000);
     EngineConfig ecfg;
     ecfg.useSfpf = true;
     ecfg.useSpeculativeSquash = true;

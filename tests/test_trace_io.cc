@@ -5,15 +5,19 @@
  * same prediction statistics as a live run, and the PABPTRC2
  * hardening guarantees - every corruption or truncation of the byte
  * stream yields a typed Status (never a process abort), retired
- * container versions are refused, and salvage mode recovers the
- * longest valid prefix.
+ * container versions are refused, an event pc past the program is
+ * Corrupt, and salvage mode recovers the longest whole-block prefix.
+ * Golden fingerprints and file bytes pin the on-disk format itself.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "bpred/factory.hh"
 #include "bpred/gshare.hh"
 #include "core/engine.hh"
 #include "sim/trace_io.hh"
@@ -22,7 +26,7 @@
 namespace pabp {
 namespace {
 
-RecordedTrace
+DecodedTrace
 recordWorkload(const std::string &name, std::uint64_t steps)
 {
     Workload wl = makeWorkload(name, 77);
@@ -35,14 +39,14 @@ recordWorkload(const std::string &name, std::uint64_t steps)
 }
 
 std::string
-serializeV2(const RecordedTrace &trace)
+serializeV2(const DecodedTrace &trace)
 {
     std::stringstream buffer;
     writeTrace(trace, buffer);
     return buffer.str();
 }
 
-Expected<RecordedTrace>
+Expected<DecodedTrace>
 readFromBytes(const std::string &bytes, const TraceReadOptions &opts = {},
               TraceReadInfo *info = nullptr)
 {
@@ -58,21 +62,51 @@ constexpr std::size_t eventRecordBytes = 12;
 constexpr std::size_t blockCapacity = 4096;
 
 std::size_t
-programSectionEnd(const RecordedTrace &trace)
+programSectionEnd(const DecodedTrace &trace)
 {
     return v2HeaderBytes + trace.prog.size() * instRecordBytes + 4;
 }
 
+/** Every lane of @p got equals the first got.size() events of
+ *  @p want. */
+void
+expectEventPrefix(const DecodedTrace &got, const DecodedTrace &want)
+{
+    ASSERT_LE(got.size(), want.size());
+    auto prefix = [&got](const auto &lane) {
+        return std::vector(lane.begin(), lane.begin() + got.size());
+    };
+    EXPECT_EQ(got.pcs, prefix(want.pcs));
+    EXPECT_EQ(got.cls, prefix(want.cls));
+    EXPECT_EQ(got.flags, prefix(want.flags));
+    EXPECT_EQ(got.predReg0, prefix(want.predReg0));
+    EXPECT_EQ(got.predReg1, prefix(want.predReg1));
+    EXPECT_EQ(got.predVal, prefix(want.predVal));
+    EXPECT_EQ(got.nextPcs, prefix(want.nextPcs));
+}
+
+/** 64-bit FNV-1a over @p bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
 TEST(TraceIo, RecordCapturesEvents)
 {
-    RecordedTrace trace = recordWorkload("dchain", 50000);
+    DecodedTrace trace = recordWorkload("dchain", 50000);
     EXPECT_EQ(trace.size(), 50000u);
     EXPECT_GT(trace.prog.size(), 0u);
 }
 
 TEST(TraceIo, MaterialiseReconstructsBranchFacts)
 {
-    RecordedTrace trace = recordWorkload("filter", 20000);
+    DecodedTrace trace = recordWorkload("filter", 20000);
     std::uint64_t branches = 0, taken = 0, writes = 0;
     for (std::size_t i = 0; i < trace.size(); ++i) {
         DynInst dyn = trace.materialise(i);
@@ -91,21 +125,21 @@ TEST(TraceIo, MaterialiseReconstructsBranchFacts)
 
 TEST(TraceIo, StreamRoundTripExact)
 {
-    RecordedTrace trace = recordWorkload("histogram", 30000);
+    DecodedTrace trace = recordWorkload("histogram", 30000);
     std::stringstream buffer;
     std::uint64_t bytes = writeTrace(trace, buffer);
     EXPECT_GT(bytes, trace.size() * eventRecordBytes);
 
     TraceReadInfo info;
-    Expected<RecordedTrace> loaded = readTrace(buffer, {}, &info);
+    Expected<DecodedTrace> loaded = readTrace(buffer, {}, &info);
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     EXPECT_FALSE(info.salvaged);
 
-    const RecordedTrace &back = loaded.value();
+    const DecodedTrace &back = loaded.value();
     ASSERT_EQ(back.size(), trace.size());
     ASSERT_EQ(back.prog.size(), trace.prog.size());
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        EXPECT_EQ(back.events[i], trace.events[i]) << "event " << i;
+    expectEventPrefix(back, trace);
+    EXPECT_NE(back.schedCache, nullptr);
     for (std::size_t pc = 0; pc < trace.prog.size(); ++pc) {
         EXPECT_EQ(encode(back.prog.insts[pc]),
                   encode(trace.prog.insts[pc]));
@@ -116,7 +150,7 @@ TEST(TraceIo, StreamRoundTripExact)
 
 TEST(TraceIo, BadMagicIsTypedError)
 {
-    Expected<RecordedTrace> loaded = readFromBytes("NOTATRACE-------");
+    Expected<DecodedTrace> loaded = readFromBytes("NOTATRACE-------");
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::BadMagic);
 }
@@ -124,11 +158,11 @@ TEST(TraceIo, BadMagicIsTypedError)
 TEST(TraceIo, UnknownContainerVersionIsTypedError)
 {
     // '1' is the retired unprotected layout: no longer readable.
-    RecordedTrace trace = recordWorkload("rle", 1000);
+    DecodedTrace trace = recordWorkload("rle", 1000);
     for (const char version : {'9', '1'}) {
         std::string bytes = serializeV2(trace);
         bytes[7] = version; // "PABPTRC9", "PABPTRC1"
-        Expected<RecordedTrace> loaded = readFromBytes(bytes);
+        Expected<DecodedTrace> loaded = readFromBytes(bytes);
         ASSERT_FALSE(loaded.ok()) << version;
         EXPECT_EQ(loaded.status().code(), StatusCode::VersionMismatch)
             << version;
@@ -137,47 +171,47 @@ TEST(TraceIo, UnknownContainerVersionIsTypedError)
 
 TEST(TraceIo, HeaderCorruptionFailsChecksum)
 {
-    RecordedTrace trace = recordWorkload("rle", 1000);
+    DecodedTrace trace = recordWorkload("rle", 1000);
     std::string bytes = serializeV2(trace);
     bytes[12] ^= 0x40; // inside numInsts
-    Expected<RecordedTrace> loaded = readFromBytes(bytes);
+    Expected<DecodedTrace> loaded = readFromBytes(bytes);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::ChecksumMismatch);
 }
 
 TEST(TraceIo, ProgramCorruptionFailsChecksum)
 {
-    RecordedTrace trace = recordWorkload("rle", 1000);
+    DecodedTrace trace = recordWorkload("rle", 1000);
     std::string bytes = serializeV2(trace);
     bytes[v2HeaderBytes + 3] ^= 0x01;
-    Expected<RecordedTrace> loaded = readFromBytes(bytes);
+    Expected<DecodedTrace> loaded = readFromBytes(bytes);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::ChecksumMismatch);
 }
 
 TEST(TraceIo, EventCorruptionFailsChecksum)
 {
-    RecordedTrace trace = recordWorkload("rle", 1000);
+    DecodedTrace trace = recordWorkload("rle", 1000);
     std::string bytes = serializeV2(trace);
     bytes[programSectionEnd(trace) + 4 + 7] ^= 0x80;
-    Expected<RecordedTrace> loaded = readFromBytes(bytes);
+    Expected<DecodedTrace> loaded = readFromBytes(bytes);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::ChecksumMismatch);
 }
 
 TEST(TraceIo, FooterCorruptionIsTypedError)
 {
-    RecordedTrace trace = recordWorkload("rle", 1000);
+    DecodedTrace trace = recordWorkload("rle", 1000);
     std::string bytes = serializeV2(trace);
     bytes.back() ^= 0xff;
-    Expected<RecordedTrace> loaded = readFromBytes(bytes);
+    Expected<DecodedTrace> loaded = readFromBytes(bytes);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::Corrupt);
 }
 
 TEST(TraceIo, TruncationAtEverySectionBoundaryIsTyped)
 {
-    RecordedTrace trace = recordWorkload("rle", 1000);
+    DecodedTrace trace = recordWorkload("rle", 1000);
     std::string bytes = serializeV2(trace);
     std::size_t prog_end = programSectionEnd(trace);
     // Structural boundaries: inside the magic, after the magic,
@@ -193,7 +227,7 @@ TEST(TraceIo, TruncationAtEverySectionBoundaryIsTyped)
     };
     for (std::size_t cut : cuts) {
         ASSERT_LT(cut, bytes.size());
-        Expected<RecordedTrace> loaded =
+        Expected<DecodedTrace> loaded =
             readFromBytes(bytes.substr(0, cut));
         ASSERT_FALSE(loaded.ok()) << "cut at " << cut;
         EXPECT_EQ(loaded.status().code(), StatusCode::Truncated)
@@ -204,7 +238,7 @@ TEST(TraceIo, TruncationAtEverySectionBoundaryIsTyped)
 TEST(TraceIo, SalvageRecoversWholeBlockPrefix)
 {
     // Three event blocks (4096 + 4096 + 1808); damage block two.
-    RecordedTrace trace = recordWorkload("dchain", 10000);
+    DecodedTrace trace = recordWorkload("dchain", 10000);
     ASSERT_GT(trace.size(), 2 * blockCapacity);
     std::string bytes = serializeV2(trace);
     std::size_t block_bytes = 4 + blockCapacity * eventRecordBytes + 4;
@@ -212,7 +246,7 @@ TEST(TraceIo, SalvageRecoversWholeBlockPrefix)
     bytes[in_block2] ^= 0x10;
 
     // Strict read refuses.
-    Expected<RecordedTrace> strict = readFromBytes(bytes);
+    Expected<DecodedTrace> strict = readFromBytes(bytes);
     ASSERT_FALSE(strict.ok());
     EXPECT_EQ(strict.status().code(), StatusCode::ChecksumMismatch);
 
@@ -220,36 +254,130 @@ TEST(TraceIo, SalvageRecoversWholeBlockPrefix)
     TraceReadOptions opts;
     opts.salvage = true;
     TraceReadInfo info;
-    Expected<RecordedTrace> salvaged = readFromBytes(bytes, opts, &info);
+    Expected<DecodedTrace> salvaged = readFromBytes(bytes, opts, &info);
     ASSERT_TRUE(salvaged.ok()) << salvaged.status().toString();
     EXPECT_TRUE(info.salvaged);
     EXPECT_EQ(salvaged.value().size(), blockCapacity);
     EXPECT_EQ(info.eventsDropped, trace.size() - blockCapacity);
-    for (std::size_t i = 0; i < blockCapacity; ++i)
-        ASSERT_EQ(salvaged.value().events[i], trace.events[i]);
+    expectEventPrefix(salvaged.value(), trace);
 }
+
+TEST(TraceIo, OutOfRangePcIsCorruptAndSalvageKeepsWholeBlocks)
+{
+    // A CRC-valid event whose pc is past the program: the pc check is
+    // the only guard in front of the unchecked DecodedTrace::inst().
+    DecodedTrace trace = recordWorkload("dchain", 10000);
+    ASSERT_GT(trace.size(), 2 * blockCapacity);
+    trace.pcs[blockCapacity + 5] =
+        static_cast<std::uint32_t>(trace.prog.size());
+    const std::string bytes = serializeV2(trace);
+
+    Expected<DecodedTrace> strict = readFromBytes(bytes);
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().code(), StatusCode::Corrupt);
+
+    // Salvage keeps exactly the whole block before the bad event -
+    // none of the five valid events that precede it in its block.
+    TraceReadOptions opts;
+    opts.salvage = true;
+    TraceReadInfo info;
+    Expected<DecodedTrace> salvaged = readFromBytes(bytes, opts, &info);
+    ASSERT_TRUE(salvaged.ok()) << salvaged.status().toString();
+    EXPECT_TRUE(info.salvaged);
+    EXPECT_EQ(salvaged.value().size(), blockCapacity);
+    EXPECT_EQ(info.eventsDropped, trace.size() - blockCapacity);
+    expectEventPrefix(salvaged.value(), trace);
+}
+
+/** Fingerprint and file bytes of makeWorkload(name, 42) recorded for
+ *  @p steps instructions: these values pin the PABPTRC2 layout, so a
+ *  change here is a format change. */
+struct Golden
+{
+    const char *name;
+    std::uint64_t steps;
+    std::uint64_t fingerprint;
+    std::uint64_t bytes;
+    std::uint64_t fnv;
+};
+
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.name << "/" << g.steps;
+}
+
+class TraceIoGolden : public ::testing::TestWithParam<Golden>
+{};
+
+TEST_P(TraceIoGolden, FingerprintAndBytesAreStable)
+{
+    const Golden g = GetParam();
+    Workload wl = makeWorkload(g.name, 42);
+    CompiledProgram cp = compileWorkload(wl, CompileOptions{});
+    Emulator emu(cp.prog);
+    if (wl.init)
+        wl.init(emu.state());
+    const DecodedTrace trace = recordTrace(emu, g.steps);
+    EXPECT_EQ(traceFingerprint(trace), g.fingerprint);
+
+    std::ostringstream os;
+    EXPECT_EQ(writeTrace(trace, os), g.bytes);
+    const std::string bytes = os.str();
+    EXPECT_EQ(bytes.size(), g.bytes);
+    EXPECT_EQ(fnv1a(bytes), g.fnv);
+
+    // The same bytes read back are the same trace: same fingerprint,
+    // and a batch replay gives the recorded trace's EngineStats.
+    Expected<DecodedTrace> back = readFromBytes(bytes);
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    EXPECT_EQ(traceFingerprint(back.value()), g.fingerprint);
+    EngineConfig ecfg;
+    ecfg.useSfpf = true;
+    ecfg.usePgu = true;
+    PredictorPtr pred_a = makePredictor("gshare", 12);
+    PredictorPtr pred_b = makePredictor("gshare", 12);
+    PredictionEngine recorded(*pred_a, ecfg);
+    PredictionEngine loaded(*pred_b, ecfg);
+    EXPECT_EQ(recorded.processBatch(trace, 0, trace.size()),
+              trace.size());
+    EXPECT_EQ(loaded.processBatch(back.value(), 0, back.value().size()),
+              trace.size());
+    EXPECT_TRUE(recorded.stats() == loaded.stats());
+    EXPECT_GT(loaded.stats().all.branches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pabptrc2, TraceIoGolden,
+    ::testing::Values(Golden{"rle", 10000, 0x5210193c44531a36ull, 120608,
+                             0xcb1bfdcfd5590fb4ull},
+                      Golden{"interp", 30000, 0x93d56350d2e5c18aull,
+                             360888, 0x93abcab2d58a79beull}),
+    [](const ::testing::TestParamInfo<Golden> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(TraceIo, SalvageCannotRescueDamagedProgram)
 {
-    RecordedTrace trace = recordWorkload("rle", 1000);
+    DecodedTrace trace = recordWorkload("rle", 1000);
     std::string bytes = serializeV2(trace);
     bytes[v2HeaderBytes + 1] ^= 0x02;
     TraceReadOptions opts;
     opts.salvage = true;
-    Expected<RecordedTrace> loaded = readFromBytes(bytes, opts);
+    Expected<DecodedTrace> loaded = readFromBytes(bytes, opts);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::ChecksumMismatch);
 }
 
 TEST(TraceIo, SalvageKeepsEverythingOnFooterDamage)
 {
-    RecordedTrace trace = recordWorkload("rle", 1000);
+    DecodedTrace trace = recordWorkload("rle", 1000);
     std::string bytes = serializeV2(trace);
     bytes.back() ^= 0xff;
     TraceReadOptions opts;
     opts.salvage = true;
     TraceReadInfo info;
-    Expected<RecordedTrace> loaded = readFromBytes(bytes, opts, &info);
+    Expected<DecodedTrace> loaded = readFromBytes(bytes, opts, &info);
     ASSERT_TRUE(loaded.ok());
     EXPECT_TRUE(info.salvaged);
     EXPECT_EQ(info.eventsDropped, 0u);
@@ -258,17 +386,17 @@ TEST(TraceIo, SalvageKeepsEverythingOnFooterDamage)
 
 TEST(TraceIo, FileRoundTrip)
 {
-    RecordedTrace trace = recordWorkload("rle", 10000);
+    DecodedTrace trace = recordWorkload("rle", 10000);
     std::string path = ::testing::TempDir() + "pabp_test.trace";
     saveTraceFile(trace, path);
-    RecordedTrace back = loadTraceFile(path);
+    DecodedTrace back = loadTraceFile(path);
     EXPECT_EQ(back.size(), trace.size());
     std::remove(path.c_str());
 }
 
 TEST(TraceIo, TryLoadMissingFileIsTypedError)
 {
-    Expected<RecordedTrace> loaded =
+    Expected<DecodedTrace> loaded =
         tryLoadTraceFile(::testing::TempDir() + "pabp_no_such.trace");
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::IoError);
@@ -297,10 +425,10 @@ TEST_P(ReplayEquivalence, ReplayMatchesLiveRunExactly)
     runTrace(emu, live, steps);
 
     // Recorded replay.
-    RecordedTrace trace = recordWorkload(name, steps);
+    DecodedTrace trace = recordWorkload(name, steps);
     GSharePredictor replay_pred(12);
     PredictionEngine replay(replay_pred, ecfg);
-    replayTrace(trace, replay, steps);
+    replayTraceFrom(trace, replay, 0, steps);
 
     EXPECT_EQ(live.stats().insts, replay.stats().insts);
     EXPECT_EQ(live.stats().all.branches, replay.stats().all.branches);

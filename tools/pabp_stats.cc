@@ -272,7 +272,7 @@ packMetricsDir(const std::string &dir, const std::string &out_path)
 int
 characterizeTraceFile(const std::string &path)
 {
-    Expected<RecordedTrace> trace = tryLoadTraceFile(path);
+    Expected<DecodedTrace> trace = tryLoadTraceFile(path);
     if (!trace.ok()) {
         std::cerr << "pabp-stats: " << path << ": "
                   << trace.status().toString() << "\n";
