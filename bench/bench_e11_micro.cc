@@ -1,8 +1,9 @@
 /**
  * @file
  * E11: google-benchmark microbenchmarks of predictor lookup/update
- * throughput and the engine's per-instruction overhead. These measure
- * the simulator itself (host-side cost), complementing the simulated
+ * throughput, the engine's per-instruction overhead and the
+ * predictability analyzer's per-event cost. These measure the
+ * simulator itself (host-side cost), complementing the simulated
  * results of E1-E10.
  */
 
@@ -12,7 +13,9 @@
 
 #include "bpred/factory.hh"
 #include "core/engine.hh"
+#include "core/predictability.hh"
 #include "sim/emulator.hh"
+#include "sim/trace_io.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
 #include "workloads/workload.hh"
@@ -94,6 +97,34 @@ BM_EngineThroughput(benchmark::State &state)
 }
 
 BENCHMARK(BM_EngineThroughput)->Unit(benchmark::kMillisecond);
+
+void
+BM_CharacterizeTrace(benchmark::State &state, const std::string &name)
+{
+    // One default-config characterization of a recorded 300k-step
+    // trace per iteration. interp folds thousands of k=16 patterns at
+    // the default capacity; bsort folds none, so the pair brackets
+    // the analyzer's eviction cost.
+    Workload wl = makeWorkload(name, 42);
+    CompileOptions copts;
+    CompiledProgram compiled = compileWorkload(wl, copts);
+    Emulator emu(compiled.prog);
+    if (wl.init)
+        wl.init(emu.state());
+    const DecodedTrace trace = recordTrace(emu, 300000);
+
+    for (auto _ : state) {
+        PredictabilityReport rep = characterizeTrace(trace);
+        benchmark::DoNotOptimize(rep.occurrences);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(trace.size()));
+}
+
+BENCHMARK_CAPTURE(BM_CharacterizeTrace, interp, "interp")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CharacterizeTrace, bsort, "bsort")
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_ThreadPoolDispatch(benchmark::State &state)

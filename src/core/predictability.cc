@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/logging.hh"
 
@@ -39,77 +40,251 @@ PredictabilityAnalyzer::validateConfig(const PredictabilityConfig &cfg)
     return Status();
 }
 
+namespace {
+
+/** Largest direct-indexed table, in slots: a big patternCapacity
+ *  must not make every PC allocate 2^k counters up front. */
+constexpr std::uint64_t maxDirectSlots = 1u << 12;
+
+} // namespace
+
 PredictabilityAnalyzer::PredictabilityAnalyzer(PredictabilityConfig c)
     : cfg(std::move(c))
 {
     pabp_assert(validateConfig(cfg).ok());
+    for (unsigned k : cfg.historyLengths) {
+        TableLayout t;
+        t.k = k;
+        t.mask = k ? ((1u << k) - 1u) : 0u;
+        const std::uint64_t patterns = std::uint64_t{1} << k;
+        // No more than 2^k patterns can ever arrive, so a table this
+        // small can never fold one.
+        t.direct =
+            patterns <= cfg.patternCapacity && patterns <= maxDirectSlots;
+        if (t.direct) {
+            t.offset = static_cast<std::uint32_t>(directSlots);
+            directSlots += patterns;
+        } else {
+            t.offset = static_cast<std::uint32_t>(hashedTables++);
+        }
+        layout.push_back(t);
+    }
 }
+
+// ---------------------------------------------------------------------
+// FlatIndex
+
+PredictabilityAnalyzer::FlatIndex::FlatIndex() : slots(16), shift(28) {}
+
+std::size_t
+PredictabilityAnalyzer::FlatIndex::home(std::uint32_t key) const
+{
+    return (key * 0x9e3779b1u) >> shift;
+}
+
+std::uint32_t
+PredictabilityAnalyzer::FlatIndex::find(std::uint32_t key) const
+{
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t i = home(key);; i = (i + 1) & mask) {
+        const Slot &s = slots[i];
+        if (s.value == none || s.key == key)
+            return s.value;
+    }
+}
+
+std::size_t
+PredictabilityAnalyzer::FlatIndex::slotOf(std::uint32_t key) const
+{
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = home(key);
+    while (slots[i].key != key || slots[i].value == none) {
+        pabp_assert(slots[i].value != none);
+        i = (i + 1) & mask;
+    }
+    return i;
+}
+
+void
+PredictabilityAnalyzer::FlatIndex::insert(std::uint32_t key,
+                                          std::uint32_t value)
+{
+    if ((used + 1) * 2 > slots.size())
+        grow();
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = home(key);
+    while (slots[i].value != none)
+        i = (i + 1) & mask;
+    slots[i] = {key, value};
+    used += 1;
+}
+
+void
+PredictabilityAnalyzer::FlatIndex::assign(std::uint32_t key,
+                                          std::uint32_t value)
+{
+    slots[slotOf(key)].value = value;
+}
+
+void
+PredictabilityAnalyzer::FlatIndex::erase(std::uint32_t key)
+{
+    // Backward shift: pull each later member of the probe run into
+    // the hole unless that would move it before its home slot.
+    const std::size_t mask = slots.size() - 1;
+    std::size_t hole = slotOf(key);
+    for (std::size_t j = (hole + 1) & mask; slots[j].value != none;
+         j = (j + 1) & mask) {
+        const std::size_t h = home(slots[j].key);
+        if (((j - h) & mask) >= ((j - hole) & mask)) {
+            slots[hole] = slots[j];
+            hole = j;
+        }
+    }
+    slots[hole].value = none;
+    used -= 1;
+}
+
+void
+PredictabilityAnalyzer::FlatIndex::grow()
+{
+    std::vector<Slot> old(slots.size() * 2);
+    old.swap(slots);
+    shift -= 1;
+    used = 0;
+    for (const Slot &s : old)
+        if (s.value != none)
+            insert(s.key, s.value);
+}
+
+// ---------------------------------------------------------------------
+// Analyzer
 
 PredictabilityAnalyzer::PcState &
 PredictabilityAnalyzer::stateFor(std::uint32_t pc)
 {
-    auto it = table.find(pc);
-    if (it != table.end())
-        return it->second;
+    if (lastSlot < states.size() && states[lastSlot].pc == pc)
+        return states[lastSlot];
+    std::uint32_t slot = pcIndex.find(pc);
+    if (slot != FlatIndex::none) {
+        lastSlot = slot;
+        return states[slot];
+    }
 
-    if (table.size() >= cfg.pcCapacity) {
+    if (states.size() >= cfg.pcCapacity) {
         // Fold the least-observed entry (ties: highest PC) into the
         // remainder - the same deterministic policy shape as
         // BranchProfile, keyed on occurrences since there is no
-        // mispredict notion here.
-        auto victim = table.begin();
-        for (auto cand = table.begin(); cand != table.end(); ++cand) {
-            if (cand->second.occurrences <
-                    victim->second.occurrences ||
-                (cand->second.occurrences ==
-                     victim->second.occurrences &&
-                 cand->first > victim->first))
-                victim = cand;
+        // mispredict notion here. One scan per new PC at capacity.
+        std::size_t victim = 0;
+        for (std::size_t i = 1; i < states.size(); ++i) {
+            const PcState &c = states[i];
+            const PcState &v = states[victim];
+            if (c.occurrences < v.occurrences ||
+                (c.occurrences == v.occurrences && c.pc > v.pc))
+                victim = i;
         }
+        PcState &v = states[victim];
         evictedBranches += 1;
-        evictedOccurrences += victim->second.occurrences;
-        evictedTaken += victim->second.taken;
-        evictedTransitions += victim->second.transitions;
-        for (const PatternTable &t : victim->second.tables)
+        evictedOccurrences += v.occurrences;
+        evictedTaken += v.taken;
+        evictedTransitions += v.transitions;
+        for (const HashedTable &t : v.hashed)
             evictedPatterns += t.evictedPatterns;
-        table.erase(victim);
+        pcIndex.erase(v.pc);
+        if (victim + 1 != states.size()) {
+            v = std::move(states.back());
+            pcIndex.assign(v.pc, static_cast<std::uint32_t>(victim));
+        }
+        states.pop_back();
     }
 
-    PcState &st = table[pc];
-    st.tables.resize(cfg.historyLengths.size());
+    slot = static_cast<std::uint32_t>(states.size());
+    PcState &st = states.emplace_back();
+    st.pc = pc;
+    st.direct.resize(directSlots);
+    st.hashed.resize(hashedTables);
+    pcIndex.insert(pc, slot);
+    lastSlot = slot;
     return st;
 }
 
+namespace {
+
+/** Heap order of pattern folds: fewest observations first, ties to
+ *  the highest pattern. */
+template <typename Entry>
+bool
+foldsBefore(const Entry &a, const Entry &b)
+{
+    const std::uint64_t an = a.counts[0] + a.counts[1];
+    const std::uint64_t bn = b.counts[0] + b.counts[1];
+    return an < bn || (an == bn && a.pattern > b.pattern);
+}
+
+} // namespace
+
 void
-PredictabilityAnalyzer::recordPattern(PatternTable &t,
+PredictabilityAnalyzer::siftDown(HashedTable &t, std::uint32_t pos)
+{
+    std::vector<std::uint32_t> &heap = t.heap;
+    const std::size_t n = heap.size();
+    const std::uint32_t e = heap[pos];
+    for (;;) {
+        std::size_t child = 2 * std::size_t{pos} + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n &&
+            foldsBefore(t.entries[heap[child + 1]],
+                        t.entries[heap[child]]))
+            child += 1;
+        if (!foldsBefore(t.entries[heap[child]], t.entries[e]))
+            break;
+        heap[pos] = heap[child];
+        t.entries[heap[pos]].heapPos = pos;
+        pos = static_cast<std::uint32_t>(child);
+    }
+    heap[pos] = e;
+    t.entries[e].heapPos = pos;
+}
+
+void
+PredictabilityAnalyzer::recordPattern(HashedTable &t,
                                       std::uint32_t pattern,
                                       bool taken)
 {
-    auto it = t.counts.find(pattern);
-    if (it == t.counts.end()) {
-        if (t.counts.size() >= cfg.patternCapacity) {
-            // Fold the least-observed pattern (ties: highest
-            // pattern) into the remainder bucket.
-            auto victim = t.counts.begin();
-            for (auto cand = t.counts.begin(); cand != t.counts.end();
-                 ++cand) {
-                const std::uint64_t cn =
-                    cand->second[0] + cand->second[1];
-                const std::uint64_t vn =
-                    victim->second[0] + victim->second[1];
-                if (cn < vn || (cn == vn && cand->first > victim->first))
-                    victim = cand;
+    std::uint32_t e = t.index.find(pattern);
+    if (e == FlatIndex::none) {
+        if (t.entries.size() < cfg.patternCapacity) {
+            e = static_cast<std::uint32_t>(t.entries.size());
+            t.entries.push_back({pattern, 0, {0, 0}});
+            t.index.insert(pattern, e);
+        } else {
+            // At capacity: fold the least-observed pattern (ties:
+            // highest pattern), the heap root, into the remainder
+            // bucket and reuse its entry for the new pattern. The
+            // heap is built once, on the first fold.
+            if (t.heap.empty()) {
+                t.heap.resize(t.entries.size());
+                for (std::uint32_t i = 0; i < t.heap.size(); ++i)
+                    t.heap[i] = i;
+                for (std::size_t i = t.heap.size() / 2; i-- > 0;)
+                    siftDown(t, static_cast<std::uint32_t>(i));
             }
-            t.remainder[0] += victim->second[0];
-            t.remainder[1] += victim->second[1];
+            e = t.heap[0];
+            HashedTable::Entry &victim = t.entries[e];
+            t.remainder[0] += victim.counts[0];
+            t.remainder[1] += victim.counts[1];
             t.evictedPatterns += 1;
-            t.counts.erase(victim);
+            t.index.erase(victim.pattern);
+            victim.pattern = pattern;
+            victim.counts = {0, 0};
+            t.index.insert(pattern, e);
         }
-        it = t.counts.emplace(pattern,
-                              std::array<std::uint64_t, 2>{0, 0})
-                 .first;
     }
-    it->second[taken ? 1 : 0] += 1;
+    t.entries[e].counts[taken ? 1 : 0] += 1;
+    if (!t.heap.empty())
+        siftDown(t, t.entries[e].heapPos);
 }
 
 void
@@ -117,15 +292,16 @@ PredictabilityAnalyzer::observe(std::uint32_t pc, bool taken)
 {
     PcState &st = stateFor(pc);
 
-    for (std::size_t i = 0; i < cfg.historyLengths.size(); ++i) {
-        const unsigned k = cfg.historyLengths[i];
+    for (const TableLayout &t : layout) {
         // Warm-up skip: a k-conditioned table only counts outcomes
         // that have a full k-deep history for this PC.
-        if (st.occurrences < k)
+        if (st.occurrences < t.k)
             continue;
-        const std::uint32_t mask =
-            k ? ((1u << k) - 1u) : 0u;
-        recordPattern(st.tables[i], st.history & mask, taken);
+        const std::uint32_t pattern = st.history & t.mask;
+        if (t.direct)
+            st.direct[t.offset + pattern][taken ? 1 : 0] += 1;
+        else
+            recordPattern(st.hashed[t.offset], pattern, taken);
     }
 
     if (st.occurrences > 0 && taken != st.lastOutcome)
@@ -139,17 +315,20 @@ PredictabilityAnalyzer::observe(std::uint32_t pc, bool taken)
 
 namespace {
 
-/** Pattern-frequency-weighted binary entropy of one table. */
+/**
+ * Pattern-frequency-weighted binary entropy of one table. @p counts
+ * must be in ascending pattern order: the sum is floating point, so
+ * its order is part of the reported bytes.
+ */
 double
-tableEntropy(const std::map<std::uint32_t,
-                            std::array<std::uint64_t, 2>> &counts,
+tableEntropy(std::span<const std::array<std::uint64_t, 2>> counts,
              const std::array<std::uint64_t, 2> &remainder,
              std::uint64_t total)
 {
     if (total == 0)
         return 0.0;
     double h = 0.0;
-    for (const auto &[pattern, c] : counts) {
+    for (const std::array<std::uint64_t, 2> &c : counts) {
         const std::uint64_t n = c[0] + c[1];
         if (n == 0)
             continue;
@@ -180,26 +359,45 @@ PredictabilityAnalyzer::report() const
     rep.evictedTransitions = evictedTransitions;
 
     std::uint64_t patternFolds = evictedPatterns;
-    for (const auto &[pc, st] : table) {
+    std::vector<const HashedTable::Entry *> byPattern;
+    std::vector<std::array<std::uint64_t, 2>> sorted;
+    for (const PcState &st : states) {
         PredictabilityReport::PerPc out;
         out.occurrences = st.occurrences;
         out.taken = st.taken;
         out.transitions = st.transitions;
-        out.entropy.reserve(st.tables.size());
-        out.conditioned.reserve(st.tables.size());
-        for (const PatternTable &t : st.tables) {
-            std::uint64_t n = t.remainder[0] + t.remainder[1];
-            for (const auto &[pattern, c] : t.counts)
-                n += c[0] + c[1];
+        out.entropy.reserve(layout.size());
+        out.conditioned.reserve(layout.size());
+        for (const TableLayout &t : layout) {
+            // Every observation past the k-step warm-up landed in
+            // the table or its remainder.
+            const std::uint64_t n =
+                st.occurrences > t.k ? st.occurrences - t.k : 0;
             out.conditioned.push_back(n);
-            out.entropy.push_back(
-                tableEntropy(t.counts, t.remainder, n));
-            patternFolds += t.evictedPatterns;
+            if (t.direct) {
+                out.entropy.push_back(tableEntropy(
+                    {st.direct.data() + t.offset, std::size_t{t.mask} + 1},
+                    {0, 0}, n));
+                continue;
+            }
+            const HashedTable &h = st.hashed[t.offset];
+            byPattern.clear();
+            for (const HashedTable::Entry &e : h.entries)
+                byPattern.push_back(&e);
+            std::sort(byPattern.begin(), byPattern.end(),
+                      [](const auto *a, const auto *b) {
+                          return a->pattern < b->pattern;
+                      });
+            sorted.clear();
+            for (const HashedTable::Entry *e : byPattern)
+                sorted.push_back(e->counts);
+            out.entropy.push_back(tableEntropy(sorted, h.remainder, n));
+            patternFolds += h.evictedPatterns;
         }
         rep.occurrences += st.occurrences;
         rep.taken += st.taken;
         rep.transitions += st.transitions;
-        rep.perPc.emplace(pc, std::move(out));
+        rep.perPc.emplace(st.pc, std::move(out));
     }
     rep.evictedPatterns = patternFolds;
 

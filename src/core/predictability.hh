@@ -40,6 +40,29 @@
  *    whose entropy contribution is computed as one merged pattern
  *    (an upper bound on the true contribution).
  *
+ * Table layout. The tracked PCs live in one flat vector of states
+ * (pc -> slot through an open-addressed index, with the last slot
+ * used as a shortcut); a PC fold scans it once and swap-removes the
+ * victim. Each (pc, k) table is one of two kinds:
+ *  - direct, when 2^k <= patternCapacity (and 2^k <= 4096): an array
+ *    of 2^k [not-taken, taken] counters indexed by the pattern. No
+ *    such table can ever fold. The defaults make k = 0, 4, 8 direct.
+ *  - hashed, otherwise (k = 16 by default): a dense entry vector
+ *    behind an open-addressed pattern -> entry index that grows with
+ *    the entries, up to 2 x patternCapacity slots. When the table
+ *    first has to fold, it is heapified once into an indexed min-heap
+ *    ordered by (observations ascending, pattern descending); every
+ *    count increment sifts its entry down. A fold takes the heap
+ *    root - exactly the victim the policy above names - adds it to
+ *    the remainder, and reuses its entry for the new pattern at
+ *    count one. No fold scans a table.
+ *
+ * Report order is part of the byte contract: each table's entropy is
+ * a floating-point sum over its patterns, taken in ascending pattern
+ * order (direct tables already are; hashed tables are sorted once per
+ * report()), so the last bits of the entropy doubles do not depend on
+ * the order patterns arrived or folded in.
+ *
  * Exported metric names ("predictability.*") are documented in
  * docs/OBSERVABILITY.md; byte stability is pinned by a golden test.
  */
@@ -166,10 +189,59 @@ class PredictabilityAnalyzer
     std::uint64_t observed() const { return total; }
 
   private:
-    struct PatternTable
+    /**
+     * Open-addressed u32 -> u32 map: linear probing, backward-shift
+     * erase, doubling to keep the load at most 1/2. Indexes PCs to
+     * state slots and patterns to hashed-table entries.
+     */
+    class FlatIndex
     {
-        /** pattern -> [not-taken, taken] observation counts. */
-        std::map<std::uint32_t, std::array<std::uint64_t, 2>> counts;
+      public:
+        static constexpr std::uint32_t none = ~0u;
+
+        FlatIndex();
+        /** The value stored under @p key, or none. */
+        std::uint32_t find(std::uint32_t key) const;
+        /** Add @p key, which must be absent. */
+        void insert(std::uint32_t key, std::uint32_t value);
+        /** Overwrite the value of @p key, which must be present. */
+        void assign(std::uint32_t key, std::uint32_t value);
+        /** Remove @p key, which must be present. */
+        void erase(std::uint32_t key);
+
+      private:
+        struct Slot
+        {
+            std::uint32_t key = 0;
+            std::uint32_t value = none;
+        };
+
+        std::size_t home(std::uint32_t key) const;
+        std::size_t slotOf(std::uint32_t key) const;
+        void grow();
+
+        std::vector<Slot> slots;
+        std::size_t used = 0;
+        unsigned shift = 0;
+    };
+
+    /** A (pc, k) table with more possible patterns than
+     *  patternCapacity: the only kind that can fold a pattern. */
+    struct HashedTable
+    {
+        struct Entry
+        {
+            std::uint32_t pattern = 0;
+            std::uint32_t heapPos = 0;
+            /** [not-taken, taken] observation counts. */
+            std::array<std::uint64_t, 2> counts = {0, 0};
+        };
+
+        FlatIndex index; ///< pattern -> entries slot
+        std::vector<Entry> entries;
+        /** Min-heap of entry slots by (observations ascending,
+         *  pattern descending); empty until the table first folds. */
+        std::vector<std::uint32_t> heap;
         /** Folded-pattern remainder bucket. */
         std::array<std::uint64_t, 2> remainder = {0, 0};
         std::uint64_t evictedPatterns = 0;
@@ -177,21 +249,42 @@ class PredictabilityAnalyzer
 
     struct PcState
     {
+        std::uint32_t pc = 0;
         std::uint64_t occurrences = 0;
         std::uint64_t taken = 0;
         std::uint64_t transitions = 0;
         bool lastOutcome = false;
         /** Last outcomes, newest in bit 0. */
         std::uint32_t history = 0;
-        std::vector<PatternTable> tables; ///< one per history length
+        /** Every direct table of this PC back to back, indexed by
+         *  TableLayout::offset + pattern. */
+        std::vector<std::array<std::uint64_t, 2>> direct;
+        std::vector<HashedTable> hashed;
+    };
+
+    /** Where the table of one history length lives in a PcState. */
+    struct TableLayout
+    {
+        unsigned k = 0;
+        std::uint32_t mask = 0;
+        bool direct = false;
+        /** First slot in PcState::direct, or index into hashed. */
+        std::uint32_t offset = 0;
     };
 
     PcState &stateFor(std::uint32_t pc);
-    void recordPattern(PatternTable &t, std::uint32_t pattern,
+    void recordPattern(HashedTable &t, std::uint32_t pattern,
                        bool taken);
+    static void siftDown(HashedTable &t, std::uint32_t pos);
 
     PredictabilityConfig cfg;
-    std::map<std::uint32_t, PcState> table;
+    std::vector<TableLayout> layout;
+    std::size_t directSlots = 0;
+    std::size_t hashedTables = 0;
+    std::vector<PcState> states;
+    FlatIndex pcIndex; ///< pc -> states slot
+    /** Slot of the last PC observed; checked against its pc. */
+    std::size_t lastSlot = 0;
     std::uint64_t total = 0;
     std::uint64_t evictedBranches = 0;
     std::uint64_t evictedOccurrences = 0;

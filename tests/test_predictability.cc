@@ -7,8 +7,9 @@
  * warm-up rule: the first k occurrences of a PC never enter the
  * k-conditioned table, so a fully-determined sequence really reports
  * H == 0.0, with no cold-start residue. Also covers the bounded-table
- * eviction remainders, the trace-level characterization fronts and
- * the `pabp-stats --characterize` command line.
+ * eviction remainders and tie rules, golden bytes of two traces that
+ * fold thousands of patterns, the trace-level characterization fronts
+ * and the `pabp-stats --characterize` command line.
  */
 
 #include <gtest/gtest.h>
@@ -191,6 +192,96 @@ TEST(PredictabilityEviction, PcFoldBreaksTiesTowardHighestPc)
     EXPECT_EQ(rep.evictedBranches, 1u);
 }
 
+TEST(PredictabilityEviction, PcFoldSwapsTheLastSlotIntoAMiddleVictim)
+{
+    PredictabilityConfig cfg;
+    cfg.pcCapacity = 3;
+    PredictabilityAnalyzer an(cfg);
+    constexpr std::uint32_t a = 0x10, b = 0x20, c = 0x30, d = 0x40;
+    for (bool t : {true, true, true})
+        an.observe(a, t);
+    an.observe(b, true);
+    for (bool t : {true, false})
+        an.observe(c, t);
+    // d evicts b, the least-observed PC, from the middle of the
+    // tracked set; c must keep its counts wherever it now lives.
+    for (bool t : {false, false})
+        an.observe(d, t);
+    for (bool t : {true, false})
+        an.observe(c, t);
+    an.observe(d, false);
+    // b returns as a new PC: a and d tie at three occurrences, so
+    // the higher PC, d, folds.
+    an.observe(b, true);
+
+    const PredictabilityReport rep = an.report();
+    ASSERT_EQ(rep.perPc.size(), 3u);
+    ASSERT_TRUE(rep.perPc.count(a));
+    ASSERT_TRUE(rep.perPc.count(b));
+    ASSERT_TRUE(rep.perPc.count(c));
+    EXPECT_EQ(rep.perPc.at(a).occurrences, 3u);
+    EXPECT_EQ(rep.perPc.at(a).taken, 3u);
+    EXPECT_EQ(rep.perPc.at(b).occurrences, 1u);
+    EXPECT_EQ(rep.perPc.at(c).occurrences, 4u);
+    EXPECT_EQ(rep.perPc.at(c).taken, 2u);
+    EXPECT_EQ(rep.perPc.at(c).transitions, 3u);
+    EXPECT_EQ(rep.evictedBranches, 2u);
+    EXPECT_EQ(rep.evictedOccurrences, 1u + 3u);
+    EXPECT_EQ(rep.occurrences, 12u);
+    EXPECT_EQ(rep.taken, 7u);
+}
+
+/** Outcomes for one PC under {k = 2}: each outcome o observed at
+ *  pattern p moves the next observation to pattern (p << 1 | o) & 3,
+ *  so a sequence is a walk over the four 2-bit patterns. */
+PredictabilityReport
+twoBitReport(const std::vector<bool> &outcomes)
+{
+    PredictabilityConfig cfg;
+    cfg.historyLengths = {2};
+    cfg.patternCapacity = 2;
+    return reportFor(outcomes, cfg);
+}
+
+TEST(PredictabilityEviction, PatternFoldBreaksTiesTowardHighestPattern)
+{
+    // Warm-up 0,1 starts the walk at pattern 1.
+    //   p1 o1 -> {1:[0,1]}              next p3
+    //   p3 o0 -> {1:[0,1] 3:[1,0]}      next p2 (tied at one each)
+    //   p2 o1 -> fold 3 (tie: highest)  next p1
+    //   p1 o1 -> 1 is still tracked: no second fold.
+    // Folding the lower pattern 1 instead would make its return
+    // fold again.
+    const PredictabilityReport rep =
+        twoBitReport({false, true, true, false, true, true});
+    EXPECT_EQ(rep.evictedPatterns, 1u);
+    EXPECT_EQ(rep.conditioned[0], 4u);
+    EXPECT_DOUBLE_EQ(rep.entropy[0], 0.0);
+}
+
+TEST(PredictabilityEviction, FoldedPatternReentersAtOne)
+{
+    // Warm-up 0,0 starts the walk at pattern 0.
+    //   p0 o0 x3, p0 o1  -> 0:[3,1]              next p1
+    //   p1 o1            -> 1:[0,1]              next p3
+    //   p3 o1            -> fold 1 (n=1)         next p3
+    //   p3 o1 x4, p3 o0  -> 3:[1,5]              next p2
+    //   p2 o0            -> fold 0 (n=4)         next p0
+    //   p0 o1            -> fold 2 (n=1); 0 re-enters as [0,1]
+    // The remainder holds [0,1] + [3,1] + [1,0] = [4,2].
+    const PredictabilityReport rep = twoBitReport(
+        {false, false, false, false, false, true, true, true, true,
+         true, true, true, false, false, true});
+    EXPECT_EQ(rep.evictedPatterns, 3u);
+    EXPECT_EQ(rep.conditioned[0], 13u);
+    // Ascending patterns, then the remainder: 0:[0,1], 3:[1,5],
+    // remainder [4,2].
+    const double expected = 1.0 / 13.0 * binaryEntropy(1.0) +
+        6.0 / 13.0 * binaryEntropy(5.0 / 6.0) +
+        6.0 / 13.0 * binaryEntropy(2.0 / 6.0);
+    EXPECT_DOUBLE_EQ(rep.entropy[0], expected);
+}
+
 TEST(PredictabilityEviction, PatternFoldCountsRemainder)
 {
     PredictabilityConfig cfg;
@@ -250,6 +341,60 @@ TEST(PredictabilityTrace, EventBudgetMatchesReplayBudget)
                           trace.size() / 2);
     EXPECT_LT(half.occurrences, whole.occurrences);
     EXPECT_GT(half.occurrences, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Eviction-path goldens: 300k-step interp and bsearch traces fold
+// thousands of k=16 patterns at the default patternCapacity, so the
+// exported bytes pin the fold order, the remainder buckets and the
+// ascending-pattern entropy sums.
+
+std::uint64_t
+fnv1a64(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+std::string
+characterizedJson(const std::string &workload, std::uint64_t steps)
+{
+    Workload wl = makeWorkload(workload, 42);
+    CompileOptions copts;
+    CompiledProgram cp = compileWorkload(wl, copts);
+    Emulator emu(cp.prog);
+    if (wl.init)
+        wl.init(emu.state());
+    const DecodedTrace trace = recordTrace(emu, steps);
+    MetricsExporter ex;
+    exportPredictability(ex, characterizeTrace(trace));
+    std::ostringstream out;
+    ex.writeJson(out);
+    return out.str();
+}
+
+TEST(PredictabilityGolden, InterpPatternFoldsExactBytes)
+{
+    const std::string json = characterizedJson("interp", 300'000);
+    EXPECT_NE(json.find("\"predictability.evicted_patterns\": 19060"),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(json.size(), 1333u);
+    EXPECT_EQ(fnv1a64(json), 0x8b60c945883fcaa0ull);
+}
+
+TEST(PredictabilityGolden, BsearchPatternFoldsExactBytes)
+{
+    const std::string json = characterizedJson("bsearch", 300'000);
+    EXPECT_NE(json.find("\"predictability.evicted_patterns\": 17915"),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(json.size(), 1238u);
+    EXPECT_EQ(fnv1a64(json), 0x2248efac298ee399ull);
 }
 
 // ---------------------------------------------------------------------
