@@ -1,8 +1,9 @@
 /**
  * @file
  * E11: google-benchmark microbenchmarks of predictor lookup/update
- * throughput, the engine's per-instruction overhead and the
- * predictability analyzer's per-event cost. These measure the
+ * throughput, the engine's per-instruction overhead, the cost of
+ * compiling and of recording a workload, and the predictability
+ * analyzer's per-event cost. These measure the
  * simulator itself (host-side cost), complementing the simulated
  * results of E1-E10.
  */
@@ -97,6 +98,53 @@ BM_EngineThroughput(benchmark::State &state)
 }
 
 BENCHMARK(BM_EngineThroughput)->Unit(benchmark::kMillisecond);
+
+void
+BM_CompileWorkload(benchmark::State &state, const std::string &name)
+{
+    // The full default compile (profile, region selection,
+    // if-converted lowering) of one suite workload per iteration;
+    // its 200k-step profiling run is most of the cost.
+    const Workload wl = makeWorkload(name, 42);
+    for (auto _ : state) {
+        state.PauseTiming();
+        Workload copy = wl;
+        state.ResumeTiming();
+        CompiledProgram compiled = compileWorkload(copy, CompileOptions{});
+        benchmark::DoNotOptimize(compiled.prog.insts.data());
+    }
+}
+
+BENCHMARK_CAPTURE(BM_CompileWorkload, interp, "interp")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CompileWorkload, bsort, "bsort")
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_RecordTrace(benchmark::State &state, const std::string &name)
+{
+    // Record 300k events into the replay lanes per iteration, from a
+    // freshly built and initialised emulator as a sweep cell does.
+    Workload wl = makeWorkload(name, 42);
+    CompileOptions copts;
+    CompiledProgram compiled = compileWorkload(wl, copts);
+    std::int64_t events = 0;
+    for (auto _ : state) {
+        Emulator emu(compiled.prog);
+        if (wl.init)
+            wl.init(emu.state());
+        DecodedTrace trace = recordTrace(emu, 300000);
+        events += static_cast<std::int64_t>(trace.size());
+        benchmark::DoNotOptimize(trace.pcs.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(events);
+}
+
+BENCHMARK_CAPTURE(BM_RecordTrace, interp, "interp")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RecordTrace, bsort, "bsort")
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_CharacterizeTrace(benchmark::State &state, const std::string &name)

@@ -120,8 +120,12 @@ main(int argc, char **argv)
         {
             if (contexts == 1)
                 return "n1";
-            return "n" + std::to_string(contexts) + "." +
-                scheduleKindName(sched) + (shared ? ".shared" : ".part");
+            std::string text = "n";
+            text += std::to_string(contexts);
+            text += '.';
+            text += scheduleKindName(sched);
+            text += shared ? ".shared" : ".part";
+            return text;
         }
     };
     std::vector<Cell> cells;

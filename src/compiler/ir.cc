@@ -49,10 +49,12 @@ IrFunction::dump() const
             break;
           case Terminator::Kind::CondBranch:
             os << "    if r" << unsigned(t.src1) << " " << cmpRelName(t.rel)
-               << " "
-               << (t.hasImm ? std::to_string(t.imm)
-                            : "r" + std::to_string(t.src2))
-               << " goto bb" << t.takenTarget << " else bb" << t.fallTarget
+               << " ";
+            if (t.hasImm)
+                os << t.imm;
+            else
+                os << "r" << unsigned(t.src2);
+            os << " goto bb" << t.takenTarget << " else bb" << t.fallTarget
                << "\n";
             break;
           case Terminator::Kind::Halt:

@@ -33,23 +33,21 @@ profileFunction(IrFunction &fn, const StateInit &init,
     // (selective if-conversion wants to know which branches hurt).
     GSharePredictor reference(12);
 
-    DynInst dyn;
-    std::uint64_t steps = 0;
-    while (steps < max_steps && emu.step(dyn)) {
-        ++steps;
-        std::int32_t b = start_block[dyn.pc];
-        if (b >= 0)
-            ++fn.blocks[b].execCount;
-        auto it = compiled.info.branchPcToBlock.find(dyn.pc);
-        if (it != compiled.info.branchPcToBlock.end()) {
-            if (dyn.taken)
-                ++fn.blocks[it->second].takenCount;
-            bool predicted = reference.predict(dyn.pc);
-            reference.update(dyn.pc, dyn.taken);
-            if (predicted != dyn.taken)
-                ++fn.blocks[it->second].profMispredicts;
-        }
-    }
+    const std::uint64_t steps =
+        emu.run(max_steps, [&](const ExecEvent &ev) {
+            std::int32_t b = start_block[ev.pc];
+            if (b >= 0)
+                ++fn.blocks[b].execCount;
+            auto it = compiled.info.branchPcToBlock.find(ev.pc);
+            if (it != compiled.info.branchPcToBlock.end()) {
+                if (ev.taken())
+                    ++fn.blocks[it->second].takenCount;
+                bool predicted = reference.predict(ev.pc);
+                reference.update(ev.pc, ev.taken());
+                if (predicted != ev.taken())
+                    ++fn.blocks[it->second].profMispredicts;
+            }
+        });
     return steps;
 }
 

@@ -463,6 +463,15 @@ millibits(double bits)
         std::llround(std::max(0.0, bits) * 1000.0));
 }
 
+/** The metric-key label of history length @p k, e.g. "k8". */
+std::string
+historyLabel(unsigned k)
+{
+    std::string label = "k";
+    label += std::to_string(k);
+    return label;
+}
+
 } // namespace
 
 void
@@ -481,8 +490,7 @@ exportPredictability(MetricsExporter &ex,
               report.evictedOccurrences);
     ex.setInt(prefix + ".evicted_patterns", report.evictedPatterns);
     for (std::size_t i = 0; i < report.historyLengths.size(); ++i) {
-        const std::string k =
-            "k" + std::to_string(report.historyLengths[i]);
+        const std::string k = historyLabel(report.historyLengths[i]);
         ex.setReal(prefix + ".entropy." + k, report.entropy[i]);
         ex.setInt(prefix + ".conditioned." + k,
                   report.conditioned[i]);
@@ -556,8 +564,7 @@ aggregatePredictabilityByTier(MetricsExporter &ex,
                            static_cast<double>(agg.occurrences)
                        : 0.0);
         for (std::size_t i = 0; i < ks; ++i) {
-            const std::string k =
-                "k" + std::to_string(report.historyLengths[i]);
+            const std::string k = historyLabel(report.historyLengths[i]);
             ex.setReal(key + "entropy." + k,
                        agg.conditioned[i]
                            ? agg.entropySum[i] /

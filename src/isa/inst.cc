@@ -40,24 +40,6 @@ evalRel(CmpRel rel, std::int64_t a, std::int64_t b)
     pabp_panic("bad CmpRel");
 }
 
-bool
-Inst::isControl() const
-{
-    return op == Opcode::Br || op == Opcode::Call || op == Opcode::Ret;
-}
-
-bool
-Inst::isConditionalBranch() const
-{
-    return op == Opcode::Br && qp != 0;
-}
-
-bool
-Inst::writesPredicate() const
-{
-    return op == Opcode::Cmp || op == Opcode::PSet;
-}
-
 const char *
 opcodeName(Opcode op)
 {
@@ -127,7 +109,9 @@ disassemble(const Inst &inst)
     auto src2_text = [&]() -> std::string {
         if (inst.hasImm)
             return std::to_string(inst.imm);
-        return "r" + std::to_string(inst.src2);
+        std::string reg = "r";
+        reg += std::to_string(inst.src2);
+        return reg;
     };
 
     switch (inst.op) {

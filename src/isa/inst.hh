@@ -113,13 +113,21 @@ struct Inst
     bool regionBranch = false;
 
     /** True for Br/Call/Ret. */
-    bool isControl() const;
+    bool
+    isControl() const
+    {
+        return op == Opcode::Br || op == Opcode::Call || op == Opcode::Ret;
+    }
 
     /** True for conditional branches (Br with qp != p0). */
-    bool isConditionalBranch() const;
+    bool isConditionalBranch() const { return op == Opcode::Br && qp != 0; }
 
     /** True when the instruction may write a predicate register. */
-    bool writesPredicate() const;
+    bool
+    writesPredicate() const
+    {
+        return op == Opcode::Cmp || op == Opcode::PSet;
+    }
 
     /** True when execution reads the guard (all but Nop/Halt). */
     bool isGuarded() const { return op != Opcode::Nop && op != Opcode::Halt; }

@@ -1,6 +1,57 @@
 #include "sim/arch_state.hh"
 
+#include <sys/mman.h>
+
+#include <cstring>
+#include <new>
+#include <utility>
+
+#include "util/logging.hh"
+
 namespace pabp {
+
+GuestMemory::GuestMemory(std::size_t num_words) : count(num_words)
+{
+    pabp_assert(count > 0);
+    void *p = mmap(nullptr, bytes(), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    words = static_cast<std::int64_t *>(p);
+}
+
+GuestMemory::GuestMemory(const GuestMemory &other)
+    : GuestMemory(other.count)
+{
+    std::memcpy(words, other.words, bytes());
+}
+
+GuestMemory::GuestMemory(GuestMemory &&other) noexcept
+    : words(std::exchange(other.words, nullptr)),
+      count(std::exchange(other.count, 0))
+{
+}
+
+GuestMemory &
+GuestMemory::operator=(GuestMemory other) noexcept
+{
+    std::swap(words, other.words);
+    std::swap(count, other.count);
+    return *this;
+}
+
+GuestMemory::~GuestMemory()
+{
+    if (words)
+        munmap(words, bytes());
+}
+
+bool
+GuestMemory::operator==(const GuestMemory &other) const
+{
+    return count == other.count &&
+        std::memcmp(words, other.words, bytes()) == 0;
+}
 
 namespace {
 
@@ -16,7 +67,7 @@ roundUpPow2(std::size_t n)
 } // anonymous namespace
 
 ArchState::ArchState(std::size_t mem_words)
-    : mem(roundUpPow2(mem_words ? mem_words : 1), 0)
+    : mem(roundUpPow2(mem_words ? mem_words : 1))
 {
     pred[0] = true;
 }
@@ -41,7 +92,7 @@ ArchState::saveState(StateSink &sink) const
     for (bool p : pred)
         sink.writeBool(p);
     sink.writeU64(mem.size());
-    sink.writeBytes(mem.data(), mem.size() * sizeof(std::int64_t));
+    sink.writeBytes(mem.data(), mem.bytes());
 }
 
 Status
@@ -67,8 +118,7 @@ ArchState::loadState(StateSource &src)
                           std::to_string(mem_words) +
                           " != configured " +
                           std::to_string(mem.size()));
-    return src.readBytes(mem.data(),
-                         mem.size() * sizeof(std::int64_t));
+    return src.readBytes(mem.data(), mem.bytes());
 }
 
 } // namespace pabp

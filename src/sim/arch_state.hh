@@ -8,6 +8,7 @@
 #define PABP_SIM_ARCH_STATE_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +17,37 @@
 #include "util/status.hh"
 
 namespace pabp {
+
+/**
+ * Zero-initialised guest data memory in a private anonymous mapping:
+ * a page reads as zero, and costs nothing resident, until the guest
+ * first writes it, so an emulator pays only for the pages its program
+ * touches. Copies are deep; the mapping is released on destruction.
+ */
+class GuestMemory
+{
+  public:
+    /** @param num_words Size in 64-bit words; must be nonzero. */
+    explicit GuestMemory(std::size_t num_words);
+    GuestMemory(const GuestMemory &other);
+    GuestMemory(GuestMemory &&other) noexcept;
+    GuestMemory &operator=(GuestMemory other) noexcept;
+    ~GuestMemory();
+
+    std::int64_t *data() { return words; }
+    const std::int64_t *data() const { return words; }
+    std::size_t size() const { return count; }
+    std::size_t bytes() const { return count * sizeof(std::int64_t); }
+
+    std::int64_t &operator[](std::size_t i) { return words[i]; }
+    std::int64_t operator[](std::size_t i) const { return words[i]; }
+
+    bool operator==(const GuestMemory &other) const;
+
+  private:
+    std::int64_t *words = nullptr;
+    std::size_t count = 0;
+};
 
 /**
  * Full architectural state. r0 reads as zero and ignores writes; p0
@@ -89,7 +121,7 @@ class ArchState
   private:
     std::array<std::int64_t, numGprs> gpr{};
     std::array<bool, numPredRegs> pred{};
-    std::vector<std::int64_t> mem;
+    GuestMemory mem;
 };
 
 } // namespace pabp

@@ -11,10 +11,11 @@
  * index into the owned program), so `inst(i)` is one add off the pc
  * the loop already loaded.
  *
- * The lanes are filled as events arrive: recordTrace() appends each
- * executed instruction and the PABPTRC2 reader appends each verified
- * on-disk event (sim/trace_io.hh), classifying it once against the
- * program.
+ * The lanes are filled as events arrive (sim/trace_io.hh):
+ * recordTrace() has the interpreter write each executed instruction
+ * into lanes sized ahead of it, and the PABPTRC2 reader appends each
+ * verified on-disk event. Both take an event's class from a per-pc
+ * table built once from the program.
  * Once filled a trace is immutable and safe to share READ-ONLY across
  * threads - the sweep runner caches one per (workload, measurement
  * seed, budget) and replays every matching cell against it, exactly

@@ -30,6 +30,9 @@ constexpr std::uint32_t eventBlockCapacity = 4096;
 /** Allocation sanity bound; a header claiming more is corrupt. */
 constexpr std::uint64_t maxTraceInsts = 1u << 26;
 
+/** Events the recorder sizes its lanes by at a time. */
+constexpr std::size_t recordChunk = 1u << 16;
+
 void
 packInst(const Inst &inst, unsigned char *out)
 {
@@ -80,21 +83,16 @@ classify(const Inst &inst)
     return Class::Other;
 }
 
-/** Append one event to the lanes of @p trace, classifying it against
- *  the program. The caller guarantees pc < trace.prog.size(). */
-void
-appendEvent(DecodedTrace &trace, std::uint32_t pc, std::uint8_t flags,
-            std::uint8_t reg0, std::uint8_t reg1, std::uint8_t val,
-            std::uint32_t next_pc)
+/** The Class of every static instruction of @p prog, by pc: an
+ *  event's class depends on its instruction alone, so the recorder
+ *  and the reader classify each instruction once, not each event. */
+std::vector<std::uint8_t>
+classTable(const Program &prog)
 {
-    trace.pcs.push_back(pc);
-    trace.cls.push_back(
-        static_cast<std::uint8_t>(classify(trace.prog.insts[pc])));
-    trace.flags.push_back(flags);
-    trace.predReg0.push_back(reg0);
-    trace.predReg1.push_back(reg1);
-    trace.predVal.push_back(val);
-    trace.nextPcs.push_back(next_pc);
+    std::vector<std::uint8_t> table(prog.size());
+    for (std::size_t pc = 0; pc < prog.size(); ++pc)
+        table[pc] = static_cast<std::uint8_t>(classify(prog.insts[pc]));
+    return table;
 }
 
 /** Apply @p op to each of the seven event lanes of @p trace. */
@@ -119,28 +117,49 @@ recordTrace(Emulator &emu, std::uint64_t max_insts)
     DecodedTrace trace;
     trace.prog = emu.program();
     trace.schedCache = std::make_shared<ReplayScheduleCache>();
-    const auto budget = static_cast<std::size_t>(
+    const std::vector<std::uint8_t> classes = classTable(trace.prog);
+    const auto reserved = static_cast<std::size_t>(
         std::min<std::uint64_t>(max_insts, maxTraceInsts));
-    forEachLane(trace, [budget](auto &lane) { lane.reserve(budget); });
+    forEachLane(trace,
+                [reserved](auto &lane) { lane.reserve(reserved); });
 
-    DynInst dyn;
-    for (std::uint64_t i = 0; i < max_insts && emu.step(dyn); ++i) {
-        std::uint8_t regs[2] = {0, 0};
-        std::uint8_t val = dyn.cmpRel ? 4 : 0;
-        for (unsigned w = 0; w < dyn.numPredWrites; ++w) {
-            regs[w] = dyn.predWrites[w].reg;
-            if (dyn.predWrites[w].value)
-                val |= static_cast<std::uint8_t>(1u << w);
-        }
-        appendEvent(trace, dyn.pc,
-                    static_cast<std::uint8_t>(
-                        (dyn.guard ? 1 : 0) | (dyn.taken ? 2 : 0) |
-                        (dyn.numPredWrites << 2)),
-                    regs[0], regs[1], val, dyn.nextPc);
+    // The lanes grow a chunk at a time and the interpreter writes
+    // each event into them by index. A program that halts early
+    // leaves at most one chunk zero-filled past its last event, and a
+    // budget past the reservation just keeps growing the lanes.
+    std::size_t filled = 0;
+    std::uint64_t left = max_insts;
+    while (left > 0) {
+        const auto chunk = static_cast<std::size_t>(
+            std::min<std::uint64_t>(left, recordChunk));
+        forEachLane(trace, [&](auto &lane) { lane.resize(filled + chunk); });
+        std::uint32_t *pcs = trace.pcs.data() + filled;
+        std::uint8_t *cls = trace.cls.data() + filled;
+        std::uint8_t *flags = trace.flags.data() + filled;
+        std::uint8_t *reg0 = trace.predReg0.data() + filled;
+        std::uint8_t *reg1 = trace.predReg1.data() + filled;
+        std::uint8_t *val = trace.predVal.data() + filled;
+        std::uint32_t *next_pcs = trace.nextPcs.data() + filled;
+        std::size_t i = 0;
+        emu.run(chunk, [&](const ExecEvent &ev) {
+            pcs[i] = ev.pc;
+            cls[i] = classes[ev.pc];
+            flags[i] = ev.flags;
+            reg0[i] = ev.predReg0;
+            reg1[i] = ev.predReg1;
+            val[i] = ev.predVal;
+            next_pcs[i] = ev.nextPc;
+            ++i;
+        });
+        filled += i;
+        left -= i;
+        if (i < chunk)
+            break;
     }
+    forEachLane(trace, [filled](auto &lane) { lane.resize(filled); });
     // A program that halts short of the budget gives the unused
     // reservation back before the trace is cached.
-    if (trace.size() < budget)
+    if (filled < reserved)
         forEachLane(trace, [](auto &lane) { lane.shrink_to_fit(); });
     return trace;
 }
@@ -278,6 +297,7 @@ readTraceV2(StateSource &src, const TraceReadOptions &opts,
         return std::move(trace);
     };
 
+    const std::vector<std::uint8_t> classes = classTable(trace.prog);
     const auto reserve = static_cast<std::size_t>(
         std::min<std::uint64_t>(num_events, 1u << 20));
     forEachLane(trace, [reserve](auto &lane) { lane.reserve(reserve); });
@@ -323,7 +343,13 @@ readTraceV2(StateSource &src, const TraceReadOptions &opts,
             std::uint32_t pc = 0, next_pc = 0;
             std::memcpy(&pc, p, 4);
             std::memcpy(&next_pc, p + 8, 4);
-            appendEvent(trace, pc, p[4], p[5], p[6], p[7], next_pc);
+            trace.pcs.push_back(pc);
+            trace.cls.push_back(classes[pc]);
+            trace.flags.push_back(p[4]);
+            trace.predReg0.push_back(p[5]);
+            trace.predReg1.push_back(p[6]);
+            trace.predVal.push_back(p[7]);
+            trace.nextPcs.push_back(next_pc);
         }
         remaining -= count;
     }

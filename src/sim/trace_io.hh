@@ -52,7 +52,9 @@ using RecordedTrace = DecodedTrace;
 
 /**
  * Record up to @p max_insts instructions of @p emu straight into the
- * replay lanes, with a fresh schedule cache.
+ * replay lanes, with a fresh schedule cache: the interpreter
+ * (Emulator::run) writes each event into the lanes by index, and the
+ * lanes end at the recorded count.
  */
 DecodedTrace recordTrace(Emulator &emu, std::uint64_t max_insts);
 

@@ -48,7 +48,8 @@ Options::tryParse(int argc, const char *const *argv,
                           "unexpected argument: " + arg);
         arg = arg.substr(2);
 
-        std::string name, value;
+        std::string name;
+        std::string value = "1"; // a bare flag
         auto eq = arg.find('=');
         if (eq != std::string::npos) {
             name = arg.substr(0, eq);
@@ -57,11 +58,8 @@ Options::tryParse(int argc, const char *const *argv,
             name = arg;
             bool next_is_value = i + 1 < argc &&
                 std::string(argv[i + 1]).rfind("--", 0) != 0;
-            if (next_is_value && decls.count(name)) {
+            if (next_is_value && decls.count(name))
                 value = argv[++i];
-            } else {
-                value = "1"; // bare flag
-            }
         }
         if (!decls.count(name))
             return Status(StatusCode::InvalidArgument,

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "isa/program.hh"
 #include "sim/emulator.hh"
@@ -235,6 +236,30 @@ TEST(Emulator, AddressMaskingWraps)
     ArchState st(1 << 4); // 16 words
     st.writeMem(16 + 3, 9);
     EXPECT_EQ(st.readMem(3), 9);
+}
+
+TEST(Emulator, ArchStateMemoryCopiesDeepAndMoves)
+{
+    // Guest memory is a lazily zero-filled mapping: every word reads
+    // zero until written, copies are independent, moves keep it.
+    ArchState a(1 << 4);
+    EXPECT_EQ(a.readMem(11), 0);
+    a.writeMem(5, 42);
+    ArchState b = a;
+    EXPECT_TRUE(b.sameArchOutcome(a));
+    b.writeMem(5, 7);
+    EXPECT_EQ(a.readMem(5), 42);
+    EXPECT_FALSE(b.sameArchOutcome(a));
+
+    ArchState c = std::move(b);
+    EXPECT_EQ(c.readMem(5), 7);
+
+    ArchState d(1 << 8);
+    d = a;
+    EXPECT_EQ(d.memWords(), a.memWords());
+    EXPECT_TRUE(d.sameArchOutcome(a));
+    d = std::move(c);
+    EXPECT_EQ(d.readMem(5), 7);
 }
 
 TEST(Emulator, GuardedStoreSuppressed)

@@ -5,8 +5,9 @@
  * PGU bit count, checkpoint BYTES, exported metrics BYTES - to the
  * reference replayTraceFrom() loop, across predictor kinds (the E2
  * axis) and engine configurations (the E6 axis plus the
- * speculative-squash extension). Also pins recordTrace's lanes against
- * a live emulator, the clamped cursor contracts of
+ * speculative-squash extension). Also pins recordTrace's lanes, the
+ * machine state Emulator::run(n, sink) leaves and the compile
+ * profiler against live step() loops, the clamped cursor contracts of
  * processBatch and replayTraceFrom, the chunked-batch invariant, the
  * ProcessResult::specSquashed/squashed separation, and the sweep
  * runner's fast-vs-reference byte equality and trace-cache counters.
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -23,6 +25,8 @@
 
 #include "bpred/btb.hh"
 #include "bpred/factory.hh"
+#include "bpred/gshare.hh"
+#include "compiler/compile.hh"
 #include "core/engine.hh"
 #include "sim/decoded_trace.hh"
 #include "sim/emulator.hh"
@@ -226,6 +230,297 @@ TEST(DecodedTraceLanes, ClassLaneMatchesDispatchRules)
     EXPECT_GT(seen[1], 0u);
     EXPECT_GT(seen[2], 0u);
     EXPECT_GT(seen[3], 0u);
+}
+
+// ---------------------------------------------------------------------
+// The interpreter's sinks vs the step() reference: recordTrace's
+// lanes, the machine state run(n, sink) leaves, and the compile
+// profiler.
+
+/** The seven lanes packed per event from a live step() loop. */
+struct PackedLanes
+{
+    std::vector<std::uint32_t> pcs;
+    std::vector<std::uint8_t> cls;
+    std::vector<std::uint8_t> flags;
+    std::vector<std::uint8_t> predReg0;
+    std::vector<std::uint8_t> predReg1;
+    std::vector<std::uint8_t> predVal;
+    std::vector<std::uint32_t> nextPcs;
+};
+
+/** How PredictionEngine::process() dispatches @p inst. */
+DecodedTrace::Class
+dispatchClass(const Inst &inst)
+{
+    if (inst.isConditionalBranch())
+        return DecodedTrace::Class::CondBranch;
+    if (inst.isControl())
+        return DecodedTrace::Class::UncondControl;
+    if (inst.writesPredicate())
+        return DecodedTrace::Class::PredDefine;
+    return DecodedTrace::Class::Other;
+}
+
+PackedLanes
+stepLanes(Emulator &emu, std::uint64_t max_insts)
+{
+    PackedLanes lanes;
+    DynInst dyn;
+    for (std::uint64_t i = 0; i < max_insts && emu.step(dyn); ++i) {
+        std::uint8_t regs[2] = {0, 0};
+        std::uint8_t val = dyn.cmpRel ? 4 : 0;
+        for (unsigned w = 0; w < dyn.numPredWrites; ++w) {
+            regs[w] = dyn.predWrites[w].reg;
+            if (dyn.predWrites[w].value)
+                val |= static_cast<std::uint8_t>(1u << w);
+        }
+        lanes.pcs.push_back(dyn.pc);
+        lanes.cls.push_back(
+            static_cast<std::uint8_t>(dispatchClass(*dyn.inst)));
+        lanes.flags.push_back(static_cast<std::uint8_t>(
+            (dyn.guard ? 1 : 0) | (dyn.taken ? 2 : 0) |
+            (dyn.numPredWrites << 2)));
+        lanes.predReg0.push_back(regs[0]);
+        lanes.predReg1.push_back(regs[1]);
+        lanes.predVal.push_back(val);
+        lanes.nextPcs.push_back(dyn.nextPc);
+    }
+    return lanes;
+}
+
+template <typename T>
+void
+expectSameLane(const char *name, const std::vector<T> &got,
+               const std::vector<T> &want)
+{
+    ASSERT_EQ(got.size(), want.size()) << name;
+    const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+    EXPECT_TRUE(diff.first == got.end())
+        << name << " lane differs first at event "
+        << (diff.first - got.begin()) << ": " << +*diff.first << " vs "
+        << +*diff.second;
+}
+
+void
+expectLanes(const DecodedTrace &trace, const PackedLanes &want)
+{
+    expectSameLane("pcs", trace.pcs, want.pcs);
+    expectSameLane("cls", trace.cls, want.cls);
+    expectSameLane("flags", trace.flags, want.flags);
+    expectSameLane("predReg0", trace.predReg0, want.predReg0);
+    expectSameLane("predReg1", trace.predReg1, want.predReg1);
+    expectSameLane("predVal", trace.predVal, want.predVal);
+    expectSameLane("nextPcs", trace.nextPcs, want.nextPcs);
+}
+
+void
+expectSameMachine(const Emulator &got, const Emulator &want)
+{
+    EXPECT_EQ(got.instsExecuted(), want.instsExecuted());
+    EXPECT_EQ(got.fuseBlown(), want.fuseBlown());
+    EXPECT_EQ(got.halted(), want.halted());
+    EXPECT_EQ(got.state().pc, want.state().pc);
+    EXPECT_EQ(got.state().callStack, want.state().callStack);
+    EXPECT_TRUE(got.state().sameArchOutcome(want.state()));
+}
+
+/** Counts to 50000 in three instructions per iteration, then halts:
+ *  150002 instructions, more than two of the recorder's chunks. */
+Program
+countingLoop()
+{
+    Program p;
+    p.insts = {
+        makeMovImm(1, 0),
+        makeAluImm(Opcode::Add, 1, 1, 1),
+        makeCmpImm(CmpRel::Lt, CmpType::Unc, 1, 2, 1, 50000),
+        makeBr(1, 1),
+        makeHalt(),
+    };
+    return p;
+}
+
+TEST(DecodedTraceLanes, RecorderMatchesStepLoopOnEverySuiteWorkload)
+{
+    constexpr std::uint64_t budget = 100000;
+    for (const std::string &name : workloadNames()) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            for (bool if_convert : {false, true}) {
+                SCOPED_TRACE(name + "/seed" + std::to_string(seed) +
+                             (if_convert ? "/if-converted" : "/normal"));
+                Workload wl = makeWorkload(name, seed);
+                CompileOptions copts;
+                copts.ifConvert = if_convert;
+                const CompiledProgram cp = compileWorkload(wl, copts);
+                Emulator rec(cp.prog);
+                Emulator live(cp.prog);
+                if (wl.init) {
+                    wl.init(rec.state());
+                    wl.init(live.state());
+                }
+                const DecodedTrace trace = recordTrace(rec, budget);
+                ASSERT_EQ(trace.size(), budget);
+                expectLanes(trace, stepLanes(live, budget));
+                expectSameMachine(rec, live);
+            }
+        }
+    }
+}
+
+TEST(DecodedTraceLanes, RecorderShrinksWhenTheProgramHalts)
+{
+    const Program prog = countingLoop();
+    Emulator rec(prog);
+    Emulator live(prog);
+    const DecodedTrace trace = recordTrace(rec, 1000000);
+    EXPECT_EQ(trace.size(), 150002u);
+    expectLanes(trace, stepLanes(live, 1000000));
+    expectSameMachine(rec, live);
+    EXPECT_TRUE(rec.halted());
+    EXPECT_FALSE(rec.fuseBlown());
+    // The unused reservation went back.
+    EXPECT_EQ(trace.pcs.capacity(), trace.size());
+    EXPECT_EQ(trace.cls.capacity(), trace.size());
+    EXPECT_EQ(trace.nextPcs.capacity(), trace.size());
+}
+
+TEST(DecodedTraceLanes, RunLeavesTheStateOfAStepLoop)
+{
+    // run(n, sink) must stop exactly where the same number of step()
+    // calls does: short of a halt, at a halt, and at a maxInsts fuse
+    // that blows mid-run.
+    struct Case
+    {
+        const char *what;
+        std::uint64_t n;
+        std::uint64_t maxInsts;
+        bool halted;
+        bool fuse;
+    };
+    const Case cases[] = {
+        {"short of the halt", 40000, 0, false, false},
+        {"past the halt", 400000, 0, true, false},
+        {"fuse blows mid-run", 400000, 70001, true, true},
+        {"fuse reached, not blown", 70001, 70001, false, false},
+    };
+    const Program prog = countingLoop();
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        const EmuConfig cfg{1u << 12, c.maxInsts};
+        Emulator ran(prog, cfg);
+        Emulator stepped(prog, cfg);
+        std::uint64_t events = 0;
+        const std::uint64_t done =
+            ran.run(c.n, [&events](const ExecEvent &) { ++events; });
+        DynInst dyn;
+        std::uint64_t steps = 0;
+        while (steps < c.n && stepped.step(dyn))
+            ++steps;
+        EXPECT_EQ(done, steps);
+        EXPECT_EQ(events, steps);
+        EXPECT_EQ(ran.halted(), c.halted);
+        EXPECT_EQ(ran.fuseBlown(), c.fuse);
+        expectSameMachine(ran, stepped);
+    }
+
+    // A workload with memory traffic and calls, stopped by the fuse.
+    for (const char *name : {"listwalk", "interp"}) {
+        SCOPED_TRACE(name);
+        Workload wl = makeWorkload(name, 3);
+        const CompiledProgram cp = compileWorkload(wl, CompileOptions{});
+        EmuConfig cfg;
+        cfg.maxInsts = 50001;
+        Emulator ran(cp.prog, cfg);
+        Emulator stepped(cp.prog, cfg);
+        if (wl.init) {
+            wl.init(ran.state());
+            wl.init(stepped.state());
+        }
+        EXPECT_EQ(ran.run(80000), 50001u);
+        DynInst dyn;
+        while (stepped.step(dyn)) {
+        }
+        EXPECT_TRUE(ran.fuseBlown());
+        expectSameMachine(ran, stepped);
+    }
+}
+
+/** The compile profiler as a step() loop: profileFunction() must
+ *  leave the same block counts. */
+void
+referenceProfile(IrFunction &fn, const StateInit &init,
+                 std::uint64_t max_steps)
+{
+    for (BasicBlock &bb : fn.blocks) {
+        bb.execCount = 0;
+        bb.takenCount = 0;
+        bb.profMispredicts = 0;
+    }
+    CompiledProgram compiled = lowerNormal(fn);
+    std::vector<std::int32_t> start_block(compiled.prog.size(), -1);
+    for (BlockId b = 0; b < fn.blocks.size(); ++b)
+        start_block.at(compiled.info.blockStartPc[b]) =
+            static_cast<std::int32_t>(b);
+
+    Emulator emu(compiled.prog);
+    if (init)
+        init(emu.state());
+    GSharePredictor reference(12);
+    DynInst dyn;
+    std::uint64_t steps = 0;
+    while (steps < max_steps && emu.step(dyn)) {
+        ++steps;
+        std::int32_t b = start_block[dyn.pc];
+        if (b >= 0)
+            ++fn.blocks[b].execCount;
+        auto it = compiled.info.branchPcToBlock.find(dyn.pc);
+        if (it != compiled.info.branchPcToBlock.end()) {
+            if (dyn.taken)
+                ++fn.blocks[it->second].takenCount;
+            bool predicted = reference.predict(dyn.pc);
+            reference.update(dyn.pc, dyn.taken);
+            if (predicted != dyn.taken)
+                ++fn.blocks[it->second].profMispredicts;
+        }
+    }
+}
+
+TEST(DecodedTraceLanes, CompileMatchesStepProfileOracle)
+{
+    for (const std::string &name : workloadNames()) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            SCOPED_TRACE(name + "/seed" + std::to_string(seed));
+            Workload wl = makeWorkload(name, seed);
+            Workload ref = wl;
+            const CompileOptions copts;
+            const CompiledProgram got = compileWorkload(wl, copts);
+
+            // compileFunction's if-converting pipeline, profiled by
+            // the reference loop.
+            referenceProfile(ref.fn, ref.init, copts.profileSteps);
+            const CompiledProgram want = lowerIfConverted(
+                ref.fn, selectRegions(ref.fn, copts.heuristics),
+                copts.lowering);
+
+            ASSERT_EQ(wl.fn.blocks.size(), ref.fn.blocks.size());
+            for (std::size_t b = 0; b < ref.fn.blocks.size(); ++b) {
+                EXPECT_EQ(wl.fn.blocks[b].execCount,
+                          ref.fn.blocks[b].execCount) << b;
+                EXPECT_EQ(wl.fn.blocks[b].takenCount,
+                          ref.fn.blocks[b].takenCount) << b;
+                EXPECT_EQ(wl.fn.blocks[b].profMispredicts,
+                          ref.fn.blocks[b].profMispredicts) << b;
+            }
+            ASSERT_EQ(got.prog.size(), want.prog.size());
+            for (std::size_t pc = 0; pc < want.prog.size(); ++pc) {
+                EXPECT_EQ(encode(got.prog.insts[pc]),
+                          encode(want.prog.insts[pc])) << pc;
+                EXPECT_EQ(got.prog.insts[pc].regionId,
+                          want.prog.insts[pc].regionId) << pc;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
