@@ -11,10 +11,9 @@
 
 #include <functional>
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e10 {
 
 namespace {
 
@@ -24,87 +23,80 @@ struct Ablation
     std::function<void(EngineConfig &)> apply;
 };
 
+const std::vector<Ablation> ablations = {
+    {"base gshare (no techniques)", [](EngineConfig &) {}},
+    {"both, defaults",
+     [](EngineConfig &e) {
+         e.useSfpf = true;
+         e.usePgu = true;
+     }},
+    {"PGU source: region cmps only",
+     [](EngineConfig &e) {
+         e.useSfpf = true;
+         e.usePgu = true;
+         e.pgu.source = PguSource::RegionCmps;
+     }},
+    {"PGU value: first write",
+     [](EngineConfig &e) {
+         e.useSfpf = true;
+         e.usePgu = true;
+         e.pgu.value = PguValue::FirstWrite;
+     }},
+    {"PGU value: both writes",
+     [](EngineConfig &e) {
+         e.useSfpf = true;
+         e.usePgu = true;
+         e.pgu.value = PguValue::BothWrites;
+     }},
+    {"PGU: include pset defines",
+     [](EngineConfig &e) {
+         e.useSfpf = true;
+         e.usePgu = true;
+         e.pgu.includePSet = true;
+     }},
+    {"SFPF: conservative def tracking",
+     [](EngineConfig &e) {
+         e.useSfpf = true;
+         e.usePgu = true;
+         e.conservativeDefTracking = true;
+     }},
+    {"SFPF: train on squashed",
+     [](EngineConfig &e) {
+         e.useSfpf = true;
+         e.usePgu = true;
+         e.trainOnSquashed = true;
+     }},
+};
+
 } // namespace
 
-int
-main(int argc, char **argv)
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
 {
-    Options opts = standardOptions();
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-
-    const std::vector<Ablation> ablations = {
-        {"base gshare (no techniques)", [](EngineConfig &) {}},
-        {"both, defaults",
-         [](EngineConfig &e) {
-             e.useSfpf = true;
-             e.usePgu = true;
-         }},
-        {"PGU source: region cmps only",
-         [](EngineConfig &e) {
-             e.useSfpf = true;
-             e.usePgu = true;
-             e.pgu.source = PguSource::RegionCmps;
-         }},
-        {"PGU value: first write",
-         [](EngineConfig &e) {
-             e.useSfpf = true;
-             e.usePgu = true;
-             e.pgu.value = PguValue::FirstWrite;
-         }},
-        {"PGU value: both writes",
-         [](EngineConfig &e) {
-             e.useSfpf = true;
-             e.usePgu = true;
-             e.pgu.value = PguValue::BothWrites;
-         }},
-        {"PGU: include pset defines",
-         [](EngineConfig &e) {
-             e.useSfpf = true;
-             e.usePgu = true;
-             e.pgu.includePSet = true;
-         }},
-        {"SFPF: conservative def tracking",
-         [](EngineConfig &e) {
-             e.useSfpf = true;
-             e.usePgu = true;
-             e.conservativeDefTracking = true;
-         }},
-        {"SFPF: train on squashed",
-         [](EngineConfig &e) {
-             e.useSfpf = true;
-             e.usePgu = true;
-             e.trainOnSquashed = true;
-         }},
-    };
-
-    std::cout << "E10: design ablations (suite means, gshare-4K)\n\n";
+    log << "E10: design ablations (suite means, gshare-4K)\n\n";
 
     std::vector<RunSpec> specs;
     for (const Ablation &ablation : ablations) {
         for (const std::string &name : workloadNames()) {
-            RunSpec spec;
+            RunSpec spec = cfg.base;
             spec.workload = name;
             ablation.apply(spec.engine);
-            spec.maxInsts = steps;
-            spec.seed = seed;
             specs.push_back(spec);
         }
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
     Table table({"configuration", "mispredict", "squash%",
                  "pgu-bits/kinst"});
     std::size_t idx = 0;
     for (const Ablation &ablation : ablations) {
         double sum_rate = 0.0, sum_squash = 0.0, sum_bits = 0.0;
         for (std::size_t w = 0; w < workloadNames().size(); ++w) {
-            const RunResult &result = results[idx++];
+            const RunResult &result = run.results[idx++];
             const EngineStats &stats = result.engine;
             sum_rate += stats.all.mispredictRate();
             sum_squash += stats.all.branches
@@ -122,6 +114,8 @@ main(int argc, char **argv)
         table.cell(sum_bits / n, 1);
     }
 
-    emitTable(table, opts);
-    return exitStatus(specs, results);
+    emitTable(table, run.cfg.csv, out);
+    return true;
 }
+
+} // namespace pabp::bench::e10

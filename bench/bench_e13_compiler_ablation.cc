@@ -10,72 +10,65 @@
  *     predication trade-off, measured end to end.
  */
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e13 {
 
 namespace {
 
 constexpr std::uint64_t toHaltCap = 30'000'000;
 
+const std::vector<unsigned> max_blocks_sweep = {2, 4, 6, 8, 12, 16};
+
 } // namespace
 
-int
-main(int argc, char **argv)
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &)
 {
-    Options opts = standardOptions();
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-
-    const std::vector<unsigned> max_blocks_sweep = {2, 4, 6, 8, 12, 16};
-
     // Grid layout: [sink ablation pairs][branchy to-halt
-    // baselines][maxBlocks x workloads to-halt runs].
+    // baselines][maxBlocks x workloads to-halt runs]. The two tables
+    // print their own headers.
     std::vector<RunSpec> specs;
     for (const std::string &name : workloadNames()) {
         for (int mode = 0; mode < 2; ++mode) {
-            RunSpec spec;
+            RunSpec spec = cfg.base;
             spec.workload = name;
             spec.engine.useSfpf = true;
             spec.compile.lowering.sinkExits = mode == 0;
-            spec.maxInsts = steps;
-            spec.seed = seed;
-            applyCheckpointOptions(spec, opts);
             specs.push_back(spec);
         }
     }
-    const std::size_t branchy_offset = specs.size();
     for (const std::string &name : workloadNames()) {
-        RunSpec branchy;
+        RunSpec branchy = cfg.base;
         branchy.workload = name;
         branchy.ifConvert = false;
         branchy.maxInsts = toHaltCap;
-        branchy.seed = seed;
         specs.push_back(branchy);
     }
-    const std::size_t size_offset = specs.size();
     for (unsigned max_blocks : max_blocks_sweep) {
         for (const std::string &name : workloadNames()) {
-            RunSpec spec;
+            RunSpec spec = cfg.base;
             spec.workload = name;
             spec.engine.useSfpf = true;
             spec.engine.usePgu = true;
             spec.compile.heuristics.maxBlocks = max_blocks;
             spec.maxInsts = toHaltCap;
-            spec.seed = seed;
             specs.push_back(spec);
         }
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
+bool
+table(const GridRun &run, std::ostream &out)
+{
+    const std::vector<RunResult> &results = run.results;
+    const std::size_t nwl = workloadNames().size();
+    const std::size_t branchy_offset = 2 * nwl;
+    const std::size_t size_offset = 3 * nwl;
 
-    std::cout << "E13a: exit sinking ablation (gshare-4K + SFPF, "
-                 "delay=8)\n\n";
+    out << "E13a: exit sinking ablation (gshare-4K + SFPF, "
+           "delay=8)\n\n";
 
     Table sink_table({"workload", "squash%(sunk)", "squash%(in-place)",
                       "mispred(sunk)", "mispred(in-place)"});
@@ -96,13 +89,13 @@ main(int argc, char **argv)
         for (int mode = 0; mode < 2; ++mode)
             sink_table.percentCell(modes[mode]->all.mispredictRate());
     }
-    emitTable(sink_table, opts);
+    emitTable(sink_table, run.cfg.csv, out);
 
-    std::cout << "E13b: hyperblock size sweep (suite means, "
-                 "gshare-4K + both techniques, runs to halt)\n\n";
+    out << "E13b: hyperblock size sweep (suite means, "
+           "gshare-4K + both techniques, runs to halt)\n\n";
 
     std::vector<std::uint64_t> branchy_insts;
-    for (std::size_t w = 0; w < workloadNames().size(); ++w)
+    for (std::size_t w = 0; w < nwl; ++w)
         branchy_insts.push_back(
             results[branchy_offset + w].engine.insts);
 
@@ -113,7 +106,7 @@ main(int argc, char **argv)
         double sum_rate = 0.0, sum_share = 0.0, sum_squash = 0.0;
         double sum_overhead = 0.0;
         std::uint64_t regions = 0;
-        for (std::size_t w = 0; w < workloadNames().size(); ++w) {
+        for (std::size_t w = 0; w < nwl; ++w) {
             const RunResult &result = results[idx++];
             const EngineStats &stats = result.engine;
             regions += result.numRegions;
@@ -129,7 +122,7 @@ main(int argc, char **argv)
             sum_overhead += static_cast<double>(stats.insts) /
                 static_cast<double>(branchy_insts[w]);
         }
-        double n = static_cast<double>(workloadNames().size());
+        double n = static_cast<double>(nwl);
         size_table.startRow();
         size_table.cell(std::uint64_t{max_blocks});
         size_table.cell(regions);
@@ -138,8 +131,10 @@ main(int argc, char **argv)
         size_table.percentCell(sum_squash / n);
         size_table.cell(sum_overhead / n, 2);
     }
-    emitTable(size_table, opts);
-    std::cout << "inst-overhead = predicated instructions to complete "
-                 "the same work,\nrelative to the branchy binary.\n";
-    return exitStatus(specs, results);
+    emitTable(size_table, run.cfg.csv, out);
+    out << "inst-overhead = predicated instructions to complete "
+           "the same work,\nrelative to the branchy binary.\n";
+    return true;
 }
+
+} // namespace pabp::bench::e13

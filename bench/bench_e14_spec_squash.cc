@@ -9,36 +9,30 @@
  * leave more guards unresolved and give the extension more room.
  */
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e14 {
 
-int
-main(int argc, char **argv)
+namespace {
+
+const std::vector<unsigned> delays = {4, 8, 16, 32, 64};
+
+} // namespace
+
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
 {
-    Options opts = standardOptions();
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-
-    const std::vector<unsigned> delays = {4, 8, 16, 32, 64};
-
-    std::cout << "E14: speculative squash extension (gshare-4K, suite "
-                 "means)\n\n";
+    log << "E14: speculative squash extension (gshare-4K, suite "
+           "means)\n\n";
 
     // delays x workloads x {filter only, +spec, +spec JRS-gated}.
     std::vector<RunSpec> specs;
     for (unsigned delay : delays) {
         for (const std::string &name : workloadNames()) {
-            RunSpec base;
+            RunSpec base = cfg.base;
             base.workload = name;
             base.engine.useSfpf = true;
             base.engine.availDelay = delay;
-            base.maxInsts = steps;
-            base.seed = seed;
-            applyCheckpointOptions(base, opts);
             specs.push_back(base);
 
             RunSpec spec = base;
@@ -50,11 +44,13 @@ main(int argc, char **argv)
             specs.push_back(jrs_spec);
         }
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
+    const std::vector<RunResult> &results = run.results;
     Table table({"delay", "squash%(filter)", "spec-squash%",
                  "spec-wrong%", "mispred(filter)", "mispred(+spec)",
                  "mispred(+spec,JRS)"});
@@ -96,9 +92,11 @@ main(int argc, char **argv)
         table.percentCell(sum_rate_jrs / n);
     }
 
-    emitTable(table, opts);
-    std::cout << "spec-wrong% = wrongly squashed (taken) share of "
-                 "speculative squashes;\nthese become branch "
-                 "mispredicts, unlike the filter's certain ones.\n";
-    return exitStatus(specs, results);
+    emitTable(table, run.cfg.csv, out);
+    out << "spec-wrong% = wrongly squashed (taken) share of "
+           "speculative squashes;\nthese become branch "
+           "mispredicts, unlike the filter's certain ones.\n";
+    return true;
 }
+
+} // namespace pabp::bench::e14

@@ -11,10 +11,9 @@
 
 #include <cstdio>
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e15 {
 
 namespace {
 
@@ -28,35 +27,27 @@ biasId(double bias)
     return buf;
 }
 
+const std::vector<double> biases = {0.50, 0.60, 0.70, 0.80,
+                                    0.90, 0.95, 0.99};
+
 } // namespace
 
-int
-main(int argc, char **argv)
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
 {
-    Options opts = standardOptions();
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-
-    const std::vector<double> biases = {0.50, 0.60, 0.70, 0.80,
-                                        0.90, 0.95, 0.99};
-
-    std::cout << "E15: branch bias sweep on the diamond kernel "
-                 "(gshare-4K, width 6, penalty 8)\n\n";
+    log << "E15: branch bias sweep on the diamond kernel "
+           "(gshare-4K, width 6, penalty 8)\n\n";
 
     // biases x {branchy, pred, pred+both}, all timed runs.
     std::vector<RunSpec> specs;
     for (double bias : biases) {
-        RunSpec branchy;
+        RunSpec branchy = cfg.base;
         branchy.workload = biasId(bias);
         branchy.factory = [bias](std::uint64_t s) {
             return makeBiasWorkload(bias, s);
         };
         branchy.mode = RunMode::Timed;
         branchy.ifConvert = false;
-        branchy.maxInsts = steps;
-        branchy.seed = seed;
         specs.push_back(branchy);
 
         RunSpec pred = branchy;
@@ -68,11 +59,13 @@ main(int argc, char **argv)
         both.engine.usePgu = true;
         specs.push_back(both);
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
+    const std::vector<RunResult> &results = run.results;
     Table table({"taken-prob", "mispredict(branchy)", "IPC(branchy)",
                  "IPC(pred)", "IPC(pred+both)", "pred wins"});
 
@@ -92,13 +85,15 @@ main(int argc, char **argv)
                                                             : "no"));
     }
 
-    emitTable(table, opts);
-    std::cout << "expected shape: the predication margin is largest "
-                 "where the branch is\nhard (p near 0.5) and shrinks "
-                 "as bias approaches 1. On this in-order\nfront end "
-                 "predication also removes taken-branch redirect "
-                 "bubbles, so the\nmargin stays positive even for "
-                 "biased branches - fatter arms or a\nnarrower "
-                 "machine move the crossover into view.\n";
-    return exitStatus(specs, results);
+    emitTable(table, run.cfg.csv, out);
+    out << "expected shape: the predication margin is largest "
+           "where the branch is\nhard (p near 0.5) and shrinks "
+           "as bias approaches 1. On this in-order\nfront end "
+           "predication also removes taken-branch redirect "
+           "bubbles, so the\nmargin stays positive even for "
+           "biased branches - fatter arms or a\nnarrower "
+           "machine move the crossover into view.\n";
+    return true;
 }
+
+} // namespace pabp::bench::e15

@@ -10,7 +10,7 @@
  * of the *unfiltered* branches only - isolating the "cleaner tables"
  * effect from the "free not-taken predictions" effect.
  *
- * The --contexts axis (declareContextOptions) adds the OTHER
+ * The --contexts / --ctx-schedule axis adds the OTHER
  * pollution source: with N > 1 the same tables additionally absorb
  * lookups and training from N-1 unrelated trace contexts
  * (core/multictx.hh), so the conflict counts separate same-stream
@@ -18,37 +18,27 @@
  * comparison.
  */
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e16 {
 
-int
-main(int argc, char **argv)
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
 {
-    Options opts = standardOptions();
-    declareContextOptions(opts);
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-    const ContextSpec context = contextSpecFromOptions(opts);
-
-    std::cout << "E16: gshare table pollution with/without the filter "
-                 "(4K entries";
+    const ContextSpec &context = cfg.pollutionContext;
+    log << "E16: gshare table pollution with/without the filter "
+           "(4K entries";
     if (context.contexts > 1)
-        std::cout << ", " << context.contexts << " contexts, "
-                  << scheduleKindName(context.schedule);
-    std::cout << ")\n\n";
+        log << ", " << context.contexts << " contexts, "
+            << scheduleKindName(context.schedule);
+    log << ")\n\n";
 
     // workloads x {base, +SFPF}, both with conflict profiling on.
     std::vector<RunSpec> specs;
     for (const std::string &name : workloadNames()) {
-        RunSpec base;
+        RunSpec base = cfg.base;
         base.workload = name;
         base.profileConflicts = true;
-        base.maxInsts = steps;
-        base.seed = seed;
         base.context = context;
         specs.push_back(base);
 
@@ -56,11 +46,13 @@ main(int argc, char **argv)
         with.engine.useSfpf = true;
         specs.push_back(with);
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
+    const std::vector<RunResult> &results = run.results;
     Table table({"workload", "lookups(base)", "lookups(+SFPF)",
                  "conflicts(base)", "conflicts(+SFPF)",
                  "mispred(base)", "mispred(+SFPF)"});
@@ -89,14 +81,16 @@ main(int argc, char **argv)
     for (std::uint64_t t : totals)
         table.cell(t);
 
-    emitTable(table, opts);
-    std::cout << "conflicts = lookups landing on an entry last touched "
-                 "by a different\nbranch. The filter removes squashed "
-                 "branches' lookups and training from\nthe table "
-                 "entirely - roughly halving predictor traffic - and "
-                 "cuts\nmispredicts in aggregate. (Per-workload "
-                 "conflict counts can move either\nway because "
-                 "squashing also changes the global history and thus "
-                 "the\nindex stream.)\n";
-    return exitStatus(specs, results);
+    emitTable(table, run.cfg.csv, out);
+    out << "conflicts = lookups landing on an entry last touched "
+           "by a different\nbranch. The filter removes squashed "
+           "branches' lookups and training from\nthe table "
+           "entirely - roughly halving predictor traffic - and "
+           "cuts\nmispredicts in aggregate. (Per-workload "
+           "conflict counts can move either\nway because "
+           "squashing also changes the global history and thus "
+           "the\nindex stream.)\n";
+    return true;
 }
+
+} // namespace pabp::bench::e16

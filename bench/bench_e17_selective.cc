@@ -8,14 +8,15 @@
  * easy ones claws back the both-paths instruction tax.
  */
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e17 {
 
 namespace {
 
 constexpr std::uint64_t toHaltCap = 30'000'000;
+
+const std::vector<double> thetas = {0.0, 0.005, 0.01, 0.02, 0.05, 0.10};
 
 struct Point
 {
@@ -27,36 +28,26 @@ struct Point
 
 } // namespace
 
-int
-main(int argc, char **argv)
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
 {
-    Options opts = standardOptions();
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t seed = opts.unsignedInteger("seed");
-
-    const std::vector<double> thetas = {0.0, 0.005, 0.01, 0.02, 0.05,
-                                        0.10};
-
-    std::cout << "E17: selective if-conversion by profiled mispredict "
-                 "ratio\n(suite means, runs to halt, gshare-4K + both "
-                 "techniques)\n\n";
+    log << "E17: selective if-conversion by profiled mispredict "
+           "ratio\n(suite means, runs to halt, gshare-4K + both "
+           "techniques)\n\n";
 
     // Grid layout: [branchy instruction baselines (trace)][branchy
     // timed point][thetas x workloads timed points].
     std::vector<RunSpec> specs;
     for (const std::string &name : workloadNames()) {
-        RunSpec branchy;
+        RunSpec branchy = cfg.base;
         branchy.workload = name;
         branchy.ifConvert = false;
         branchy.maxInsts = toHaltCap;
-        branchy.seed = seed;
         specs.push_back(branchy);
     }
-    const std::size_t timed_offset = specs.size();
     auto pointSpecs = [&](double theta, bool if_convert) {
         for (const std::string &name : workloadNames()) {
-            RunSpec spec;
+            RunSpec spec = cfg.base;
             spec.workload = name;
             spec.mode = RunMode::Timed;
             spec.ifConvert = if_convert;
@@ -64,23 +55,24 @@ main(int argc, char **argv)
             spec.engine.usePgu = if_convert;
             spec.compile.heuristics.minSeedMispredictRatio = theta;
             spec.maxInsts = toHaltCap;
-            spec.seed = seed;
             specs.push_back(spec);
         }
     };
     pointSpecs(0.0, false);
     for (double theta : thetas)
         pointSpecs(theta, true);
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
+    const std::vector<RunResult> &results = run.results;
     std::vector<std::uint64_t> branchy_insts;
     for (std::size_t w = 0; w < workloadNames().size(); ++w)
         branchy_insts.push_back(results[w].engine.insts);
 
-    std::size_t idx = timed_offset;
+    std::size_t idx = workloadNames().size(); // the timed points
     auto takePoint = [&]() {
         Point point;
         for (std::size_t w = 0; w < workloadNames().size(); ++w) {
@@ -119,11 +111,13 @@ main(int argc, char **argv)
         table.cell(point.overhead, 2);
     }
 
-    emitTable(table, opts);
-    std::cout << "theta = required profiled mispredict ratio for a "
-                 "hyperblock seed\n(0 = predicate everything hot). "
-                 "Raising theta trims regions and the\ninstruction "
-                 "tax while keeping most of the IPC win - until it "
-                 "starts\nskipping genuinely hard branches.\n";
-    return exitStatus(specs, results);
+    emitTable(table, run.cfg.csv, out);
+    out << "theta = required profiled mispredict ratio for a "
+           "hyperblock seed\n(0 = predicate everything hot). "
+           "Raising theta trims regions and the\ninstruction "
+           "tax while keeping most of the IPC win - until it "
+           "starts\nskipping genuinely hard branches.\n";
+    return true;
 }
+
+} // namespace pabp::bench::e17

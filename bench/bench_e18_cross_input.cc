@@ -9,36 +9,32 @@
  * consume coarse block weights.
  */
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e18 {
 
-int
-main(int argc, char **argv)
+namespace {
+
+constexpr std::uint64_t trainSeed = 42;      ///< profiling input
+constexpr std::uint64_t refSeed = 20260706;  ///< measurement input
+
+} // namespace
+
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
 {
-    Options opts = standardOptions();
-    opts.declare("train-seed", "42", "profiling input seed");
-    opts.declare("ref-seed", "20260706", "measurement input seed");
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t train = opts.unsignedInteger("train-seed");
-    std::uint64_t ref = opts.unsignedInteger("ref-seed");
-
-    std::cout << "E18: profile on train input (" << train
-              << "), measure on ref input (" << ref << ")\n\n";
+    log << "E18: profile on train input (" << trainSeed
+        << "), measure on ref input (" << refSeed << ")\n\n";
 
     // Per workload: base(ref), +both(ref) - compiled from the train
     // profile but run on the ref memory image (compileSeed != seed) -
     // then +both(same-input) compiled and run on ref.
     std::vector<RunSpec> specs;
     for (const std::string &name : workloadNames()) {
-        RunSpec base;
+        RunSpec base = cfg.base;
         base.workload = name;
-        base.compileSeed = train;
-        base.seed = ref;
-        base.maxInsts = steps;
+        base.compileSeed = trainSeed;
+        base.seed = refSeed;
         specs.push_back(base);
 
         RunSpec both = base;
@@ -47,14 +43,16 @@ main(int argc, char **argv)
         specs.push_back(both);
 
         RunSpec same = both;
-        same.compileSeed = ref;
+        same.compileSeed = refSeed;
         specs.push_back(same);
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
+    const std::vector<RunResult> &results = run.results;
     Table table({"workload", "base(ref)", "+both(ref)", "reduction",
                  "+both(same-input)"});
     double sum_base = 0.0, sum_both = 0.0, sum_same = 0.0;
@@ -86,10 +84,12 @@ main(int argc, char **argv)
                       1);
     table.percentCell(sum_same / n);
 
-    emitTable(table, opts);
-    std::cout << "expected shape: cross-input results track the "
-                 "same-input column closely -\nregion formation "
-                 "consumes only coarse block weights, so it does not "
-                 "overfit\nthe training input.\n";
-    return exitStatus(specs, results);
+    emitTable(table, run.cfg.csv, out);
+    out << "expected shape: cross-input results track the "
+           "same-input column closely -\nregion formation "
+           "consumes only coarse block weights, so it does not "
+           "overfit\nthe training input.\n";
+    return true;
 }
+
+} // namespace pabp::bench::e18

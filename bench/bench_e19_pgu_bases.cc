@@ -9,37 +9,30 @@
  * correlation (perceptron's long history).
  */
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e19 {
 
-int
-main(int argc, char **argv)
+namespace {
+
+const std::vector<std::string> kinds = {"gag",  "gshare", "comb",
+                                        "agree", "yags",  "perceptron"};
+
+} // namespace
+
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
 {
-    Options opts = standardOptions();
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-
-    const std::vector<std::string> kinds = {"gag", "gshare", "comb",
-                                            "agree", "yags",
-                                            "perceptron"};
-
-    std::cout << "E19: SFPF+PGU across base predictors (suite means, "
-                 "2^12 budget class)\n\n";
+    log << "E19: SFPF+PGU across base predictors (suite means, "
+           "2^12 budget class)\n\n";
 
     // kinds x workloads x {alone, +both}.
     std::vector<RunSpec> specs;
     for (const std::string &kind : kinds) {
         for (const std::string &name : workloadNames()) {
-            RunSpec alone;
+            RunSpec alone = cfg.base;
             alone.workload = name;
             alone.predictor = kind;
-            alone.maxInsts = steps;
-            alone.seed = seed;
-            applyCheckpointOptions(alone, opts);
             specs.push_back(alone);
 
             RunSpec both = alone;
@@ -48,11 +41,13 @@ main(int argc, char **argv)
             specs.push_back(both);
         }
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
+    const std::vector<RunResult> &results = run.results;
     Table table({"base predictor", "alone", "+SFPF+PGU", "reduction"});
     std::size_t idx = 0;
     for (const std::string &kind : kinds) {
@@ -72,10 +67,12 @@ main(int argc, char **argv)
                           1);
     }
 
-    emitTable(table, opts);
-    std::cout << "expected shape: every global-history baseline "
-                 "improves; the margin is\nsmallest where the baseline "
-                 "already reaches the correlated bits\n(perceptron's "
-                 "long history).\n";
-    return exitStatus(specs, results);
+    emitTable(table, run.cfg.csv, out);
+    out << "expected shape: every global-history baseline "
+           "improves; the margin is\nsmallest where the baseline "
+           "already reaches the correlated bits\n(perceptron's "
+           "long history).\n";
+    return true;
 }
+
+} // namespace pabp::bench::e19

@@ -7,51 +7,45 @@
  * theoretical ceiling), and predicate-define density.
  */
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e1 {
 
-int
-main(int argc, char **argv)
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
 {
-    Options opts = standardOptions();
-    if (!opts.parse(argc, argv))
-        return 0;
     // Characterisation runs to halt so the predication overhead
     // (extra fetched instructions for the same work) is visible; the
     // --steps option is only a safety cap here.
-    std::uint64_t steps = std::max<std::uint64_t>(
-        opts.unsignedInteger("steps"), 40'000'000);
-    std::uint64_t seed = opts.unsignedInteger("seed");
+    const std::uint64_t steps =
+        std::max<std::uint64_t>(cfg.base.maxInsts, 40'000'000);
 
-    std::cout << "E1: workload characterisation (to halt, seed=" << seed
-              << ")\n\n";
+    log << "E1: workload characterisation (to halt, seed="
+        << cfg.base.seed << ")\n\n";
 
     // Two cells per workload: the branchy binary run to halt (for
     // the instruction-count baseline) and the predicated run whose
     // engine stats fill the rest of the row.
     std::vector<RunSpec> specs;
     for (const std::string &name : workloadNames()) {
-        RunSpec branchy;
+        RunSpec branchy = cfg.base;
         branchy.workload = name;
         branchy.ifConvert = false;
         branchy.maxInsts = steps;
-        branchy.seed = seed;
         specs.push_back(branchy);
 
-        RunSpec pred;
+        RunSpec pred = cfg.base;
         pred.workload = name;
         pred.maxInsts = steps;
-        pred.seed = seed;
-        applyCheckpointOptions(pred, opts);
         specs.push_back(pred);
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
+    const std::vector<RunResult> &results = run.results;
     Table table({"workload", "insts(branchy)", "insts(pred)",
                  "overhead", "cond-br(pred)", "region-br%",
                  "false-guard%", "pdefines/kinst", "static-regions"});
@@ -89,9 +83,11 @@ main(int argc, char **argv)
         table.cell(pred.numRegions);
     }
 
-    emitTable(table, opts);
-    std::cout << "region-br% = share of dynamic conditional branches "
-                 "that are region-based\nfalse-guard% = share executed "
-                 "with a false qualifying predicate (filter ceiling)\n";
-    return exitStatus(specs, results);
+    emitTable(table, run.cfg.csv, out);
+    out << "region-br% = share of dynamic conditional branches "
+           "that are region-based\nfalse-guard% = share executed "
+           "with a false qualifying predicate (filter ceiling)\n";
+    return true;
 }
+
+} // namespace pabp::bench::e1

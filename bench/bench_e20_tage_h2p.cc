@@ -13,100 +13,70 @@
  * tier 0 = PCs covering the first 50% of residual mispredicts, tier 1
  * to 90%, tier 2 the rest); every variant's per-PC counters are then
  * re-aggregated over those same PC sets. Per-tier deltas go through
- * the metrics exporter into a byte-stable summary document (--h2p-out)
- * alongside the per-cell exports (--metrics-dir); metric names are in
- * docs/OBSERVABILITY.md.
+ * the metrics exporter into a byte-stable summary document
+ * (BENCH_tage_h2p.json under --summary-dir) alongside the per-cell
+ * exports (--metrics-dir); metric names are in docs/OBSERVABILITY.md.
  */
 
-#include <sstream>
-
-#include "common.hh"
 #include "core/h2p.hh"
+#include "experiments.hh"
 #include "util/metrics.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e20 {
 
-int
-main(int argc, char **argv)
+namespace {
+
+constexpr unsigned sizeLog2 = 12; ///< tage budget class
+/** Cumulative mispredict-share tier cutoffs. */
+const std::vector<double> cutoffs = {0.5, 0.9};
+
+struct Config
 {
-    Options opts = standardOptions();
-    opts.declare("size-log2", "12", "tage budget class (log2)");
-    opts.declare("h2p-out", "BENCH_tage_h2p.json",
-                 "aggregate H2P summary path (pabp.metrics JSON; "
-                 "empty = skip)");
-    opts.declare("h2p-cutoffs", "0.5,0.9",
-                 "cumulative mispredict-share tier cutoffs "
-                 "(comma-separated, strictly increasing, in (0,1))");
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-    const unsigned size_log2 = opts.unsignedInteger<unsigned>("size-log2");
+    const char *label;
+    bool sfpf;
+    bool pgu;
+};
+constexpr Config configs[] = {
+    {"base", false, false},
+    {"sfpf", true, false},
+    {"pgu", false, true},
+    {"both", true, true},
+};
+constexpr std::size_t ncfg = std::size(configs);
 
-    // Range/ordering problems surface later as classifyH2p's typed
-    // InvalidArgument; only non-numeric text is rejected here.
-    std::vector<double> cutoffs;
-    {
-        std::stringstream ss(opts.str("h2p-cutoffs"));
-        std::string tok;
-        while (std::getline(ss, tok, ',')) {
-            if (tok.empty())
-                continue;
-            try {
-                cutoffs.push_back(std::stod(tok));
-            } catch (const std::exception &) {
-                std::cerr << "FAILED: --h2p-cutoffs: '" << tok
-                          << "' is not a number\n";
-                return 1;
-            }
-        }
-    }
-    const unsigned ntiers =
-        static_cast<unsigned>(cutoffs.size()) + 1;
+} // namespace
 
-    struct Config
-    {
-        const char *label;
-        bool sfpf;
-        bool pgu;
-    };
-    const Config configs[] = {
-        {"base", false, false},
-        {"sfpf", true, false},
-        {"pgu", false, true},
-        {"both", true, true},
-    };
-    const std::size_t ncfg = std::size(configs);
-
-    std::cout << "E20: SFPF/PGU on TAGE, by hard-to-predict tier "
-                 "(tage-2^" << size_log2 << ")\n\n";
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
+{
+    log << "E20: SFPF/PGU on TAGE, by hard-to-predict tier "
+           "(tage-2^" << sizeLog2 << ")\n\n";
 
     std::vector<RunSpec> specs;
     for (const std::string &name : workloadNames()) {
         for (const Config &config : configs) {
-            RunSpec spec;
+            RunSpec spec = cfg.base;
             spec.workload = name;
             spec.predictor = "tage";
-            spec.sizeLog2 = size_log2;
-            spec.maxInsts = steps;
-            spec.seed = seed;
+            spec.sizeLog2 = sizeLog2;
             spec.engine.useSfpf = config.sfpf;
             spec.engine.usePgu = config.pgu;
-            applyCheckpointOptions(spec, opts);
             specs.push_back(spec);
         }
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
+bool
+table(const GridRun &run, std::ostream &out)
+{
+    const std::vector<RunResult> &results = run.results;
+    const unsigned ntiers = static_cast<unsigned>(cutoffs.size()) + 1;
 
     MetricsExporter summary;
     summary.setText("h2p.predictor", "tage");
-    summary.setInt("h2p.size_log2", size_log2);
-    summary.setInt("h2p.steps", steps);
-
+    summary.setInt("h2p.size_log2", sizeLog2);
+    summary.setInt("h2p.steps", run.cfg.base.maxInsts);
     Table table({"workload", "tier", "branches", "base misp",
                  "+sfpf d", "+pgu d", "+both d"});
     // Suite-level per-(config, tier) sums for the quick read.
@@ -120,9 +90,9 @@ main(int argc, char **argv)
         const Expected<H2pClassification> classified =
             classifyH2p(baseline, cutoffs);
         if (!classified.ok()) {
-            std::cerr << "FAILED: --h2p-cutoffs: "
+            std::cerr << "FAILED: E20: " << name << ": "
                       << classified.status().toString() << "\n";
-            return 1;
+            return false;
         }
         const H2pClassification &cls = classified.value();
         const std::string prefix = "h2p." + name;
@@ -165,21 +135,13 @@ main(int argc, char **argv)
                                 ".mispredict_delta",
                             suiteDelta[c][t]);
 
-    emitTable(table, opts);
-    std::cout << "expected shape: negative deltas (fewer mispredicts) "
-                 "concentrated in tier 0\n(the H2P set) - predicate "
-                 "information attacks exactly the branches TAGE's\n"
-                 "history tables keep missing; tier 2 is near zero "
-                 "either way.\n";
-
-    const std::string out = opts.str("h2p-out");
-    if (!out.empty()) {
-        Status written = summary.writeJsonFile(out);
-        if (!written.ok()) {
-            std::cerr << "FAILED: cannot write " << out << ": "
-                      << written.toString() << "\n";
-            return 1;
-        }
-    }
-    return exitStatus(specs, results);
+    emitTable(table, run.cfg.csv, out);
+    out << "expected shape: negative deltas (fewer mispredicts) "
+           "concentrated in tier 0\n(the H2P set) - predicate "
+           "information attacks exactly the branches TAGE's\n"
+           "history tables keep missing; tier 2 is near zero "
+           "either way.\n";
+    return writeSummary(summary, run.cfg, "BENCH_tage_h2p.json");
 }
+
+} // namespace pabp::bench::e20

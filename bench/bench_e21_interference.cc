@@ -20,7 +20,7 @@
  * per-context profiles are re-aggregated over those PC sets, so "the
  * interference lands on the hard branches" has a numeric answer.
  *
- * Summary JSON (--out, default BENCH_interference.json) keys:
+ * Summary JSON (BENCH_interference.json under --summary-dir) keys:
  *   itf.<wl>.<cfg>.<cell>.mispredict_rate      aggregate over contexts
  *   itf.<wl>.<cfg>.<cell>.degradation          rate - N=1 rate
  *   itf.<wl>.<cfg>.<cell>.ctx<K>.mispredict_rate / .degradation
@@ -32,14 +32,69 @@
 
 #include <vector>
 
-#include "common.hh"
 #include "core/h2p.hh"
+#include "experiments.hh"
 #include "util/metrics.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e21 {
 
 namespace {
+
+constexpr const char *predictor = "gshare"; ///< the shared predictor
+constexpr unsigned sizeLog2 = 12;
+/** Shape of every multi-context cell: round-robin slice (burst
+ *  midpoint for bursty), bursty draw seed, context-id tag bits. */
+constexpr std::uint64_t quantum = 1024;
+constexpr std::uint64_t scheduleSeed = 1;
+constexpr unsigned tagBits = 0;
+
+struct Config
+{
+    const char *label;
+    bool sfpf;
+    bool pgu;
+};
+constexpr Config configs[] = {
+    {"base", false, false},
+    {"sfpf", true, false},
+    {"pgu", false, true},
+    {"both", true, true},
+};
+
+/** One point of the interference grid; contexts == 1 is the
+ *  interference-free baseline (schedule/sharing are degenerate
+ *  there, so only one N=1 cell runs per config). */
+struct Cell
+{
+    unsigned contexts;
+    ScheduleKind sched;
+    bool shared;
+    std::string
+    label() const
+    {
+        if (contexts == 1)
+            return "n1";
+        std::string text = "n";
+        text += std::to_string(contexts);
+        text += '.';
+        text += scheduleKindName(sched);
+        text += shared ? ".shared" : ".part";
+        return text;
+    }
+};
+
+std::vector<Cell>
+interferenceCells()
+{
+    std::vector<Cell> cells;
+    cells.push_back({1, ScheduleKind::RoundRobin, true});
+    for (unsigned n : {2u, 4u})
+        for (ScheduleKind sched :
+             {ScheduleKind::RoundRobin, ScheduleKind::Bursty})
+            for (bool shared : {true, false})
+                cells.push_back({n, sched, shared});
+    return cells;
+}
 
 /** The per-context profiles of a cell: the top-level profile for an
  *  ordinary N=1 cell, the per-context ones for a multi-context cell. */
@@ -72,110 +127,49 @@ ratesOf(const RunResult &result)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
 {
-    Options opts = standardOptions();
-    declareContextOptions(opts);
-    opts.declare("predictor", "gshare",
-                 "shared predictor under interference");
-    opts.declare("size-log2", "12", "predictor budget class (log2)");
-    opts.declare("out", "BENCH_interference.json",
-                 "interference summary path (pabp.metrics JSON; "
-                 "empty = skip)");
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-    const std::string predictor = opts.str("predictor");
-    const unsigned size_log2 = opts.unsignedInteger<unsigned>("size-log2");
-    // --ctx-quantum/--ctx-seed/--ctx-tag-bits shape every
-    // multi-context cell; --contexts/--ctx-schedule/--ctx-shared are
-    // grid axes here and are ignored.
-    const ContextSpec knobs = contextSpecFromOptions(opts);
-
-    struct Config
-    {
-        const char *label;
-        bool sfpf;
-        bool pgu;
-    };
-    const Config configs[] = {
-        {"base", false, false},
-        {"sfpf", true, false},
-        {"pgu", false, true},
-        {"both", true, true},
-    };
-
-    /** One point of the interference grid; contexts == 1 is the
-     *  interference-free baseline (schedule/sharing are degenerate
-     *  there, so only one N=1 cell runs per config). */
-    struct Cell
-    {
-        unsigned contexts;
-        ScheduleKind sched;
-        bool shared;
-        std::string
-        label() const
-        {
-            if (contexts == 1)
-                return "n1";
-            std::string text = "n";
-            text += std::to_string(contexts);
-            text += '.';
-            text += scheduleKindName(sched);
-            text += shared ? ".shared" : ".part";
-            return text;
-        }
-    };
-    std::vector<Cell> cells;
-    cells.push_back({1, ScheduleKind::RoundRobin, true});
-    for (unsigned n : {2u, 4u})
-        for (ScheduleKind sched :
-             {ScheduleKind::RoundRobin, ScheduleKind::Bursty})
-            for (bool shared : {true, false})
-                cells.push_back({n, sched, shared});
-    const std::size_t ncell = cells.size();
-
-    std::cout << "E21: shared-predictor interference across contexts ("
-              << predictor << "-2^" << size_log2 << ", quantum "
-              << knobs.quantum << ", tag bits " << knobs.tagBits
-              << ")\n\n";
+    log << "E21: shared-predictor interference across contexts ("
+        << predictor << "-2^" << sizeLog2 << ", quantum " << quantum
+        << ", tag bits " << tagBits << ")\n\n";
 
     std::vector<RunSpec> specs;
     for (const std::string &name : workloadNames()) {
         for (const Config &config : configs) {
-            for (const Cell &cell : cells) {
-                RunSpec spec;
+            for (const Cell &cell : interferenceCells()) {
+                RunSpec spec = cfg.base;
                 spec.workload = name;
                 spec.predictor = predictor;
-                spec.sizeLog2 = size_log2;
-                spec.maxInsts = steps;
-                spec.seed = seed;
+                spec.sizeLog2 = sizeLog2;
                 spec.engine.useSfpf = config.sfpf;
                 spec.engine.usePgu = config.pgu;
                 spec.context.contexts = cell.contexts;
                 spec.context.schedule = cell.sched;
                 spec.context.shared = cell.shared;
-                spec.context.quantum = knobs.quantum;
-                spec.context.scheduleSeed = knobs.scheduleSeed;
-                spec.context.tagBits = knobs.tagBits;
+                spec.context.quantum = quantum;
+                spec.context.scheduleSeed = scheduleSeed;
+                spec.context.tagBits = tagBits;
                 specs.push_back(spec);
             }
         }
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
+bool
+table(const GridRun &run, std::ostream &out)
+{
+    const std::vector<RunResult> &results = run.results;
+    const std::vector<Cell> cells = interferenceCells();
+    const std::size_t ncell = cells.size();
 
     MetricsExporter summary;
     summary.setText("itf.predictor", predictor);
-    summary.setInt("itf.size_log2", size_log2);
-    summary.setInt("itf.steps", steps);
-    summary.setInt("itf.quantum", knobs.quantum);
-    summary.setInt("itf.tag_bits", knobs.tagBits);
-
+    summary.setInt("itf.size_log2", sizeLog2);
+    summary.setInt("itf.steps", run.cfg.base.maxInsts);
+    summary.setInt("itf.quantum", quantum);
+    summary.setInt("itf.tag_bits", tagBits);
     Table table({"workload", "config", "cell", "misp rate", "d(rate)",
                  "worst ctx d", "tier0 misp/ctx"});
 
@@ -186,9 +180,9 @@ main(int argc, char **argv)
         const Expected<H2pClassification> classified =
             classifyH2p(results[idx].profile);
         if (!classified.ok()) {
-            std::cerr << "FAILED: " << name << ": "
+            std::cerr << "FAILED: E21: " << name << ": "
                       << classified.status().toString() << "\n";
-            return 1;
+            return false;
         }
         const H2pClassification &cls = classified.value();
         exportH2pClassification(summary, cls, "itf." + name + ".h2p");
@@ -199,7 +193,7 @@ main(int argc, char **argv)
             for (std::size_t k = 0; k < ncell; ++k, ++idx) {
                 const RunResult &r = results[idx];
                 if (!r.status.ok())
-                    continue; // reported by exitStatus below
+                    continue; // reported by the driver
                 const std::string prefix = "itf." + name + "." +
                     config.label + "." + cells[k].label() + ".";
                 const double rate = r.engine.all.mispredictRate();
@@ -251,27 +245,19 @@ main(int argc, char **argv)
         }
     }
 
-    emitTable(table, opts);
-    std::cout << "degradation = mispredict rate minus the same "
-                 "config's interference-free\n(n1) rate. The contexts "
-                 "are independent input seeds of the SAME workload,\nso "
-                 "two forces compete: constructive table sharing (N "
-                 "co-runners train the\nsame static branches) pulls "
-                 "degradation negative, destructive history/"
-                 "\ncorrelation interference pulls it positive. Shared "
-                 "history is consistently\nworse than partitioned at "
-                 "equal N, and SFPF/PGU keep their sign under\n"
-                 "pressure: filtered tables alias less across contexts "
-                 "too.\n";
-
-    const std::string out = opts.str("out");
-    if (!out.empty()) {
-        Status written = summary.writeJsonFile(out);
-        if (!written.ok()) {
-            std::cerr << "FAILED: cannot write " << out << ": "
-                      << written.toString() << "\n";
-            return 1;
-        }
-    }
-    return exitStatus(specs, results);
+    emitTable(table, run.cfg.csv, out);
+    out << "degradation = mispredict rate minus the same "
+           "config's interference-free\n(n1) rate. The contexts "
+           "are independent input seeds of the SAME workload,\nso "
+           "two forces compete: constructive table sharing (N "
+           "co-runners train the\nsame static branches) pulls "
+           "degradation negative, destructive history/"
+           "\ncorrelation interference pulls it positive. Shared "
+           "history is consistently\nworse than partitioned at "
+           "equal N, and SFPF/PGU keep their sign under\n"
+           "pressure: filtered tables alias less across contexts "
+           "too.\n";
+    return writeSummary(summary, run.cfg, "BENCH_interference.json");
 }
+
+} // namespace pabp::bench::e21

@@ -18,95 +18,74 @@
  * metric is the tier-0 H2P mispredict share (tier-0 baseline
  * mispredicts / all dynamic branches, core/h2p.hh): the summary
  * records whether at least one mined workload beats EVERY suite
- * workload on it. Results go to --out (BENCH_characterization.json),
- * metric names in docs/OBSERVABILITY.md.
+ * workload on it. Results go to BENCH_characterization.json under
+ * --summary-dir, metric names in docs/OBSERVABILITY.md.
  */
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
-#include "common.hh"
 #include "core/h2p.hh"
 #include "core/predictability.hh"
+#include "experiments.hh"
 #include "fuzz/fuzz_gen.hh"
 #include "fuzz/mining.hh"
 #include "util/metrics.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e22 {
 
-int
-main(int argc, char **argv)
+namespace {
+
+constexpr unsigned sizeLog2 = 12;    ///< gshare budget class
+constexpr std::uint64_t mineSeed = 5; ///< first mining restart seed
+
+} // namespace
+
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
 {
-    Options opts = standardOptions();
-    opts.declare("size-log2", "12", "gshare budget class (log2)");
-    opts.declare("mine-seed", "5", "first mining restart seed");
-    opts.declare("mine-restarts", "6", "mining hill-climb restarts");
-    opts.declare("mine-steps", "32",
-                 "knob mutations per mining restart");
-    opts.declare("mine-top", "3",
-                 "mined workloads carried into the grid");
-    opts.declare("out", "BENCH_characterization.json",
-                 "summary path (pabp.metrics JSON; empty = skip)");
-    opts.declare("strict", "1",
-                 "exit nonzero when no mined workload dominates the "
-                 "suite on tier-0 share (the E22 acceptance shape); "
-                 "0 for reduced smoke runs");
-    if (!opts.parse(argc, argv))
-        return 0;
-    const std::uint64_t steps = opts.unsignedInteger("steps");
-    const std::uint64_t seed = opts.unsignedInteger("seed");
-    const unsigned size_log2 = opts.unsignedInteger<unsigned>("size-log2");
+    const std::uint64_t steps = cfg.base.maxInsts;
+    log << "E22: workload predictability characterization + "
+           "adversarial mining (gshare-2^"
+        << sizeLog2 << ")\n\n";
 
-    std::cout << "E22: workload predictability characterization + "
-                 "adversarial mining (gshare-2^"
-              << size_log2 << ")\n\n";
-
-    // Stage 1: mine. Fixed seeds make the whole binary reproducible;
-    // the campaign is in-process (no .pabp round-trip) and every
-    // winner has already survived the full oracle set.
+    // Stage 1: mine. Fixed seeds make the whole experiment
+    // reproducible; the campaign is in-process (no .pabp round-trip)
+    // and every winner has already survived the full oracle set.
     fuzz::MiningConfig mcfg;
-    mcfg.baseSeed = opts.unsignedInteger("mine-seed");
-    mcfg.restarts = opts.unsignedInteger<unsigned>("mine-restarts");
-    mcfg.steps = opts.unsignedInteger<unsigned>("mine-steps");
-    mcfg.emitTop = opts.unsignedInteger<unsigned>("mine-top");
+    mcfg.baseSeed = mineSeed;
+    mcfg.restarts = cfg.mineRestarts;
+    mcfg.steps = cfg.mineSteps;
+    mcfg.emitTop = cfg.mineTop;
     mcfg.maxInsts = std::min<std::uint64_t>(steps, 200'000);
     fuzz::RunEnv env;
     Expected<fuzz::MiningResult> mined =
-        fuzz::runMiningCampaign(mcfg, env, std::cout);
-    if (!mined.ok()) {
-        std::cerr << "FAILED: mining: " << mined.status().toString()
-                  << "\n";
-        return 1;
-    }
-    if (mined.value().oracleFailures > 0) {
-        std::cerr << "FAILED: mining surfaced an oracle divergence "
-                     "(see log above)\n";
-        return 1;
-    }
-    std::cout << "\n";
+        fuzz::runMiningCampaign(mcfg, env, log);
+    if (!mined.ok())
+        return Status(mined.status().code(),
+                      "mining: " + mined.status().message());
+    if (mined.value().oracleFailures > 0)
+        return Status(StatusCode::Corrupt,
+                      "mining surfaced an oracle divergence (see the "
+                      "E22 log)");
+    log << "\n";
 
     // Stage 2: one characterized base cell per workload, suite
-    // members first, mined workloads appended via factories.
+    // members first, mined workloads appended via factories. E22
+    // cells are always characterized - that is the whole point of
+    // the experiment.
     std::vector<RunSpec> specs;
     auto baseSpec = [&](const std::string &id) {
-        RunSpec spec;
+        RunSpec spec = cfg.base;
         spec.workload = id;
         spec.predictor = "gshare";
-        spec.sizeLog2 = size_log2;
-        spec.maxInsts = steps;
-        spec.seed = seed;
+        spec.sizeLog2 = sizeLog2;
         spec.engine.modelTargets = true;
-        applyCheckpointOptions(spec, opts);
-        // After applyCheckpointOptions: that helper also applies the
-        // --characterize flag (default off), and E22 cells are always
-        // characterized - that is the whole point of the bench.
         spec.characterize = true;
         return spec;
     };
-    const std::vector<std::string> suite = workloadNames();
-    for (const std::string &name : suite)
+    for (const std::string &name : workloadNames())
         specs.push_back(baseSpec(name));
     for (const fuzz::MinedCase &w : mined.value().top) {
         // The id must uniquely name the generated program: seed plus
@@ -123,17 +102,22 @@ main(int argc, char **argv)
         spec.maxInsts = std::min<std::uint64_t>(steps, 200'000);
         specs.push_back(spec);
     }
+    return specs;
+}
 
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
+bool
+table(const GridRun &run, std::ostream &out)
+{
+    const std::vector<RunSpec> &specs = run.specs;
+    const std::vector<RunResult> &results = run.results;
+    const std::size_t suite = workloadNames().size();
 
     MetricsExporter summary;
     summary.setText("characterization.predictor", "gshare");
-    summary.setInt("characterization.size_log2", size_log2);
-    summary.setInt("characterization.steps", steps);
+    summary.setInt("characterization.size_log2", sizeLog2);
+    summary.setInt("characterization.steps", run.cfg.base.maxInsts);
     summary.setInt("characterization.mined_workloads",
-                   mined.value().top.size());
-
+                   specs.size() - suite);
     Table table({"workload", "branches", "taken", "trans", "H(k0)",
                  "H(kmax)", "t0 share"});
     double bestSuite = 0.0, bestMined = 0.0;
@@ -141,10 +125,10 @@ main(int argc, char **argv)
     bool cellFailure = false;
 
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        const bool is_mined = i >= suite.size();
+        const bool is_mined = i >= suite;
         const std::string &id = specs[i].workload;
         if (!results[i].status.ok() || !results[i].predictability) {
-            std::cerr << "FAILED: " << id << ": "
+            std::cerr << "FAILED: E22: " << id << ": "
                       << (results[i].status.ok()
                               ? "characterization report missing"
                               : results[i].status.toString().c_str())
@@ -156,7 +140,7 @@ main(int argc, char **argv)
         Expected<H2pClassification> cls =
             classifyH2p(results[i].profile);
         if (!cls.ok()) {
-            std::cerr << "FAILED: " << id << ": "
+            std::cerr << "FAILED: E22: " << id << ": "
                       << cls.status().toString() << "\n";
             cellFailure = true;
             continue;
@@ -213,32 +197,27 @@ main(int argc, char **argv)
     summary.setInt("characterization.mined.dominant",
                    dominant ? 1 : 0);
 
-    emitTable(table, opts);
-    std::cout << "hardest suite workload:  " << bestSuiteName
-              << " (tier-0 share " << bestSuite << ")\n"
-              << "hardest mined workload:  " << bestMinedName
-              << " (tier-0 share " << bestMined << ")\n"
-              << "expected shape: the miner's hill-climb finds "
-                 "generated programs whose\nresidual mispredicts "
-                 "concentrate harder than any hand-written suite\n"
-                 "member (mined.dominant == 1) - the suite is a "
-                 "floor, not a ceiling,\nfor H2P stress.\n";
+    emitTable(table, run.cfg.csv, out);
+    out << "hardest suite workload:  " << bestSuiteName
+        << " (tier-0 share " << bestSuite << ")\n"
+        << "hardest mined workload:  " << bestMinedName
+        << " (tier-0 share " << bestMined << ")\n"
+        << "expected shape: the miner's hill-climb finds "
+           "generated programs whose\nresidual mispredicts "
+           "concentrate harder than any hand-written suite\n"
+           "member (mined.dominant == 1) - the suite is a "
+           "floor, not a ceiling,\nfor H2P stress.\n";
 
-    const std::string out = opts.str("out");
-    if (!out.empty()) {
-        Status written = summary.writeJsonFile(out);
-        if (!written.ok()) {
-            std::cerr << "FAILED: cannot write " << out << ": "
-                      << written.toString() << "\n";
-            return 1;
-        }
-    }
+    if (!writeSummary(summary, run.cfg, "BENCH_characterization.json"))
+        return false;
     if (cellFailure)
-        return 1;
-    if (!dominant && opts.flag("strict")) {
-        std::cerr << "FAILED: no mined workload dominates the suite "
-                     "on tier-0 mispredict share\n";
-        return 1;
+        return false;
+    if (!dominant && run.cfg.strict) {
+        std::cerr << "FAILED: E22: no mined workload dominates the "
+                     "suite on tier-0 mispredict share\n";
+        return false;
     }
-    return exitStatus(specs, results);
+    return true;
 }
+
+} // namespace pabp::bench::e22

@@ -7,49 +7,44 @@
  * predict" motivation table.
  */
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e2 {
 
-int
-main(int argc, char **argv)
+namespace {
+
+constexpr unsigned sizeLog2 = 12;
+
+const std::vector<std::string> kinds = {
+    "static-nottaken", "bimodal", "gag",   "gshare",    "local",
+    "comb",            "agree",   "yags",  "perceptron"};
+
+} // namespace
+
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
 {
-    Options opts = standardOptions();
-    opts.declare("size-log2", "12", "predictor table size (log2)");
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-    unsigned size_log2 = opts.unsignedInteger<unsigned>("size-log2");
-
-    const std::vector<std::string> kinds = {
-        "static-nottaken", "bimodal", "gag",   "gshare",    "local",
-        "comb",            "agree",   "yags",  "perceptron"};
-
-    std::cout << "E2: baseline mispredict rates on predicated code "
-              << "(2^" << size_log2 << " entries)\n\n";
+    log << "E2: baseline mispredict rates on predicated code "
+        << "(2^" << sizeLog2 << " entries)\n\n";
 
     // workloads x kinds, row-major in table order. Each workload
     // compiles once; the cache shares the program across all kinds.
     std::vector<RunSpec> specs;
     for (const std::string &name : workloadNames()) {
         for (const std::string &kind : kinds) {
-            RunSpec spec;
+            RunSpec spec = cfg.base;
             spec.workload = name;
             spec.predictor = kind;
-            spec.sizeLog2 = size_log2;
-            spec.maxInsts = steps;
-            spec.seed = seed;
-            applyCheckpointOptions(spec, opts);
+            spec.sizeLog2 = sizeLog2;
             specs.push_back(spec);
         }
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
     std::vector<std::string> header = {"workload"};
     header.insert(header.end(), kinds.begin(), kinds.end());
     Table table(header);
@@ -60,7 +55,7 @@ main(int argc, char **argv)
         table.startRow();
         table.cell(name);
         for (std::size_t k = 0; k < kinds.size(); ++k) {
-            double rate = results[idx++].engine.all.mispredictRate();
+            double rate = run.results[idx++].engine.all.mispredictRate();
             sums[k] += rate;
             table.percentCell(rate);
         }
@@ -70,6 +65,8 @@ main(int argc, char **argv)
     for (double s : sums)
         table.percentCell(s / static_cast<double>(workloadNames().size()));
 
-    emitTable(table, opts);
-    return exitStatus(specs, results);
+    emitTable(table, run.cfg.csv, out);
+    return true;
 }
+
+} // namespace pabp::bench::e2

@@ -7,66 +7,59 @@
  * and relatively more at small sizes where pollution costs capacity.
  */
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e3 {
 
-int
-main(int argc, char **argv)
+namespace {
+
+constexpr unsigned delay = 8; ///< predicate availability delay (insts)
+
+const std::vector<unsigned> sizes = {8, 10, 12, 14, 16};
+
+/** A gshare cell and its +SFPF twin. */
+void
+pushPair(std::vector<RunSpec> &specs, const RunSpec &base)
 {
-    Options opts = standardOptions();
-    opts.declare("delay", "8", "predicate availability delay (insts)");
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-    unsigned delay = opts.unsignedInteger<unsigned>("delay");
+    specs.push_back(base);
+    RunSpec sfpf = base;
+    sfpf.engine.useSfpf = true;
+    sfpf.engine.availDelay = delay;
+    specs.push_back(sfpf);
+}
 
-    std::cout << "E3: gshare vs gshare+SFPF across sizes (delay="
-              << delay << ")\n\n";
+} // namespace
 
-    const std::vector<unsigned> sizes = {8, 10, 12, 14, 16};
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
+{
+    log << "E3: gshare vs gshare+SFPF across sizes (delay=" << delay
+        << ")\n\n";
 
-    // One grid for the whole binary: sizes x workloads x {base,
-    // SFPF}, then the 4K per-workload detail pairs. Every workload
-    // compiles exactly once - the cells differ only predictor-side.
+    // One grid: sizes x workloads x {base, SFPF}, then the 4K
+    // per-workload detail pairs. Every workload compiles exactly
+    // once - the cells differ only predictor-side.
     std::vector<RunSpec> specs;
     for (unsigned size_log2 : sizes) {
         for (const std::string &name : workloadNames()) {
-            RunSpec base;
+            RunSpec base = cfg.base;
             base.workload = name;
             base.sizeLog2 = size_log2;
-            base.maxInsts = steps;
-            base.seed = seed;
-            applyCheckpointOptions(base, opts);
-            specs.push_back(base);
-
-            RunSpec sfpf = base;
-            sfpf.engine.useSfpf = true;
-            sfpf.engine.availDelay = delay;
-            specs.push_back(sfpf);
+            pushPair(specs, base);
         }
     }
-    const std::size_t detail_offset = specs.size();
     for (const std::string &name : workloadNames()) {
-        RunSpec base;
+        RunSpec base = cfg.base;
         base.workload = name;
-        base.maxInsts = steps;
-        base.seed = seed;
-        applyCheckpointOptions(base, opts);
-        specs.push_back(base);
-
-        RunSpec sfpf = base;
-        sfpf.engine.useSfpf = true;
-        sfpf.engine.availDelay = delay;
-        specs.push_back(sfpf);
+        pushPair(specs, base);
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
+    const std::vector<RunResult> &results = run.results;
     Table sweep({"entries", "gshare", "gshare+SFPF", "reduction"});
     std::size_t idx = 0;
     for (unsigned size_log2 : sizes) {
@@ -85,11 +78,11 @@ main(int argc, char **argv)
                               : 0.0,
                           1);
     }
-    emitTable(sweep, opts);
+    emitTable(sweep, run.cfg.csv, out);
 
-    std::cout << "per-workload at 4K entries:\n\n";
+    // idx now points at the per-workload 4K detail pairs.
+    out << "per-workload at 4K entries:\n\n";
     Table detail({"workload", "gshare", "gshare+SFPF", "squashed%"});
-    idx = detail_offset;
     for (const std::string &name : workloadNames()) {
         const EngineStats &b = results[idx++].engine;
         const EngineStats &s = results[idx++].engine;
@@ -104,6 +97,8 @@ main(int argc, char **argv)
                     static_cast<double>(s.all.branches)
                 : 0.0);
     }
-    emitTable(detail, opts);
-    return exitStatus(specs, results);
+    emitTable(detail, run.cfg.csv, out);
+    return true;
 }
+
+} // namespace pabp::bench::e3

@@ -8,42 +8,37 @@
  * squash, and this table demonstrates it end to end).
  */
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e4 {
 
-int
-main(int argc, char **argv)
+namespace {
+
+const std::vector<unsigned> delays = {0, 8, 16, 32};
+
+} // namespace
+
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
 {
-    Options opts = standardOptions();
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-
-    std::cout << "E4: squash coverage by availability delay\n\n";
-
-    const std::vector<unsigned> delays = {0, 8, 16, 32};
+    log << "E4: squash coverage by availability delay\n\n";
 
     std::vector<RunSpec> specs;
     for (const std::string &name : workloadNames()) {
         for (unsigned delay : delays) {
-            RunSpec spec;
+            RunSpec spec = cfg.base;
             spec.workload = name;
             spec.engine.useSfpf = true;
             spec.engine.availDelay = delay;
-            spec.maxInsts = steps;
-            spec.seed = seed;
-            applyCheckpointOptions(spec, opts);
             specs.push_back(spec);
         }
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
     Table table({"workload", "false-guard%", "squash%(d=0)",
                  "squash%(d=8)", "squash%(d=16)", "squash%(d=32)",
                  "accuracy"});
@@ -55,7 +50,7 @@ main(int argc, char **argv)
 
         bool first = true;
         for (std::size_t d = 0; d < delays.size(); ++d) {
-            const EngineStats &stats = results[idx++].engine;
+            const EngineStats &stats = run.results[idx++].engine;
             double denom = static_cast<double>(stats.all.branches);
             if (first) {
                 table.percentCell(denom
@@ -72,8 +67,10 @@ main(int argc, char **argv)
         table.cell(std::string("100%"));
     }
 
-    emitTable(table, opts);
-    std::cout << "accuracy is enforced by an execution-time assertion "
-                 "on every squash;\nany violation aborts the run.\n";
-    return exitStatus(specs, results);
+    emitTable(table, run.cfg.csv, out);
+    out << "accuracy is enforced by an execution-time assertion "
+           "on every squash;\nany violation aborts the run.\n";
+    return true;
 }
+
+} // namespace pabp::bench::e4

@@ -7,65 +7,58 @@
  * branches repeat earlier conditions (dchain, histogram, interp).
  */
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e5 {
 
-int
-main(int argc, char **argv)
+namespace {
+
+constexpr unsigned delay = 8; ///< history insertion delay (insts)
+
+const std::vector<unsigned> sizes = {8, 10, 12, 14, 16};
+
+/** A gshare cell and its PGU twin. */
+void
+pushPair(std::vector<RunSpec> &specs, const RunSpec &base)
 {
-    Options opts = standardOptions();
-    opts.declare("delay", "8", "history insertion delay (insts)");
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-    unsigned delay = opts.unsignedInteger<unsigned>("delay");
+    specs.push_back(base);
+    RunSpec pgu = base;
+    pgu.engine.usePgu = true;
+    pgu.engine.pgu.delay = delay;
+    specs.push_back(pgu);
+}
 
-    std::cout << "E5: gshare vs PGU-gshare across sizes (delay="
-              << delay << ")\n\n";
+} // namespace
 
-    const std::vector<unsigned> sizes = {8, 10, 12, 14, 16};
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
+{
+    log << "E5: gshare vs PGU-gshare across sizes (delay=" << delay
+        << ")\n\n";
 
     std::vector<RunSpec> specs;
     for (unsigned size_log2 : sizes) {
         for (const std::string &name : workloadNames()) {
-            RunSpec base;
+            RunSpec base = cfg.base;
             base.workload = name;
             base.sizeLog2 = size_log2;
-            base.maxInsts = steps;
-            base.seed = seed;
-            applyCheckpointOptions(base, opts);
-            specs.push_back(base);
-
-            RunSpec pgu = base;
-            pgu.engine.usePgu = true;
-            pgu.engine.pgu.delay = delay;
-            specs.push_back(pgu);
+            pushPair(specs, base);
         }
     }
-    const std::size_t detail_offset = specs.size();
+    // The 4K detail pairs; their PGU runs also report inserted
+    // history bits (RunResult::pguBits).
     for (const std::string &name : workloadNames()) {
-        RunSpec base;
+        RunSpec base = cfg.base;
         base.workload = name;
-        base.maxInsts = steps;
-        base.seed = seed;
-        applyCheckpointOptions(base, opts);
-        specs.push_back(base);
-
-        // The detail PGU run also reports inserted history bits
-        // (RunResult::pguBits).
-        RunSpec pgu = base;
-        pgu.engine.usePgu = true;
-        pgu.engine.pgu.delay = delay;
-        specs.push_back(pgu);
+        pushPair(specs, base);
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
+    const std::vector<RunResult> &results = run.results;
     Table sweep({"entries", "gshare", "PGU-gshare", "reduction"});
     std::size_t idx = 0;
     for (unsigned size_log2 : sizes) {
@@ -84,11 +77,11 @@ main(int argc, char **argv)
                               : 0.0,
                           1);
     }
-    emitTable(sweep, opts);
+    emitTable(sweep, run.cfg.csv, out);
 
-    std::cout << "per-workload at 4K entries:\n\n";
+    // idx now points at the per-workload 4K detail pairs.
+    out << "per-workload at 4K entries:\n\n";
     Table detail({"workload", "gshare", "PGU-gshare", "pgu-bits/kinst"});
-    idx = detail_offset;
     for (const std::string &name : workloadNames()) {
         const RunResult &b = results[idx++];
         const RunResult &p = results[idx++];
@@ -101,6 +94,8 @@ main(int argc, char **argv)
                         static_cast<double>(p.engine.insts),
                     1);
     }
-    emitTable(detail, opts);
-    return exitStatus(specs, results);
+    emitTable(detail, run.cfg.csv, out);
+    return true;
 }
+
+} // namespace pabp::bench::e5

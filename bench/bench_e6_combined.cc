@@ -9,60 +9,54 @@
 
 #include <algorithm>
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e6 {
 
-int
-main(int argc, char **argv)
+namespace {
+
+constexpr const char *predictor = "gshare";
+constexpr unsigned sizeLog2 = 12;
+
+struct Config
 {
-    Options opts = standardOptions();
-    opts.declare("predictor", "gshare", "base predictor kind");
-    opts.declare("size-log2", "12", "predictor table size (log2)");
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-    std::string predictor = opts.str("predictor");
-    unsigned size_log2 = opts.unsignedInteger<unsigned>("size-log2");
+    const char *label;
+    bool sfpf;
+    bool pgu;
+};
+constexpr Config configs[] = {
+    {"base", false, false},
+    {"+SFPF", true, false},
+    {"+PGU", false, true},
+    {"+both", true, true},
+};
 
-    std::cout << "E6: technique composition on " << predictor << "-2^"
-              << size_log2 << "\n\n";
+} // namespace
 
-    struct Config
-    {
-        const char *label;
-        bool sfpf;
-        bool pgu;
-    };
-    const Config configs[] = {
-        {"base", false, false},
-        {"+SFPF", true, false},
-        {"+PGU", false, true},
-        {"+both", true, true},
-    };
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
+{
+    log << "E6: technique composition on " << predictor << "-2^"
+        << sizeLog2 << "\n\n";
 
     std::vector<RunSpec> specs;
     for (const std::string &name : workloadNames()) {
         for (const Config &config : configs) {
-            RunSpec spec;
+            RunSpec spec = cfg.base;
             spec.workload = name;
             spec.predictor = predictor;
-            spec.sizeLog2 = size_log2;
+            spec.sizeLog2 = sizeLog2;
             spec.engine.useSfpf = config.sfpf;
             spec.engine.usePgu = config.pgu;
-            spec.maxInsts = steps;
-            spec.seed = seed;
-            applyCheckpointOptions(spec, opts);
             specs.push_back(spec);
         }
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
     Table table({"workload", "base", "+SFPF", "+PGU", "+both",
                  "best-reduction"});
     double sums[4] = {};
@@ -72,7 +66,7 @@ main(int argc, char **argv)
         table.cell(name);
         double rates[4];
         for (int c = 0; c < 4; ++c) {
-            rates[c] = results[idx++].engine.all.mispredictRate();
+            rates[c] = run.results[idx++].engine.all.mispredictRate();
             sums[c] += rates[c];
             table.percentCell(rates[c]);
         }
@@ -92,6 +86,8 @@ main(int argc, char **argv)
                           : 0.0,
                       1);
 
-    emitTable(table, opts);
-    return exitStatus(specs, results);
+    emitTable(table, run.cfg.csv, out);
+    return true;
 }
+
+} // namespace pabp::bench::e6

@@ -6,49 +6,44 @@
  * branches are where predicate information pays off.
  */
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e7 {
 
-int
-main(int argc, char **argv)
+namespace {
+
+struct Config
 {
-    Options opts = standardOptions();
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
+    bool sfpf;
+    bool pgu;
+};
+constexpr Config configs[] = {
+    {false, false}, {true, false}, {false, true}, {true, true}};
 
-    std::cout << "E7: region-based branch mispredict rates "
-              << "(gshare-4K base)\n\n";
+} // namespace
 
-    struct Config
-    {
-        bool sfpf;
-        bool pgu;
-    };
-    const Config configs[] = {
-        {false, false}, {true, false}, {false, true}, {true, true}};
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
+{
+    log << "E7: region-based branch mispredict rates "
+        << "(gshare-4K base)\n\n";
 
     std::vector<RunSpec> specs;
     for (const std::string &name : workloadNames()) {
         for (const Config &config : configs) {
-            RunSpec spec;
+            RunSpec spec = cfg.base;
             spec.workload = name;
             spec.engine.useSfpf = config.sfpf;
             spec.engine.usePgu = config.pgu;
-            spec.maxInsts = steps;
-            spec.seed = seed;
-            applyCheckpointOptions(spec, opts);
             specs.push_back(spec);
         }
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
     Table table({"workload", "region-br", "share%", "base", "+SFPF",
                  "+PGU", "+both"});
 
@@ -58,7 +53,7 @@ main(int argc, char **argv)
         table.cell(name);
         bool wrote_counts = false;
         for (std::size_t c = 0; c < std::size(configs); ++c) {
-            const EngineStats &stats = results[idx++].engine;
+            const EngineStats &stats = run.results[idx++].engine;
             if (!wrote_counts) {
                 table.cell(stats.region.branches);
                 table.percentCell(
@@ -72,8 +67,10 @@ main(int argc, char **argv)
         }
     }
 
-    emitTable(table, opts);
-    std::cout << "share% = region-based branches as a fraction of all "
-                 "conditional branches\n";
-    return exitStatus(specs, results);
+    emitTable(table, run.cfg.csv, out);
+    out << "share% = region-based branches as a fraction of all "
+           "conditional branches\n";
+    return true;
 }
+
+} // namespace pabp::bench::e7

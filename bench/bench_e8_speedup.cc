@@ -7,73 +7,60 @@
  * with the penalty, because all they do is remove mispredicts.
  */
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e8 {
 
-int
-main(int argc, char **argv)
+namespace {
+
+constexpr unsigned penalty = 8; ///< main table's mispredict penalty
+
+struct Config
 {
-    Options opts = standardOptions();
-    opts.declare("penalty", "8", "mispredict penalty (cycles)");
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-    unsigned penalty = opts.unsignedInteger<unsigned>("penalty");
+    const char *label;
+    bool ifConvert;
+    bool sfpf;
+    bool pgu;
+};
+constexpr Config configs[] = {
+    {"branchy", false, false, false},
+    {"pred", true, false, false},
+    {"pred+SFPF", true, true, false},
+    {"pred+PGU", true, false, true},
+    {"pred+both", true, true, true},
+};
 
-    std::cout << "E8: pipeline IPC and speedup (width=6, penalty="
-              << penalty << ")\n\n";
+const std::vector<unsigned> penalties = {4, 8, 12, 16, 24};
 
-    struct Config
-    {
-        const char *label;
-        bool ifConvert;
-        bool sfpf;
-        bool pgu;
-    };
-    const Config configs[] = {
-        {"branchy", false, false, false},
-        {"pred", true, false, false},
-        {"pred+SFPF", true, true, false},
-        {"pred+PGU", true, false, true},
-        {"pred+both", true, true, true},
-    };
+} // namespace
 
-    PipelineConfig pcfg;
-    pcfg.mispredictPenalty = penalty;
-
-    const std::vector<unsigned> penalties = {4, 8, 12, 16, 24};
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
+{
+    log << "E8: pipeline IPC and speedup (width=6, penalty=" << penalty
+        << ")\n\n";
 
     // Main IPC table cells, then the penalty-sweep cells (base and
     // both-techniques per workload per penalty), all one grid.
     std::vector<RunSpec> specs;
     for (const std::string &name : workloadNames()) {
         for (const Config &config : configs) {
-            RunSpec spec;
+            RunSpec spec = cfg.base;
             spec.workload = name;
             spec.mode = RunMode::Timed;
-            spec.pipeline = pcfg;
+            spec.pipeline.mispredictPenalty = penalty;
             spec.ifConvert = config.ifConvert;
             spec.engine.useSfpf = config.sfpf;
             spec.engine.usePgu = config.pgu;
-            spec.maxInsts = steps;
-            spec.seed = seed;
             specs.push_back(spec);
         }
     }
-    const std::size_t sweep_offset = specs.size();
     for (unsigned p : penalties) {
-        PipelineConfig cfg;
-        cfg.mispredictPenalty = p;
         for (const std::string &name : workloadNames()) {
-            RunSpec base;
+            RunSpec base = cfg.base;
             base.workload = name;
             base.mode = RunMode::Timed;
-            base.pipeline = cfg;
-            base.maxInsts = steps;
-            base.seed = seed;
+            base.pipeline.mispredictPenalty = p;
             specs.push_back(base);
 
             RunSpec both = base;
@@ -82,11 +69,13 @@ main(int argc, char **argv)
             specs.push_back(both);
         }
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
+    const std::vector<RunResult> &results = run.results;
     Table table({"workload", "branchy", "pred", "pred+SFPF", "pred+PGU",
                  "pred+both", "speedup(both/pred)"});
     double ipc_sums[5] = {};
@@ -108,12 +97,12 @@ main(int argc, char **argv)
     for (double s : ipc_sums)
         table.cell(s / n, 3);
     table.cell(ipc_sums[1] > 0.0 ? ipc_sums[4] / ipc_sums[1] : 0.0, 3);
-    emitTable(table, opts);
+    emitTable(table, run.cfg.csv, out);
 
-    std::cout << "suite-mean speedup of pred+both over pred, by "
-                 "mispredict penalty:\n\n";
+    // idx now points at the penalty-sweep cells.
+    out << "suite-mean speedup of pred+both over pred, by "
+           "mispredict penalty:\n\n";
     Table sweep({"penalty", "pred IPC", "pred+both IPC", "speedup"});
-    idx = sweep_offset;
     for (unsigned p : penalties) {
         double sum_base = 0.0, sum_both = 0.0;
         for (std::size_t w = 0; w < workloadNames().size(); ++w) {
@@ -126,6 +115,8 @@ main(int argc, char **argv)
         sweep.cell(sum_both / n, 3);
         sweep.cell(sum_base > 0.0 ? sum_both / sum_base : 0.0, 3);
     }
-    emitTable(sweep, opts);
-    return exitStatus(specs, results);
+    emitTable(sweep, run.cfg.csv, out);
+    return true;
 }
+
+} // namespace pabp::bench::e8

@@ -8,31 +8,28 @@
  * techniques act exactly when distance exceeds the delay.
  */
 
-#include "common.hh"
+#include "experiments.hh"
 
-using namespace pabp;
-using namespace pabp::bench;
+namespace pabp::bench::e9 {
 
-int
-main(int argc, char **argv)
+namespace {
+
+const std::vector<unsigned> distances = {2, 4, 8, 16, 24, 32};
+const std::vector<unsigned> delays = {0, 4, 8, 16, 32};
+
+} // namespace
+
+Expected<std::vector<RunSpec>>
+grid(const ExperimentConfig &cfg, std::ostream &log)
 {
-    Options opts = standardOptions();
-    if (!opts.parse(argc, argv))
-        return 0;
-    std::uint64_t steps = opts.unsignedInteger("steps");
-    std::uint64_t seed = opts.unsignedInteger("seed");
-
-    const std::vector<unsigned> distances = {2, 4, 8, 16, 24, 32};
-    const std::vector<unsigned> delays = {0, 4, 8, 16, 32};
-
-    std::cout << "E9: squash rate by (define distance, avail delay)\n\n";
+    log << "E9: squash rate by (define distance, avail delay)\n\n";
 
     // distances x delays. Each corr-<d> program compiles once and is
     // shared across all five delay cells.
     std::vector<RunSpec> specs;
     for (unsigned dist : distances) {
         for (unsigned delay : delays) {
-            RunSpec spec;
+            RunSpec spec = cfg.base;
             spec.workload = "corr-" + std::to_string(dist);
             spec.factory = [dist](std::uint64_t s) {
                 return makeCorrWorkload(dist, s);
@@ -42,17 +39,15 @@ main(int argc, char **argv)
             spec.engine.availDelay = delay;
             spec.engine.pgu.delay = delay;
             spec.compile.heuristics = corrWorkloadHeuristics();
-            spec.maxInsts = steps;
-            spec.seed = seed;
-            applyCheckpointOptions(spec, opts);
             specs.push_back(spec);
         }
     }
+    return specs;
+}
 
-    applyMetricsOptions(specs, opts);
-    SweepRunner runner(sweepConfigFromOptions(opts));
-    std::vector<RunResult> results = runner.run(specs);
-
+bool
+table(const GridRun &run, std::ostream &out)
+{
     std::vector<std::string> header = {"distance"};
     for (unsigned d : delays)
         header.push_back("delay=" + std::to_string(d));
@@ -66,7 +61,7 @@ main(int argc, char **argv)
         squash_table.cell(std::uint64_t{dist});
         mispredict_table.cell(std::uint64_t{dist});
         for (std::size_t d = 0; d < delays.size(); ++d) {
-            const EngineStats &stats = results[idx++].engine;
+            const EngineStats &stats = run.results[idx++].engine;
             squash_table.percentCell(
                 stats.all.branches
                     ? static_cast<double>(stats.all.squashed) /
@@ -76,10 +71,12 @@ main(int argc, char **argv)
         }
     }
 
-    emitTable(squash_table, opts);
-    std::cout << "mispredict rate with SFPF+PGU at the same points:\n\n";
-    emitTable(mispredict_table, opts);
-    std::cout << "expected shape: both effects switch on once the "
-                 "define distance\nexceeds the availability delay.\n";
-    return exitStatus(specs, results);
+    emitTable(squash_table, run.cfg.csv, out);
+    out << "mispredict rate with SFPF+PGU at the same points:\n\n";
+    emitTable(mispredict_table, run.cfg.csv, out);
+    out << "expected shape: both effects switch on once the "
+           "define distance\nexceeds the availability delay.\n";
+    return true;
 }
+
+} // namespace pabp::bench::e9

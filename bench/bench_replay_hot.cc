@@ -225,7 +225,7 @@ main(int argc, char **argv)
                have_both ? min_speedup_both : 0.0);
     ex.setInt("replay.all_equal", all_equal ? 1 : 0);
 
-    emitTable(table, opts);
+    emitTable(table, opts.flag("csv"), std::cout);
     std::cout << "min speedup: " << min_speedup << "x (base "
               << min_speedup_base << "x, +both " << min_speedup_both
               << "x), equivalence: " << (all_equal ? "ok" : "FAILED")

@@ -178,7 +178,7 @@ std::vector<std::string>
 traceKeysOf(const RunSpec &spec)
 {
     std::vector<std::string> keys;
-    if (skippedByShard(spec) || spec.mode == RunMode::Observe)
+    if (skippedByShard(spec))
         return keys;
     if (replaysDecodedTrace(spec)) {
         for (unsigned c = 0; c < std::max(1u, spec.context.contexts); ++c)
@@ -349,11 +349,7 @@ exportSpecKeys(MetricsExporter &ex, const RunSpec &spec)
 {
     ex.setText("spec.workload", spec.workload);
     ex.setText("spec.predictor", spec.predictor);
-    ex.setText("spec.mode",
-               spec.mode == RunMode::Timed
-                   ? "timed"
-                   : spec.mode == RunMode::Observe ? "observe"
-                                                   : "trace");
+    ex.setText("spec.mode", spec.mode == RunMode::Timed ? "timed" : "trace");
     ex.setInt("spec.size_log2", spec.sizeLog2);
     ex.setInt("spec.seed", spec.seed);
     ex.setInt("spec.compile_seed", resolvedCompileSeed(spec));
@@ -380,34 +376,27 @@ exportSpecKeys(MetricsExporter &ex, const RunSpec &spec)
  */
 MetricsExporter
 buildCellMetrics(const RunSpec &spec, const RunResult &result,
-                 PredictionEngine *engine)
+                 PredictionEngine &engine)
 {
     MetricsExporter ex;
     exportSpecKeys(ex, spec);
 
     StatGroup group;
-    if (engine) {
-        engine->registerStats(group);
-        ex.addGroup(group);
-        ex.setReal("engine.mpki", engine->stats().mpki());
-        engine->branchProfile().exportTo(ex);
-        if (result.predictability) {
-            // RunSpec::characterize: the workload-character metrics
-            // plus the H2P cross-reference against THIS cell's own
-            // profile - "are the hard branches the low-predictability
-            // ones?" answered per cell (default cutoffs never fail
-            // classifyH2p).
-            exportPredictability(ex, *result.predictability);
-            Expected<H2pClassification> cls =
-                classifyH2p(engine->branchProfile());
-            if (cls.ok())
-                aggregatePredictabilityByTier(ex, cls.value(),
-                                              *result.predictability);
-        }
-    } else {
-        // Observe-mode cell: no engine ran, only the instruction
-        // budget actually executed is meaningful.
-        ex.setInt("engine.insts", result.engine.insts);
+    engine.registerStats(group);
+    ex.addGroup(group);
+    ex.setReal("engine.mpki", engine.stats().mpki());
+    engine.branchProfile().exportTo(ex);
+    if (result.predictability) {
+        // RunSpec::characterize: the workload-character metrics plus
+        // the H2P cross-reference against THIS cell's own profile -
+        // "are the hard branches the low-predictability ones?"
+        // answered per cell (default cutoffs never fail classifyH2p).
+        exportPredictability(ex, *result.predictability);
+        Expected<H2pClassification> cls =
+            classifyH2p(engine.branchProfile());
+        if (cls.ok())
+            aggregatePredictabilityByTier(ex, cls.value(),
+                                          *result.predictability);
     }
 
     ex.setInt("compile.num_regions", result.numRegions);
@@ -510,7 +499,7 @@ writeCellOutputs(const RunSpec &spec, RunResult &result,
 /** The single-engine cell's observational outputs. */
 Status
 finishCellOutputs(const RunSpec &spec, RunResult &result,
-                  PredictionEngine *engine)
+                  PredictionEngine &engine)
 {
     if (spec.metricsDir.empty() && !spec.captureMetrics)
         return Status();
@@ -867,8 +856,7 @@ SweepRunner::executeSpec(const RunSpec &spec)
     // shared decoded trace, so fast-replay, reference and Timed cells
     // of the same (workload, seed, budget) all report the same bytes.
     if (spec.characterize) {
-        if (spec.mode == RunMode::Observe ||
-            spec.context.contexts > 1) {
+        if (spec.context.contexts > 1) {
             result.status = Status(
                 StatusCode::InvalidArgument,
                 "characterize requires a single-context Trace or "
@@ -882,37 +870,6 @@ SweepRunner::executeSpec(const RunSpec &spec)
             return result;
         }
         result.predictability = rep.value();
-    }
-
-    if (spec.mode == RunMode::Observe) {
-        if (!spec.observe) {
-            result.status = Status(StatusCode::InvalidArgument,
-                                   "Observe spec has no observer");
-            return result;
-        }
-        Emulator emu(cp.prog);
-        if (init)
-            init(emu.state());
-        DynInst dyn;
-        std::uint64_t executed = 0;
-        CellDeadline deadline(spec.watchdogMillis);
-        std::uint64_t until_check =
-            deadline.slice(spec.heartbeatInsts, spec.maxInsts);
-        while (executed < spec.maxInsts && emu.step(dyn)) {
-            spec.observe(dyn);
-            ++executed;
-            if (--until_check == 0) {
-                if (deadline.expired()) {
-                    result.status = deadline.status(spec, executed);
-                    return result;
-                }
-                until_check = deadline.slice(
-                    spec.heartbeatInsts, spec.maxInsts - executed);
-            }
-        }
-        result.engine.insts = executed;
-        result.status = finishCellOutputs(spec, result, nullptr);
-        return result;
     }
 
     // Build the predictor; a bad spec fails this cell with a typed
@@ -974,7 +931,7 @@ SweepRunner::executeSpec(const RunSpec &spec)
         result.engine = engine.stats();
         result.pguBits = engine.pguBitsInserted();
         result.profile = engine.branchProfile();
-        result.status = finishCellOutputs(spec, result, &engine);
+        result.status = finishCellOutputs(spec, result, engine);
         return result;
     }
 
@@ -1019,7 +976,7 @@ SweepRunner::executeSpec(const RunSpec &spec)
             result.lookups = gshare->lookupCount();
             result.conflicts = gshare->conflictCount();
         }
-        result.status = finishCellOutputs(spec, result, &engine);
+        result.status = finishCellOutputs(spec, result, engine);
         return result;
     }
 
@@ -1121,7 +1078,7 @@ SweepRunner::executeSpec(const RunSpec &spec)
         result.lookups = gshare->lookupCount();
         result.conflicts = gshare->conflictCount();
     }
-    result.status = finishCellOutputs(spec, result, &*engine);
+    result.status = finishCellOutputs(spec, result, *engine);
     return result;
 }
 

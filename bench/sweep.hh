@@ -109,7 +109,6 @@ enum class RunMode : std::uint8_t
 {
     Trace, ///< prediction engine over the dynamic trace (EngineStats)
     Timed, ///< cycle-level pipeline run (PipelineStats + EngineStats)
-    Observe, ///< step the emulator, call RunSpec::observe per DynInst
 };
 
 /**
@@ -217,8 +216,7 @@ struct RunSpec
      * write its file FAILS with IoError (a sweep that silently lost
      * its measurements would be worse than one that failed loudly).
      * Purely observational - not part of specFingerprint(), exactly
-     * like the checkpoint paths. Observe-mode cells have no engine
-     * and export nothing.
+     * like the checkpoint paths.
      */
     std::string metricsDir;
 
@@ -237,10 +235,6 @@ struct RunSpec
      */
     bool characterize = false;
 
-    /** Observe mode: called for every dynamic instruction. The
-     *  closure's state is owned by this spec alone - one worker. */
-    std::function<void(const DynInst &)> observe;
-
     /**
      * @name Robust-execution knobs (docs/ROBUSTNESS.md)
      * Like the checkpoint/metrics knobs these are execution strategy,
@@ -257,10 +251,10 @@ struct RunSpec
      * Per-attempt wall-clock watchdog, milliseconds; 0 = off. The
      * engine loops heartbeat every @ref heartbeatInsts instructions
      * and check the deadline between slices, so a cell stuck in a
-     * pathological configuration (or a hung Observe closure) is
-     * reaped with StatusCode::DeadlineExceeded instead of stalling
-     * its worker forever. Covers single-context Trace cells and
-     * Observe cells. Two kinds of cell are bounded by their
+     * pathological configuration (a workload that never halts under
+     * an enormous budget) is reaped with StatusCode::DeadlineExceeded
+     * instead of stalling its worker forever. Covers single-context
+     * Trace cells. Two kinds of cell are bounded by their
      * instruction budget alone: a Timed cell runs the cycle-level
      * pipeline in one shot, and a multi-context Trace cell
      * (context.contexts > 1) runs the interleaved replayer without a

@@ -2,19 +2,23 @@
 # Regenerate every recorded result: build, test, run all experiments.
 # Outputs land in test_output.txt and bench_output.txt at the repo
 # root (the files EXPERIMENTS.md numbers are transcribed from).
-# Exits nonzero when the build, the tests, or ANY experiment binary
-# fails - a bench crash must not silently yield a truncated
-# bench_output.txt that looks like a complete run.
+# Exits nonzero when the build, the tests, or ANY experiment fails -
+# a bench crash must not silently yield a truncated bench_output.txt
+# that looks like a complete run.
 #
-# JOBS controls the sweep parallelism inside each experiment binary
-# (the --jobs flag; 0 = one worker per hardware thread). Output is
-# byte-identical at any JOBS value, so it defaults to full
+# Every E-series experiment runs in ONE pabp-experiments process
+# (bench/experiments.hh), which shares compiled programs, traces and
+# predictability reports across experiments. JOBS controls its sweep
+# parallelism (the --jobs flag; 0 = one worker per hardware thread).
+# Output is byte-identical at any JOBS value, so it defaults to full
 # parallelism.
 #
-# Every sweep binary also exports its per-cell metrics JSON under
-# METRICS_DIR/<binary>/ (docs/OBSERVABILITY.md); a binary that exits
-# zero but wrote no metrics file is treated as failed - a run whose
-# measurements vanished is not a successful run.
+# The driver exports each experiment's per-cell metrics JSON under
+# METRICS_DIR/<experiment binary>/ (docs/OBSERVABILITY.md) and fails
+# when a cell that ran left no metrics file - a run whose measurements
+# vanished is not a successful run. E22 fails unless a mined workload
+# dominates the suite, and the E20-E22 summary records land at the
+# repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,33 +31,15 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 test "${PIPESTATUS[0]}" -eq 0
 
 {
-    for b in build/bench/*; do
-        name=$(basename "$b")
-        case "$b" in
-            # The google-benchmark micro suite times the host and
-            # takes no --jobs flag (and runs no sweep cells, so it
-            # has no metrics to export).
-            */bench_e11_micro) args="" ;;
-            # The replay-loop throughput bench also times the host
-            # and exports no per-cell metrics; it runs in the
-            # dedicated perf-smoke stage below instead.
-            */bench_replay_hot) continue ;;
-            # Per-binary subdirectories: two binaries can run
-            # identical specs, whose identical fingerprints would
-            # otherwise collide on one file.
-            *) args="--jobs $JOBS --metrics-dir $METRICS_DIR/$name" ;;
-        esac
-        # shellcheck disable=SC2086
-        if ! "$b" $args; then
-            echo "FAILED: $b"
-        elif [ -n "$args" ] && [ "$name" != bench_e11_micro ]; then
-            if ! ls "$METRICS_DIR/$name"/pabp-metrics-*.json \
-                >/dev/null 2>&1; then
-                echo "FAILED: $b (exited clean but wrote no metrics" \
-                     "files under $METRICS_DIR/$name)"
-            fi
-        fi
-    done
+    if ! build/bench/pabp-experiments --jobs "$JOBS" \
+        --metrics-dir "$METRICS_DIR" --summary-dir .; then
+        echo "FAILED: build/bench/pabp-experiments"
+    fi
+    # The google-benchmark micro suite times the host and runs no
+    # sweep cells; bench_replay_hot runs in the perf-smoke stage.
+    if ! build/bench/bench_e11_micro; then
+        echo "FAILED: build/bench/bench_e11_micro"
+    fi
 } 2>&1 | tee bench_output.txt
 
 # --- Perf smoke (docs/PERF.md) ---------------------------------------
@@ -104,13 +90,17 @@ test "${PIPESTATUS[0]}" -eq 0
     fi
 
     echo "== perf smoke: fast-vs-reference metric bytes (E6) =="
-    fast_dir=$METRICS_DIR/perf_smoke_fast
-    ref_dir=$METRICS_DIR/perf_smoke_ref
-    rm -rf "$fast_dir" "$ref_dir"
-    build/bench/bench_e6_combined --steps 200000 --jobs "$JOBS" \
-        --metrics-dir "$fast_dir" > /dev/null
-    build/bench/bench_e6_combined --steps 200000 --jobs "$JOBS" \
-        --fast-replay 0 --metrics-dir "$ref_dir" > /dev/null
+    # The driver writes under <metrics-dir>/<experiment binary>/.
+    fast_dir=$METRICS_DIR/perf_smoke_fast/bench_e6_combined
+    ref_dir=$METRICS_DIR/perf_smoke_ref/bench_e6_combined
+    rm -rf "$METRICS_DIR/perf_smoke_fast" "$METRICS_DIR/perf_smoke_ref"
+    build/bench/pabp-experiments --only e6 --steps 200000 \
+        --jobs "$JOBS" --metrics-dir "$METRICS_DIR/perf_smoke_fast" \
+        > /dev/null || echo "FAILED: perf smoke: E6 fast run"
+    build/bench/pabp-experiments --only e6 --steps 200000 \
+        --jobs "$JOBS" --fast-replay 0 \
+        --metrics-dir "$METRICS_DIR/perf_smoke_ref" > /dev/null ||
+        echo "FAILED: perf smoke: E6 reference run"
     pairs=0
     for fast_file in "$fast_dir"/pabp-metrics-*.json; do
         ref_file=$ref_dir/$(basename "$fast_file")
@@ -139,13 +129,18 @@ test "${PIPESTATUS[0]}" -eq 0
     # export/import swaps, shared BTB/RAS) must produce byte-identical
     # metrics whether the batched or the reference replay loop drives
     # it. A reduced budget keeps this a smoke, not a rerun of E21.
-    itf_fast_dir=$METRICS_DIR/perf_smoke_itf_fast
-    itf_ref_dir=$METRICS_DIR/perf_smoke_itf_ref
-    rm -rf "$itf_fast_dir" "$itf_ref_dir"
-    build/bench/bench_e21_interference --steps 100000 --jobs "$JOBS" \
-        --out "" --metrics-dir "$itf_fast_dir" > /dev/null
-    build/bench/bench_e21_interference --steps 100000 --jobs "$JOBS" \
-        --fast-replay 0 --out "" --metrics-dir "$itf_ref_dir" > /dev/null
+    itf_fast_dir=$METRICS_DIR/perf_smoke_itf_fast/bench_e21_interference
+    itf_ref_dir=$METRICS_DIR/perf_smoke_itf_ref/bench_e21_interference
+    rm -rf "$METRICS_DIR/perf_smoke_itf_fast" \
+        "$METRICS_DIR/perf_smoke_itf_ref"
+    build/bench/pabp-experiments --only e21 --steps 100000 \
+        --jobs "$JOBS" --summary-dir= \
+        --metrics-dir "$METRICS_DIR/perf_smoke_itf_fast" > /dev/null ||
+        echo "FAILED: perf smoke (E21): fast run"
+    build/bench/pabp-experiments --only e21 --steps 100000 \
+        --jobs "$JOBS" --fast-replay 0 --summary-dir= \
+        --metrics-dir "$METRICS_DIR/perf_smoke_itf_ref" > /dev/null ||
+        echo "FAILED: perf smoke (E21): reference run"
     itf_pairs=0
     for fast_file in "$itf_fast_dir"/pabp-metrics-*.json; do
         ref_file=$itf_ref_dir/$(basename "$fast_file")
@@ -171,8 +166,8 @@ test "${PIPESTATUS[0]}" -eq 0
 } 2>&1 | tee -a bench_output.txt
 
 # --- Metrics packing (docs/OBSERVABILITY.md) -------------------------
-# Consolidate each binary's loose per-cell metrics files into one
-# journal per binary (<METRICS_DIR>/<binary>.pabpj) so a full run
+# Consolidate each experiment's loose per-cell metrics files into one
+# journal per experiment (<METRICS_DIR>/<binary>.pabpj) so a full run
 # leaves a handful of queryable artifacts instead of hundreds of JSON
 # files. The perf-smoke directories stay loose: their job is the
 # byte-compare above, not archival.
@@ -269,7 +264,7 @@ FUZZ_EMIT_DIR=${FUZZ_EMIT_DIR:-results/fuzz-failures}
     # seeds and emit the winners as replayable .pabp workloads. Exit
     # 3 (scorer infrastructure failure) and exit 1 (oracle divergence
     # on a mined case) both fail the run; the emitted cases feed
-    # bench_e22's dominance check.
+    # E22's dominance check.
     MINE_DIR=${MINE_DIR:-results/mined-workloads}
     echo "== fuzz: adversarial mining (seeds 5..6) =="
     mkdir -p "$MINE_DIR"
@@ -283,6 +278,6 @@ FUZZ_EMIT_DIR=${FUZZ_EMIT_DIR:-results/fuzz-failures}
 # The loops ran in the pipelines' subshells, so their verdicts must
 # be recovered from the transcript.
 if grep -q '^FAILED: ' bench_output.txt; then
-    echo "error: one or more experiment binaries failed" >&2
+    echo "error: one or more experiments or checks failed" >&2
     exit 1
 fi

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "util/atomic_file.hh"
 #include "util/serialize.hh"
 
 namespace pabp {
@@ -46,13 +47,10 @@ sectionMask(const CheckpointRefs &refs)
 Status
 saveCheckpoint(const std::string &path, const CheckpointRefs &refs)
 {
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            return Status(StatusCode::IoError,
-                          "cannot open checkpoint for writing: " + tmp);
-
+    // Streamed straight into the temp file (the emulator image is
+    // megabytes); a previous good checkpoint at @p path survives any
+    // crash up to the rename.
+    return atomicWriteFile(path, [&refs](std::ostream &os) {
         StateSink sink(os);
         sink.writeBytes(ckptMagic, sizeof(ckptMagic));
         sink.writeU32(ckptVersion);
@@ -70,21 +68,7 @@ saveCheckpoint(const std::string &path, const CheckpointRefs &refs)
         sink.writeU32(sink.crc32());
 
         sink.writeBytes(ckptFooter, sizeof(ckptFooter));
-        os.flush();
-        if (!os) {
-            std::remove(tmp.c_str());
-            return Status(StatusCode::IoError,
-                          "write failure on checkpoint: " + tmp);
-        }
-    }
-    // Atomic publish: a previous good checkpoint at @p path survives
-    // any crash up to this instant.
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return Status(StatusCode::IoError,
-                      "cannot rename checkpoint into place: " + path);
-    }
-    return Status();
+    });
 }
 
 Status

@@ -17,8 +17,10 @@
  *   | u32 crc   - CRC-32 of mask + payloads
  *   | footer "PABPCKPE"
  *
- * saveCheckpoint() writes to "<path>.tmp" and renames into place, so
- * a crash mid-write can never destroy the previous good checkpoint.
+ * saveCheckpoint() streams into a unique temp file and renames it into
+ * place (util/atomic_file.hh), so a crash mid-write can never destroy
+ * the previous good checkpoint, and concurrent writers of one path
+ * never share a temp file.
  * On any load failure the target objects are left partially
  * modified; callers must treat them as scratch until a load succeeds.
  */

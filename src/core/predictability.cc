@@ -1,6 +1,7 @@
 #include "core/predictability.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <span>
 
@@ -437,10 +438,29 @@ characterizeTrace(const DecodedTrace &trace,
         n = static_cast<std::size_t>(max_events);
     constexpr auto cond_branch =
         static_cast<std::uint8_t>(DecodedTrace::Class::CondBranch);
-    for (std::size_t i = 0; i < n; ++i)
-        if (trace.cls[i] == cond_branch)
+    constexpr auto pred_define =
+        static_cast<std::uint8_t>(DecodedTrace::Class::PredDefine);
+    // Event index of each predicate register's last write; 0 for a
+    // never-written one, so its distance is the branch's own index.
+    std::array<std::uint64_t, numPredRegs> last_write{};
+    PredictabilityReport::GuardDistance guard;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint8_t cls = trace.cls[i];
+        if (cls == cond_branch) {
             an.observe(trace.pcs[i], trace.taken(i));
-    return an.report();
+            guard.sample(i - last_write[trace.inst(i).qp]);
+        } else if (cls == pred_define) {
+            // Only Cmp/PSet write predicates (DecodedTrace::Class).
+            const unsigned writes = trace.numPredWrites(i);
+            if (writes > 0)
+                last_write[trace.predReg0[i]] = i;
+            if (writes > 1)
+                last_write[trace.predReg1[i]] = i;
+        }
+    }
+    PredictabilityReport rep = an.report();
+    rep.guardDistance = guard;
+    return rep;
 }
 
 std::vector<std::string>

@@ -149,6 +149,49 @@ struct PredictabilityReport
     /** Pattern-level folds summed across every (pc, k) table. */
     std::uint64_t evictedPatterns = 0;
 
+    /**
+     * Define-to-branch distance of the guarded conditional branches
+     * (filled by characterizeTrace(), not by the analyzer): for each
+     * one, the events since the last write of its qualifying
+     * predicate - the event index itself when that predicate was
+     * never written. SFPF can squash a branch only when its guard
+     * resolved at least availDelay events earlier
+     * (core/delayed_pred_file.hh), so this is the filter's reach;
+     * bench E12 tabulates it. Not exported to metrics.
+     */
+    struct GuardDistance
+    {
+        /** Exclusive upper bounds of all buckets but the last, which
+         *  takes everything from 64 up: <4, 4-7, 8-15, 16-31, 32-63,
+         *  >=64. */
+        static constexpr std::array<std::uint64_t, 5> limits = {
+            4, 8, 16, 32, 64};
+
+        std::uint64_t count = 0;
+        std::uint64_t sum = 0;
+        std::array<std::uint64_t, limits.size() + 1> buckets{};
+
+        void
+        sample(std::uint64_t distance)
+        {
+            ++count;
+            sum += distance;
+            std::size_t b = 0;
+            while (b < limits.size() && distance >= limits[b])
+                ++b;
+            ++buckets[b];
+        }
+
+        double
+        mean() const
+        {
+            return count ? static_cast<double>(sum) /
+                    static_cast<double>(count)
+                         : 0.0;
+        }
+    };
+    GuardDistance guardDistance;
+
     double
     takenRate() const
     {
@@ -298,11 +341,14 @@ double binaryEntropy(double p);
 
 /**
  * Characterize the conditional-branch stream of a trace: one pass
- * over its class and flags lanes. Events are classified exactly like
- * the prediction engine (a Br with a qualifying predicate); @p max_events == 0 means the whole trace,
- * otherwise only the first max_events trace events are scanned -
- * matching a replay budget so characterization and measurement see
- * the same stream.
+ * over its class, flags and predicate-write lanes. Events are
+ * classified exactly like the prediction engine (a Br with a
+ * qualifying predicate); the same pass tallies each such branch's
+ * guard distance (PredictabilityReport::guardDistance) from the
+ * predicate writes before it. @p max_events == 0 means the whole
+ * trace, otherwise only the first max_events trace events are
+ * scanned - matching a replay budget so characterization and
+ * measurement see the same stream.
  */
 PredictabilityReport
 characterizeTrace(const DecodedTrace &trace,

@@ -13,6 +13,7 @@
 #include "pipeline/pipeline.hh"
 #include "sim/trace_io.hh"
 #include "sweep.hh"
+#include "util/atomic_file.hh"
 #include "util/journal.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"

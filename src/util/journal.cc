@@ -8,6 +8,7 @@
 #include <system_error>
 #include <utility>
 
+#include "util/atomic_file.hh"
 #include "util/crc32.hh"
 #include "util/serialize.hh"
 
@@ -218,10 +219,10 @@ JournalWriter::open(const std::string &path, const JournalHeader &header,
                     std::vector<JournalRecord> *existing,
                     JournalReadInfo *info)
 {
-    // A compaction interrupted before its rename leaves "<path>.tmp";
-    // the real journal is still the old complete image, so the temp
-    // is garbage to be discarded, never adopted.
-    std::remove((path + ".tmp").c_str());
+    // A compaction interrupted before its rename leaves a
+    // "<path>.tmp.*" file; the real journal is still the old complete
+    // image, so the temp is garbage to be discarded, never adopted.
+    removeStaleTempFiles(path);
 
     std::string bytes;
     {
@@ -357,32 +358,6 @@ compactJournal(const std::string &path,
         emit(fingerprint);
 
     return atomicWriteFile(path, image.str());
-}
-
-Status
-atomicWriteFile(const std::string &path, const std::string &bytes)
-{
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            return Status(StatusCode::IoError,
-                          "cannot open for writing: " + tmp);
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size()));
-        os.flush();
-        if (!os) {
-            std::remove(tmp.c_str());
-            return Status(StatusCode::IoError,
-                          "write failure on: " + tmp);
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return Status(StatusCode::IoError,
-                      "cannot rename into place: " + path);
-    }
-    return Status();
 }
 
 } // namespace pabp

@@ -179,14 +179,12 @@ class JournalWriter
  * Rewrite @p path keeping only the LAST record for each fingerprint,
  * ordered by @p order (fingerprints listed there first, in that
  * order; any remaining records follow in first-appearance order).
- * The new image is written to "<path>.tmp" and renamed into place:
- * a crash leaves either the old journal or the new one, never a mix.
+ * The new image is published with atomicWriteFile()
+ * (util/atomic_file.hh): a crash leaves either the old journal or the
+ * new one, never a mix.
  */
 Status compactJournal(const std::string &path,
                       const std::vector<std::uint64_t> &order = {});
-
-/** Write @p bytes to @p path via write-then-rename. */
-Status atomicWriteFile(const std::string &path, const std::string &bytes);
 
 } // namespace pabp
 

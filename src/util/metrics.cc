@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "util/atomic_file.hh"
 #include "util/logging.hh"
 
 namespace pabp {
@@ -178,26 +179,8 @@ MetricsExporter::writeJson(std::ostream &os) const
 Status
 MetricsExporter::writeJsonFile(const std::string &path) const
 {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            return Status(StatusCode::IoError,
-                          "cannot open metrics file for writing: " + tmp);
-        writeJson(os);
-        os.flush();
-        if (!os) {
-            std::remove(tmp.c_str());
-            return Status(StatusCode::IoError,
-                          "write failure on metrics file: " + tmp);
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return Status(StatusCode::IoError,
-                      "cannot rename metrics file into place: " + path);
-    }
-    return Status();
+    return atomicWriteFile(path,
+                           [this](std::ostream &os) { writeJson(os); });
 }
 
 const JsonValue *

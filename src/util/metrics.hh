@@ -82,8 +82,10 @@ class MetricsExporter
      *  formatting. */
     void writeJson(std::ostream &os) const;
 
-    /** writeJson() to @p path via write-then-rename (a crash cannot
-     *  leave a torn half-document behind). */
+    /** writeJson() to @p path through atomicWriteFile()
+     *  (util/atomic_file.hh): a crash cannot leave a torn
+     *  half-document behind, and concurrent writers of one path all
+     *  succeed. */
     Status writeJsonFile(const std::string &path) const;
 
     std::size_t numMetrics() const { return metrics.size(); }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -183,8 +184,14 @@ TEST(Checkpoint, SaveLeavesNoTempFileBehind)
     std::string path = tempPath("pabp_ckpt_tmp.ckpt");
     CheckpointRefs refs{nullptr, &engine, nullptr};
     ASSERT_TRUE(saveCheckpoint(path, refs).ok());
-    std::ifstream tmp(path + ".tmp");
-    EXPECT_FALSE(tmp.good());
+    const std::filesystem::path target(path);
+    const std::string prefix = target.filename().string() + ".tmp";
+    for (const auto &entry :
+         std::filesystem::directory_iterator(target.parent_path()))
+        EXPECT_NE(entry.path().filename().string().compare(
+                      0, prefix.size(), prefix),
+                  0)
+            << entry.path();
     std::remove(path.c_str());
 }
 

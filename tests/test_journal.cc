@@ -14,8 +14,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
+#include "util/atomic_file.hh"
 #include "util/journal.hh"
+#include "util/metrics.hh"
 
 namespace pabp {
 namespace {
@@ -34,6 +37,23 @@ makeRecord(std::uint64_t fingerprint, const std::string &blob,
     rec.columns = {100 + fingerprint, 200 + fingerprint, 3};
     rec.blob = blob;
     return rec;
+}
+
+/** Files beside @p path whose name starts "<name>.tmp": what an
+ *  atomicWriteFile() of @p path leaves behind when it does not finish. */
+std::vector<std::string>
+tempSiblings(const std::string &path)
+{
+    const std::filesystem::path target(path);
+    const std::string prefix = target.filename().string() + ".tmp";
+    std::vector<std::string> out;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(target.parent_path())) {
+        const std::string name = entry.path().filename().string();
+        if (name.compare(0, prefix.size(), prefix) == 0)
+            out.push_back(name);
+    }
+    return out;
 }
 
 std::string
@@ -57,13 +77,13 @@ class ScratchFile
                     .string())
     {
         std::remove(path_.c_str());
-        std::remove((path_ + ".tmp").c_str());
+        removeStaleTempFiles(path_);
     }
 
     ~ScratchFile()
     {
         std::remove(path_.c_str());
-        std::remove((path_ + ".tmp").c_str());
+        removeStaleTempFiles(path_);
     }
 
     const std::string &path() const { return path_; }
@@ -323,11 +343,11 @@ TEST(Journal, CrashMidCompactionLeavesOldJournalIntact)
         buildImage({makeRecord(1, "old"), makeRecord(1, "newer")});
     file.write(old_image);
 
-    // A compaction killed before its rename: the temp file exists
+    // A compaction killed before its rename: its temp file exists
     // with arbitrary (even torn) content, the real journal is
     // untouched. Readers see the complete OLD image...
     {
-        std::ofstream tmp(file.path() + ".tmp",
+        std::ofstream tmp(file.path() + ".tmp.4242.0",
                           std::ios::binary | std::ios::trunc);
         tmp << old_image.substr(0, 10); // garbage half-write
     }
@@ -343,7 +363,7 @@ TEST(Journal, CrashMidCompactionLeavesOldJournalIntact)
     ASSERT_TRUE(writer.ok()) << writer.status().toString();
     writer.value().close();
     EXPECT_EQ(existing.size(), 2u);
-    EXPECT_FALSE(std::filesystem::exists(file.path() + ".tmp"));
+    EXPECT_TRUE(tempSiblings(file.path()).empty());
 
     // A compaction that RUNS to completion replaces the image whole.
     ASSERT_TRUE(compactJournal(file.path(), {1}).ok());
@@ -352,7 +372,7 @@ TEST(Journal, CrashMidCompactionLeavesOldJournalIntact)
     ASSERT_TRUE(after.ok());
     ASSERT_EQ(after.value().size(), 1u);
     EXPECT_EQ(after.value()[0].blob, "newer");
-    EXPECT_FALSE(std::filesystem::exists(file.path() + ".tmp"));
+    EXPECT_TRUE(tempSiblings(file.path()).empty());
 }
 
 TEST(Journal, AtomicWriteReplacesContentWhole)
@@ -361,7 +381,42 @@ TEST(Journal, AtomicWriteReplacesContentWhole)
     file.write("stale");
     ASSERT_TRUE(atomicWriteFile(file.path(), "fresh contents").ok());
     EXPECT_EQ(file.read(), "fresh contents");
-    EXPECT_FALSE(std::filesystem::exists(file.path() + ".tmp"));
+    EXPECT_TRUE(tempSiblings(file.path()).empty());
+}
+
+TEST(Journal, ConcurrentWritersOfOnePathAllSucceed)
+{
+    // Two sweep cells with one fingerprint export into one metrics
+    // directory at once. With a shared "<path>.tmp" one writer's
+    // rename could find the other's temp already moved away; unique
+    // temp names make every write succeed, and the survivor is one
+    // writer's complete document.
+    ScratchFile file("concurrent");
+    MetricsExporter docs[2];
+    docs[0].setInt("writer", 0);
+    docs[1].setInt("writer", 1);
+    // At 1000 rounds each, a shared "<path>.tmp" lost 15-95 writes
+    // in every one of eight runs.
+    constexpr int rounds = 1000;
+    int failures[2] = {0, 0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < 2; ++w)
+        writers.emplace_back([&, w] {
+            for (int r = 0; r < rounds; ++r)
+                failures[w] += docs[w].writeJsonFile(file.path()).ok()
+                    ? 0
+                    : 1;
+        });
+    for (std::thread &t : writers)
+        t.join();
+    EXPECT_EQ(failures[0] + failures[1], 0);
+
+    std::ostringstream expect[2];
+    docs[0].writeJson(expect[0]);
+    docs[1].writeJson(expect[1]);
+    const std::string survivor = file.read();
+    EXPECT_TRUE(survivor == expect[0].str() || survivor == expect[1].str());
+    EXPECT_TRUE(tempSiblings(file.path()).empty());
 }
 
 } // namespace

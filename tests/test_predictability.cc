@@ -14,18 +14,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/predictability.hh"
 #include "sim/decoded_trace.hh"
 #include "sim/emulator.hh"
 #include "sim/trace_io.hh"
 #include "util/metrics.hh"
+#include "util/stats.hh"
 #include "workloads/workload.hh"
 
 #ifndef PABP_STATS_BIN
@@ -341,6 +344,170 @@ TEST(PredictabilityTrace, EventBudgetMatchesReplayBudget)
                           trace.size() / 2);
     EXPECT_LT(half.occurrences, whole.occurrences);
     EXPECT_GT(half.occurrences, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Guard distance (PredictabilityReport::guardDistance, bench E12):
+// analytic pins on hand-built lanes, then the old per-DynInst E12
+// accumulator as a differential oracle on every suite workload.
+
+/** Lanes of @p n events over a three-instruction program: pc 0 a nop,
+ *  pc 1 a compare writing p5 and p6, pc 2 a branch guarded by p5.
+ *  @p defines and @p branches list the event indices of each; every
+ *  other event is the nop. */
+DecodedTrace
+guardLanes(std::size_t n, const std::vector<std::size_t> &defines,
+           const std::vector<std::size_t> &branches)
+{
+    using Class = DecodedTrace::Class;
+    Inst cmp;
+    cmp.op = Opcode::Cmp;
+    cmp.pdst1 = 5;
+    cmp.pdst2 = 6;
+    Inst br;
+    br.op = Opcode::Br;
+    br.qp = 5;
+    DecodedTrace t;
+    t.prog.insts = {Inst{}, cmp, br};
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint32_t pc = 0;
+        Class cls = Class::Other;
+        std::uint8_t flags = 1; // guard true
+        if (std::find(defines.begin(), defines.end(), i) !=
+            defines.end()) {
+            pc = 1;
+            cls = Class::PredDefine;
+            flags |= 2u << 2; // two predicate writes
+        } else if (std::find(branches.begin(), branches.end(), i) !=
+                   branches.end()) {
+            pc = 2;
+            cls = Class::CondBranch;
+        }
+        t.pcs.push_back(pc);
+        t.cls.push_back(static_cast<std::uint8_t>(cls));
+        t.flags.push_back(flags);
+        t.predReg0.push_back(pc == 1 ? 5 : 0);
+        t.predReg1.push_back(pc == 1 ? 6 : 0);
+        t.predVal.push_back(0);
+        t.nextPcs.push_back(0);
+    }
+    return t;
+}
+
+TEST(PredictabilityGuardDistance, DefineAtIBranchAtIPlusDIsOneSampleAtD)
+{
+    // One bucket edge on each side of every limit.
+    for (std::size_t d : {1u, 3u, 4u, 7u, 8u, 15u, 16u, 31u, 32u, 63u,
+                          64u, 200u}) {
+        const std::size_t i = 9;
+        const PredictabilityReport rep =
+            characterizeTrace(guardLanes(i + d + 5, {i}, {i + d}));
+        const PredictabilityReport::GuardDistance &g = rep.guardDistance;
+        EXPECT_EQ(g.count, 1u) << d;
+        EXPECT_EQ(g.sum, d) << d;
+        std::size_t bucket = 0;
+        while (bucket < g.limits.size() && d >= g.limits[bucket])
+            ++bucket;
+        for (std::size_t b = 0; b < g.buckets.size(); ++b)
+            EXPECT_EQ(g.buckets[b], b == bucket ? 1u : 0u)
+                << "d=" << d << " bucket " << b;
+        EXPECT_EQ(g.mean(), static_cast<double>(d));
+    }
+}
+
+TEST(PredictabilityGuardDistance, NeverWrittenGuardIsItsOwnIndex)
+{
+    // No define at all: the distance is the branch's sequence number.
+    const PredictabilityReport none =
+        characterizeTrace(guardLanes(100, {}, {0, 70, 99}));
+    EXPECT_EQ(none.guardDistance.count, 3u);
+    EXPECT_EQ(none.guardDistance.sum, 0u + 70u + 99u);
+    EXPECT_EQ(none.guardDistance.buckets[0], 1u); // seq 0
+    EXPECT_EQ(none.guardDistance.buckets[5], 2u);
+}
+
+TEST(PredictabilityGuardDistance, LatestDefineWinsAndBudgetCuts)
+{
+    // Defines at 2 and 20, branches at 10 (d=8) and 25 (d=5).
+    const DecodedTrace t = guardLanes(40, {2, 20}, {10, 25});
+    const PredictabilityReport whole = characterizeTrace(t);
+    EXPECT_EQ(whole.guardDistance.count, 2u);
+    EXPECT_EQ(whole.guardDistance.sum, 13u);
+    EXPECT_EQ(whole.guardDistance.buckets[1], 1u);
+    EXPECT_EQ(whole.guardDistance.buckets[2], 1u);
+    // A 20-event budget sees only the first branch.
+    const PredictabilityReport cut =
+        characterizeTrace(t, PredictabilityConfig{}, 20);
+    EXPECT_EQ(cut.guardDistance.count, 1u);
+    EXPECT_EQ(cut.guardDistance.sum, 8u);
+}
+
+/** The E12 accumulator the guard-distance tally replaced: fed one
+ *  DynInst at a time by a stepping emulator. */
+struct DistanceOracle
+{
+    std::vector<std::uint64_t> lastWrite =
+        std::vector<std::uint64_t>(numPredRegs, 0);
+    Histogram histo{16, 4};
+    std::uint64_t inBucket[6] = {};
+    std::uint64_t total = 0;
+
+    void
+    observe(const DynInst &dyn)
+    {
+        const Inst &inst = *dyn.inst;
+        if (inst.op == Opcode::Br && inst.qp != 0) {
+            std::uint64_t distance = dyn.seq - lastWrite[inst.qp];
+            histo.sample(distance);
+            ++total;
+            if (distance < 4)
+                ++inBucket[0];
+            else if (distance < 8)
+                ++inBucket[1];
+            else if (distance < 16)
+                ++inBucket[2];
+            else if (distance < 32)
+                ++inBucket[3];
+            else if (distance < 64)
+                ++inBucket[4];
+            else
+                ++inBucket[5];
+        }
+        for (unsigned w = 0; w < dyn.numPredWrites; ++w)
+            lastWrite[dyn.predWrites[w].reg] = dyn.seq;
+    }
+};
+
+TEST(PredictabilityGuardDistance, MatchesStepDrivenOracleOnEverySuiteWorkload)
+{
+    constexpr std::uint64_t steps = 300'000;
+    for (const std::string &name : workloadNames()) {
+        Workload wl = makeWorkload(name, 42);
+        CompiledProgram cp = compileWorkload(wl, CompileOptions{});
+
+        Emulator stepper(cp.prog);
+        if (wl.init)
+            wl.init(stepper.state());
+        DistanceOracle oracle;
+        DynInst dyn;
+        for (std::uint64_t n = 0; n < steps && stepper.step(dyn); ++n)
+            oracle.observe(dyn);
+
+        Emulator recorder(cp.prog);
+        if (wl.init)
+            wl.init(recorder.state());
+        const PredictabilityReport::GuardDistance g =
+            characterizeTrace(recordTrace(recorder, steps)).guardDistance;
+
+        EXPECT_GT(g.count, 0u) << name;
+        EXPECT_EQ(g.count, oracle.total) << name;
+        EXPECT_EQ(g.count, oracle.histo.count()) << name;
+        EXPECT_EQ(g.sum, oracle.histo.sumOfSamples()) << name;
+        EXPECT_EQ(g.mean(), oracle.histo.mean()) << name;
+        for (std::size_t b = 0; b < g.buckets.size(); ++b)
+            EXPECT_EQ(g.buckets[b], oracle.inBucket[b])
+                << name << " bucket " << b;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -34,6 +34,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -51,6 +52,9 @@
 
 #ifndef PABP_SWEEPD_BIN
 #error "PABP_SWEEPD_BIN must point at the pabp-sweepd executable"
+#endif
+#ifndef PABP_EXPERIMENTS_BIN
+#error "PABP_EXPERIMENTS_BIN must point at the pabp-experiments executable"
 #endif
 
 namespace pabp::bench {
@@ -272,16 +276,6 @@ TEST(SweepRunner, BadCellFailsTypedWhileGridCompletes)
     std::ostringstream err;
     EXPECT_EQ(reportFailures(specs, results, err), 2u);
     EXPECT_NE(err.str().find("no-such-predictor"), std::string::npos);
-}
-
-TEST(SweepRunner, ObserveWithoutObserverIsInvalid)
-{
-    RunSpec spec;
-    spec.workload = "bsort";
-    spec.mode = RunMode::Observe;
-    SweepRunner runner;
-    EXPECT_EQ(runner.runOne(spec).status.code(),
-              StatusCode::InvalidArgument);
 }
 
 TEST(SweepCheckpoint, CellsInOneDirectoryDoNotCollide)
@@ -547,19 +541,42 @@ TEST(SweepRobustness, RetryableFailuresAreRetriedBoundedly)
     EXPECT_EQ(poisoned.attempts, 1u);
 }
 
-/** An Observe-mode cell whose per-instruction closure sleeps: the
- *  watchdog must reap it instead of letting it run its (wall-clock
- *  enormous) budget out. */
+/** A loop that never exits: r1 counts up from 0 and is compared
+ *  against r2 = -1 (every suite workload halts). */
+Workload
+neverHaltingWorkload(std::uint64_t)
+{
+    Workload wl;
+    wl.name = "spin";
+    wl.fn.name = "spin";
+    IrBuilder b(wl.fn);
+    const BlockId entry = b.newBlock();
+    const BlockId loop = b.newBlock();
+    const BlockId done = b.newBlock();
+    b.setBlock(entry);
+    b.append(makeMovImm(1, 0));
+    b.append(makeMovImm(2, -1));
+    b.jump(loop);
+    b.setBlock(loop);
+    b.append(makeAluImm(Opcode::Add, 1, 1, 1));
+    b.condBr(CmpRel::Ne, 1, 2, loop, done);
+    b.setBlock(done);
+    b.halt();
+    return wl;
+}
+
+/** A cell that can only end by its deadline: a never-halting
+ *  workload under an unbounded budget, on the reference loop (the
+ *  fast path would first record the whole, endless trace). The
+ *  watchdog must reap it. */
 RunSpec
-hungObserveSpec()
+overrunningSpec()
 {
     RunSpec spec;
-    spec.workload = "bsort";
-    spec.mode = RunMode::Observe;
-    spec.maxInsts = 200000;
-    spec.observe = [](const DynInst &) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    };
+    spec.workload = "spin";
+    spec.factory = neverHaltingWorkload;
+    spec.maxInsts = ~0ull;
+    spec.fastReplay = false;
     spec.watchdogMillis = 25;
     spec.heartbeatInsts = 4;
     return spec;
@@ -568,7 +585,7 @@ hungObserveSpec()
 TEST(SweepRobustness, WatchdogReapsAnOverrunningCell)
 {
     SweepRunner runner(SweepRunner::Config{1, 0});
-    RunResult result = runner.runOne(hungObserveSpec());
+    RunResult result = runner.runOne(overrunningSpec());
     EXPECT_EQ(result.status.code(), StatusCode::DeadlineExceeded);
     // The message is deliberately wall-clock-free: it lands in
     // quarantine journal records whose bytes must converge.
@@ -937,7 +954,7 @@ TEST(SweepService, QuarantinesPoisonCellsAndStillDrains)
 TEST(SweepService, WatchdogQuarantineDoesNotStallTheShard)
 {
     std::vector<RunSpec> grid = smallGrid(4000);
-    grid.push_back(hungObserveSpec());
+    grid.push_back(overrunningSpec());
 
     const std::string journal = tempPath("hung.pabpj");
     SweepRunner runner(SweepRunner::Config{2, 0});
@@ -1097,11 +1114,12 @@ struct SweepdRun
     std::string err;
 };
 
+/** Run @p bin with @p args; its exit code and stderr. */
 SweepdRun
-runSweepd(const std::string &args)
+runTool(const char *bin, const std::string &args)
 {
-    const std::string err = tempPath("sweepd.err");
-    const std::string cmd = std::string(PABP_SWEEPD_BIN) + " " + args +
+    const std::string err = tempPath("tool.err");
+    const std::string cmd = std::string(bin) + " " + args +
         " > /dev/null 2> " + err;
     const int rc = std::system(cmd.c_str());
     EXPECT_NE(rc, -1);
@@ -1110,6 +1128,12 @@ runSweepd(const std::string &args)
     text << in.rdbuf();
     std::remove(err.c_str());
     return {WIFEXITED(rc) ? WEXITSTATUS(rc) : -1, text.str()};
+}
+
+SweepdRun
+runSweepd(const std::string &args)
+{
+    return runTool(PABP_SWEEPD_BIN, args);
 }
 
 TEST(SweepdOptions, BadSeedsAndSizesAreSetupErrors)
@@ -1182,6 +1206,26 @@ TEST(SweepdOptions, BadShardAndIntegersAreSetupErrors)
     // Rejected before any journal is created.
     EXPECT_FALSE(fileExists(journal));
     EXPECT_FALSE(fileExists(wrapped));
+}
+
+TEST(ExperimentsOptions, UnknownOnlyNameFailsBeforeAnyCellRuns)
+{
+    // e3 is valid and cheap; the unknown name must still stop the
+    // whole run before its grid is built or a metrics file written.
+    const std::string metrics = tempPath("metrics");
+    for (const char *only : {"e3,e99", "e11", "E3"}) {
+        const SweepdRun run = runTool(
+            PABP_EXPERIMENTS_BIN, std::string("--only ") + only +
+                " --steps 2000 --summary-dir= --metrics-dir " + metrics);
+        EXPECT_EQ(run.exitCode, 1) << only;
+        EXPECT_NE(run.err.find(std::string("fatal: bad --only '") +
+                               only + "'"),
+                  std::string::npos)
+            << run.err;
+        EXPECT_EQ(run.err.find("pabp-experiments:"), std::string::npos)
+            << run.err;
+        EXPECT_FALSE(std::filesystem::exists(metrics)) << only;
+    }
 }
 
 } // namespace

@@ -40,6 +40,7 @@
 
 #include "core/predictability.hh"
 #include "sim/trace_io.hh"
+#include "util/atomic_file.hh"
 #include "util/journal.hh"
 #include "util/metrics.hh"
 
