@@ -63,8 +63,6 @@ standardOptions()
     opts.declare("watchdog-ms", "0",
                  "per-attempt wall-clock deadline, ms (0 = off); an "
                  "overrunning cell fails with DeadlineExceeded");
-    opts.declare("heartbeat-insts", "65536",
-                 "instructions between watchdog deadline checks");
     opts.declare("characterize", "0",
                  "compute workload predictability metrics per cell "
                  "(taken/transition rates, history-conditioned "

@@ -109,8 +109,6 @@ configFromOptions(const Options &opts)
     base.retryBackoffMillis =
         opts.unsignedInteger<std::uint32_t>("backoff-ms");
     base.watchdogMillis = opts.unsignedInteger<std::uint32_t>("watchdog-ms");
-    base.heartbeatInsts = std::max<std::uint64_t>(
-        1, opts.unsignedInteger("heartbeat-insts"));
 
     cfg.pollutionContext.contexts =
         std::max(1u, opts.unsignedInteger<unsigned>("contexts"));

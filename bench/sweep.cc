@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -112,6 +113,34 @@ hashEngineConfig(Fnv &fnv, const EngineConfig &e)
         fnv.u32(e.btbWays);
         fnv.u32(e.rasDepth);
     }
+}
+
+void
+hashCacheConfig(Fnv &fnv, const CacheConfig &c)
+{
+    fnv.u32(c.setsLog2);
+    fnv.u32(c.ways);
+    fnv.u32(c.lineWordsLog2);
+}
+
+void
+hashPipelineConfig(Fnv &fnv, const PipelineConfig &p)
+{
+    fnv.u32(p.issueWidth);
+    fnv.u32(p.mispredictPenalty);
+    fnv.u32(p.takenBubble);
+    fnv.u32(p.btbMissPenalty);
+    fnv.u32(p.aluLatency);
+    fnv.u32(p.mulLatency);
+    fnv.u32(p.divLatency);
+    fnv.u32(p.loadHitLatency);
+    fnv.u32(p.loadMissLatency);
+    fnv.u32(p.icacheMissPenalty);
+    hashCacheConfig(fnv, p.icache);
+    hashCacheConfig(fnv, p.dcache);
+    fnv.b(p.enableL2);
+    hashCacheConfig(fnv, p.l2);
+    fnv.u32(p.memoryLatency);
 }
 
 /** Compiled-program cache key: everything that determines the
@@ -269,11 +298,9 @@ resumeFallsBackToFresh(const Status &status)
 }
 
 /** Wall-clock deadline for one cell attempt (RunSpec::watchdogMillis).
- *  Unarmed (0) deadlines never expire and leave the engine loops
- *  un-chunked. */
-class CellDeadline
+ *  Unarmed (0), it never expires and the cell loops run unsliced. */
+struct CellDeadline
 {
-  public:
     explicit CellDeadline(std::uint32_t millis)
         : armed(millis > 0),
           at(std::chrono::steady_clock::now() +
@@ -286,33 +313,102 @@ class CellDeadline
         return armed && std::chrono::steady_clock::now() >= at;
     }
 
-    /** Budget slice between checks: the heartbeat grain when armed,
-     *  the whole remaining budget when not. */
-    std::uint64_t
-    slice(std::uint64_t heartbeat, std::uint64_t remaining) const
-    {
-        if (!armed || heartbeat == 0)
-            return remaining;
-        return std::min(heartbeat, remaining);
-    }
-
-    /** NOTE: deliberately free of wall-clock-dependent detail (how
-     *  many instructions ran varies run to run) - the text lands in
-     *  quarantine journal records, whose bytes must converge across
-     *  interrupted and clean campaigns (bench/sweep_service.hh). */
-    Status
-    status(const RunSpec &spec, std::uint64_t) const
-    {
-        return Status(StatusCode::DeadlineExceeded,
-                      "cell '" + spec.workload + "' overran its " +
-                          std::to_string(spec.watchdogMillis) +
-                          " ms watchdog deadline");
-    }
-
-  private:
-    bool armed;
-    std::chrono::steady_clock::time_point at;
+    const bool armed;
+    const std::chrono::steady_clock::time_point at;
 };
+
+/** NOTE: deliberately free of wall-clock-dependent detail (how many
+ *  instructions ran varies run to run) - the text lands in quarantine
+ *  journal records, whose bytes must converge across interrupted and
+ *  clean campaigns (bench/sweep_service.hh). */
+Status
+deadlineStatus(const RunSpec &spec)
+{
+    return Status(StatusCode::DeadlineExceeded,
+                  "cell '" + spec.workload + "' overran its " +
+                      std::to_string(spec.watchdogMillis) +
+                      " ms watchdog deadline");
+}
+
+/** The consumer of a single-context cell: advance(n) runs up to n more
+ *  instructions and returns how many ran. Fewer than n means the
+ *  stream ended: the workload halted or the trace ran out. */
+using CellAdvance = std::function<std::uint64_t(std::uint64_t n)>;
+
+/**
+ * The one loop every single-context cell runs. Each slice is the
+ * smallest of the remaining budget, the distance to the next
+ * checkpoint (when @p save is set) and the heartbeat (when the
+ * watchdog is armed); an unarmed, uncheckpointed cell therefore
+ * advances its whole budget in one call. @p done is the count
+ * already run (a resumed cell's cursor) and is advanced in place.
+ * @p save writes a checkpoint every RunSpec::checkpointEvery
+ * instructions and once more where the cell ends.
+ */
+Status
+runCellLoop(const RunSpec &spec, const CellAdvance &advance,
+            std::uint64_t &done, const std::function<Status()> &save)
+{
+    const CellDeadline deadline(spec.watchdogMillis);
+    const std::uint64_t every = save ? spec.checkpointEvery : 0;
+    std::uint64_t sinceSave = 0;
+    while (done < spec.maxInsts) {
+        std::uint64_t slice = spec.maxInsts - done;
+        if (deadline.armed)
+            slice = std::min(slice, heartbeatInsts);
+        if (every)
+            slice = std::min(slice, every - sinceSave);
+        const std::uint64_t ran = advance(slice);
+        done += ran;
+        sinceSave += ran;
+        const bool ended = ran < slice;
+        if (every &&
+            (ended || sinceSave == every || done == spec.maxInsts)) {
+            Status saved = save();
+            if (!saved.ok())
+                return saved;
+            sinceSave = 0;
+        }
+        if (ended)
+            break;
+        if (deadline.expired())
+            return deadlineStatus(spec);
+    }
+    return Status();
+}
+
+/** A cell's predictor, with a typed handle on it when the cell
+ *  profiles gshare conflicts (RunSpec::profileConflicts). */
+struct CellPredictor
+{
+    PredictorPtr owned;
+    GSharePredictor *gshare = nullptr;
+};
+
+/** Build the spec's predictor; a bad spec fails the cell with a typed
+ *  error instead of aborting the whole sweep from a worker. */
+Expected<CellPredictor>
+makeCellPredictor(const RunSpec &spec)
+{
+    CellPredictor made;
+    if (!spec.profileConflicts) {
+        Expected<PredictorPtr> pred =
+            tryMakePredictor(spec.predictor, spec.sizeLog2);
+        if (!pred.ok())
+            return pred.status();
+        made.owned = std::move(pred.value());
+        return made;
+    }
+    if (spec.predictor != "gshare")
+        return Status(StatusCode::InvalidArgument,
+                      "conflict profiling requires the gshare "
+                      "predictor, got: " + spec.predictor);
+    auto g = std::make_unique<GSharePredictor>(spec.sizeLog2);
+    g->enableConflictProfiling();
+    made.gshare = g.get();
+    made.owned = std::move(g);
+    return made;
+}
 
 void
 accumulateClassStats(BranchClassStats &into,
@@ -562,6 +658,12 @@ specFingerprint(const RunSpec &spec)
         fnv.u64(spec.context.scheduleSeed);
         fnv.b(spec.context.shared);
         fnv.u32(spec.context.tagBits);
+    }
+    // Likewise the pipeline folds in only for a Timed cell that
+    // changes it: default-machine Timed cells keep their prints.
+    if (spec.mode == RunMode::Timed && spec.pipeline != PipelineConfig{}) {
+        fnv.str("pipe");
+        hashPipelineConfig(fnv, spec.pipeline);
     }
     return fnv.value();
 }
@@ -872,31 +974,12 @@ SweepRunner::executeSpec(const RunSpec &spec)
         result.predictability = rep.value();
     }
 
-    // Build the predictor; a bad spec fails this cell with a typed
-    // error instead of aborting the whole sweep from a worker.
-    PredictorPtr owned;
-    GSharePredictor *gshare = nullptr;
-    if (spec.profileConflicts) {
-        if (spec.predictor != "gshare") {
-            result.status =
-                Status(StatusCode::InvalidArgument,
-                       "conflict profiling requires the gshare "
-                       "predictor, got: " + spec.predictor);
-            return result;
-        }
-        auto g = std::make_unique<GSharePredictor>(spec.sizeLog2);
-        g->enableConflictProfiling();
-        gshare = g.get();
-        owned = std::move(g);
-    } else {
-        Expected<PredictorPtr> made =
-            tryMakePredictor(spec.predictor, spec.sizeLog2);
-        if (!made.ok()) {
-            result.status = made.status();
-            return result;
-        }
-        owned = std::move(made.value());
+    Expected<CellPredictor> made = makeCellPredictor(spec);
+    if (!made.ok()) {
+        result.status = made.status();
+        return result;
     }
+    CellPredictor pred = std::move(made.value());
 
     if (spec.context.contexts > 1) {
         // Multi-context cells interleave N independent instruction
@@ -905,8 +988,8 @@ SweepRunner::executeSpec(const RunSpec &spec)
         // emulator/engine set has no checkpoint format).
         if (spec.mode != RunMode::Timed && spec.checkpointEvery == 0 &&
             spec.resumePath.empty())
-            return executeMultiCtx(spec, program.value(), *owned,
-                                   gshare, std::move(result));
+            return executeMultiCtx(spec, program.value(), *pred.owned,
+                                   pred.gshare, std::move(result));
         result.status = Status(
             StatusCode::InvalidArgument,
             spec.mode == RunMode::Timed
@@ -915,6 +998,29 @@ SweepRunner::executeSpec(const RunSpec &spec)
         return result;
     }
 
+    // Build the cell's consumer, then run it through the one cell
+    // loop. Three consumers, each exactly resumable:
+    //  - Timed: the pipeline over the cell's own emulator;
+    //  - fast replay (docs/PERF.md): the batched engine loop over the
+    //    shared pre-decoded trace, bit-identical to the reference
+    //    loop (the equivalence tests pin stats, profile and metrics
+    //    bytes);
+    //  - reference: runTrace over the cell's own emulator, the path
+    //    of cells that checkpoint or resume, since a mid-run
+    //    checkpoint serialises emulator state the trace lacks.
+    TraceHandle trace;
+    std::optional<PredictionEngine> engine;
+    std::optional<Emulator> emu;
+    std::optional<Pipeline> pipe;
+    std::uint64_t done = 0;
+    CellAdvance advance;
+    std::function<Status()> save;
+    const auto emulate = [&](const EngineConfig &ecfg) {
+        engine.emplace(*pred.owned, ecfg);
+        emu.emplace(cp.prog);
+        if (init)
+            init(emu->state());
+    };
     if (spec.mode == RunMode::Timed) {
         // The pipeline charges target penalties from the engine's
         // BTB/RAS outcomes, so every Timed cell arms target
@@ -922,161 +1028,74 @@ SweepRunner::executeSpec(const RunSpec &spec)
         // unconditional for the mode, it adds no information.
         EngineConfig ecfg = spec.engine;
         ecfg.modelTargets = true;
-        PredictionEngine engine(*owned, ecfg);
-        Pipeline pipe(engine, spec.pipeline);
-        Emulator emu(cp.prog);
-        if (init)
-            init(emu.state());
-        result.pipe = pipe.run(emu, spec.maxInsts);
-        result.engine = engine.stats();
-        result.pguBits = engine.pguBitsInserted();
-        result.profile = engine.branchProfile();
-        result.status = finishCellOutputs(spec, result, engine);
-        return result;
-    }
-
-    // Trace mode, fast path (docs/PERF.md): replay the shared
-    // pre-decoded trace through the batched engine loop. Results are
-    // bit-identical to the reference loop below - the equivalence
-    // tests pin stats, profile and metrics bytes - so only cells
-    // that must serialise emulator state mid-run (checkpointing or
-    // resuming) are excluded.
-    if (replaysDecodedTrace(spec)) {
+        emulate(ecfg);
+        pipe.emplace(*engine, spec.pipeline);
+        advance = [&](std::uint64_t n) {
+            const std::uint64_t before = pipe->stats().insts;
+            return pipe->run(*emu, n).insts - before;
+        };
+    } else if (replaysDecodedTrace(spec)) {
         Expected<TraceHandle> decoded =
             decodedFor(spec, program.value(), contextSeed(spec, 0));
         if (!decoded.ok()) {
             result.status = decoded.status();
             return result;
         }
-        PredictionEngine engine(*owned, spec.engine);
-        // Heartbeat-sliced batches: processBatch is exactly
-        // resumable at any event index, so chunking is unobservable
-        // in the results and only exists to let the watchdog check
-        // its deadline between slices.
-        const DecodedTrace &trace = *decoded.value();
-        CellDeadline deadline(spec.watchdogMillis);
-        std::uint64_t processed = 0;
-        while (processed < spec.maxInsts) {
-            const std::uint64_t chunk = deadline.slice(
-                spec.heartbeatInsts, spec.maxInsts - processed);
-            const std::uint64_t next =
-                engine.processBatch(trace, processed, chunk);
-            if (next == processed)
-                break; // trace exhausted before the budget
-            processed = next;
-            if (deadline.expired()) {
-                result.status = deadline.status(spec, processed);
-                return result;
-            }
-        }
-        result.engine = engine.stats();
-        result.pguBits = engine.pguBitsInserted();
-        result.profile = engine.branchProfile();
-        if (gshare) {
-            result.lookups = gshare->lookupCount();
-            result.conflicts = gshare->conflictCount();
-        }
-        result.status = finishCellOutputs(spec, result, engine);
-        return result;
-    }
-
-    // Trace mode, with checkpoint/resume. Resume is attempted at
-    // most once, and the mismatch fallback is a LOOP that rebuilds
-    // only the cheap per-run state (predictor, engine, emulator) -
-    // the compiled program is reused, never recompiled.
-    const std::uint64_t fp = specFingerprint(spec);
-    const std::string ckpt_file = spec.checkpointEvery
-        ? derivedCheckpointPath(spec.checkpointPath, fp)
-        : std::string();
-    const std::string resume_file = spec.resumePath.empty()
-        ? std::string()
-        : derivedCheckpointPath(spec.resumePath, fp);
-
-    std::optional<PredictionEngine> engine;
-    std::optional<Emulator> emu;
-    std::uint64_t done = 0;
-    for (bool try_resume = !resume_file.empty();;) {
-        // (Re)build all mutable run state from scratch; a failed
-        // load may have scribbled on the previous instances.
-        engine.emplace(*owned, spec.engine);
-        emu.emplace(cp.prog);
-        if (init)
-            init(emu->state());
-        done = 0;
-        if (!try_resume)
-            break;
-        CheckpointRefs refs{&*emu, &*engine, &done};
-        Status status = loadCheckpoint(resume_file, refs);
-        if (status.ok()) {
-            result.resumed = true;
-            break;
-        }
-        if (resumeFallsBackToFresh(status)) {
-            try_resume = false;
-            result.resumeFallback = true;
-            noteResumeFallback(spec, resume_file, status);
-            // The predictor carries loaded state too; rebuild it the
-            // same way the fresh path did.
-            if (gshare) {
-                auto g = std::make_unique<GSharePredictor>(
-                    spec.sizeLog2);
-                g->enableConflictProfiling();
-                gshare = g.get();
-                owned = std::move(g);
-            } else {
-                owned = std::move(
-                    tryMakePredictor(spec.predictor, spec.sizeLog2)
-                        .value());
-            }
-            continue;
-        }
-        result.status = status; // damaged artifact: fail the cell
-        return result;
-    }
-
-    CellDeadline deadline(spec.watchdogMillis);
-    if (spec.checkpointEvery == 0) {
-        const std::uint64_t budget =
-            spec.maxInsts - std::min(done, spec.maxInsts);
-        std::uint64_t ran_total = 0;
-        while (ran_total < budget) {
-            const std::uint64_t chunk =
-                deadline.slice(spec.heartbeatInsts, budget - ran_total);
-            const std::uint64_t ran = runTrace(*emu, *engine, chunk);
-            ran_total += ran;
-            if (ran < chunk)
-                break; // workload halted before the budget
-            if (deadline.expired()) {
-                result.status = deadline.status(spec, done + ran_total);
-                return result;
-            }
-        }
+        trace = decoded.value();
+        engine.emplace(*pred.owned, spec.engine);
+        advance = [&](std::uint64_t n) {
+            return engine->processBatch(*trace, done, n) - done;
+        };
     } else {
-        while (done < spec.maxInsts) {
-            std::uint64_t chunk =
-                std::min(spec.checkpointEvery, spec.maxInsts - done);
-            std::uint64_t ran = runTrace(*emu, *engine, chunk);
-            done += ran;
+        const std::uint64_t fp = specFingerprint(spec);
+        emulate(spec.engine);
+        if (!spec.resumePath.empty()) {
+            const std::string file =
+                derivedCheckpointPath(spec.resumePath, fp);
             CheckpointRefs refs{&*emu, &*engine, &done};
-            Status status = saveCheckpoint(ckpt_file, refs);
-            if (!status.ok()) {
-                result.status = status;
+            Status status = loadCheckpoint(file, refs);
+            result.resumed = status.ok();
+            if (!status.ok() && !resumeFallsBackToFresh(status)) {
+                result.status = status; // damaged artifact: fail the cell
                 return result;
             }
-            if (ran < chunk)
-                break; // workload halted before the budget
-            if (deadline.expired()) {
-                result.status = deadline.status(spec, done);
-                return result;
+            if (!status.ok()) {
+                // A failed load may have scribbled on the predictor,
+                // engine and emulator: cold-start on fresh ones. The
+                // compiled program is reused, never recompiled.
+                result.resumeFallback = true;
+                noteResumeFallback(spec, file, status);
+                engine.reset();
+                pred = std::move(makeCellPredictor(spec).value());
+                emulate(spec.engine);
+                done = 0;
             }
         }
+        advance = [&](std::uint64_t n) {
+            return runTrace(*emu, *engine, n);
+        };
+        if (spec.checkpointEvery) {
+            save = [&, file = derivedCheckpointPath(spec.checkpointPath,
+                                                    fp)] {
+                CheckpointRefs refs{&*emu, &*engine, &done};
+                return saveCheckpoint(file, refs);
+            };
+        }
     }
+
+    Status ran = runCellLoop(spec, advance, done, save);
+    if (!ran.ok()) {
+        result.status = std::move(ran);
+        return result;
+    }
+    if (pipe)
+        result.pipe = pipe->stats();
     result.engine = engine->stats();
     result.pguBits = engine->pguBitsInserted();
     result.profile = engine->branchProfile();
-    if (gshare) {
-        result.lookups = gshare->lookupCount();
-        result.conflicts = gshare->conflictCount();
+    if (pred.gshare) {
+        result.lookups = pred.gshare->lookupCount();
+        result.conflicts = pred.gshare->conflictCount();
     }
     result.status = finishCellOutputs(spec, result, *engine);
     return result;
@@ -1099,6 +1118,14 @@ SweepRunner::executeMultiCtx(const RunSpec &spec,
     mcfg.engine = spec.engine;
     MultiContextReplayer replayer(pred, mcfg);
 
+    // The watchdog stops the replay between schedule slices; unarmed,
+    // the replayer is handed no stop predicate at all.
+    const CellDeadline deadline(spec.watchdogMillis);
+    bool overran = false;
+    std::function<bool()> stop;
+    if (deadline.armed)
+        stop = [&] { return overran = deadline.expired(); };
+
     if (replaysDecodedTrace(spec)) {
         // Context c records with its own measurement seed, so the
         // decoded lanes stay shareable across cells the usual way.
@@ -1116,7 +1143,7 @@ SweepRunner::executeMultiCtx(const RunSpec &spec,
             handles.push_back(decoded.value());
             traces.push_back(handles.back().get());
         }
-        replayer.replayDecoded(traces, spec.maxInsts);
+        replayer.replayDecoded(traces, spec.maxInsts, stop);
     } else {
         std::vector<std::unique_ptr<Emulator>> owned_emus;
         std::vector<Emulator *> emus;
@@ -1133,7 +1160,11 @@ SweepRunner::executeMultiCtx(const RunSpec &spec,
                 wl.value().init(owned_emus.back()->state());
             emus.push_back(owned_emus.back().get());
         }
-        replayer.replayEmulated(emus, spec.maxInsts);
+        replayer.replayEmulated(emus, spec.maxInsts, stop);
+    }
+    if (overran) {
+        result.status = deadlineStatus(spec);
+        return result;
     }
 
     result.contexts.resize(n);

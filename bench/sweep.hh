@@ -144,6 +144,11 @@ struct ContextCellResult
     std::uint64_t pguBits = 0;
 };
 
+/** Instructions between watchdog checks (RunSpec::watchdogMillis):
+ *  short enough that a reaped cell overruns its deadline by a few
+ *  milliseconds, long enough that the checks cost nothing. */
+inline constexpr std::uint64_t heartbeatInsts = 1u << 16;
+
 /** One experiment cell. */
 struct RunSpec
 {
@@ -164,7 +169,9 @@ struct RunSpec
     std::optional<std::uint64_t> compileSeed;
 
     RunMode mode = RunMode::Trace;
-    PipelineConfig pipeline; ///< Timed mode only
+    /** Timed mode only; folds into specFingerprint() when it differs
+     *  from PipelineConfig{}. */
+    PipelineConfig pipeline;
 
     std::string predictor = "gshare";
     unsigned sizeLog2 = 12;
@@ -248,24 +255,20 @@ struct RunSpec
     ShardSpec shard;
 
     /**
-     * Per-attempt wall-clock watchdog, milliseconds; 0 = off. The
-     * engine loops heartbeat every @ref heartbeatInsts instructions
-     * and check the deadline between slices, so a cell stuck in a
-     * pathological configuration (a workload that never halts under
-     * an enormous budget) is reaped with StatusCode::DeadlineExceeded
-     * instead of stalling its worker forever. Covers single-context
-     * Trace cells. Two kinds of cell are bounded by their
-     * instruction budget alone: a Timed cell runs the cycle-level
-     * pipeline in one shot, and a multi-context Trace cell
-     * (context.contexts > 1) runs the interleaved replayer without a
-     * deadline.
+     * Per-attempt wall-clock watchdog, milliseconds; 0 = off. Armed,
+     * every cell advances in slices of at most @ref heartbeatInsts
+     * instructions and checks the deadline between slices (a
+     * multi-context cell checks between schedule slices), so a cell
+     * stuck in a pathological configuration (a workload that never
+     * halts under an enormous budget) is reaped with
+     * StatusCode::DeadlineExceeded instead of stalling its worker
+     * forever. Slicing is unobservable in the results: the engine,
+     * reference and pipeline loops are exactly resumable. One stage
+     * is outside the deadline: recording the shared trace a
+     * fast-replay cell consumes runs to the instruction budget in
+     * one go.
      */
     std::uint32_t watchdogMillis = 0;
-    /** Instructions between watchdog checks (the heartbeat grain).
-     *  Chunking is unobservable in the results - the engine loops
-     *  are exactly resumable - so this only trades check latency
-     *  against loop overhead. */
-    std::uint64_t heartbeatInsts = 1u << 16;
 
     /** Total tries for a cell whose failure is retryableStatus();
      *  1 = no retry. Each attempt rebuilds all per-run state. */
@@ -330,7 +333,8 @@ struct RunResult
 /**
  * 64-bit FNV-1a fingerprint over every behaviour-defining field of a
  * spec (workload id, seeds, mode, predictor, engine + compile
- * configuration, budget) - NOT over the checkpoint knobs themselves.
+ * configuration, budget, a Timed cell's non-default pipeline) - NOT
+ * over the checkpoint knobs themselves.
  * Two specs that would simulate differently get different prints;
  * the same spec resumed later reproduces its print exactly.
  */

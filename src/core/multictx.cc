@@ -55,7 +55,8 @@ MultiContextReplayer::endSlice(unsigned ctx)
 
 std::uint64_t
 MultiContextReplayer::drive(const Advance &advance,
-                            std::vector<std::uint64_t> &remaining)
+                            std::vector<std::uint64_t> &remaining,
+                            const Stop &stop)
 {
     const unsigned n = contexts();
     std::vector<bool> done(n, false);
@@ -88,6 +89,8 @@ MultiContextReplayer::drive(const Advance &advance,
             done[c] = true;
             --live;
         }
+        if (stop && stop())
+            break;
     }
     return total;
 }
@@ -95,7 +98,7 @@ MultiContextReplayer::drive(const Advance &advance,
 std::uint64_t
 MultiContextReplayer::replayDecoded(
     const std::vector<const DecodedTrace *> &traces,
-    std::uint64_t max_insts_per_context)
+    std::uint64_t max_insts_per_context, const Stop &stop)
 {
     pabp_assert(traces.size() == engines.size());
     std::vector<std::uint64_t> cursor(engines.size(), 0);
@@ -113,13 +116,13 @@ MultiContextReplayer::replayDecoded(
             cursor[c] = next;
             return {ran, cursor[c] >= traces[c]->size()};
         },
-        remaining);
+        remaining, stop);
 }
 
 std::uint64_t
 MultiContextReplayer::replayEmulated(
     const std::vector<Emulator *> &emus,
-    std::uint64_t max_insts_per_context)
+    std::uint64_t max_insts_per_context, const Stop &stop)
 {
     pabp_assert(emus.size() == engines.size());
     std::vector<std::uint64_t> remaining(engines.size(),
@@ -131,7 +134,7 @@ MultiContextReplayer::replayEmulated(
                 runTrace(*emus[c], *engines[c], len);
             return {ran, emus[c]->state().halted};
         },
-        remaining);
+        remaining, stop);
 }
 
 } // namespace pabp

@@ -32,7 +32,9 @@
  * Checkpointing is deliberately unsupported here: a mid-slice
  * snapshot would need every context's emulator plus the schedule
  * state, and no experiment needs it - the sweep rejects the
- * combination with InvalidArgument.
+ * combination with InvalidArgument. A stop predicate, checked
+ * between schedule slices, ends a replay early; the sweep's watchdog
+ * uses it, and it leaves the schedule untouched.
  */
 
 #ifndef PABP_CORE_MULTICTX_HH
@@ -69,6 +71,10 @@ struct MultiCtxConfig
 class MultiContextReplayer
 {
   public:
+    /** Checked after every schedule slice; true ends the replay
+     *  there. Empty = never stop early. */
+    using Stop = std::function<bool()>;
+
     /** @p pred must be freshly constructed (its initial history is
      *  the per-context baseline in partitioned mode) and outlive the
      *  replayer. */
@@ -85,13 +91,15 @@ class MultiContextReplayer
      */
     std::uint64_t
     replayDecoded(const std::vector<const DecodedTrace *> &traces,
-                  std::uint64_t max_insts_per_context);
+                  std::uint64_t max_insts_per_context,
+                  const Stop &stop = {});
 
     /** Reference path: one live emulator per context, stepped through
      *  PredictionEngine::process via runTrace slices. */
     std::uint64_t
     replayEmulated(const std::vector<Emulator *> &emus,
-                   std::uint64_t max_insts_per_context);
+                   std::uint64_t max_insts_per_context,
+                   const Stop &stop = {});
 
     unsigned contexts() const
     {
@@ -111,7 +119,8 @@ class MultiContextReplayer
                                                      std::uint64_t)>;
 
     std::uint64_t drive(const Advance &advance,
-                        std::vector<std::uint64_t> &remaining);
+                        std::vector<std::uint64_t> &remaining,
+                        const Stop &stop);
     void beginSlice(unsigned ctx);
     void endSlice(unsigned ctx);
 

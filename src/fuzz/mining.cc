@@ -81,13 +81,12 @@ scoreCase(const FuzzCase &fuzz_case, const RunEnv &env,
     DecodedTrace trace = recordTrace(emu, fuzz_case.maxInsts);
 
     PredictabilityReport rep = characterizeTrace(trace);
-    if (rep.occurrences < minScoredBranches)
-        return Status(StatusCode::InvalidArgument,
-                      "candidate has only " +
-                          std::to_string(rep.occurrences) +
-                          " dynamic conditional branches (want >= " +
-                          std::to_string(minScoredBranches) +
-                          "); not scorable");
+    if (rep.occurrences < minScoredBranches) {
+        MiningScore rejected;
+        rejected.branches = rep.occurrences;
+        rejected.rejected = true;
+        return rejected;
+    }
 
     // Baseline engine: techniques off, targets modelled, otherwise
     // the default EngineConfig - the same cell configuration the
@@ -264,14 +263,33 @@ runMiningCampaign(const MiningConfig &cfg, const RunEnv &env,
         c.corruptFlips = 0;
         c.corruptTruncate = 0;
 
+        // Scorer trouble is counted and logged; a candidate too small
+        // to score is rejected. Either way the caller moves on.
+        const auto scored = [&](const Expected<MiningScore> &s,
+                                const std::string &where) {
+            ++result.casesScored;
+            if (!s.ok()) {
+                ++result.scorerFailures;
+                log << "MINE seed " << seed << where
+                    << ": scorer failed: " << s.status().toString()
+                    << "\n";
+                return false;
+            }
+            if (s.value().rejected) {
+                ++result.candidatesRejected;
+                log << "MINE seed " << seed << where
+                    << ": candidate rejected: only "
+                    << s.value().branches
+                    << " dynamic conditional branches (want >= "
+                    << minScoredBranches << ")\n";
+                return false;
+            }
+            return true;
+        };
+
         Expected<MiningScore> cur = scoreCase(c, env, cfg.strategy);
-        ++result.casesScored;
-        if (!cur.ok()) {
-            ++result.scorerFailures;
-            log << "MINE seed " << seed << ": scorer failed: "
-                << cur.status().toString() << "\n";
+        if (!scored(cur, ""))
             continue;
-        }
 
         FuzzCase best = c;
         MiningScore bestScore = cur.value();
@@ -281,14 +299,8 @@ runMiningCampaign(const MiningConfig &cfg, const RunEnv &env,
             mutateKnobs(cand.gen, rng);
             Expected<MiningScore> s =
                 scoreCase(cand, env, cfg.strategy);
-            ++result.casesScored;
-            if (!s.ok()) {
-                ++result.scorerFailures;
-                log << "MINE seed " << seed << " step " << step
-                    << ": scorer failed: " << s.status().toString()
-                    << "\n";
+            if (!scored(s, " step " + std::to_string(step)))
                 continue;
-            }
             if (s.value().score > bestScore.score) {
                 best = cand;
                 bestScore = s.value();
@@ -340,6 +352,7 @@ runMiningCampaign(const MiningConfig &cfg, const RunEnv &env,
     }
 
     log << "mining: " << result.casesScored << " candidate(s), "
+        << result.candidatesRejected << " rejected, "
         << result.scorerFailures << " scorer failure(s), "
         << result.oracleFailures << " oracle failure(s), "
         << result.top.size() << " emitted winner(s)\n";

@@ -88,6 +88,10 @@ struct MiningScore
     double techDeltaPerKilo = 0.0;
     /** Dynamic conditional branches scored. */
     std::uint64_t branches = 0;
+    /** Too few dynamic conditional branches to characterize: the
+     *  candidate is rejected, not scored, and only @ref branches is
+     *  set. A verdict on the candidate, never a scorer failure. */
+    bool rejected = false;
 };
 
 /** One mined case with its score. */
@@ -101,6 +105,9 @@ struct MinedCase
 struct MiningResult
 {
     unsigned casesScored = 0;
+    /** Candidates too small to score (MiningScore::rejected); the
+     *  climb moves on without them. */
+    unsigned candidatesRejected = 0;
     /** Candidates the scorer could not evaluate (exit-3 path). */
     unsigned scorerFailures = 0;
     /** Mined cases that failed oracle verification (exit-1 path). */
@@ -117,10 +124,11 @@ struct MiningResult
 };
 
 /**
- * Score one candidate. The error path is "could not score" - an
- * unknown predictor kind, a degenerate program (too few dynamic
- * conditional branches), or the injected self-check failure
- * (RunEnv::injectScorerFailure) - never a correctness verdict.
+ * Score one candidate. A degenerate program (too few dynamic
+ * conditional branches) comes back MiningScore::rejected. The error
+ * path is "could not score" - an unknown predictor kind or the
+ * injected self-check failure (RunEnv::injectScorerFailure) - never
+ * a correctness verdict.
  */
 Expected<MiningScore> scoreCase(const FuzzCase &fuzz_case,
                                 const RunEnv &env,

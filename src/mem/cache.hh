@@ -21,6 +21,8 @@ struct CacheConfig
     unsigned setsLog2 = 7;      ///< 128 sets
     unsigned ways = 4;
     unsigned lineWordsLog2 = 3; ///< 8 words per line
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** LRU set-associative cache (tag-only). Addresses are word indices. */

@@ -59,6 +59,8 @@ struct PipelineConfig
     // contexts, checkpointed, stat-registered - not timing state.
     // The pipeline only charges cycles for the outcomes the engine
     // reports through ProcessResult.
+
+    bool operator==(const PipelineConfig &) const = default;
 };
 
 /** Timing results. */

@@ -482,6 +482,35 @@ TEST(MultiCtxSweep, FastAndReferenceCellsAreByteIdentical)
     }
 }
 
+TEST(MultiCtxSweep, ArmedWatchdogLeavesCellsByteIdentical)
+{
+    // The watchdog's stop predicate is checked between schedule
+    // slices and never reshapes the schedule: a deadline that does
+    // not fire must leave every byte where the unarmed cell put it.
+    // Shared history and tables, so the interleaving shows.
+    for (bool fast : {true, false}) {
+        SCOPED_TRACE(fast ? "fast" : "reference");
+        RunSpec plain = multiCtxSpec(2, true, fast);
+        RunSpec armed = plain;
+        armed.watchdogMillis = 10 * 60 * 1000;
+
+        SweepRunner runner(SweepRunner::Config{1, 0});
+        RunResult pr = runner.runOne(plain);
+        RunResult ar = runner.runOne(armed);
+        ASSERT_TRUE(pr.status.ok()) << pr.status.toString();
+        ASSERT_TRUE(ar.status.ok()) << ar.status.toString();
+        EXPECT_FALSE(pr.metricsJson.empty());
+        EXPECT_EQ(ar.metricsJson, pr.metricsJson);
+        EXPECT_EQ(ar.engine, pr.engine);
+        ASSERT_EQ(ar.contexts.size(), 2u);
+        ASSERT_EQ(pr.contexts.size(), 2u);
+        for (unsigned c = 0; c < 2; ++c) {
+            EXPECT_EQ(ar.contexts[c].engine, pr.contexts[c].engine);
+            EXPECT_EQ(ar.contexts[c].profile, pr.contexts[c].profile);
+        }
+    }
+}
+
 TEST(MultiCtxSweep, SingleContextSpecKeepsHistoricalFingerprint)
 {
     RunSpec plain;

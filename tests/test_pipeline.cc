@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "bpred/factory.hh"
 #include "mem/cache.hh"
 #include "pipeline/pipeline.hh"
@@ -93,6 +95,68 @@ TEST(Pipeline, Deterministic)
         runPipeline("filter", true, EngineConfig{}, PipelineConfig{});
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.insts, b.insts);
+}
+
+TEST(Pipeline, SplitRunsEqualOneRun)
+{
+    // The sweep advances Timed cells in heartbeat slices, so
+    // run(a) then run(b) must leave every counter where run(a + b)
+    // does - the pipeline's and the engine's. interp halts (after
+    // about 2.04M instructions) inside its second run.
+    struct Split
+    {
+        const char *workload;
+        std::uint64_t first;
+        std::uint64_t second;
+    };
+    for (const Split &split : {Split{"filter", 7, 60000},
+                               Split{"bsort", 33333, 33333},
+                               Split{"interp", 65536, 2000000}}) {
+        SCOPED_TRACE(split.workload);
+        Workload wl = makeWorkload(split.workload, 31);
+        CompiledProgram cp = compileWorkload(wl, CompileOptions{});
+        EngineConfig ecfg;
+        ecfg.useSfpf = true;
+        ecfg.usePgu = true;
+        ecfg.modelTargets = true;
+        const auto fresh = [&](PredictorPtr &pred,
+                               std::unique_ptr<PredictionEngine> &engine,
+                               std::unique_ptr<Pipeline> &pipe,
+                               std::unique_ptr<Emulator> &emu) {
+            pred = makePredictor("gshare", 12);
+            engine = std::make_unique<PredictionEngine>(*pred, ecfg);
+            pipe = std::make_unique<Pipeline>(*engine, PipelineConfig{});
+            emu = std::make_unique<Emulator>(cp.prog);
+            if (wl.init)
+                wl.init(emu->state());
+        };
+        PredictorPtr pred_one, pred_two;
+        std::unique_ptr<PredictionEngine> engine_one, engine_two;
+        std::unique_ptr<Pipeline> pipe_one, pipe_two;
+        std::unique_ptr<Emulator> emu_one, emu_two;
+        fresh(pred_one, engine_one, pipe_one, emu_one);
+        fresh(pred_two, engine_two, pipe_two, emu_two);
+
+        const PipelineStats one =
+            pipe_one->run(*emu_one, split.first + split.second);
+        pipe_two->run(*emu_two, split.first);
+        const PipelineStats two = pipe_two->run(*emu_two, split.second);
+
+        EXPECT_GT(one.insts, split.first);
+        EXPECT_EQ(two.insts, one.insts);
+        EXPECT_EQ(two.cycles, one.cycles);
+        EXPECT_EQ(two.icacheMisses, one.icacheMisses);
+        EXPECT_EQ(two.dcacheMisses, one.dcacheMisses);
+        EXPECT_EQ(two.l2Misses, one.l2Misses);
+        EXPECT_EQ(two.btbMisses, one.btbMisses);
+        EXPECT_EQ(two.rasHits, one.rasHits);
+        EXPECT_EQ(two.rasMisses, one.rasMisses);
+        EXPECT_EQ(two.mispredictStallCycles, one.mispredictStallCycles);
+        EXPECT_EQ(engine_two->stats(), engine_one->stats());
+        EXPECT_EQ(engine_two->branchProfile(), engine_one->branchProfile());
+        EXPECT_EQ(engine_two->pguBitsInserted(),
+                  engine_one->pguBitsInserted());
+    }
 }
 
 TEST(Pipeline, IpcWithinPhysicalBounds)

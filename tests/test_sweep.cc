@@ -45,6 +45,9 @@
 #include <thread>
 #include <vector>
 
+#include "bpred/factory.hh"
+#include "core/checkpoint.hh"
+#include "sim/emulator.hh"
 #include "sweep.hh"
 #include "sweep_service.hh"
 #include "util/table.hh"
@@ -168,6 +171,34 @@ TEST(SweepFingerprint, IgnoresCheckpointKnobs)
     other.checkpointPath = "elsewhere/x.ckpt";
     other.resumePath = "elsewhere/x.ckpt";
     EXPECT_EQ(specFingerprint(other), specFingerprint(spec));
+}
+
+TEST(SweepFingerprint, TimedCellsFoldANonDefaultPipeline)
+{
+    RunSpec timed;
+    timed.workload = "bsort";
+    timed.mode = RunMode::Timed;
+    // A default-machine Timed cell keeps the print it had before the
+    // pipeline folded in, so its metrics, checkpoint and journal
+    // names do not move.
+    EXPECT_EQ(specFingerprint(timed), 0xbdff081e7296c496ull);
+
+    RunSpec penalty = timed;
+    penalty.pipeline.mispredictPenalty = 12;
+    EXPECT_NE(specFingerprint(penalty), specFingerprint(timed));
+    RunSpec other_penalty = timed;
+    other_penalty.pipeline.mispredictPenalty = 16;
+    EXPECT_NE(specFingerprint(other_penalty), specFingerprint(penalty));
+    RunSpec l2 = timed;
+    l2.pipeline.l2.ways = 4;
+    EXPECT_NE(specFingerprint(l2), specFingerprint(timed));
+
+    // A Trace cell never reads its pipeline.
+    RunSpec trace;
+    trace.workload = "bsort";
+    RunSpec trace_penalty = trace;
+    trace_penalty.pipeline.mispredictPenalty = 12;
+    EXPECT_EQ(specFingerprint(trace_penalty), specFingerprint(trace));
 }
 
 TEST(SweepFingerprint, DerivedPathInsertsPrintBeforeExtension)
@@ -420,6 +451,38 @@ TEST(SweepCheckpoint, DamagedResumeFileFailsTheCell)
     std::remove(path.c_str());
 }
 
+TEST(SweepCheckpoint, LastCheckpointHoldsTheCellsEnd)
+{
+    // A budget that is no multiple of the interval: the cell saves
+    // at 5000 and 10000 and once more where it ends, so the file a
+    // finished cell leaves holds its final state.
+    const std::string base = tempPath("end.ckpt");
+    RunSpec spec;
+    spec.workload = "bsort";
+    spec.maxInsts = 12000;
+    spec.checkpointEvery = 5000;
+    spec.checkpointPath = base;
+    SweepRunner runner(SweepRunner::Config{1, 0});
+    const RunResult result = runner.runOne(spec);
+    ASSERT_TRUE(result.status.ok()) << result.status.toString();
+
+    Workload wl = makeWorkload(spec.workload, spec.seed);
+    CompileOptions copts = spec.compile;
+    copts.ifConvert = spec.ifConvert;
+    const CompiledProgram cp = compileWorkload(wl, copts);
+    Emulator emu(cp.prog);
+    PredictorPtr pred = makePredictor(spec.predictor, spec.sizeLog2);
+    PredictionEngine engine(*pred, spec.engine);
+    std::uint64_t done = 0;
+    CheckpointRefs refs{&emu, &engine, &done};
+    const std::string path =
+        derivedCheckpointPath(base, specFingerprint(spec));
+    ASSERT_TRUE(loadCheckpoint(path, refs).ok());
+    EXPECT_EQ(done, spec.maxInsts);
+    EXPECT_EQ(engine.stats(), result.engine);
+    std::remove(path.c_str());
+}
+
 TEST(SweepCheckpoint, ResumeMatchesUninterruptedRun)
 {
     // End-to-end through the sweep layer: run half the budget with
@@ -565,12 +628,28 @@ neverHaltingWorkload(std::uint64_t)
     return wl;
 }
 
+/** The cell shapes the watchdog must reap. */
+enum class Overrun
+{
+    TraceReference,
+    Timed,
+    TwoContexts,
+};
+
+void
+PrintTo(Overrun shape, std::ostream *os)
+{
+    *os << (shape == Overrun::TraceReference ? "TraceReference"
+            : shape == Overrun::Timed        ? "Timed"
+                                             : "TwoContexts");
+}
+
 /** A cell that can only end by its deadline: a never-halting
- *  workload under an unbounded budget, on the reference loop (the
+ *  workload under an unbounded budget, on the reference loops (the
  *  fast path would first record the whole, endless trace). The
  *  watchdog must reap it. */
 RunSpec
-overrunningSpec()
+overrunningSpec(Overrun shape = Overrun::TraceReference)
 {
     RunSpec spec;
     spec.workload = "spin";
@@ -578,19 +657,36 @@ overrunningSpec()
     spec.maxInsts = ~0ull;
     spec.fastReplay = false;
     spec.watchdogMillis = 25;
-    spec.heartbeatInsts = 4;
+    if (shape == Overrun::Timed)
+        spec.mode = RunMode::Timed;
+    if (shape == Overrun::TwoContexts)
+        spec.context.contexts = 2;
     return spec;
 }
 
-TEST(SweepRobustness, WatchdogReapsAnOverrunningCell)
+class SweepWatchdog : public ::testing::TestWithParam<Overrun>
+{};
+
+TEST_P(SweepWatchdog, ReapsAnOverrunningCell)
 {
     SweepRunner runner(SweepRunner::Config{1, 0});
-    RunResult result = runner.runOne(overrunningSpec());
+    RunResult result = runner.runOne(overrunningSpec(GetParam()));
     EXPECT_EQ(result.status.code(), StatusCode::DeadlineExceeded);
     // The message is deliberately wall-clock-free: it lands in
     // quarantine journal records whose bytes must converge.
-    EXPECT_EQ(result.status.message().find("after"), std::string::npos);
+    EXPECT_EQ(result.status.message(),
+              "cell 'spin' overran its 25 ms watchdog deadline");
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    CellModes, SweepWatchdog,
+    ::testing::Values(Overrun::TraceReference, Overrun::Timed,
+                      Overrun::TwoContexts),
+    [](const ::testing::TestParamInfo<Overrun> &info) {
+        std::ostringstream os;
+        PrintTo(info.param, &os);
+        return os.str();
+    });
 
 TEST(SweepRobustness, ResumeFallbackIsFlaggedAndCounted)
 {
@@ -637,6 +733,97 @@ samePipe(const PipelineStats &a, const PipelineStats &b)
         a.btbMisses == b.btbMisses && a.rasHits == b.rasHits &&
         a.rasMisses == b.rasMisses &&
         a.mispredictStallCycles == b.mispredictStallCycles;
+}
+
+TEST(SweepRobustness, ArmedWatchdogSlicesWithoutMovingAByte)
+{
+    // An armed watchdog advances every single-context consumer in
+    // heartbeat slices; with a deadline that never fires, the cells
+    // must measure exactly as the unsliced ones do. The budget spans
+    // three heartbeats.
+    const std::string ckpt = tempPath("sliced.ckpt");
+    std::vector<RunSpec> specs;
+    const auto add = [&]() -> RunSpec & {
+        RunSpec spec;
+        spec.workload = "interp";
+        spec.maxInsts = 2 * heartbeatInsts + 5000;
+        spec.engine.useSfpf = true;
+        spec.engine.usePgu = true;
+        spec.captureMetrics = true;
+        specs.push_back(spec);
+        return specs.back();
+    };
+    add();                          // fast replay
+    add().fastReplay = false;       // reference loop
+    add().mode = RunMode::Timed;    // pipeline
+    RunSpec &checkpointing = add(); // reference loop + checkpoints
+    checkpointing.checkpointEvery = 50000;
+    checkpointing.checkpointPath = ckpt;
+
+    SweepRunner runner(SweepRunner::Config{1, 0});
+    const std::vector<RunResult> plain = runner.run(specs);
+    for (RunSpec &spec : specs)
+        spec.watchdogMillis = 10 * 60 * 1000;
+    const std::vector<RunResult> armed = runner.run(specs);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        ASSERT_TRUE(plain[i].status.ok()) << plain[i].status.toString();
+        ASSERT_TRUE(armed[i].status.ok()) << armed[i].status.toString();
+        EXPECT_EQ(armed[i].metricsJson, plain[i].metricsJson) << i;
+        EXPECT_EQ(armed[i].engine, plain[i].engine) << i;
+        EXPECT_EQ(armed[i].profile, plain[i].profile) << i;
+        EXPECT_TRUE(samePipe(armed[i].pipe, plain[i].pipe)) << i;
+        EXPECT_EQ(armed[i].engine.insts, specs[i].maxInsts) << i;
+    }
+    EXPECT_GT(plain[2].pipe.cycles, 0u);
+    std::remove(
+        derivedCheckpointPath(ckpt, specFingerprint(checkpointing))
+            .c_str());
+}
+
+/** 64-bit FNV-1a of a document: a golden that fits on one line. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+TEST(MetricsGolden, TimedCellDocumentHashAtJobs1And4)
+{
+    // A Timed cell's whole metrics document - engine, profile and
+    // pipeline.* keys - pinned by hash, beside a Trace cell of the
+    // same workload and a Timed cell of another so that --jobs 4
+    // runs them concurrently. The constant was taken before Timed
+    // cells ran through the shared cell loop.
+    RunSpec timed;
+    timed.workload = "bsort";
+    timed.mode = RunMode::Timed;
+    timed.maxInsts = 20000;
+    timed.engine.useSfpf = true;
+    timed.engine.usePgu = true;
+    timed.captureMetrics = true;
+    RunSpec trace = timed;
+    trace.mode = RunMode::Trace;
+    RunSpec other = timed;
+    other.workload = "interp";
+    const std::vector<RunSpec> specs{trace, timed, other, timed};
+
+    for (unsigned jobs : {1u, 4u}) {
+        SweepRunner runner(SweepRunner::Config{jobs, 0});
+        const std::vector<RunResult> results = runner.run(specs);
+        for (std::size_t i : {1u, 3u}) {
+            ASSERT_TRUE(results[i].status.ok())
+                << results[i].status.toString();
+            EXPECT_EQ(results[i].metricsJson.size(), 2533u) << jobs;
+            EXPECT_EQ(fnv1a(results[i].metricsJson),
+                      0x1b7271974fee82aaull)
+                << "jobs " << jobs << " cell " << i;
+        }
+    }
 }
 
 TEST(SweepRunner, EveryCellModeIsIdenticalAcrossJobCounts)

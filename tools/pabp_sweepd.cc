@@ -126,8 +126,6 @@ main(int argc, char **argv)
                  "per-attempt wall-clock deadline, milliseconds "
                  "(0 = off); an overrunning cell is quarantined with "
                  "DeadlineExceeded instead of stalling the shard");
-    opts.declare("heartbeat-insts", "65536",
-                 "instructions between watchdog checks");
     opts.declare("metrics-dir", "",
                  "ALSO export per-cell metrics JSON files into this "
                  "directory (the journal is the primary sink)");
@@ -202,7 +200,6 @@ main(int argc, char **argv)
     const std::uint64_t steps = number("steps", u64max);
     const auto watchdog_ms =
         static_cast<std::uint32_t>(number("watchdog-ms", u32max));
-    const std::uint64_t heartbeat = number("heartbeat-insts", u64max);
     const auto max_attempts =
         static_cast<unsigned>(number("max-attempts", u32max));
     const auto backoff_ms =
@@ -236,7 +233,6 @@ main(int argc, char **argv)
                         spec.maxInsts = steps;
                         spec.metricsDir = opts.str("metrics-dir");
                         spec.watchdogMillis = watchdog_ms;
-                        spec.heartbeatInsts = heartbeat;
                         spec.maxAttempts = max_attempts;
                         spec.retryBackoffMillis = backoff_ms;
                         grid.push_back(spec);
