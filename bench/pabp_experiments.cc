@@ -279,6 +279,8 @@ main(int argc, char **argv)
               << cache.compiles << " (cache hits " << cache.hits
               << "), traces recorded " << cache.records << " (hits "
               << cache.traceHits << ", peak live "
-              << cache.peakLiveTraces << ")\n";
+              << cache.peakLiveTraces << "), reports characterized "
+              << cache.characterizes << " (hits " << cache.reportHits
+              << ")\n";
     return ok ? 0 : 1;
 }

@@ -281,6 +281,32 @@ materialiseWorkload(const RunSpec &spec, std::uint64_t seed)
     return makeWorkload(spec.workload, seed);
 }
 
+/** A fresh emulator of @p program, its memory image initialised from
+ *  the spec's workload at input seed @p seed: the one way a cell
+ *  starts an emulator, to record a trace, to run its own reference or
+ *  Timed loop, or as one context of a multi-context reference cell. */
+Expected<std::unique_ptr<Emulator>>
+startEmulator(const RunSpec &spec, const CompiledProgram &program,
+              std::uint64_t seed)
+{
+    Expected<Workload> wl = materialiseWorkload(spec, seed);
+    if (!wl.ok())
+        return wl.status();
+    auto emu = std::make_unique<Emulator>(program.prog);
+    if (wl.value().init)
+        wl.value().init(emu->state());
+    return emu;
+}
+
+/** How an exception leaked by a cell's code fails the cell. */
+Status
+unhandledException(const std::exception &e)
+{
+    return Status(StatusCode::Corrupt,
+                  std::string("unhandled exception in sweep cell: ") +
+                      e.what());
+}
+
 /** Resume outcomes that mean "start this cell fresh" rather than
  *  "this cell failed": the file is missing (the interrupted sweep
  *  never got to checkpoint this cell) or it belongs to a different
@@ -698,148 +724,85 @@ SweepRunner::SweepRunner(Config config)
       queueCapacity(config.queueCapacity)
 {}
 
+template <class T, class Make>
+typename SweepRunner::Memo<T>::Result
+SweepRunner::memoized(Memo<T> &memo, const std::string &key, Make make)
+{
+    std::promise<typename Memo<T>::Result> promise;
+    std::shared_future<typename Memo<T>::Result> future;
+    bool leads = false;
+    {
+        std::lock_guard<std::mutex> lock(cacheMtx);
+        auto it = memo.entries.find(key);
+        leads = it == memo.entries.end();
+        if (leads) {
+            future = promise.get_future().share();
+            memo.entries.emplace(key, future);
+            ++memo.made;
+            memo.peak = std::max<std::uint64_t>(memo.peak,
+                                                memo.entries.size());
+        } else {
+            future = it->second;
+            ++memo.hits;
+        }
+    }
+    if (leads) {
+        try {
+            promise.set_value(make());
+        } catch (const std::exception &e) {
+            promise.set_value(unhandledException(e));
+        }
+    }
+    return future.get();
+}
+
 Expected<SweepRunner::ProgramHandle>
 SweepRunner::compiledFor(const RunSpec &spec)
 {
-    std::string key = programCacheKey(spec);
-
-    std::promise<ProgramHandle> promise;
-    std::shared_future<ProgramHandle> future;
-    bool compile_here = false;
-    {
-        std::lock_guard<std::mutex> lock(cacheMtx);
-        auto it = cache.find(key);
-        if (it == cache.end()) {
-            future = promise.get_future().share();
-            cache.emplace(key, future);
-            compile_here = true;
-            ++stats.compiles;
-        } else {
-            future = it->second;
-            ++stats.hits;
-        }
-    }
-    if (!compile_here)
-        return future.get();
-
-    // First requester of this key compiles; everyone else blocks on
-    // the shared future and then reads the same immutable program.
-    Expected<Workload> wl =
-        materialiseWorkload(spec, resolvedCompileSeed(spec));
-    if (!wl.ok()) {
-        // Unblock any waiters with an empty handle; they re-derive
-        // the same error from their own spec.
-        promise.set_value(nullptr);
-        return wl.status();
-    }
-    CompileOptions copts = spec.compile;
-    copts.ifConvert = spec.ifConvert;
-    ProgramHandle handle = std::make_shared<const CompiledProgram>(
-        compileWorkload(wl.value(), copts));
-    promise.set_value(handle);
-    return handle;
+    return memoized(programs, programCacheKey(spec),
+                    [&]() -> Expected<ProgramHandle> {
+        Expected<Workload> wl =
+            materialiseWorkload(spec, resolvedCompileSeed(spec));
+        if (!wl.ok())
+            return wl.status();
+        CompileOptions copts = spec.compile;
+        copts.ifConvert = spec.ifConvert;
+        return std::make_shared<const CompiledProgram>(
+            compileWorkload(wl.value(), copts));
+    });
 }
 
 Expected<SweepRunner::TraceHandle>
 SweepRunner::decodedFor(const RunSpec &spec,
-                        const ProgramHandle &program,
+                        const CompiledProgram &program,
                         std::uint64_t seed)
 {
-    const std::string key = traceCacheKey(spec, seed);
-
-    std::promise<TraceHandle> promise;
-    TraceFuture future;
-    bool record_here = false;
-    {
-        std::lock_guard<std::mutex> lock(cacheMtx);
-        auto it = traceCache.find(key);
-        if (it == traceCache.end()) {
-            future = promise.get_future().share();
-            traceCache.emplace(key, future);
-            record_here = true;
-            ++stats.records;
-            stats.peakLiveTraces =
-                std::max<std::uint64_t>(stats.peakLiveTraces,
-                                        traceCache.size());
-        } else {
-            future = it->second;
-            ++stats.traceHits;
-        }
-    }
-    if (!record_here) {
-        TraceHandle handle = future.get();
-        if (!handle) {
-            // The recording peer hit a workload error; re-derive it
-            // from this spec's own view.
-            Expected<Workload> wl = materialiseWorkload(spec, seed);
-            return wl.ok() ? Status(StatusCode::NotFound,
-                                    "trace recording failed for " +
-                                        spec.workload)
-                           : wl.status();
-        }
-        return handle;
-    }
-
-    Expected<Workload> wl = materialiseWorkload(spec, seed);
-    if (!wl.ok()) {
-        promise.set_value(nullptr);
-        return wl.status();
-    }
-    Emulator emu(program->prog);
-    if (wl.value().init)
-        wl.value().init(emu.state());
-    TraceHandle handle =
-        std::make_shared<const DecodedTrace>(recordTrace(emu, spec.maxInsts));
-    promise.set_value(handle);
-    return handle;
+    return memoized(traces, traceCacheKey(spec, seed),
+                    [&]() -> Expected<TraceHandle> {
+        Expected<std::unique_ptr<Emulator>> emu =
+            startEmulator(spec, program, seed);
+        if (!emu.ok())
+            return emu.status();
+        return std::make_shared<const DecodedTrace>(
+            recordTrace(*emu.value(), spec.maxInsts));
+    });
 }
 
 Expected<SweepRunner::ReportHandle>
 SweepRunner::characterizedFor(const RunSpec &spec,
-                              const ProgramHandle &program)
+                              const CompiledProgram &program)
 {
-    // Same sharing discipline as the program and trace caches: the
-    // report is a pure function of (program, measurement seed,
-    // budget), so the first requester computes it and every other
-    // cell of the key reads the same immutable object.
-    std::string key = programCacheKey(spec) + ":" +
-        std::to_string(spec.seed) + ":" +
-        std::to_string(spec.maxInsts) + ":predictability";
-
-    std::promise<ReportHandle> promise;
-    std::shared_future<ReportHandle> future;
-    bool compute_here = false;
-    {
-        std::lock_guard<std::mutex> lock(cacheMtx);
-        auto it = predCache.find(key);
-        if (it == predCache.end()) {
-            future = promise.get_future().share();
-            predCache.emplace(key, future);
-            compute_here = true;
-        } else {
-            future = it->second;
-        }
-    }
-    if (!compute_here) {
-        ReportHandle handle = future.get();
-        if (!handle)
-            return Status(StatusCode::NotFound,
-                          "characterization failed for " +
-                              spec.workload);
-        return handle;
-    }
-
-    Expected<TraceHandle> decoded =
-        decodedFor(spec, program, spec.seed);
-    if (!decoded.ok()) {
-        promise.set_value(nullptr);
-        return decoded.status();
-    }
-    ReportHandle handle =
-        std::make_shared<const PredictabilityReport>(characterizeTrace(
-            *decoded.value(), PredictabilityConfig{}, spec.maxInsts));
-    promise.set_value(handle);
-    return handle;
+    // The report is a pure function of the trace it reads.
+    return memoized(reports, traceCacheKey(spec, spec.seed),
+                    [&]() -> Expected<ReportHandle> {
+        Expected<TraceHandle> decoded =
+            decodedFor(spec, program, spec.seed);
+        if (!decoded.ok())
+            return decoded.status();
+        return std::make_shared<const PredictabilityReport>(
+            characterizeTrace(*decoded.value(), PredictabilityConfig{},
+                              spec.maxInsts));
+    });
 }
 
 RunResult
@@ -857,10 +820,7 @@ SweepRunner::executeSpecAttempt(const RunSpec &spec, unsigned attempt)
         return executeSpec(spec);
     } catch (const std::exception &e) {
         RunResult result;
-        result.status =
-            Status(StatusCode::Corrupt,
-                   std::string("unhandled exception in sweep cell: ") +
-                       e.what());
+        result.status = unhandledException(e);
         return result;
     }
 }
@@ -930,29 +890,9 @@ SweepRunner::executeSpec(const RunSpec &spec)
         result.status = program.status();
         return result;
     }
-    if (!program.value()) {
-        // A waiter whose compiling peer hit a workload error: report
-        // it from this spec's own view.
-        Expected<Workload> wl =
-            materialiseWorkload(spec, resolvedCompileSeed(spec));
-        result.status = wl.ok()
-            ? Status(StatusCode::NotFound,
-                     "workload compilation failed for " + spec.workload)
-            : wl.status();
-        return result;
-    }
     const CompiledProgram &cp = *program.value();
     result.numRegions = cp.info.numRegions;
     result.numRegionBranches = cp.info.numRegionBranches;
-
-    // The measured run's memory image comes from the measurement
-    // seed (== compile seed unless a cross-input spec says otherwise).
-    Expected<Workload> init_wl = materialiseWorkload(spec, spec.seed);
-    if (!init_wl.ok()) {
-        result.status = init_wl.status();
-        return result;
-    }
-    const StateInit &init = init_wl.value().init;
 
     // Characterize before the measured run: the report comes off the
     // shared decoded trace, so fast-replay, reference and Timed cells
@@ -965,8 +905,7 @@ SweepRunner::executeSpec(const RunSpec &spec)
                 "Timed cell");
             return result;
         }
-        Expected<ReportHandle> rep =
-            characterizedFor(spec, program.value());
+        Expected<ReportHandle> rep = characterizedFor(spec, cp);
         if (!rep.ok()) {
             result.status = rep.status();
             return result;
@@ -988,7 +927,7 @@ SweepRunner::executeSpec(const RunSpec &spec)
         // emulator/engine set has no checkpoint format).
         if (spec.mode != RunMode::Timed && spec.checkpointEvery == 0 &&
             spec.resumePath.empty())
-            return executeMultiCtx(spec, program.value(), *pred.owned,
+            return executeMultiCtx(spec, cp, *pred.owned,
                                    pred.gshare, std::move(result));
         result.status = Status(
             StatusCode::InvalidArgument,
@@ -1009,18 +948,24 @@ SweepRunner::executeSpec(const RunSpec &spec)
     //    of cells that checkpoint or resume, since a mid-run
     //    checkpoint serialises emulator state the trace lacks.
     TraceHandle trace;
+    std::unique_ptr<Emulator> emu;
     std::optional<PredictionEngine> engine;
-    std::optional<Emulator> emu;
     std::optional<Pipeline> pipe;
     std::uint64_t done = 0;
     CellAdvance advance;
     std::function<Status()> save;
-    const auto emulate = [&](const EngineConfig &ecfg) {
-        engine.emplace(*pred.owned, ecfg);
-        emu.emplace(cp.prog);
-        if (init)
-            init(emu->state());
-    };
+    if (!replaysDecodedTrace(spec)) {
+        // The measured run's memory image comes from the measurement
+        // seed (== compile seed unless a cross-input spec says
+        // otherwise).
+        Expected<std::unique_ptr<Emulator>> started =
+            startEmulator(spec, cp, spec.seed);
+        if (!started.ok()) {
+            result.status = started.status();
+            return result;
+        }
+        emu = std::move(started.value());
+    }
     if (spec.mode == RunMode::Timed) {
         // The pipeline charges target penalties from the engine's
         // BTB/RAS outcomes, so every Timed cell arms target
@@ -1028,7 +973,7 @@ SweepRunner::executeSpec(const RunSpec &spec)
         // unconditional for the mode, it adds no information.
         EngineConfig ecfg = spec.engine;
         ecfg.modelTargets = true;
-        emulate(ecfg);
+        engine.emplace(*pred.owned, ecfg);
         pipe.emplace(*engine, spec.pipeline);
         advance = [&](std::uint64_t n) {
             const std::uint64_t before = pipe->stats().insts;
@@ -1036,7 +981,7 @@ SweepRunner::executeSpec(const RunSpec &spec)
         };
     } else if (replaysDecodedTrace(spec)) {
         Expected<TraceHandle> decoded =
-            decodedFor(spec, program.value(), contextSeed(spec, 0));
+            decodedFor(spec, cp, contextSeed(spec, 0));
         if (!decoded.ok()) {
             result.status = decoded.status();
             return result;
@@ -1048,11 +993,11 @@ SweepRunner::executeSpec(const RunSpec &spec)
         };
     } else {
         const std::uint64_t fp = specFingerprint(spec);
-        emulate(spec.engine);
+        engine.emplace(*pred.owned, spec.engine);
         if (!spec.resumePath.empty()) {
             const std::string file =
                 derivedCheckpointPath(spec.resumePath, fp);
-            CheckpointRefs refs{&*emu, &*engine, &done};
+            CheckpointRefs refs{emu.get(), &*engine, &done};
             Status status = loadCheckpoint(file, refs);
             result.resumed = status.ok();
             if (!status.ok() && !resumeFallsBackToFresh(status)) {
@@ -1067,7 +1012,8 @@ SweepRunner::executeSpec(const RunSpec &spec)
                 noteResumeFallback(spec, file, status);
                 engine.reset();
                 pred = std::move(makeCellPredictor(spec).value());
-                emulate(spec.engine);
+                emu = std::move(startEmulator(spec, cp, spec.seed).value());
+                engine.emplace(*pred.owned, spec.engine);
                 done = 0;
             }
         }
@@ -1077,7 +1023,7 @@ SweepRunner::executeSpec(const RunSpec &spec)
         if (spec.checkpointEvery) {
             save = [&, file = derivedCheckpointPath(spec.checkpointPath,
                                                     fp)] {
-                CheckpointRefs refs{&*emu, &*engine, &done};
+                CheckpointRefs refs{emu.get(), &*engine, &done};
                 return saveCheckpoint(file, refs);
             };
         }
@@ -1103,7 +1049,7 @@ SweepRunner::executeSpec(const RunSpec &spec)
 
 RunResult
 SweepRunner::executeMultiCtx(const RunSpec &spec,
-                             const ProgramHandle &program,
+                             const CompiledProgram &program,
                              BranchPredictor &pred,
                              GSharePredictor *gshare, RunResult result)
 {
@@ -1148,17 +1094,14 @@ SweepRunner::executeMultiCtx(const RunSpec &spec,
         std::vector<std::unique_ptr<Emulator>> owned_emus;
         std::vector<Emulator *> emus;
         for (unsigned c = 0; c < n; ++c) {
-            Expected<Workload> wl =
-                materialiseWorkload(spec, contextSeed(spec, c));
-            if (!wl.ok()) {
-                result.status = wl.status();
+            Expected<std::unique_ptr<Emulator>> emu =
+                startEmulator(spec, program, contextSeed(spec, c));
+            if (!emu.ok()) {
+                result.status = emu.status();
                 return result;
             }
-            owned_emus.push_back(
-                std::make_unique<Emulator>(program->prog));
-            if (wl.value().init)
-                wl.value().init(owned_emus.back()->state());
-            emus.push_back(owned_emus.back().get());
+            emus.push_back(emu.value().get());
+            owned_emus.push_back(std::move(emu.value()));
         }
         replayer.replayEmulated(emus, spec.maxInsts, stop);
     }
@@ -1226,12 +1169,12 @@ SweepRunner::dropDemandLocked(TraceDemand &demand, const std::string &key,
     if ((all->second -= cells) > 0)
         return;
     traceDemand.erase(all);
-    auto it = traceCache.find(key);
-    if (it == traceCache.end())
+    auto it = traces.entries.find(key);
+    if (it == traces.entries.end())
         return; // its cells failed before recording
     freed.push_back(std::move(it->second));
-    traceCache.erase(it);
-    ++stats.traceReleases;
+    traces.entries.erase(it);
+    ++traceReleaseCount;
 }
 
 void
@@ -1294,6 +1237,15 @@ SweepRunner::CacheStats
 SweepRunner::cacheStats() const
 {
     std::lock_guard<std::mutex> lock(cacheMtx);
+    CacheStats stats;
+    stats.compiles = programs.made;
+    stats.hits = programs.hits;
+    stats.records = traces.made;
+    stats.traceHits = traces.hits;
+    stats.traceReleases = traceReleaseCount;
+    stats.peakLiveTraces = traces.peak;
+    stats.characterizes = reports.made;
+    stats.reportHits = reports.hits;
     return stats;
 }
 

@@ -17,9 +17,11 @@
  *    is constructed per run and touched by exactly one worker;
  *  - compiled programs, decoded traces (with their replay schedules)
  *    and predictability reports are shared across runs strictly
- *    read-only, through caches keyed by what determines them - a
- *    sweep that varies only the predictor side compiles each
- *    workload once and records each trace once;
+ *    read-only, through one single-flight memo keyed by what
+ *    determines them: the first cell of a key computes it and every
+ *    cell of the key gets that one result - a sweep that varies only
+ *    the predictor side compiles each workload once and records each
+ *    trace once;
  *  - run() dispatches the first cell of each trace ahead of its
  *    repeats and frees each trace when its last cell finishes;
  *    neither changes which cell writes which result slot.
@@ -27,7 +29,10 @@
  * Failure contract: a cell that cannot run (unknown predictor or
  * workload, damaged checkpoint, leaked exception) fails THAT CELL
  * with a typed pabp::Status in its RunResult; the rest of the grid
- * completes. Nothing in the sweep layer calls pabp_fatal.
+ * completes. A failed compile, recording or characterization is
+ * memoized like a success, exceptions included: every cell of its key
+ * reports the same status text, whichever cell computed it and at any
+ * --jobs. Nothing in the sweep layer calls pabp_fatal.
  */
 
 #ifndef PABP_BENCH_SWEEP_HH
@@ -373,6 +378,9 @@ class SweepRunner
         std::uint64_t traceReleases = 0;
         /** High-water mark of traces cached at once. */
         std::uint64_t peakLiveTraces = 0;
+        /** Predictability reports computed (RunSpec::characterize). */
+        std::uint64_t characterizes = 0;
+        std::uint64_t reportHits = 0; ///< runs served a cached report
     };
 
     /**
@@ -431,7 +439,29 @@ class SweepRunner
     using ProgramHandle = std::shared_ptr<const CompiledProgram>;
     using TraceHandle = std::shared_ptr<const DecodedTrace>;
     using ReportHandle = std::shared_ptr<const PredictabilityReport>;
-    using TraceFuture = std::shared_future<TraceHandle>;
+
+    /** The entries and counts of one single-flight memo (memoized()),
+     *  guarded by cacheMtx. An entry is the one result of its key:
+     *  a non-null handle or the exact failure. */
+    template <class T>
+    struct Memo
+    {
+        using Result = Expected<std::shared_ptr<const T>>;
+        std::map<std::string, std::shared_future<Result>> entries;
+        std::uint64_t made = 0; ///< keys whose make() ran
+        std::uint64_t hits = 0; ///< calls served an existing entry
+        std::uint64_t peak = 0; ///< most entries held at once
+    };
+    using TraceFuture = std::shared_future<Memo<DecodedTrace>::Result>;
+
+    /** Single flight (bench/sweep.cc): the first caller of @p key runs
+     *  @p make, every other caller blocks on the same future, and all
+     *  of them - later cells of the key too - get that one result. An
+     *  exception out of make() is stored as the Corrupt status a cell
+     *  reports for it. */
+    template <class T, class Make>
+    typename Memo<T>::Result memoized(Memo<T> &memo,
+                                      const std::string &key, Make make);
 
     /** Take @p cells cells off @p demand's count for @p key; when no
      *  live demand names the key any more, move its cache entry into
@@ -453,27 +483,28 @@ class SweepRunner
     void noteResumeFallback(const RunSpec &spec,
                             const std::string &resume_file,
                             const Status &status);
+    /** The spec's compiled program, one per (workload, compile seed,
+     *  compile options) key. */
     Expected<ProgramHandle> compiledFor(const RunSpec &spec);
-    /** The trace analogue of compiledFor(): the first requester of
-     *  a (program, measurement seed, budget) key records the trace
-     *  straight into its lanes, everyone else blocks on the shared
-     *  future and replays the same immutable lanes. @p seed is the
-     *  measurement seed to record with - spec.seed for ordinary
-     *  cells, spec.seed + c for context c of a multi-context cell. */
+    /** The decoded trace of one (program, measurement seed, budget)
+     *  key, recorded straight into its lanes and replayed read-only
+     *  by every cell of the key. @p seed is the measurement seed to
+     *  record with - spec.seed for ordinary cells, spec.seed + c for
+     *  context c of a multi-context cell. */
     Expected<TraceHandle> decodedFor(const RunSpec &spec,
-                                     const ProgramHandle &program,
+                                     const CompiledProgram &program,
                                      std::uint64_t seed);
     /** RunSpec::characterize: one shared predictability report per
      *  (program, seed, budget) key, computed over the same recorded
      *  trace every replaying cell of that key consumes. */
     Expected<ReportHandle> characterizedFor(const RunSpec &spec,
-                                            const ProgramHandle &program);
+                                            const CompiledProgram &program);
     /** Multi-context execution (RunSpec::context.contexts > 1):
      *  builds the per-context traces or emulators, drives the
      *  MultiContextReplayer, and fills the per-context and aggregate
      *  results. @p result arrives with the compile counters set. */
     RunResult executeMultiCtx(const RunSpec &spec,
-                              const ProgramHandle &program,
+                              const CompiledProgram &program,
                               BranchPredictor &pred,
                               GSharePredictor *gshare,
                               RunResult result);
@@ -482,12 +513,12 @@ class SweepRunner
     std::size_t queueCapacity;
 
     mutable std::mutex cacheMtx;
-    std::map<std::string, std::shared_future<ProgramHandle>> cache;
-    std::map<std::string, TraceFuture> traceCache;
-    std::map<std::string, std::shared_future<ReportHandle>> predCache;
+    Memo<CompiledProgram> programs;
+    Memo<DecodedTrace> traces;
+    Memo<PredictabilityReport> reports;
     /** Unfinished cells per trace key, summed over live demands. */
     std::map<std::string, std::size_t> traceDemand;
-    CacheStats stats;
+    std::uint64_t traceReleaseCount = 0;
     std::uint64_t resumeFallbackCount = 0;
 };
 

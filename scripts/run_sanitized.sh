@@ -79,7 +79,7 @@ if [ "${PABP_SKIP_TSAN:-0}" != "1" ]; then
     # same cache.
     # 'Metrics' also catches the characterized-cell byte-identity
     # suite: predictability reports are computed once per program in
-    # a promise/shared_future cache that sweep workers race on.
+    # the sweep's single-flight memo, which sweep workers race on.
     ctest --test-dir "$TSAN_DIR" --output-on-failure \
         -R 'ThreadPool|Sweep|Stats|Metrics|Journal|FastReplay|MultiCtx|Predictability'
 fi

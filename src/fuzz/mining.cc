@@ -38,7 +38,7 @@ replayMispredicts(const DecodedTrace &trace, const FuzzCase &c,
     if (!pred.ok())
         return pred.status();
     PredictionEngine engine(*pred.value(), ecfg);
-    replayTraceFrom(trace, engine, 0, trace.size());
+    engine.processBatch(trace, 0, trace.size());
     return engine.stats().all.mispredicts;
 }
 
@@ -99,7 +99,7 @@ scoreCase(const FuzzCase &fuzz_case, const RunEnv &env,
     EngineConfig baseCfg;
     baseCfg.modelTargets = true;
     PredictionEngine base(*basePred.value(), baseCfg);
-    replayTraceFrom(trace, base, 0, trace.size());
+    base.processBatch(trace, 0, trace.size());
 
     EngineConfig bothCfg = baseCfg;
     bothCfg.useSfpf = true;

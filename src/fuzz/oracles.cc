@@ -408,6 +408,12 @@ oracleCheckpoint(const FuzzCase &c, CaseContext &ctx, const RunEnv &env)
                       configFingerprint(c.gen) ^ c.seed));
     const std::string ckpt =
         env.scratchDir + "/pabp-fuzz-" + fp + ".ckpt";
+    // Scratch only: removed on every exit, the PABP_TRY returns too.
+    struct RemoveOnExit
+    {
+        const std::string &path;
+        ~RemoveOnExit() { std::remove(path.c_str()); }
+    } const removeCkpt{ckpt};
 
     PredictionEngine first(*preds[1].value(), c.engine);
     std::uint64_t half = trace.size() / 2;

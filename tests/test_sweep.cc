@@ -16,7 +16,9 @@
  *    recursed into itself and recompiled the workload.
  *  - Typed cell failure: a bad spec (unknown predictor/workload,
  *    damaged checkpoint) fails its own cell with a pabp::Status while
- *    the rest of the grid completes.
+ *    the rest of the grid completes. A failed compile or recording,
+ *    a thrown exception included, fails every cell of its key with
+ *    the same status text at any --jobs.
  *  - Trace dispatch and lifetime: the next trace's first cell runs
  *    ahead of the current trace's repeats, every trace is recorded
  *    once and freed once, and the number held at a time stays within
@@ -30,6 +32,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -41,6 +44,7 @@
 #include <mutex>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -283,6 +287,112 @@ TEST(SweepRunner, FactoryWorkloadsRun)
     RunResult result = runner.runOne(spec);
     ASSERT_TRUE(result.status.ok()) << result.status.toString();
     EXPECT_GT(result.engine.all.branches, 0u);
+}
+
+// A failed compile, recording or characterization is memoized like a
+// success: every cell of the key reports the status of the one cell
+// that ran it, the exception text included, at any --jobs. The cells
+// that waited on a throwing leader used to read a broken promise.
+namespace {
+
+/** Three cells of one factory key, one per predictor. */
+std::vector<RunSpec>
+factoryCells(const std::string &id, WorkloadFactory factory,
+             std::uint64_t seed, unsigned contexts)
+{
+    std::vector<RunSpec> grid;
+    for (const char *pred : {"gshare", "bimodal", "tage"}) {
+        RunSpec spec;
+        spec.workload = id;
+        spec.factory = factory;
+        spec.predictor = pred;
+        spec.compileSeed = 42;
+        spec.seed = seed;
+        spec.maxInsts = 5000;
+        spec.context.contexts = contexts;
+        grid.push_back(spec);
+    }
+    return grid;
+}
+
+void
+expectEveryCellReports(const std::vector<RunSpec> &grid,
+                       const std::string &status)
+{
+    for (unsigned jobs : {1u, 4u}) {
+        SweepRunner runner(SweepRunner::Config{jobs, 0});
+        const std::vector<RunResult> results = runner.run(grid);
+        for (std::size_t i = 0; i < results.size(); ++i)
+            EXPECT_EQ(results[i].status.toString(), status)
+                << "cell " << i << ", jobs " << jobs;
+    }
+}
+
+} // namespace
+
+TEST(SweepMemo, ThrowingCompileFailsEveryCellAlike)
+{
+    const WorkloadFactory explodes = [](std::uint64_t) -> Workload {
+        throw std::runtime_error("factory exploded");
+    };
+    expectEveryCellReports(
+        factoryCells("memo-compile-throws", explodes, 42, 1),
+        "Corrupt: unhandled exception in sweep cell: factory exploded");
+}
+
+TEST(SweepMemo, ThrowingRecordingFailsEveryCellAlike)
+{
+    // Compile seed 42 builds; only measurement seed 7 throws, so the
+    // failure comes out of trace recording: for single-context cells
+    // (seed 7) and for two-context cells whose second context draws
+    // seed 7 (seed 6 + 1).
+    const WorkloadFactory noSeven = [](std::uint64_t seed) {
+        if (seed == 7)
+            throw std::runtime_error("no input for seed 7");
+        return makeBiasWorkload(0.70, seed);
+    };
+    const std::string status =
+        "Corrupt: unhandled exception in sweep cell: no input for seed 7";
+    expectEveryCellReports(
+        factoryCells("memo-record-throws", noSeven, 7, 1), status);
+    expectEveryCellReports(
+        factoryCells("memo-record-throws", noSeven, 6, 2), status);
+}
+
+TEST(SweepMemo, FastReplayCellsCallTheFactoryOncePerSeed)
+{
+    // One call for the compile seed, one to record the trace; a
+    // fast-replay cell builds no workload of its own.
+    for (unsigned jobs : {1u, 4u}) {
+        std::atomic<unsigned> calls{0};
+        const WorkloadFactory counted = [&calls](std::uint64_t seed) {
+            ++calls;
+            return makeBiasWorkload(0.70, seed);
+        };
+        std::vector<RunSpec> grid =
+            factoryCells("memo-count", counted, 7, 1);
+        for (unsigned size = 10; size < 13; ++size) {
+            grid.push_back(grid.front());
+            grid.back().sizeLog2 = size;
+        }
+        SweepRunner runner(SweepRunner::Config{jobs, 0});
+        for (const RunResult &result : runner.run(grid))
+            ASSERT_TRUE(result.status.ok()) << result.status.toString();
+        EXPECT_EQ(calls.load(), 2u) << "jobs " << jobs;
+    }
+}
+
+TEST(SweepMemo, ReportsAreCountedLikePrograms)
+{
+    std::vector<RunSpec> grid = smallGrid(8000);
+    for (RunSpec &spec : grid)
+        spec.characterize = true;
+    SweepRunner runner(SweepRunner::Config{4, 0});
+    for (const RunResult &result : runner.run(grid))
+        ASSERT_TRUE(result.status.ok()) << result.status.toString();
+    // Nine cells over three workloads, as in CompilesEachProgramOnce.
+    EXPECT_EQ(runner.cacheStats().characterizes, 3u);
+    EXPECT_EQ(runner.cacheStats().reportHits, 6u);
 }
 
 TEST(SweepRunner, BadCellFailsTypedWhileGridCompletes)
