@@ -281,6 +281,8 @@ main(int argc, char **argv)
               << cache.traceHits << ", peak live "
               << cache.peakLiveTraces << "), reports characterized "
               << cache.characterizes << " (hits " << cache.reportHits
-              << ")\n";
+              << "), replay schedules inserted " << cache.scheduleInserts
+              << " (hits " << cache.scheduleHits << ", evictions "
+              << cache.scheduleEvictions << ")\n";
     return ok ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 #include "sweep.hh"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -20,6 +19,7 @@
 #include "core/checkpoint.hh"
 #include "core/multictx.hh"
 #include "sim/emulator.hh"
+#include "util/fnv.hh"
 #include "util/metrics.hh"
 #include "util/options.hh"
 #include "util/stats.hh"
@@ -29,44 +29,6 @@ namespace pabp::bench {
 
 namespace {
 
-/** FNV-1a accumulator with typed feeders so the fingerprint is a
- *  stable function of field VALUES, not of struct layout. */
-class Fnv
-{
-  public:
-    void
-    bytes(const void *data, std::size_t len)
-    {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < len; ++i) {
-            hash ^= p[i];
-            hash *= 0x100000001b3ull;
-        }
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        bytes(&v, sizeof(v));
-    }
-
-    void u32(std::uint32_t v) { u64(v); }
-    void b(bool v) { u64(v ? 1 : 0); }
-    void d(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        bytes(s.data(), s.size());
-    }
-
-    std::uint64_t value() const { return hash; }
-
-  private:
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-};
-
 std::uint64_t
 resolvedCompileSeed(const RunSpec &spec)
 {
@@ -74,7 +36,7 @@ resolvedCompileSeed(const RunSpec &spec)
 }
 
 void
-hashCompileOptions(Fnv &fnv, const CompileOptions &copts,
+hashCompileOptions(Fnv1a &fnv, const CompileOptions &copts,
                    bool if_convert)
 {
     fnv.b(if_convert);
@@ -89,7 +51,7 @@ hashCompileOptions(Fnv &fnv, const CompileOptions &copts,
 }
 
 void
-hashEngineConfig(Fnv &fnv, const EngineConfig &e)
+hashEngineConfig(Fnv1a &fnv, const EngineConfig &e)
 {
     fnv.b(e.useSfpf);
     fnv.b(e.usePgu);
@@ -116,7 +78,7 @@ hashEngineConfig(Fnv &fnv, const EngineConfig &e)
 }
 
 void
-hashCacheConfig(Fnv &fnv, const CacheConfig &c)
+hashCacheConfig(Fnv1a &fnv, const CacheConfig &c)
 {
     fnv.u32(c.setsLog2);
     fnv.u32(c.ways);
@@ -124,7 +86,7 @@ hashCacheConfig(Fnv &fnv, const CacheConfig &c)
 }
 
 void
-hashPipelineConfig(Fnv &fnv, const PipelineConfig &p)
+hashPipelineConfig(Fnv1a &fnv, const PipelineConfig &p)
 {
     fnv.u32(p.issueWidth);
     fnv.u32(p.mispredictPenalty);
@@ -148,7 +110,7 @@ hashPipelineConfig(Fnv &fnv, const PipelineConfig &p)
 std::string
 programCacheKey(const RunSpec &spec)
 {
-    Fnv copt_hash;
+    Fnv1a copt_hash;
     hashCompileOptions(copt_hash, spec.compile, spec.ifConvert);
     return spec.workload + ":" +
         std::to_string(resolvedCompileSeed(spec)) + ":" +
@@ -639,6 +601,29 @@ finishMultiCtxOutputs(const RunSpec &spec, RunResult &result)
                             buildMultiCtxMetrics(spec, result));
 }
 
+/** Add a trace memo entry's replay-schedule traffic to @p sum. An
+ *  entry still recording has served no schedules, and a failed one
+ *  has none. */
+void
+addScheduleTraffic(
+    const std::shared_future<Expected<std::shared_ptr<const DecodedTrace>>>
+        &entry,
+    ReplayScheduleCache::Counters &sum)
+{
+    if (entry.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready)
+        return;
+    const Expected<std::shared_ptr<const DecodedTrace>> &trace =
+        entry.get();
+    if (!trace.ok() || !trace.value()->schedCache)
+        return;
+    const ReplayScheduleCache::Counters traffic =
+        trace.value()->schedCache->counters();
+    sum.hits += traffic.hits;
+    sum.inserts += traffic.inserts;
+    sum.evictions += traffic.evictions;
+}
+
 } // anonymous namespace
 
 std::optional<ShardSpec>
@@ -662,7 +647,7 @@ parseShardSpec(std::string_view text)
 std::uint64_t
 specFingerprint(const RunSpec &spec)
 {
-    Fnv fnv;
+    Fnv1a fnv;
     fnv.str("pabp-runspec-v1");
     fnv.str(spec.workload);
     fnv.u64(spec.seed);
@@ -1172,6 +1157,7 @@ SweepRunner::dropDemandLocked(TraceDemand &demand, const std::string &key,
     auto it = traces.entries.find(key);
     if (it == traces.entries.end())
         return; // its cells failed before recording
+    addScheduleTraffic(it->second, releasedSchedules);
     freed.push_back(std::move(it->second));
     traces.entries.erase(it);
     ++traceReleaseCount;
@@ -1246,6 +1232,12 @@ SweepRunner::cacheStats() const
     stats.peakLiveTraces = traces.peak;
     stats.characterizes = reports.made;
     stats.reportHits = reports.hits;
+    ReplayScheduleCache::Counters schedules = releasedSchedules;
+    for (const auto &[key, entry] : traces.entries)
+        addScheduleTraffic(entry, schedules);
+    stats.scheduleHits = schedules.hits;
+    stats.scheduleInserts = schedules.inserts;
+    stats.scheduleEvictions = schedules.evictions;
     return stats;
 }
 

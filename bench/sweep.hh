@@ -55,6 +55,7 @@
 #include "core/predictability.hh"
 #include "pipeline/pipeline.hh"
 #include "sim/context_schedule.hh"
+#include "sim/replay_schedule.hh"
 #include "util/status.hh"
 #include "workloads/workload.hh"
 
@@ -381,6 +382,13 @@ class SweepRunner
         /** Predictability reports computed (RunSpec::characterize). */
         std::uint64_t characterizes = 0;
         std::uint64_t reportHits = 0; ///< runs served a cached report
+        /** Replay-schedule cache traffic (ReplayScheduleCache::
+         *  counters()) summed over the recorded traces: a released
+         *  trace's when it is freed, a cached one's at cacheStats()
+         *  time. */
+        std::uint64_t scheduleHits = 0;
+        std::uint64_t scheduleInserts = 0;
+        std::uint64_t scheduleEvictions = 0;
     };
 
     /**
@@ -519,6 +527,8 @@ class SweepRunner
     /** Unfinished cells per trace key, summed over live demands. */
     std::map<std::string, std::size_t> traceDemand;
     std::uint64_t traceReleaseCount = 0;
+    /** Schedule-cache traffic of the traces released so far. */
+    ReplayScheduleCache::Counters releasedSchedules;
     std::uint64_t resumeFallbackCount = 0;
 };
 

@@ -67,14 +67,15 @@ SweepService::runShard(std::vector<RunSpec> grid)
                           " shards");
     }
 
-    // Stamp the service knobs onto every cell and find the owned
+    // Stamp the shard onto every cell, and metrics capture (a Result
+    // record carries the cell's metrics JSON), and find the owned
     // subset, in grid (submission) order - the order the journal
     // commits in and the order drain-time compaction normalises to.
     std::vector<std::size_t> owned;
     std::vector<std::uint64_t> ownedOrder;
     for (std::size_t i = 0; i < grid.size(); ++i) {
         grid[i].shard = config.shard;
-        grid[i].captureMetrics = config.captureMetrics;
+        grid[i].captureMetrics = true;
         const std::uint64_t fp = specFingerprint(grid[i]);
         if (shardOf(fp, config.shard.count) != config.shard.index)
             continue;
@@ -147,18 +148,6 @@ SweepService::runShard(std::vector<RunSpec> grid)
             if (!st.ok())
                 return st;
             ++report.committed;
-            if (config.compactEvery &&
-                writer.value().recordsAppended() >= config.compactEvery) {
-                // Compaction renames a new inode into place; the open
-                // handle would go stale, so cycle it.
-                writer.value().close();
-                st = compactJournal(config.journalPath, ownedOrder);
-                if (!st.ok())
-                    return st;
-                writer = JournalWriter::open(config.journalPath, header);
-                if (!writer.ok())
-                    return writer.status();
-            }
         }
     }
 

@@ -78,16 +78,6 @@ struct ServiceConfig
     std::string journalPath;
     ShardSpec shard;
 
-    /** Capture each cell's byte-stable metrics JSON into its Result
-     *  record. Off only for tests that care about framing alone. */
-    bool captureMetrics = true;
-
-    /** Close + compact + reopen the journal after this many records
-     *  committed in this invocation (0 = compact only at drain).
-     *  Purely a size/long-campaign knob: the drain-time compaction
-     *  normalises the bytes either way. */
-    std::uint64_t compactEvery = 0;
-
     /** Test hook simulating `kill -9`: stop after exactly this many
      *  records committed in this invocation, skipping the drain
      *  compaction (0 = off). The kill/resume equivalence tests

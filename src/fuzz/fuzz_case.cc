@@ -1,50 +1,27 @@
 #include "fuzz/fuzz_case.hh"
 
+#include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 #include <vector>
+
+#include "util/logging.hh"
+#include "util/options.hh"
 
 namespace pabp::fuzz {
 
 namespace {
 
-const Oracle oracleList[] = {Oracle::IfConvert, Oracle::Pipeline,
-                             Oracle::Replay, Oracle::Checkpoint,
-                             Oracle::Trace, Oracle::Sweep,
-                             Oracle::Journal, Oracle::MultiCtx};
-
-Expected<std::uint64_t>
-parseU64(const std::string &key, const std::string &text)
-{
-    if (text.empty())
-        return statusError(StatusCode::ParseError,
-                           "fuzz case: empty value for " + key);
-    std::uint64_t out = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9')
-            return statusError(StatusCode::ParseError,
-                               "fuzz case: bad number for " + key +
-                                   ": '" + text + "'");
-        std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-        if (out > (~0ull - digit) / 10)
-            return statusError(StatusCode::ParseError,
-                               "fuzz case: overflow in " + key);
-        out = out * 10 + digit;
-    }
-    return out;
-}
-
-Expected<bool>
-parseBool(const std::string &key, const std::string &text)
-{
-    if (text == "0" || text == "false")
-        return false;
-    if (text == "1" || text == "true")
-        return true;
-    return statusError(StatusCode::ParseError,
-                       "fuzz case: bad bool for " + key + ": '" +
-                           text + "'");
-}
+/** Every oracle and its stable name, in mask-bit order. */
+constexpr std::pair<Oracle, const char *> oracleNames[] = {
+    {Oracle::IfConvert, "ifconvert"}, {Oracle::Pipeline, "pipeline"},
+    {Oracle::Replay, "replay"},       {Oracle::Checkpoint, "checkpoint"},
+    {Oracle::Trace, "trace"},         {Oracle::Sweep, "sweep"},
+    {Oracle::Journal, "journal"},     {Oracle::MultiCtx, "multictx"},
+};
 
 std::vector<std::string>
 splitList(const std::string &text, char sep)
@@ -62,15 +39,9 @@ splitList(const std::string &text, char sep)
 const char *
 oracleName(Oracle oracle)
 {
-    switch (oracle) {
-      case Oracle::IfConvert: return "ifconvert";
-      case Oracle::Pipeline: return "pipeline";
-      case Oracle::Replay: return "replay";
-      case Oracle::Checkpoint: return "checkpoint";
-      case Oracle::Trace: return "trace";
-      case Oracle::Sweep: return "sweep";
-      case Oracle::Journal: return "journal";
-      case Oracle::MultiCtx: return "multictx";
+    for (const auto &[o, name] : oracleNames) {
+        if (o == oracle)
+            return name;
     }
     return "unknown";
 }
@@ -82,18 +53,14 @@ parseOracleMask(const std::string &text)
         return allOracles;
     unsigned mask = 0;
     for (const std::string &token : splitList(text, ',')) {
-        bool found = false;
-        for (Oracle o : oracleList) {
-            if (token == oracleName(o)) {
-                mask |= static_cast<unsigned>(o);
-                found = true;
-                break;
-            }
-        }
-        if (!found)
+        const auto *it = std::find_if(
+            std::begin(oracleNames), std::end(oracleNames),
+            [&token](const auto &o) { return token == o.second; });
+        if (it == std::end(oracleNames))
             return statusError(StatusCode::ParseError,
                                "fuzz case: unknown oracle '" + token +
                                    "'");
+        mask |= static_cast<unsigned>(it->first);
     }
     if (mask == 0)
         return statusError(StatusCode::ParseError,
@@ -107,12 +74,12 @@ formatOracleMask(unsigned mask)
     if ((mask & allOracles) == allOracles)
         return "all";
     std::string out;
-    for (Oracle o : oracleList) {
+    for (const auto &[o, name] : oracleNames) {
         if (!(mask & static_cast<unsigned>(o)))
             continue;
         if (!out.empty())
             out += ',';
-        out += oracleName(o);
+        out += name;
     }
     return out;
 }
@@ -169,6 +136,151 @@ parseEngineSpec(const std::string &spec)
     return cfg;
 }
 
+namespace {
+
+/** The storage at member path @p Path of a case: one FuzzCase member,
+ *  or a member of its gen or engine. */
+template <auto... Path>
+CaseField::Ref
+at(FuzzCase &c)
+{
+    return &(c .* ... .* Path);
+}
+
+/** A custom reader: the field takes what @p Parse makes of the text. */
+template <auto Parse, auto Member>
+Status
+readParsed(FuzzCase &c, const std::string &value)
+{
+    auto parsed = Parse(value);
+    if (!parsed.ok())
+        return parsed.status();
+    c.*Member = parsed.value();
+    return {};
+}
+
+using Gen = FuzzProgramConfig;
+constexpr auto gen = &FuzzCase::gen;
+
+/** The case field table: one row per key, in canonical order. */
+constexpr CaseField fields[] = {
+    {"name", at<&FuzzCase::name>},
+    {"seed", at<&FuzzCase::seed>},
+    {"predictor", at<&FuzzCase::predictor>},
+    {"size_log2", at<&FuzzCase::sizeLog2>},
+    {.key = "engine",
+     .readCustom = [](FuzzCase &c, const std::string &value) {
+         // avail_delay is its own key: the flags leave it alone.
+         const unsigned delay = c.engine.availDelay;
+         Status st =
+             readParsed<parseEngineSpec, &FuzzCase::engine>(c, value);
+         c.engine.availDelay = delay;
+         return st;
+     },
+     .writeCustom = [](const FuzzCase &c) {
+         return engineSpecString(c.engine);
+     }},
+    {"avail_delay", at<&FuzzCase::engine, &EngineConfig::availDelay>},
+    {.key = "oracles",
+     .readCustom = readParsed<parseOracleMask, &FuzzCase::oracles>,
+     .writeCustom = [](const FuzzCase &c) {
+         return formatOracleMask(c.oracles);
+     }},
+    {"max_insts", at<&FuzzCase::maxInsts>, 12},
+    {"items", at<gen, &Gen::items>, 1},
+    {"repeats", at<gen, &Gen::repeats>, 1},
+    {"branch_density", at<gen, &Gen::branchDensity>, 0},
+    {"pred_nest", at<gen, &Gen::predNestDepth>, 0},
+    {"loop_depth", at<gen, &Gen::loopDepth>, 0},
+    {"call_depth", at<gen, &Gen::callDepth>, 0},
+    {"hb_pressure", at<gen, &Gen::hbPressure>, 0},
+    {"div_edges", at<gen, &Gen::divEdgePercent>, 0},
+    {"data_branches", at<gen, &Gen::dataBranchPercent>, 0},
+    {"empty_ras", at<gen, &Gen::emptyRas>},
+    {"data_window", at<gen, &Gen::dataWindow>, 16},
+    {"corrupt_flips", at<&FuzzCase::corruptFlips>, 0},
+    {"corrupt_seed", at<&FuzzCase::corruptSeed>},
+    {"corrupt_truncate", at<&FuzzCase::corruptTruncate>, 0},
+    {.key = "contexts", .ref = at<&FuzzCase::contexts>, .shrinkFloor = 1,
+     .zeroReadsAsOne = true},
+    {.key = "ctx_schedule",
+     .readCustom = readParsed<parseScheduleKind, &FuzzCase::ctxSchedule>,
+     .writeCustom = [](const FuzzCase &c) -> std::string {
+         return scheduleKindName(c.ctxSchedule);
+     }},
+    {.key = "ctx_quantum", .ref = at<&FuzzCase::ctxQuantum>,
+     .zeroReadsAsOne = true},
+    {"ctx_seed", at<&FuzzCase::ctxSeed>},
+    {"ctx_shared", at<&FuzzCase::ctxShared>},
+    {"ctx_tag_bits", at<&FuzzCase::ctxTagBits>, 0},
+};
+
+} // anonymous namespace
+
+Status
+CaseField::read(FuzzCase &c, const std::string &value) const
+{
+    if (readCustom)
+        return readCustom(c, value);
+    const auto bad = [&](const std::string &want) {
+        return statusError(StatusCode::ParseError,
+                           "fuzz case: bad value for " +
+                               std::string(key) + ": '" + value +
+                               "' (want " + want + ")");
+    };
+    return std::visit(
+        [&](auto *field) -> Status {
+            using T = std::remove_pointer_t<decltype(field)>;
+            std::uint64_t v = 0;
+            if constexpr (std::is_same_v<T, std::string>) {
+                *field = value;
+            } else if constexpr (std::is_same_v<T, bool>) {
+                if (value != "0" && value != "1" && value != "false" &&
+                    value != "true")
+                    return bad("0 or 1");
+                *field = value == "1" || value == "true";
+            } else if (parseUnsigned(value, std::numeric_limits<T>::max(),
+                                     v)) {
+                *field = static_cast<T>(zeroReadsAsOne && v == 0 ? 1 : v);
+            } else {
+                return bad("a decimal number up to " +
+                           std::to_string(std::numeric_limits<T>::max()));
+            }
+            return {};
+        },
+        ref(c));
+}
+
+std::string
+CaseField::write(const FuzzCase &c) const
+{
+    if (writeCustom)
+        return writeCustom(c);
+    return std::visit(
+        [](auto *field) -> std::string {
+            using T = std::remove_pointer_t<decltype(field)>;
+            if constexpr (std::is_same_v<T, std::string>)
+                return *field;
+            else if constexpr (std::is_same_v<T, bool>)
+                return *field ? "1" : "0";
+            else
+                return std::to_string(*field);
+        },
+        // ref() takes a mutable case so that one accessor per row
+        // serves both directions; this only reads through it.
+        ref(const_cast<FuzzCase &>(c)));
+}
+
+const CaseField *
+findCaseField(std::string_view key)
+{
+    for (const CaseField &field : fields) {
+        if (key == field.key)
+            return &field;
+    }
+    return nullptr;
+}
+
 Expected<FuzzCase>
 parseCase(const std::string &text)
 {
@@ -184,29 +296,16 @@ parseCase(const std::string &text)
         std::size_t start = line.find_first_not_of(" \t");
         if (start == std::string::npos || line[start] == '#')
             continue;
-        std::size_t eq = line.find('=', start);
-        if (eq == std::string::npos)
+        const auto lineError = [lineNo](const std::string &what) {
             return statusError(StatusCode::ParseError,
                                "fuzz case line " +
-                                   std::to_string(lineNo) +
-                                   ": expected key=value");
+                                   std::to_string(lineNo) + ": " + what);
+        };
+        std::size_t eq = line.find('=', start);
+        if (eq == std::string::npos)
+            return lineError("expected key=value");
         std::string key = line.substr(start, eq - start);
         std::string value = line.substr(eq + 1);
-
-        auto num = [&](auto apply) -> Status {
-            Expected<std::uint64_t> v = parseU64(key, value);
-            if (!v.ok())
-                return v.status();
-            apply(v.value());
-            return {};
-        };
-        auto flag = [&](auto apply) -> Status {
-            Expected<bool> v = parseBool(key, value);
-            if (!v.ok())
-                return v.status();
-            apply(v.value());
-            return {};
-        };
 
         if (key == "format") {
             if (value != "pabp-fuzz-case-v1")
@@ -214,114 +313,12 @@ parseCase(const std::string &text)
                                    "fuzz case: unsupported format '" +
                                        value + "'");
             sawFormat = true;
-        } else if (key == "name") {
-            out.name = value;
-        } else if (key == "seed") {
-            PABP_TRY(num([&](std::uint64_t v) { out.seed = v; }));
-        } else if (key == "predictor") {
-            out.predictor = value;
-        } else if (key == "size_log2") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.sizeLog2 = static_cast<unsigned>(v);
-            }));
-        } else if (key == "engine") {
-            Expected<EngineConfig> cfg = parseEngineSpec(value);
-            if (!cfg.ok())
-                return cfg.status();
-            unsigned delay = out.engine.availDelay;
-            out.engine = cfg.value();
-            out.engine.availDelay = delay;
-        } else if (key == "avail_delay") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.engine.availDelay = static_cast<unsigned>(v);
-            }));
-        } else if (key == "oracles") {
-            Expected<unsigned> mask = parseOracleMask(value);
-            if (!mask.ok())
-                return mask.status();
-            out.oracles = mask.value();
-        } else if (key == "max_insts") {
-            PABP_TRY(num([&](std::uint64_t v) { out.maxInsts = v; }));
-        } else if (key == "items") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.gen.items = static_cast<unsigned>(v);
-            }));
-        } else if (key == "repeats") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.gen.repeats = static_cast<std::int64_t>(v);
-            }));
-        } else if (key == "branch_density") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.gen.branchDensity = static_cast<unsigned>(v);
-            }));
-        } else if (key == "pred_nest") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.gen.predNestDepth = static_cast<unsigned>(v);
-            }));
-        } else if (key == "loop_depth") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.gen.loopDepth = static_cast<unsigned>(v);
-            }));
-        } else if (key == "call_depth") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.gen.callDepth = static_cast<unsigned>(v);
-            }));
-        } else if (key == "hb_pressure") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.gen.hbPressure = static_cast<unsigned>(v);
-            }));
-        } else if (key == "div_edges") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.gen.divEdgePercent = static_cast<unsigned>(v);
-            }));
-        } else if (key == "data_branches") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.gen.dataBranchPercent = static_cast<unsigned>(v);
-            }));
-        } else if (key == "empty_ras") {
-            PABP_TRY(flag([&](bool v) { out.gen.emptyRas = v; }));
-        } else if (key == "data_window") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.gen.dataWindow = static_cast<std::int64_t>(v);
-            }));
-        } else if (key == "corrupt_flips") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.corruptFlips = static_cast<unsigned>(v);
-            }));
-        } else if (key == "corrupt_seed") {
-            PABP_TRY(num([&](std::uint64_t v) { out.corruptSeed = v; }));
-        } else if (key == "corrupt_truncate") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.corruptTruncate = static_cast<unsigned>(v);
-            }));
-        } else if (key == "contexts") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.contexts =
-                    static_cast<unsigned>(v ? v : 1);
-            }));
-        } else if (key == "ctx_schedule") {
-            Expected<ScheduleKind> kind = parseScheduleKind(value);
-            if (!kind.ok())
-                return kind.status();
-            out.ctxSchedule = kind.value();
-        } else if (key == "ctx_quantum") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.ctxQuantum = v ? v : 1;
-            }));
-        } else if (key == "ctx_seed") {
-            PABP_TRY(num([&](std::uint64_t v) { out.ctxSeed = v; }));
-        } else if (key == "ctx_shared") {
-            PABP_TRY(flag([&](bool v) { out.ctxShared = v; }));
-        } else if (key == "ctx_tag_bits") {
-            PABP_TRY(num([&](std::uint64_t v) {
-                out.ctxTagBits = static_cast<unsigned>(v);
-            }));
-        } else {
-            return statusError(StatusCode::ParseError,
-                               "fuzz case line " +
-                                   std::to_string(lineNo) +
-                                   ": unknown key '" + key + "'");
+            continue;
         }
+        const CaseField *field = findCaseField(key);
+        if (!field)
+            return lineError("unknown key '" + key + "'");
+        PABP_TRY(field->read(out, value));
     }
     if (!sawFormat)
         return statusError(StatusCode::BadMagic,
@@ -333,39 +330,11 @@ parseCase(const std::string &text)
 std::string
 formatCase(const FuzzCase &fuzz_case)
 {
-    const FuzzCase &c = fuzz_case;
-    std::ostringstream out;
-    out << "# pabp fuzz case (docs/FUZZING.md)\n";
-    out << "format=pabp-fuzz-case-v1\n";
-    out << "name=" << c.name << "\n";
-    out << "seed=" << c.seed << "\n";
-    out << "predictor=" << c.predictor << "\n";
-    out << "size_log2=" << c.sizeLog2 << "\n";
-    out << "engine=" << engineSpecString(c.engine) << "\n";
-    out << "avail_delay=" << c.engine.availDelay << "\n";
-    out << "oracles=" << formatOracleMask(c.oracles) << "\n";
-    out << "max_insts=" << c.maxInsts << "\n";
-    out << "items=" << c.gen.items << "\n";
-    out << "repeats=" << c.gen.repeats << "\n";
-    out << "branch_density=" << c.gen.branchDensity << "\n";
-    out << "pred_nest=" << c.gen.predNestDepth << "\n";
-    out << "loop_depth=" << c.gen.loopDepth << "\n";
-    out << "call_depth=" << c.gen.callDepth << "\n";
-    out << "hb_pressure=" << c.gen.hbPressure << "\n";
-    out << "div_edges=" << c.gen.divEdgePercent << "\n";
-    out << "data_branches=" << c.gen.dataBranchPercent << "\n";
-    out << "empty_ras=" << (c.gen.emptyRas ? 1 : 0) << "\n";
-    out << "data_window=" << c.gen.dataWindow << "\n";
-    out << "corrupt_flips=" << c.corruptFlips << "\n";
-    out << "corrupt_seed=" << c.corruptSeed << "\n";
-    out << "corrupt_truncate=" << c.corruptTruncate << "\n";
-    out << "contexts=" << c.contexts << "\n";
-    out << "ctx_schedule=" << scheduleKindName(c.ctxSchedule) << "\n";
-    out << "ctx_quantum=" << c.ctxQuantum << "\n";
-    out << "ctx_seed=" << c.ctxSeed << "\n";
-    out << "ctx_shared=" << (c.ctxShared ? 1 : 0) << "\n";
-    out << "ctx_tag_bits=" << c.ctxTagBits << "\n";
-    return out.str();
+    std::string out = "# pabp fuzz case (docs/FUZZING.md)\n"
+                      "format=pabp-fuzz-case-v1\n";
+    for (const CaseField &field : fields)
+        out += std::string(field.key) + "=" + field.write(fuzz_case) + "\n";
+    return out;
 }
 
 Expected<FuzzCase>

@@ -9,16 +9,25 @@
  * does not carry the program itself; the shrinker minimises over the
  * knobs and the replay regenerates the program from them.
  *
- * Format: `key=value` lines, `#` comments, unknown keys rejected (a
- * typo must not silently weaken a regression case). Canonical output
- * of formatCase() round-trips through parseCase() field-for-field.
+ * Format: a `format=pabp-fuzz-case-v1` line, then `key=value` lines
+ * and `#` comments. Every key is declared once, as one row of the
+ * case field table (fuzz_case.cc): its name, how its value is read
+ * and written, and its shrink floor. parseCase(), formatCase() and
+ * the shrinker all work from that table, so adding a knob is adding
+ * a row. Unknown keys and malformed values are ParseErrors naming the
+ * key - a number too big for its field included - so a typo never
+ * silently weakens a regression case. Canonical output of
+ * formatCase() round-trips through parseCase() field-for-field.
  */
 
 #ifndef PABP_FUZZ_FUZZ_CASE_HH
 #define PABP_FUZZ_FUZZ_CASE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
 
 #include "core/engine.hh"
 #include "fuzz/fuzz_gen.hh"
@@ -95,6 +104,36 @@ struct FuzzCase
     unsigned ctxTagBits = 0;      ///< context bits mixed into indices
     /** @} */
 };
+
+/**
+ * One `.pabp` key and the case field it names. A plain field is
+ * reached through @ref ref and read and written by its type: an
+ * unsigned number up to its type's maximum, a signed 64-bit number
+ * (non-negative decimal), a bool (`0`/`1`, `false`/`true` on input)
+ * or a string taken verbatim. A custom field (`engine`, `oracles`,
+ * `ctx_schedule`) brings its own readCustom/writeCustom instead.
+ */
+struct CaseField
+{
+    using Ref = std::variant<unsigned *, std::uint64_t *,
+                             std::int64_t *, bool *, std::string *>;
+
+    const char *key;
+    Ref (*ref)(FuzzCase &) = nullptr; ///< plain fields only
+    /** Numbers the shrinker lowers: the smallest value it tries. */
+    std::optional<std::uint64_t> shrinkFloor = std::nullopt;
+    bool zeroReadsAsOne = false; ///< `key=0` parses as 1
+    Status (*readCustom)(FuzzCase &, const std::string &) = nullptr;
+    std::string (*writeCustom)(const FuzzCase &) = nullptr;
+
+    /** Parse @p value into this field of @p c. */
+    Status read(FuzzCase &c, const std::string &value) const;
+    /** This field of @p c as canonical text. */
+    std::string write(const FuzzCase &c) const;
+};
+
+/** The field of @p key, or null for an unknown key. */
+const CaseField *findCaseField(std::string_view key);
 
 /** Parse a case from its text form. Unknown keys are ParseErrors. */
 Expected<FuzzCase> parseCase(const std::string &text);

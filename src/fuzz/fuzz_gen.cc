@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "sim/arch_state.hh"
+#include "util/fnv.hh"
 #include "util/rng.hh"
 
 namespace pabp::fuzz {
@@ -28,17 +29,6 @@ constexpr unsigned driverReg = 61;
  *  (the walk just strides faster), never touched by other items. */
 constexpr unsigned streamReg = 62;
 
-/** splitmix64-style stream splitter: independent rng streams per
- *  (seed, role) so one item's draws never shift another's. */
-std::uint64_t
-mix(std::uint64_t seed, std::uint64_t stream)
-{
-    std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (stream + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 class FuzzBuilder
 {
   public:
@@ -57,7 +47,7 @@ class FuzzBuilder
 
         builder.setBlock(entry);
         builder.append(makeMovImm(repeatReg, cfg.repeats));
-        Rng init_rng(mix(baseSeed, 0x1217));
+        Rng init_rng(streamSeed(baseSeed, 0x1217));
         for (unsigned r = 0; r < 6; ++r)
             builder.append(makeMovImm(
                 dataReg(init_rng),
@@ -74,13 +64,13 @@ class FuzzBuilder
         // stream: raising branchDensity flips some items from
         // straight to branchy without perturbing any other item,
         // which makes the static branch count monotone in the knob.
-        Rng shape_rng(mix(baseSeed, 0x54a9e));
+        Rng shape_rng(streamSeed(baseSeed, 0x54a9e));
         std::vector<std::uint64_t> rolls;
         rolls.reserve(cfg.items);
         for (unsigned i = 0; i < cfg.items; ++i)
             rolls.push_back(shape_rng.below(100));
         for (unsigned i = 0; i < cfg.items; ++i) {
-            Rng item_rng(mix(baseSeed, 0x17e30 + i));
+            Rng item_rng(streamSeed(baseSeed, 0x17e30 + i));
             emitItem(item_rng, rolls[i]);
         }
         builder.append(makeAluImm(Opcode::Sub, repeatReg, repeatReg, 1));
@@ -384,7 +374,7 @@ wrapProgram(const Program &body, const FuzzProgramConfig &cfg,
 {
     constexpr unsigned outerCalls = 2;
     const unsigned chain = cfg.callDepth;
-    Rng rng(mix(seed, 0xca11));
+    Rng rng(streamSeed(seed, 0xca11));
 
     struct ProcShape
     {
@@ -419,7 +409,7 @@ wrapProgram(const Program &body, const FuzzProgramConfig &cfg,
         out.insts.push_back(makeRet()); // empty stack: halts
     out.insts.push_back(makeHalt());
 
-    Rng op_rng(mix(seed, 0x0b5));
+    Rng op_rng(streamSeed(seed, 0x0b5));
     auto procOp = [&op_rng]() {
         static const Opcode ops[] = {Opcode::Add, Opcode::Sub,
                                      Opcode::Xor, Opcode::Or};
@@ -474,25 +464,19 @@ clampConfig(FuzzProgramConfig &cfg)
 std::uint64_t
 configFingerprint(const FuzzProgramConfig &cfg)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto feed = [&h](std::uint64_t v) {
-        for (unsigned i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    };
-    feed(cfg.items);
-    feed(cfg.branchDensity);
-    feed(cfg.predNestDepth);
-    feed(cfg.loopDepth);
-    feed(cfg.callDepth);
-    feed(cfg.hbPressure);
-    feed(cfg.divEdgePercent);
-    feed(cfg.dataBranchPercent);
-    feed(cfg.emptyRas ? 1 : 0);
-    feed(static_cast<std::uint64_t>(cfg.dataWindow));
-    feed(static_cast<std::uint64_t>(cfg.repeats));
-    return h;
+    Fnv1a fnv;
+    fnv.u32(cfg.items);
+    fnv.u32(cfg.branchDensity);
+    fnv.u32(cfg.predNestDepth);
+    fnv.u32(cfg.loopDepth);
+    fnv.u32(cfg.callDepth);
+    fnv.u32(cfg.hbPressure);
+    fnv.u32(cfg.divEdgePercent);
+    fnv.u32(cfg.dataBranchPercent);
+    fnv.b(cfg.emptyRas);
+    fnv.u64(static_cast<std::uint64_t>(cfg.dataWindow));
+    fnv.u64(static_cast<std::uint64_t>(cfg.repeats));
+    return fnv.value();
 }
 
 Workload
@@ -513,7 +497,7 @@ makeFuzzWorkload(std::uint64_t seed, const FuzzProgramConfig &config)
 
     std::int64_t window = cfg.dataWindow;
     wl.init = [seed, window](ArchState &state) {
-        Rng rng(mix(seed, 0xf00d));
+        Rng rng(streamSeed(seed, 0xf00d));
         for (std::int64_t i = 0; i < window; ++i)
             state.writeMem(i, static_cast<std::int64_t>(rng.below(4096)));
     };

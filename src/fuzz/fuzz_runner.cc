@@ -9,15 +9,6 @@ namespace pabp::fuzz {
 
 namespace {
 
-std::uint64_t
-mix(std::uint64_t seed, std::uint64_t stream)
-{
-    std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (stream + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 /** Engine-flag combinations a campaign cycles through: the E6 axis
  *  (base/sfpf/pgu/both), the speculative-squash extension with both
  *  confidence gates, and the two ablations. */
@@ -32,7 +23,7 @@ const char *const engineSpecs[] = {
 FuzzCase
 deriveCase(std::uint64_t seed)
 {
-    Rng rng(mix(seed, 0xde51));
+    Rng rng(streamSeed(seed, 0xde51));
 
     FuzzCase c;
     c.name = "campaign-" + std::to_string(seed);

@@ -20,15 +20,6 @@ constexpr std::size_t miningMemWords = 1u << 16;
  *  estimate would be all warm-up noise. */
 constexpr std::uint64_t minScoredBranches = 256;
 
-std::uint64_t
-mixMine(std::uint64_t seed, std::uint64_t stream)
-{
-    std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (stream + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 Expected<std::uint64_t>
 replayMispredicts(const DecodedTrace &trace, const FuzzCase &c,
                   const EngineConfig &ecfg)
@@ -293,7 +284,7 @@ runMiningCampaign(const MiningConfig &cfg, const RunEnv &env,
 
         FuzzCase best = c;
         MiningScore bestScore = cur.value();
-        Rng rng(mixMine(seed, 0x1a5e));
+        Rng rng(streamSeed(seed, 0x1a5e));
         for (unsigned step = 0; step < cfg.steps; ++step) {
             FuzzCase cand = best;
             mutateKnobs(cand.gen, rng);

@@ -1,5 +1,9 @@
 #include "fuzz/shrink.hh"
 
+#include <string>
+
+#include "util/logging.hh"
+
 namespace pabp::fuzz {
 
 namespace {
@@ -32,30 +36,44 @@ struct Shrinker
     }
 
     /**
-     * Minimise one numeric knob: jump straight to the floor first
+     * Minimise one numeric knob: jump straight to its floor first
      * (one evaluation wins everything when the knob is irrelevant to
-     * the failure), then binary-descend toward it.
+     * the failure), then binary-descend toward it. The knob moves
+     * through its field's own reader and writer, so every value tried
+     * is one a `.pabp` file carries as written.
      */
-    template <typename Get, typename Set>
     void
-    shrinkNumeric(std::uint64_t floor, Get get, Set set)
+    shrinkNumeric(const CaseField *field)
     {
-        while (attempts < budget && get(best) > floor) {
+        pabp_assert(field && field->shrinkFloor);
+        const std::uint64_t floor = *field->shrinkFloor;
+        const auto value = [field](const FuzzCase &c) {
+            return std::stoull(field->write(c));
+        };
+        const auto tryValue = [&](std::uint64_t v) {
             FuzzCase candidate = best;
-            set(candidate, floor);
-            if (tryCandidate(candidate))
+            const Status set = field->read(candidate, std::to_string(v));
+            pabp_assert(set.ok());
+            return tryCandidate(candidate);
+        };
+        while (attempts < budget && value(best) > floor) {
+            if (tryValue(floor))
                 return;
-            std::uint64_t cur = get(best);
-            std::uint64_t mid = floor + (cur - floor) / 2;
-            if (mid == cur)
-                return;
-            candidate = best;
-            set(candidate, mid);
-            if (!tryCandidate(candidate))
-                return; // neither floor nor midpoint reproduces
+            const std::uint64_t cur = value(best);
+            const std::uint64_t mid = floor + (cur - floor) / 2;
+            if (mid == cur || !tryValue(mid))
+                return; // no midpoint left, or it does not reproduce
         }
     }
+};
 
+/** The numeric knobs in shrink order; each row's shrinkFloor (the
+ *  case field table, fuzz_case.cc) is where its descent stops. */
+const char *const shrinkOrder[] = {
+    "repeats", "items", "max_insts", "call_depth", "loop_depth",
+    "pred_nest", "branch_density", "div_edges", "data_branches",
+    "hb_pressure", "data_window", "corrupt_truncate", "corrupt_flips",
+    "contexts", "ctx_tag_bits",
 };
 
 } // anonymous namespace
@@ -72,122 +90,8 @@ shrinkCaseWith(const FuzzCase &start, const FailPredicate &still_fails,
     do {
         lastAccepted = sh.accepted;
 
-        sh.shrinkNumeric(
-            1, [](const FuzzCase &c) {
-                return static_cast<std::uint64_t>(c.gen.repeats);
-            },
-            [](FuzzCase &c, std::uint64_t v) {
-                c.gen.repeats = static_cast<std::int64_t>(v);
-            });
-        sh.shrinkNumeric(
-            1,
-            [](const FuzzCase &c) {
-                return static_cast<std::uint64_t>(c.gen.items);
-            },
-            [](FuzzCase &c, std::uint64_t v) {
-                c.gen.items = static_cast<unsigned>(v);
-            });
-        sh.shrinkNumeric(
-            12, [](const FuzzCase &c) { return c.maxInsts; },
-            [](FuzzCase &c, std::uint64_t v) { c.maxInsts = v; });
-        sh.shrinkNumeric(
-            0,
-            [](const FuzzCase &c) {
-                return static_cast<std::uint64_t>(c.gen.callDepth);
-            },
-            [](FuzzCase &c, std::uint64_t v) {
-                c.gen.callDepth = static_cast<unsigned>(v);
-            });
-        sh.shrinkNumeric(
-            0,
-            [](const FuzzCase &c) {
-                return static_cast<std::uint64_t>(c.gen.loopDepth);
-            },
-            [](FuzzCase &c, std::uint64_t v) {
-                c.gen.loopDepth = static_cast<unsigned>(v);
-            });
-        sh.shrinkNumeric(
-            0,
-            [](const FuzzCase &c) {
-                return static_cast<std::uint64_t>(c.gen.predNestDepth);
-            },
-            [](FuzzCase &c, std::uint64_t v) {
-                c.gen.predNestDepth = static_cast<unsigned>(v);
-            });
-        sh.shrinkNumeric(
-            0,
-            [](const FuzzCase &c) {
-                return static_cast<std::uint64_t>(c.gen.branchDensity);
-            },
-            [](FuzzCase &c, std::uint64_t v) {
-                c.gen.branchDensity = static_cast<unsigned>(v);
-            });
-        sh.shrinkNumeric(
-            0,
-            [](const FuzzCase &c) {
-                return static_cast<std::uint64_t>(c.gen.divEdgePercent);
-            },
-            [](FuzzCase &c, std::uint64_t v) {
-                c.gen.divEdgePercent = static_cast<unsigned>(v);
-            });
-        sh.shrinkNumeric(
-            0,
-            [](const FuzzCase &c) {
-                return static_cast<std::uint64_t>(
-                    c.gen.dataBranchPercent);
-            },
-            [](FuzzCase &c, std::uint64_t v) {
-                c.gen.dataBranchPercent = static_cast<unsigned>(v);
-            });
-        sh.shrinkNumeric(
-            0,
-            [](const FuzzCase &c) {
-                return static_cast<std::uint64_t>(c.gen.hbPressure);
-            },
-            [](FuzzCase &c, std::uint64_t v) {
-                c.gen.hbPressure = static_cast<unsigned>(v);
-            });
-        sh.shrinkNumeric(
-            16,
-            [](const FuzzCase &c) {
-                return static_cast<std::uint64_t>(c.gen.dataWindow);
-            },
-            [](FuzzCase &c, std::uint64_t v) {
-                c.gen.dataWindow = static_cast<std::int64_t>(v);
-            });
-        sh.shrinkNumeric(
-            0,
-            [](const FuzzCase &c) {
-                return static_cast<std::uint64_t>(c.corruptTruncate);
-            },
-            [](FuzzCase &c, std::uint64_t v) {
-                c.corruptTruncate = static_cast<unsigned>(v);
-            });
-        sh.shrinkNumeric(
-            0,
-            [](const FuzzCase &c) {
-                return static_cast<std::uint64_t>(c.corruptFlips);
-            },
-            [](FuzzCase &c, std::uint64_t v) {
-                c.corruptFlips = static_cast<unsigned>(v);
-            });
-
-        sh.shrinkNumeric(
-            1,
-            [](const FuzzCase &c) {
-                return static_cast<std::uint64_t>(c.contexts);
-            },
-            [](FuzzCase &c, std::uint64_t v) {
-                c.contexts = static_cast<unsigned>(v);
-            });
-        sh.shrinkNumeric(
-            0,
-            [](const FuzzCase &c) {
-                return static_cast<std::uint64_t>(c.ctxTagBits);
-            },
-            [](FuzzCase &c, std::uint64_t v) {
-                c.ctxTagBits = static_cast<unsigned>(v);
-            });
+        for (const char *key : shrinkOrder)
+            sh.shrinkNumeric(findCaseField(key));
 
         if (!sh.best.ctxShared && sh.best.contexts > 1) {
             // Shared history is the simpler configuration: no

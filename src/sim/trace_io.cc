@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 
+#include "util/fnv.hh"
 #include "util/logging.hh"
 #include "util/serialize.hh"
 
@@ -167,27 +168,21 @@ recordTrace(Emulator &emu, std::uint64_t max_insts)
 std::uint64_t
 traceFingerprint(const DecodedTrace &trace)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    auto feed = [&hash](const unsigned char *p, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) {
-            hash ^= p[i];
-            hash *= 0x100000001b3ull;
-        }
-    };
+    Fnv1a fnv;
     // The section sizes first, so no shift of bytes between the
     // program and the events can collide.
-    const std::uint64_t sizes[2] = {trace.prog.size(), trace.size()};
-    feed(reinterpret_cast<const unsigned char *>(sizes), sizeof(sizes));
+    fnv.u64(trace.prog.size());
+    fnv.u64(trace.size());
     unsigned char record[instRecordSize];
     for (const Inst &inst : trace.prog.insts) {
         packInst(inst, record);
-        feed(record, instRecordSize);
+        fnv.bytes(record, instRecordSize);
     }
     for (std::size_t i = 0; i < trace.size(); ++i) {
         packEvent(trace, i, record);
-        feed(record, eventRecordBytes);
+        fnv.bytes(record, eventRecordBytes);
     }
-    return hash;
+    return fnv.value();
 }
 
 std::uint64_t

@@ -80,6 +80,19 @@ class Rng
     std::uint64_t state;
 };
 
+/**
+ * splitmix64-style stream splitter: the seed of an independent rng
+ * stream per (seed, role), so one role's draws never shift another's.
+ */
+inline std::uint64_t
+streamSeed(std::uint64_t seed, std::uint64_t stream)
+{
+    std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (stream + 1);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
 } // namespace pabp
 
 #endif // PABP_UTIL_RNG_HH

@@ -24,6 +24,7 @@
 #include "fuzz/fuzz_runner.hh"
 #include "fuzz/oracles.hh"
 #include "fuzz/shrink.hh"
+#include "util/fnv.hh"
 
 #ifndef PABP_CORPUS_DIR
 #error "PABP_CORPUS_DIR must point at tests/corpus"
@@ -83,6 +84,22 @@ TEST(FuzzCorpus, EveryCaseReplaysClean)
                           << fail.status.toString();
         }
     }
+}
+
+TEST(FuzzCorpus, EveryCaseReformatsAsPinned)
+{
+    // Parsing then re-formatting the corpus, pinned by hash: each
+    // key's reader and writer, in the corpus files' own values.
+    Fnv1a fnv;
+    std::size_t cases = 0;
+    for (const std::string &path : corpusPaths()) {
+        Expected<FuzzCase> c = readCaseFile(path);
+        ASSERT_TRUE(c.ok()) << c.status().toString();
+        fnv.str(formatCase(c.value()));
+        ++cases;
+    }
+    EXPECT_EQ(cases, 36u);
+    EXPECT_EQ(fnv.value(), 0x139961fd707af1bfull);
 }
 
 TEST(FuzzCorpus, CoversEveryPredictorKind)

@@ -18,6 +18,7 @@
 #include "fuzz/fuzz_gen.hh"
 #include "fuzz/fuzz_runner.hh"
 #include "fuzz/shrink.hh"
+#include "util/fnv.hh"
 
 namespace pabp::fuzz {
 namespace {
@@ -50,6 +51,9 @@ TEST(FuzzGen, FixedSeedGivesByteIdenticalPrograms)
             << "seed " << seed;
         EXPECT_EQ(a.body.fn.dump(), b.body.fn.dump()) << "seed " << seed;
     }
+    // The config fingerprint names the workload (and so its cache
+    // entries and metrics files): pinned to its historical value.
+    EXPECT_EQ(configFingerprint(cfg), 0x2b88a34965866bffull);
 }
 
 TEST(FuzzGen, DifferentSeedsGiveDifferentPrograms)
@@ -259,6 +263,34 @@ TEST(FuzzCaseFormat, TypedParseErrors)
             .status()
             .code(),
         StatusCode::ParseError);
+
+    // A number too big for its field is rejected, naming the key,
+    // rather than wrapping into a different (smaller) case.
+    const char *const too_big[][2] = {
+        {"size_log2", "4294967304"},
+        {"items", "4294967298"},
+        {"repeats", "9223372036854775808"},
+        {"data_window", "18446744073709551615"},
+    };
+    for (const auto &[key, value] : too_big) {
+        const Status st =
+            parseCase(std::string("format=pabp-fuzz-case-v1\n") + key +
+                      "=" + value + "\n")
+                .status();
+        EXPECT_EQ(st.code(), StatusCode::ParseError) << key;
+        EXPECT_NE(st.message().find(key), std::string::npos)
+            << st.toString();
+    }
+}
+
+TEST(FuzzCaseFormat, DerivedCasesFormatAsPinned)
+{
+    // The canonical text of the first thousand campaign cases, pinned
+    // by hash: every key, default, value and line order of the format.
+    Fnv1a fnv;
+    for (std::uint64_t seed = 1; seed <= 1000; ++seed)
+        fnv.str(formatCase(deriveCase(seed)));
+    EXPECT_EQ(fnv.value(), 0x49dfd478199ead4dull);
 }
 
 TEST(FuzzCaseFormat, EngineSpecRoundTrips)
@@ -321,6 +353,84 @@ TEST(FuzzShrink, ConvergesToMinimalFailingKnobs)
     EXPECT_EQ(r.shrunk.gen.repeats, 1);
     EXPECT_EQ(r.shrunk.gen.callDepth, 0u);
     EXPECT_EQ(r.shrunk.gen.branchDensity, 0u);
+}
+
+TEST(FuzzShrink, MinimizesMultiKnobCaseAsPinned)
+{
+    FuzzCase start;
+    start.name = "shrink-pin";
+    start.seed = 99;
+    start.predictor = "tage";
+    start.sizeLog2 = 10;
+    start.engine.useSfpf = true;
+    start.engine.usePgu = true;
+    start.engine.availDelay = 3;
+    start.gen.items = 12;
+    start.gen.branchDensity = 80;
+    start.gen.predNestDepth = 3;
+    start.gen.loopDepth = 3;
+    start.gen.callDepth = 4;
+    start.gen.hbPressure = 70;
+    start.gen.divEdgePercent = 40;
+    start.gen.dataBranchPercent = 30;
+    start.gen.emptyRas = true;
+    start.gen.dataWindow = 2048;
+    start.gen.repeats = 40;
+    start.corruptFlips = 6;
+    start.corruptSeed = 5;
+    start.corruptTruncate = 100;
+    start.contexts = 4;
+    start.ctxSchedule = ScheduleKind::Bursty;
+    start.ctxQuantum = 64;
+    start.ctxSeed = 3;
+    start.ctxShared = false;
+    start.ctxTagBits = 3;
+
+    // A failure that needs several knobs at once, so every shrink step
+    // - floors, binary descent, the two boolean steps - shows in the
+    // result.
+    FailPredicate pred = [](const FuzzCase &c) {
+        return c.gen.items >= 3 && c.maxInsts >= 300 &&
+            c.gen.callDepth >= 2 && c.gen.hbPressure >= 20 &&
+            c.gen.dataWindow >= 100 && c.corruptTruncate >= 7 &&
+            c.contexts >= 2 && !c.ctxShared && c.gen.repeats >= 5 &&
+            c.gen.divEdgePercent + c.gen.dataBranchPercent >= 25;
+    };
+    ASSERT_TRUE(pred(start));
+    ShrinkResult r = shrinkCaseWith(start, pred, 200);
+    const std::string want = "# pabp fuzz case (docs/FUZZING.md)\n"
+                             "format=pabp-fuzz-case-v1\n"
+                             "name=shrink-pin\n"
+                             "seed=99\n"
+                             "predictor=tage\n"
+                             "size_log2=10\n"
+                             "engine=sfpf+pgu\n"
+                             "avail_delay=3\n"
+                             "oracles=all\n"
+                             "max_insts=324\n"
+                             "items=3\n"
+                             "repeats=5\n"
+                             "branch_density=0\n"
+                             "pred_nest=0\n"
+                             "loop_depth=0\n"
+                             "call_depth=2\n"
+                             "hb_pressure=35\n"
+                             "div_edges=0\n"
+                             "data_branches=30\n"
+                             "empty_ras=0\n"
+                             "data_window=128\n"
+                             "corrupt_flips=0\n"
+                             "corrupt_seed=5\n"
+                             "corrupt_truncate=12\n"
+                             "contexts=2\n"
+                             "ctx_schedule=bursty\n"
+                             "ctx_quantum=64\n"
+                             "ctx_seed=3\n"
+                             "ctx_shared=0\n"
+                             "ctx_tag_bits=0\n";
+    EXPECT_EQ(formatCase(r.shrunk), want);
+    EXPECT_EQ(r.accepted, 28u);
+    EXPECT_EQ(r.attempts, 87u);
 }
 
 TEST(FuzzShrink, RespectsBudget)

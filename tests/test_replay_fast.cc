@@ -1005,5 +1005,39 @@ TEST(SweepFastReplay, MetricsFilesAreByteIdenticalToReference)
     EXPECT_EQ(ref_runner.cacheStats().traceHits, 0u);
 }
 
+TEST(SweepFastReplay, CacheStatsCountScheduleTraffic)
+{
+    // Two predictors over one armed trace: the first cell captures the
+    // replay schedule, the second replays from it. run() frees the
+    // trace after its last cell, so its traffic is counted at release;
+    // runOne() cells leave theirs cached, counted at cacheStats().
+    std::vector<RunSpec> specs;
+    for (const char *pred : {"gshare", "perceptron"}) {
+        RunSpec spec;
+        spec.workload = "interp";
+        spec.predictor = pred;
+        spec.engine.useSfpf = true;
+        spec.engine.usePgu = true;
+        spec.maxInsts = 15000;
+        spec.fastReplay = true;
+        specs.push_back(spec);
+    }
+    SweepRunner released(SweepRunner::Config{1, 0});
+    for (const RunResult &r : released.run(specs))
+        ASSERT_TRUE(r.status.ok()) << r.status.toString();
+    SweepRunner live(SweepRunner::Config{1, 0});
+    for (const RunSpec &spec : specs)
+        ASSERT_TRUE(live.runOne(spec).status.ok());
+
+    for (const SweepRunner *runner : {&released, &live}) {
+        const SweepRunner::CacheStats stats = runner->cacheStats();
+        EXPECT_EQ(stats.scheduleInserts, 1u);
+        EXPECT_EQ(stats.scheduleHits, 1u);
+        EXPECT_EQ(stats.scheduleEvictions, 0u);
+    }
+    EXPECT_EQ(released.cacheStats().traceReleases, 1u);
+    EXPECT_EQ(live.cacheStats().traceReleases, 0u);
+}
+
 } // namespace
 } // namespace pabp

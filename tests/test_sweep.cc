@@ -1444,9 +1444,15 @@ TEST(SweepdOptions, BadSeedsAndSizesAreSetupErrors)
         const char *flag;
         const char *value;
     };
+    // An empty list, an unknown predictor kind or a size the factory
+    // refuses once ran as an empty "drained" grid or as a campaign of
+    // quarantined cells.
     for (const Case &c : {Case{"seeds", "abc"},
                           Case{"seeds", "99999999999999999999999"},
-                          Case{"sizes", "12x"}}) {
+                          Case{"sizes", "12x"}, Case{"seeds", ","},
+                          Case{"sizes", ""}, Case{"workloads", ","},
+                          Case{"predictors", "gsahre"},
+                          Case{"sizes", "40"}}) {
         const SweepdRun run = runSweepd(
             cell + " --" + c.flag + " '" + c.value + "'");
         EXPECT_EQ(run.exitCode, 2) << c.flag << " " << c.value;

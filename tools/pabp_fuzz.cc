@@ -13,9 +13,10 @@
  *                                          hard-to-predict programs and
  *                                          emit the winners as .pabp
  *
- * Each mode runs the five differential oracles (if-conversion,
+ * Each mode runs the eight differential oracles (if-conversion,
  * emulator-vs-pipeline, reference-vs-fast replay, checkpoint/resume,
- * corrupted-trace robustness) plus the sweep-cell cross-check, and
+ * corrupted-trace robustness, the sweep-cell cross-check,
+ * corrupted-journal robustness and multi-context replay), and
  * minimises every failure to a self-contained reproducer.
  *
  * Exit status matches the pabp-stats conventions: 0 = all oracles

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bpred/factory.hh"
 #include "sweep_service.hh"
 #include "util/options.hh"
 #include "workloads/workload.hh"
@@ -50,9 +51,10 @@ splitList(const std::string &text)
     return out;
 }
 
-/** Parse a comma list of decimal integers, each at most @p max, into
- *  @p out. Every entry must pass parseUnsigned (util/options.hh);
- *  false on the first that does not. */
+/** Parse a nonempty comma list of decimal integers, each at most
+ *  @p max, into @p out. Every entry must pass parseUnsigned
+ *  (util/options.hh); false on the first that does not, or for a list
+ *  with no entries. */
 bool
 parseUnsignedList(const std::string &text, std::uint64_t max,
                   std::vector<std::uint64_t> &out)
@@ -63,7 +65,7 @@ parseUnsignedList(const std::string &text, std::uint64_t max,
             return false;
         out.push_back(v);
     }
-    return true;
+    return !out.empty();
 }
 
 struct EngineVariant
@@ -129,9 +131,6 @@ main(int argc, char **argv)
     opts.declare("metrics-dir", "",
                  "ALSO export per-cell metrics JSON files into this "
                  "directory (the journal is the primary sink)");
-    opts.declare("compact-every", "0",
-                 "compact the journal after this many records "
-                 "committed (0 = only at drain)");
     opts.declare("batch-cells", "0",
                  "cells handed to the runner per commit batch "
                  "(0 = 4x jobs)");
@@ -162,10 +161,17 @@ main(int argc, char **argv)
     const std::vector<std::string> known = workloadNames();
     for (const std::string &name : names) {
         if (std::find(known.begin(), known.end(), name) == known.end()) {
-            std::cerr << "pabp-sweepd: unknown workload '" << name
-                      << "'\n";
+            std::cerr << "pabp-sweepd: bad --workloads '"
+                      << opts.str("workloads") << "' (unknown workload '"
+                      << name << "')\n";
             return 2;
         }
+    }
+    if (names.empty()) {
+        std::cerr << "pabp-sweepd: bad --workloads '"
+                  << opts.str("workloads")
+                  << "' (want 'all' or a comma list of workloads)\n";
+        return 2;
     }
 
     std::vector<std::uint64_t> seeds;
@@ -182,6 +188,32 @@ main(int argc, char **argv)
         std::cerr << "pabp-sweepd: bad --sizes '" << opts.str("sizes")
                   << "' (want a comma list of unsigned integers)\n";
         return 2;
+    }
+    // Every (kind, size) pair must build: the factory is the one judge
+    // of both, so a typo'd kind or an unsupported size is a setup
+    // error here rather than a campaign of quarantined cells.
+    const std::vector<std::string> predictors =
+        splitList(opts.str("predictors"));
+    if (predictors.empty()) {
+        std::cerr << "pabp-sweepd: bad --predictors '"
+                  << opts.str("predictors")
+                  << "' (want a comma list of predictor kinds)\n";
+        return 2;
+    }
+    for (const std::string &pred : predictors) {
+        for (const std::uint64_t size : sizes) {
+            const Expected<PredictorPtr> made =
+                tryMakePredictor(pred, static_cast<unsigned>(size));
+            if (made.ok())
+                continue;
+            const char *option =
+                made.status().code() == StatusCode::NotFound ? "predictors"
+                                                             : "sizes";
+            std::cerr << "pabp-sweepd: bad --" << option << " '"
+                      << opts.str(option) << "' ("
+                      << made.status().message() << ")\n";
+            return 2;
+        }
     }
 
     // Every numeric option is checked here, before any cell runs; the
@@ -205,7 +237,6 @@ main(int argc, char **argv)
     const auto backoff_ms =
         static_cast<std::uint32_t>(number("backoff-ms", u32max));
     const auto jobs = static_cast<unsigned>(number("jobs", u32max));
-    const std::uint64_t compact_every = number("compact-every", u64max);
     const std::uint64_t stop_after = number("stop-after", u64max);
     const auto batch_cells =
         static_cast<std::size_t>(number("batch-cells", u64max));
@@ -219,8 +250,7 @@ main(int argc, char **argv)
     std::vector<RunSpec> grid;
     for (const std::uint64_t seed : seeds) {
         for (const std::string &name : names) {
-            for (const std::string &pred :
-                 splitList(opts.str("predictors"))) {
+            for (const std::string &pred : predictors) {
                 for (const std::uint64_t size : sizes) {
                     for (const EngineVariant &variant : configs) {
                         RunSpec spec;
@@ -247,7 +277,6 @@ main(int argc, char **argv)
     config.journalPath =
         deriveShardJournalPath(opts.str("journal"), shard);
     config.shard = shard;
-    config.compactEvery = compact_every;
     config.stopAfter = stop_after;
     config.batchCells = batch_cells;
 
