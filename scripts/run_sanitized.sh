@@ -56,11 +56,14 @@ FUZZ_SEED=${FUZZ_SEED:-1}
 # the target structures themselves - new pointer-juggling paths that
 # deserve both tiers sanitized. 'TraceIo' runs the PABPTRC2 reader,
 # which fills the class lane the scan kernels read straight from
-# (possibly damaged) file bytes.
+# (possibly damaged) file bytes. 'Pipeline|OutcomeLane' runs the Timed
+# cells' windows: each window's batch runs collectStops and
+# captureSchedule at the tier, and the timing step reads the outcome
+# bytes the batch wrote.
 for tier in scalar avx2; do
     PABP_SIMD=$tier ctest --test-dir "$BUILD_DIR" --output-on-failure \
         -j "$(nproc)" \
-        -R 'Simd|FastReplay|DecodedTrace|TraceIo|Tage|InjectContract|MultiCtx|Btb|ContextSchedule|Predictability|Mining'
+        -R 'Simd|FastReplay|DecodedTrace|TraceIo|Tage|InjectContract|MultiCtx|Btb|ContextSchedule|Predictability|Mining|Pipeline|OutcomeLane'
 done
 
 if [ "${PABP_SKIP_TSAN:-0}" != "1" ]; then

@@ -67,7 +67,7 @@ PredictionEngine::rasReturnAccess(std::uint32_t next_pc)
     return correct;
 }
 
-void
+std::uint8_t
 PredictionEngine::batchControlEvent(const DecodedTrace &trace,
                                     std::uint32_t i)
 {
@@ -77,16 +77,16 @@ PredictionEngine::batchControlEvent(const DecodedTrace &trace,
     // stack and halted) touches nothing.
     const bool taken = (trace.flags[i] >> 1) & 1;
     if (!taken)
-        return;
+        return 0;
     const std::uint32_t pc = trace.pcs[i];
     const Opcode op = trace.prog.insts[pc].op;
-    if (op == Opcode::Ret) {
-        rasReturnAccess(trace.nextPcs[i]);
-    } else {
-        if (op == Opcode::Call)
-            rasPtr->push(pc + 1);
-        btbAccess(pc, trace.nextPcs[i]);
-    }
+    if (op == Opcode::Ret)
+        return rasReturnAccess(trace.nextPcs[i])
+            ? outcomeRasReturn | outcomeRasCorrect
+            : outcomeRasReturn;
+    if (op == Opcode::Call)
+        rasPtr->push(pc + 1);
+    return btbAccess(pc, trace.nextPcs[i]) ? outcomeTargetMiss : 0;
 }
 
 ProcessResult
@@ -391,6 +391,9 @@ PredictionEngine::captureSchedule(const DecodedTrace &trace,
     const std::uint32_t *branches = stopBuf.get();
     const std::uint32_t *defs = defBuf.get();
     s.nBranches = stops.branches;
+    // The stop buffers hold lane indices; the predicate file and the
+    // PGU queue speak global sequence numbers.
+    const std::uint64_t seq0 = trace.firstSeq;
 
     if constexpr (UseSfpf) {
         shadowFile = predFile;
@@ -415,8 +418,8 @@ PredictionEngine::captureSchedule(const DecodedTrace &trace,
             constexpr unsigned trash = BatchPredicateView::trashReg;
             const unsigned r0 = writes >= 1 ? trace.predReg0[i] : trash;
             const unsigned r1 = writes >= 2 ? trace.predReg1[i] : trash;
-            predView.writeMasked(i, r0, v & 1);
-            predView.writeMasked(i, r1, (v >> 1) & 1);
+            predView.writeMasked(seq0 + i, r0, v & 1);
+            predView.writeMasked(seq0 + i, r1, (v >> 1) & 1);
             if (cfg.conservativeDefTracking) {
                 const std::uint8_t regs[2] = {trace.predReg0[i],
                                               trace.predReg1[i]};
@@ -428,9 +431,9 @@ PredictionEngine::captureSchedule(const DecodedTrace &trace,
                     return false;
                 };
                 if (!written(inst.pdst1))
-                    predView.writeNoop(i, inst.pdst1);
+                    predView.writeNoop(seq0 + i, inst.pdst1);
                 if (inst.op == Opcode::Cmp && !written(inst.pdst2))
-                    predView.writeNoop(i, inst.pdst2);
+                    predView.writeNoop(seq0 + i, inst.pdst2);
             }
         }
         if constexpr (UsePgu) {
@@ -453,7 +456,7 @@ PredictionEngine::captureSchedule(const DecodedTrace &trace,
             while (d < stops.defines && defs[d] < i)
                 define(defs[d++]);
             const std::optional<bool> g =
-                predView.read(trace.inst(i).qp, i);
+                predView.read(trace.inst(i).qp, seq0 + i);
             s.guard[b] = g.has_value()
                 ? static_cast<std::uint8_t>(
                       1u | (static_cast<unsigned>(*g) << 1))
@@ -490,7 +493,7 @@ PredictionEngine::captureSchedule(const DecodedTrace &trace,
         std::uint64_t word = 0;
         for (std::uint64_t b = 0; b <= stops.branches; ++b) {
             const std::uint64_t seq =
-                b < stops.branches ? branches[b] : endSeq;
+                b < stops.branches ? seq0 + branches[b] : endSeq;
             while (c < bits.size() && (bits[c] >> 1) + delay <= seq) {
                 word = (word << 1) | (bits[c] & 1);
                 ++c;
@@ -504,11 +507,12 @@ PredictionEngine::captureSchedule(const DecodedTrace &trace,
 template <bool Armed, typename Pred>
 void
 PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
-                            std::uint64_t first, std::uint64_t count)
+                            std::uint64_t first, std::uint64_t count,
+                            std::uint8_t *outcomes)
 {
     // MIRROR of process() over the trace's flat lanes: no DynInst is
-    // built anywhere, and seq is the lane index by the decoded trace's
-    // construction.
+    // built anywhere, and seq is trace.firstSeq plus the lane index by
+    // the decoded trace's construction.
     //
     // Three deliberate restructurings, each invisible to every
     // observer (stats, profile, exported metrics, checkpoint bytes -
@@ -541,7 +545,10 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
         return;
     engineStats.insts += count;
     const std::uint64_t end = first + count;
-    const std::uint64_t endSeq = end - 1;
+    const std::uint64_t endSeq = trace.firstSeq + end - 1;
+    // Only the events with a decision below get a nonzero byte.
+    if (outcomes)
+        std::fill_n(outcomes, count, std::uint8_t{0});
 
     // Rebuilt per batch: a profile restore between batches (a
     // checkpoint load) would otherwise leave stale row pointers.
@@ -693,11 +700,16 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     // order.
     const std::uint32_t *uncs = uncondBuf.get();
     std::uint64_t uNext = 0;
+    auto controlEvent = [&](std::uint32_t i) {
+        const std::uint8_t out = batchControlEvent(trace, i);
+        if (outcomes)
+            outcomes[i - first] = out;
+    };
     for (std::uint64_t b = 0; b < stops.branches; ++b) {
         const std::uint32_t i = stop[b];
         if (targets) {
             while (uNext < stops.uncond && uncs[uNext] < i)
-                batchControlEvent(trace, uncs[uNext++]);
+                controlEvent(uncs[uNext++]);
         }
         const std::uint32_t pc = trace.pcs[i];
         const Inst &inst = trace.prog.insts[pc];
@@ -713,13 +725,17 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
         // Taken and correctly predicted: the front end followed a
         // BTB-supplied target (a mispredict restarts from the resolve
         // instead - no table touch; reference path in process()).
-        if (targets && !misp && ((f >> 1) & 1))
+        const bool target_miss = targets && !misp && ((f >> 1) & 1) &&
             btbAccess(pc, trace.nextPcs[i]);
+        if (outcomes)
+            outcomes[i - first] =
+                misp ? outcomeMispredicted
+                     : (target_miss ? outcomeTargetMiss : 0);
     }
     if (targets) {
         // Uncond transfers after the last conditional branch.
         while (uNext < stops.uncond)
-            batchControlEvent(trace, uncs[uNext++]);
+            controlEvent(uncs[uNext++]);
     }
 
     // Sync the deferred state to where the reference loop leaves it
@@ -741,28 +757,30 @@ template <bool Armed>
 void
 PredictionEngine::batchDispatch(const DecodedTrace &trace,
                                 std::uint64_t first,
-                                std::uint64_t count)
+                                std::uint64_t count,
+                                std::uint8_t *outcomes)
 {
     // Identify the hot predictors once per batch; inside the loop
     // their final predictAndUpdate then binds statically. Anything
     // else runs the same loop through the base interface (still one
     // virtual call per branch instead of two).
     if (auto *g = dynamic_cast<GSharePredictor *>(&pred))
-        batchLoop<Armed>(*g, trace, first, count);
+        batchLoop<Armed>(*g, trace, first, count, outcomes);
     else if (auto *c = dynamic_cast<CombiningPredictor *>(&pred))
-        batchLoop<Armed>(*c, trace, first, count);
+        batchLoop<Armed>(*c, trace, first, count, outcomes);
     else if (auto *p = dynamic_cast<PerceptronPredictor *>(&pred))
-        batchLoop<Armed>(*p, trace, first, count);
+        batchLoop<Armed>(*p, trace, first, count, outcomes);
     else if (auto *t = dynamic_cast<TagePredictor *>(&pred))
-        batchLoop<Armed>(*t, trace, first, count);
+        batchLoop<Armed>(*t, trace, first, count, outcomes);
     else
-        batchLoop<Armed>(pred, trace, first, count);
+        batchLoop<Armed>(pred, trace, first, count, outcomes);
 }
 
 std::uint64_t
 PredictionEngine::processBatch(const DecodedTrace &trace,
                                std::uint64_t first,
-                               std::uint64_t max_insts)
+                               std::uint64_t max_insts,
+                               std::uint8_t *outcomes)
 {
     if (first >= trace.size())
         return first; // clamped, like replayTraceFrom
@@ -772,9 +790,9 @@ PredictionEngine::processBatch(const DecodedTrace &trace,
     // A base run takes the loop with every technique branch folded
     // away; any armed technique takes the loop that reads them.
     if (cfg.useSfpf || cfg.usePgu || cfg.useSpeculativeSquash)
-        batchDispatch<true>(trace, first, count);
+        batchDispatch<true>(trace, first, count, outcomes);
     else
-        batchDispatch<false>(trace, first, count);
+        batchDispatch<false>(trace, first, count, outcomes);
     return first + count;
 }
 

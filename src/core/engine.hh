@@ -163,6 +163,28 @@ struct ProcessResult
     /** @} */
 };
 
+/** @name Outcome bytes
+ * PredictionEngine::processBatch can report one byte per event: the
+ * ProcessResult fields a timing model charges cycles for, packed.
+ * An event the engine makes no such decision on reads 0.
+ * @{ */
+inline constexpr std::uint8_t outcomeMispredicted = 1; ///< cond branch
+inline constexpr std::uint8_t outcomeRasReturn = 2;
+inline constexpr std::uint8_t outcomeRasCorrect = 4;
+inline constexpr std::uint8_t outcomeTargetMiss = 8;
+
+/** The outcome byte of @p r. */
+inline std::uint8_t
+packOutcome(const ProcessResult &r)
+{
+    return static_cast<std::uint8_t>(
+        (r.condBranch && r.mispredicted ? outcomeMispredicted : 0) |
+        (r.rasReturn ? outcomeRasReturn : 0) |
+        (r.rasCorrect ? outcomeRasCorrect : 0) |
+        (r.targetMiss ? outcomeTargetMiss : 0));
+}
+/** @} */
+
 /** Drives predictor + SFPF + PGU over a dynamic trace. */
 class PredictionEngine
 {
@@ -192,11 +214,16 @@ class PredictionEngine
      *
      * Returns the index one past the last event processed; @p first
      * at or past the end processes nothing and returns @p first
-     * unchanged (same clamped contract as replayTraceFrom).
+     * unchanged (same clamped contract as replayTraceFrom). A
+     * non-null @p outcomes receives, at index k, the outcome byte
+     * packOutcome(process(trace.materialise(first + k))) would give
+     * for every processed event - what the cycle-level pipeline
+     * charges its front-end bubbles from.
      */
     std::uint64_t processBatch(const DecodedTrace &trace,
                                std::uint64_t first,
-                               std::uint64_t max_insts);
+                               std::uint64_t max_insts,
+                               std::uint8_t *outcomes = nullptr);
 
     const EngineStats &stats() const { return engineStats; }
     std::uint64_t pguBitsInserted() const { return pgu.bitsInserted(); }
@@ -315,8 +342,10 @@ class PredictionEngine
      *  the popped target matched @p next_pc. */
     bool rasReturnAccess(std::uint32_t next_pc);
     /** Batch mirror of the reference path's non-cond-branch target
-     *  handling: one UncondControl event of @p trace. */
-    void batchControlEvent(const DecodedTrace &trace, std::uint32_t i);
+     *  handling: one UncondControl event of @p trace. Returns its
+     *  outcome byte. */
+    std::uint8_t batchControlEvent(const DecodedTrace &trace,
+                                   std::uint32_t i);
     /** @} */
 
     /** The reference path's predicate-define handling (process());
@@ -334,10 +363,11 @@ class PredictionEngine
      * @{ */
     template <bool Armed>
     void batchDispatch(const DecodedTrace &trace, std::uint64_t first,
-                       std::uint64_t count);
+                       std::uint64_t count, std::uint8_t *outcomes);
     template <bool Armed, typename Pred>
     void batchLoop(Pred &bp, const DecodedTrace &trace,
-                   std::uint64_t first, std::uint64_t count);
+                   std::uint64_t first, std::uint64_t count,
+                   std::uint8_t *outcomes);
     /** @p guardState is the SFPF guard the replay schedule resolved
      *  at this branch's sequence: bit0 = known at fetch, bit1 = its
      *  value (0 when the SFPF is off). Returns mispredicted, so
@@ -351,10 +381,12 @@ class PredictionEngine
     /** The define-only pass: fill @p s's payload (guards, PGU bit
      *  stream and drain plan, predicate-file exit state) from the
      *  batch's @p stops, starting from the engine's current predicate
-     *  state. Reads no predictor state and leaves the engine's
-     *  predicate components untouched (it works on shadowFile). Its
-     *  two flags stay template parameters: this pass is the whole
-     *  cost of a schedule-cache miss, and it visits every define. */
+     *  state. @p endSeq is the sequence number (not the lane index)
+     *  of the batch's last event. Reads no predictor state and leaves
+     *  the engine's predicate components untouched (it works on
+     *  shadowFile). Its two flags stay template parameters: this pass
+     *  is the whole cost of a schedule-cache miss, and it visits every
+     *  define. */
     template <bool UseSfpf, bool UsePgu>
     void captureSchedule(const DecodedTrace &trace,
                          const simd::CollectResult &stops,

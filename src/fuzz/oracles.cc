@@ -186,7 +186,8 @@ oracleIfConvert(const FuzzCase &c, CaseContext &ctx)
 }
 
 // ---------------------------------------------------------------------
-// Oracle 2: emulator-driven vs pipeline-driven engine.
+// Oracle 2: emulator-driven vs pipeline-driven engine, and the
+// windowed pipeline vs its per-instruction reference run.
 
 Status
 oraclePipeline(const FuzzCase &c, CaseContext &ctx)
@@ -195,13 +196,16 @@ oraclePipeline(const FuzzCase &c, CaseContext &ctx)
 
     Expected<PredictorPtr> predA = makeCasePredictor(c);
     Expected<PredictorPtr> predB = makeCasePredictor(c);
+    Expected<PredictorPtr> predC = makeCasePredictor(c);
     if (!predA.ok())
         return predA.status();
     if (!predB.ok())
         return predB.status();
+    if (!predC.ok())
+        return predC.status();
 
     // The pipeline requires an engine with target modelling armed;
-    // arm it on BOTH engines so the compared stats (which include the
+    // arm it on EVERY engine so the compared stats (which include the
     // BTB/RAS counters) are produced by identical configurations.
     EngineConfig ecfg = c.engine;
     ecfg.modelTargets = true;
@@ -217,7 +221,14 @@ oraclePipeline(const FuzzCase &c, CaseContext &ctx)
     if (p.body.init)
         p.body.init(emuB.state());
     Pipeline pipe(engineB, PipelineConfig{});
-    pipe.run(emuB, c.maxInsts);
+    const PipelineStats windowed = pipe.run(emuB, c.maxInsts);
+
+    PredictionEngine engineC(*predC.value(), ecfg);
+    Emulator emuC(p.converted.prog, EmuConfig{oracleMemWords, 0});
+    if (p.body.init)
+        p.body.init(emuC.state());
+    Pipeline refPipe(engineC, PipelineConfig{});
+    const PipelineStats reference = refPipe.runReference(emuC, c.maxInsts);
 
     if (emuA.instsExecuted() != emuB.instsExecuted())
         return diverged(
@@ -234,6 +245,18 @@ oraclePipeline(const FuzzCase &c, CaseContext &ctx)
     if (!(engineA.branchProfile() == engineB.branchProfile()))
         return diverged("per-branch profiles differ between "
                         "emulator-driven and pipeline-driven runs");
+    if (!(windowed == reference))
+        return diverged(
+            "windowed pipeline timing differs from the per-instruction "
+            "reference: cycles " +
+            std::to_string(windowed.cycles) + " vs " +
+            std::to_string(reference.cycles) + ", insts " +
+            std::to_string(windowed.insts) + " vs " +
+            std::to_string(reference.insts));
+    if (!(engineC.stats() == engineB.stats()))
+        return diverged("engine stats differ between the windowed and "
+                        "the reference pipeline runs:" +
+                        statsDiff(engineC.stats(), engineB.stats()));
     return {};
 }
 

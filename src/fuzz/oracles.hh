@@ -11,7 +11,9 @@
  *              converted one passes pred_verify.
  *  pipeline:   the prediction engine sees the same stream (same
  *              EngineStats, bit for bit) whether driven by the bare
- *              emulator (runTrace) or by the cycle-level pipeline.
+ *              emulator (runTrace) or by the cycle-level pipeline,
+ *              and the windowed Pipeline::run charges the same
+ *              PipelineStats as the per-instruction runReference.
  *  replay:     a reference engine driven by a live emulator
  *              (runTrace) vs PredictionEngine::processBatch over the
  *              recorded trace (one-shot, schedule-cache hit, chunked):

@@ -2,122 +2,114 @@
 
 #include <algorithm>
 
+#include "sim/trace_io.hh"
 #include "util/logging.hh"
 
 namespace pabp {
 
 Pipeline::Pipeline(PredictionEngine &engine_, PipelineConfig config)
     : engine(engine_), cfg(config), icache(config.icache),
-      dcache(config.dcache), l2(config.l2)
+      dcache(config.dcache)
 {
     pabp_assert(cfg.issueWidth >= 1);
     // The engine owns the BTB/RAS and reports target outcomes through
     // ProcessResult; an engine without target modelling would leave
     // every taken-branch bubble at the optimistic minimum.
     pabp_assert(engine.config().modelTargets);
-}
-
-std::uint64_t
-Pipeline::execLatency(const DynInst &dyn)
-{
-    const Inst &inst = *dyn.inst;
-    switch (inst.op) {
-      case Opcode::Mul:
-        return cfg.mulLatency;
-      case Opcode::Div:
-        return cfg.divLatency;
-      case Opcode::Load:
-      case Opcode::Store: {
-        if (!dyn.guard)
-            return cfg.aluLatency; // squashed access, address only
-        auto addr = static_cast<std::uint64_t>(dyn.effAddr);
-        bool hit = dcache.access(addr);
-        bool l2_hit = true;
-        if (!hit) {
-            ++pipeStats.dcacheMisses;
-            if (cfg.enableL2) {
-                l2_hit = l2.access(addr);
-                if (!l2_hit)
-                    ++pipeStats.l2Misses;
-            }
-        }
-        if (inst.op == Opcode::Load) {
-            if (hit)
-                return cfg.loadHitLatency;
-            return l2_hit ? cfg.loadMissLatency : cfg.memoryLatency;
-        }
-        return cfg.aluLatency; // stores retire via the write buffer
-      }
-      default:
-        return cfg.aluLatency;
-    }
-}
-
-std::uint64_t
-Pipeline::operandsReady(const DynInst &dyn) const
-{
-    const Inst &inst = *dyn.inst;
-    std::uint64_t ready = 0;
-    auto need_gpr = [&](unsigned reg) {
-        ready = std::max(ready, regReady[reg]);
-    };
-
-    if (inst.isGuarded() && inst.qp != 0)
-        ready = std::max(ready, predReady[inst.qp]);
-
-    switch (inst.op) {
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::Div:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Shl:
-      case Opcode::Shr:
-      case Opcode::Cmp:
-        need_gpr(inst.src1);
-        if (!inst.hasImm)
-            need_gpr(inst.src2);
-        break;
-      case Opcode::Mov:
-        if (!inst.hasImm)
-            need_gpr(inst.src1);
-        break;
-      case Opcode::Load:
-        need_gpr(inst.src1);
-        break;
-      case Opcode::Store:
-        need_gpr(inst.src1);
-        need_gpr(inst.src2);
-        break;
-      default:
-        break;
-    }
-    return ready;
+    if (cfg.enableL2)
+        l2.emplace(cfg.l2);
+    // Lanes of windowEvents entries, refilled in place per window. The
+    // window has no schedule cache, so every window's batch captures
+    // its own replay schedule and publishes nothing.
+    for (auto *lane : {&window.cls, &window.flags, &window.predReg0,
+                       &window.predReg1, &window.predVal, &outcomes})
+        lane->resize(windowEvents);
+    window.pcs.resize(windowEvents);
+    window.nextPcs.resize(windowEvents);
+    effAddrs.resize(windowEvents);
 }
 
 void
-Pipeline::issueOne(const DynInst &dyn)
+Pipeline::bindProgram(const Program &prog)
 {
-    const Inst &inst = *dyn.inst;
+    if (&prog == boundProgram)
+        return;
+    boundProgram = &prog;
+    classes = classTable(prog);
+    operands.resize(prog.size());
+    for (std::size_t pc = 0; pc < prog.size(); ++pc) {
+        const Inst &inst = prog.insts[pc];
+        Operands &o = operands[pc];
+        o = Operands{0, 0, 0, 0, inst.op};
+        if (inst.isGuarded())
+            o.qp = inst.qp;
+        switch (inst.op) {
+          case Opcode::Add:
+          case Opcode::Sub:
+          case Opcode::Mul:
+          case Opcode::Div:
+          case Opcode::And:
+          case Opcode::Or:
+          case Opcode::Xor:
+          case Opcode::Shl:
+          case Opcode::Shr:
+          case Opcode::Cmp:
+            o.src1 = inst.src1;
+            if (!inst.hasImm)
+                o.src2 = inst.src2;
+            break;
+          case Opcode::Mov:
+            if (!inst.hasImm)
+                o.src1 = inst.src1;
+            break;
+          case Opcode::Load:
+            o.src1 = inst.src1;
+            break;
+          case Opcode::Store:
+            o.src1 = inst.src1;
+            o.src2 = inst.src2;
+            break;
+          default:
+            break;
+        }
+        // Only these ops write a GPR (when their guard holds).
+        if (inst.op == Opcode::Load || inst.op == Opcode::Mov ||
+            (inst.op >= Opcode::Add && inst.op <= Opcode::Shr))
+            o.dst = inst.dst;
+    }
+    // The lanes index the window's own copy of the program.
+    window.prog = prog;
+}
+
+PABP_ALWAYS_INLINE void
+Pipeline::timeEvent(std::uint32_t pc, std::uint8_t flags,
+                    std::uint8_t pred_reg0, std::uint8_t pred_reg1,
+                    std::int64_t eff_addr, std::uint8_t outcome)
+{
+    const Operands &o = operands[pc];
+    const bool guard = flags & 1;
 
     // Instruction fetch: a line miss delays availability. In the
     // unified L2, instruction lines live in a disjoint address space
     // (high bit set) so they never falsely share data lines.
-    if (!icache.access(dyn.pc)) {
-        ++pipeStats.icacheMisses;
-        unsigned penalty = cfg.icacheMissPenalty;
-        if (cfg.enableL2 &&
-            !l2.access(static_cast<std::uint64_t>(dyn.pc) |
-                       (std::uint64_t{1} << 40))) {
-            ++pipeStats.l2Misses;
-            penalty = cfg.memoryLatency;
+    const std::uint64_t line = pc >> cfg.icache.lineWordsLog2;
+    if (line != lastFetchLine) {
+        lastFetchLine = line;
+        if (!icache.access(pc)) {
+            ++pipeStats.icacheMisses;
+            unsigned penalty = cfg.icacheMissPenalty;
+            if (l2 && !l2->access(static_cast<std::uint64_t>(pc) |
+                                  (std::uint64_t{1} << 40))) {
+                ++pipeStats.l2Misses;
+                penalty = cfg.memoryLatency;
+            }
+            fetchReady = std::max(fetchReady, cycle) + penalty;
         }
-        fetchReady = std::max(fetchReady, cycle) + penalty;
     }
 
-    std::uint64_t earliest = std::max(fetchReady, operandsReady(dyn));
+    const std::uint64_t operands_ready =
+        std::max({predReady[o.qp], regReady[o.src1], regReady[o.src2]});
+    const std::uint64_t earliest = std::max(fetchReady, operands_ready);
     if (earliest > cycle) {
         cycle = earliest;
         slotsUsed = 0;
@@ -128,36 +120,57 @@ Pipeline::issueOne(const DynInst &dyn)
     }
     ++slotsUsed;
 
-    std::uint64_t done = cycle + execLatency(dyn);
+    std::uint64_t latency = cfg.aluLatency;
+    if (o.op == Opcode::Mul) {
+        latency = cfg.mulLatency;
+    } else if (o.op == Opcode::Div) {
+        latency = cfg.divLatency;
+    } else if ((o.op == Opcode::Load || o.op == Opcode::Store) && guard) {
+        // A squashed access computes its address only (ALU latency);
+        // stores retire via the write buffer.
+        const auto addr = static_cast<std::uint64_t>(eff_addr);
+        const bool hit = dcache.access(addr);
+        bool l2_hit = true;
+        if (!hit) {
+            ++pipeStats.dcacheMisses;
+            if (l2) {
+                l2_hit = l2->access(addr);
+                if (!l2_hit)
+                    ++pipeStats.l2Misses;
+            }
+        }
+        if (o.op == Opcode::Load)
+            latency = hit ? cfg.loadHitLatency
+                          : (l2_hit ? cfg.loadMissLatency
+                                    : cfg.memoryLatency);
+    }
+    const std::uint64_t done = cycle + latency;
 
     // Destination readiness (only architecturally performed writes).
-    if (dyn.guard && inst.dst != 0 &&
-        (inst.op == Opcode::Load || inst.op == Opcode::Mov ||
-         (inst.op >= Opcode::Add && inst.op <= Opcode::Shr))) {
-        regReady[inst.dst] = done;
-    }
-    for (unsigned i = 0; i < dyn.numPredWrites; ++i)
-        predReady[dyn.predWrites[i].reg] = done;
+    if (guard && o.dst != 0)
+        regReady[o.dst] = done;
+    const unsigned pred_writes = flags >> 2;
+    if (pred_writes >= 1)
+        predReady[pred_reg0] = done;
+    if (pred_writes >= 2)
+        predReady[pred_reg1] = done;
 
-    // Control flow: prediction outcome drives the front end. Both
-    // squash kinds need no separate handling here: an SFPF squash
-    // (result.squashed) is a certain not-taken prediction and never
-    // mispredicts, and a wrong speculative squash
-    // (result.specSquashed) already surfaces as mispredicted - the
-    // full restart below is exactly its penalty.
-    // The engine performs the BTB probes and RAS pops itself
-    // (EngineConfig::modelTargets) and reports the outcomes; this
-    // model only converts them into front-end bubbles.
-    ProcessResult result = engine.process(dyn);
-    if (result.condBranch && result.mispredicted) {
-        std::uint64_t resolve = cycle + 1;
-        std::uint64_t restart = resolve + cfg.mispredictPenalty;
+    // Control flow: the engine's outcome drives the front end. Both
+    // squash kinds need no separate handling here: an SFPF squash is
+    // a certain not-taken prediction and never mispredicts, and a
+    // wrong speculative squash already surfaces as mispredicted - the
+    // full restart below is exactly its penalty. The engine performs
+    // the BTB probes and RAS pops itself (EngineConfig::modelTargets);
+    // this model only converts the outcomes into front-end bubbles.
+    if (outcome & outcomeMispredicted) {
+        const std::uint64_t resolve = cycle + 1;
+        const std::uint64_t restart = resolve + cfg.mispredictPenalty;
         pipeStats.mispredictStallCycles += restart - fetchReady;
         fetchReady = std::max(fetchReady, restart);
-    } else if (result.rasReturn) {
+    } else if (outcome & outcomeRasReturn) {
         // Return targets come from the return address stack; a stale
         // or underflowed RAS costs a full front-end restart.
-        if (result.rasCorrect) {
+        if (outcome & outcomeRasCorrect) {
             ++pipeStats.rasHits;
             fetchReady = std::max(fetchReady, cycle + cfg.takenBubble);
         } else {
@@ -165,11 +178,12 @@ Pipeline::issueOne(const DynInst &dyn)
             fetchReady = std::max(
                 fetchReady, cycle + 1 + cfg.mispredictPenalty);
         }
-    } else if (dyn.isControl && dyn.taken) {
-        // Correctly predicted (or unconditional) taken transfer:
-        // redirect bubble, larger when the BTB lacked the target.
+    } else if ((flags >> 1) & 1) {
+        // Correctly predicted (or unconditional) taken transfer - only
+        // control instructions are ever taken: redirect bubble, larger
+        // when the BTB lacked the target.
         unsigned bubble = cfg.takenBubble;
-        if (result.targetMiss) {
+        if (outcome & outcomeTargetMiss) {
             ++pipeStats.btbMisses;
             bubble += cfg.btbMissPenalty;
         }
@@ -183,10 +197,43 @@ Pipeline::issueOne(const DynInst &dyn)
 const PipelineStats &
 Pipeline::run(Emulator &emu, std::uint64_t max_insts)
 {
+    bindProgram(emu.program());
+    std::uint64_t left = max_insts;
+    while (left > 0) {
+        const auto n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(left, windowEvents));
+        // Record: lane 0 is the emulator's next instruction.
+        window.firstSeq = emu.instsExecuted();
+        const std::size_t got = recordEvents(emu, classes.data(), window,
+                                             0, n, effAddrs.data());
+        // Decide: no engine decision depends on the timing, so the
+        // whole window is decided before any of it is timed.
+        engine.processBatch(window, 0, got, outcomes.data());
+        // Time.
+        for (std::size_t i = 0; i < got; ++i)
+            timeEvent(window.pcs[i], window.flags[i], window.predReg0[i],
+                      window.predReg1[i], effAddrs[i], outcomes[i]);
+        left -= got;
+        if (got < n)
+            break; // halted, or the emulator's fuse blew
+    }
+    pipeStats.cycles = std::max(pipeStats.cycles, cycle + 1);
+    return pipeStats;
+}
+
+const PipelineStats &
+Pipeline::runReference(Emulator &emu, std::uint64_t max_insts)
+{
+    bindProgram(emu.program());
     DynInst dyn;
     std::uint64_t processed = 0;
     while (processed < max_insts && emu.step(dyn)) {
-        issueOne(dyn);
+        const std::uint8_t outcome = packOutcome(engine.process(dyn));
+        const auto flags = static_cast<std::uint8_t>(
+            (dyn.guard ? 1 : 0) | (dyn.taken ? 2 : 0) |
+            (dyn.numPredWrites << 2));
+        timeEvent(dyn.pc, flags, dyn.predWrites[0].reg,
+                  dyn.predWrites[1].reg, dyn.effAddr, outcome);
         ++processed;
     }
     pipeStats.cycles = std::max(pipeStats.cycles, cycle + 1);

@@ -1,9 +1,9 @@
 /**
  * @file
- * Trace-driven in-order EPIC pipeline timing model.
+ * In-order EPIC pipeline timing model over the emulator's committed
+ * instruction stream.
  *
- * The golden emulator supplies the committed instruction stream; this
- * model charges cycles for it the way a wide in-order (Itanium-like)
+ * The model charges cycles the way a wide in-order (Itanium-like)
  * machine would: W-wide issue, scoreboarded operand readiness with
  * per-class latencies, guarded instructions waiting on their
  * qualifying predicate, I/D cache latencies, BTB-guided redirects for
@@ -11,12 +11,27 @@
  * mispredict reported by the prediction engine. Predicated-false
  * instructions still consume issue slots (the cost predication trades
  * against mispredicts), but do not access memory or write registers.
+ *
+ * run() advances in windows of at most windowEvents events, in three
+ * passes per window: the interpreter records the window into reused
+ * DecodedTrace lanes plus an effective-address lane (recordEvents(),
+ * the recorder body recordTrace() runs); the engine's batch loop
+ * (PredictionEngine::processBatch) decides every event and writes one
+ * outcome byte each; one per-event timing step then charges cycles
+ * from the lanes and the outcome bytes. No decision depends on the
+ * timing, so the passes reproduce the per-instruction interleaving
+ * exactly. runReference() drives the same timing step from
+ * Emulator::step() and PredictionEngine::process(), one instruction
+ * at a time; it is the oracle the windowed run is checked against
+ * (tests/test_pipeline.cc, fuzz oracle 2).
  */
 
 #ifndef PABP_PIPELINE_PIPELINE_HH
 #define PABP_PIPELINE_PIPELINE_HH
 
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "core/engine.hh"
 #include "mem/cache.hh"
@@ -76,6 +91,8 @@ struct PipelineStats
     std::uint64_t rasMisses = 0;
     std::uint64_t mispredictStallCycles = 0;
 
+    bool operator==(const PipelineStats &) const = default;
+
     double
     ipc() const
     {
@@ -89,6 +106,10 @@ struct PipelineStats
 class Pipeline
 {
   public:
+    /** Events per window: the window's lanes, effective addresses and
+     *  outcome bytes take about 90 KiB. */
+    static constexpr std::size_t windowEvents = 4096;
+
     /**
      * @param engine Prediction engine (owns the branch stats AND the
      *        target structures - it must be constructed with
@@ -99,10 +120,19 @@ class Pipeline
     Pipeline(PredictionEngine &engine, PipelineConfig config);
 
     /**
-     * Simulate up to @p max_insts instructions from @p emu. Returns
-     * the accumulated stats (also available via stats()).
+     * Simulate up to @p max_insts instructions from @p emu, in
+     * windows (see the file comment). Returns the accumulated stats
+     * (also available via stats()). A Pipeline times one program: its
+     * per-pc tables are built on the first run() and rebuilt only when
+     * @p emu runs a different Program object.
      */
     const PipelineStats &run(Emulator &emu, std::uint64_t max_insts);
+
+    /** run()'s reference: step() plus process() per instruction into
+     *  the same timing step. Same stats, engine state and emulator
+     *  state as run(); kept as the oracle. */
+    const PipelineStats &runReference(Emulator &emu,
+                                      std::uint64_t max_insts);
 
     const PipelineStats &stats() const { return pipeStats; }
 
@@ -111,7 +141,8 @@ class Pipeline
     PipelineConfig cfg;
     Cache icache;
     Cache dcache;
-    Cache l2;
+    /** Built only when cfg.enableL2. */
+    std::optional<Cache> l2;
     PipelineStats pipeStats;
 
     std::uint64_t regReady[numGprs] = {};
@@ -120,10 +151,44 @@ class Pipeline
     std::uint64_t cycle = 0;        ///< current issue cycle
     unsigned slotsUsed = 0;
     std::uint64_t fetchReady = 0;   ///< earliest issue due to front end
+    /** Icache line of the last fetch: a fetch from the same line hits
+     *  and changes no replacement order, so it skips the probe. */
+    std::uint64_t lastFetchLine = ~std::uint64_t{0};
 
-    std::uint64_t execLatency(const DynInst &dyn);
-    std::uint64_t operandsReady(const DynInst &dyn) const;
-    void issueOne(const DynInst &dyn);
+    /** What the timing step needs of a static instruction. Register 0
+     *  of either file is never written here, so an operand the
+     *  instruction does not read points at register 0 (always ready),
+     *  and dst 0 means no register write. */
+    struct Operands
+    {
+        std::uint8_t qp;
+        std::uint8_t src1;
+        std::uint8_t src2;
+        std::uint8_t dst;
+        Opcode op;
+    };
+    /** @name Per-program tables (bindProgram)
+     * @{ */
+    const Program *boundProgram = nullptr;
+    std::vector<Operands> operands; ///< by pc
+    std::vector<std::uint8_t> classes; ///< classTable(), by pc
+    /** @} */
+
+    /** @name The reused event window (run())
+     * @{ */
+    DecodedTrace window;
+    std::vector<std::int64_t> effAddrs;
+    std::vector<std::uint8_t> outcomes;
+    /** @} */
+
+    void bindProgram(const Program &prog);
+    /** Charge one event: the per-event timing step run() and
+     *  runReference() share. @p flags and the predicate-write
+     *  registers are the trace-lane encodings; @p outcome is the
+     *  engine's outcome byte. */
+    void timeEvent(std::uint32_t pc, std::uint8_t flags,
+                   std::uint8_t pred_reg0, std::uint8_t pred_reg1,
+                   std::int64_t eff_addr, std::uint8_t outcome);
 };
 
 } // namespace pabp

@@ -5,17 +5,18 @@
  *
  * Each per-event lane the engine's batch loop touches (pc, opcode
  * class, guard/taken flags, predicate-write payload) is a flat
- * contiguous array indexed by sequence number, so the inner loop is a
- * handful of indexed loads with no per-step DynInst construction. The
- * pc lane doubles as the static-instruction index (a trace pc IS an
- * index into the owned program), so `inst(i)` is one add off the pc
- * the loop already loaded.
+ * contiguous array indexed by event (sequence number minus firstSeq),
+ * so the inner loop is a handful of indexed loads with no per-step
+ * DynInst construction. The pc lane doubles as the static-instruction
+ * index (a trace pc IS an index into the owned program), so `inst(i)`
+ * is one add off the pc the loop already loaded.
  *
  * The lanes are filled as events arrive (sim/trace_io.hh):
  * recordTrace() has the interpreter write each executed instruction
  * into lanes sized ahead of it, and the PABPTRC2 reader appends each
  * verified on-disk event. Both take an event's class from a per-pc
- * table built once from the program.
+ * table built once from the program. The cycle-level pipeline refills
+ * one window of lanes in place with the same recorder body.
  * Once filled a trace is immutable and safe to share READ-ONLY across
  * threads - the sweep runner caches one per (workload, measurement
  * seed, budget) and replays every matching cell against it, exactly
@@ -38,7 +39,7 @@
 namespace pabp {
 
 /** Program text plus its dynamic events in per-field lanes
- *  (seq = index). */
+ *  (seq = firstSeq + index). */
 struct DecodedTrace
 {
     /**
@@ -72,6 +73,18 @@ struct DecodedTrace
     std::vector<std::uint8_t> predVal;
     std::vector<std::uint32_t> nextPcs;
     /** @} */
+
+    /**
+     * Dynamic sequence number of lane 0: event i is the instruction
+     * at sequence firstSeq + i. Every recorded or read trace starts
+     * at 0; the cycle-level pipeline's reusable event window
+     * (pipeline/pipeline.hh) sets it to the emulator position the
+     * window starts at, so the engine's predicate-file and PGU
+     * sequence arithmetic stays global across windows. A window is
+     * refilled in place, so it carries no schedule cache: a cached
+     * schedule is keyed on lane positions, not on the events there.
+     */
+    std::uint64_t firstSeq = 0;
 
     DecodedTrace() = default;
     DecodedTrace(DecodedTrace &&) = default;
@@ -110,7 +123,7 @@ struct DecodedTrace
         const Inst &in = inst(i);
 
         DynInst dyn;
-        dyn.seq = i;
+        dyn.seq = firstSeq + i;
         dyn.pc = pcs[i];
         dyn.inst = &in;
         dyn.guard = guard(i);
@@ -150,6 +163,7 @@ struct DecodedTrace
         out.predReg1 = trace.predReg1;
         out.predVal = trace.predVal;
         out.nextPcs = trace.nextPcs;
+        out.firstSeq = trace.firstSeq;
         out.schedCache = std::make_shared<ReplayScheduleCache>();
         return out;
     }

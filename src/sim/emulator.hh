@@ -2,9 +2,9 @@
  * @file
  * Functional emulator for the predicated ISA. Executes a Program and
  * reports each executed instruction - as a compact ExecEvent to a
- * caller's sink (the trace recorder, the compile profiler), or as a
- * full DynInst record (the reference replay loop, the cycle-level
- * pipeline and the oracles).
+ * caller's sink (the trace recorder, the cycle-level pipeline's event
+ * windows, the compile profiler), or as a full DynInst record (the
+ * reference loops and the oracles).
  */
 
 #ifndef PABP_SIM_EMULATOR_HH

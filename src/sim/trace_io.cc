@@ -84,18 +84,6 @@ classify(const Inst &inst)
     return Class::Other;
 }
 
-/** The Class of every static instruction of @p prog, by pc: an
- *  event's class depends on its instruction alone, so the recorder
- *  and the reader classify each instruction once, not each event. */
-std::vector<std::uint8_t>
-classTable(const Program &prog)
-{
-    std::vector<std::uint8_t> table(prog.size());
-    for (std::size_t pc = 0; pc < prog.size(); ++pc)
-        table[pc] = static_cast<std::uint8_t>(classify(prog.insts[pc]));
-    return table;
-}
-
 /** Apply @p op to each of the seven event lanes of @p trace. */
 template <typename Op>
 void
@@ -111,6 +99,43 @@ forEachLane(DecodedTrace &trace, Op op)
 }
 
 } // anonymous namespace
+
+std::vector<std::uint8_t>
+classTable(const Program &prog)
+{
+    std::vector<std::uint8_t> table(prog.size());
+    for (std::size_t pc = 0; pc < prog.size(); ++pc)
+        table[pc] = static_cast<std::uint8_t>(classify(prog.insts[pc]));
+    return table;
+}
+
+std::size_t
+recordEvents(Emulator &emu, const std::uint8_t *classes,
+             DecodedTrace &trace, std::size_t at, std::size_t n,
+             std::int64_t *effAddrs)
+{
+    std::uint32_t *pcs = trace.pcs.data() + at;
+    std::uint8_t *cls = trace.cls.data() + at;
+    std::uint8_t *flags = trace.flags.data() + at;
+    std::uint8_t *reg0 = trace.predReg0.data() + at;
+    std::uint8_t *reg1 = trace.predReg1.data() + at;
+    std::uint8_t *val = trace.predVal.data() + at;
+    std::uint32_t *next_pcs = trace.nextPcs.data() + at;
+    std::size_t i = 0;
+    emu.run(n, [&](const ExecEvent &ev) {
+        pcs[i] = ev.pc;
+        cls[i] = classes[ev.pc];
+        flags[i] = ev.flags;
+        reg0[i] = ev.predReg0;
+        reg1[i] = ev.predReg1;
+        val[i] = ev.predVal;
+        next_pcs[i] = ev.nextPc;
+        if (effAddrs)
+            effAddrs[i] = ev.effAddr;
+        ++i;
+    });
+    return i;
+}
 
 DecodedTrace
 recordTrace(Emulator &emu, std::uint64_t max_insts)
@@ -134,24 +159,8 @@ recordTrace(Emulator &emu, std::uint64_t max_insts)
         const auto chunk = static_cast<std::size_t>(
             std::min<std::uint64_t>(left, recordChunk));
         forEachLane(trace, [&](auto &lane) { lane.resize(filled + chunk); });
-        std::uint32_t *pcs = trace.pcs.data() + filled;
-        std::uint8_t *cls = trace.cls.data() + filled;
-        std::uint8_t *flags = trace.flags.data() + filled;
-        std::uint8_t *reg0 = trace.predReg0.data() + filled;
-        std::uint8_t *reg1 = trace.predReg1.data() + filled;
-        std::uint8_t *val = trace.predVal.data() + filled;
-        std::uint32_t *next_pcs = trace.nextPcs.data() + filled;
-        std::size_t i = 0;
-        emu.run(chunk, [&](const ExecEvent &ev) {
-            pcs[i] = ev.pc;
-            cls[i] = classes[ev.pc];
-            flags[i] = ev.flags;
-            reg0[i] = ev.predReg0;
-            reg1[i] = ev.predReg1;
-            val[i] = ev.predVal;
-            next_pcs[i] = ev.nextPc;
-            ++i;
-        });
+        const std::size_t i =
+            recordEvents(emu, classes.data(), trace, filled, chunk);
         filled += i;
         left -= i;
         if (i < chunk)

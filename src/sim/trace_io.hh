@@ -58,6 +58,25 @@ using RecordedTrace = DecodedTrace;
  */
 DecodedTrace recordTrace(Emulator &emu, std::uint64_t max_insts);
 
+/** The DecodedTrace::Class of every static instruction of @p prog, by
+ *  pc: an event's class depends on its instruction alone, so the
+ *  recorders and the reader classify each instruction once, not each
+ *  event. */
+std::vector<std::uint8_t> classTable(const Program &prog);
+
+/**
+ * The recorder body recordTrace() runs: execute up to @p n
+ * instructions of @p emu, writing event k into lane index @p at + k
+ * of @p trace's seven lanes, which must already hold at + n entries.
+ * @p classes is classTable() of the program. A non-null @p effAddrs
+ * also receives event k's effective address (0 for a non-memory
+ * instruction) at index k - the window-only lane of the cycle-level
+ * pipeline. Returns the number executed.
+ */
+std::size_t recordEvents(Emulator &emu, const std::uint8_t *classes,
+                         DecodedTrace &trace, std::size_t at,
+                         std::size_t n, std::int64_t *effAddrs = nullptr);
+
 /**
  * 64-bit FNV-1a over the section sizes, the on-disk program records
  * and every event:

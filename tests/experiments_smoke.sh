@@ -3,9 +3,9 @@
 # slow-labelled ctests in tests/CMakeLists.txt).
 #
 #   experiments_smoke.sh blocks BIN DIR
-#       e3 and e12 alone and together, each at --jobs 1 and 4: every
-#       experiment's stdout block and metrics files must be
-#       byte-identical across all six runs.
+#       e3, e8 (Timed cells) and e12 alone and together, each at
+#       --jobs 1 and 4: every experiment's stdout block and metrics
+#       files must be byte-identical across all eight runs.
 #   experiments_smoke.sh checkpoint BIN DIR
 #       e10 with --checkpoint-every must write checkpoints and print
 #       the fresh run's table; --resume from them must print it again
@@ -34,18 +34,21 @@ blocks)
     }
     for jobs in 1 4; do
         run "e3-j$jobs" "$jobs" e3
+        run "e8-j$jobs" "$jobs" e8
         run "e12-j$jobs" "$jobs" e12
         # --only order does not matter: blocks print in E-order.
-        run "both-j$jobs" "$jobs" e12,e3
+        run "both-j$jobs" "$jobs" e12,e8,e3
     done
     grep -q '^E3: ' e3-j1.out || fail "no E3 block"
+    grep -q '^E8: ' e8-j1.out || fail "no E8 block"
     grep -q '^| fsm ' e12-j1.out || fail "no E12 rows"
-    cat e3-j1.out e12-j1.out > blocks.out
-    for out in e3-j4.out e12-j4.out; do
+    cat e3-j1.out e8-j1.out e12-j1.out > blocks.out
+    for out in e3-j4.out e8-j4.out e12-j4.out; do
         cmp "${out/j4/j1}" "$out" || fail "$out differs from --jobs 1"
     done
     for out in both-j1.out both-j4.out; do
-        cmp blocks.out "$out" || fail "$out is not the e3 then e12 blocks"
+        cmp blocks.out "$out" ||
+            fail "$out is not the e3, e8 then e12 blocks"
     done
     same_metrics() { # alone-dir subdir
         ls "$1/$2"/pabp-metrics-*.json > /dev/null ||
@@ -55,6 +58,7 @@ blocks)
         done
     }
     same_metrics m-e3-j1 bench_e3_sfpf_sizes
+    same_metrics m-e8-j1 bench_e8_speedup
     same_metrics m-e12-j1 bench_e12_distance_histo
     ;;
 checkpoint)

@@ -1,15 +1,21 @@
 /**
  * @file
  * Cache model and pipeline timing tests: hit/miss behaviour, LRU,
- * deterministic cycle counts, and the qualitative timing laws the
- * speedup experiment depends on (penalty hurts, predictors help).
+ * deterministic cycle counts, the windowed Pipeline::run against
+ * itself split anywhere and against the per-instruction
+ * runReference, and the qualitative timing laws the speedup
+ * experiment depends on (penalty hurts, predictors help).
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bpred/factory.hh"
+#include "fuzz/fuzz_gen.hh"
 #include "mem/cache.hh"
 #include "pipeline/pipeline.hh"
 #include "workloads/workload.hh"
@@ -97,65 +103,161 @@ TEST(Pipeline, Deterministic)
     EXPECT_EQ(a.insts, b.insts);
 }
 
+/** A program to time and the memory image it starts from. */
+struct TimedProgram
+{
+    Program prog;
+    StateInit init;
+};
+
+/** Suite workload @p name (seed 31, default compile), or - for
+ *  "call_depth" - a fuzz-generated program wrapped in a chain of four
+ *  nested procedures, so that calls and returns reach the RAS (the
+ *  suite has none). */
+TimedProgram
+timedProgram(const std::string &name)
+{
+    if (name == "call_depth") {
+        fuzz::FuzzProgramConfig gen;
+        gen.callDepth = 4;
+        gen.repeats = 400;
+        fuzz::FuzzPrograms p = fuzz::buildFuzzPrograms(5, gen);
+        return {p.converted.prog, p.body.init};
+    }
+    Workload wl = makeWorkload(name, 31);
+    return {compileWorkload(wl, CompileOptions{}).prog, wl.init};
+}
+
+/** One engine + pipeline + emulator over @p tp, which must outlive
+ *  it. */
+struct TimedRun
+{
+    PredictorPtr pred;
+    PredictionEngine engine;
+    Pipeline pipe;
+    Emulator emu;
+
+    TimedRun(const TimedProgram &tp, const EngineConfig &ecfg,
+             const PipelineConfig &pcfg)
+        : pred(makePredictor("gshare", 12)), engine(*pred, ecfg),
+          pipe(engine, pcfg), emu(tp.prog)
+    {
+        if (tp.init)
+            tp.init(emu.state());
+    }
+};
+
+/** Everything two timed runs must agree on. */
+void
+expectSameRun(const TimedRun &got, const TimedRun &want)
+{
+    const PipelineStats &a = got.pipe.stats();
+    const PipelineStats &b = want.pipe.stats();
+    EXPECT_EQ(a.insts, b.insts);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.icacheMisses, b.icacheMisses);
+    EXPECT_EQ(a.dcacheMisses, b.dcacheMisses);
+    EXPECT_EQ(a.l2Misses, b.l2Misses);
+    EXPECT_EQ(a.btbMisses, b.btbMisses);
+    EXPECT_EQ(a.rasHits, b.rasHits);
+    EXPECT_EQ(a.rasMisses, b.rasMisses);
+    EXPECT_EQ(a.mispredictStallCycles, b.mispredictStallCycles);
+    EXPECT_TRUE(a == b);
+    EXPECT_EQ(got.engine.stats(), want.engine.stats());
+    EXPECT_EQ(got.engine.branchProfile(), want.engine.branchProfile());
+    EXPECT_EQ(got.engine.pguBitsInserted(),
+              want.engine.pguBitsInserted());
+    EXPECT_EQ(got.emu.instsExecuted(), want.emu.instsExecuted());
+    EXPECT_TRUE(got.emu.state().sameArchOutcome(want.emu.state()));
+}
+
 TEST(Pipeline, SplitRunsEqualOneRun)
 {
-    // The sweep advances Timed cells in heartbeat slices, so
-    // run(a) then run(b) must leave every counter where run(a + b)
-    // does - the pipeline's and the engine's. interp halts (after
-    // about 2.04M instructions) inside its second run.
+    // The sweep advances Timed cells in heartbeat slices and run()
+    // advances in windows of Pipeline::windowEvents events, so run(a)
+    // then run(b) must leave every counter where run(a + b) does - the
+    // pipeline's and the engine's - and both must equal the
+    // per-instruction runReference(). interp halts (after about
+    // 2.04M instructions) inside its second run; 4095 and 4097 cut
+    // one event either side of a window boundary.
     struct Split
     {
         const char *workload;
         std::uint64_t first;
         std::uint64_t second;
+        bool l2;
     };
-    for (const Split &split : {Split{"filter", 7, 60000},
-                               Split{"bsort", 33333, 33333},
-                               Split{"interp", 65536, 2000000}}) {
+    for (const Split &split : {Split{"filter", 7, 60000, false},
+                               Split{"bsort", 33333, 33333, false},
+                               Split{"interp", 65536, 2000000, false},
+                               Split{"dchain", 4095, 20000, false},
+                               Split{"fsm", 4097, 4095, false},
+                               Split{"call_depth", 4097, 2000000, true}}) {
         SCOPED_TRACE(split.workload);
-        Workload wl = makeWorkload(split.workload, 31);
-        CompiledProgram cp = compileWorkload(wl, CompileOptions{});
+        const TimedProgram tp = timedProgram(split.workload);
         EngineConfig ecfg;
         ecfg.useSfpf = true;
         ecfg.usePgu = true;
         ecfg.modelTargets = true;
-        const auto fresh = [&](PredictorPtr &pred,
-                               std::unique_ptr<PredictionEngine> &engine,
-                               std::unique_ptr<Pipeline> &pipe,
-                               std::unique_ptr<Emulator> &emu) {
-            pred = makePredictor("gshare", 12);
-            engine = std::make_unique<PredictionEngine>(*pred, ecfg);
-            pipe = std::make_unique<Pipeline>(*engine, PipelineConfig{});
-            emu = std::make_unique<Emulator>(cp.prog);
-            if (wl.init)
-                wl.init(emu->state());
-        };
-        PredictorPtr pred_one, pred_two;
-        std::unique_ptr<PredictionEngine> engine_one, engine_two;
-        std::unique_ptr<Pipeline> pipe_one, pipe_two;
-        std::unique_ptr<Emulator> emu_one, emu_two;
-        fresh(pred_one, engine_one, pipe_one, emu_one);
-        fresh(pred_two, engine_two, pipe_two, emu_two);
+        // A shallow RAS overflows on the call chain, so both RAS
+        // outcomes occur.
+        ecfg.rasDepth = 2;
+        PipelineConfig pcfg;
+        pcfg.enableL2 = split.l2;
 
-        const PipelineStats one =
-            pipe_one->run(*emu_one, split.first + split.second);
-        pipe_two->run(*emu_two, split.first);
-        const PipelineStats two = pipe_two->run(*emu_two, split.second);
+        TimedRun one(tp, ecfg, pcfg), two(tp, ecfg, pcfg),
+            ref(tp, ecfg, pcfg);
+        one.pipe.run(one.emu, split.first + split.second);
+        two.pipe.run(two.emu, split.first);
+        two.pipe.run(two.emu, split.second);
+        ref.pipe.runReference(ref.emu, split.first + split.second);
 
-        EXPECT_GT(one.insts, split.first);
-        EXPECT_EQ(two.insts, one.insts);
-        EXPECT_EQ(two.cycles, one.cycles);
-        EXPECT_EQ(two.icacheMisses, one.icacheMisses);
-        EXPECT_EQ(two.dcacheMisses, one.dcacheMisses);
-        EXPECT_EQ(two.l2Misses, one.l2Misses);
-        EXPECT_EQ(two.btbMisses, one.btbMisses);
-        EXPECT_EQ(two.rasHits, one.rasHits);
-        EXPECT_EQ(two.rasMisses, one.rasMisses);
-        EXPECT_EQ(two.mispredictStallCycles, one.mispredictStallCycles);
-        EXPECT_EQ(engine_two->stats(), engine_one->stats());
-        EXPECT_EQ(engine_two->branchProfile(), engine_one->branchProfile());
-        EXPECT_EQ(engine_two->pguBitsInserted(),
-                  engine_one->pguBitsInserted());
+        EXPECT_GT(one.pipe.stats().insts, split.first);
+        expectSameRun(two, one);
+        expectSameRun(one, ref);
+        if (split.l2) {
+            EXPECT_GT(one.pipe.stats().l2Misses, 0u);
+            EXPECT_GT(one.pipe.stats().rasHits, 0u);
+            EXPECT_GT(one.pipe.stats().rasMisses, 0u);
+        }
+    }
+}
+
+TEST(Pipeline, WindowedRunMatchesReference)
+{
+    // run() (record, decide, time per window) against runReference()
+    // (step, process, time per instruction) across the technique
+    // corners the Timed cells run and a non-default machine.
+    std::vector<std::pair<std::string, EngineConfig>> configs;
+    EngineConfig base;
+    base.modelTargets = true;
+    configs.emplace_back("base", base);
+    EngineConfig both = base;
+    both.useSfpf = true;
+    both.usePgu = true;
+    configs.emplace_back("+both", both);
+    EngineConfig spec = both;
+    spec.useSpeculativeSquash = true;
+    spec.specGate = EngineConfig::SpecGate::Jrs;
+    spec.availDelay = 5000;
+    spec.pgu.delay = 5000;
+    configs.emplace_back("+both+spec-jrs, delays past a window", spec);
+    PipelineConfig narrow;
+    narrow.issueWidth = 2;
+    narrow.enableL2 = true;
+    for (const char *wl : {"interp", "listwalk", "histogram",
+                           "call_depth"}) {
+        const TimedProgram tp = timedProgram(wl);
+        for (const auto &[name, ecfg] : configs) {
+            for (const PipelineConfig &pcfg : {PipelineConfig{}, narrow}) {
+                SCOPED_TRACE(std::string(wl) + "/" + name +
+                             (pcfg.enableL2 ? "/narrow+L2" : ""));
+                TimedRun fast(tp, ecfg, pcfg), ref(tp, ecfg, pcfg);
+                fast.pipe.run(fast.emu, 50000);
+                ref.pipe.runReference(ref.emu, 50000);
+                expectSameRun(fast, ref);
+            }
+        }
     }
 }
 

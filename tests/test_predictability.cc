@@ -588,7 +588,9 @@ slurp(const std::string &path)
 ToolRun
 runStats(const std::string &args)
 {
-    const std::string base = ::testing::TempDir() + "pabp-stats-cli";
+    // Per test: ctest runs the tests of this file in parallel.
+    const std::string base = ::testing::TempDir() + "pabp-stats-cli-" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
     const std::string cmd = std::string(PABP_STATS_BIN) + " " + args +
         " > " + base + ".out 2> " + base + ".err";
     const int rc = std::system(cmd.c_str());

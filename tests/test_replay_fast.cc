@@ -11,6 +11,10 @@
  * processBatch and replayTraceFrom, the chunked-batch invariant, the
  * ProcessResult::specSquashed/squashed separation, and the sweep
  * runner's fast-vs-reference byte equality and trace-cache counters.
+ * The outcome bytes processBatch writes for the cycle-level pipeline
+ * are pinned against packOutcome(process()), and batches over
+ * windows whose lane 0 is a later sequence number against one
+ * whole-trace batch.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +25,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bpred/btb.hh"
@@ -28,6 +33,7 @@
 #include "bpred/gshare.hh"
 #include "compiler/compile.hh"
 #include "core/engine.hh"
+#include "fuzz/fuzz_gen.hh"
 #include "sim/decoded_trace.hh"
 #include "sim/emulator.hh"
 #include "sim/trace_io.hh"
@@ -891,6 +897,197 @@ TEST(FastReplayEquivalence, ReplayTraceFromClampsPastTheEnd)
               trace.size() + 9);
     EXPECT_EQ(engine.stats(), done)
         << "a clamped replay must not process any event";
+}
+
+// ---------------------------------------------------------------------
+// Outcome bytes and sequence-offset windows: the cycle-level pipeline
+// records its stream into a reused window whose lane 0 is event
+// firstSeq, lets processBatch decide the window and times each event
+// from the outcome byte the batch wrote. Both halves must equal the
+// reference: the bytes packOutcome(process()) per event, and the
+// engine state a whole-trace batch leaves however the stream is cut.
+
+/** The five technique corners the Timed cells run. */
+std::vector<std::pair<std::string, EngineConfig>>
+timedConfigs()
+{
+    std::vector<std::pair<std::string, EngineConfig>> out;
+    EngineConfig base;
+    base.modelTargets = true;
+    out.emplace_back("base", base);
+    EngineConfig sfpf = base;
+    sfpf.useSfpf = true;
+    out.emplace_back("+sfpf", sfpf);
+    EngineConfig pgu = base;
+    pgu.usePgu = true;
+    out.emplace_back("+pgu", pgu);
+    EngineConfig both = sfpf;
+    both.usePgu = true;
+    out.emplace_back("+both", both);
+    EngineConfig spec = both;
+    spec.useSpeculativeSquash = true;
+    spec.specGate = EngineConfig::SpecGate::Jrs;
+    out.emplace_back("+both+spec-jrs", spec);
+    return out;
+}
+
+/** Refill @p w, whose program is @p trace's, with events [@p first,
+ *  @p first + @p n) of @p trace: its own lanes and firstSeq = @p first
+ *  (a window carries no schedule cache). */
+void
+fillWindow(DecodedTrace &w, const DecodedTrace &trace,
+           std::uint64_t first, std::uint64_t n)
+{
+    w.firstSeq = first;
+    const auto slice = [&](const auto &lane) {
+        return std::decay_t<decltype(lane)>(
+            lane.begin() + static_cast<std::ptrdiff_t>(first),
+            lane.begin() + static_cast<std::ptrdiff_t>(first + n));
+    };
+    w.pcs = slice(trace.pcs);
+    w.cls = slice(trace.cls);
+    w.flags = slice(trace.flags);
+    w.predReg0 = slice(trace.predReg0);
+    w.predReg1 = slice(trace.predReg1);
+    w.predVal = slice(trace.predVal);
+    w.nextPcs = slice(trace.nextPcs);
+}
+
+TEST(OutcomeLane, BatchBytesEqualPackedProcessResults)
+{
+    for (const std::string &wl : workloadNames()) {
+        const DecodedTrace trace = recordWorkload(wl, 30000);
+        for (const auto &[name, ecfg] : timedConfigs()) {
+            SCOPED_TRACE(wl + "/" + name);
+            PredictorPtr predA = makePredictor("gshare", 12);
+            PredictionEngine ref(*predA, ecfg);
+            std::vector<std::uint8_t> want(trace.size());
+            for (std::size_t i = 0; i < trace.size(); ++i)
+                want[i] = packOutcome(ref.process(trace.materialise(i)));
+
+            // One batch, and 4096-event batches writing at their own
+            // offset of the same buffer.
+            PredictorPtr predB = makePredictor("gshare", 12);
+            PredictionEngine one(*predB, ecfg);
+            std::vector<std::uint8_t> got(trace.size(), 0xff);
+            one.processBatch(trace, 0, trace.size(), got.data());
+            PredictorPtr predC = makePredictor("gshare", 12);
+            PredictionEngine chunked(*predC, ecfg);
+            std::vector<std::uint8_t> got_chunked(trace.size(), 0xff);
+            for (std::uint64_t c = 0; c < trace.size();)
+                c = chunked.processBatch(trace, c, 4096,
+                                         got_chunked.data() + c);
+
+            EXPECT_EQ(one.stats(), ref.stats());
+            EXPECT_EQ(chunked.stats(), ref.stats());
+            std::size_t first_diff = trace.size();
+            for (std::size_t i = 0; i < trace.size(); ++i) {
+                if (got[i] != want[i] || got_chunked[i] != want[i]) {
+                    first_diff = i;
+                    break;
+                }
+            }
+            EXPECT_EQ(first_diff, trace.size())
+                << "want " << int(want[first_diff]) << ", one batch "
+                << int(got[first_diff]) << ", chunked "
+                << int(got_chunked[first_diff]);
+            // Vacuity guard: mispredicts and target misses occurred.
+            const auto has = [&](std::uint8_t bit) {
+                return std::any_of(want.begin(), want.end(),
+                                   [bit](std::uint8_t b) { return b & bit; });
+            };
+            EXPECT_TRUE(has(outcomeMispredicted));
+            EXPECT_TRUE(has(outcomeTargetMiss));
+        }
+    }
+}
+
+TEST(OutcomeLane, ReturnBytesCarryTheRasVerdict)
+{
+    // The suite has no calls; the fuzz generator's call wrapper does.
+    // Every taken return reports outcomeRasReturn, with
+    // outcomeRasCorrect exactly when the engine counted a RAS hit.
+    fuzz::FuzzProgramConfig gen;
+    gen.callDepth = 4;
+    const fuzz::FuzzPrograms progs = fuzz::buildFuzzPrograms(7, gen);
+    Emulator emu(progs.converted.prog);
+    if (progs.body.init)
+        progs.body.init(emu.state());
+    const DecodedTrace trace = recordTrace(emu, 30000);
+    EngineConfig ecfg;
+    ecfg.modelTargets = true;
+    ecfg.rasDepth = 2; // shallow enough to overflow: misses occur
+    PredictorPtr pred = makePredictor("gshare", 12);
+    PredictionEngine engine(*pred, ecfg);
+    std::vector<std::uint8_t> bytes(trace.size());
+    engine.processBatch(trace, 0, trace.size(), bytes.data());
+    std::uint64_t returns = 0, correct = 0;
+    for (std::uint8_t b : bytes) {
+        returns += (b & outcomeRasReturn) != 0;
+        correct += (b & outcomeRasCorrect) != 0;
+    }
+    EXPECT_EQ(correct, engine.stats().rasHits);
+    EXPECT_EQ(returns, engine.stats().rasHits + engine.stats().rasMisses);
+    EXPECT_GT(engine.stats().rasHits, 0u);
+    EXPECT_GT(engine.stats().rasMisses, 0u);
+}
+
+/**
+ * Replay @p trace in windows of @p size events, each a refilled
+ * window with its own firstSeq, and expect the engine state one
+ * whole-trace batch leaves. Delays longer than every window keep
+ * predicate writes and PGU bits in flight across several window
+ * boundaries, so the carried queues must hold global sequence numbers.
+ */
+void
+expectWindowsMatchWholeTrace(const DecodedTrace &trace,
+                             std::initializer_list<std::uint64_t> sizes)
+{
+    for (auto [name, ecfg] : timedConfigs()) {
+        for (const unsigned delay : {8u, 5000u}) {
+            ecfg.availDelay = delay;
+            ecfg.pgu.delay = delay;
+            PredictorPtr pred = makePredictor("gshare", 12);
+            PredictionEngine whole(*pred, ecfg);
+            whole.processBatch(trace, 0, trace.size());
+            if (ecfg.usePgu) {
+                EXPECT_GT(whole.pguBitsInserted(), 0u);
+            }
+            for (const std::uint64_t size : sizes) {
+                SCOPED_TRACE(name + "/delay " + std::to_string(delay) +
+                             "/window " + std::to_string(size));
+                PredictorPtr wpred = makePredictor("gshare", 12);
+                PredictionEngine windowed(*wpred, ecfg);
+                DecodedTrace w;
+                w.prog = trace.prog;
+                for (std::uint64_t s = 0; s < trace.size(); s += size) {
+                    const std::uint64_t n =
+                        std::min<std::uint64_t>(size, trace.size() - s);
+                    fillWindow(w, trace, s, n);
+                    ASSERT_EQ(windowed.processBatch(w, 0, n), n);
+                }
+                EXPECT_EQ(windowed.stats(), whole.stats());
+                EXPECT_EQ(windowed.branchProfile(), whole.branchProfile());
+                EXPECT_EQ(windowed.pguBitsInserted(),
+                          whole.pguBitsInserted());
+                EXPECT_TRUE(stateBytes(windowed) == stateBytes(whole));
+            }
+        }
+    }
+}
+
+TEST(OutcomeLane, OffsetWindowsMatchOneWholeTraceBatch)
+{
+    for (const char *wl : {"interp", "dchain", "fsm"}) {
+        SCOPED_TRACE(wl);
+        expectWindowsMatchWholeTrace(recordWorkload(wl, 12000),
+                                     {4095, 4096, 4097});
+    }
+}
+
+TEST(OutcomeLane, TinyOffsetWindowsMatchOneWholeTraceBatch)
+{
+    expectWindowsMatchWholeTrace(recordWorkload("interp", 12000), {1, 7});
 }
 
 // ---------------------------------------------------------------------
