@@ -283,6 +283,8 @@ main(int argc, char **argv)
               << cache.characterizes << " (hits " << cache.reportHits
               << "), replay schedules inserted " << cache.scheduleInserts
               << " (hits " << cache.scheduleHits << ", evictions "
-              << cache.scheduleEvictions << ")\n";
+              << cache.scheduleEvictions << "); peak live lanes "
+              << cache.peakLaneBytes / 1000000 << " MB, schedules "
+              << cache.peakScheduleBytes / 1000000 << " MB\n";
     return ok ? 0 : 1;
 }

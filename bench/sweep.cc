@@ -601,6 +601,21 @@ finishMultiCtxOutputs(const RunSpec &spec, RunResult &result)
                             buildMultiCtxMetrics(spec, result));
 }
 
+/** The trace of a trace memo entry, or null while it is still
+ *  recording or when it failed. */
+const DecodedTrace *
+readyTrace(
+    const std::shared_future<Expected<std::shared_ptr<const DecodedTrace>>>
+        &entry)
+{
+    if (entry.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready)
+        return nullptr;
+    const Expected<std::shared_ptr<const DecodedTrace>> &trace =
+        entry.get();
+    return trace.ok() ? trace.value().get() : nullptr;
+}
+
 /** Add a trace memo entry's replay-schedule traffic to @p sum. An
  *  entry still recording has served no schedules, and a failed one
  *  has none. */
@@ -610,15 +625,11 @@ addScheduleTraffic(
         &entry,
     ReplayScheduleCache::Counters &sum)
 {
-    if (entry.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready)
-        return;
-    const Expected<std::shared_ptr<const DecodedTrace>> &trace =
-        entry.get();
-    if (!trace.ok() || !trace.value()->schedCache)
+    const DecodedTrace *trace = readyTrace(entry);
+    if (!trace || !trace->schedCache)
         return;
     const ReplayScheduleCache::Counters traffic =
-        trace.value()->schedCache->counters();
+        trace->schedCache->counters();
     sum.hits += traffic.hits;
     sum.inserts += traffic.inserts;
     sum.evictions += traffic.evictions;
@@ -1173,8 +1184,28 @@ SweepRunner::finishCell(TraceDemand &demand,
     // futures moved out of the cache die after the lock is released.
     std::vector<TraceFuture> freed;
     std::lock_guard<std::mutex> lock(cacheMtx);
+    // Only a cell that consumes traces records or replays them, and
+    // only finishing cells release them, so sampling here, before the
+    // release, sees every peak.
+    const auto [lanes, schedules] = liveBytesLocked();
+    peakLaneBytes = std::max(peakLaneBytes, lanes);
+    peakScheduleBytes = std::max(peakScheduleBytes, schedules);
     for (const std::string &key : keys)
         dropDemandLocked(demand, key, 1, freed);
+}
+
+std::pair<std::uint64_t, std::uint64_t>
+SweepRunner::liveBytesLocked() const
+{
+    std::uint64_t lanes = 0, schedules = 0;
+    for (const auto &[key, entry] : traces.entries) {
+        if (const DecodedTrace *trace = readyTrace(entry)) {
+            lanes += trace->laneBytes();
+            if (trace->schedCache)
+                schedules += trace->schedCache->bytes();
+        }
+    }
+    return {lanes, schedules};
 }
 
 std::vector<RunResult>
@@ -1238,6 +1269,9 @@ SweepRunner::cacheStats() const
     stats.scheduleHits = schedules.hits;
     stats.scheduleInserts = schedules.inserts;
     stats.scheduleEvictions = schedules.evictions;
+    const auto [lanes, schedule_bytes] = liveBytesLocked();
+    stats.peakLaneBytes = std::max(peakLaneBytes, lanes);
+    stats.peakScheduleBytes = std::max(peakScheduleBytes, schedule_bytes);
     return stats;
 }
 

@@ -389,6 +389,13 @@ class SweepRunner
         std::uint64_t scheduleHits = 0;
         std::uint64_t scheduleInserts = 0;
         std::uint64_t scheduleEvictions = 0;
+        /** High-water marks of what the cached traces hold: the bytes
+         *  of their lanes (DecodedTrace::laneBytes()) and of the
+         *  replay schedules cached in them (ReplayScheduleCache::
+         *  bytes()), taken as each cell finishes and at cacheStats()
+         *  time. */
+        std::uint64_t peakLaneBytes = 0;
+        std::uint64_t peakScheduleBytes = 0;
     };
 
     /**
@@ -478,6 +485,9 @@ class SweepRunner
     void dropDemandLocked(TraceDemand &demand, const std::string &key,
                           std::size_t cells,
                           std::vector<TraceFuture> &freed);
+    /** Lane and schedule bytes of the traces cached now. Requires
+     *  cacheMtx. */
+    std::pair<std::uint64_t, std::uint64_t> liveBytesLocked() const;
     /** A cell of @p demand that consumed @p keys has finished. */
     void finishCell(TraceDemand &demand,
                     const std::vector<std::string> &keys);
@@ -529,6 +539,9 @@ class SweepRunner
     std::uint64_t traceReleaseCount = 0;
     /** Schedule-cache traffic of the traces released so far. */
     ReplayScheduleCache::Counters releasedSchedules;
+    /** CacheStats::peakLaneBytes / peakScheduleBytes so far. */
+    std::uint64_t peakLaneBytes = 0;
+    std::uint64_t peakScheduleBytes = 0;
     std::uint64_t resumeFallbackCount = 0;
 };
 

@@ -81,12 +81,12 @@ PredictionEngine::batchControlEvent(const DecodedTrace &trace,
     const std::uint32_t pc = trace.pcs[i];
     const Opcode op = trace.prog.insts[pc].op;
     if (op == Opcode::Ret)
-        return rasReturnAccess(trace.nextPcs[i])
+        return rasReturnAccess(trace.nextPc(i))
             ? outcomeRasReturn | outcomeRasCorrect
             : outcomeRasReturn;
     if (op == Opcode::Call)
         rasPtr->push(pc + 1);
-    return btbAccess(pc, trace.nextPcs[i]) ? outcomeTargetMiss : 0;
+    return btbAccess(pc, trace.nextPc(i)) ? outcomeTargetMiss : 0;
 }
 
 ProcessResult
@@ -726,7 +726,7 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
         // BTB-supplied target (a mispredict restarts from the resolve
         // instead - no table touch; reference path in process()).
         const bool target_miss = targets && !misp && ((f >> 1) & 1) &&
-            btbAccess(pc, trace.nextPcs[i]);
+            btbAccess(pc, trace.nextPc(i));
         if (outcomes)
             outcomes[i - first] =
                 misp ? outcomeMispredicted

@@ -21,11 +21,8 @@ Pipeline::Pipeline(PredictionEngine &engine_, PipelineConfig config)
     // Lanes of windowEvents entries, refilled in place per window. The
     // window has no schedule cache, so every window's batch captures
     // its own replay schedule and publishes nothing.
-    for (auto *lane : {&window.cls, &window.flags, &window.predReg0,
-                       &window.predReg1, &window.predVal, &outcomes})
-        lane->resize(windowEvents);
-    window.pcs.resize(windowEvents);
-    window.nextPcs.resize(windowEvents);
+    window.resize(windowEvents);
+    outcomes.resize(windowEvents);
     effAddrs.resize(windowEvents);
 }
 
@@ -202,10 +199,14 @@ Pipeline::run(Emulator &emu, std::uint64_t max_insts)
     while (left > 0) {
         const auto n = static_cast<std::size_t>(
             std::min<std::uint64_t>(left, windowEvents));
-        // Record: lane 0 is the emulator's next instruction.
+        // Record: lane 0 is the emulator's next instruction. A window
+        // holds exactly the events recorded into it, so its last
+        // event's next pc is endPc and never a stale lane entry.
         window.firstSeq = emu.instsExecuted();
+        window.resize(n);
         const std::size_t got = recordEvents(emu, classes.data(), window,
                                              0, n, effAddrs.data());
+        window.resize(got);
         // Decide: no engine decision depends on the timing, so the
         // whole window is decided before any of it is timed.
         engine.processBatch(window, 0, got, outcomes.data());

@@ -1,23 +1,17 @@
 #include "sim/arch_state.hh"
 
-#include <sys/mman.h>
-
 #include <cstring>
-#include <new>
 #include <utility>
 
 #include "util/logging.hh"
+#include "util/mapped_lane.hh"
 
 namespace pabp {
 
 GuestMemory::GuestMemory(std::size_t num_words) : count(num_words)
 {
     pabp_assert(count > 0);
-    void *p = mmap(nullptr, bytes(), PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED)
-        throw std::bad_alloc();
-    words = static_cast<std::int64_t *>(p);
+    words = static_cast<std::int64_t *>(anon_map::map(bytes()));
 }
 
 GuestMemory::GuestMemory(const GuestMemory &other)
@@ -43,7 +37,7 @@ GuestMemory::operator=(GuestMemory other) noexcept
 GuestMemory::~GuestMemory()
 {
     if (words)
-        munmap(words, bytes());
+        anon_map::unmap(words, bytes());
 }
 
 bool

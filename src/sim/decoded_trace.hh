@@ -17,6 +17,13 @@
  * verified on-disk event. Both take an event's class from a per-pc
  * table built once from the program. The cycle-level pipeline refills
  * one window of lanes in place with the same recorder body.
+ *
+ * No lane holds an event's next pc: it is the pc of the event after
+ * it, or endPc for the last event, so the six lanes cost 9 bytes an
+ * event. Each lane sits on its own anonymous mapping
+ * (util/mapped_lane.hh), so a freed trace's memory leaves the process,
+ * apart from a small pool of mappings kept for the next lanes.
+ *
  * Once filled a trace is immutable and safe to share READ-ONLY across
  * threads - the sweep runner caches one per (workload, measurement
  * seed, budget) and replays every matching cell against it, exactly
@@ -30,11 +37,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "isa/program.hh"
 #include "sim/emulator.hh"
 #include "sim/replay_schedule.hh"
+#include "util/mapped_lane.hh"
 
 namespace pabp {
 
@@ -60,19 +67,25 @@ struct DecodedTrace
     /** Owned program copy; pcs index into it. */
     Program prog;
 
-    /** @name Per-event lanes, all of size() entries
+    /** @name Per-event lanes, all of size() entries: 9 bytes an event
      *  @{ */
-    std::vector<std::uint32_t> pcs;
-    std::vector<std::uint8_t> cls; ///< a Class value
+    MappedLane<std::uint32_t> pcs;
+    MappedLane<std::uint8_t> cls; ///< a Class value
     /** bit0 guard, bit1 taken, bits 2-3 numPredWrites - byte 4 of
      *  the on-disk event record. */
-    std::vector<std::uint8_t> flags;
-    std::vector<std::uint8_t> predReg0;
-    std::vector<std::uint8_t> predReg1;
+    MappedLane<std::uint8_t> flags;
+    MappedLane<std::uint8_t> predReg0;
+    MappedLane<std::uint8_t> predReg1;
     /** bit0/bit1 = write values, bit2 cmpRel. */
-    std::vector<std::uint8_t> predVal;
-    std::vector<std::uint32_t> nextPcs;
+    MappedLane<std::uint8_t> predVal;
     /** @} */
+
+    /**
+     * The pc after the last event: the emulator's pc once the trace
+     * ends. Every other event's next pc is the pc of the event after
+     * it (nextPc()), so no lane stores it.
+     */
+    std::uint32_t endPc = 0;
 
     /**
      * Dynamic sequence number of lane 0: event i is the instruction
@@ -93,6 +106,39 @@ struct DecodedTrace
     DecodedTrace &operator=(const DecodedTrace &) = delete;
 
     std::size_t size() const { return pcs.size(); }
+
+    /** The pc control reached after event @p i. */
+    std::uint32_t
+    nextPc(std::size_t i) const
+    {
+        return i + 1 < size() ? pcs[i + 1] : endPc;
+    }
+
+    /** Apply @p op to each of the six lanes. */
+    template <typename Op>
+    void
+    forEachLane(Op op)
+    {
+        op(pcs);
+        op(cls);
+        op(flags);
+        op(predReg0);
+        op(predReg1);
+        op(predVal);
+    }
+
+    /** Resize every lane to @p n events (new events are zero). */
+    void
+    resize(std::size_t n)
+    {
+        forEachLane([n](auto &lane) { lane.resize(n); });
+    }
+
+    /** Lane bytes per event: the pc and five byte lanes. */
+    static constexpr std::size_t bytesPerEvent = sizeof(std::uint32_t) + 5;
+
+    /** Bytes the events occupy in the lanes. */
+    std::size_t laneBytes() const { return size() * bytesPerEvent; }
 
     bool guard(std::size_t i) const { return flags[i] & 1; }
     bool taken(std::size_t i) const { return (flags[i] >> 1) & 1; }
@@ -129,7 +175,7 @@ struct DecodedTrace
         dyn.guard = guard(i);
         dyn.taken = taken(i);
         dyn.isControl = in.isControl();
-        dyn.nextPc = nextPcs[i];
+        dyn.nextPc = nextPc(i);
         dyn.numPredWrites =
             static_cast<std::uint8_t>(numPredWrites(i));
         const std::uint8_t regs[2] = {predReg0[i], predReg1[i]};
@@ -162,7 +208,7 @@ struct DecodedTrace
         out.predReg0 = trace.predReg0;
         out.predReg1 = trace.predReg1;
         out.predVal = trace.predVal;
-        out.nextPcs = trace.nextPcs;
+        out.endPc = trace.endPc;
         out.firstSeq = trace.firstSeq;
         out.schedCache = std::make_shared<ReplayScheduleCache>();
         return out;

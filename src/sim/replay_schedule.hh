@@ -112,6 +112,18 @@ struct ReplaySchedule
      *  own class scan before reuse. */
     std::uint64_t nBranches = 0;
     /** @} */
+
+    /** Heap bytes the schedule holds, itself included. */
+    std::uint64_t
+    bytes() const
+    {
+        auto held = [](const auto &v) {
+            return v.capacity() * sizeof(v[0]);
+        };
+        return sizeof(*this) + held(prePredQueue) + held(guard) +
+            held(pguBits) + held(drainTargets) + held(drainWords) +
+            held(postPredQueue);
+    }
 };
 
 /** Mutex-guarded schedule store, one per DecodedTrace. */
@@ -159,9 +171,11 @@ class ReplayScheduleCache
     {
         std::lock_guard<std::mutex> lock(mu);
         if (entries.size() >= kMaxEntries) {
+            liveBytes -= entries.front()->bytes();
             entries.erase(entries.begin());
             ++traffic.evictions;
         }
+        liveBytes += s->bytes();
         entries.push_back(std::move(s));
         ++traffic.inserts;
     }
@@ -173,11 +187,20 @@ class ReplayScheduleCache
         return traffic;
     }
 
+    /** ReplaySchedule::bytes() summed over the cached schedules. */
+    std::uint64_t
+    bytes() const
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        return liveBytes;
+    }
+
     static constexpr std::size_t kMaxEntries = 64;
 
   private:
     mutable std::mutex mu;
     Counters traffic;
+    std::uint64_t liveBytes = 0;
     std::vector<std::shared_ptr<const ReplaySchedule>> entries;
 };
 

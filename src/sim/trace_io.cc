@@ -68,7 +68,8 @@ packEvent(const DecodedTrace &trace, std::size_t i, unsigned char *out)
     out[5] = trace.predReg0[i];
     out[6] = trace.predReg1[i];
     out[7] = trace.predVal[i];
-    std::memcpy(out + 8, &trace.nextPcs[i], 4);
+    const std::uint32_t next_pc = trace.nextPc(i);
+    std::memcpy(out + 8, &next_pc, 4);
 }
 
 DecodedTrace::Class
@@ -82,20 +83,6 @@ classify(const Inst &inst)
     if (inst.writesPredicate())
         return Class::PredDefine;
     return Class::Other;
-}
-
-/** Apply @p op to each of the seven event lanes of @p trace. */
-template <typename Op>
-void
-forEachLane(DecodedTrace &trace, Op op)
-{
-    op(trace.pcs);
-    op(trace.cls);
-    op(trace.flags);
-    op(trace.predReg0);
-    op(trace.predReg1);
-    op(trace.predVal);
-    op(trace.nextPcs);
 }
 
 } // anonymous namespace
@@ -120,7 +107,7 @@ recordEvents(Emulator &emu, const std::uint8_t *classes,
     std::uint8_t *reg0 = trace.predReg0.data() + at;
     std::uint8_t *reg1 = trace.predReg1.data() + at;
     std::uint8_t *val = trace.predVal.data() + at;
-    std::uint32_t *next_pcs = trace.nextPcs.data() + at;
+    std::uint32_t next_pc = trace.endPc;
     std::size_t i = 0;
     emu.run(n, [&](const ExecEvent &ev) {
         pcs[i] = ev.pc;
@@ -129,11 +116,12 @@ recordEvents(Emulator &emu, const std::uint8_t *classes,
         reg0[i] = ev.predReg0;
         reg1[i] = ev.predReg1;
         val[i] = ev.predVal;
-        next_pcs[i] = ev.nextPc;
+        next_pc = ev.nextPc;
         if (effAddrs)
             effAddrs[i] = ev.effAddr;
         ++i;
     });
+    trace.endPc = next_pc;
     return i;
 }
 
@@ -146,19 +134,21 @@ recordTrace(Emulator &emu, std::uint64_t max_insts)
     const std::vector<std::uint8_t> classes = classTable(trace.prog);
     const auto reserved = static_cast<std::size_t>(
         std::min<std::uint64_t>(max_insts, maxTraceInsts));
-    forEachLane(trace,
-                [reserved](auto &lane) { lane.reserve(reserved); });
+    trace.forEachLane(
+        [reserved](auto &lane) { lane.reserve(reserved); });
 
-    // The lanes grow a chunk at a time and the interpreter writes
-    // each event into them by index. A program that halts early
-    // leaves at most one chunk zero-filled past its last event, and a
-    // budget past the reservation just keeps growing the lanes.
+    // The reservation is address space only. The lanes grow a chunk
+    // at a time, each growth faulting in its pages in one call, and
+    // the interpreter writes each event into them by index. A program
+    // that halts early leaves at most one chunk zero-filled past its
+    // last event, and a budget past the reservation just keeps
+    // growing the lanes.
     std::size_t filled = 0;
     std::uint64_t left = max_insts;
     while (left > 0) {
         const auto chunk = static_cast<std::size_t>(
             std::min<std::uint64_t>(left, recordChunk));
-        forEachLane(trace, [&](auto &lane) { lane.resize(filled + chunk); });
+        trace.resize(filled + chunk);
         const std::size_t i =
             recordEvents(emu, classes.data(), trace, filled, chunk);
         filled += i;
@@ -166,11 +156,11 @@ recordTrace(Emulator &emu, std::uint64_t max_insts)
         if (i < chunk)
             break;
     }
-    forEachLane(trace, [filled](auto &lane) { lane.resize(filled); });
+    trace.resize(filled);
     // A program that halts short of the budget gives the unused
     // reservation back before the trace is cached.
     if (filled < reserved)
-        forEachLane(trace, [](auto &lane) { lane.shrink_to_fit(); });
+        trace.forEachLane([](auto &lane) { lane.shrink_to_fit(); });
     return trace;
 }
 
@@ -241,6 +231,14 @@ writeTrace(const DecodedTrace &trace, std::ostream &os)
 
 namespace {
 
+Status
+nextPcMismatch(std::uint64_t event)
+{
+    return Status(StatusCode::Corrupt,
+                  "trace event " + std::to_string(event) +
+                      " nextPc is not the next event's pc");
+}
+
 Expected<DecodedTrace>
 readTraceV2(StateSource &src, const TraceReadOptions &opts,
             TraceReadInfo &info)
@@ -304,7 +302,11 @@ readTraceV2(StateSource &src, const TraceReadOptions &opts,
     const std::vector<std::uint8_t> classes = classTable(trace.prog);
     const auto reserve = static_cast<std::size_t>(
         std::min<std::uint64_t>(num_events, 1u << 20));
-    forEachLane(trace, [reserve](auto &lane) { lane.reserve(reserve); });
+    trace.forEachLane([reserve](auto &lane) { lane.reserve(reserve); });
+    // The stored nextPc of an event is verified against the pc of the
+    // event after it, so the last block kept is confirmed only by the
+    // first record of the next; it starts at lane index last_block.
+    std::size_t last_block = 0;
     std::uint64_t remaining = num_events;
     std::vector<unsigned char> payload;
     while (remaining > 0) {
@@ -330,31 +332,46 @@ readTraceV2(StateSource &src, const TraceReadOptions &opts,
             return salvage_or(Status(StatusCode::ChecksumMismatch,
                                      "event block CRC mismatch"));
 
-        // Only append once the whole block verified - its CRC and
-        // every pc - so a salvaged trace is always a prefix of whole
-        // valid blocks and inst(i) never indexes past the program.
+        // Only append once the whole block verified - its CRC, every
+        // pc and the nextPc chain - so a salvaged trace is always a
+        // prefix of whole valid blocks and inst(i) never indexes past
+        // the program.
+        auto field = [&](std::uint32_t i, std::size_t at) {
+            std::uint32_t v = 0;
+            std::memcpy(&v, payload.data() + i * eventRecordBytes + at, 4);
+            return v;
+        };
         for (std::uint32_t i = 0; i < count; ++i) {
-            std::uint32_t pc = 0;
-            std::memcpy(&pc, payload.data() + i * eventRecordBytes, 4);
+            const std::uint32_t pc = field(i, 0);
             if (pc >= trace.prog.size())
                 return salvage_or(
                     Status(StatusCode::Corrupt,
                            "trace event pc " + std::to_string(pc) +
                                " out of range"));
         }
+        const std::size_t held = trace.size();
+        if (held > 0 && field(0, 0) != trace.endPc) {
+            // The wrong nextPc belongs to the last block kept: drop it.
+            trace.endPc = last_block > 0 ? trace.pcs[last_block] : 0;
+            trace.resize(last_block);
+            return salvage_or(nextPcMismatch(held - 1));
+        }
+        for (std::uint32_t i = 0; i + 1 < count; ++i)
+            if (field(i, 8) != field(i + 1, 0))
+                return salvage_or(nextPcMismatch(held + i));
+        trace.resize(held + count);
         for (std::uint32_t i = 0; i < count; ++i) {
             const unsigned char *p = payload.data() + i * eventRecordBytes;
-            std::uint32_t pc = 0, next_pc = 0;
-            std::memcpy(&pc, p, 4);
-            std::memcpy(&next_pc, p + 8, 4);
-            trace.pcs.push_back(pc);
-            trace.cls.push_back(classes[pc]);
-            trace.flags.push_back(p[4]);
-            trace.predReg0.push_back(p[5]);
-            trace.predReg1.push_back(p[6]);
-            trace.predVal.push_back(p[7]);
-            trace.nextPcs.push_back(next_pc);
+            const std::uint32_t pc = field(i, 0);
+            trace.pcs[held + i] = pc;
+            trace.cls[held + i] = classes[pc];
+            trace.flags[held + i] = p[4];
+            trace.predReg0[held + i] = p[5];
+            trace.predReg1[held + i] = p[6];
+            trace.predVal[held + i] = p[7];
         }
+        trace.endPc = field(count - 1, 8);
+        last_block = held;
         remaining -= count;
     }
 

@@ -7,7 +7,8 @@
  * configurations (the record/replay methodology of trace-driven
  * studies). The recorder and the reader both fill the DecodedTrace
  * replay lanes directly (sim/decoded_trace.hh); the writer and the
- * fingerprint pack each event back into its 12 on-disk bytes.
+ * fingerprint pack each event back into its 12 on-disk bytes, taking
+ * its nextPc from the next event's pc (DecodedTrace::nextPc()).
  *
  * One on-disk format exists, "PABPTRC2" (little-endian):
  *    | magic[8] | u32 version | u64 numInsts | u64 numEvents
@@ -17,7 +18,9 @@
  *    | event blocks    - u32 count (<= 4096), count*12 payload bytes,
  *    |                   u32 blockCrc over count + payload; an event
  *    |                   is u32 pc, u8 flags, u8 predReg[2],
- *    |                   u8 predVal, u32 nextPc
+ *    |                   u8 predVal, u32 nextPc - the next event's
+ *    |                   pc, which the reader verifies, or the
+ *    |                   trace's endPc for the last event
  *    | u64 footer      - ASCII "PABPEND2" end-of-artifact sentinel
  *    Per-block CRCs localise corruption, which is what makes salvage
  *    (recovering the longest valid event prefix) possible.
@@ -67,7 +70,9 @@ std::vector<std::uint8_t> classTable(const Program &prog);
 /**
  * The recorder body recordTrace() runs: execute up to @p n
  * instructions of @p emu, writing event k into lane index @p at + k
- * of @p trace's seven lanes, which must already hold at + n entries.
+ * of @p trace's six lanes, which must already hold at + n entries, and
+ * setting its endPc to the next pc of the last event written (left
+ * alone when none ran).
  * @p classes is classTable() of the program. A non-null @p effAddrs
  * also receives event k's effective address (0 for a non-memory
  * instruction) at index k - the window-only lane of the cycle-level

@@ -138,9 +138,9 @@ struct TimedRun
     Emulator emu;
 
     TimedRun(const TimedProgram &tp, const EngineConfig &ecfg,
-             const PipelineConfig &pcfg)
+             const PipelineConfig &pcfg, const EmuConfig &emu_cfg = {})
         : pred(makePredictor("gshare", 12)), engine(*pred, ecfg),
-          pipe(engine, pcfg), emu(tp.prog)
+          pipe(engine, pcfg), emu(tp.prog, emu_cfg)
     {
         if (tp.init)
             tp.init(emu.state());
@@ -219,6 +219,42 @@ TEST(Pipeline, SplitRunsEqualOneRun)
             EXPECT_GT(one.pipe.stats().l2Misses, 0u);
             EXPECT_GT(one.pipe.stats().rasHits, 0u);
             EXPECT_GT(one.pipe.stats().rasMisses, 0u);
+        }
+    }
+}
+
+TEST(Pipeline, WindowsEndingOnATakenBranchMatchReference)
+{
+    // A three-instruction counting loop, 150002 events to its halt:
+    // its taken branch is every third event from event 3, so event
+    // 4095 - the last of the first window - is one. Budgets one event
+    // either side of a window and past the halt, with no fuse and with
+    // a fuse that stops the second window right after the taken branch
+    // at event 4098. Each window's last next pc comes from endPc; a
+    // wrong one would train the BTB with a target the per-instruction
+    // reference never sees.
+    TimedProgram tp;
+    tp.prog.insts = {
+        makeMovImm(1, 0),
+        makeAluImm(Opcode::Add, 1, 1, 1),
+        makeCmpImm(CmpRel::Lt, CmpType::Unc, 1, 2, 1, 50000),
+        makeBr(1, 1),
+        makeHalt(),
+    };
+    EngineConfig ecfg;
+    ecfg.modelTargets = true;
+    for (std::uint64_t fuse : {0u, 4099u}) {
+        for (std::uint64_t budget : {4095u, 4096u, 4097u, 1000000u}) {
+            SCOPED_TRACE("fuse " + std::to_string(fuse) + ", budget " +
+                         std::to_string(budget));
+            EmuConfig emu_cfg;
+            emu_cfg.maxInsts = fuse;
+            TimedRun one(tp, ecfg, PipelineConfig{}, emu_cfg);
+            TimedRun ref(tp, ecfg, PipelineConfig{}, emu_cfg);
+            one.pipe.run(one.emu, budget);
+            ref.pipe.runReference(ref.emu, budget);
+            expectSameRun(one, ref);
+            EXPECT_GT(one.pipe.stats().btbMisses, 0u);
         }
     }
 }

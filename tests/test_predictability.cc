@@ -389,7 +389,6 @@ guardLanes(std::size_t n, const std::vector<std::size_t> &defines,
         t.predReg0.push_back(pc == 1 ? 5 : 0);
         t.predReg1.push_back(pc == 1 ? 6 : 0);
         t.predVal.push_back(0);
-        t.nextPcs.push_back(0);
     }
     return t;
 }

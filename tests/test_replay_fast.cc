@@ -243,7 +243,8 @@ TEST(DecodedTraceLanes, ClassLaneMatchesDispatchRules)
 // lanes, the machine state run(n, sink) leaves, and the compile
 // profiler.
 
-/** The seven lanes packed per event from a live step() loop. */
+/** The six lanes packed per event from a live step() loop, plus each
+ *  event's DynInst::nextPc, which the trace derives instead. */
 struct PackedLanes
 {
     std::vector<std::uint32_t> pcs;
@@ -295,9 +296,9 @@ stepLanes(Emulator &emu, std::uint64_t max_insts)
     return lanes;
 }
 
-template <typename T>
+template <typename Lane, typename T>
 void
-expectSameLane(const char *name, const std::vector<T> &got,
+expectSameLane(const char *name, const Lane &got,
                const std::vector<T> &want)
 {
     ASSERT_EQ(got.size(), want.size()) << name;
@@ -317,7 +318,10 @@ expectLanes(const DecodedTrace &trace, const PackedLanes &want)
     expectSameLane("predReg0", trace.predReg0, want.predReg0);
     expectSameLane("predReg1", trace.predReg1, want.predReg1);
     expectSameLane("predVal", trace.predVal, want.predVal);
-    expectSameLane("nextPcs", trace.nextPcs, want.nextPcs);
+    std::vector<std::uint32_t> next_pcs(trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        next_pcs[i] = trace.nextPc(i);
+    expectSameLane("nextPc", next_pcs, want.nextPcs);
 }
 
 void
@@ -385,10 +389,81 @@ TEST(DecodedTraceLanes, RecorderShrinksWhenTheProgramHalts)
     expectSameMachine(rec, live);
     EXPECT_TRUE(rec.halted());
     EXPECT_FALSE(rec.fuseBlown());
-    // The unused reservation went back.
-    EXPECT_EQ(trace.pcs.capacity(), trace.size());
-    EXPECT_EQ(trace.cls.capacity(), trace.size());
-    EXPECT_EQ(trace.nextPcs.capacity(), trace.size());
+    // The unused reservation went back: each lane keeps only the
+    // whole pages its events need.
+    EXPECT_EQ(trace.pcs.capacity() * sizeof(std::uint32_t),
+              anon_map::roundToPages(trace.size() * sizeof(std::uint32_t)));
+    EXPECT_EQ(trace.cls.capacity(), anon_map::roundToPages(trace.size()));
+    EXPECT_EQ(trace.predVal.capacity(),
+              anon_map::roundToPages(trace.size()));
+}
+
+TEST(DecodedTraceLanes, RecorderMatchesStepLoopOnAHaltingFuzzProgram)
+{
+    // Calls and returns through a chain of procedures, and a budget
+    // past the halt that is no multiple of the recorder's chunk: the
+    // derived next pc of every event, the last one's endPc included,
+    // is the emulator's DynInst::nextPc.
+    fuzz::FuzzProgramConfig gen;
+    gen.callDepth = 4;
+    gen.repeats = 400;
+    const fuzz::FuzzPrograms p = fuzz::buildFuzzPrograms(5, gen);
+    Emulator rec(p.converted.prog);
+    Emulator live(p.converted.prog);
+    if (p.body.init) {
+        p.body.init(rec.state());
+        p.body.init(live.state());
+    }
+    constexpr std::uint64_t budget = 3000001;
+    const DecodedTrace trace = recordTrace(rec, budget);
+    EXPECT_TRUE(rec.halted());
+    EXPECT_FALSE(rec.fuseBlown());
+    EXPECT_LT(trace.size(), budget);
+    EXPECT_GT(trace.size(), 65536u);
+    expectLanes(trace, stepLanes(live, budget));
+    expectSameMachine(rec, live);
+}
+
+TEST(DecodedTraceLanes, WindowNextPcsMatchTheStepLoop)
+{
+    // The cycle-level pipeline refills one window of lanes in place:
+    // sized to n events, recorded, then sized to what ran. Its last
+    // event's next pc must be endPc, never a stale entry left from an
+    // earlier window. countingLoop's taken branch is every third event
+    // from event 3, so windows end on it; the program halts inside its
+    // last window, and a fuse at 4099 stops the second window right
+    // after the taken branch at event 4098.
+    const Program prog = countingLoop();
+    const std::vector<std::uint8_t> classes = classTable(prog);
+    for (std::uint64_t fuse : {0u, 4099u}) {
+        for (std::size_t n : {4095u, 4096u, 4097u}) {
+            SCOPED_TRACE("fuse " + std::to_string(fuse) + ", window " +
+                         std::to_string(n));
+            EmuConfig ecfg;
+            ecfg.maxInsts = fuse;
+            Emulator rec(prog, ecfg);
+            Emulator live(prog, ecfg);
+            const PackedLanes want = stepLanes(live, 1000000);
+            DecodedTrace w;
+            w.prog = prog;
+            std::size_t at = 0;
+            for (;;) {
+                w.resize(n);
+                const std::size_t got =
+                    recordEvents(rec, classes.data(), w, 0, n);
+                w.resize(got);
+                ASSERT_LE(at + got, want.pcs.size());
+                for (std::size_t i = 0; i < got; ++i) {
+                    ASSERT_EQ(w.pcs[i], want.pcs[at + i]) << at + i;
+                    ASSERT_EQ(w.nextPc(i), want.nextPcs[at + i]) << at + i;
+                }
+                at += got;
+                if (got < n)
+                    break;
+            }
+            EXPECT_EQ(at, want.pcs.size());
+        }
+    }
 }
 
 TEST(DecodedTraceLanes, RunLeavesTheStateOfAStepLoop)
@@ -950,7 +1025,7 @@ fillWindow(DecodedTrace &w, const DecodedTrace &trace,
     w.predReg0 = slice(trace.predReg0);
     w.predReg1 = slice(trace.predReg1);
     w.predVal = slice(trace.predVal);
-    w.nextPcs = slice(trace.nextPcs);
+    w.endPc = trace.nextPc(first + n - 1);
 }
 
 TEST(OutcomeLane, BatchBytesEqualPackedProcessResults)
@@ -1234,6 +1309,46 @@ TEST(SweepFastReplay, CacheStatsCountScheduleTraffic)
     }
     EXPECT_EQ(released.cacheStats().traceReleases, 1u);
     EXPECT_EQ(live.cacheStats().traceReleases, 0u);
+}
+
+TEST(SweepFastReplay, CacheStatsCountLiveLaneAndScheduleBytes)
+{
+    // Two 15000-event traces, 9 lane bytes an event. run() on one
+    // worker frees each trace after its last cell, so at most one is
+    // live; runOne() cells leave both cached. Only an armed cell
+    // captures replay schedules.
+    constexpr std::uint64_t events = 15000;
+    for (bool armed : {false, true}) {
+        SCOPED_TRACE(armed ? "+both" : "base");
+        std::vector<RunSpec> specs;
+        for (const char *wl : {"interp", "filter"}) {
+            RunSpec spec;
+            spec.workload = wl;
+            spec.engine.useSfpf = armed;
+            spec.engine.usePgu = armed;
+            spec.maxInsts = events;
+            spec.fastReplay = true;
+            specs.push_back(spec);
+        }
+        SweepRunner released(SweepRunner::Config{1, 0});
+        for (const RunResult &r : released.run(specs))
+            ASSERT_TRUE(r.status.ok()) << r.status.toString();
+        SweepRunner live(SweepRunner::Config{1, 0});
+        for (const RunSpec &spec : specs)
+            ASSERT_TRUE(live.runOne(spec).status.ok());
+
+        EXPECT_EQ(released.cacheStats().peakLaneBytes, 9 * events);
+        EXPECT_EQ(live.cacheStats().peakLaneBytes, 2 * 9 * events);
+        const std::uint64_t one_schedule =
+            released.cacheStats().peakScheduleBytes;
+        if (armed) {
+            EXPECT_GT(one_schedule, 0u);
+            EXPECT_GT(live.cacheStats().peakScheduleBytes, one_schedule);
+        } else {
+            EXPECT_EQ(one_schedule, 0u);
+            EXPECT_EQ(live.cacheStats().peakScheduleBytes, 0u);
+        }
+    }
 }
 
 } // namespace

@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for the util library: RNG, saturating counters, stats,
- * tables, options.
+ * tables, options, CRC-32 and the mapped lane.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "util/crc32.hh"
+#include "util/mapped_lane.hh"
 #include "util/options.hh"
 #include "util/rng.hh"
 #include "util/sat_counter.hh"
@@ -324,6 +327,172 @@ TEST(Options, UnsignedIntegerRejectsNegativeAndOutOfRange)
                     ::testing::ExitedWithCode(1), "bad --jobs")
             << text;
     }
+}
+
+/** The textbook byte-at-a-time CRC-32 the slice-by-8 loop replaces. */
+std::uint32_t
+bytewiseCrc(std::uint32_t state, const unsigned char *p, std::size_t len)
+{
+    for (std::size_t i = 0; i < len; ++i) {
+        state ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            state = (state & 1) ? 0xedb88320u ^ (state >> 1) : state >> 1;
+    }
+    return state;
+}
+
+std::uint32_t
+referenceCrc(const unsigned char *p, std::size_t len)
+{
+    return bytewiseCrc(0xffffffffu, p, len) ^ 0xffffffffu;
+}
+
+std::vector<unsigned char>
+randomBytes(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<unsigned char> bytes(n);
+    for (unsigned char &b : bytes)
+        b = static_cast<unsigned char>(rng.below(256));
+    return bytes;
+}
+
+TEST(Crc32, KnownAnswer)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
+{
+    const std::vector<unsigned char> bytes = randomBytes(64 + 8, 7);
+    for (std::size_t start = 0; start < 8; ++start)
+        for (std::size_t len = 0; len <= 64; ++len)
+            ASSERT_EQ(crc32(bytes.data() + start, len),
+                      referenceCrc(bytes.data() + start, len))
+                << "start " << start << ", length " << len;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceOnAnEmulatorImage)
+{
+    // The size of the emulator memory image a checkpoint checksums,
+    // from an odd start.
+    const std::vector<unsigned char> bytes = randomBytes((8u << 20) + 3, 11);
+    EXPECT_EQ(crc32(bytes.data() + 3, 8u << 20),
+              referenceCrc(bytes.data() + 3, 8u << 20));
+}
+
+TEST(Crc32, AnySplitIntoUpdatesGivesTheOneShotValue)
+{
+    const std::vector<unsigned char> bytes = randomBytes(200, 13);
+    const std::uint32_t want = referenceCrc(bytes.data(), bytes.size());
+    Rng rng(17);
+    for (int trial = 0; trial < 200; ++trial) {
+        Crc32 crc;
+        std::size_t at = 0;
+        while (at < bytes.size()) {
+            const std::size_t n = std::min<std::size_t>(
+                rng.below(20), bytes.size() - at);
+            crc.update(bytes.data() + at, n);
+            at += n;
+        }
+        ASSERT_EQ(crc.value(), want) << "trial " << trial;
+    }
+    Crc32 crc;
+    crc.update(bytes.data(), 100);
+    crc.reset();
+    crc.update(bytes.data(), bytes.size());
+    EXPECT_EQ(crc.value(), want);
+}
+
+TEST(MappedLane, GrowsZeroFilledAndKeepsContents)
+{
+    MappedLane<std::uint32_t> lane;
+    for (std::uint32_t i = 0; i < 5000; ++i)
+        lane.push_back(i * 3);
+    ASSERT_EQ(lane.size(), 5000u);
+    // Growing past the capacity moves the mapping and keeps the data.
+    lane.resize(100000);
+    for (std::uint32_t i = 0; i < 5000; ++i)
+        ASSERT_EQ(lane[i], i * 3);
+    for (std::size_t i = 5000; i < lane.size(); ++i)
+        ASSERT_EQ(lane[i], 0u);
+    // Entries written, cut off and grown back are zero again.
+    lane[4000] = 7;
+    lane.resize(3000);
+    lane.resize(6000);
+    EXPECT_EQ(lane[2999], 2999u * 3);
+    for (std::size_t i = 3000; i < 6000; ++i)
+        ASSERT_EQ(lane[i], 0u);
+}
+
+TEST(MappedLane, ShrinkKeepsWholePagesAndCopiesAreDeep)
+{
+    MappedLane<std::uint8_t> lane;
+    lane.reserve(1u << 20);
+    EXPECT_GE(lane.capacity(), 1u << 20);
+    lane.resize(10000);
+    lane[9999] = 9;
+    lane.shrink_to_fit();
+    EXPECT_EQ(lane.capacity(), anon_map::roundToPages(10000));
+    EXPECT_EQ(lane[9999], 9);
+
+    MappedLane<std::uint8_t> copy = lane;
+    copy[9999] = 1;
+    EXPECT_EQ(lane[9999], 9);
+    EXPECT_FALSE(copy == lane);
+    copy[9999] = 9;
+    EXPECT_TRUE(copy == lane);
+    const MappedLane<std::uint8_t> slice(lane.begin() + 9990, lane.end());
+    EXPECT_EQ(slice.size(), 10u);
+    EXPECT_EQ(slice[9], 9);
+
+    MappedLane<std::uint8_t> moved = std::move(lane);
+    EXPECT_EQ(moved.size(), 10000u);
+    EXPECT_EQ(lane.size(), 0u);
+    moved.resize(0);
+    moved.shrink_to_fit();
+    EXPECT_EQ(moved.capacity(), 0u);
+}
+
+TEST(MappedLane, AMappingReusedFromThePoolReadsZero)
+{
+    const void *old = nullptr;
+    {
+        MappedLane<std::uint32_t> a;
+        a.resize(5000);
+        std::fill(a.begin(), a.end(), 0xffffffffu);
+        old = a.data();
+    }
+    // The freed mapping waits in the pool for a lane of its size.
+    MappedLane<std::uint32_t> b;
+    b.resize(5000);
+    EXPECT_EQ(static_cast<const void *>(b.data()), old);
+    for (std::size_t i = 0; i < b.size(); ++i)
+        ASSERT_EQ(b[i], 0u) << i;
+    b.resize(10);
+    b.resize(5000);
+    for (std::size_t i = 0; i < b.size(); ++i)
+        ASSERT_EQ(b[i], 0u) << i;
+}
+
+TEST(MappedLane, TailPastSizeIsPoisonedUnderAsan)
+{
+    // A lane's mapping runs to a page end, past any heap redzone, so
+    // under ASan the lane poisons [size, capacity) itself.
+    MappedLane<std::uint8_t> lane;
+    lane.resize(100);
+    const volatile std::uint8_t *p = lane.data();
+    EXPECT_EQ(p[99], 0);
+#if defined(__SANITIZE_ADDRESS__)
+    EXPECT_DEATH((void)p[100], "use-after-poison");
+#endif
+    lane.resize(200);
+    EXPECT_EQ(p[199], 0);
+#if defined(__SANITIZE_ADDRESS__)
+    EXPECT_DEATH((void)p[200], "use-after-poison");
+#endif
+    EXPECT_EQ(lane.capacity(), anon_map::pageBytes());
 }
 
 } // namespace
