@@ -282,8 +282,8 @@ main(int argc, char **argv)
               << cache.peakLiveTraces << "), reports characterized "
               << cache.characterizes << " (hits " << cache.reportHits
               << "), replay schedules inserted " << cache.scheduleInserts
-              << " (hits " << cache.scheduleHits << ", evictions "
-              << cache.scheduleEvictions << "); peak live lanes "
+              << " (hits " << cache.scheduleHits
+              << "); peak live lanes "
               << cache.peakLaneBytes / 1000000 << " MB, schedules "
               << cache.peakScheduleBytes / 1000000 << " MB\n";
     return ok ? 0 : 1;

@@ -632,7 +632,6 @@ addScheduleTraffic(
         trace->schedCache->counters();
     sum.hits += traffic.hits;
     sum.inserts += traffic.inserts;
-    sum.evictions += traffic.evictions;
 }
 
 } // anonymous namespace
@@ -1268,7 +1267,6 @@ SweepRunner::cacheStats() const
         addScheduleTraffic(entry, schedules);
     stats.scheduleHits = schedules.hits;
     stats.scheduleInserts = schedules.inserts;
-    stats.scheduleEvictions = schedules.evictions;
     const auto [lanes, schedule_bytes] = liveBytesLocked();
     stats.peakLaneBytes = std::max(peakLaneBytes, lanes);
     stats.peakScheduleBytes = std::max(peakScheduleBytes, schedule_bytes);

@@ -382,13 +382,11 @@ class SweepRunner
         /** Predictability reports computed (RunSpec::characterize). */
         std::uint64_t characterizes = 0;
         std::uint64_t reportHits = 0; ///< runs served a cached report
-        /** Replay-schedule cache traffic (ReplayScheduleCache::
-         *  counters()) summed over the recorded traces: a released
-         *  trace's when it is freed, a cached one's at cacheStats()
-         *  time. */
+        /** Replay-schedule traffic (ReplayScheduleCache::counters())
+         *  summed over the recorded traces: a released trace's when
+         *  it is freed, a cached one's at cacheStats() time. */
         std::uint64_t scheduleHits = 0;
         std::uint64_t scheduleInserts = 0;
-        std::uint64_t scheduleEvictions = 0;
         /** High-water marks of what the cached traces hold: the bytes
          *  of their lanes (DecodedTrace::laneBytes()) and of the
          *  replay schedules cached in them (ReplayScheduleCache::

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "isa/inst.hh"
-#include "sim/replay_schedule.hh"
 #include "util/logging.hh"
 #include "util/ring_queue.hh"
 #include "util/serialize.hh"
@@ -104,53 +103,18 @@ class DelayedPredicateFile
     void saveState(StateSink &sink) const;
     Status loadState(StateSource &src);
 
-    /** One in-flight define (the POD lives in sim/replay_schedule.hh
-     *  so replay schedules can snapshot queue contents; the queue
-     *  itself stays private). */
-    using Pending = ReplayPredWrite;
-
-    /** @name Replay-schedule state exchange (core/engine.cc)
-     * The batched replay loop keys its per-trace schedule cache on
-     * this file's exact state and restores the recorded exit state on
-     * a hit; both forms are value-complete (visible bits + the FIFO),
-     * with inFlight derived from the queue.
-     * @{ */
-    static_assert(numPredRegs <= 64,
-                  "visibleBits() packs one bit per register");
-
-    std::uint64_t
-    visibleBits() const
+    /** One in-flight define. */
+    struct Pending
     {
-        std::uint64_t bits = 0;
-        for (unsigned r = 0; r < numPredRegs; ++r)
-            bits |= static_cast<std::uint64_t>(visible[r] ? 1 : 0) << r;
-        return bits;
-    }
-
-    void
-    exportQueue(std::vector<Pending> &out) const
-    {
-        out.clear();
-        queue.forEach([&](const Pending &p) { out.push_back(p); });
-    }
-
-    void
-    restoreBatchState(std::uint64_t visibleBits_,
-                      const std::vector<Pending> &entries)
-    {
-        for (unsigned r = 0; r < numPredRegs; ++r)
-            visible[r] = (visibleBits_ >> r) & 1;
-        std::fill(inFlight.begin(), inFlight.end(), 0u);
-        queue.clear();
-        for (const Pending &p : entries) {
-            queue.push_back(p);
-            ++inFlight[p.reg];
-        }
-    }
-    /** @} */
+        std::uint64_t seq;
+        std::uint8_t reg;
+        bool value;
+        /** False for a conservative-tracking noop entry (occupies
+         *  the register without architecturally writing). */
+        bool writes;
+    };
 
   private:
-
     /** Apply the front pending write and pop it (advanceTo's loop
      *  body). */
     void
@@ -176,7 +140,7 @@ class DelayedPredicateFile
  * Register-indexed overlay that answers a whole batch worth of
  * delayed-visibility queries without touching the FIFO - the SFPF
  * kernel of the replay loop's schedule capture (core/engine.cc),
- * which runs it over a copy of the engine's file.
+ * which runs it over the predicate file the capture advances.
  *
  * The reference loop pays a queue push per define plus an advanceTo()
  * retirement sweep per instruction. Over a batch [first, endSeq] none

@@ -28,8 +28,7 @@ static_assert(static_cast<std::uint8_t>(
 
 PredictionEngine::PredictionEngine(BranchPredictor &base,
                                    EngineConfig config)
-    : pred(base), cfg(config), predFile(config.availDelay),
-      shadowFile(config.availDelay), sfpf(predFile),
+    : pred(base), cfg(config), predFile(config.availDelay), sfpf(predFile),
       pgu(base, config.pgu), pvp(config.pvpEntriesLog2),
       jrs(config.jrsEntriesLog2), profile(config.branchProfileCapacity)
 {
@@ -199,6 +198,8 @@ PredictionEngine::processConditionalBranch(const DynInst &dyn)
 ProcessResult
 PredictionEngine::process(const DynInst &dyn)
 {
+    if (onPath) [[unlikely]]
+        leavePath();
     ++engineStats.insts;
     if (cfg.useSfpf)
         predFile.advanceTo(dyn.seq);
@@ -371,40 +372,35 @@ PredictionEngine::batchCondBranch(Pred &bp, std::uint32_t pc,
 
 template <bool UseSfpf, bool UsePgu>
 void
-PredictionEngine::captureSchedule(const DecodedTrace &trace,
-                                  const simd::CollectResult &stops,
-                                  std::uint64_t endSeq, ReplaySchedule &s)
+PredictionEngine::captureChunk(const DecodedTrace &trace,
+                               const std::uint32_t *branches,
+                               const std::uint32_t *defs,
+                               const simd::CollectResult &stops,
+                               std::uint64_t endSeq,
+                               DelayedPredicateFile &file,
+                               ReplaySchedule &s) const
 {
     // MIRROR of handlePredicateDefine() plus the reference loop's
-    // per-branch predicate-file read and PGU drains, over the batch's
+    // per-branch predicate-file read and PGU drains, over the chunk's
     // define and branch streams only. Nothing here reads the base
     // predictor, which is what lets the schedule serve every predictor
-    // replaying this batch. Any semantic change in the reference
+    // replaying this trace. Any semantic change in the reference
     // handler lands here too; tests/test_replay_fast.cc pins the two
     // event for event.
     //
-    // The SFPF kernel is the flat BatchPredicateView overlay over a
-    // COPY of the predicate file (the engine's own file only changes
-    // when the replay restores the captured exit state), so each
-    // define is a pair of array stores rather than a queue push and
-    // retirement with data-dependent host branches.
-    const std::uint32_t *branches = stopBuf.get();
-    const std::uint32_t *defs = defBuf.get();
-    s.nBranches = stops.branches;
+    // The SFPF kernel is the flat BatchPredicateView overlay over
+    // @p file, so each define is a pair of array stores rather than a
+    // queue push and retirement with data-dependent host branches.
+    const std::uint64_t b0 = UseSfpf ? s.guard.size() : s.drainTargets.size();
+    const std::uint64_t nb = b0 + stops.branches;
     // The stop buffers hold lane indices; the predicate file and the
     // PGU queue speak global sequence numbers.
     const std::uint64_t seq0 = trace.firstSeq;
+    BatchPredicateView view;
 
     if constexpr (UseSfpf) {
-        shadowFile = predFile;
-        predView.begin(shadowFile, endSeq);
-        s.guard.resize(stops.branches);
-    }
-    if constexpr (UsePgu) {
-        // The stream starts with the carried queue (s.pguBits holds it
-        // already); each define contributes at most two bits
-        // (BothWrites), so this reserve bounds every append.
-        s.pguBits.reserve(s.pguBits.size() + 2 * stops.defines);
+        view.begin(file, endSeq);
+        s.guard.resize(nb);
     }
     auto define = [&](std::uint32_t i) {
         if constexpr (UseSfpf) {
@@ -418,8 +414,8 @@ PredictionEngine::captureSchedule(const DecodedTrace &trace,
             constexpr unsigned trash = BatchPredicateView::trashReg;
             const unsigned r0 = writes >= 1 ? trace.predReg0[i] : trash;
             const unsigned r1 = writes >= 2 ? trace.predReg1[i] : trash;
-            predView.writeMasked(seq0 + i, r0, v & 1);
-            predView.writeMasked(seq0 + i, r1, (v >> 1) & 1);
+            view.writeMasked(seq0 + i, r0, v & 1);
+            view.writeMasked(seq0 + i, r1, (v >> 1) & 1);
             if (cfg.conservativeDefTracking) {
                 const std::uint8_t regs[2] = {trace.predReg0[i],
                                               trace.predReg1[i]};
@@ -431,9 +427,9 @@ PredictionEngine::captureSchedule(const DecodedTrace &trace,
                     return false;
                 };
                 if (!written(inst.pdst1))
-                    predView.writeNoop(seq0 + i, inst.pdst1);
+                    view.writeNoop(seq0 + i, inst.pdst1);
                 if (inst.op == Opcode::Cmp && !written(inst.pdst2))
-                    predView.writeNoop(seq0 + i, inst.pdst2);
+                    view.writeNoop(seq0 + i, inst.pdst2);
             }
         }
         if constexpr (UsePgu) {
@@ -456,8 +452,8 @@ PredictionEngine::captureSchedule(const DecodedTrace &trace,
             while (d < stops.defines && defs[d] < i)
                 define(defs[d++]);
             const std::optional<bool> g =
-                predView.read(trace.inst(i).qp, seq0 + i);
-            s.guard[b] = g.has_value()
+                view.read(trace.inst(i).qp, seq0 + i);
+            s.guard[b0 + b] = g.has_value()
                 ? static_cast<std::uint8_t>(
                       1u | (static_cast<unsigned>(*g) << 1))
                 : 0u;
@@ -466,42 +462,127 @@ PredictionEngine::captureSchedule(const DecodedTrace &trace,
     while (d < stops.defines)
         define(defs[d++]);
 
-    if constexpr (UseSfpf) {
-        predView.commit(); // advanceTo(endSeq) + batch writes
-        s.postVisibleBits = shadowFile.visibleBits();
-        shadowFile.exportQueue(s.postPredQueue);
-    }
+    if constexpr (UseSfpf)
+        view.commit(); // advanceTo(endSeq) + chunk writes
     if constexpr (UsePgu) {
-        // The schedule outlives the batch (the cache keeps it for the
-        // next predictor), so give back the unused reserve: Rel and
-        // FirstWrite use at most half of it.
-        s.pguBits.shrink_to_fit();
         // The drain plan: cumulative cursor and rolling bit word at
-        // each branch, plus the batch-end drain - drainTo()'s ripeness
-        // rule over the same stream, so the replay lands each bit at
-        // the same point. A bit is also never ripe at its own define's
-        // sequence: the reference loop drains before it observes, which
-        // only matters at the batch end (a branch is never a define) -
-        // hence a delay of at least one.
+        // each branch, picking up where the last branch left them -
+        // drainTo()'s ripeness rule, so the replay lands each bit at
+        // the same point. A bit is never ripe at its own define's
+        // sequence (the reference loop drains before it observes),
+        // which only a batch end can meet: hence a delay of >= 1.
         const std::uint64_t delay =
             std::max<std::uint64_t>(cfg.pgu.delay, 1);
         const std::vector<std::uint64_t> &bits = s.pguBits;
         pabp_assert(bits.size() <= 0xffffffffu);
-        s.drainTargets.resize(stops.branches + 1);
-        s.drainWords.resize(stops.branches + 1);
-        std::uint32_t c = 0;
-        std::uint64_t word = 0;
-        for (std::uint64_t b = 0; b <= stops.branches; ++b) {
-            const std::uint64_t seq =
-                b < stops.branches ? seq0 + branches[b] : endSeq;
-            while (c < bits.size() && (bits[c] >> 1) + delay <= seq) {
-                word = (word << 1) | (bits[c] & 1);
-                ++c;
-            }
-            s.drainTargets[b] = c;
-            s.drainWords[b] = word;
+        std::uint64_t c = b0 ? s.drainTargets[b0 - 1] : 0;
+        std::uint64_t word = b0 ? s.drainWords[b0 - 1] : 0;
+        s.drainTargets.resize(nb);
+        s.drainWords.resize(nb);
+        for (std::uint64_t b = 0; b < stops.branches; ++b) {
+            const std::uint64_t seq = seq0 + branches[b];
+            while (c < bits.size() && (bits[c] >> 1) + delay <= seq)
+                word = (word << 1) | (bits[c++] & 1);
+            s.drainTargets[b0 + b] = static_cast<std::uint32_t>(c);
+            s.drainWords[b0 + b] = word;
         }
     }
+}
+
+void
+PredictionEngine::capture(const DecodedTrace &trace, std::uint64_t first,
+                          std::uint64_t end, bool useSfpf, bool usePgu,
+                          DelayedPredicateFile &file,
+                          ReplaySchedule &s) const
+{
+    // Bounded chunks keep the index buffers at a batch's scale: a
+    // whole-trace capture never holds trace-sized stop lists.
+    constexpr std::uint64_t chunk = 4096;
+    const std::uint64_t room = std::min(chunk, end - first);
+    const auto br = std::make_unique_for_overwrite<std::uint32_t[]>(room);
+    const auto defs = std::make_unique_for_overwrite<std::uint32_t[]>(room);
+    const auto kernel = !useSfpf ? &PredictionEngine::captureChunk<false, true>
+        : usePgu ? &PredictionEngine::captureChunk<true, true>
+                 : &PredictionEngine::captureChunk<true, false>;
+    // A counting pass first, so the arrays are allocated once: each
+    // define adds at most two PGU bits.
+    std::uint64_t nb = 0, nd = 0;
+    for (std::uint64_t c = first; c < end; c += chunk) {
+        const simd::CollectResult n = simd::collectStops(
+            trace.cls.data(), c, std::min(end, c + chunk), false, br.get(),
+            nullptr);
+        nb += n.branches;
+        nd += n.defines;
+    }
+    s.guard.reserve(s.guard.size() + (useSfpf ? nb : 0));
+    s.pguBits.reserve(s.pguBits.size() + (usePgu ? 2 * nd : 0));
+    s.drainTargets.reserve(s.drainTargets.size() + (usePgu ? nb : 0));
+    s.drainWords.reserve(s.drainWords.size() + (usePgu ? nb : 0));
+    for (std::uint64_t c = first; c < end; c += chunk) {
+        const std::uint64_t e = std::min(end, c + chunk);
+        const simd::CollectResult stops = simd::collectStops(
+            trace.cls.data(), c, e, true, br.get(), defs.get());
+        (this->*kernel)(trace, br.get(), defs.get(), stops,
+                        trace.firstSeq + e - 1, file, s);
+    }
+}
+
+bool
+PredictionEngine::continuesPath(const DecodedTrace &trace,
+                                std::uint64_t first)
+{
+    const bool continues = pathSched
+        ? first == pathEvent && trace.schedCache.get() == pathCache
+        : first == 0;
+    if (!onPath || !trace.schedCache || !continues) {
+        leavePath();
+        return false;
+    }
+    if (!pathSched) {
+        // Keyed on the configuration fields the capture reads.
+        const std::uint64_t sfpfKey = !cfg.useSfpf ? 0
+            : 1u | (cfg.conservativeDefTracking ? 2u : 0u) |
+                (std::uint64_t{cfg.availDelay} << 2);
+        const std::uint64_t pguKey = !cfg.usePgu ? 0
+            : 1u | (static_cast<std::uint64_t>(cfg.pgu.source) << 1) |
+                (static_cast<std::uint64_t>(cfg.pgu.value) << 3) |
+                (cfg.pgu.includePSet ? 32u : 0u) |
+                (std::uint64_t{cfg.pgu.delay} << 6);
+        pathSched = trace.schedCache->obtain(sfpfKey, pguKey, [&] {
+            // From the cold state over the whole trace; shrunk, since
+            // the store keeps it for every later engine.
+            auto made = std::make_shared<ReplaySchedule>();
+            DelayedPredicateFile cold(cfg.availDelay);
+            capture(trace, 0, trace.size(), cfg.useSfpf, cfg.usePgu, cold,
+                    *made);
+            made->pguBits.shrink_to_fit();
+            return made;
+        });
+        pathCache = trace.schedCache.get();
+    }
+    pathTrace = &trace; // the trace may have moved since the last batch
+    return true;
+}
+
+void
+PredictionEngine::leavePath()
+{
+    settle();
+    onPath = false;
+    pathSched.reset();
+}
+
+void
+PredictionEngine::settle() const
+{
+    // Without the SFPF the reference loop leaves the file cold too.
+    if (cfg.useSfpf && settledAt != pathEvent) {
+        pabp_assert(pathTrace && pathTrace->size() >= pathEvent);
+        ReplaySchedule unread;
+        capture(*pathTrace, settledAt, pathEvent, true, false, predFile,
+                unread);
+    }
+    settledAt = pathEvent;
 }
 
 template <bool Armed, typename Pred>
@@ -529,11 +610,11 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     //
     //  2. Replay schedules: with a predicate technique armed, the
     //     guard read and PGU drain before each branch come from a
-    //     ReplaySchedule (sim/replay_schedule.hh) - found in the
-    //     trace's cache, or captured by captureSchedule()'s
-    //     define-only pass - and the predicate components jump to the
-    //     schedule's exit state at the batch end. The defines are
-    //     never visited by this loop.
+    //     ReplaySchedule (sim/replay_schedule.hh) - the trace's shared
+    //     one, read at the path's cursors, or a private one captured
+    //     from the entry state by capture()'s define-only pass - and
+    //     the PGU queue is committed from the schedule's stream at the
+    //     batch end. The defines are never visited by this loop.
     //
     //  3. Class scanning: events the loop only counts (Other,
     //     UncondControl without target modelling, PredDefine) are
@@ -557,66 +638,15 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
 
     const bool useSfpf = Armed && cfg.useSfpf;
     const bool usePgu = Armed && cfg.usePgu;
-    const bool definesInteresting = useSfpf || usePgu;
-
-    // Replay-schedule lookup: the schedule's outputs are
-    // predictor-independent, so a batch over the same (range,
-    // predicate config, predicate-component entry state) of this
-    // trace has run before - in a sweep, for every predictor after
-    // the first - and reuses its schedule. The key is compared
-    // exactly (no hashing), so a hit is always sound. A miss (or a
-    // trace without a cache) captures a fresh schedule below.
-    std::shared_ptr<const ReplaySchedule> sched;
-    std::shared_ptr<ReplaySchedule> fresh;
-    if (definesInteresting) {
-        std::uint64_t preVis = 0;
-        keyPredQ.clear();
-        keyPguQ.clear();
-        if (useSfpf) {
-            preVis = predFile.visibleBits();
-            predFile.exportQueue(keyPredQ);
-        }
-        if (usePgu)
-            pgu.exportQueuePacked(keyPguQ);
-        const std::uint64_t cfg0 =
-            static_cast<std::uint64_t>(cfg.availDelay) |
-            (static_cast<std::uint64_t>(cfg.pgu.delay) << 32);
-        const std::uint64_t cfg1 =
-            (useSfpf ? 1u : 0u) | (usePgu ? 2u : 0u) |
-            (cfg.conservativeDefTracking ? 4u : 0u) |
-            (static_cast<std::uint64_t>(cfg.pgu.source) << 3) |
-            (static_cast<std::uint64_t>(cfg.pgu.value) << 5) |
-            (cfg.pgu.includePSet ? 128u : 0u);
-        if (trace.schedCache)
-            sched = trace.schedCache->find(cfg0, cfg1, first, count,
-                                           preVis, keyPredQ, keyPguQ);
-        if (!sched) {
-            fresh = std::make_shared<ReplaySchedule>();
-            fresh->cfg0 = cfg0;
-            fresh->cfg1 = cfg1;
-            fresh->first = first;
-            fresh->count = count;
-            fresh->preVisibleBits = preVis;
-            fresh->prePredQueue = keyPredQ;
-            fresh->prePguLen = keyPguQ.size();
-            fresh->pguBits = keyPguQ;
-        }
-    }
 
     // Target modelling stays a runtime flag, like the techniques in
     // the armed loop: it adds work only at control events, which the
     // class scan already isolates.
     const bool targets = cfg.modelTargets;
-    const bool capture = fresh != nullptr;
     if (stopBufCap < count) {
         stopBuf = std::make_unique_for_overwrite<std::uint32_t[]>(
             count);
         stopBufCap = count;
-    }
-    if (capture && defBufCap < count) {
-        defBuf = std::make_unique_for_overwrite<std::uint32_t[]>(
-            count);
-        defBufCap = count;
     }
     if (targets && uncondBufCap < count) {
         uncondBuf = std::make_unique_for_overwrite<std::uint32_t[]>(
@@ -624,60 +654,60 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
         uncondBufCap = count;
     }
     const simd::CollectResult stops = simd::collectStops(
-        trace.cls.data(), first, end, capture, stopBuf.get(),
-        capture ? defBuf.get() : nullptr,
+        trace.cls.data(), first, end, false, stopBuf.get(), nullptr,
         targets ? uncondBuf.get() : nullptr);
     engineStats.uncondBranches += stops.uncond;
     engineStats.predicateDefines += stops.defines;
 
-    if (definesInteresting) {
-        if (capture) {
-            if (useSfpf && usePgu)
-                captureSchedule<true, true>(trace, stops, endSeq, *fresh);
-            else if (useSfpf)
-                captureSchedule<true, false>(trace, stops, endSeq,
-                                             *fresh);
-            else
-                captureSchedule<false, true>(trace, stops, endSeq,
-                                             *fresh);
-            if (trace.schedCache)
-                trace.schedCache->insert(fresh);
-            sched = std::move(fresh);
-        }
-        pabp_assert(sched->nBranches == stops.branches);
+    // The schedule this batch reads from branch branchBase and PGU
+    // stream entry pguBase on: the shared one at the path's cursors,
+    // or one captured now from the entry state (its stream starts with
+    // the carried queue; the capture takes predFile through the batch).
+    ReplaySchedule own;
+    const bool shared = (useSfpf || usePgu) && continuesPath(trace, first);
+    const ReplaySchedule *sched = shared ? pathSched.get() : &own;
+    const std::uint64_t branchBase = shared ? pathBranch : 0;
+    // On the path every injected bit came off the shared stream.
+    const std::uint64_t pguBase = shared ? pgu.bitsInserted() : 0;
+    if (!shared && (useSfpf || usePgu)) {
+        if (usePgu)
+            pgu.exportQueuePacked(own.pguBits);
+        capture(trace, first, end, useSfpf, usePgu, predFile, own);
     }
+    pabp_assert(!shared || branchBase + stops.branches <=
+                               std::max(sched->guard.size(),
+                                        sched->drainTargets.size()));
 
     // PGU drain: the schedule already knows the cursor after every
-    // drain point (index b for branch b, nBranches for the batch-end
-    // drain), so there is no per-entry ripeness scan at all - the k
-    // new bits land in one injectHistoryBits() shift. The per-entry
-    // fallback covers k > 64 (can only happen with very define-dense
-    // gaps between branches) bit-exactly. The concrete-predictor
-    // instantiations bind the injection statically; the
-    // BranchPredictor fallback keeps the virtual call.
+    // branch's drain point, so there is no per-entry ripeness scan
+    // before a branch - the k new bits land in one injectHistoryBits()
+    // shift. The per-entry fallback covers k > 64 (can only happen
+    // with very define-dense gaps between branches) bit-exactly. The
+    // concrete-predictor instantiations bind the injection statically;
+    // the BranchPredictor fallback keeps the virtual call.
+    std::uint64_t pqCursor = pguBase;
     const std::uint64_t *pq = nullptr;
     const std::uint32_t *drainTgt = nullptr;
     const std::uint64_t *drainWord = nullptr;
-    // Stream entries before the cursor were injected by this batch.
-    std::uint64_t pqCursor = 0;
     if (usePgu) {
         pq = sched->pguBits.data();
-        drainTgt = sched->drainTargets.data();
-        drainWord = sched->drainWords.data();
+        drainTgt = sched->drainTargets.data() + branchBase;
+        drainWord = sched->drainWords.data() + branchBase;
     }
-    auto drain = [&](std::uint64_t idx) {
-        const std::uint32_t tgt = drainTgt[idx];
+    // Inject stream entries [pqCursor, tgt); w holds them newest in
+    // bit 0 when there are at most 64.
+    auto drain = [&](std::uint64_t tgt, std::uint64_t w) {
         if (tgt == pqCursor)
             return;
-        const unsigned k = static_cast<unsigned>(tgt - pqCursor);
+        const std::uint64_t k = tgt - pqCursor;
         if (k <= 64) [[likely]] {
-            const std::uint64_t w = drainWord[idx];
+            const unsigned n = static_cast<unsigned>(k);
             const std::uint64_t bits =
-                k == 64 ? w : (w & ((std::uint64_t{1} << k) - 1));
+                n == 64 ? w : (w & ((std::uint64_t{1} << n) - 1));
             if constexpr (std::is_same_v<Pred, BranchPredictor>)
-                bp.injectHistoryBits(bits, k);
+                bp.injectHistoryBits(bits, n);
             else
-                bp.Pred::injectHistoryBits(bits, k);
+                bp.Pred::injectHistoryBits(bits, n);
         } else {
             for (std::uint64_t c = pqCursor; c < tgt; ++c) {
                 if constexpr (std::is_same_v<Pred, BranchPredictor>)
@@ -693,7 +723,7 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     const std::uint32_t *stop = stopBuf.get();
     const std::uint8_t *cachedGuard = nullptr;
     if (useSfpf)
-        cachedGuard = sched->guard.data();
+        cachedGuard = sched->guard.data() + branchBase;
     // Uncond-control merge (target modelling): the BTB and RAS are
     // shared by conditional and unconditional transfers, so the two
     // ascending index streams must be applied in original trace
@@ -717,7 +747,7 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
         if (useSfpf)
             guardState = cachedGuard[b];
         if (usePgu)
-            drain(b);
+            drain(drainTgt[b], drainWord[b]);
         const std::uint8_t f = trace.flags[i];
         const bool misp = batchCondBranch<Armed>(
             bp, pc, inst, f & 1, (f >> 1) & 1, profileRowFor(pc),
@@ -738,19 +768,28 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
             controlEvent(uncs[uNext++]);
     }
 
-    // Sync the deferred state to where the reference loop leaves it
-    // after its last per-instruction advance/drain: the batch-end
-    // drain, then the schedule's exit state for both components, so
-    // end-of-run observers (metric gauges, a checkpoint taken after
-    // the batch) see identical bytes.
+    // Sync the PGU to where the reference loop's last drain leaves it,
+    // for end-of-run observers (metric gauges, checkpoints): the bits
+    // ripe at endSeq (see captureChunk for the delay), then what this
+    // batch's events defined but did not drain becomes the queue.
     if (usePgu) {
-        drain(stops.branches);
-        pgu.commitCachedBatch(pq + pqCursor,
-                              sched->pguBits.size() - pqCursor, pqCursor);
+        const std::uint64_t delay =
+            std::max<std::uint64_t>(cfg.pgu.delay, 1);
+        const std::uint64_t n = sched->pguBits.size();
+        std::uint64_t ripe = pqCursor;
+        std::uint64_t w = 0;
+        while (ripe < n && (pq[ripe] >> 1) + delay <= endSeq)
+            w = (w << 1) | (pq[ripe++] & 1);
+        drain(ripe, w);
+        std::uint64_t queued = ripe;
+        while (queued < n && (pq[queued] >> 1) <= endSeq)
+            ++queued;
+        pgu.commitCachedBatch(pq + ripe, queued - ripe, ripe - pguBase);
     }
-    if (useSfpf)
-        predFile.restoreBatchState(sched->postVisibleBits,
-                                   sched->postPredQueue);
+    if (shared) {
+        pathEvent = end;
+        pathBranch += stops.branches;
+    }
 }
 
 template <bool Armed>
@@ -877,6 +916,7 @@ forEachStatsField(StatsT &stats, Fn &&fn)
 void
 PredictionEngine::saveState(StateSink &sink) const
 {
+    settle();
     // Configuration fingerprint: a checkpoint must only restore into
     // an engine armed the same way, or the resumed run would diverge
     // silently from the original.
@@ -922,6 +962,8 @@ PredictionEngine::saveState(StateSink &sink) const
 Status
 PredictionEngine::loadState(StateSource &src)
 {
+    settledAt = pathEvent; // the load overwrites it: leave unsettled
+    leavePath();
     bool use_sfpf, use_pgu, train_on_squashed, conservative, spec;
     bool pgu_pset = false;
     bool model_targets = false;

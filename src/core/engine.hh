@@ -201,11 +201,15 @@ class PredictionEngine
      * stats, profile, exported metrics and checkpoint bytes - but
      * substantially faster. With SFPF or PGU armed, every batch
      * replays from a ReplaySchedule (sim/replay_schedule.hh): the
-     * predictor-independent guard states and PGU drain plan of the
-     * batch, looked up in the trace's schedule cache or, on a miss,
-     * captured by one define-only pass that never touches the
-     * predictor. The replay loop then visits branches only: a run
-     * with no technique armed takes a loop specialisation with every
+     * predictor-independent guard states and PGU drain plan, shared
+     * by the engines on the trace's cold contiguous path and private
+     * to any other batch (see that file). On the path the predicate
+     * file is settled lazily, from the trace, by saveState(),
+     * process() or a batch that leaves the path: that trace must stay
+     * alive and in place until then.
+     *
+     * The replay loop then visits branches only: a run with no
+     * technique armed takes a loop specialisation with every
      * technique branch compiled away, no DynInst is built (the loop
      * reads the trace's flat lanes), and the predict+update pair on
      * the hot predictors (gshare, combining, perceptron, TAGE)
@@ -295,6 +299,7 @@ class PredictionEngine
      * queues, the speculation tables, and the base predictor's own
      * state (keyed by its name() so a checkpoint cannot be restored
      * into a differently-configured engine). Used by sim/checkpoint.
+     * loadState() takes the engine off the cold contiguous path.
      * @{
      */
     void saveState(StateSink &sink) const;
@@ -304,9 +309,7 @@ class PredictionEngine
   private:
     BranchPredictor &pred;
     EngineConfig cfg;
-    DelayedPredicateFile predFile;
-    /** captureSchedule()'s working copy of predFile. */
-    DelayedPredicateFile shadowFile;
+    mutable DelayedPredicateFile predFile; ///< see settle()
     SquashFalsePathFilter sfpf;
     PredicateGlobalUpdate pgu;
     PredicateValuePredictor pvp;
@@ -349,7 +352,7 @@ class PredictionEngine
     /** @} */
 
     /** The reference path's predicate-define handling (process());
-     *  captureSchedule() is its batch-level mirror. */
+     *  captureChunk() is its batch-level mirror. */
     void handlePredicateDefine(const DynInst &dyn);
 
     /** @name processBatch internals (defined in engine.cc)
@@ -378,19 +381,51 @@ class PredictionEngine
                          bool guard, bool taken,
                          BranchProfile::Counters &prof,
                          std::uint8_t guardState);
-    /** The define-only pass: fill @p s's payload (guards, PGU bit
-     *  stream and drain plan, predicate-file exit state) from the
-     *  batch's @p stops, starting from the engine's current predicate
-     *  state. @p endSeq is the sequence number (not the lane index)
-     *  of the batch's last event. Reads no predictor state and leaves
-     *  the engine's predicate components untouched (it works on
-     *  shadowFile). Its two flags stay template parameters: this pass
-     *  is the whole cost of a schedule-cache miss, and it visits every
-     *  define. */
+
+    /** The define-only pass over events [@p first, @p end), in
+     *  bounded chunks: append to @p s the guards (iff @p useSfpf) and
+     *  PGU bits and drain plan (iff @p usePgu) they produce, taking
+     *  @p file through them. Reads no predictor state. */
+    void capture(const DecodedTrace &trace, std::uint64_t first,
+                 std::uint64_t end, bool useSfpf, bool usePgu,
+                 DelayedPredicateFile &file, ReplaySchedule &s) const;
+    /** capture() over one chunk's @p branches and @p defs (lane
+     *  indices); @p endSeq is the sequence number of its last event.
+     *  Its two flags stay template parameters: this pass is the whole
+     *  cost of a capture, and it visits every define. */
     template <bool UseSfpf, bool UsePgu>
-    void captureSchedule(const DecodedTrace &trace,
-                         const simd::CollectResult &stops,
-                         std::uint64_t endSeq, ReplaySchedule &s);
+    void captureChunk(const DecodedTrace &trace,
+                      const std::uint32_t *branches,
+                      const std::uint32_t *defs,
+                      const simd::CollectResult &stops,
+                      std::uint64_t endSeq, DelayedPredicateFile &file,
+                      ReplaySchedule &s) const;
+
+    /** @name The cold contiguous path (processBatch)
+     *  @{ */
+    /** Whether a batch of @p trace from @p first reads the shared
+     *  schedule: binds it at the first batch, and leaves the path
+     *  (settled, for good) at a batch that does not continue it. */
+    bool continuesPath(const DecodedTrace &trace, std::uint64_t first);
+    void leavePath();
+    /** Bring predFile from settledAt up to pathEvent by a private
+     *  capture; const for saveState(). */
+    void settle() const;
+
+    bool onPath = true;
+    /** Null until the first armed batch. */
+    std::shared_ptr<const ReplaySchedule> pathSched;
+    /** The path's trace, identified by its schedule store (a trace
+     *  may move, its store goes with it). */
+    const ReplayScheduleCache *pathCache = nullptr;
+    /** Where the last batch found that trace (settle() reads it). */
+    const DecodedTrace *pathTrace = nullptr;
+    /** Events and branches consumed; the PGU's is pguBitsInserted(). */
+    std::uint64_t pathEvent = 0;
+    std::uint64_t pathBranch = 0;
+    /** predFile holds the state after events [0, settledAt). */
+    mutable std::uint64_t settledAt = 0;
+    /** @} */
 
     /** Look up (and cache) the profile row for @p pc. The per-pc
      *  cache turns the reference path's per-branch std::map walk into
@@ -415,25 +450,15 @@ class PredictionEngine
 
     /** @name Batch-scoped machinery (reused so capacity persists)
      *  @{ */
-    /** The capture's SFPF kernel. */
-    BatchPredicateView predView;
     std::vector<BranchProfile::Counters *> profCache;
-    /** Branch- and define-index buffers for simd::collectStops
-     *  (uninitialised on purpose: the collect pass defines exactly
-     *  the prefixes read). */
+    /** Branch-index buffer for simd::collectStops (uninitialised on
+     *  purpose: the collect pass defines exactly the prefix read). */
     std::unique_ptr<std::uint32_t[]> stopBuf;
     std::size_t stopBufCap = 0;
-    std::unique_ptr<std::uint32_t[]> defBuf;
-    std::size_t defBufCap = 0;
     /** Uncond-control index buffer (filled only under modelTargets:
      *  otherwise unconds are counted in bulk, never visited). */
     std::unique_ptr<std::uint32_t[]> uncondBuf;
     std::size_t uncondBufCap = 0;
-    /** Schedule-cache probe scratch: the predicate file and PGU entry
-     *  queues snapshotted for exact key comparison (reused so the
-     *  small allocations amortise away). */
-    std::vector<ReplayPredWrite> keyPredQ;
-    std::vector<std::uint64_t> keyPguQ;
     /** @} */
     /** @} */
 

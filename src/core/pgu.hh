@@ -147,11 +147,10 @@ class PredicateGlobalUpdate
     const PguConfig &config() const { return cfg; }
 
     /** @name Replay-schedule state exchange (core/engine.cc)
-     * The batched replay loop keys its per-trace schedule cache on
-     * the exact pending queue (packed seq << 1 | bit, the schedule's
-     * stream encoding) and, after replaying a schedule, commits the
-     * un-drained stream suffix straight back as the queue - the same
-     * bytes the reference loop's drains would have left.
+     * The batched replay loop starts a private schedule's stream with
+     * the pending queue (packed seq << 1 | bit) and, after a batch,
+     * commits the stream entries its events defined but did not drain
+     * back as the queue - the bytes the reference loop's drains leave.
      * @{ */
     void
     exportQueuePacked(std::vector<std::uint64_t> &out) const

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "bpred/factory.hh"
@@ -310,11 +311,11 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
         return diverged("checkpoint bytes differ between reference "
                         "and fast replay");
 
-    // The first fast replay captured a replay schedule on the
-    // trace (sim/replay_schedule.hh); a second replay takes the cache
-    // HIT path - cached guards, word-at-a-time PGU drain, restored
-    // predicate-file exit state - and must still match the reference
-    // byte for byte.
+    // The first fast replay captured the trace's replay schedule for
+    // this configuration (sim/replay_schedule.hh); a second replay
+    // takes the cache HIT path - shared guards, word-at-a-time PGU
+    // drain, lazily settled predicate file - and must still match the
+    // reference byte for byte.
     Expected<PredictorPtr> predC = makeCasePredictor(c);
     if (!predC.ok())
         return predC.status();
@@ -345,12 +346,12 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
         return diverged("checkpoint bytes differ between reference "
                         "and schedule-cache hit replay");
 
-    // Chunked replay with a case-derived batch size: each chunk keys
-    // its own schedule on the carried predicate state, so awkward
-    // chunk boundaries (mid define-visibility window) probe the
-    // capture/restore seams the one-shot replay never crosses. Two
-    // passes: the first captures per-chunk schedules, the second hits
-    // every one.
+    // Chunked replay with a case-derived batch size: each engine
+    // stays on the cold path and reads the shared schedule at its own
+    // cursors, so awkward chunk boundaries (mid define-visibility
+    // window) probe the batch-end PGU drain and queue commit and the
+    // predicate-file settle the one-shot replay never crosses. Two
+    // passes, each one schedule hit.
     const std::uint64_t chunk = 1 + (c.seed % 97) % trace.size();
     for (int pass = 0; pass < 2; ++pass) {
         Expected<PredictorPtr> predD = makeCasePredictor(c);
@@ -390,6 +391,38 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
                 std::to_string(chunk) + ", pass " +
                 std::to_string(pass) + ")");
     }
+
+    // Off the cold path: a fresh engine loads the state of a reference
+    // engine stopped at a case-derived cursor and replays the rest in
+    // the same chunks, each batch a private capture from the state it
+    // carries in - the capture/restore seams at odd chunk boundaries.
+    const std::uint64_t resumeAt = streamSeed(c.seed, 0x4e5) % trace.size();
+    Expected<PredictorPtr> predE = makeCasePredictor(c);
+    Expected<PredictorPtr> predF = makeCasePredictor(c);
+    if (!predE.ok() || !predF.ok())
+        return predE.ok() ? predF.status() : predE.status();
+    PredictionEngine head(*predE.value(), c.engine);
+    replayTraceFrom(trace, head, 0, resumeAt);
+    std::istringstream saved(stateBytes(head));
+    StateSource src(saved);
+    PredictionEngine resumed(*predF.value(), c.engine);
+    PABP_TRY(resumed.loadState(src));
+    std::uint64_t cursor = resumeAt;
+    while (cursor < trace.size())
+        cursor = resumed.processBatch(trace, cursor, chunk);
+    const std::pair<bool, const char *> checks[] = {
+        {cursor == refProcessed, "processed count"},
+        {ref.stats() == resumed.stats(), "stats"},
+        {ref.branchProfile() == resumed.branchProfile(), "profile"},
+        {ref.pguBitsInserted() == resumed.pguBitsInserted(), "PGU bits"},
+        {metricsBytes(ref) == metricsBytes(resumed), "metrics bytes"},
+        {refState == stateBytes(resumed), "checkpoint bytes"}};
+    for (const auto &[same, what] : checks)
+        if (!same)
+            return diverged(std::string("fast replay ") + what +
+                            " differ from reference after a resume at " +
+                            std::to_string(resumeAt) + " (chunk " +
+                            std::to_string(chunk) + ")");
     return {};
 }
 

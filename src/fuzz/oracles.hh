@@ -16,7 +16,8 @@
  *              PipelineStats as the per-instruction runReference.
  *  replay:     a reference engine driven by a live emulator
  *              (runTrace) vs PredictionEngine::processBatch over the
- *              recorded trace (one-shot, schedule-cache hit, chunked):
+ *              recorded trace (one-shot, schedule-cache hit, chunked,
+ *              and chunked after loadState() at a case-derived cursor):
  *              stats, per-branch profile, PGU bit count, processed
  *              count, exported metrics AND checkpoint bytes identical.
  *  checkpoint: save mid-replay, restore into fresh objects, finish -

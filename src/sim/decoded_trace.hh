@@ -216,12 +216,12 @@ struct DecodedTrace
 
     /**
      * Predictor-independent replay schedules derived from this trace
-     * (sim/replay_schedule.hh), shared by every engine that batch
-     * replays it - a sweep's repeated replays skip the schedule
-     * capture after the first pass. Created by recordTrace() and the
-     * trace reader; a default-constructed trace has none, and the
-     * engine then captures a schedule for every batch without
-     * publishing it.
+     * (sim/replay_schedule.hh), one per predicate configuration,
+     * shared by every engine that batch replays it from event 0 - a
+     * sweep's repeated replays skip the schedule capture after the
+     * first. Created by recordTrace() and the trace reader; a
+     * default-constructed trace has none, and the engine then
+     * captures a private schedule for every batch.
      */
     std::shared_ptr<ReplayScheduleCache> schedCache;
 };

@@ -11,6 +11,10 @@
 #       the fresh run's table; --resume from them must print it again
 #       without a cold-start fallback. e8 and e21 must not fail under
 #       the same options.
+#   experiments_smoke.sh schedules BIN DIR
+#       e21 (multi-context) and e3 at --jobs 1 and 4 must print the
+#       same "replay schedules inserted I (hits H)" counts: one insert
+#       per (trace, predicate configuration), one count per engine.
 #
 # DIR is scratch space, emptied first and removed on success.
 set -euo pipefail
@@ -84,6 +88,19 @@ checkpoint)
         --summary-dir= --characterize 1 --checkpoint-every 5000 \
         --checkpoint-file ckpt-other/pabp.ckpt > /dev/null ||
         fail "run options failed Timed or multi-context cells"
+    ;;
+schedules)
+    for jobs in 1 4; do
+        "$bin" --only e21,e3 --steps 20000 --jobs "$jobs" \
+            --metrics-dir "m-$jobs" --summary-dir= > "j$jobs.out" \
+            2> "j$jobs.err"
+        grep -o 'replay schedules inserted [0-9]* (hits [0-9]*)' \
+            "j$jobs.err" > "j$jobs.counts" ||
+            fail "--jobs $jobs printed no schedule counts"
+    done
+    cmp j1.counts j4.counts ||
+        fail "schedule counts differ: $(cat j1.counts) vs $(cat j4.counts)"
+    cmp j1.out j4.out || fail "--jobs 4 output differs from --jobs 1"
     ;;
 *)
     fail "unknown mode '$mode'"

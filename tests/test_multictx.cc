@@ -329,6 +329,60 @@ TEST(MultiCtxReplay, FastMatchesReferenceAcrossGrid)
     }
 }
 
+// Every context's engine replays its own trace contiguously from event
+// 0, so however the schedule slices it, the engine reads that trace's
+// one shared schedule for its predicate configuration. The slicing
+// changes how the contexts interleave through the shared predictor,
+// so the two quanta need not give the same stats; each must match the
+// reference over live emulators.
+
+TEST(MultiCtxReplay, QuantaReadOneSchedulePerTraceAndConfig)
+{
+    static const char *const names[] = {"interp", "bsort", "filter",
+                                        "dchain"};
+    std::vector<CtxFixture> pool;
+    for (unsigned c = 0; c < 4; ++c)
+        pool.push_back(makeCtx(names[c], 42 + c));
+
+    std::vector<EngineConfig> configs(2);
+    configs[0].useSfpf = true;
+    configs[0].usePgu = true;
+    configs[1].usePgu = true;
+    std::vector<std::uint64_t> runs(pool.size(), 0);
+    for (const EngineConfig &ecfg : configs) {
+        for (unsigned n : {2u, 4u}) {
+            CtxSet ctxs;
+            for (unsigned c = 0; c < n; ++c)
+                ctxs.push_back(&pool[c]);
+            for (ScheduleKind kind :
+                 {ScheduleKind::RoundRobin, ScheduleKind::Bursty}) {
+                for (std::uint64_t quantum : {1024u, 65536u}) {
+                    SCOPED_TRACE("n" + std::to_string(n) + "/" +
+                                 scheduleKindName(kind) + "/q" +
+                                 std::to_string(quantum) +
+                                 (ecfg.useSfpf ? "/+both" : "/+pgu"));
+                    MultiCtxConfig cfg =
+                        multiCtxConfig(n, kind, true, 0, quantum);
+                    cfg.engine = ecfg;
+                    expectEquivalent(runReference(ctxs, "gshare", cfg),
+                                     runFast(ctxs, "gshare", cfg));
+                    for (unsigned c = 0; c < n; ++c)
+                        ++runs[c];
+                }
+            }
+        }
+    }
+    // One capture per (trace, armed config); every other engine that
+    // replayed the trace hit it.
+    for (std::size_t c = 0; c < pool.size(); ++c) {
+        SCOPED_TRACE(names[c]);
+        const ReplayScheduleCache::Counters traffic =
+            pool[c].trace.schedCache->counters();
+        EXPECT_EQ(traffic.inserts, configs.size());
+        EXPECT_EQ(traffic.hits, runs[c] - configs.size());
+    }
+}
+
 // TAGE's partitioned-history swap is the deepest export/import path
 // (folded components plus packed history bytes), so it gets its own
 // cell rather than riding the gshare grid.

@@ -1015,6 +1015,60 @@ TEST(SweepRunner, EveryCellModeIsIdenticalAcrossJobCounts)
     std::remove(derivedCheckpointPath(ckpt, checkpointing_fp).c_str());
 }
 
+TEST(SweepRunner, ScheduleCountsAreIdenticalAcrossJobsAndWatchdog)
+{
+    // Armed single- and 2-context cells. Every engine that replays a
+    // trace from event 0 counts once, at its first batch: the first
+    // for a (trace, predicate config) inserts its schedule and every
+    // other hits it, however many jobs race and however the watchdog
+    // slices the cells (the budget spans two heartbeats).
+    // (trace, config) pairs: bsort:42 and interp:42 under +sfpf and
+    // +both (single-context); bsort:42 and bsort:43 under +both and
+    // +pgu (2-context) - 7 distinct, bsort:42/+both counted once.
+    std::vector<RunSpec> specs;
+    for (const char *pred : {"gshare", "perceptron"}) {
+        for (const char *workload : {"bsort", "interp"}) {
+            for (bool both : {false, true}) {
+                RunSpec spec;
+                spec.workload = workload;
+                spec.predictor = pred;
+                spec.maxInsts = heartbeatInsts + 5000;
+                spec.engine.useSfpf = true;
+                spec.engine.usePgu = both;
+                specs.push_back(spec);
+            }
+        }
+        for (bool sfpf : {true, false}) {
+            RunSpec spec;
+            spec.workload = "bsort";
+            spec.predictor = pred;
+            spec.maxInsts = heartbeatInsts + 5000;
+            spec.engine.useSfpf = sfpf;
+            spec.engine.usePgu = true;
+            spec.context.contexts = 2;
+            spec.context.quantum = 5000;
+            specs.push_back(spec);
+        }
+    }
+    const std::uint64_t engines = 2 * (2 * 2 + 2 * 2);
+    const std::uint64_t distinct = 7;
+
+    for (bool watchdog : {false, true}) {
+        for (RunSpec &spec : specs)
+            spec.watchdogMillis = watchdog ? 10 * 60 * 1000 : 0;
+        for (unsigned jobs : {1u, 4u, 8u}) {
+            SCOPED_TRACE("jobs " + std::to_string(jobs) +
+                         (watchdog ? ", watchdog armed" : ""));
+            SweepRunner runner(SweepRunner::Config{jobs, 0});
+            for (const RunResult &r : runner.run(specs))
+                ASSERT_TRUE(r.status.ok()) << r.status.toString();
+            const SweepRunner::CacheStats stats = runner.cacheStats();
+            EXPECT_EQ(stats.scheduleInserts, distinct);
+            EXPECT_EQ(stats.scheduleHits, engines - distinct);
+        }
+    }
+}
+
 TEST(SweepRunner, RecordsTheNextTraceAheadOfRepeats)
 {
     // Two traces with three cells each, workload-major: A0 A1 A2 B0
