@@ -76,7 +76,9 @@ if [ "${PABP_SKIP_TSAN:-0}" != "1" ]; then
     # replay-schedule cache, whose find/insert runs under a mutex
     # against concurrent sweep workers sharing one recorded trace - the
     # sweep tests drive that concurrently, the FastReplay tests pin
-    # the single-threaded semantics under the same build. 'MultiCtx'
+    # the single-threaded semantics under the same build, and
+    # 'ReplayScheduleCache' runs its single-flight slot with a capture
+    # that throws while another thread waits on it. 'MultiCtx'
     # rides along because multi-context cells run inside sweep worker
     # threads and share the per-context recorded traces through the
     # same cache.
@@ -84,5 +86,5 @@ if [ "${PABP_SKIP_TSAN:-0}" != "1" ]; then
     # suite: predictability reports are computed once per program in
     # the sweep's single-flight memo, which sweep workers race on.
     ctest --test-dir "$TSAN_DIR" --output-on-failure \
-        -R 'ThreadPool|Sweep|Stats|Metrics|Journal|FastReplay|MultiCtx|Predictability'
+        -R 'ThreadPool|Sweep|Stats|Metrics|Journal|FastReplay|ReplayScheduleCache|MultiCtx|Predictability'
 fi

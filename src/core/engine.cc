@@ -381,9 +381,9 @@ PredictionEngine::captureChunk(const DecodedTrace &trace,
                                ReplaySchedule &s) const
 {
     // MIRROR of handlePredicateDefine() plus the reference loop's
-    // per-branch predicate-file read and PGU drains, over the chunk's
-    // define and branch streams only. Nothing here reads the base
-    // predictor, which is what lets the schedule serve every predictor
+    // per-branch predicate-file read, over the chunk's define and
+    // branch streams only. Nothing here reads the base predictor,
+    // which is what lets the schedule serve every predictor
     // replaying this trace. Any semantic change in the reference
     // handler lands here too; tests/test_replay_fast.cc pins the two
     // event for event.
@@ -391,8 +391,7 @@ PredictionEngine::captureChunk(const DecodedTrace &trace,
     // The SFPF kernel is the flat BatchPredicateView overlay over
     // @p file, so each define is a pair of array stores rather than a
     // queue push and retirement with data-dependent host branches.
-    const std::uint64_t b0 = UseSfpf ? s.guard.size() : s.drainTargets.size();
-    const std::uint64_t nb = b0 + stops.branches;
+    const std::uint64_t b0 = s.guard.size();
     // The stop buffers hold lane indices; the predicate file and the
     // PGU queue speak global sequence numbers.
     const std::uint64_t seq0 = trace.firstSeq;
@@ -400,7 +399,7 @@ PredictionEngine::captureChunk(const DecodedTrace &trace,
 
     if constexpr (UseSfpf) {
         view.begin(file, endSeq);
-        s.guard.resize(nb);
+        s.guard.resize(b0 + stops.branches);
     }
     auto define = [&](std::uint32_t i) {
         if constexpr (UseSfpf) {
@@ -464,29 +463,6 @@ PredictionEngine::captureChunk(const DecodedTrace &trace,
 
     if constexpr (UseSfpf)
         view.commit(); // advanceTo(endSeq) + chunk writes
-    if constexpr (UsePgu) {
-        // The drain plan: cumulative cursor and rolling bit word at
-        // each branch, picking up where the last branch left them -
-        // drainTo()'s ripeness rule, so the replay lands each bit at
-        // the same point. A bit is never ripe at its own define's
-        // sequence (the reference loop drains before it observes),
-        // which only a batch end can meet: hence a delay of >= 1.
-        const std::uint64_t delay =
-            std::max<std::uint64_t>(cfg.pgu.delay, 1);
-        const std::vector<std::uint64_t> &bits = s.pguBits;
-        pabp_assert(bits.size() <= 0xffffffffu);
-        std::uint64_t c = b0 ? s.drainTargets[b0 - 1] : 0;
-        std::uint64_t word = b0 ? s.drainWords[b0 - 1] : 0;
-        s.drainTargets.resize(nb);
-        s.drainWords.resize(nb);
-        for (std::uint64_t b = 0; b < stops.branches; ++b) {
-            const std::uint64_t seq = seq0 + branches[b];
-            while (c < bits.size() && (bits[c] >> 1) + delay <= seq)
-                word = (word << 1) | (bits[c++] & 1);
-            s.drainTargets[b0 + b] = static_cast<std::uint32_t>(c);
-            s.drainWords[b0 + b] = word;
-        }
-    }
 }
 
 void
@@ -516,8 +492,6 @@ PredictionEngine::capture(const DecodedTrace &trace, std::uint64_t first,
     }
     s.guard.reserve(s.guard.size() + (useSfpf ? nb : 0));
     s.pguBits.reserve(s.pguBits.size() + (usePgu ? 2 * nd : 0));
-    s.drainTargets.reserve(s.drainTargets.size() + (usePgu ? nb : 0));
-    s.drainWords.reserve(s.drainWords.size() + (usePgu ? nb : 0));
     for (std::uint64_t c = first; c < end; c += chunk) {
         const std::uint64_t e = std::min(end, c + chunk);
         const simd::CollectResult stops = simd::collectStops(
@@ -609,12 +583,13 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     //     counter (one add).
     //
     //  2. Replay schedules: with a predicate technique armed, the
-    //     guard read and PGU drain before each branch come from a
-    //     ReplaySchedule (sim/replay_schedule.hh) - the trace's shared
-    //     one, read at the path's cursors, or a private one captured
-    //     from the entry state by capture()'s define-only pass - and
-    //     the PGU queue is committed from the schedule's stream at the
-    //     batch end. The defines are never visited by this loop.
+    //     guard read and the PGU bits drained before each branch come
+    //     from a ReplaySchedule (sim/replay_schedule.hh) - the trace's
+    //     shared one, read at the path's cursors, or a private one
+    //     captured from the entry state by capture()'s define-only
+    //     pass - and the PGU queue is committed from the schedule's
+    //     stream at the batch end. The defines are never visited by
+    //     this loop.
     //
     //  3. Class scanning: events the loop only counts (Other,
     //     UncondControl without target modelling, PredDefine) are
@@ -674,49 +649,45 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
             pgu.exportQueuePacked(own.pguBits);
         capture(trace, first, end, useSfpf, usePgu, predFile, own);
     }
-    pabp_assert(!shared || branchBase + stops.branches <=
-                               std::max(sched->guard.size(),
-                                        sched->drainTargets.size()));
+    pabp_assert(!shared || !useSfpf ||
+                branchBase + stops.branches <= sched->guard.size());
 
-    // PGU drain: the schedule already knows the cursor after every
-    // branch's drain point, so there is no per-entry ripeness scan
-    // before a branch - the k new bits land in one injectHistoryBits()
-    // shift. The per-entry fallback covers k > 64 (can only happen
-    // with very define-dense gaps between branches) bit-exactly. The
-    // concrete-predictor instantiations bind the injection statically;
-    // the BranchPredictor fallback keeps the virtual call.
+    // PGU drain, at each branch and at the batch end: drainTo()'s
+    // ripeness rule over the schedule's stream from pqCursor. The k
+    // entries defined at least delay events before seq land in one
+    // injectHistoryBits() shift, or one injectHistoryBit() each when
+    // k > 64 (only very define-dense gaps between branches meet
+    // that). A bit is never ripe at its own define's sequence (the
+    // reference loop drains before it observes), which only a batch
+    // end can meet: hence a delay of >= 1. The concrete-predictor
+    // instantiations bind the injection statically; the
+    // BranchPredictor fallback keeps the virtual call.
+    const std::uint64_t delay = std::max<std::uint64_t>(cfg.pgu.delay, 1);
+    const std::uint64_t *pq = usePgu ? sched->pguBits.data() : nullptr;
+    const std::uint64_t pqEnd = usePgu ? sched->pguBits.size() : 0;
     std::uint64_t pqCursor = pguBase;
-    const std::uint64_t *pq = nullptr;
-    const std::uint32_t *drainTgt = nullptr;
-    const std::uint64_t *drainWord = nullptr;
-    if (usePgu) {
-        pq = sched->pguBits.data();
-        drainTgt = sched->drainTargets.data() + branchBase;
-        drainWord = sched->drainWords.data() + branchBase;
-    }
-    // Inject stream entries [pqCursor, tgt); w holds them newest in
-    // bit 0 when there are at most 64.
-    auto drain = [&](std::uint64_t tgt, std::uint64_t w) {
-        if (tgt == pqCursor)
+    auto drainTo = [&](std::uint64_t seq) {
+        std::uint64_t c = pqCursor;
+        std::uint64_t word = 0;
+        while (c < pqEnd && (pq[c] >> 1) + delay <= seq)
+            word = (word << 1) | (pq[c++] & 1);
+        if (c == pqCursor)
             return;
-        const std::uint64_t k = tgt - pqCursor;
-        if (k <= 64) [[likely]] {
-            const unsigned n = static_cast<unsigned>(k);
-            const std::uint64_t bits =
-                n == 64 ? w : (w & ((std::uint64_t{1} << n) - 1));
+        if (c - pqCursor <= 64) [[likely]] {
+            const unsigned n = static_cast<unsigned>(c - pqCursor);
             if constexpr (std::is_same_v<Pred, BranchPredictor>)
-                bp.injectHistoryBits(bits, n);
+                bp.injectHistoryBits(word, n);
             else
-                bp.Pred::injectHistoryBits(bits, n);
+                bp.Pred::injectHistoryBits(word, n);
         } else {
-            for (std::uint64_t c = pqCursor; c < tgt; ++c) {
+            for (std::uint64_t e = pqCursor; e < c; ++e) {
                 if constexpr (std::is_same_v<Pred, BranchPredictor>)
-                    bp.injectHistoryBit((pq[c] & 1) != 0);
+                    bp.injectHistoryBit((pq[e] & 1) != 0);
                 else
-                    bp.Pred::injectHistoryBit((pq[c] & 1) != 0);
+                    bp.Pred::injectHistoryBit((pq[e] & 1) != 0);
             }
         }
-        pqCursor = tgt;
+        pqCursor = c;
         shiftsSincePguBit = 0;
     };
 
@@ -747,7 +718,7 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
         if (useSfpf)
             guardState = cachedGuard[b];
         if (usePgu)
-            drain(drainTgt[b], drainWord[b]);
+            drainTo(trace.firstSeq + i);
         const std::uint8_t f = trace.flags[i];
         const bool misp = batchCondBranch<Armed>(
             bp, pc, inst, f & 1, (f >> 1) & 1, profileRowFor(pc),
@@ -770,21 +741,15 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
 
     // Sync the PGU to where the reference loop's last drain leaves it,
     // for end-of-run observers (metric gauges, checkpoints): the bits
-    // ripe at endSeq (see captureChunk for the delay), then what this
-    // batch's events defined but did not drain becomes the queue.
+    // ripe at endSeq, then what this batch's events defined but did
+    // not drain becomes the queue.
     if (usePgu) {
-        const std::uint64_t delay =
-            std::max<std::uint64_t>(cfg.pgu.delay, 1);
-        const std::uint64_t n = sched->pguBits.size();
-        std::uint64_t ripe = pqCursor;
-        std::uint64_t w = 0;
-        while (ripe < n && (pq[ripe] >> 1) + delay <= endSeq)
-            w = (w << 1) | (pq[ripe++] & 1);
-        drain(ripe, w);
-        std::uint64_t queued = ripe;
-        while (queued < n && (pq[queued] >> 1) <= endSeq)
+        drainTo(endSeq);
+        std::uint64_t queued = pqCursor;
+        while (queued < pqEnd && (pq[queued] >> 1) <= endSeq)
             ++queued;
-        pgu.commitCachedBatch(pq + ripe, queued - ripe, ripe - pguBase);
+        pgu.commitCachedBatch(pq + pqCursor, queued - pqCursor,
+                              pqCursor - pguBase);
     }
     if (shared) {
         pathEvent = end;

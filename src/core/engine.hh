@@ -201,7 +201,7 @@ class PredictionEngine
      * stats, profile, exported metrics and checkpoint bytes - but
      * substantially faster. With SFPF or PGU armed, every batch
      * replays from a ReplaySchedule (sim/replay_schedule.hh): the
-     * predictor-independent guard states and PGU drain plan, shared
+     * predictor-independent guard states and PGU bit stream, shared
      * by the engines on the trace's cold contiguous path and private
      * to any other batch (see that file). On the path the predicate
      * file is settled lazily, from the trace, by saveState(),
@@ -384,8 +384,8 @@ class PredictionEngine
 
     /** The define-only pass over events [@p first, @p end), in
      *  bounded chunks: append to @p s the guards (iff @p useSfpf) and
-     *  PGU bits and drain plan (iff @p usePgu) they produce, taking
-     *  @p file through them. Reads no predictor state. */
+     *  PGU bits (iff @p usePgu) they produce, taking @p file through
+     *  them. Reads no predictor state. */
     void capture(const DecodedTrace &trace, std::uint64_t first,
                  std::uint64_t end, bool useSfpf, bool usePgu,
                  DelayedPredicateFile &file, ReplaySchedule &s) const;

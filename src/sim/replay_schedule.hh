@@ -35,6 +35,7 @@
 #define PABP_SIM_REPLAY_SCHEDULE_HH
 
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -48,22 +49,11 @@ struct ReplaySchedule
     /** Per conditional branch, in order: bit0 = guard known at fetch,
      *  bit1 = guard value. Empty unless SFPF is armed. */
     std::vector<std::uint8_t> guard;
-    /** The PGU drain stream, packed seq << 1 | bit. A private
-     *  schedule's stream starts with the engine's carried queue.
-     *  Empty unless the PGU is armed. */
+    /** The PGU history-bit stream, packed seq << 1 | bit, in define
+     *  order; the replay drains it by PredicateGlobalUpdate::drainTo()'s
+     *  ripeness rule. A private schedule's stream starts with the
+     *  engine's carried queue. Empty unless the PGU is armed. */
     std::vector<std::uint64_t> pguBits;
-    /** Cumulative pguBits cursor after the drain preceding branch b,
-     *  so branch b consumes entries [drainTargets[b-1],
-     *  drainTargets[b]). Lets the replay loop skip the per-entry
-     *  ripeness scan at every branch; the drain at a batch end is
-     *  scanned from the stream itself. */
-    std::vector<std::uint32_t> drainTargets;
-    /** drainWords[b] holds the last <= 64 drained bits as of
-     *  drainTargets[b], newest in bit 0 - the k new bits of a drain
-     *  point are its low k bits, fed to injectHistoryBits() in one
-     *  shift when k <= 64 (larger drains fall back to the per-entry
-     *  stream, which is always kept). */
-    std::vector<std::uint64_t> drainWords;
     /** Heap bytes the schedule holds, itself included. */
     std::uint64_t
     bytes() const
@@ -71,8 +61,7 @@ struct ReplaySchedule
         auto held = [](const auto &v) {
             return v.capacity() * sizeof(v[0]);
         };
-        return sizeof(*this) + held(guard) + held(pguBits) +
-            held(drainTargets) + held(drainWords);
+        return sizeof(*this) + held(guard) + held(pguBits);
     }
 };
 
@@ -89,7 +78,8 @@ class ReplayScheduleCache
     };
 
     /** The schedule for configuration key (@p cfg0, @p cfg1): the
-     *  first caller runs @p capture(), later ones wait for its result. */
+     *  first caller runs @p capture(), later ones wait for its result.
+     *  If the capture throws, every caller of the key rethrows it. */
     template <typename Capture>
     std::shared_ptr<const ReplaySchedule>
     obtain(std::uint64_t cfg0, std::uint64_t cfg1, Capture &&capture)
@@ -108,7 +98,13 @@ class ReplayScheduleCache
         ++traffic.inserts;
         lock.unlock();
 
-        std::shared_ptr<const ReplaySchedule> s = capture();
+        std::shared_ptr<const ReplaySchedule> s;
+        try {
+            s = capture();
+        } catch (...) {
+            made.set_exception(std::current_exception());
+            throw;
+        }
         made.set_value(s);
         lock.lock();
         liveBytes += s->bytes();

@@ -98,8 +98,8 @@ TEST(FuzzCorpus, EveryCaseReformatsAsPinned)
         fnv.str(formatCase(c.value()));
         ++cases;
     }
-    EXPECT_EQ(cases, 36u);
-    EXPECT_EQ(fnv.value(), 0x139961fd707af1bfull);
+    EXPECT_EQ(cases, 37u);
+    EXPECT_EQ(fnv.value(), 0x635e6c482cade700ull);
 }
 
 TEST(FuzzCorpus, CoversEveryPredictorKind)

@@ -357,10 +357,16 @@ TEST(MultiCtxReplay, QuantaReadOneSchedulePerTraceAndConfig)
             for (ScheduleKind kind :
                  {ScheduleKind::RoundRobin, ScheduleKind::Bursty}) {
                 for (std::uint64_t quantum : {1024u, 65536u}) {
-                    SCOPED_TRACE("n" + std::to_string(n) + "/" +
-                                 scheduleKindName(kind) + "/q" +
-                                 std::to_string(quantum) +
-                                 (ecfg.useSfpf ? "/+both" : "/+pgu"));
+                    // Appended, not const char* + std::string&&:
+                    // GCC 12 -O3 reports a false -Wrestrict on that.
+                    std::string label = "n";
+                    label += std::to_string(n);
+                    label += '/';
+                    label += scheduleKindName(kind);
+                    label += "/q";
+                    label += std::to_string(quantum);
+                    label += ecfg.useSfpf ? "/+both" : "/+pgu";
+                    SCOPED_TRACE(label);
                     MultiCtxConfig cfg =
                         multiCtxConfig(n, kind, true, 0, quantum);
                     cfg.engine = ecfg;

@@ -8,7 +8,9 @@
  * speculative-squash extension). Also pins recordTrace's lanes, the
  * machine state Emulator::run(n, sink) leaves and the compile
  * profiler against live step() loops, the clamped cursor contracts of
- * processBatch and replayTraceFrom, the chunked-batch invariant, the
+ * processBatch and replayTraceFrom, the chunked-batch invariant, PGU
+ * drains of more than 64 bits at once, what a replay schedule holds,
+ * a failed schedule capture reaching every waiting engine, the
  * ProcessResult::specSquashed/squashed separation, and the sweep
  * runner's fast-vs-reference byte equality and trace-cache counters.
  * The outcome bytes processBatch writes for the cycle-level pipeline
@@ -25,6 +27,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -35,9 +38,11 @@
 #include "bpred/gshare.hh"
 #include "compiler/compile.hh"
 #include "core/engine.hh"
+#include "core/pgu.hh"
 #include "fuzz/fuzz_gen.hh"
 #include "sim/decoded_trace.hh"
 #include "sim/emulator.hh"
+#include "sim/replay_schedule.hh"
 #include "sim/trace_io.hh"
 #include "util/serialize.hh"
 #include "sweep.hh"
@@ -907,6 +912,126 @@ TEST(FastReplayEquivalence, ZeroDelayDefineAtBatchEndStaysInFlight)
     }
 }
 
+/** A loop whose only conditional branch is its back edge, after
+ *  @p cmps compares on p0 (each guard-true) and the loop test: that
+ *  is @p cmps + 1 defines between two consecutive branches. Each
+ *  compare's threshold lies somewhere in the @p trips iterations, so
+ *  its outcome flips once along the run. */
+Program
+defineDenseLoop(unsigned cmps, std::int64_t trips)
+{
+    Program p;
+    p.insts.push_back(makeMovImm(1, 0));
+    p.insts.push_back(makeAluImm(Opcode::Add, 1, 1, 1));
+    for (unsigned j = 0; j < cmps; ++j) {
+        const unsigned pd = 3 + 2 * (j % 8);
+        p.insts.push_back(makeCmpImm(CmpRel::Lt, CmpType::Unc, pd, pd + 1,
+                                     1, (j * 37) % trips));
+    }
+    p.insts.push_back(makeCmpImm(CmpRel::Lt, CmpType::Unc, 1, 2, 1, trips));
+    p.insts.push_back(makeBr(1, 1));
+    p.insts.push_back(makeHalt());
+    return p;
+}
+
+TEST(FastReplayEquivalence, DrainOfMoreThan64BitsMatchesReference)
+{
+    // 71 defines between two back edges put 71 (Rel) or 142
+    // (BothWrites) bits into the PGU stream, so every back edge drains
+    // more than 64 at once: the per-entry injection. A batch ending
+    // on the loop test drains as many at its end; one split mid-gap
+    // leaves a partial drain on each side.
+    constexpr unsigned cmps = 70;
+    constexpr std::uint64_t period = cmps + 3; // add, cmps, test, br
+    const Program prog = defineDenseLoop(cmps, 300);
+    Emulator emu(prog);
+    DecodedTrace trace = recordTrace(emu, 1000000);
+    ASSERT_TRUE(emu.halted());
+    Emulator again(prog);
+    DecodedTrace uncached = recordTrace(again, 1000000);
+    uncached.schedCache.reset();
+    // The iteration whose add is event head: the back edges before and
+    // after its gap are events head - 1 and head + period - 1.
+    const std::uint64_t head = 1 + 10 * period;
+    ASSERT_EQ(trace.inst(head - 1).op, Opcode::Br);
+    ASSERT_EQ(trace.inst(head + period - 1).op, Opcode::Br);
+
+    for (const bool sfpf : {false, true}) {
+        for (const PguValue value : {PguValue::Rel, PguValue::BothWrites}) {
+            for (const unsigned delay : {1u, 8u}) {
+                EngineConfig ecfg;
+                ecfg.useSfpf = sfpf;
+                ecfg.usePgu = true;
+                ecfg.pgu.value = value;
+                ecfg.pgu.delay = delay;
+                std::string label = sfpf ? "+both" : "+pgu";
+                label += value == PguValue::Rel ? "/rel" : "/both-writes";
+                label += "/delay ";
+                label += std::to_string(delay);
+                SCOPED_TRACE(label);
+                const ReplayOutcome ref = runReference(trace, "gshare", ecfg);
+
+                // Not vacuous: the reference inserts more than 64 bits
+                // between the two back edges.
+                PredictorPtr stepPred = makePredictor("gshare", 12);
+                PredictionEngine step(*stepPred, ecfg);
+                replayTraceFrom(trace, step, 0, head);
+                const std::uint64_t before = step.pguBitsInserted();
+                replayTraceFrom(trace, step, head, period);
+                EXPECT_GT(step.pguBitsInserted() - before, 64u);
+
+                for (const DecodedTrace *t : {&trace, &uncached}) {
+                    SCOPED_TRACE(t == &trace ? "shared" : "private");
+                    expectEquivalent(ref, runFast(*t, "gshare", ecfg));
+                    for (const std::uint64_t split :
+                         {head + 1 + cmps / 2, head + period - 1}) {
+                        SCOPED_TRACE(testing::Message() << "split " << split);
+                        PredictorPtr pred = makePredictor("gshare", 12);
+                        PredictionEngine engine(*pred, ecfg);
+                        std::uint64_t cursor =
+                            engine.processBatch(*t, 0, split);
+                        cursor = engine.processBatch(*t, cursor,
+                                                     t->size() - cursor);
+                        expectEquivalent(ref, outcomeOf(engine, cursor));
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(FastReplayEquivalence, ScheduleHoldsGuardsAndBitStreamOnly)
+{
+    // A cold engine replaying a trace whole publishes one schedule: a
+    // guard byte per conditional branch under the SFPF and one packed
+    // word per PGU stream entry - every bit the trace's defines
+    // produce, inserted or still pending at the end. A per-branch word
+    // beside them breaks the bound.
+    for (const char *wl : {"interp", "filter"}) {
+        DecodedTrace trace = recordWorkload(wl, 40000);
+        for (const bool sfpf : {true, false}) {
+            SCOPED_TRACE(std::string(wl) + (sfpf ? "/+both" : "/+pgu"));
+            EngineConfig ecfg;
+            ecfg.useSfpf = sfpf;
+            ecfg.usePgu = true;
+            const std::uint64_t before = trace.schedCache->bytes();
+            const ReplayOutcome fast = runFast(trace, "gshare", ecfg);
+
+            PredictorPtr pred = makePredictor("gshare", 12);
+            const PredicateGlobalUpdate pgu(*pred, ecfg.pgu);
+            std::uint64_t entries = 0;
+            for (std::uint64_t i = 0; i < trace.size(); ++i)
+                pgu.observeInto(trace.materialise(i),
+                                [&](const auto &) { ++entries; });
+            EXPECT_GT(fast.pguBits, 0u);
+            EXPECT_GE(entries, fast.pguBits);
+            const std::uint64_t bound = sizeof(ReplaySchedule) +
+                (sfpf ? fast.stats.all.branches : 0) + 8 * entries;
+            EXPECT_LE(trace.schedCache->bytes() - before, bound);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Shared-schedule addressing: an engine on the cold contiguous path
 // reads the trace's one schedule at its own cursors, with the PGU
@@ -1048,6 +1173,41 @@ TEST(FastReplayEquivalence, TwoThreadsOnOneTraceCaptureOneSchedule)
     EXPECT_EQ(trace.schedCache->counters().hits, 1u);
     expectEquivalent(ref, got[0]);
     expectEquivalent(ref, got[1]);
+}
+
+TEST(ReplayScheduleCache, CaptureFailureReachesEveryWaiter)
+{
+    // The capture that fails hands its own error to the engine waiting
+    // on its slot and to every later one of that configuration.
+    ReplayScheduleCache cache;
+    std::atomic<int> captures{0};
+    auto failing = [&]() -> std::shared_ptr<const ReplaySchedule> {
+        ++captures;
+        // Fail only once the other thread waits on this slot.
+        while (cache.counters().hits < 1)
+            std::this_thread::yield();
+        throw std::runtime_error("capture failed: lane 3 unreadable");
+    };
+    auto obtainError = [&] {
+        try {
+            cache.obtain(1, 2, failing);
+        } catch (const std::exception &e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    std::string seen[3];
+    std::thread a([&] { seen[0] = obtainError(); });
+    std::thread b([&] { seen[1] = obtainError(); });
+    a.join();
+    b.join();
+    seen[2] = obtainError();
+    for (const std::string &what : seen)
+        EXPECT_EQ(what, "capture failed: lane 3 unreadable");
+    EXPECT_EQ(captures.load(), 1);
+    EXPECT_EQ(cache.counters().inserts, 1u);
+    EXPECT_EQ(cache.counters().hits, 2u);
+    EXPECT_EQ(cache.bytes(), 0u);
 }
 
 // ---------------------------------------------------------------------
