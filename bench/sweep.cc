@@ -147,9 +147,10 @@ skippedByShard(const RunSpec &spec)
 }
 
 /** Trace-mode cells that replay shared decoded traces through the
- *  batched engine loop. Checkpointing or resuming cells step their own
- *  emulator: mid-run checkpoints serialise emulator state the decoded
- *  trace does not carry. */
+ *  batched engine loop. Checkpointing or resuming cells drive their
+ *  own emulator (in LiveWindow windows under fast replay): mid-run
+ *  checkpoints serialise emulator state the decoded trace does not
+ *  carry. */
 bool
 replaysDecodedTrace(const RunSpec &spec)
 {
@@ -933,19 +934,25 @@ SweepRunner::executeSpec(const RunSpec &spec)
     }
 
     // Build the cell's consumer, then run it through the one cell
-    // loop. Three consumers, each exactly resumable:
+    // loop. Four consumers, each exactly resumable:
     //  - Timed: the pipeline over the cell's own emulator;
     //  - fast replay (docs/PERF.md): the batched engine loop over the
     //    shared pre-decoded trace, bit-identical to the reference
     //    loop (the equivalence tests pin stats, profile and metrics
     //    bytes);
-    //  - reference: runTrace over the cell's own emulator, the path
-    //    of cells that checkpoint or resume, since a mid-run
-    //    checkpoint serialises emulator state the trace lacks.
+    //  - checkpointing or resuming under fast replay: the cell's own
+    //    emulator in LiveWindow windows, recorded and decided by the
+    //    same batch loop, since a mid-run checkpoint serialises
+    //    emulator state the trace lacks. Windows end at every slice
+    //    boundary, so each save lands exactly at `done`, with the
+    //    bytes the reference cell writes there;
+    //  - reference (fastReplay off): runTrace over the cell's own
+    //    emulator, the oracle of the other three.
     TraceHandle trace;
     std::unique_ptr<Emulator> emu;
     std::optional<PredictionEngine> engine;
     std::optional<Pipeline> pipe;
+    std::optional<LiveWindow> live;
     std::uint64_t done = 0;
     CellAdvance advance;
     std::function<Status()> save;
@@ -1012,9 +1019,16 @@ SweepRunner::executeSpec(const RunSpec &spec)
                 done = 0;
             }
         }
-        advance = [&](std::uint64_t n) {
-            return runTrace(*emu, *engine, n);
-        };
+        if (spec.fastReplay) {
+            live.emplace();
+            advance = [&](std::uint64_t n) {
+                return live->run(*emu, *engine, n);
+            };
+        } else {
+            advance = [&](std::uint64_t n) {
+                return runTrace(*emu, *engine, n);
+            };
+        }
         if (spec.checkpointEvery) {
             save = [&, file = derivedCheckpointPath(spec.checkpointPath,
                                                     fp)] {

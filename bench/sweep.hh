@@ -215,9 +215,13 @@ struct RunSpec
      * profile, exported metrics bytes - are identical either way
      * (pinned by tests/test_replay_fast.cc); only throughput
      * changes, so like the checkpoint/metrics knobs this is NOT part
-     * of specFingerprint(). Checkpointing or resuming cells ignore
-     * it and keep the reference emulator loop: mid-run checkpoints
-     * serialise emulator state the decoded trace does not carry.
+     * of specFingerprint(). Checkpointing or resuming cells drive
+     * their own emulator either way, since mid-run checkpoints
+     * serialise emulator state the decoded trace does not carry:
+     * when true in windows recorded and decided by the batch loop
+     * (LiveWindow, core/engine.hh), when false through the reference
+     * per-instruction loop (runTrace). Their checkpoint files are
+     * byte-identical either way.
      */
     bool fastReplay = true;
 

@@ -59,11 +59,12 @@ FUZZ_SEED=${FUZZ_SEED:-1}
 # (possibly damaged) file bytes. 'Pipeline|OutcomeLane' runs the Timed
 # cells' windows: each window's batch runs collectStops and
 # captureSchedule at the tier, and the timing step reads the outcome
-# bytes the batch wrote.
+# bytes the batch wrote. 'Checkpoint' runs the checkpointing sweep
+# cells, which drive the same windows, against the reference loop.
 for tier in scalar avx2; do
     PABP_SIMD=$tier ctest --test-dir "$BUILD_DIR" --output-on-failure \
         -j "$(nproc)" \
-        -R 'Simd|FastReplay|DecodedTrace|TraceIo|Tage|InjectContract|MultiCtx|Btb|ContextSchedule|Predictability|Mining|Pipeline|OutcomeLane'
+        -R 'Simd|FastReplay|DecodedTrace|TraceIo|Tage|InjectContract|MultiCtx|Btb|ContextSchedule|Predictability|Mining|Pipeline|OutcomeLane|Checkpoint'
 done
 
 if [ "${PABP_SKIP_TSAN:-0}" != "1" ]; then

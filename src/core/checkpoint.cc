@@ -20,7 +20,9 @@ constexpr char ckptFooter[8] = {'P', 'A', 'B', 'P', 'C', 'K', 'P', 'E'};
 // (modelTargets + BTB/RAS geometry) and, when armed, the BTB and
 // return-address-stack state and counters. Old checkpoints fail to
 // load (version mismatch) and runners fall back to a fresh run.
-constexpr std::uint32_t ckptVersion = 3;
+// v4: the emulator's memory image became sparse - only the pages
+// holding a nonzero word (ArchState::saveState).
+constexpr std::uint32_t ckptVersion = 4;
 
 constexpr std::uint8_t sectionEmulator = 1;
 constexpr std::uint8_t sectionEngine = 2;
@@ -47,9 +49,9 @@ sectionMask(const CheckpointRefs &refs)
 Status
 saveCheckpoint(const std::string &path, const CheckpointRefs &refs)
 {
-    // Streamed straight into the temp file (the emulator image is
-    // megabytes); a previous good checkpoint at @p path survives any
-    // crash up to the rename.
+    // Streamed straight into the temp file (an emulator image is up
+    // to hundreds of KB); a previous good checkpoint at @p path
+    // survives any crash up to the rename.
     return atomicWriteFile(path, [&refs](std::ostream &os) {
         StateSink sink(os);
         sink.writeBytes(ckptMagic, sizeof(ckptMagic));

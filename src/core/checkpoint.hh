@@ -10,12 +10,21 @@
  * InvalidArgument when they do not.
  *
  * On-disk layout (little-endian):
- *   | magic "PABPCKP1" | u32 version = 3
+ *   | magic "PABPCKP1" | u32 version = 4
  *   | u8 section mask (1 = emulator, 2 = engine, 4 = stream position,
  *   |                  8 = trace id)
  *   | section payloads in mask order
  *   | u32 crc   - CRC-32 of mask + payloads
  *   | footer "PABPCKPE"
+ *
+ * The emulator section ends in a sparse memory image
+ * (ArchState::saveState): u64 memory words, u64 n, then n x (u32 page
+ * index, 512 words) for the 4 KiB pages holding a nonzero word, in
+ * ascending order; every other page restores as zero. A suite
+ * workload's image is a few to a few dozen pages, so a checkpoint is
+ * kilobytes rather than the 8 MiB memory. A file of an older version
+ * (v3 stored the whole image) is VersionMismatch, and sweep cells
+ * resume from it fresh.
  *
  * saveCheckpoint() streams into a unique temp file and renames it into
  * place (util/atomic_file.hh), so a crash mid-write can never destroy

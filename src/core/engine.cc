@@ -1017,6 +1017,42 @@ runTrace(Emulator &emu, PredictionEngine &engine, std::uint64_t max_insts)
     return processed;
 }
 
+LiveWindow::LiveWindow(bool timed)
+{
+    window.resize(windowEvents);
+    if (timed) {
+        effAddrLane.resize(windowEvents);
+        outcomeLane.resize(windowEvents);
+    }
+}
+
+std::size_t
+LiveWindow::advance(Emulator &emu, PredictionEngine &engine,
+                    std::uint64_t n)
+{
+    if (&emu.program() != boundProgram) {
+        boundProgram = &emu.program();
+        classes = classTable(emu.program());
+        // The lanes index the window's own copy of the program.
+        window.prog = emu.program();
+    }
+    const auto want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(n, windowEvents));
+    // Lane 0 is the emulator's next instruction. The window holds
+    // exactly the events recorded into it, so its last event's next
+    // pc is endPc and never a stale lane entry.
+    window.firstSeq = emu.instsExecuted();
+    window.resize(want);
+    const std::size_t got =
+        recordEvents(emu, classes.data(), window, 0, want,
+                     effAddrLane.empty() ? nullptr : effAddrLane.data());
+    window.resize(got);
+    engine.processBatch(window, 0, got,
+                        outcomeLane.empty() ? nullptr
+                                            : outcomeLane.data());
+    return got;
+}
+
 std::uint64_t
 replayTraceFrom(const DecodedTrace &trace, PredictionEngine &engine,
                 std::uint64_t first, std::uint64_t max_insts)

@@ -481,6 +481,91 @@ std::uint64_t runTrace(Emulator &emu, PredictionEngine &engine,
                        std::uint64_t max_insts);
 
 /**
+ * runTrace()'s fast form: a live emulator driven through an engine in
+ * windows of at most windowEvents events. Each window is recorded by
+ * the interpreter into reused DecodedTrace lanes (recordEvents(), the
+ * recorder body recordTrace() runs; firstSeq is the emulator position
+ * of lane 0) and then decided by the engine's batch loop
+ * (PredictionEngine::processBatch). The window is refilled in place,
+ * so it carries no schedule cache: every batch captures a private
+ * schedule and publishes nothing. The engine and emulator end in the
+ * state runTrace() over the same count leaves them in, so their
+ * saveState() bytes are identical (tests/test_sweep.cc, fuzz oracle
+ * 6).
+ *
+ * Both users call the one window loop run(): the cycle-level pipeline
+ * (Pipeline::run) times each window from its lanes, and a
+ * checkpointing or resuming sweep cell, which needs emulator state
+ * at every save, advances by it.
+ */
+class LiveWindow
+{
+  public:
+    /** Events per window: the six lanes take 36 KiB, 72 KiB with
+     *  the effective addresses and outcome bytes. */
+    static constexpr std::size_t windowEvents = 4096;
+
+    /** @param timed Also fill each window's effective-address and
+     *         outcome lanes, which the cycle-level pipeline times
+     *         from. */
+    explicit LiveWindow(bool timed = false);
+
+    /**
+     * Record up to min(@p n, windowEvents) instructions of @p emu into
+     * the window and decide them with @p engine. Returns how many ran:
+     * fewer than asked means the emulator halted or its fuse blew. A
+     * LiveWindow follows one Program: its class table is rebuilt only
+     * when @p emu runs a different Program object.
+     */
+    std::size_t advance(Emulator &emu, PredictionEngine &engine,
+                        std::uint64_t n);
+
+    /**
+     * Advance window by window until @p n instructions ran or the
+     * emulator stopped, calling @p on_window with each window's count
+     * while events() still holds it. Returns the total run.
+     */
+    template <class OnWindow>
+    std::uint64_t
+    run(Emulator &emu, PredictionEngine &engine, std::uint64_t n,
+        OnWindow &&on_window)
+    {
+        std::uint64_t ran = 0;
+        while (ran < n) {
+            const std::uint64_t want =
+                std::min<std::uint64_t>(n - ran, windowEvents);
+            const std::size_t got = advance(emu, engine, want);
+            on_window(got);
+            ran += got;
+            if (got < want)
+                break;
+        }
+        return ran;
+    }
+
+    std::uint64_t
+    run(Emulator &emu, PredictionEngine &engine, std::uint64_t n)
+    {
+        return run(emu, engine, n, [](std::size_t) {});
+    }
+
+    /** The last window's events, in lanes [0, its count). */
+    const DecodedTrace &events() const { return window; }
+    /** @name The last window's timed lanes (null unless timed)
+     * @{ */
+    const std::int64_t *effAddrs() const { return effAddrLane.data(); }
+    const std::uint8_t *outcomes() const { return outcomeLane.data(); }
+    /** @} */
+
+  private:
+    DecodedTrace window;
+    std::vector<std::int64_t> effAddrLane;
+    std::vector<std::uint8_t> outcomeLane;
+    const Program *boundProgram = nullptr;
+    std::vector<std::uint8_t> classes; ///< classTable(), by pc
+};
+
+/**
  * Reference replay: feed events [@p first, @p first + @p max_insts)
  * of @p trace through process(), one materialised DynInst each
  * (record once with recordTrace(), replay against many predictor

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -426,6 +427,38 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
     return {};
 }
 
+/** A scratch file of case @p c under RunEnv::scratchDir, named by the
+ *  case: "pabp-fuzz-<16 hex><suffix>". */
+std::string
+scratchPath(const FuzzCase &c, const RunEnv &env, const char *suffix)
+{
+    char fp[17];
+    std::snprintf(fp, sizeof(fp), "%016llx",
+                  static_cast<unsigned long long>(
+                      configFingerprint(c.gen) ^ c.seed));
+    return env.scratchDir + "/pabp-fuzz-" + fp + suffix;
+}
+
+/** The bytes of the file at @p path. */
+Expected<std::string>
+readFileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return statusError(StatusCode::IoError,
+                           "cannot open " + path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+/** Removes a scratch file on every exit, PABP_TRY returns too. */
+struct RemoveOnExit
+{
+    const std::string &path;
+    ~RemoveOnExit() { std::remove(path.c_str()); }
+};
+
 // ---------------------------------------------------------------------
 // Oracle 4: checkpoint/resume vs straight-through.
 
@@ -458,18 +491,8 @@ oracleCheckpoint(const FuzzCase &c, CaseContext &ctx, const RunEnv &env)
     PredictionEngine straight(*preds[0].value(), c.engine);
     replayFrom(trace, straight, 0, trace.size());
 
-    char fp[17];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(
-                      configFingerprint(c.gen) ^ c.seed));
-    const std::string ckpt =
-        env.scratchDir + "/pabp-fuzz-" + fp + ".ckpt";
-    // Scratch only: removed on every exit, the PABP_TRY returns too.
-    struct RemoveOnExit
-    {
-        const std::string &path;
-        ~RemoveOnExit() { std::remove(path.c_str()); }
-    } const removeCkpt{ckpt};
+    const std::string ckpt = scratchPath(c, env, ".ckpt");
+    const RemoveOnExit removeCkpt{ckpt};
 
     PredictionEngine first(*preds[1].value(), c.engine);
     std::uint64_t half = trace.size() / 2;
@@ -655,8 +678,33 @@ oracleTrace(const FuzzCase &c, CaseContext &ctx)
 // ---------------------------------------------------------------------
 // Oracle 6: sweep-cell fast vs reference (oracle reuse of runOne).
 
+/** Cells @p fast and @p ref agree on everything they report. */
 Status
-oracleSweep(const FuzzCase &c, CaseContext &ctx)
+sameSweepCell(const bench::RunResult &fast, const bench::RunResult &ref,
+              const std::string &leg)
+{
+    if (!fast.status.ok())
+        return diverged(leg + " sweep cell failed under fast replay: " +
+                        fast.status.toString());
+    if (!ref.status.ok())
+        return diverged(leg + " sweep cell failed under reference "
+                        "replay: " + ref.status.toString());
+    if (!(fast.engine == ref.engine))
+        return diverged(leg + " sweep cell stats differ between fast "
+                        "and reference replay:" +
+                        statsDiff(ref.engine, fast.engine));
+    if (!(fast.profile == ref.profile))
+        return diverged(leg + " sweep cell per-branch profiles differ "
+                        "between fast and reference replay");
+    if (fast.pguBits != ref.pguBits)
+        return diverged(leg + " sweep cell PGU bit counts differ: fast " +
+                        std::to_string(fast.pguBits) +
+                        " vs reference " + std::to_string(ref.pguBits));
+    return {};
+}
+
+Status
+oracleSweep(const FuzzCase &c, CaseContext &ctx, const RunEnv &env)
 {
     bench::RunSpec spec;
     spec.workload = ctx.progs.body.name; // unique: fuzz-<seed>-<fp>
@@ -677,24 +725,43 @@ oracleSweep(const FuzzCase &c, CaseContext &ctx)
     bench::RunResult fast = runner.runOne(spec);
     spec.fastReplay = false;
     bench::RunResult ref = runner.runOne(spec);
+    PABP_TRY(sameSweepCell(fast, ref, "replay"));
 
-    if (!fast.status.ok())
-        return diverged("sweep cell failed under fast replay: " +
-                        fast.status.toString());
-    if (!ref.status.ok())
-        return diverged("sweep cell failed under reference replay: " +
-                        ref.status.toString());
-    if (!(fast.engine == ref.engine))
-        return diverged("sweep cell stats differ between fast and "
-                        "reference replay:" +
-                        statsDiff(ref.engine, fast.engine));
-    if (!(fast.profile == ref.profile))
-        return diverged("sweep cell per-branch profiles differ "
-                        "between fast and reference replay");
-    if (fast.pguBits != ref.pguBits)
-        return diverged("sweep cell PGU bit counts differ: fast " +
-                        std::to_string(fast.pguBits) +
-                        " vs reference " + std::to_string(ref.pguBits));
+    // The checkpointing leg: the same cell saving at a case-derived
+    // interval drives its own emulator, in LiveWindow windows under
+    // fast replay and through runTrace otherwise. Both must report
+    // the same cell and leave the same final checkpoint bytes.
+    spec.checkpointEvery = 1 + streamSeed(c.seed, 0xc4e) % c.maxInsts;
+    const std::string fast_base = scratchPath(c, env, "-fast.ckpt");
+    const std::string ref_base = scratchPath(c, env, "-ref.ckpt");
+    const std::uint64_t fp = bench::specFingerprint(spec);
+    const std::string fast_ckpt =
+        bench::derivedCheckpointPath(fast_base, fp);
+    const std::string ref_ckpt = bench::derivedCheckpointPath(ref_base, fp);
+    const RemoveOnExit removeFast{fast_ckpt};
+    const RemoveOnExit removeRef{ref_ckpt};
+    spec.fastReplay = true;
+    spec.checkpointPath = fast_base;
+    fast = runner.runOne(spec);
+    spec.fastReplay = false;
+    spec.checkpointPath = ref_base;
+    ref = runner.runOne(spec);
+    const std::string leg =
+        "checkpointing (every " + std::to_string(spec.checkpointEvery) +
+        ")";
+    PABP_TRY(sameSweepCell(fast, ref, leg));
+    Expected<std::string> fast_bytes = readFileBytes(fast_ckpt);
+    if (!fast_bytes.ok())
+        return fast_bytes.status();
+    Expected<std::string> ref_bytes = readFileBytes(ref_ckpt);
+    if (!ref_bytes.ok())
+        return ref_bytes.status();
+    if (fast_bytes.value() != ref_bytes.value())
+        return diverged(leg + " sweep cell final checkpoint bytes "
+                        "differ between fast and reference replay (" +
+                        std::to_string(fast_bytes.value().size()) +
+                        " vs " + std::to_string(ref_bytes.value().size()) +
+                        " bytes)");
     return {};
 }
 
@@ -784,12 +851,7 @@ checkCorruptedJournal(const std::vector<JournalRecord> &original,
     // Writer adoption: open() on the damaged file either fails with
     // a typed error or truncates to a valid prefix - and a second
     // open sees exactly what the first left behind (idempotence).
-    char fp[17];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(
-                      configFingerprint(c.gen) ^ c.seed));
-    const std::string path =
-        env.scratchDir + "/pabp-fuzz-" + fp + ".pabpj";
+    const std::string path = scratchPath(c, env, ".pabpj");
     PABP_TRY(atomicWriteFile(path, bytes));
     std::vector<JournalRecord> first_seen;
     Expected<JournalWriter> first =
@@ -997,7 +1059,7 @@ runOracleWith(Oracle oracle, const FuzzCase &c, const RunEnv &env,
       case Oracle::Replay: return oracleReplay(c, ctx);
       case Oracle::Checkpoint: return oracleCheckpoint(c, ctx, env);
       case Oracle::Trace: return oracleTrace(c, ctx);
-      case Oracle::Sweep: return oracleSweep(c, ctx);
+      case Oracle::Sweep: return oracleSweep(c, ctx, env);
       case Oracle::Journal: return oracleJournal(c, env);
       case Oracle::MultiCtx: return oracleMultiCtx(c, ctx);
     }

@@ -27,7 +27,9 @@
  *              Status or a valid salvage prefix - never a crash, never
  *              silently different events.
  *  sweep:      SweepRunner::runOne on the generated workload agrees
- *              between --fast-replay and the reference cell loop.
+ *              between --fast-replay and the reference cell loop, and
+ *              so does a checkpointing cell (LiveWindow windows vs
+ *              runTrace), down to its final checkpoint bytes.
  *  journal:    bit-flipped / truncated PABPJRN1 results-journal bytes
  *              produce a typed Status or a valid salvage prefix, and
  *              JournalWriter::open truncates the damage idempotently -

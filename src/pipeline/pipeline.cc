@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/trace_io.hh"
 #include "util/logging.hh"
 
 namespace pabp {
@@ -18,12 +17,6 @@ Pipeline::Pipeline(PredictionEngine &engine_, PipelineConfig config)
     pabp_assert(engine.config().modelTargets);
     if (cfg.enableL2)
         l2.emplace(cfg.l2);
-    // Lanes of windowEvents entries, refilled in place per window. The
-    // window has no schedule cache, so every window's batch captures
-    // its own replay schedule and publishes nothing.
-    window.resize(windowEvents);
-    outcomes.resize(windowEvents);
-    effAddrs.resize(windowEvents);
 }
 
 void
@@ -32,7 +25,6 @@ Pipeline::bindProgram(const Program &prog)
     if (&prog == boundProgram)
         return;
     boundProgram = &prog;
-    classes = classTable(prog);
     operands.resize(prog.size());
     for (std::size_t pc = 0; pc < prog.size(); ++pc) {
         const Inst &inst = prog.insts[pc];
@@ -74,8 +66,6 @@ Pipeline::bindProgram(const Program &prog)
             (inst.op >= Opcode::Add && inst.op <= Opcode::Shr))
             o.dst = inst.dst;
     }
-    // The lanes index the window's own copy of the program.
-    window.prog = prog;
 }
 
 PABP_ALWAYS_INLINE void
@@ -195,29 +185,16 @@ const PipelineStats &
 Pipeline::run(Emulator &emu, std::uint64_t max_insts)
 {
     bindProgram(emu.program());
-    std::uint64_t left = max_insts;
-    while (left > 0) {
-        const auto n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(left, windowEvents));
-        // Record: lane 0 is the emulator's next instruction. A window
-        // holds exactly the events recorded into it, so its last
-        // event's next pc is endPc and never a stale lane entry.
-        window.firstSeq = emu.instsExecuted();
-        window.resize(n);
-        const std::size_t got = recordEvents(emu, classes.data(), window,
-                                             0, n, effAddrs.data());
-        window.resize(got);
-        // Decide: no engine decision depends on the timing, so the
-        // whole window is decided before any of it is timed.
-        engine.processBatch(window, 0, got, outcomes.data());
-        // Time.
+    // Record and decide each window (no engine decision depends on
+    // the timing), then time it.
+    live.run(emu, engine, max_insts, [this](std::size_t got) {
+        const DecodedTrace &w = live.events();
+        const std::int64_t *eff_addrs = live.effAddrs();
+        const std::uint8_t *outcomes = live.outcomes();
         for (std::size_t i = 0; i < got; ++i)
-            timeEvent(window.pcs[i], window.flags[i], window.predReg0[i],
-                      window.predReg1[i], effAddrs[i], outcomes[i]);
-        left -= got;
-        if (got < n)
-            break; // halted, or the emulator's fuse blew
-    }
+            timeEvent(w.pcs[i], w.flags[i], w.predReg0[i], w.predReg1[i],
+                      eff_addrs[i], outcomes[i]);
+    });
     pipeStats.cycles = std::max(pipeStats.cycles, cycle + 1);
     return pipeStats;
 }

@@ -12,15 +12,14 @@
  * instructions still consume issue slots (the cost predication trades
  * against mispredicts), but do not access memory or write registers.
  *
- * run() advances in windows of at most windowEvents events, in three
- * passes per window: the interpreter records the window into reused
- * DecodedTrace lanes plus an effective-address lane (recordEvents(),
- * the recorder body recordTrace() runs); the engine's batch loop
- * (PredictionEngine::processBatch) decides every event and writes one
- * outcome byte each; one per-event timing step then charges cycles
- * from the lanes and the outcome bytes. No decision depends on the
- * timing, so the passes reproduce the per-instruction interleaving
- * exactly. runReference() drives the same timing step from
+ * run() advances in the windows of a LiveWindow (core/engine.hh), in
+ * three passes per window: the interpreter records the window into
+ * reused DecodedTrace lanes plus an effective-address lane; the
+ * engine's batch loop (PredictionEngine::processBatch) decides every
+ * event and writes one outcome byte each; one per-event timing step
+ * then charges cycles from the lanes and the outcome bytes. No
+ * decision depends on the timing, so the passes reproduce the
+ * per-instruction interleaving exactly. runReference() drives the same timing step from
  * Emulator::step() and PredictionEngine::process(), one instruction
  * at a time; it is the oracle the windowed run is checked against
  * (tests/test_pipeline.cc, fuzz oracle 2).
@@ -106,10 +105,6 @@ struct PipelineStats
 class Pipeline
 {
   public:
-    /** Events per window: the window's lanes, effective addresses and
-     *  outcome bytes take about 90 KiB. */
-    static constexpr std::size_t windowEvents = 4096;
-
     /**
      * @param engine Prediction engine (owns the branch stats AND the
      *        target structures - it must be constructed with
@@ -171,15 +166,10 @@ class Pipeline
      * @{ */
     const Program *boundProgram = nullptr;
     std::vector<Operands> operands; ///< by pc
-    std::vector<std::uint8_t> classes; ///< classTable(), by pc
     /** @} */
 
-    /** @name The reused event window (run())
-     * @{ */
-    DecodedTrace window;
-    std::vector<std::int64_t> effAddrs;
-    std::vector<std::uint8_t> outcomes;
-    /** @} */
+    /** run()'s reused event window, with the timed lanes. */
+    LiveWindow live{true};
 
     void bindProgram(const Program &prog);
     /** Charge one event: the per-event timing step run() and

@@ -1,6 +1,8 @@
 #include "sim/arch_state.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "util/logging.hh"
@@ -47,6 +49,12 @@ GuestMemory::operator==(const GuestMemory &other) const
         std::memcmp(words, other.words, bytes()) == 0;
 }
 
+void
+GuestMemory::clear()
+{
+    anon_map::discard(words, bytes());
+}
+
 namespace {
 
 std::size_t
@@ -56,6 +64,23 @@ roundUpPow2(std::size_t n)
     while (p < n)
         p <<= 1;
     return p;
+}
+
+/** Words per image page: a memory smaller than one page is one
+ *  page. Memory sizes are powers of two, so pages tile it exactly. */
+std::size_t
+pageWordsOf(std::size_t mem_words)
+{
+    return std::min(ArchState::imagePageWords, mem_words);
+}
+
+bool
+pageUsed(const std::int64_t *page, std::size_t words)
+{
+    std::int64_t any = 0;
+    for (std::size_t i = 0; i < words; ++i)
+        any |= page[i];
+    return any != 0;
 }
 
 } // anonymous namespace
@@ -86,7 +111,18 @@ ArchState::saveState(StateSink &sink) const
     for (bool p : pred)
         sink.writeBool(p);
     sink.writeU64(mem.size());
-    sink.writeBytes(mem.data(), mem.bytes());
+    const std::size_t page_words = pageWordsOf(mem.size());
+    const std::size_t pages = mem.size() / page_words;
+    std::vector<std::uint32_t> used;
+    for (std::size_t p = 0; p < pages; ++p)
+        if (pageUsed(mem.data() + p * page_words, page_words))
+            used.push_back(static_cast<std::uint32_t>(p));
+    sink.writeU64(used.size());
+    for (std::uint32_t p : used) {
+        sink.writeU32(p);
+        sink.writeBytes(mem.data() + std::size_t{p} * page_words,
+                        page_words * sizeof(std::int64_t));
+    }
 }
 
 Status
@@ -112,7 +148,34 @@ ArchState::loadState(StateSource &src)
                           std::to_string(mem_words) +
                           " != configured " +
                           std::to_string(mem.size()));
-    return src.readBytes(mem.data(), mem.bytes());
+    const std::size_t page_words = pageWordsOf(mem.size());
+    const std::size_t pages = mem.size() / page_words;
+    std::uint64_t count = 0;
+    PABP_TRY(src.readPod(count));
+    if (count > pages)
+        return Status(StatusCode::Corrupt,
+                      "checkpoint memory image lists " +
+                          std::to_string(count) + " pages of " +
+                          std::to_string(pages));
+    mem.clear();
+    std::uint64_t lowest = 0; // the smallest index the next may have
+    for (std::uint64_t k = 0; k < count; ++k) {
+        std::uint32_t p = 0;
+        PABP_TRY(src.readPod(p));
+        if (p >= pages)
+            return Status(StatusCode::Corrupt,
+                          "checkpoint memory page " + std::to_string(p) +
+                              " out of range (" + std::to_string(pages) +
+                              " pages)");
+        if (p < lowest)
+            return Status(StatusCode::Corrupt,
+                          "checkpoint memory page " + std::to_string(p) +
+                              " not in ascending order");
+        PABP_TRY(src.readBytes(mem.data() + std::size_t{p} * page_words,
+                               page_words * sizeof(std::int64_t)));
+        lowest = std::uint64_t{p} + 1;
+    }
+    return Status();
 }
 
 } // namespace pabp

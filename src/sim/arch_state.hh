@@ -44,6 +44,9 @@ class GuestMemory
 
     bool operator==(const GuestMemory &other) const;
 
+    /** Zero every word, handing the written pages back to the kernel. */
+    void clear();
+
   private:
     std::int64_t *words = nullptr;
     std::size_t count = 0;
@@ -108,8 +111,19 @@ class ArchState
      * Full architectural state: registers, predicates, pc, call
      * stack and data memory. Memory geometry must match on restore
      * (a checkpoint resumes an identically-configured machine).
+     *
+     * Memory is a sparse image of imagePageWords-word pages: u64
+     * words, u64 n, then n x (u32 page index, the page's words) for
+     * the pages holding a nonzero word, in ascending order. A suite
+     * workload writes a few to about 50 of an 8 MiB memory's 2048
+     * pages, so the image is kilobytes, streamed straight from guest
+     * memory.
+     * loadState() zeroes memory and writes the listed pages; a count
+     * above the page total, an index out of range or an index not
+     * above the one before is Corrupt.
      * @{
      */
+    static constexpr std::size_t imagePageWords = 512;
     void saveState(StateSink &sink) const;
     Status loadState(StateSource &src);
     /** @} */

@@ -2,11 +2,12 @@
  * @file
  * CRC-32 (IEEE 802.3, polynomial 0xEDB88320) - the integrity check
  * used by the PABPTRC2 trace format, the checkpoint files and the
- * sweep journal. Throughput matters: a checkpoint save checksums the
- * emulator's whole 8 MiB memory image, so update() runs slice-by-8
- * (eight bytes per step through eight tables, about five times the
- * bytewise loop) and finishes any tail bytewise. Both give the same
- * values, so every checksum on disk is unchanged.
+ * sweep journal. Throughput matters: a trace file is megabytes, and
+ * a checkpoint's memory image, though it stores only the guest pages
+ * in use, is up to about 200 KB for a suite workload. So update()
+ * runs slice-by-8 (eight bytes per step through eight tables, about
+ * five times the bytewise loop) and finishes any tail bytewise. Both
+ * give the same values, so every checksum on disk is unchanged.
  */
 
 #ifndef PABP_UTIL_CRC32_HH

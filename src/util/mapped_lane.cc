@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <mutex>
 #include <new>
@@ -53,6 +54,15 @@ void
 unmap(void *p, std::size_t bytes)
 {
     munmap(p, bytes);
+}
+
+void
+discard(void *p, std::size_t bytes)
+{
+    // MADV_DONTNEED on private anonymous memory drops the pages, so
+    // the next touch sees the kernel's zeros.
+    if (madvise(p, roundToPages(bytes), MADV_DONTNEED) != 0)
+        std::memset(p, 0, bytes);
 }
 
 namespace {

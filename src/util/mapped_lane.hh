@@ -79,6 +79,11 @@ void *acquire(std::size_t bytes, bool &reused);
  *  oldest mappings are unmapped past poolBytes. */
 void release(void *p, std::size_t bytes);
 
+/** Zero the mapping at @p p (whole pages from a page boundary) by
+ *  handing its pages back to the kernel: they read as zero and cost
+ *  nothing resident until written again. */
+void discard(void *p, std::size_t bytes);
+
 /** Fault in the pages covering [@p p, @p p + @p bytes) of a mapping
  *  in one call. Best effort: a kernel without MADV_POPULATE_WRITE
  *  leaves them to fault on first touch. */

@@ -66,7 +66,7 @@ blocks)
     same_metrics m-e12-j1 bench_e12_distance_histo
     ;;
 checkpoint)
-    # A shard of e10 keeps the 8 MiB emulator checkpoints few.
+    # A shard of e10 keeps the checkpointing cells few.
     args=(--only e10 --steps 20000 --jobs 2 --shard 0/8 --summary-dir=)
     "$bin" "${args[@]}" > fresh.out
     mkdir ckpt

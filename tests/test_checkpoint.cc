@@ -17,11 +17,13 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bpred/factory.hh"
 #include "core/checkpoint.hh"
 #include "core/engine.hh"
 #include "sim/trace_io.hh"
+#include "util/serialize.hh"
 #include "workloads/workload.hh"
 
 namespace pabp {
@@ -375,6 +377,137 @@ TEST_F(CheckpointArtifact, PredictorGeometryMismatchIsTyped)
     Status status = loadCheckpoint(path, refs);
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), StatusCode::InvalidArgument);
+}
+
+// ---------------------------------------------------------------------
+// The sparse guest-memory image (ArchState::saveState): only the pages
+// holding a nonzero word are stored, and a load zeroes the rest.
+
+/** The emulator's saveState() bytes. */
+std::string
+emulatorBytes(const Emulator &emu)
+{
+    std::ostringstream os;
+    StateSink sink(os);
+    emu.saveState(sink);
+    return os.str();
+}
+
+TEST(CheckpointImage, PageClearedAfterInitRestoresAsZero)
+{
+    // init writes words in pages 0 and 1; the program clears page 1
+    // inside a call, and stores to page 2 after it. A checkpoint
+    // taken after the clear lists no page 1, so resuming into a
+    // freshly init'd emulator - whose page 1 holds init's words -
+    // must zero it.
+    constexpr std::int64_t cleared = 1000; // page 1
+    const auto init = [](ArchState &st) {
+        st.writeMem(5, 11);
+        for (std::int64_t w = cleared; w < cleared + 4; ++w)
+            st.writeMem(w, w);
+    };
+    Program p;
+    p.insts = {
+        makeMovImm(1, cleared), // 0
+        makeCall(4),            // 1
+        makeStore(1, 700, 1),   // 2: page 2
+        makeHalt(),             // 3
+        makeStore(1, 0, 0),     // 4: the subroutine clears page 1
+        makeStore(1, 1, 0),
+        makeStore(1, 2, 0),
+        makeStore(1, 3, 0),
+        makeMovImm(2, 9),       // 8
+        makeRet(),              // 9
+    };
+    // Past the clears, before the return: the call stack is live.
+    constexpr std::uint64_t cut = 7;
+
+    Emulator straight(p);
+    init(straight.state());
+    straight.run(100);
+    ASSERT_TRUE(straight.halted());
+
+    Emulator first(p);
+    init(first.state());
+    ASSERT_EQ(first.run(cut), cut);
+    ASSERT_EQ(first.state().callStack.size(), 1u);
+    const std::string bytes = emulatorBytes(first);
+
+    Emulator resumed(p);
+    init(resumed.state());
+    ASSERT_EQ(resumed.state().readMem(cleared + 2), cleared + 2);
+    std::istringstream is(bytes);
+    StateSource src(is);
+    ASSERT_TRUE(resumed.loadState(src).ok());
+    EXPECT_EQ(resumed.state().readMem(cleared + 2), 0);
+    EXPECT_TRUE(resumed.state().sameArchOutcome(first.state()));
+    EXPECT_EQ(resumed.state().pc, first.state().pc);
+    EXPECT_EQ(resumed.state().callStack, first.state().callStack);
+    EXPECT_EQ(emulatorBytes(resumed), bytes);
+
+    resumed.run(100);
+    EXPECT_TRUE(resumed.halted());
+    EXPECT_EQ(resumed.instsExecuted(), straight.instsExecuted());
+    EXPECT_TRUE(resumed.state().sameArchOutcome(straight.state()));
+    EXPECT_EQ(resumed.state().pc, straight.state().pc);
+    EXPECT_EQ(resumed.state().callStack, straight.state().callStack);
+}
+
+/** An ArchState image of an 8-page memory listing @p pages, each
+ *  page filled with its own index + 1. */
+std::string
+imageWithPages(std::uint64_t count, const std::vector<std::uint32_t> &pages)
+{
+    ArchState blank(8 * ArchState::imagePageWords);
+    std::ostringstream os;
+    StateSink sink(os);
+    blank.saveState(sink);
+    // An all-zero memory ends its image with u64 words, u64 n = 0.
+    std::string bytes = os.str();
+    bytes.resize(bytes.size() - sizeof(std::uint64_t));
+    std::ostringstream tail;
+    StateSink out(tail);
+    out.writeU64(count);
+    for (std::uint32_t page : pages) {
+        out.writeU32(page);
+        for (std::size_t w = 0; w < ArchState::imagePageWords; ++w)
+            out.writeI64(std::int64_t{page} + 1);
+    }
+    return bytes + tail.str();
+}
+
+Status
+loadImage(const std::string &bytes, ArchState &st)
+{
+    std::istringstream is(bytes);
+    StateSource src(is);
+    return st.loadState(src);
+}
+
+TEST(CheckpointImage, MalformedPageListsAreCorrupt)
+{
+    ArchState st(8 * ArchState::imagePageWords);
+    ASSERT_TRUE(loadImage(imageWithPages(2, {2, 5}), st).ok());
+    EXPECT_EQ(st.readMem(2 * ArchState::imagePageWords), 3);
+    EXPECT_EQ(st.readMem(5 * ArchState::imagePageWords + 511), 6);
+    EXPECT_EQ(st.readMem(3 * ArchState::imagePageWords), 0);
+
+    const struct
+    {
+        const char *what;
+        std::string bytes;
+    } bad[] = {
+        {"count above the page total", imageWithPages(9, {})},
+        {"index out of range", imageWithPages(1, {8})},
+        {"duplicate index", imageWithPages(2, {3, 3})},
+        {"descending index", imageWithPages(2, {5, 2})},
+    };
+    for (const auto &c : bad) {
+        ArchState fresh(8 * ArchState::imagePageWords);
+        const Status status = loadImage(c.bytes, fresh);
+        EXPECT_EQ(status.code(), StatusCode::Corrupt) << c.what;
+        EXPECT_FALSE(status.message().empty()) << c.what;
+    }
 }
 
 } // namespace

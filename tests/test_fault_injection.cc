@@ -20,6 +20,7 @@
 #include "bpred/factory.hh"
 #include "core/checkpoint.hh"
 #include "core/engine.hh"
+#include "isa/program.hh"
 #include "sim/trace_io.hh"
 #include "util/fault_injection.hh"
 #include "workloads/workload.hh"
@@ -42,19 +43,37 @@ recordedTraceBytes(std::uint64_t steps)
     return buffer.str();
 }
 
+/** The machine whose state the emulator-section checkpoints carry:
+ *  a few instructions that leave two guest pages written. */
+const Program &
+imageProgram()
+{
+    static const Program p = [] {
+        Program q;
+        q.insts = {makeMovImm(1, 7), makeStore(0, 600, 1), makeHalt()};
+        return q;
+    }();
+    return p;
+}
+
+/** A saved checkpoint: the engine and a stream position, plus an
+ *  emulator section (its sparse memory image) when @p with_emulator. */
 std::string
-checkpointBytes()
+checkpointBytes(bool with_emulator)
 {
     PredictorPtr pred = makePredictor("gshare", 10);
     EngineConfig ecfg;
     ecfg.useSfpf = true;
     PredictionEngine engine(*pred, ecfg);
+    Emulator emu(imageProgram());
+    emu.state().writeMem(3, 5);
+    emu.run(2);
     const auto *info =
         ::testing::UnitTest::GetInstance()->current_test_info();
     std::string path =
         ::testing::TempDir() + "pabp_" + info->name() + "_src.ckpt";
     std::uint64_t pos = 42;
-    CheckpointRefs refs{nullptr, &engine, &pos};
+    CheckpointRefs refs{with_emulator ? &emu : nullptr, &engine, &pos};
     if (!saveCheckpoint(path, refs).ok())
         return {};
     std::ifstream is(path, std::ios::binary);
@@ -173,7 +192,7 @@ TEST(FaultInjection, SalvageRecoversPrefixUnderEventDamage)
  *  the same fault families over loadCheckpoint via a temp file. */
 void
 expectCheckpointLoadIsGraceful(const std::string &bytes,
-                               const FaultSpec &spec)
+                               const FaultSpec &spec, bool with_emulator)
 {
     std::string path = uniqueTempPath("_sweep.ckpt");
     std::string damaged = applyFault(bytes, spec);
@@ -186,8 +205,9 @@ expectCheckpointLoadIsGraceful(const std::string &bytes,
     EngineConfig ecfg;
     ecfg.useSfpf = true;
     PredictionEngine engine(*pred, ecfg);
+    Emulator emu(imageProgram());
     std::uint64_t pos = 0;
-    CheckpointRefs refs{nullptr, &engine, &pos};
+    CheckpointRefs refs{with_emulator ? &emu : nullptr, &engine, &pos};
     Status status = loadCheckpoint(path, refs);
     if (!status.ok()) {
         EXPECT_FALSE(status.message().empty());
@@ -197,23 +217,27 @@ expectCheckpointLoadIsGraceful(const std::string &bytes,
 
 TEST(FaultInjection, CheckpointSurvivesBitFlipsEverywhere)
 {
-    std::string bytes = checkpointBytes();
-    ASSERT_FALSE(bytes.empty());
-    for (std::size_t off = 0; off < bytes.size();
-         off += (off < 32 ? 1 : 17)) {
-        expectCheckpointLoadIsGraceful(bytes,
-                                       FaultSpec::bitFlip(off, off % 8));
+    for (bool with_emulator : {false, true}) {
+        std::string bytes = checkpointBytes(with_emulator);
+        ASSERT_FALSE(bytes.empty());
+        for (std::size_t off = 0; off < bytes.size();
+             off += (off < 32 ? 1 : 17)) {
+            expectCheckpointLoadIsGraceful(
+                bytes, FaultSpec::bitFlip(off, off % 8), with_emulator);
+        }
     }
 }
 
 TEST(FaultInjection, CheckpointSurvivesTruncationAtEveryStride)
 {
-    std::string bytes = checkpointBytes();
-    ASSERT_FALSE(bytes.empty());
-    for (std::size_t off = 0; off < bytes.size();
-         off += (off < 32 ? 1 : 13)) {
-        expectCheckpointLoadIsGraceful(bytes,
-                                       FaultSpec::truncate(off));
+    for (bool with_emulator : {false, true}) {
+        std::string bytes = checkpointBytes(with_emulator);
+        ASSERT_FALSE(bytes.empty());
+        for (std::size_t off = 0; off < bytes.size();
+             off += (off < 32 ? 1 : 13)) {
+            expectCheckpointLoadIsGraceful(
+                bytes, FaultSpec::truncate(off), with_emulator);
+        }
     }
 }
 

@@ -174,7 +174,7 @@ expectSameRun(const TimedRun &got, const TimedRun &want)
 TEST(Pipeline, SplitRunsEqualOneRun)
 {
     // The sweep advances Timed cells in heartbeat slices and run()
-    // advances in windows of Pipeline::windowEvents events, so run(a)
+    // advances in windows of LiveWindow::windowEvents events, so run(a)
     // then run(b) must leave every counter where run(a + b) does - the
     // pipeline's and the engine's - and both must equal the
     // per-instruction runReference(). interp halts (after about

@@ -39,6 +39,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -51,6 +52,7 @@
 
 #include "bpred/factory.hh"
 #include "core/checkpoint.hh"
+#include "fuzz/fuzz_gen.hh"
 #include "sim/emulator.hh"
 #include "sweep.hh"
 #include "sweep_service.hh"
@@ -632,6 +634,203 @@ TEST(SweepCheckpoint, ResumeMatchesUninterruptedRun)
     std::remove(full_path.c_str());
 }
 
+/** The bytes of the file at @p path; empty when it cannot be read. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Everything a cell reports except how it ran. */
+void
+expectSameCell(const RunResult &a, const RunResult &b,
+               const std::string &what)
+{
+    EXPECT_EQ(a.status.code(), b.status.code()) << what;
+    EXPECT_EQ(a.engine, b.engine) << what;
+    EXPECT_TRUE(a.profile == b.profile) << what;
+    EXPECT_EQ(a.pguBits, b.pguBits) << what;
+    EXPECT_EQ(a.metricsJson, b.metricsJson) << what;
+}
+
+TEST(SweepCheckpoint, WindowedCellWritesTheReferenceCheckpoints)
+{
+    // A checkpointing cell under fast replay drives its emulator in
+    // LiveWindow windows; with fastReplay off it steps the reference
+    // per-instruction loop. Both must report the same cell and write
+    // the same checkpoint bytes at every save. The file a cell leaves
+    // is its last save, and a cell's run up to a save point does not
+    // depend on its budget (the slices are the same), so the cell
+    // whose budget ends at save point k leaves the bytes the longer
+    // cell wrote at its k-th save.
+    std::vector<RunSpec> kinds;
+    for (const std::string &name : workloadNames()) {
+        for (bool both : {false, true}) {
+            RunSpec spec;
+            spec.workload = name;
+            spec.engine.useSfpf = both;
+            spec.engine.usePgu = both;
+            kinds.push_back(spec);
+        }
+    }
+    // A program that halts after a few thousand instructions: its
+    // last window is short and every later save finds it halted.
+    RunSpec halting;
+    halting.workload = "fuzz-halts-early";
+    halting.factory = [](std::uint64_t seed) {
+        fuzz::FuzzProgramConfig gen;
+        gen.items = 4;
+        gen.repeats = 2;
+        return fuzz::makeFuzzWorkload(seed, gen);
+    };
+    halting.engine.useSfpf = true;
+    halting.engine.usePgu = true;
+    kinds.push_back(halting);
+
+    const std::string base = tempPath("pin.ckpt");
+    SweepRunner runner(SweepRunner::Config{1, 0});
+    for (const RunSpec &kind : kinds) {
+        for (std::uint64_t every : {4095ull, 4097ull, 500000ull}) {
+            // Save points every, 2 every, ... and a budget past the
+            // last one that is no multiple of the interval.
+            const unsigned saves = every < 100000 ? 3 : 1;
+            std::vector<std::uint64_t> ends;
+            for (unsigned k = 1; k <= saves; ++k)
+                ends.push_back(k * every);
+            const std::uint64_t budget = ends.back() + 1000;
+            ends.push_back(budget);
+
+            std::string first_save;
+            RunResult straight;
+            std::string last_save;
+            for (std::uint64_t end : ends) {
+                RunSpec spec = kind;
+                spec.maxInsts = end;
+                spec.checkpointEvery = every;
+                spec.checkpointPath = base;
+                spec.captureMetrics = true;
+                const std::string path =
+                    derivedCheckpointPath(base, specFingerprint(spec));
+                const std::string what = kind.workload +
+                    (kind.engine.usePgu ? " +both" : " base") +
+                    " every " + std::to_string(every) + " end " +
+                    std::to_string(end);
+
+                spec.fastReplay = false;
+                const RunResult ref = runner.runOne(spec);
+                const std::string ref_bytes = fileBytes(path);
+                std::remove(path.c_str());
+                spec.fastReplay = true;
+                const RunResult win = runner.runOne(spec);
+                const std::string win_bytes = fileBytes(path);
+                std::remove(path.c_str());
+
+                ASSERT_TRUE(ref.status.ok()) << what << ": "
+                                             << ref.status.toString();
+                expectSameCell(win, ref, what);
+                ASSERT_FALSE(ref_bytes.empty()) << what;
+                EXPECT_TRUE(win_bytes == ref_bytes) << what;
+                if (end == every)
+                    first_save = win_bytes;
+                if (end == budget) {
+                    straight = win;
+                    last_save = win_bytes;
+                }
+            }
+            if (kind.factory) {
+                EXPECT_LT(straight.engine.insts, 4095u)
+                    << "the fuzz program no longer halts early";
+            }
+
+            // Resume from the windowed checkpoint at the first save:
+            // the rest of the cell, windowed too, ends where the
+            // uninterrupted cell did and leaves its last save.
+            RunSpec resume = kind;
+            resume.maxInsts = budget;
+            resume.checkpointEvery = every;
+            resume.checkpointPath = base;
+            resume.resumePath = base;
+            resume.captureMetrics = true;
+            const std::string path =
+                derivedCheckpointPath(base, specFingerprint(resume));
+            writeBytes(path, first_save);
+            const RunResult resumed = runner.runOne(resume);
+            EXPECT_TRUE(resumed.resumed) << kind.workload;
+            expectSameCell(resumed, straight,
+                           kind.workload + " resumed at " +
+                               std::to_string(every));
+            EXPECT_TRUE(fileBytes(path) == last_save) << kind.workload;
+            std::remove(path.c_str());
+        }
+    }
+}
+
+TEST(SweepCheckpoint, SuiteCheckpointsHoldOnlyTheGuestPagesInUse)
+{
+    // Every suite workload's 1.5M-instruction checkpoint stores the
+    // few guest pages the workload wrote, not the 8 MiB memory.
+    const std::string base = tempPath("size.ckpt");
+    SweepRunner runner(SweepRunner::Config{1, 0});
+    for (const std::string &name : workloadNames()) {
+        RunSpec spec;
+        spec.workload = name;
+        spec.maxInsts = 1500000;
+        spec.checkpointEvery = spec.maxInsts;
+        spec.checkpointPath = base;
+        const RunResult result = runner.runOne(spec);
+        ASSERT_TRUE(result.status.ok()) << result.status.toString();
+        const std::string path =
+            derivedCheckpointPath(base, specFingerprint(spec));
+        const std::string bytes = fileBytes(path);
+        EXPECT_GT(bytes.size(), 4096u) << name;
+        EXPECT_LT(bytes.size(), 512u * 1024u) << name;
+        std::remove(path.c_str());
+    }
+}
+
+TEST(SweepCheckpoint, OlderVersionResumesFresh)
+{
+    // A checkpoint of an older format version is no damage: the cell
+    // starts fresh and counts as a resume fallback.
+    const std::string base = tempPath("v3.ckpt");
+    RunSpec spec;
+    spec.workload = "bsort";
+    spec.maxInsts = 8000;
+    spec.checkpointEvery = 4000;
+    spec.checkpointPath = base;
+    SweepRunner writer(SweepRunner::Config{1, 0});
+    const RunResult first = writer.runOne(spec);
+    ASSERT_TRUE(first.status.ok()) << first.status.toString();
+
+    const std::string path =
+        derivedCheckpointPath(base, specFingerprint(spec));
+    std::string bytes = fileBytes(path);
+    ASSERT_GT(bytes.size(), 12u);
+    bytes[8] = 3; // u32 version after the 8-byte magic, little-endian
+    writeBytes(path, bytes);
+
+    RunSpec resume = spec;
+    resume.checkpointEvery = 0;
+    resume.resumePath = base;
+    SweepRunner reader(SweepRunner::Config{1, 0});
+    const RunResult result = reader.runOne(resume);
+    ASSERT_TRUE(result.status.ok()) << result.status.toString();
+    EXPECT_FALSE(result.resumed);
+    EXPECT_TRUE(result.resumeFallback);
+    EXPECT_EQ(reader.resumeFallbacks(), 1u);
+    EXPECT_EQ(result.engine, first.engine);
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Robust execution layer: shard filter, retry, watchdog, fallback
 // accounting (the RunSpec robustness knobs).
@@ -866,7 +1065,7 @@ TEST(SweepRobustness, ArmedWatchdogSlicesWithoutMovingAByte)
     add();                          // fast replay
     add().fastReplay = false;       // reference loop
     add().mode = RunMode::Timed;    // pipeline
-    RunSpec &checkpointing = add(); // reference loop + checkpoints
+    RunSpec &checkpointing = add(); // live windows + checkpoints
     checkpointing.checkpointEvery = 50000;
     checkpointing.checkpointPath = ckpt;
 

@@ -375,8 +375,8 @@ TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
 
 TEST(Crc32, MatchesBytewiseReferenceOnAnEmulatorImage)
 {
-    // The size of the emulator memory image a checkpoint checksums,
-    // from an odd start.
+    // 8 MiB, the size of a trace file of about 700k events (12 bytes
+    // each), from an odd start.
     const std::vector<unsigned char> bytes = randomBytes((8u << 20) + 3, 11);
     EXPECT_EQ(crc32(bytes.data() + 3, 8u << 20),
               referenceCrc(bytes.data() + 3, 8u << 20));
