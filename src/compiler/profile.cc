@@ -24,6 +24,11 @@ profileFunction(IrFunction &fn, const StateInit &init,
     for (BlockId b = 0; b < fn.blocks.size(); ++b)
         start_block.at(compiled.info.blockStartPc[b]) =
             static_cast<std::int32_t>(b);
+    // The block of each branch pc, as a table the per-step sink
+    // indexes rather than a hash lookup per executed instruction.
+    std::vector<std::int32_t> branch_block(compiled.prog.size(), -1);
+    for (const auto &[pc, b] : compiled.info.branchPcToBlock)
+        branch_block.at(pc) = static_cast<std::int32_t>(b);
 
     Emulator emu(compiled.prog);
     if (init)
@@ -38,14 +43,14 @@ profileFunction(IrFunction &fn, const StateInit &init,
             std::int32_t b = start_block[ev.pc];
             if (b >= 0)
                 ++fn.blocks[b].execCount;
-            auto it = compiled.info.branchPcToBlock.find(ev.pc);
-            if (it != compiled.info.branchPcToBlock.end()) {
+            const std::int32_t br = branch_block[ev.pc];
+            if (br >= 0) {
                 if (ev.taken())
-                    ++fn.blocks[it->second].takenCount;
+                    ++fn.blocks[br].takenCount;
                 bool predicted = reference.predict(ev.pc);
                 reference.update(ev.pc, ev.taken());
                 if (predicted != ev.taken())
-                    ++fn.blocks[it->second].profMispredicts;
+                    ++fn.blocks[br].profMispredicts;
             }
         });
     return steps;

@@ -408,20 +408,17 @@ PredictionEngine::captureChunk(const DecodedTrace &trace,
             // the overlay's scratch entry, so the data-dependent write
             // count never becomes a host branch. Slot order is
             // preserved for the pathological pdst1 == pdst2 case.
-            const unsigned writes = trace.numPredWrites(i);
-            const std::uint8_t v = trace.predVal[i];
+            const PredicateWrites &w = trace.predWrites(i);
             constexpr unsigned trash = BatchPredicateView::trashReg;
-            const unsigned r0 = writes >= 1 ? trace.predReg0[i] : trash;
-            const unsigned r1 = writes >= 2 ? trace.predReg1[i] : trash;
-            view.writeMasked(seq0 + i, r0, v & 1);
-            view.writeMasked(seq0 + i, r1, (v >> 1) & 1);
+            const unsigned r0 = w.count >= 1 ? w.reg[0] : trash;
+            const unsigned r1 = w.count >= 2 ? w.reg[1] : trash;
+            view.writeMasked(seq0 + i, r0, w.values & 1);
+            view.writeMasked(seq0 + i, r1, (w.values >> 1) & 1);
             if (cfg.conservativeDefTracking) {
-                const std::uint8_t regs[2] = {trace.predReg0[i],
-                                              trace.predReg1[i]};
                 const Inst &inst = trace.inst(i);
                 auto written = [&](unsigned reg) {
-                    for (unsigned w = 0; w < writes; ++w)
-                        if (regs[w] == reg)
+                    for (unsigned k = 0; k < w.count; ++k)
+                        if (w.reg[k] == reg)
                             return true;
                     return false;
                 };
@@ -1032,9 +1029,9 @@ LiveWindow::advance(Emulator &emu, PredictionEngine &engine,
 {
     if (&emu.program() != boundProgram) {
         boundProgram = &emu.program();
-        classes = classTable(emu.program());
-        // The lanes index the window's own copy of the program.
-        window.prog = emu.program();
+        // The lanes index the window's own copy of the program and
+        // its tables.
+        window.setProgram(emu.program());
     }
     const auto want = static_cast<std::size_t>(
         std::min<std::uint64_t>(n, windowEvents));
@@ -1044,7 +1041,7 @@ LiveWindow::advance(Emulator &emu, PredictionEngine &engine,
     window.firstSeq = emu.instsExecuted();
     window.resize(want);
     const std::size_t got =
-        recordEvents(emu, classes.data(), window, 0, want,
+        recordEvents(emu, window, 0, want,
                      effAddrLane.empty() ? nullptr : effAddrLane.data());
     window.resize(got);
     engine.processBatch(window, 0, got,

@@ -501,7 +501,7 @@ std::uint64_t runTrace(Emulator &emu, PredictionEngine &engine,
 class LiveWindow
 {
   public:
-    /** Events per window: the six lanes take 36 KiB, 72 KiB with
+    /** Events per window: the three lanes take 24 KiB, 60 KiB with
      *  the effective addresses and outcome bytes. */
     static constexpr std::size_t windowEvents = 4096;
 
@@ -514,8 +514,8 @@ class LiveWindow
      * Record up to min(@p n, windowEvents) instructions of @p emu into
      * the window and decide them with @p engine. Returns how many ran:
      * fewer than asked means the emulator halted or its fuse blew. A
-     * LiveWindow follows one Program: its class table is rebuilt only
-     * when @p emu runs a different Program object.
+     * LiveWindow follows one Program: its class and define tables are
+     * rebuilt only when @p emu runs a different Program object.
      */
     std::size_t advance(Emulator &emu, PredictionEngine &engine,
                         std::uint64_t n);
@@ -562,7 +562,6 @@ class LiveWindow
     std::vector<std::int64_t> effAddrLane;
     std::vector<std::uint8_t> outcomeLane;
     const Program *boundProgram = nullptr;
-    std::vector<std::uint8_t> classes; ///< classTable(), by pc
 };
 
 /**

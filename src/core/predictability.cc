@@ -451,11 +451,11 @@ characterizeTrace(const DecodedTrace &trace,
             guard.sample(i - last_write[trace.inst(i).qp]);
         } else if (cls == pred_define) {
             // Only Cmp/PSet write predicates (DecodedTrace::Class).
-            const unsigned writes = trace.numPredWrites(i);
-            if (writes > 0)
-                last_write[trace.predReg0[i]] = i;
-            if (writes > 1)
-                last_write[trace.predReg1[i]] = i;
+            const PredicateWrites &w = trace.predWrites(i);
+            if (w.count > 0)
+                last_write[w.reg[0]] = i;
+            if (w.count > 1)
+                last_write[w.reg[1]] = i;
         }
     }
     PredictabilityReport rep = an.report();

@@ -341,7 +341,8 @@ double binaryEntropy(double p);
 
 /**
  * Characterize the conditional-branch stream of a trace: one pass
- * over its class, flags and predicate-write lanes. Events are
+ * over its class and flags lanes, with each define's predicate
+ * writes from the trace's define table. Events are
  * classified exactly like the prediction engine (a Br with a
  * qualifying predicate); the same pass tallies each such branch's
  * guard distance (PredictabilityReport::guardDistance) from the

@@ -580,9 +580,10 @@ sameProgram(const Program &a, const Program &b)
     return true;
 }
 
-/** Whether the first @p n events of @p a and @p b agree in every lane
- *  and in the next pc of event n - 1, which is the only next pc no
- *  lane holds. Both traces must hold at least @p n events. */
+/** Whether the first @p n events of @p a and @p b agree in every lane,
+ *  in the define tables their predicate writes derive from, and in
+ *  the next pc of event n - 1, which is the only next pc no lane
+ *  holds. Both traces must hold at least @p n events. */
 bool
 sameEvents(const DecodedTrace &a, const DecodedTrace &b, std::size_t n)
 {
@@ -590,8 +591,7 @@ sameEvents(const DecodedTrace &a, const DecodedTrace &b, std::size_t n)
         return std::equal(x.begin(), x.begin() + n, y.begin());
     };
     return same(a.pcs, b.pcs) && same(a.cls, b.cls) &&
-        same(a.flags, b.flags) && same(a.predReg0, b.predReg0) &&
-        same(a.predReg1, b.predReg1) && same(a.predVal, b.predVal) &&
+        same(a.flags, b.flags) && a.defines == b.defines &&
         (n == 0 || a.nextPc(n - 1) == b.nextPc(n - 1));
 }
 

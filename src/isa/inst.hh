@@ -133,6 +133,76 @@ struct Inst
     bool isGuarded() const { return op != Opcode::Nop && op != Opcode::Halt; }
 };
 
+/**
+ * The predicate registers one executed instruction architecturally
+ * writes, in write order (pdst1 before pdst2), with their values.
+ * Writes to p0 are discarded and not listed.
+ */
+struct PredicateWrites
+{
+    std::uint8_t count = 0;     ///< 0-2
+    std::uint8_t reg[2] = {};   ///< 0 past count
+    std::uint8_t values = 0;    ///< bit w = the value of write w
+
+    bool operator==(const PredicateWrites &) const = default;
+};
+
+/**
+ * The writes of @p inst executed with guard @p guard and, for a Cmp,
+ * relation result @p rel (ignored otherwise), under the compare-type
+ * semantics of CmpType; a PSet writes imm & 1 to pdst1 when guarded,
+ * and nothing else writes a predicate. A pure function of its
+ * arguments: the emulator performs these writes, and a trace derives
+ * each event's writes from it instead of storing them.
+ */
+inline PredicateWrites
+predicateWrites(const Inst &inst, bool guard, bool rel)
+{
+    bool write = false, value1 = false, value2 = false;
+    if (inst.op == Opcode::PSet) {
+        write = guard;
+        value1 = (inst.imm & 1) != 0;
+    } else if (inst.op == Opcode::Cmp) {
+        switch (inst.ctype) {
+          case CmpType::Normal:
+            write = guard, value1 = rel, value2 = !rel;
+            break;
+          case CmpType::Unc:
+            write = true, value1 = guard && rel, value2 = guard && !rel;
+            break;
+          case CmpType::And:
+            write = guard && !rel, value1 = false, value2 = false;
+            break;
+          case CmpType::Or:
+            write = guard && rel, value1 = true, value2 = true;
+            break;
+          case CmpType::OrAndcm:
+            write = guard && rel, value1 = true, value2 = false;
+            break;
+          case CmpType::AndOrcm:
+            write = guard && !rel, value1 = false, value2 = true;
+            break;
+        }
+    }
+    // Every slot index is a constant, so the result can live in
+    // registers in the emulator's loop.
+    const std::uint8_t reg1 = write ? inst.pdst1 : 0;
+    const std::uint8_t reg2 =
+        write && inst.op == Opcode::Cmp ? inst.pdst2 : 0;
+    PredicateWrites out;
+    if (reg1 && reg2) {
+        out.count = 2;
+        out.reg[0] = reg1;
+        out.reg[1] = reg2;
+        out.values = static_cast<std::uint8_t>(value1 | (value2 << 1));
+    } else if (reg1 || reg2) {
+        out.count = 1;
+        out.reg[0] = reg1 ? reg1 : reg2;
+        out.values = reg1 ? value1 : value2;
+    }
+    return out;
+}
+
 /** Render one instruction as assembly text, e.g.
  *  "(p3) cmp.lt.unc p4, p5 = r2, r7". */
 std::string disassemble(const Inst &inst);

@@ -29,9 +29,19 @@ Pipeline::bindProgram(const Program &prog)
     for (std::size_t pc = 0; pc < prog.size(); ++pc) {
         const Inst &inst = prog.insts[pc];
         Operands &o = operands[pc];
-        o = Operands{0, 0, 0, 0, inst.op};
+        o = Operands{0, 0, 0, 0, 0, 0, inst.op};
         if (inst.isGuarded())
             o.qp = inst.qp;
+        // A Cmp writes both of its registers or neither, so any row
+        // that writes names the registers every writing event does.
+        for (unsigned row = 0; row < 4; ++row) {
+            const PredicateWrites w =
+                predicateWrites(inst, row & 1, row >> 1);
+            if (w.count > 0) {
+                o.pred0 = w.reg[0];
+                o.pred1 = w.reg[1];
+            }
+        }
         switch (inst.op) {
           case Opcode::Add:
           case Opcode::Sub:
@@ -70,7 +80,6 @@ Pipeline::bindProgram(const Program &prog)
 
 PABP_ALWAYS_INLINE void
 Pipeline::timeEvent(std::uint32_t pc, std::uint8_t flags,
-                    std::uint8_t pred_reg0, std::uint8_t pred_reg1,
                     std::int64_t eff_addr, std::uint8_t outcome)
 {
     const Operands &o = operands[pc];
@@ -136,11 +145,11 @@ Pipeline::timeEvent(std::uint32_t pc, std::uint8_t flags,
     // Destination readiness (only architecturally performed writes).
     if (guard && o.dst != 0)
         regReady[o.dst] = done;
-    const unsigned pred_writes = flags >> 2;
+    const unsigned pred_writes = (flags >> 2) & 3;
     if (pred_writes >= 1)
-        predReady[pred_reg0] = done;
+        predReady[o.pred0] = done;
     if (pred_writes >= 2)
-        predReady[pred_reg1] = done;
+        predReady[o.pred1] = done;
 
     // Control flow: the engine's outcome drives the front end. Both
     // squash kinds need no separate handling here: an SFPF squash is
@@ -192,8 +201,7 @@ Pipeline::run(Emulator &emu, std::uint64_t max_insts)
         const std::int64_t *eff_addrs = live.effAddrs();
         const std::uint8_t *outcomes = live.outcomes();
         for (std::size_t i = 0; i < got; ++i)
-            timeEvent(w.pcs[i], w.flags[i], w.predReg0[i], w.predReg1[i],
-                      eff_addrs[i], outcomes[i]);
+            timeEvent(w.pcs[i], w.flags[i], eff_addrs[i], outcomes[i]);
     });
     pipeStats.cycles = std::max(pipeStats.cycles, cycle + 1);
     return pipeStats;
@@ -210,8 +218,7 @@ Pipeline::runReference(Emulator &emu, std::uint64_t max_insts)
         const auto flags = static_cast<std::uint8_t>(
             (dyn.guard ? 1 : 0) | (dyn.taken ? 2 : 0) |
             (dyn.numPredWrites << 2));
-        timeEvent(dyn.pc, flags, dyn.predWrites[0].reg,
-                  dyn.predWrites[1].reg, dyn.effAddr, outcome);
+        timeEvent(dyn.pc, flags, dyn.effAddr, outcome);
         ++processed;
     }
     pipeStats.cycles = std::max(pipeStats.cycles, cycle + 1);

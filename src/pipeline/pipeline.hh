@@ -160,6 +160,11 @@ class Pipeline
         std::uint8_t src1;
         std::uint8_t src2;
         std::uint8_t dst;
+        /** The predicate registers an event's writes name, in write
+         *  order (PredicateWrites::reg): an event with k writes makes
+         *  the first k ready. */
+        std::uint8_t pred0;
+        std::uint8_t pred1;
         Opcode op;
     };
     /** @name Per-program tables (bindProgram)
@@ -173,11 +178,9 @@ class Pipeline
 
     void bindProgram(const Program &prog);
     /** Charge one event: the per-event timing step run() and
-     *  runReference() share. @p flags and the predicate-write
-     *  registers are the trace-lane encodings; @p outcome is the
-     *  engine's outcome byte. */
+     *  runReference() share. @p flags is the trace-lane encoding;
+     *  @p outcome is the engine's outcome byte. */
     void timeEvent(std::uint32_t pc, std::uint8_t flags,
-                   std::uint8_t pred_reg0, std::uint8_t pred_reg1,
                    std::int64_t eff_addr, std::uint8_t outcome);
 };
 

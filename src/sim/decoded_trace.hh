@@ -4,23 +4,30 @@
  * out for the hot replay loop (PredictionEngine::processBatch).
  *
  * Each per-event lane the engine's batch loop touches (pc, opcode
- * class, guard/taken flags, predicate-write payload) is a flat
- * contiguous array indexed by event (sequence number minus firstSeq),
- * so the inner loop is a handful of indexed loads with no per-step
- * DynInst construction. The pc lane doubles as the static-instruction
- * index (a trace pc IS an index into the owned program), so `inst(i)`
- * is one add off the pc the loop already loaded.
+ * class, guard/taken/relation flags) is a flat contiguous array
+ * indexed by event (sequence number minus firstSeq), so the inner loop
+ * is a handful of indexed loads with no per-step DynInst construction.
+ * The pc lane doubles as the static-instruction index (a trace pc IS
+ * an index into the owned program), so `inst(i)` is one add off the pc
+ * the loop already loaded.
+ *
+ * No lane holds an event's predicate writes. Which registers a Cmp or
+ * PSet writes, and with what values, is a pure function of the
+ * instruction, its guard and its relation result (predicateWrites(),
+ * isa/inst.hh), and the flags lane holds both of those bits. So
+ * setProgram() tabulates that function once per program, four rows a
+ * pc, and predWrites(i) is one lookup.
  *
  * The lanes are filled as events arrive (sim/trace_io.hh):
  * recordTrace() has the interpreter write each executed instruction
  * into lanes sized ahead of it, and the PABPTRC2 reader appends each
- * verified on-disk event. Both take an event's class from a per-pc
- * table built once from the program. The cycle-level pipeline refills
+ * verified on-disk event. Both take an event's class from pcClass, a
+ * per-pc table setProgram() builds next to the define table. The cycle-level pipeline refills
  * one window of lanes in place with the same recorder body.
  *
- * No lane holds an event's next pc: it is the pc of the event after
- * it, or endPc for the last event, so the six lanes cost 9 bytes an
- * event. Each lane sits on its own anonymous mapping
+ * No lane holds an event's next pc either: it is the pc of the event
+ * after it, or endPc for the last event. So the three lanes cost 6
+ * bytes an event. Each lane sits on its own anonymous mapping
  * (util/mapped_lane.hh), so a freed trace's memory leaves the process,
  * apart from a small pool of mappings kept for the next lanes.
  *
@@ -28,8 +35,9 @@
  * threads - the sweep runner caches one per (workload, measurement
  * seed, budget) and replays every matching cell against it, exactly
  * like the compiled-program cache (docs/PARALLEL.md, docs/PERF.md).
- * It owns a copy of the program so `inst(i)` can never dangle;
- * copying is deleted while moving is allowed.
+ * It owns a copy of the program, and its define table, so `inst(i)`
+ * and predWrites(i) can never dangle; copying is deleted while moving
+ * is allowed.
  */
 
 #ifndef PABP_SIM_DECODED_TRACE_HH
@@ -37,6 +45,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "isa/program.hh"
 #include "sim/emulator.hh"
@@ -64,20 +74,38 @@ struct DecodedTrace
         PredDefine,    ///< Cmp or PSet (writes predicates)
     };
 
+    /** The Class of @p inst: an event's class depends on its
+     *  instruction alone. */
+    static Class
+    classify(const Inst &inst)
+    {
+        if (inst.op == Opcode::Br)
+            return inst.qp ? Class::CondBranch : Class::UncondControl;
+        if (inst.op == Opcode::Call || inst.op == Opcode::Ret)
+            return Class::UncondControl;
+        if (inst.writesPredicate())
+            return Class::PredDefine;
+        return Class::Other;
+    }
+
+    /** @name The program and its per-pc tables (setProgram())
+     *  @{ */
     /** Owned program copy; pcs index into it. */
     Program prog;
+    /** classify() of every instruction of prog, as a Class value. */
+    std::vector<std::uint8_t> pcClass;
+    /** predicateWrites() of every instruction of prog for each guard
+     *  and relation, at defineRow(pc, guard, rel). */
+    std::vector<PredicateWrites> defines;
+    /** @} */
 
-    /** @name Per-event lanes, all of size() entries: 9 bytes an event
+    /** @name Per-event lanes, all of size() entries: 6 bytes an event
      *  @{ */
     MappedLane<std::uint32_t> pcs;
     MappedLane<std::uint8_t> cls; ///< a Class value
-    /** bit0 guard, bit1 taken, bits 2-3 numPredWrites - byte 4 of
-     *  the on-disk event record. */
+    /** bit0 guard, bit1 taken, bits 2-3 numPredWrites, bit4 the
+     *  relation result of a Cmp (ExecEvent::flags). */
     MappedLane<std::uint8_t> flags;
-    MappedLane<std::uint8_t> predReg0;
-    MappedLane<std::uint8_t> predReg1;
-    /** bit0/bit1 = write values, bit2 cmpRel. */
-    MappedLane<std::uint8_t> predVal;
     /** @} */
 
     /**
@@ -107,6 +135,32 @@ struct DecodedTrace
 
     std::size_t size() const { return pcs.size(); }
 
+    /** Own @p program and build its per-pc tables, so each event's
+     *  class and predicate writes are computed once per instruction,
+     *  not once per event. */
+    void
+    setProgram(Program program)
+    {
+        prog = std::move(program);
+        pcClass.resize(prog.size());
+        defines.resize(prog.size() * 4);
+        for (std::size_t pc = 0; pc < prog.size(); ++pc) {
+            const Inst &inst = prog.insts[pc];
+            pcClass[pc] = static_cast<std::uint8_t>(classify(inst));
+            for (unsigned row = 0; row < 4; ++row)
+                defines[pc * 4 + row] =
+                    predicateWrites(inst, row & 1, row >> 1);
+        }
+    }
+
+    /** Index into defines of instruction @p pc executed with @p guard
+     *  and relation result @p rel. */
+    static std::size_t
+    defineRow(std::uint32_t pc, bool guard, bool rel)
+    {
+        return std::size_t{pc} * 4 + (guard ? 1 : 0) + (rel ? 2 : 0);
+    }
+
     /** The pc control reached after event @p i. */
     std::uint32_t
     nextPc(std::size_t i) const
@@ -114,7 +168,7 @@ struct DecodedTrace
         return i + 1 < size() ? pcs[i + 1] : endPc;
     }
 
-    /** Apply @p op to each of the six lanes. */
+    /** Apply @p op to each of the three lanes. */
     template <typename Op>
     void
     forEachLane(Op op)
@@ -122,9 +176,6 @@ struct DecodedTrace
         op(pcs);
         op(cls);
         op(flags);
-        op(predReg0);
-        op(predReg1);
-        op(predVal);
     }
 
     /** Resize every lane to @p n events (new events are zero). */
@@ -134,8 +185,8 @@ struct DecodedTrace
         forEachLane([n](auto &lane) { lane.resize(n); });
     }
 
-    /** Lane bytes per event: the pc and five byte lanes. */
-    static constexpr std::size_t bytesPerEvent = sizeof(std::uint32_t) + 5;
+    /** Lane bytes per event: the pc and two byte lanes. */
+    static constexpr std::size_t bytesPerEvent = sizeof(std::uint32_t) + 2;
 
     /** Bytes the events occupy in the lanes. */
     std::size_t laneBytes() const { return size() * bytesPerEvent; }
@@ -146,6 +197,15 @@ struct DecodedTrace
     numPredWrites(std::size_t i) const
     {
         return (flags[i] >> 2) & 3;
+    }
+    bool cmpRel(std::size_t i) const { return (flags[i] >> 4) & 1; }
+
+    /** The predicate writes of event @p i, derived from its
+     *  instruction, guard and relation. */
+    const PredicateWrites &
+    predWrites(std::size_t i) const
+    {
+        return defines[defineRow(pcs[i], guard(i), cmpRel(i))];
     }
 
     /** The static instruction of event @p i: every pc was validated
@@ -178,12 +238,12 @@ struct DecodedTrace
         dyn.nextPc = nextPc(i);
         dyn.numPredWrites =
             static_cast<std::uint8_t>(numPredWrites(i));
-        const std::uint8_t regs[2] = {predReg0[i], predReg1[i]};
+        const PredicateWrites &writes = predWrites(i);
         for (unsigned w = 0; w < dyn.numPredWrites; ++w) {
-            dyn.predWrites[w].reg = regs[w];
-            dyn.predWrites[w].value = (predVal[i] >> w) & 1;
+            dyn.predWrites[w].reg = writes.reg[w];
+            dyn.predWrites[w].value = (writes.values >> w) & 1;
         }
-        dyn.cmpRel = (predVal[i] >> 2) & 1;
+        dyn.cmpRel = cmpRel(i);
         dyn.isMem =
             in.op == Opcode::Load || in.op == Opcode::Store;
         return dyn;
@@ -202,12 +262,11 @@ struct DecodedTrace
     {
         DecodedTrace out;
         out.prog = trace.prog;
+        out.pcClass = trace.pcClass;
+        out.defines = trace.defines;
         out.pcs = trace.pcs;
         out.cls = trace.cls;
         out.flags = trace.flags;
-        out.predReg0 = trace.predReg0;
-        out.predReg1 = trace.predReg1;
-        out.predVal = trace.predVal;
         out.endPc = trace.endPc;
         out.firstSeq = trace.firstSeq;
         out.schedCache = std::make_shared<ReplayScheduleCache>();

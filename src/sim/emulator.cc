@@ -23,10 +23,11 @@ Emulator::step(DynInst &out)
         out.isControl = inst.isControl();
         out.taken = ev.taken();
         out.nextPc = ev.nextPc;
-        out.cmpRel = (ev.predVal & 4) != 0;
-        out.numPredWrites = static_cast<std::uint8_t>(ev.numPredWrites());
-        out.predWrites[0] = {ev.predReg0, (ev.predVal & 1) != 0};
-        out.predWrites[1] = {ev.predReg1, (ev.predVal & 2) != 0};
+        out.cmpRel = ev.cmpRel();
+        out.numPredWrites = ev.predWrites.count;
+        for (unsigned w = 0; w < 2; ++w)
+            out.predWrites[w] = {ev.predWrites.reg[w],
+                                 ((ev.predWrites.values >> w) & 1) != 0};
         out.isMem = ev.isMem;
         out.effAddr = ev.effAddr;
     }) == 1;

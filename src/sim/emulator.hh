@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 #include "isa/program.hh"
 #include "sim/arch_state.hh"
@@ -55,27 +56,26 @@ struct DynInst
 
 /**
  * One executed instruction as Emulator::run() hands it to its sink:
- * the fields of one trace event, packed as in the 12 on-disk bytes
- * (sim/trace_io.hh), plus the memory access, which no trace carries.
+ * the fields of one trace event, plus the memory access, which no
+ * trace carries.
  */
 struct ExecEvent
 {
     std::uint32_t pc = 0;
     std::uint32_t nextPc = 0;
-    /** bit0 guard, bit1 taken, bits 2-3 numPredWrites. */
+    /** bit0 guard, bit1 taken, bits 2-3 numPredWrites, bit4 the
+     *  relation result of a Cmp: a trace's flags lane. */
     std::uint8_t flags = 0;
-    /** Registers of the architectural predicate writes, in write
-     *  order; 0 past numPredWrites(). */
-    std::uint8_t predReg0 = 0;
-    std::uint8_t predReg1 = 0;
-    /** bit0/bit1 = write values, bit2 cmpRel. */
-    std::uint8_t predVal = 0;
+    /** The architectural predicate writes: predicateWrites() of the
+     *  instruction, its guard and its relation. */
+    PredicateWrites predWrites;
     bool isMem = false;
     std::int64_t effAddr = 0;
 
     bool guard() const { return (flags & 1) != 0; }
     bool taken() const { return (flags & 2) != 0; }
-    unsigned numPredWrites() const { return flags >> 2; }
+    unsigned numPredWrites() const { return (flags >> 2) & 3; }
+    bool cmpRel() const { return (flags & 16) != 0; }
 };
 
 /** Emulator configuration. */
@@ -98,7 +98,9 @@ struct EmuConfig
 class Emulator
 {
   public:
+    /** Borrows @p program, which must outlive the emulator. */
     Emulator(const Program &program, EmuConfig config = EmuConfig{});
+    Emulator(const Program &&, EmuConfig = EmuConfig{}) = delete;
 
     /**
      * Execute up to @p n instructions, calling @p sink with the
@@ -149,37 +151,11 @@ class Emulator
     ArchState archState;
     std::uint64_t executed = 0;
     bool fuse = false;
-
-    /** The value a compare writes to both pdst1 and pdst2, or
-     *  nothing: every compare type writes both or neither. */
-    struct CmpWrites
-    {
-        bool write;
-        bool value1;
-        bool value2;
-    };
-    static CmpWrites cmpWrites(CmpType type, bool guard, bool rel);
 };
 
-inline Emulator::CmpWrites
-Emulator::cmpWrites(CmpType type, bool guard, bool rel)
-{
-    switch (type) {
-      case CmpType::Normal:
-        return {guard, rel, !rel};
-      case CmpType::Unc:
-        return {true, guard && rel, guard && !rel};
-      case CmpType::And:
-        return {guard && !rel, false, false};
-      case CmpType::Or:
-        return {guard && rel, true, true};
-      case CmpType::OrAndcm:
-        return {guard && rel, true, false};
-      case CmpType::AndOrcm:
-        return {guard && !rel, false, true};
-    }
-    pabp_panic("bad compare type in emulator");
-}
+// The emulator borrows its program: a temporary would dangle.
+static_assert(!std::is_constructible_v<Emulator, Program &&>);
+static_assert(!std::is_constructible_v<Emulator, Program &&, EmuConfig>);
 
 template <typename Sink>
 std::uint64_t
@@ -203,25 +179,11 @@ Emulator::run(std::uint64_t n, Sink &&sink)
         // registers until the sink call.
         std::uint32_t next_pc = pc + 1;
         bool taken = false;
-        unsigned writes = 0;
-        std::uint8_t reg0 = 0;
-        std::uint8_t reg1 = 0;
-        std::uint8_t pred_val = 0;
+        bool rel = false;
+        PredicateWrites pred_writes;
         bool is_mem = false;
         std::int64_t eff_addr = 0;
 
-        auto write_pred = [&](unsigned reg, bool value) {
-            archState.writePred(reg, value);
-            if (reg == 0)
-                return; // architecturally discarded; invisible to sinks
-            pabp_assert(writes < 2);
-            if (writes == 0)
-                reg0 = static_cast<std::uint8_t>(reg);
-            else
-                reg1 = static_cast<std::uint8_t>(reg);
-            pred_val |= static_cast<std::uint8_t>(value << writes);
-            ++writes;
-        };
         // Guest integer arithmetic wraps (two's complement): @p f
         // computes in unsigned to keep host-side signed overflow out
         // of it.
@@ -303,24 +265,21 @@ Emulator::run(std::uint64_t n, Sink &&sink)
             });
             break;
 
-          case Opcode::Cmp: {
-            const std::int64_t a = archState.readGpr(inst.src1);
-            const std::int64_t b =
-                inst.hasImm ? inst.imm : archState.readGpr(inst.src2);
-            const bool rel = evalRel(inst.crel, a, b);
-            if (rel)
-                pred_val = 4;
-            const CmpWrites w = cmpWrites(inst.ctype, guard, rel);
-            if (w.write) {
-                write_pred(inst.pdst1, w.value1);
-                write_pred(inst.pdst2, w.value2);
-            }
-            break;
-          }
-
+          case Opcode::Cmp:
           case Opcode::PSet:
-            if (guard)
-                write_pred(inst.pdst1, (inst.imm & 1) != 0);
+            if (inst.op == Opcode::Cmp) {
+                const std::int64_t a = archState.readGpr(inst.src1);
+                const std::int64_t b =
+                    inst.hasImm ? inst.imm : archState.readGpr(inst.src2);
+                rel = evalRel(inst.crel, a, b);
+            }
+            pred_writes = predicateWrites(inst, guard, rel);
+            if (pred_writes.count >= 1)
+                archState.writePred(pred_writes.reg[0],
+                                    pred_writes.values & 1);
+            if (pred_writes.count >= 2)
+                archState.writePred(pred_writes.reg[1],
+                                    (pred_writes.values >> 1) & 1);
             break;
 
           case Opcode::Load:
@@ -368,10 +327,9 @@ Emulator::run(std::uint64_t n, Sink &&sink)
             pc,
             next_pc,
             static_cast<std::uint8_t>((guard ? 1 : 0) | (taken ? 2 : 0) |
-                                      (writes << 2)),
-            reg0,
-            reg1,
-            pred_val,
+                                      (pred_writes.count << 2) |
+                                      (rel ? 16 : 0)),
+            pred_writes,
             is_mem,
             eff_addr,
         };

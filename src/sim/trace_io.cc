@@ -59,63 +59,54 @@ unpackInst(const unsigned char *p, Inst &inst)
     return true;
 }
 
-/** Pack event @p i of @p trace into its 12 on-disk bytes. */
+/**
+ * Bytes 4-7 of an event record, from the guard, taken and relation
+ * bits of @p flags and the event's derived @p writes: the flags byte
+ * with the write count and no relation bit, the two write registers,
+ * and the write values with the relation in bit 2.
+ */
+void
+packPayload(std::uint8_t flags, const PredicateWrites &writes,
+            unsigned char *out)
+{
+    out[0] = static_cast<unsigned char>((flags & 3) | (writes.count << 2));
+    out[1] = writes.reg[0];
+    out[2] = writes.reg[1];
+    out[3] = static_cast<unsigned char>(writes.values | ((flags >> 2) & 4));
+}
+
+/** Pack event @p i of @p trace into its 12 on-disk bytes. A pc past
+ *  the program, which no recorded or read trace holds but an edited
+ *  one can, derives no writes; the reader refuses it by its pc. */
 void
 packEvent(const DecodedTrace &trace, std::size_t i, unsigned char *out)
 {
-    std::memcpy(out, &trace.pcs[i], 4);
-    out[4] = trace.flags[i];
-    out[5] = trace.predReg0[i];
-    out[6] = trace.predReg1[i];
-    out[7] = trace.predVal[i];
+    const std::uint32_t pc = trace.pcs[i];
+    std::memcpy(out, &pc, 4);
+    packPayload(trace.flags[i],
+                pc < trace.prog.size() ? trace.predWrites(i)
+                                       : PredicateWrites{},
+                out + 4);
     const std::uint32_t next_pc = trace.nextPc(i);
     std::memcpy(out + 8, &next_pc, 4);
 }
 
-DecodedTrace::Class
-classify(const Inst &inst)
-{
-    using Class = DecodedTrace::Class;
-    if (inst.op == Opcode::Br)
-        return inst.qp ? Class::CondBranch : Class::UncondControl;
-    if (inst.op == Opcode::Call || inst.op == Opcode::Ret)
-        return Class::UncondControl;
-    if (inst.writesPredicate())
-        return Class::PredDefine;
-    return Class::Other;
-}
-
 } // anonymous namespace
 
-std::vector<std::uint8_t>
-classTable(const Program &prog)
-{
-    std::vector<std::uint8_t> table(prog.size());
-    for (std::size_t pc = 0; pc < prog.size(); ++pc)
-        table[pc] = static_cast<std::uint8_t>(classify(prog.insts[pc]));
-    return table;
-}
-
 std::size_t
-recordEvents(Emulator &emu, const std::uint8_t *classes,
-             DecodedTrace &trace, std::size_t at, std::size_t n,
-             std::int64_t *effAddrs)
+recordEvents(Emulator &emu, DecodedTrace &trace, std::size_t at,
+             std::size_t n, std::int64_t *effAddrs)
 {
+    const std::uint8_t *classes = trace.pcClass.data();
     std::uint32_t *pcs = trace.pcs.data() + at;
     std::uint8_t *cls = trace.cls.data() + at;
     std::uint8_t *flags = trace.flags.data() + at;
-    std::uint8_t *reg0 = trace.predReg0.data() + at;
-    std::uint8_t *reg1 = trace.predReg1.data() + at;
-    std::uint8_t *val = trace.predVal.data() + at;
     std::uint32_t next_pc = trace.endPc;
     std::size_t i = 0;
     emu.run(n, [&](const ExecEvent &ev) {
         pcs[i] = ev.pc;
         cls[i] = classes[ev.pc];
         flags[i] = ev.flags;
-        reg0[i] = ev.predReg0;
-        reg1[i] = ev.predReg1;
-        val[i] = ev.predVal;
         next_pc = ev.nextPc;
         if (effAddrs)
             effAddrs[i] = ev.effAddr;
@@ -129,9 +120,8 @@ DecodedTrace
 recordTrace(Emulator &emu, std::uint64_t max_insts)
 {
     DecodedTrace trace;
-    trace.prog = emu.program();
+    trace.setProgram(emu.program());
     trace.schedCache = std::make_shared<ReplayScheduleCache>();
-    const std::vector<std::uint8_t> classes = classTable(trace.prog);
     const auto reserved = static_cast<std::size_t>(
         std::min<std::uint64_t>(max_insts, maxTraceInsts));
     trace.forEachLane(
@@ -149,8 +139,7 @@ recordTrace(Emulator &emu, std::uint64_t max_insts)
         const auto chunk = static_cast<std::size_t>(
             std::min<std::uint64_t>(left, recordChunk));
         trace.resize(filled + chunk);
-        const std::size_t i =
-            recordEvents(emu, classes.data(), trace, filled, chunk);
+        const std::size_t i = recordEvents(emu, trace, filled, chunk);
         filled += i;
         left -= i;
         if (i < chunk)
@@ -276,17 +265,19 @@ readTraceV2(StateSource &src, const TraceReadOptions &opts,
         return Status(StatusCode::ChecksumMismatch,
                       "program section CRC mismatch");
 
-    DecodedTrace trace;
-    trace.schedCache = std::make_shared<ReplayScheduleCache>();
-    trace.prog.insts.reserve(num_insts);
+    Program prog;
+    prog.insts.reserve(num_insts);
     for (std::uint64_t i = 0; i < num_insts; ++i) {
         Inst inst;
         if (!unpackInst(program_bytes.data() + i * instRecordSize, inst))
             return Status(StatusCode::Corrupt,
                           "invalid instruction encoding at pc " +
                               std::to_string(i));
-        trace.prog.insts.push_back(inst);
+        prog.insts.push_back(inst);
     }
+    DecodedTrace trace;
+    trace.schedCache = std::make_shared<ReplayScheduleCache>();
+    trace.setProgram(std::move(prog));
 
     // Event blocks. In salvage mode any damage here ends the read
     // with the events of every fully-verified block kept; damage to
@@ -299,7 +290,6 @@ readTraceV2(StateSource &src, const TraceReadOptions &opts,
         return std::move(trace);
     };
 
-    const std::vector<std::uint8_t> classes = classTable(trace.prog);
     const auto reserve = static_cast<std::size_t>(
         std::min<std::uint64_t>(num_events, 1u << 20));
     trace.forEachLane([reserve](auto &lane) { lane.reserve(reserve); });
@@ -359,16 +349,37 @@ readTraceV2(StateSource &src, const TraceReadOptions &opts,
         for (std::uint32_t i = 0; i + 1 < count; ++i)
             if (field(i, 8) != field(i + 1, 0))
                 return salvage_or(nextPcMismatch(held + i));
-        trace.resize(held + count);
+        // Bytes 4-7 must be what the program derives from the stored
+        // guard and relation bits, and only a Cmp has a relation. The
+        // lanes keep the flags alone, so any other payload would be
+        // dropped without a word.
+        auto lane_flags = [](const unsigned char *p) {
+            return static_cast<std::uint8_t>((p[4] & 0x0f) |
+                                             ((p[7] & 4) << 2));
+        };
         for (std::uint32_t i = 0; i < count; ++i) {
             const unsigned char *p = payload.data() + i * eventRecordBytes;
             const std::uint32_t pc = field(i, 0);
+            const std::uint8_t f = lane_flags(p);
+            unsigned char want[4];
+            packPayload(f, trace.defines[DecodedTrace::defineRow(
+                               pc, f & 1, (f >> 4) & 1)],
+                        want);
+            if (std::memcmp(p + 4, want, 4) != 0 ||
+                ((f >> 4) && trace.prog.insts[pc].op != Opcode::Cmp))
+                return salvage_or(
+                    Status(StatusCode::Corrupt,
+                           "trace event " + std::to_string(held + i) +
+                               " predicate writes do not match its "
+                               "instruction"));
+        }
+        trace.resize(held + count);
+        for (std::uint32_t i = 0; i < count; ++i) {
+            const std::uint32_t pc = field(i, 0);
             trace.pcs[held + i] = pc;
-            trace.cls[held + i] = classes[pc];
-            trace.flags[held + i] = p[4];
-            trace.predReg0[held + i] = p[5];
-            trace.predReg1[held + i] = p[6];
-            trace.predVal[held + i] = p[7];
+            trace.cls[held + i] = trace.pcClass[pc];
+            trace.flags[held + i] =
+                lane_flags(payload.data() + i * eventRecordBytes);
         }
         trace.endPc = field(count - 1, 8);
         last_block = held;

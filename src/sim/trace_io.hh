@@ -8,7 +8,8 @@
  * studies). The recorder and the reader both fill the DecodedTrace
  * replay lanes directly (sim/decoded_trace.hh); the writer and the
  * fingerprint pack each event back into its 12 on-disk bytes, taking
- * its nextPc from the next event's pc (DecodedTrace::nextPc()).
+ * its nextPc from the next event's pc (DecodedTrace::nextPc()) and its
+ * predicate writes from the program (DecodedTrace::predWrites()).
  *
  * One on-disk format exists, "PABPTRC2" (little-endian):
  *    | magic[8] | u32 version | u64 numInsts | u64 numEvents
@@ -17,10 +18,14 @@
  *    | u32 progCrc     - CRC-32 of the program section
  *    | event blocks    - u32 count (<= 4096), count*12 payload bytes,
  *    |                   u32 blockCrc over count + payload; an event
- *    |                   is u32 pc, u8 flags, u8 predReg[2],
- *    |                   u8 predVal, u32 nextPc - the next event's
- *    |                   pc, which the reader verifies, or the
- *    |                   trace's endPc for the last event
+ *    |                   is u32 pc, u8 flags (bit0 guard, bit1
+ *    |                   taken, bits 2-3 write count), u8 predReg[2],
+ *    |                   u8 predVal (bits 0-1 write values, bit2 the
+ *    |                   Cmp relation), u32 nextPc - the next event's
+ *    |                   pc, or the trace's endPc for the last event.
+ *    |                   The reader verifies the nextPc chain and
+ *    |                   that bytes 4-7 are the predicate writes the
+ *    |                   program derives from the guard and relation
  *    | u64 footer      - ASCII "PABPEND2" end-of-artifact sentinel
  *    Per-block CRCs localise corruption, which is what makes salvage
  *    (recovering the longest valid event prefix) possible.
@@ -37,7 +42,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "sim/decoded_trace.hh"
 #include "sim/emulator.hh"
@@ -61,25 +65,18 @@ using RecordedTrace = DecodedTrace;
  */
 DecodedTrace recordTrace(Emulator &emu, std::uint64_t max_insts);
 
-/** The DecodedTrace::Class of every static instruction of @p prog, by
- *  pc: an event's class depends on its instruction alone, so the
- *  recorders and the reader classify each instruction once, not each
- *  event. */
-std::vector<std::uint8_t> classTable(const Program &prog);
-
 /**
  * The recorder body recordTrace() runs: execute up to @p n
  * instructions of @p emu, writing event k into lane index @p at + k
- * of @p trace's six lanes, which must already hold at + n entries, and
+ * of @p trace's three lanes, which must already hold at + n entries, and
  * setting its endPc to the next pc of the last event written (left
- * alone when none ran).
- * @p classes is classTable() of the program. A non-null @p effAddrs
+ * alone when none ran). @p trace must hold @p emu's program
+ * (DecodedTrace::setProgram()). A non-null @p effAddrs
  * also receives event k's effective address (0 for a non-memory
  * instruction) at index k - the window-only lane of the cycle-level
  * pipeline. Returns the number executed.
  */
-std::size_t recordEvents(Emulator &emu, const std::uint8_t *classes,
-                         DecodedTrace &trace, std::size_t at,
+std::size_t recordEvents(Emulator &emu, DecodedTrace &trace, std::size_t at,
                          std::size_t n, std::int64_t *effAddrs = nullptr);
 
 /**

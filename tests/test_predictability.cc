@@ -367,8 +367,11 @@ guardLanes(std::size_t n, const std::vector<std::size_t> &defines,
     Inst br;
     br.op = Opcode::Br;
     br.qp = 5;
+    Program prog;
+    prog.insts = {Inst{}, cmp, br};
     DecodedTrace t;
-    t.prog.insts = {Inst{}, cmp, br};
+    // The define's writes (p5, p6) come from the program.
+    t.setProgram(prog);
     for (std::size_t i = 0; i < n; ++i) {
         std::uint32_t pc = 0;
         Class cls = Class::Other;
@@ -386,9 +389,6 @@ guardLanes(std::size_t n, const std::vector<std::size_t> &defines,
         t.pcs.push_back(pc);
         t.cls.push_back(static_cast<std::uint8_t>(cls));
         t.flags.push_back(flags);
-        t.predReg0.push_back(pc == 1 ? 5 : 0);
-        t.predReg1.push_back(pc == 1 ? 6 : 0);
-        t.predVal.push_back(0);
     }
     return t;
 }

@@ -245,21 +245,150 @@ TEST(DecodedTraceLanes, ClassLaneMatchesDispatchRules)
     EXPECT_GT(seen[3], 0u);
 }
 
+/** The predicate writes of @p dyn, packed as PredicateWrites. */
+PredicateWrites
+writesOf(const DynInst &dyn)
+{
+    PredicateWrites w;
+    w.count = dyn.numPredWrites;
+    for (unsigned k = 0; k < dyn.numPredWrites; ++k) {
+        w.reg[k] = dyn.predWrites[k].reg;
+        w.values |= static_cast<std::uint8_t>(
+            dyn.predWrites[k].value << k);
+    }
+    return w;
+}
+
+/** What a compare of @p type writes under guard @p g and relation
+ *  @p r, written out from the IA-64 table in isa/inst.hh: whether it
+ *  writes, and the values for pdst1 and pdst2. */
+struct CmpRule
+{
+    bool write, value1, value2;
+};
+
+CmpRule
+cmpRule(CmpType type, bool g, bool r)
+{
+    switch (type) {
+      case CmpType::Normal: return {g, r, !r};
+      case CmpType::Unc: return {true, g && r, g && !r};
+      case CmpType::And: return {g && !r, false, false};
+      case CmpType::Or: return {g && r, true, true};
+      case CmpType::OrAndcm: return {g && r, true, false};
+      case CmpType::AndOrcm: return {g && !r, false, true};
+    }
+    return {false, false, false};
+}
+
+TEST(DecodedTraceLanes, DefineTableMatchesTheInterpreter)
+{
+    // One-instruction programs: every compare type, guard, relation
+    // and destination pair, and pset. The generators emit only normal,
+    // unc and or compares, so this is the only coverage of and,
+    // or.andcm and and.orcm. For each, the define table's row, the
+    // payload a recorded trace derives through its flags, the
+    // ExecEvent the interpreter hands its sink and the rules above
+    // must agree, and so must the predicate file the run leaves.
+    constexpr unsigned qp = 7, pa = 3, pb = 4;
+    constexpr unsigned src = 1;
+    std::vector<Inst> insts;
+    const unsigned dests[][2] = {{0, 0}, {0, pa}, {pa, 0}, {pa, pb},
+                                 {pa, pa}};
+    for (CmpType type : {CmpType::Normal, CmpType::Unc, CmpType::And,
+                         CmpType::Or, CmpType::OrAndcm, CmpType::AndOrcm})
+        for (const auto &d : dests)
+            insts.push_back(
+                makeCmpImm(CmpRel::Eq, type, d[0], d[1], src, 0, qp));
+    for (bool value : {false, true})
+        for (unsigned pdst : {0u, pa})
+            insts.push_back(makePSet(pdst, value, qp));
+
+    unsigned checked = 0;
+    for (const Inst &inst : insts) {
+        const bool is_cmp = inst.op == Opcode::Cmp;
+        Program prog;
+        prog.insts = {inst, makeHalt()};
+        DecodedTrace table;
+        table.setProgram(prog);
+        for (bool guard : {false, true}) {
+            for (bool rel : {false, true}) {
+                SCOPED_TRACE(disassemble(inst) + (guard ? " guard" : "") +
+                             (rel ? " rel" : ""));
+                // The relation is r1 == 0; pa and pb start true and
+                // false, so a write of either value shows.
+                auto init = [&](Emulator &emu) {
+                    emu.state().writePred(qp, guard);
+                    emu.state().writePred(pa, true);
+                    emu.state().writePred(pb, false);
+                    emu.state().writeGpr(src, rel ? 0 : 1);
+                };
+                Emulator emu(prog);
+                init(emu);
+                ExecEvent ev;
+                ASSERT_EQ(emu.run(1, [&](const ExecEvent &e) { ev = e; }),
+                          1u);
+                Emulator rec_emu(prog);
+                init(rec_emu);
+                const DecodedTrace rec = recordTrace(rec_emu, 1);
+                ASSERT_EQ(rec.size(), 1u);
+
+                // The rules: writes in pdst1, pdst2 order, none to p0.
+                bool write = guard, v1 = (inst.imm & 1) != 0, v2 = false;
+                if (is_cmp) {
+                    const CmpRule r = cmpRule(inst.ctype, guard, rel);
+                    write = r.write, v1 = r.value1, v2 = r.value2;
+                }
+                PredicateWrites want;
+                bool final_a = true, final_b = false;
+                auto add = [&](unsigned reg, bool value) {
+                    if (!write || reg == 0)
+                        return;
+                    want.reg[want.count] = static_cast<std::uint8_t>(reg);
+                    want.values |=
+                        static_cast<std::uint8_t>(value << want.count);
+                    ++want.count;
+                    (reg == pa ? final_a : final_b) = value;
+                };
+                add(inst.pdst1, v1);
+                if (is_cmp)
+                    add(inst.pdst2, v2);
+
+                const bool ev_rel = is_cmp && rel;
+                EXPECT_EQ(ev.predWrites, want);
+                EXPECT_EQ(ev.numPredWrites(), want.count);
+                EXPECT_EQ(ev.cmpRel(), ev_rel);
+                EXPECT_EQ(table.defines[DecodedTrace::defineRow(
+                              0, guard, ev_rel)],
+                          want);
+                EXPECT_EQ(rec.flags[0], ev.flags);
+                EXPECT_EQ(rec.predWrites(0), want);
+                EXPECT_EQ(writesOf(rec.materialise(0)), want);
+                EXPECT_EQ(rec.materialise(0).cmpRel, ev_rel);
+                EXPECT_EQ(emu.state().readPred(pa), final_a);
+                EXPECT_EQ(emu.state().readPred(pb), final_b);
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, (6 * 5 + 4) * 4u);
+}
+
 // ---------------------------------------------------------------------
 // The interpreter's sinks vs the step() reference: recordTrace's
 // lanes, the machine state run(n, sink) leaves, and the compile
 // profiler.
 
-/** The six lanes packed per event from a live step() loop, plus each
- *  event's DynInst::nextPc, which the trace derives instead. */
+/** The three lanes packed per event from a live step() loop, plus
+ *  what the trace derives instead of storing: each event's predicate
+ *  writes, cmpRel and DynInst::nextPc. */
 struct PackedLanes
 {
     std::vector<std::uint32_t> pcs;
     std::vector<std::uint8_t> cls;
     std::vector<std::uint8_t> flags;
-    std::vector<std::uint8_t> predReg0;
-    std::vector<std::uint8_t> predReg1;
-    std::vector<std::uint8_t> predVal;
+    std::vector<PredicateWrites> predWrites;
+    std::vector<bool> cmpRels;
     std::vector<std::uint32_t> nextPcs;
 };
 
@@ -282,22 +411,14 @@ stepLanes(Emulator &emu, std::uint64_t max_insts)
     PackedLanes lanes;
     DynInst dyn;
     for (std::uint64_t i = 0; i < max_insts && emu.step(dyn); ++i) {
-        std::uint8_t regs[2] = {0, 0};
-        std::uint8_t val = dyn.cmpRel ? 4 : 0;
-        for (unsigned w = 0; w < dyn.numPredWrites; ++w) {
-            regs[w] = dyn.predWrites[w].reg;
-            if (dyn.predWrites[w].value)
-                val |= static_cast<std::uint8_t>(1u << w);
-        }
         lanes.pcs.push_back(dyn.pc);
         lanes.cls.push_back(
             static_cast<std::uint8_t>(dispatchClass(*dyn.inst)));
         lanes.flags.push_back(static_cast<std::uint8_t>(
             (dyn.guard ? 1 : 0) | (dyn.taken ? 2 : 0) |
-            (dyn.numPredWrites << 2)));
-        lanes.predReg0.push_back(regs[0]);
-        lanes.predReg1.push_back(regs[1]);
-        lanes.predVal.push_back(val);
+            (dyn.numPredWrites << 2) | (dyn.cmpRel ? 16 : 0)));
+        lanes.predWrites.push_back(writesOf(dyn));
+        lanes.cmpRels.push_back(dyn.cmpRel);
         lanes.nextPcs.push_back(dyn.nextPc);
     }
     return lanes;
@@ -322,13 +443,17 @@ expectLanes(const DecodedTrace &trace, const PackedLanes &want)
     expectSameLane("pcs", trace.pcs, want.pcs);
     expectSameLane("cls", trace.cls, want.cls);
     expectSameLane("flags", trace.flags, want.flags);
-    expectSameLane("predReg0", trace.predReg0, want.predReg0);
-    expectSameLane("predReg1", trace.predReg1, want.predReg1);
-    expectSameLane("predVal", trace.predVal, want.predVal);
     std::vector<std::uint32_t> next_pcs(trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i)
         next_pcs[i] = trace.nextPc(i);
     expectSameLane("nextPc", next_pcs, want.nextPcs);
+    // The predicate writes no lane holds, as materialise() derives
+    // them from the define table.
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const DynInst got = trace.materialise(i);
+        ASSERT_EQ(writesOf(got), want.predWrites[i]) << "event " << i;
+        ASSERT_EQ(got.cmpRel, want.cmpRels[i]) << "event " << i;
+    }
 }
 
 void
@@ -401,7 +526,7 @@ TEST(DecodedTraceLanes, RecorderShrinksWhenTheProgramHalts)
     EXPECT_EQ(trace.pcs.capacity() * sizeof(std::uint32_t),
               anon_map::roundToPages(trace.size() * sizeof(std::uint32_t)));
     EXPECT_EQ(trace.cls.capacity(), anon_map::roundToPages(trace.size()));
-    EXPECT_EQ(trace.predVal.capacity(),
+    EXPECT_EQ(trace.flags.capacity(),
               anon_map::roundToPages(trace.size()));
 }
 
@@ -441,7 +566,6 @@ TEST(DecodedTraceLanes, WindowNextPcsMatchTheStepLoop)
     // last window, and a fuse at 4099 stops the second window right
     // after the taken branch at event 4098.
     const Program prog = countingLoop();
-    const std::vector<std::uint8_t> classes = classTable(prog);
     for (std::uint64_t fuse : {0u, 4099u}) {
         for (std::size_t n : {4095u, 4096u, 4097u}) {
             SCOPED_TRACE("fuse " + std::to_string(fuse) + ", window " +
@@ -452,12 +576,11 @@ TEST(DecodedTraceLanes, WindowNextPcsMatchTheStepLoop)
             Emulator live(prog, ecfg);
             const PackedLanes want = stepLanes(live, 1000000);
             DecodedTrace w;
-            w.prog = prog;
+            w.setProgram(prog);
             std::size_t at = 0;
             for (;;) {
                 w.resize(n);
-                const std::size_t got =
-                    recordEvents(rec, classes.data(), w, 0, n);
+                const std::size_t got = recordEvents(rec, w, 0, n);
                 w.resize(got);
                 ASSERT_LE(at + got, want.pcs.size());
                 for (std::size_t i = 0; i < got; ++i) {
@@ -1325,9 +1448,6 @@ fillWindow(DecodedTrace &w, const DecodedTrace &trace,
     w.pcs = slice(trace.pcs);
     w.cls = slice(trace.cls);
     w.flags = slice(trace.flags);
-    w.predReg0 = slice(trace.predReg0);
-    w.predReg1 = slice(trace.predReg1);
-    w.predVal = slice(trace.predVal);
     w.endPc = trace.nextPc(first + n - 1);
 }
 
@@ -1437,7 +1557,7 @@ expectWindowsMatchWholeTrace(const DecodedTrace &trace,
                 PredictorPtr wpred = makePredictor("gshare", 12);
                 PredictionEngine windowed(*wpred, ecfg);
                 DecodedTrace w;
-                w.prog = trace.prog;
+                w.setProgram(trace.prog);
                 for (std::uint64_t s = 0; s < trace.size(); s += size) {
                     const std::uint64_t n =
                         std::min<std::uint64_t>(size, trace.size() - s);
@@ -1639,8 +1759,8 @@ TEST(SweepFastReplay, CacheStatsCountLiveLaneAndScheduleBytes)
         for (const RunSpec &spec : specs)
             ASSERT_TRUE(live.runOne(spec).status.ok());
 
-        EXPECT_EQ(released.cacheStats().peakLaneBytes, 9 * events);
-        EXPECT_EQ(live.cacheStats().peakLaneBytes, 2 * 9 * events);
+        EXPECT_EQ(released.cacheStats().peakLaneBytes, 6 * events);
+        EXPECT_EQ(live.cacheStats().peakLaneBytes, 2 * 6 * events);
         const std::uint64_t one_schedule =
             released.cacheStats().peakScheduleBytes;
         if (armed) {

@@ -83,9 +83,7 @@ expectEventPrefix(const DecodedTrace &got, const DecodedTrace &want)
     EXPECT_EQ(got.pcs, prefix(want.pcs));
     EXPECT_EQ(got.cls, prefix(want.cls));
     EXPECT_EQ(got.flags, prefix(want.flags));
-    EXPECT_EQ(got.predReg0, prefix(want.predReg0));
-    EXPECT_EQ(got.predReg1, prefix(want.predReg1));
-    EXPECT_EQ(got.predVal, prefix(want.predVal));
+    EXPECT_EQ(got.defines, want.defines);
     if (got.size() > 0) {
         EXPECT_EQ(got.nextPc(got.size() - 1),
                   want.nextPc(got.size() - 1));
@@ -296,32 +294,48 @@ TEST(TraceIo, OutOfRangePcIsCorruptAndSalvageKeepsWholeBlocks)
     expectEventPrefix(salvaged.value(), trace);
 }
 
-/** Offset in serializeV2(@p trace) of the 4-byte stored nextPc of
- *  event @p i (every block before it is full). */
+/** Offset in serializeV2(@p trace) of the 12-byte record of event
+ *  @p i (every block before it is full). */
 std::size_t
-nextPcOffset(const DecodedTrace &trace, std::size_t i)
+eventOffset(const DecodedTrace &trace, std::size_t i)
 {
     const std::size_t block = i / blockCapacity;
     return programSectionEnd(trace) +
         block * (4 + blockCapacity * eventRecordBytes + 4) + 4 +
-        (i % blockCapacity) * eventRecordBytes + 8;
+        (i % blockCapacity) * eventRecordBytes;
 }
 
-/** Overwrite the stored nextPc of event @p i of @p bytes with @p pc
- *  and recompute its block's CRC, so only the nextPc check sees it. */
+/** Offset in serializeV2(@p trace) of the 4-byte stored nextPc of
+ *  event @p i. */
+std::size_t
+nextPcOffset(const DecodedTrace &trace, std::size_t i)
+{
+    return eventOffset(trace, i) + 8;
+}
+
+/** Recompute the CRC of the block that holds event @p i of @p bytes,
+ *  so only the reader's record checks see an edit to it. */
 void
-setStoredNextPc(std::string &bytes, const DecodedTrace &trace,
-                std::size_t i, std::uint32_t pc)
+resealBlock(std::string &bytes, const DecodedTrace &trace, std::size_t i)
 {
     const std::size_t block = i / blockCapacity;
     const std::size_t start = programSectionEnd(trace) +
         block * (4 + blockCapacity * eventRecordBytes + 4);
     const std::size_t count =
         std::min(blockCapacity, trace.size() - block * blockCapacity);
-    std::memcpy(&bytes[nextPcOffset(trace, i)], &pc, 4);
     const std::uint32_t crc =
         crc32(&bytes[start], 4 + count * eventRecordBytes);
     std::memcpy(&bytes[start + 4 + count * eventRecordBytes], &crc, 4);
+}
+
+/** Overwrite the stored nextPc of event @p i of @p bytes with @p pc
+ *  and reseal its block. */
+void
+setStoredNextPc(std::string &bytes, const DecodedTrace &trace,
+                std::size_t i, std::uint32_t pc)
+{
+    std::memcpy(&bytes[nextPcOffset(trace, i)], &pc, 4);
+    resealBlock(bytes, trace, i);
 }
 
 TEST(TraceIo, WriterStoresTheNextEventsPc)
@@ -357,6 +371,69 @@ TEST(TraceIo, WrongStoredNextPcIsCorruptAndSalvageKeepsWholeBlocks)
         ASSERT_FALSE(strict.ok());
         EXPECT_EQ(strict.status().code(), StatusCode::Corrupt);
 
+        TraceReadOptions opts;
+        opts.salvage = true;
+        TraceReadInfo info;
+        Expected<DecodedTrace> salvaged =
+            readFromBytes(bytes, opts, &info);
+        ASSERT_TRUE(salvaged.ok()) << salvaged.status().toString();
+        EXPECT_TRUE(info.salvaged);
+        EXPECT_EQ(salvaged.value().size(), blockCapacity);
+        EXPECT_EQ(info.eventsDropped, trace.size() - blockCapacity);
+        expectEventPrefix(salvaged.value(), trace);
+    }
+}
+
+TEST(TraceIo, StoredPredicatePayloadMustMatchTheProgram)
+{
+    // Bytes 4-7 of a record are the predicate writes the program
+    // derives from the guard and relation bits; the lanes keep only
+    // those bits, so a CRC-valid record that disagrees must be
+    // refused, never read as some other trace.
+    const DecodedTrace trace = recordWorkload("dchain", 10000);
+    ASSERT_GT(trace.size(), 2 * blockCapacity);
+    // A compare with writes and an event of another kind, both
+    // mid-way into the second block.
+    std::size_t cmp = 0, other = 0;
+    for (std::size_t i = blockCapacity + 5; i < 2 * blockCapacity; ++i) {
+        if (!cmp && trace.inst(i).op == Opcode::Cmp &&
+            trace.numPredWrites(i) > 0)
+            cmp = i;
+        if (!other && trace.inst(i).op != Opcode::Cmp)
+            other = i;
+    }
+    ASSERT_NE(cmp, 0u);
+    ASSERT_NE(other, 0u);
+
+    struct Edit
+    {
+        const char *what;
+        std::size_t event;
+        std::size_t at; ///< byte of the record
+        unsigned char xorMask;
+    };
+    const Edit edits[] = {
+        {"write count", cmp, 4, 0x04},
+        {"flags bit 4", cmp, 4, 0x10},
+        {"flags bit 7", other, 4, 0x80},
+        {"first register", cmp, 5, 0x01},
+        {"second register", other, 6, 0x02},
+        {"first value", cmp, 7, 0x01},
+        {"predVal bit 3", cmp, 7, 0x08},
+        {"relation of a non-compare", other, 7, 0x04},
+    };
+    for (const Edit &e : edits) {
+        SCOPED_TRACE(e.what);
+        std::string bytes = serializeV2(trace);
+        bytes[eventOffset(trace, e.event) + e.at] ^=
+            static_cast<char>(e.xorMask);
+        resealBlock(bytes, trace, e.event);
+
+        Expected<DecodedTrace> strict = readFromBytes(bytes);
+        ASSERT_FALSE(strict.ok());
+        EXPECT_EQ(strict.status().code(), StatusCode::Corrupt);
+
+        // Salvage keeps the whole blocks before the bad record.
         TraceReadOptions opts;
         opts.salvage = true;
         TraceReadInfo info;
