@@ -370,37 +370,97 @@ PredictionEngine::batchCondBranch(Pred &bp, std::uint32_t pc,
     return predicted != taken;
 }
 
+struct PredictionEngine::PguMerge
+{
+    /** Seqs of the stream bits not yet ripe, in stream order. */
+    RingQueue<std::uint64_t> pending;
+    /** Bits ripened since the last branch. */
+    std::uint64_t ripe = 0;
+    /** Stream bits written. */
+    std::uint64_t at = 0;
+    /** max(delay, 1): see batchLoop(). */
+    std::uint64_t delay = 1;
+    /** pguRowsOf() of the captured trace. */
+    const std::uint8_t *rows = nullptr;
+
+    /** Count the pending bits ripe at @p seq. */
+    void
+    ripenTo(std::uint64_t seq)
+    {
+        while (!pending.empty() && pending.front() + delay <= seq) {
+            pending.pop_front();
+            ++ripe;
+        }
+    }
+
+    void
+    append(ReplaySchedule &s, std::uint64_t seq, bool bit)
+    {
+        if (bit)
+            s.pguBits[at >> 6] |= (std::uint64_t{1} << 63) >> (at & 63);
+        ++at;
+        pending.push_back(seq);
+    }
+};
+
+const std::uint8_t *
+PredictionEngine::pguRowsOf(const DecodedTrace &trace) const
+{
+    if (pguRowsProgram == trace.prog.generation())
+        return pguRows.data();
+    pguRowsProgram = trace.prog.generation();
+    pguRows.assign(trace.defines.size(), 0);
+    for (std::size_t row = 0; row < trace.defines.size(); ++row) {
+        // The DynInst materialise() builds for an event with this
+        // row's instruction, guard and relation.
+        const PredicateWrites &w = trace.defines[row];
+        DynInst dyn;
+        dyn.inst = &trace.prog.insts[row / 4];
+        dyn.guard = row & 1;
+        dyn.cmpRel = (row >> 1) & 1;
+        dyn.numPredWrites = w.count;
+        for (unsigned k = 0; k < w.count; ++k) {
+            dyn.predWrites[k].reg = w.reg[k];
+            dyn.predWrites[k].value = (w.values >> k) & 1;
+        }
+        unsigned n = 0;
+        pgu.observeInto(dyn, [&](const PredicateGlobalUpdate::Pending &p) {
+            pguRows[row] |= static_cast<std::uint8_t>((p.bit ? 4u : 0u) << n);
+            ++n;
+        });
+        pguRows[row] |= static_cast<std::uint8_t>(n);
+    }
+    return pguRows.data();
+}
+
 template <bool UseSfpf, bool UsePgu>
 void
 PredictionEngine::captureChunk(const DecodedTrace &trace,
                                const std::uint32_t *branches,
                                const std::uint32_t *defs,
                                const simd::CollectResult &stops,
-                               std::uint64_t endSeq,
+                               std::uint64_t b0, std::uint64_t endSeq,
                                DelayedPredicateFile &file,
-                               ReplaySchedule &s) const
+                               PguMerge &merge, ReplaySchedule &s) const
 {
     // MIRROR of handlePredicateDefine() plus the reference loop's
-    // per-branch predicate-file read, over the chunk's define and
-    // branch streams only. Nothing here reads the base predictor,
-    // which is what lets the schedule serve every predictor
-    // replaying this trace. Any semantic change in the reference
-    // handler lands here too; tests/test_replay_fast.cc pins the two
-    // event for event.
+    // per-branch predicate-file read and PGU drain, over the chunk's
+    // define and branch streams only. Nothing here reads the base
+    // predictor, which is what lets the schedule serve every
+    // predictor replaying this trace. Any semantic change in the
+    // reference handler lands here too; tests/test_replay_fast.cc
+    // pins the two event for event.
     //
     // The SFPF kernel is the flat BatchPredicateView overlay over
     // @p file, so each define is a pair of array stores rather than a
     // queue push and retirement with data-dependent host branches.
-    const std::uint64_t b0 = s.guard.size();
     // The stop buffers hold lane indices; the predicate file and the
     // PGU queue speak global sequence numbers.
     const std::uint64_t seq0 = trace.firstSeq;
     BatchPredicateView view;
 
-    if constexpr (UseSfpf) {
+    if constexpr (UseSfpf)
         view.begin(file, endSeq);
-        s.guard.resize(b0 + stops.branches);
-    }
     auto define = [&](std::uint32_t i) {
         if constexpr (UseSfpf) {
             // Both register slots are written unconditionally: dead
@@ -429,30 +489,43 @@ PredictionEngine::captureChunk(const DecodedTrace &trace,
             }
         }
         if constexpr (UsePgu) {
-            pgu.observeInto(trace.materialise(i),
-                            [&](const PredicateGlobalUpdate::Pending &p) {
-                                s.pguBits.push_back(
-                                    (p.seq << 1) |
-                                    static_cast<std::uint64_t>(p.bit));
-                            });
+            // pgu.observe(), tabulated; the reference drains before it
+            // observes, so bits ripe here count towards the next
+            // branch (ripening them now bounds the pending ring).
+            const std::uint8_t row = merge.rows[DecodedTrace::defineRow(
+                trace.pcs[i], trace.guard(i), trace.cmpRel(i))];
+            const std::uint64_t seq = seq0 + i;
+            merge.ripenTo(seq);
+            for (unsigned k = 0; k < (row & 3u); ++k)
+                merge.append(s, seq, (row >> (2 + k)) & 1);
         }
     };
 
     // Branch-major merge of the two ascending index streams: before
-    // each branch's guard read, apply every define that precedes it.
-    // Without the SFPF no guard is read, so the defines run straight.
+    // each branch's guard read and drain count, apply every define
+    // that precedes it.
     std::uint64_t d = 0;
-    if constexpr (UseSfpf) {
-        for (std::uint64_t b = 0; b < stops.branches; ++b) {
-            const std::uint32_t i = branches[b];
-            while (d < stops.defines && defs[d] < i)
-                define(defs[d++]);
+    for (std::uint64_t b = 0; b < stops.branches; ++b) {
+        const std::uint32_t i = branches[b];
+        while (d < stops.defines && defs[d] < i)
+            define(defs[d++]);
+        if constexpr (UseSfpf) {
             const std::optional<bool> g =
                 view.read(trace.inst(i).qp, seq0 + i);
             s.guard[b0 + b] = g.has_value()
                 ? static_cast<std::uint8_t>(
                       1u | (static_cast<unsigned>(*g) << 1))
                 : 0u;
+        }
+        if constexpr (UsePgu) {
+            merge.ripenTo(seq0 + i);
+            if (merge.ripe < ReplaySchedule::pguDrainEscape) {
+                s.pguDrain[b0 + b] = static_cast<std::uint8_t>(merge.ripe);
+            } else {
+                s.pguDrain[b0 + b] = ReplaySchedule::pguDrainEscape;
+                s.pguEscapes.push_back({b0 + b, merge.ripe});
+            }
+            merge.ripe = 0;
         }
     }
     while (d < stops.defines)
@@ -465,7 +538,7 @@ PredictionEngine::captureChunk(const DecodedTrace &trace,
 void
 PredictionEngine::capture(const DecodedTrace &trace, std::uint64_t first,
                           std::uint64_t end, bool useSfpf, bool usePgu,
-                          DelayedPredicateFile &file,
+                          bool carryQueue, DelayedPredicateFile &file,
                           ReplaySchedule &s) const
 {
     // Bounded chunks keep the index buffers at a batch's scale: a
@@ -477,25 +550,48 @@ PredictionEngine::capture(const DecodedTrace &trace, std::uint64_t first,
     const auto kernel = !useSfpf ? &PredictionEngine::captureChunk<false, true>
         : usePgu ? &PredictionEngine::captureChunk<true, true>
                  : &PredictionEngine::captureChunk<true, false>;
-    // A counting pass first, so the arrays are allocated once: each
-    // define adds at most two PGU bits.
-    std::uint64_t nb = 0, nd = 0;
+    PguMerge merge;
+    merge.delay = std::max<std::uint64_t>(cfg.pgu.delay, 1);
+    std::uint64_t bits = 0;
+    if (usePgu) {
+        merge.rows = pguRowsOf(trace);
+        if (carryQueue)
+            pgu.forEachPending([&](const auto &) { ++bits; });
+    }
+    // A counting pass first, so every array is allocated once at its
+    // size: branches, and the history bits the defines queue.
+    std::uint64_t nb = 0;
     for (std::uint64_t c = first; c < end; c += chunk) {
         const simd::CollectResult n = simd::collectStops(
-            trace.cls.data(), c, std::min(end, c + chunk), false, br.get(),
-            nullptr);
+            trace.cls.data(), c, std::min(end, c + chunk), usePgu, br.get(),
+            defs.get());
         nb += n.branches;
-        nd += n.defines;
+        for (std::uint64_t k = 0; usePgu && k < n.defines; ++k) {
+            const std::uint32_t i = defs[k];
+            bits += merge.rows[DecodedTrace::defineRow(
+                        trace.pcs[i], trace.guard(i), trace.cmpRel(i))] &
+                3u;
+        }
     }
-    s.guard.reserve(s.guard.size() + (useSfpf ? nb : 0));
-    s.pguBits.reserve(s.pguBits.size() + (usePgu ? 2 * nd : 0));
+    s.guard.resize(useSfpf ? nb : 0);
+    s.pguDrain.resize(usePgu ? nb : 0);
+    s.pguEscapes.clear();
+    s.pguBits.assign(usePgu ? (bits + 63) / 64 + 1 : 0, 0); // + padding
+    if (usePgu && carryQueue) {
+        pgu.forEachPending([&](const PredicateGlobalUpdate::Pending &p) {
+            merge.append(s, p.seq, p.bit);
+        });
+    }
+    std::uint64_t b0 = 0;
     for (std::uint64_t c = first; c < end; c += chunk) {
         const std::uint64_t e = std::min(end, c + chunk);
         const simd::CollectResult stops = simd::collectStops(
             trace.cls.data(), c, e, true, br.get(), defs.get());
-        (this->*kernel)(trace, br.get(), defs.get(), stops,
-                        trace.firstSeq + e - 1, file, s);
+        (this->*kernel)(trace, br.get(), defs.get(), stops, b0,
+                        trace.firstSeq + e - 1, file, merge, s);
+        b0 += stops.branches;
     }
+    pabp_assert(!usePgu || merge.at == bits);
 }
 
 bool
@@ -520,13 +616,11 @@ PredictionEngine::continuesPath(const DecodedTrace &trace,
                 (cfg.pgu.includePSet ? 32u : 0u) |
                 (std::uint64_t{cfg.pgu.delay} << 6);
         pathSched = trace.schedCache->obtain(sfpfKey, pguKey, [&] {
-            // From the cold state over the whole trace; shrunk, since
-            // the store keeps it for every later engine.
+            // From the cold state over the whole trace.
             auto made = std::make_shared<ReplaySchedule>();
             DelayedPredicateFile cold(cfg.availDelay);
-            capture(trace, 0, trace.size(), cfg.useSfpf, cfg.usePgu, cold,
-                    *made);
-            made->pguBits.shrink_to_fit();
+            capture(trace, 0, trace.size(), cfg.useSfpf, cfg.usePgu, false,
+                    cold, *made);
             return made;
         });
         pathCache = trace.schedCache.get();
@@ -550,8 +644,8 @@ PredictionEngine::settle() const
     if (cfg.useSfpf && settledAt != pathEvent) {
         pabp_assert(pathTrace && pathTrace->size() >= pathEvent);
         ReplaySchedule unread;
-        capture(*pathTrace, settledAt, pathEvent, true, false, predFile,
-                unread);
+        capture(*pathTrace, settledAt, pathEvent, true, false, false,
+                predFile, unread);
     }
     settledAt = pathEvent;
 }
@@ -580,13 +674,15 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     //     counter (one add).
     //
     //  2. Replay schedules: with a predicate technique armed, the
-    //     guard read and the PGU bits drained before each branch come
-    //     from a ReplaySchedule (sim/replay_schedule.hh) - the trace's
-    //     shared one, read at the path's cursors, or a private one
-    //     captured from the entry state by capture()'s define-only
-    //     pass - and the PGU queue is committed from the schedule's
-    //     stream at the batch end. The defines are never visited by
-    //     this loop.
+    //     guard read before each branch and the count of PGU bits it
+    //     drains come from a ReplaySchedule (sim/replay_schedule.hh) -
+    //     the trace's shared one, read at the path's cursors, or a
+    //     private one captured from the entry state by capture()'s
+    //     define-only pass - and the drained bits are one extract from
+    //     the schedule's packed stream. The defines are never visited
+    //     by this loop, except those after the last branch's sequence
+    //     minus the delay: their seqs say which bits the batch-end
+    //     drain takes and which stay queued.
     //
     //  3. Class scanning: events the loop only counts (Other,
     //     UncondControl without target modelling, PredDefine) are
@@ -632,60 +728,65 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     engineStats.predicateDefines += stops.defines;
 
     // The schedule this batch reads from branch branchBase and PGU
-    // stream entry pguBase on: the shared one at the path's cursors,
-    // or one captured now from the entry state (its stream starts with
-    // the carried queue; the capture takes predFile through the batch).
-    ReplaySchedule own;
+    // stream position pguBase on: the shared one at the path's
+    // cursors, or one captured now from the entry state (its stream
+    // starts with the carried queue; the capture takes predFile
+    // through the batch).
     const bool shared = (useSfpf || usePgu) && continuesPath(trace, first);
-    const ReplaySchedule *sched = shared ? pathSched.get() : &own;
+    const ReplaySchedule *sched = shared ? pathSched.get() : &batchSched;
     const std::uint64_t branchBase = shared ? pathBranch : 0;
     // On the path every injected bit came off the shared stream.
     const std::uint64_t pguBase = shared ? pgu.bitsInserted() : 0;
-    if (!shared && (useSfpf || usePgu)) {
-        if (usePgu)
-            pgu.exportQueuePacked(own.pguBits);
-        capture(trace, first, end, useSfpf, usePgu, predFile, own);
-    }
+    if (!shared && (useSfpf || usePgu))
+        capture(trace, first, end, useSfpf, usePgu, true, predFile,
+                batchSched);
     pabp_assert(!shared || !useSfpf ||
                 branchBase + stops.branches <= sched->guard.size());
+    pabp_assert(!shared || !usePgu ||
+                branchBase + stops.branches <= sched->pguDrain.size());
 
-    // PGU drain, at each branch and at the batch end: drainTo()'s
-    // ripeness rule over the schedule's stream from pqCursor. The k
-    // entries defined at least delay events before seq land in one
-    // injectHistoryBits() shift, or one injectHistoryBit() each when
-    // k > 64 (only very define-dense gaps between branches meet
-    // that). A bit is never ripe at its own define's sequence (the
-    // reference loop drains before it observes), which only a batch
-    // end can meet: hence a delay of >= 1. The concrete-predictor
+    // PGU drain, at each branch and at the batch end. The stream bits
+    // up to position pqDue are ripe under drainTo()'s rule: a branch
+    // adds its drain count (an escaped one from the side table) and
+    // injects the bits from pqCursor up to there, 64 to an
+    // injectHistoryBits() shift. A batch end may already have drained
+    // some of them. A bit is never ripe at its own define's sequence
+    // (the reference loop drains before it observes), which only a
+    // batch end can meet: hence a delay of >= 1. The concrete-predictor
     // instantiations bind the injection statically; the
     // BranchPredictor fallback keeps the virtual call.
     const std::uint64_t delay = std::max<std::uint64_t>(cfg.pgu.delay, 1);
-    const std::uint64_t *pq = usePgu ? sched->pguBits.data() : nullptr;
-    const std::uint64_t pqEnd = usePgu ? sched->pguBits.size() : 0;
+    const std::uint64_t *pqWords = nullptr;
+    const std::uint8_t *drainCount = nullptr;
+    const ReplaySchedule::DrainEscape *escape = nullptr;
+    if (usePgu) {
+        pqWords = sched->pguBits.data();
+        drainCount = sched->pguDrain.data() + branchBase;
+        const auto &all = sched->pguEscapes;
+        escape = all.data() +
+            (std::lower_bound(all.begin(), all.end(), branchBase,
+                              [](const auto &e, std::uint64_t b) {
+                                  return e.branch < b;
+                              }) -
+             all.begin());
+    }
     std::uint64_t pqCursor = pguBase;
-    auto drainTo = [&](std::uint64_t seq) {
-        std::uint64_t c = pqCursor;
-        std::uint64_t word = 0;
-        while (c < pqEnd && (pq[c] >> 1) + delay <= seq)
-            word = (word << 1) | (pq[c++] & 1);
-        if (c == pqCursor)
-            return;
-        if (c - pqCursor <= 64) [[likely]] {
-            const unsigned n = static_cast<unsigned>(c - pqCursor);
-            if constexpr (std::is_same_v<Pred, BranchPredictor>)
-                bp.injectHistoryBits(word, n);
-            else
-                bp.Pred::injectHistoryBits(word, n);
-        } else {
-            for (std::uint64_t e = pqCursor; e < c; ++e) {
-                if constexpr (std::is_same_v<Pred, BranchPredictor>)
-                    bp.injectHistoryBit((pq[e] & 1) != 0);
-                else
-                    bp.Pred::injectHistoryBit((pq[e] & 1) != 0);
-            }
-        }
-        pqCursor = c;
+    std::uint64_t pqDue = shared ? pathDrained : 0;
+    // Inject the @p n (1 to 64) stream bits at pqCursor in one shift.
+    auto inject = [&](std::uint64_t n) {
+        const auto k = static_cast<unsigned>(n);
+        const std::uint64_t word =
+            ReplaySchedule::pguExtract(pqWords, pqCursor, k);
+        if constexpr (std::is_same_v<Pred, BranchPredictor>)
+            bp.injectHistoryBits(word, k);
+        else
+            bp.Pred::injectHistoryBits(word, k);
+        pqCursor += n;
         shiftsSincePguBit = 0;
+    };
+    auto drainTo = [&](std::uint64_t due) {
+        while (pqCursor < due)
+            inject(std::min<std::uint64_t>(due - pqCursor, 64));
     };
 
     const std::uint32_t *stop = stopBuf.get();
@@ -714,8 +815,18 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
         std::uint8_t guardState = 0;
         if (useSfpf)
             guardState = cachedGuard[b];
-        if (usePgu)
-            drainTo(trace.firstSeq + i);
+        if (usePgu) {
+            const std::uint8_t k = drainCount[b];
+            if (k == ReplaySchedule::pguDrainEscape) [[unlikely]]
+                pqDue += (escape++)->count;
+            else
+                pqDue += k;
+            // The common case, at most 64 bits, without drainTo's loop.
+            if (pqDue > pqCursor && pqDue - pqCursor <= 64) [[likely]]
+                inject(pqDue - pqCursor);
+            else
+                drainTo(pqDue);
+        }
         const std::uint8_t f = trace.flags[i];
         const bool misp = batchCondBranch<Armed>(
             bp, pc, inst, f & 1, (f >> 1) & 1, profileRowFor(pc),
@@ -737,20 +848,51 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     }
 
     // Sync the PGU to where the reference loop's last drain leaves it,
-    // for end-of-run observers (metric gauges, checkpoints): the bits
-    // ripe at endSeq, then what this batch's events defined but did
-    // not drain becomes the queue.
+    // for end-of-run observers (metric gauges, checkpoints). The bits
+    // from pqCursor on are those defined after the last drain's
+    // sequence minus the delay: the carried queue's from seq lo and the
+    // bits of this batch's defines from there. Their seqs, re-derived
+    // through the tabulated observe rule, split them into the bits
+    // ripe at endSeq, which drain now, and the queue.
     if (usePgu) {
-        drainTo(endSeq);
-        std::uint64_t queued = pqCursor;
-        while (queued < pqEnd && (pq[queued] >> 1) <= endSeq)
-            ++queued;
-        pgu.commitCachedBatch(pq + pqCursor, queued - pqCursor,
+        std::uint64_t lo = 0;
+        if (stops.branches > 0) {
+            const std::uint64_t lastSeq =
+                trace.firstSeq + stop[stops.branches - 1];
+            lo = lastSeq + 1 >= delay ? lastSeq + 1 - delay : 0;
+        }
+        std::uint64_t ripe = 0;
+        pguTail.clear();
+        auto place = [&](std::uint64_t seq, bool bit) {
+            if (seq + delay <= endSeq)
+                ++ripe;
+            else
+                pguTail.push_back({seq, bit});
+        };
+        pgu.forEachPending([&](const PredicateGlobalUpdate::Pending &p) {
+            if (p.seq >= lo)
+                place(p.seq, p.bit);
+        });
+        const std::uint8_t *rows = pguRowsOf(trace);
+        const std::uint64_t from =
+            std::max(first, lo > trace.firstSeq ? lo - trace.firstSeq : 0);
+        for (std::uint64_t i = from; i < end; ++i) {
+            if (trace.cls[i] !=
+                static_cast<std::uint8_t>(DecodedTrace::Class::PredDefine))
+                continue;
+            const std::uint8_t row = rows[DecodedTrace::defineRow(
+                trace.pcs[i], trace.guard(i), trace.cmpRel(i))];
+            for (unsigned k = 0; k < (row & 3u); ++k)
+                place(trace.firstSeq + i, (row >> (2 + k)) & 1);
+        }
+        drainTo(pqCursor + ripe);
+        pgu.commitCachedBatch(pguTail.data(), pguTail.size(),
                               pqCursor - pguBase);
     }
     if (shared) {
         pathEvent = end;
         pathBranch += stops.branches;
+        pathDrained = pqDue;
     }
 }
 
@@ -1027,8 +1169,8 @@ std::size_t
 LiveWindow::advance(Emulator &emu, PredictionEngine &engine,
                     std::uint64_t n)
 {
-    if (&emu.program() != boundProgram) {
-        boundProgram = &emu.program();
+    if (emu.program().generation() != boundProgram) {
+        boundProgram = emu.program().generation();
         // The lanes index the window's own copy of the program and
         // its tables.
         window.setProgram(emu.program());

@@ -383,23 +383,37 @@ class PredictionEngine
                          std::uint8_t guardState);
 
     /** The define-only pass over events [@p first, @p end), in
-     *  bounded chunks: append to @p s the guards (iff @p useSfpf) and
-     *  PGU bits (iff @p usePgu) they produce, taking @p file through
-     *  them. Reads no predictor state. */
+     *  bounded chunks: refill @p s with the guards (iff
+     *  @p useSfpf) and the PGU stream and drain counts (iff
+     *  @p usePgu) they produce, taking @p file through them. The
+     *  stream starts with the PGU's pending queue when @p carryQueue.
+     *  Reads no predictor state. */
     void capture(const DecodedTrace &trace, std::uint64_t first,
                  std::uint64_t end, bool useSfpf, bool usePgu,
-                 DelayedPredicateFile &file, ReplaySchedule &s) const;
+                 bool carryQueue, DelayedPredicateFile &file,
+                 ReplaySchedule &s) const;
+    /** The PGU side of a capture, carried across its chunks. */
+    struct PguMerge;
     /** capture() over one chunk's @p branches and @p defs (lane
-     *  indices); @p endSeq is the sequence number of its last event.
-     *  Its two flags stay template parameters: this pass is the whole
-     *  cost of a capture, and it visits every define. */
+     *  indices), the first of them branch @p b0 of the capture;
+     *  @p endSeq is the sequence number of its last event. Its two
+     *  flags stay template parameters: this pass is the whole cost of
+     *  a capture, and it visits every define. */
     template <bool UseSfpf, bool UsePgu>
     void captureChunk(const DecodedTrace &trace,
                       const std::uint32_t *branches,
                       const std::uint32_t *defs,
-                      const simd::CollectResult &stops,
+                      const simd::CollectResult &stops, std::uint64_t b0,
                       std::uint64_t endSeq, DelayedPredicateFile &file,
-                      ReplaySchedule &s) const;
+                      PguMerge &merge, ReplaySchedule &s) const;
+    /** observeInto() of every instruction of @p trace's program for
+     *  each guard and relation, at DecodedTrace::defineRow(): bits 0-1
+     *  hold how many history bits it queues, bit 2 + k the k-th. Built
+     *  once per program. */
+    const std::uint8_t *pguRowsOf(const DecodedTrace &trace) const;
+    mutable std::vector<std::uint8_t> pguRows;
+    /** The Program::generation() pguRows was built for; 0 = none. */
+    mutable std::uint64_t pguRowsProgram = 0;
 
     /** @name The cold contiguous path (processBatch)
      *  @{ */
@@ -423,6 +437,11 @@ class PredictionEngine
     /** Events and branches consumed; the PGU's is pguBitsInserted(). */
     std::uint64_t pathEvent = 0;
     std::uint64_t pathBranch = 0;
+    /** The stream position the drain counts of branches
+     *  [0, pathBranch) sum to. A batch end may have drained past it;
+     *  the next branch drains from pguBitsInserted() up to this plus
+     *  its own count. */
+    std::uint64_t pathDrained = 0;
     /** predFile holds the state after events [0, settledAt). */
     mutable std::uint64_t settledAt = 0;
     /** @} */
@@ -459,6 +478,10 @@ class PredictionEngine
      *  otherwise unconds are counted in bulk, never visited). */
     std::unique_ptr<std::uint32_t[]> uncondBuf;
     std::size_t uncondBufCap = 0;
+    /** An off-path batch's private schedule. */
+    ReplaySchedule batchSched;
+    /** The PGU queue a batch end commits. */
+    std::vector<PredicateGlobalUpdate::Pending> pguTail;
     /** @} */
     /** @} */
 
@@ -515,7 +538,8 @@ class LiveWindow
      * the window and decide them with @p engine. Returns how many ran:
      * fewer than asked means the emulator halted or its fuse blew. A
      * LiveWindow follows one Program: its class and define tables are
-     * rebuilt only when @p emu runs a different Program object.
+     * rebuilt only when @p emu runs a Program of another generation
+     * (Program::generation()).
      */
     std::size_t advance(Emulator &emu, PredictionEngine &engine,
                         std::uint64_t n);
@@ -561,7 +585,9 @@ class LiveWindow
     DecodedTrace window;
     std::vector<std::int64_t> effAddrLane;
     std::vector<std::uint8_t> outcomeLane;
-    const Program *boundProgram = nullptr;
+    /** The Program::generation() the window's tables were built
+     *  from; 0 = none. */
+    std::uint64_t boundProgram = 0;
 };
 
 /**

@@ -67,6 +67,14 @@ struct PguConfig
 class PredicateGlobalUpdate
 {
   public:
+    /** One queued history bit (public so observeInto()'s sinks can
+     *  name it; the queue itself stays private). */
+    struct Pending
+    {
+        std::uint64_t seq;
+        bool bit;
+    };
+
     PredicateGlobalUpdate(BranchPredictor &base, PguConfig config)
         : pred(base), cfg(config)
     {}
@@ -85,9 +93,10 @@ class PredicateGlobalUpdate
      * The observe rule itself: hand each history bit @p dyn
      * contributes under this configuration to @p push, in queue
      * order, without touching the queue. observe() pushes into the
-     * queue; the batched replay loop's schedule capture
-     * (core/engine.cc) appends to a schedule's bit stream - one rule,
-     * so the two cannot drift apart.
+     * queue; the batched replay loop (core/engine.cc) tabulates it
+     * per instruction, guard and relation for its schedule capture
+     * and its batch-end commit - one rule, so they cannot drift
+     * apart.
      */
     template <typename Push>
     void
@@ -147,29 +156,29 @@ class PredicateGlobalUpdate
     const PguConfig &config() const { return cfg; }
 
     /** @name Replay-schedule state exchange (core/engine.cc)
-     * The batched replay loop starts a private schedule's stream with
-     * the pending queue (packed seq << 1 | bit) and, after a batch,
-     * commits the stream entries its events defined but did not drain
-     * back as the queue - the bytes the reference loop's drains leave.
+     * A replay schedule stores the history bits without their seqs:
+     * packed one per bit, with a count per conditional branch of the
+     * bits that ripen there. A private schedule's capture seeds its
+     * stream with the pending queue, read here in queue order. After
+     * a batch the engine re-derives the seqs of the bits still pending
+     * at its last event, from this queue and the batch's last defines
+     * through observeInto(), and commits them back as the queue - the
+     * (seq, bit) pairs the reference loop's drains leave.
      * @{ */
+    template <typename Fn>
     void
-    exportQueuePacked(std::vector<std::uint64_t> &out) const
+    forEachPending(Fn &&fn) const
     {
-        out.clear();
-        queue.forEach([&](const Pending &p) {
-            out.push_back((p.seq << 1) |
-                          static_cast<std::uint64_t>(p.bit ? 1 : 0));
-        });
+        queue.forEach(fn);
     }
 
     void
-    commitCachedBatch(const std::uint64_t *packedLeft, std::size_t n,
+    commitCachedBatch(const Pending *left, std::size_t n,
                       std::uint64_t injected)
     {
         queue.clear();
         for (std::size_t i = 0; i < n; ++i)
-            queue.push_back(
-                Pending{packedLeft[i] >> 1, (packedLeft[i] & 1) != 0});
+            queue.push_back(left[i]);
         inserted += injected;
     }
     /** @} */
@@ -187,14 +196,6 @@ class PredicateGlobalUpdate
      *  own state is checkpointed by its owner. */
     void saveState(StateSink &sink) const;
     Status loadState(StateSource &src);
-
-    /** One queued history bit (public so observeInto()'s sinks can
-     *  name it; the queue itself stays private). */
-    struct Pending
-    {
-        std::uint64_t seq;
-        bool bit;
-    };
 
   private:
     BranchPredictor &pred;

@@ -104,6 +104,10 @@ engineSpecString(const EngineConfig &cfg)
         add("train");
     if (cfg.conservativeDefTracking)
         add("consdef");
+    if (cfg.pgu.value == PguValue::BothWrites)
+        add("pguboth");
+    if (cfg.pgu.delay != PguConfig{}.delay)
+        add(("pgudelay" + std::to_string(cfg.pgu.delay)).c_str());
     return out.empty() ? "base" : out;
 }
 
@@ -127,6 +131,16 @@ parseEngineSpec(const std::string &spec)
             cfg.trainOnSquashed = true;
         } else if (token == "consdef") {
             cfg.conservativeDefTracking = true;
+        } else if (token == "pguboth") {
+            cfg.pgu.value = PguValue::BothWrites;
+        } else if (token.starts_with("pgudelay")) {
+            std::uint64_t delay = 0;
+            if (!parseUnsigned(std::string_view(token).substr(8),
+                               std::numeric_limits<unsigned>::max(), delay))
+                return statusError(StatusCode::ParseError,
+                                   "fuzz case: bad PGU delay in engine "
+                                   "token '" + token + "'");
+            cfg.pgu.delay = static_cast<unsigned>(delay);
         } else {
             return statusError(StatusCode::ParseError,
                                "fuzz case: unknown engine token '" +

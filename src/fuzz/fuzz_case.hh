@@ -63,9 +63,12 @@ std::string formatOracleMask(unsigned mask);
 
 /**
  * Engine-flag spec string: "base" or '+'-joined tokens from
- * {sfpf, pgu, spec, jrs, train, consdef}. "jrs" implies "spec"
- * with the JRS confidence gate. availDelay travels separately
- * (it is numeric, not a flag).
+ * {sfpf, pgu, spec, jrs, train, consdef, pguboth, pgudelay<N>}. "jrs"
+ * implies "spec" with the JRS confidence gate. "pguboth" inserts both
+ * written predicate values (PguValue::BothWrites) instead of the
+ * relation, and "pgudelay<N>" sets the PGU delay to the decimal N
+ * (default 8); each is written only when it differs from the default.
+ * availDelay travels separately (it is numeric, not a flag).
  */
 std::string engineSpecString(const EngineConfig &cfg);
 Expected<EngineConfig> parseEngineSpec(const std::string &spec);

@@ -1,10 +1,18 @@
 #include "isa/program.hh"
 
+#include <atomic>
 #include <sstream>
 
 #include "util/logging.hh"
 
 namespace pabp {
+
+std::uint64_t
+Program::freshGeneration()
+{
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 std::string
 Program::disassembleAll() const

@@ -13,23 +13,67 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "isa/inst.hh"
 
 namespace pabp {
 
-/** A complete executable program. */
+/**
+ * A complete executable program.
+ *
+ * Each Program object carries a generation: a number no other Program
+ * in the process has had, given at construction and again whenever
+ * the object is assigned or moved from. Code that builds a per-program
+ * table keys it by generation(), not by the object's address, which a
+ * new Program can reuse once the old one is gone (LiveWindow,
+ * Pipeline). Editing insts in place keeps the generation: bind tables
+ * only to a program that no longer changes.
+ */
 struct Program
 {
     std::string name;
     std::vector<Inst> insts;
 
+    Program() = default;
+    Program(const Program &other) : name(other.name), insts(other.insts) {}
+    Program(Program &&other) noexcept
+        : name(std::move(other.name)), insts(std::move(other.insts))
+    {
+        other.gen = freshGeneration();
+    }
+    Program &
+    operator=(const Program &other)
+    {
+        name = other.name;
+        insts = other.insts;
+        gen = freshGeneration();
+        return *this;
+    }
+    Program &
+    operator=(Program &&other) noexcept
+    {
+        name = std::move(other.name);
+        insts = std::move(other.insts);
+        gen = freshGeneration();
+        other.gen = freshGeneration();
+        return *this;
+    }
+
     std::size_t size() const { return insts.size(); }
     const Inst &at(std::uint32_t pc) const { return insts.at(pc); }
 
+    /** This object's generation (never 0). */
+    std::uint64_t generation() const { return gen; }
+
     /** Full disassembly listing with PCs. */
     std::string disassembleAll() const;
+
+  private:
+    static std::uint64_t freshGeneration();
+
+    std::uint64_t gen = freshGeneration();
 };
 
 /**

@@ -22,9 +22,9 @@ Pipeline::Pipeline(PredictionEngine &engine_, PipelineConfig config)
 void
 Pipeline::bindProgram(const Program &prog)
 {
-    if (&prog == boundProgram)
+    if (prog.generation() == boundProgram)
         return;
-    boundProgram = &prog;
+    boundProgram = prog.generation();
     operands.resize(prog.size());
     for (std::size_t pc = 0; pc < prog.size(); ++pc) {
         const Inst &inst = prog.insts[pc];

@@ -119,7 +119,8 @@ class Pipeline
      * windows (see the file comment). Returns the accumulated stats
      * (also available via stats()). A Pipeline times one program: its
      * per-pc tables are built on the first run() and rebuilt only when
-     * @p emu runs a different Program object.
+     * @p emu runs a Program of another generation
+     * (Program::generation()).
      */
     const PipelineStats &run(Emulator &emu, std::uint64_t max_insts);
 
@@ -169,7 +170,9 @@ class Pipeline
     };
     /** @name Per-program tables (bindProgram)
      * @{ */
-    const Program *boundProgram = nullptr;
+    /** The Program::generation() operands was built from; 0 =
+     *  none. */
+    std::uint64_t boundProgram = 0;
     std::vector<Operands> operands; ///< by pc
     /** @} */
 

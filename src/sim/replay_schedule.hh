@@ -6,8 +6,9 @@
  * Everything the predicate techniques compute from the define stream
  * is a pure function of (trace events, engine predicate configuration,
  * predicate-component entry state) - none of it reads the base
- * predictor: the SFPF's guard resolution per branch and the PGU's
- * history-bit stream. A sweep replays one decoded trace against MANY
+ * predictor: the SFPF's guard resolution per branch, and the PGU's
+ * history bits with how many of them ripen at each branch. A sweep
+ * replays one decoded trace against MANY
  * predictors, so the fast replay loop factors that work out: every
  * batch with a predicate technique armed replays from a
  * ReplaySchedule and visits branches only (docs/PERF.md).
@@ -17,7 +18,8 @@
  * at that cursor from cold, however the replay is sliced. So the store
  * keeps ONE schedule per configuration, captured once from the cold
  * state over the whole trace, and every engine on that path reads it
- * at its own event, branch and PGU-stream cursors
+ * at its own event, branch and PGU-stream cursors, plus the stream
+ * position its branches' drain counts sum to
  * (PredictionEngine::processBatch). Any other batch - a pipeline
  * window, a batch after loadState(), an engine whose first batch
  * starts past event 0 - captures a private schedule from its own entry
@@ -49,11 +51,44 @@ struct ReplaySchedule
     /** Per conditional branch, in order: bit0 = guard known at fetch,
      *  bit1 = guard value. Empty unless SFPF is armed. */
     std::vector<std::uint8_t> guard;
-    /** The PGU history-bit stream, packed seq << 1 | bit, in define
-     *  order; the replay drains it by PredicateGlobalUpdate::drainTo()'s
-     *  ripeness rule. A private schedule's stream starts with the
-     *  engine's carried queue. Empty unless the PGU is armed. */
+
+    /** @name The PGU history-bit stream (empty unless the PGU is armed)
+     * The bits PredicateGlobalUpdate::observeInto() queues, in define
+     * order, 64 to a word with the first bit of each word in its most
+     * significant position, then one zero word so that a two-word
+     * extract at any stream position stays inside the vector. Where
+     * each bit lands is a count per conditional branch: the bits that
+     * ripen there since the branch before it under drainTo()'s rule, so
+     * branch b drains up to the stream position its counts sum to
+     * through b. A count of pguDrainEscape or more is stored as
+     * pguDrainEscape, with the count itself in pguEscapes. A private
+     * schedule's stream starts with the engine's carried queue.
+     * @{ */
     std::vector<std::uint64_t> pguBits;
+    std::vector<std::uint8_t> pguDrain;
+    struct DrainEscape
+    {
+        std::uint64_t branch; ///< index into pguDrain
+        std::uint64_t count;
+    };
+    /** By ascending branch. */
+    std::vector<DrainEscape> pguEscapes;
+    static constexpr std::uint8_t pguDrainEscape = 255;
+    /** @} */
+
+    /** Bits [@p at, @p at + @p k) of the stream in @p words, for
+     *  1 <= k <= 64, the first in the most significant of the k low
+     *  bits - the order BranchPredictor::injectHistoryBits() takes. */
+    static std::uint64_t
+    pguExtract(const std::uint64_t *words, std::uint64_t at, unsigned k)
+    {
+        const std::uint64_t *w = words + (at >> 6);
+        const unsigned o = at & 63;
+        // (w[1] >> 1) >> (63 - o) is w[1] >> (64 - o), and 0 at o = 0.
+        const std::uint64_t window = (w[0] << o) | ((w[1] >> 1) >> (63 - o));
+        return window >> (64 - k);
+    }
+
     /** Heap bytes the schedule holds, itself included. */
     std::uint64_t
     bytes() const
@@ -61,7 +96,8 @@ struct ReplaySchedule
         auto held = [](const auto &v) {
             return v.capacity() * sizeof(v[0]);
         };
-        return sizeof(*this) + held(guard) + held(pguBits);
+        return sizeof(*this) + held(guard) + held(pguBits) +
+            held(pguDrain) + held(pguEscapes);
     }
 };
 

@@ -98,8 +98,8 @@ TEST(FuzzCorpus, EveryCaseReformatsAsPinned)
         fnv.str(formatCase(c.value()));
         ++cases;
     }
-    EXPECT_EQ(cases, 37u);
-    EXPECT_EQ(fnv.value(), 0x635e6c482cade700ull);
+    EXPECT_EQ(cases, 39u);
+    EXPECT_EQ(fnv.value(), 0xbf9d1b5a7b0077a0ull);
 }
 
 TEST(FuzzCorpus, CoversEveryPredictorKind)
@@ -161,6 +161,27 @@ TEST(FuzzCorpus, CoversEmulatorEdgeCases)
     EXPECT_TRUE(calls) << "no call/return depth case";
     EXPECT_TRUE(deepNest) << "no deep predicate-nesting case";
     EXPECT_TRUE(corruptTrace) << "no trace-corruption case";
+}
+
+TEST(FuzzCorpus, CoversPguRipenessEdges)
+{
+    // The batched replay drains PGU bits by a per-branch count and
+    // re-derives the pending ones at each batch end, so the corpus
+    // holds two-bit defines (BothWrites) at the shortest delay, where
+    // a bit ripens at the next event, and at a delay longer than most
+    // gaps between branches.
+    bool shortDelay = false, longDelay = false;
+    for (const std::string &path : corpusPaths()) {
+        Expected<FuzzCase> parsed = readCaseFile(path);
+        ASSERT_TRUE(parsed.ok()) << path;
+        const EngineConfig &e = parsed.value().engine;
+        if (!e.usePgu || e.pgu.value != PguValue::BothWrites)
+            continue;
+        shortDelay |= e.pgu.delay == 1;
+        longDelay |= e.pgu.delay == 64;
+    }
+    EXPECT_TRUE(shortDelay) << "no two-bit PGU case at delay 1";
+    EXPECT_TRUE(longDelay) << "no two-bit PGU case at delay 64";
 }
 
 TEST(FuzzCorpus, CoversMultiContextInterference)

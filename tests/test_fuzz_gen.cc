@@ -312,6 +312,32 @@ TEST(FuzzCaseFormat, EngineSpecRoundTrips)
     }
 }
 
+TEST(FuzzCaseFormat, EngineSpecCarriesPguValueAndDelay)
+{
+    Expected<EngineConfig> cfg = parseEngineSpec("sfpf+pgu+pguboth+pgudelay64");
+    ASSERT_TRUE(cfg.ok()) << cfg.status().toString();
+    EXPECT_TRUE(cfg.value().useSfpf);
+    EXPECT_TRUE(cfg.value().usePgu);
+    EXPECT_EQ(cfg.value().pgu.value, PguValue::BothWrites);
+    EXPECT_EQ(cfg.value().pgu.delay, 64u);
+    EXPECT_EQ(engineSpecString(cfg.value()), "sfpf+pgu+pguboth+pgudelay64");
+    for (const char *spec : {"pgu+pgudelay1", "pgu+pgudelay0", "pgu+pguboth",
+                             "pgu+pgudelay4294967295"}) {
+        Expected<EngineConfig> c = parseEngineSpec(spec);
+        ASSERT_TRUE(c.ok()) << spec;
+        EXPECT_EQ(engineSpecString(c.value()), spec);
+    }
+    // The default delay and value write no token.
+    EXPECT_EQ(engineSpecString(parseEngineSpec("pgu+pgudelay8").value()),
+              "pgu");
+    for (const char *bad : {"pgu+pgudelay", "pgu+pgudelay-1", "pgu+pgudelay1x",
+                            "pgu+pgudelay4294967296", "pgu+pgudelay +1"}) {
+        EXPECT_EQ(parseEngineSpec(bad).status().code(),
+                  StatusCode::ParseError)
+            << bad;
+    }
+}
+
 TEST(FuzzCaseFormat, OracleMaskFormatting)
 {
     EXPECT_EQ(formatOracleMask(allOracles), "all");

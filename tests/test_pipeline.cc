@@ -259,6 +259,84 @@ TEST(Pipeline, WindowsEndingOnATakenBranchMatchReference)
     }
 }
 
+TEST(Pipeline, TablesFollowTheProgramNotItsAddress)
+{
+    // A LiveWindow and a Pipeline keep per-program tables (the
+    // window's event classes and define rows, the pipeline's operands)
+    // and rebuild them only for a program of another generation. Two
+    // programs assigned in turn to one Program object share its
+    // address, yet each must get its own tables: a LiveWindow reused
+    // this way replays the second program as a fresh one does, and a
+    // reused Pipeline ends where one given the two programs in two
+    // objects does. The first program is the larger, so a stale table
+    // is never indexed past its end.
+    TimedProgram first = timedProgram("interp");
+    TimedProgram second = timedProgram("fsm");
+    if (first.prog.size() < second.prog.size())
+        std::swap(first, second);
+    ASSERT_NE(first.prog.size(), second.prog.size());
+    EngineConfig ecfg;
+    ecfg.useSfpf = true;
+    ecfg.usePgu = true;
+    ecfg.modelTargets = true;
+    constexpr std::uint64_t n = 10000;
+
+    TimedProgram slot = first;
+    const Program *const address = &slot.prog;
+    LiveWindow reused;
+    {
+        TimedRun run(slot, ecfg, PipelineConfig{});
+        ASSERT_EQ(reused.run(run.emu, run.engine, n), n);
+    }
+    slot.prog = second.prog;
+    slot.init = second.init;
+    ASSERT_EQ(&slot.prog, address);
+    TimedRun again(slot, ecfg, PipelineConfig{});
+    ASSERT_EQ(reused.run(again.emu, again.engine, n), n);
+    TimedRun fresh(second, ecfg, PipelineConfig{});
+    LiveWindow freshWindow;
+    ASSERT_EQ(freshWindow.run(fresh.emu, fresh.engine, n), n);
+    EXPECT_EQ(again.engine.stats(), fresh.engine.stats());
+    EXPECT_EQ(again.engine.branchProfile(), fresh.engine.branchProfile());
+    EXPECT_EQ(again.engine.pguBitsInserted(), fresh.engine.pguBitsInserted());
+    EXPECT_TRUE(again.emu.state().sameArchOutcome(fresh.emu.state()));
+
+    // One Pipeline times both programs through one engine, which
+    // then runs the second from sequence 0 again: no technique is
+    // armed, so nothing it carries is keyed by sequence number.
+    slot.prog = first.prog;
+    slot.init = first.init;
+    EngineConfig base;
+    base.modelTargets = true;
+    PredictorPtr pred = makePredictor("gshare", 12);
+    PredictionEngine engine(*pred, base);
+    Pipeline pipe(engine, PipelineConfig{});
+    PredictorPtr otherPred = makePredictor("gshare", 12);
+    PredictionEngine otherEngine(*otherPred, base);
+    Pipeline other(otherEngine, PipelineConfig{});
+    {
+        Emulator emu(slot.prog);
+        slot.init(emu.state());
+        pipe.run(emu, n);
+        Emulator otherEmu(first.prog);
+        first.init(otherEmu.state());
+        other.run(otherEmu, n);
+    }
+    slot.prog = second.prog;
+    slot.init = second.init;
+    ASSERT_EQ(&slot.prog, address);
+    Emulator emu(slot.prog);
+    slot.init(emu.state());
+    pipe.run(emu, n);
+    Emulator otherEmu(second.prog);
+    second.init(otherEmu.state());
+    other.run(otherEmu, n);
+    EXPECT_TRUE(pipe.stats() == other.stats());
+    EXPECT_EQ(pipe.stats().cycles, other.stats().cycles);
+    EXPECT_EQ(engine.stats(), otherEngine.stats());
+    EXPECT_EQ(engine.branchProfile(), otherEngine.branchProfile());
+}
+
 TEST(Pipeline, WindowedRunMatchesReference)
 {
     // run() (record, decide, time per window) against runReference()

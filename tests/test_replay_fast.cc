@@ -1123,13 +1123,141 @@ TEST(FastReplayEquivalence, DrainOfMoreThan64BitsMatchesReference)
     }
 }
 
+TEST(FastReplayEquivalence, DrainOfMoreThan255BitsUsesTheEscape)
+{
+    // 300 defines between two back edges: each back edge drains 301
+    // (Rel) or 602 (BothWrites) bits, past the 254 a drain-count byte
+    // holds, so every count goes through the schedule's side table.
+    // Splits inside the gap leave part of an escaped count to a batch
+    // end and the rest to the next branch.
+    constexpr unsigned cmps = 300;
+    constexpr std::uint64_t period = cmps + 3;
+    const Program prog = defineDenseLoop(cmps, 40);
+    Emulator emu(prog);
+    DecodedTrace trace = recordTrace(emu, 1000000);
+    ASSERT_TRUE(emu.halted());
+    Emulator again(prog);
+    DecodedTrace uncached = recordTrace(again, 1000000);
+    uncached.schedCache.reset();
+    const std::uint64_t head = 1 + 10 * period;
+    ASSERT_EQ(trace.inst(head + period - 1).op, Opcode::Br);
+
+    for (const PguValue value : {PguValue::Rel, PguValue::BothWrites}) {
+        for (const unsigned delay : {1u, 64u}) {
+            EngineConfig ecfg;
+            ecfg.useSfpf = true;
+            ecfg.usePgu = true;
+            ecfg.pgu.value = value;
+            ecfg.pgu.delay = delay;
+            SCOPED_TRACE(std::string(value == PguValue::Rel ? "rel"
+                                                            : "both-writes") +
+                         "/delay " + std::to_string(delay));
+            const ReplayOutcome ref = runReference(trace, "gshare", ecfg);
+
+            // Not vacuous: the reference inserts more than 255 bits
+            // between the two back edges.
+            PredictorPtr stepPred = makePredictor("gshare", 12);
+            PredictionEngine step(*stepPred, ecfg);
+            replayTraceFrom(trace, step, 0, head);
+            const std::uint64_t before = step.pguBitsInserted();
+            replayTraceFrom(trace, step, head, period);
+            EXPECT_GT(step.pguBitsInserted() - before, 255u);
+
+            for (const DecodedTrace *t : {&trace, &uncached}) {
+                SCOPED_TRACE(t == &trace ? "shared" : "private");
+                expectEquivalent(ref, runFast(*t, "gshare", ecfg));
+                for (const std::uint64_t split :
+                     {head + 1 + cmps / 2, head + period - 1 - delay,
+                      head + period - 1}) {
+                    SCOPED_TRACE(testing::Message() << "split " << split);
+                    PredictorPtr pred = makePredictor("gshare", 12);
+                    PredictionEngine engine(*pred, ecfg);
+                    std::uint64_t cursor = engine.processBatch(*t, 0, split);
+                    cursor =
+                        engine.processBatch(*t, cursor, t->size() - cursor);
+                    expectEquivalent(ref, outcomeOf(engine, cursor));
+                }
+            }
+        }
+    }
+}
+
+TEST(FastReplayEquivalence, SharedBatchEndsNearABranchMatchReference)
+{
+    // A batch end drains what is ripe at its last event, which may be
+    // part of the next branch's drain count; the next batch drains the
+    // rest. On the shared schedule, end a batch at every event within
+    // delay of each of a few branches: the engine state at the end
+    // must be the reference's at that cursor, and the batch after it
+    // must reach the reference's final state.
+    DecodedTrace trace = recordWorkload("interp", 6000);
+    std::vector<std::uint64_t> branches;
+    for (std::uint64_t i = 0; i < trace.size(); ++i)
+        if (trace.cls[i] ==
+            static_cast<std::uint8_t>(DecodedTrace::Class::CondBranch))
+            branches.push_back(i);
+    ASSERT_GT(branches.size(), 100u);
+    const std::uint64_t picks[] = {branches[3], branches[branches.size() / 2],
+                                   branches[branches.size() * 3 / 4]};
+    ASSERT_LT(picks[2] + 64 + 1, trace.size());
+
+    for (const PguValue value : {PguValue::Rel, PguValue::BothWrites}) {
+        for (const unsigned delay : {1u, 8u, 64u}) {
+            EngineConfig ecfg;
+            ecfg.useSfpf = true;
+            ecfg.usePgu = true;
+            ecfg.pgu.value = value;
+            ecfg.pgu.delay = delay;
+            SCOPED_TRACE(std::string(value == PguValue::Rel ? "rel"
+                                                            : "both-writes") +
+                         "/delay " + std::to_string(delay));
+            const ReplayOutcome whole = runReference(trace, "gshare", ecfg);
+            PredictorPtr refPred = makePredictor("gshare", 12);
+            PredictionEngine ref(*refPred, ecfg);
+            std::uint64_t refAt = 0;
+            for (const std::uint64_t branch : picks) {
+                // Batch ends (one past the last event) from delay
+                // before the branch to delay after it.
+                const std::uint64_t lo = branch > delay ? branch - delay : 1;
+                for (std::uint64_t split = lo; split <= branch + delay + 1;
+                     ++split) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "branch " << branch << ", split "
+                                 << split);
+                    ASSERT_GE(split, refAt);
+                    refAt = replayTraceFrom(trace, ref, refAt, split - refAt);
+                    PredictorPtr pred = makePredictor("gshare", 12);
+                    PredictionEngine engine(*pred, ecfg);
+                    std::uint64_t cursor = engine.processBatch(trace, 0, split);
+                    ASSERT_EQ(cursor, split);
+                    if (engine.pguBitsInserted() != ref.pguBitsInserted() ||
+                        stateBytes(engine) != stateBytes(ref)) {
+                        ADD_FAILURE() << "state differs at the batch end";
+                        return;
+                    }
+                    cursor = engine.processBatch(trace, cursor,
+                                                 trace.size() - cursor);
+                    const ReplayOutcome got = outcomeOf(engine, cursor);
+                    if (got.pguBits != whole.pguBits ||
+                        got.state != whole.state ||
+                        !(got.stats == whole.stats)) {
+                        ADD_FAILURE() << "state differs at the trace end";
+                        return;
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(FastReplayEquivalence, ScheduleHoldsGuardsAndBitStreamOnly)
 {
     // A cold engine replaying a trace whole publishes one schedule: a
-    // guard byte per conditional branch under the SFPF and one packed
-    // word per PGU stream entry - every bit the trace's defines
-    // produce, inserted or still pending at the end. A per-branch word
-    // beside them breaks the bound.
+    // guard byte per conditional branch under the SFPF, a drain-count
+    // byte per conditional branch, and the PGU stream one bit per bit
+    // - every bit the trace's defines produce, inserted or still
+    // pending at the end - plus its padding word. A per-branch word or
+    // a per-bit byte beside them breaks the bound.
     for (const char *wl : {"interp", "filter"}) {
         DecodedTrace trace = recordWorkload(wl, 40000);
         for (const bool sfpf : {true, false}) {
@@ -1148,11 +1276,33 @@ TEST(FastReplayEquivalence, ScheduleHoldsGuardsAndBitStreamOnly)
                                 [&](const auto &) { ++entries; });
             EXPECT_GT(fast.pguBits, 0u);
             EXPECT_GE(entries, fast.pguBits);
+            const std::uint64_t branches = fast.stats.all.branches;
             const std::uint64_t bound = sizeof(ReplaySchedule) +
-                (sfpf ? fast.stats.all.branches : 0) + 8 * entries;
+                (sfpf ? branches : 0) + branches + 8 * (entries / 64 + 2);
             EXPECT_LE(trace.schedCache->bytes() - before, bound);
         }
     }
+}
+
+TEST(FastReplayEquivalence, PackedStreamIsAQuarterOfEightByteEntries)
+{
+    // A 1.5M-event suite trace's +both schedule against the layout it
+    // replaced: a guard byte per branch and eight bytes per history
+    // bit. interp queues the fewest bits per branch of the suite, so
+    // its ratio is the suite's smallest (5.4; fsm's is 13.2).
+    DecodedTrace trace = recordWorkload("interp", 1500000);
+    EngineConfig ecfg;
+    ecfg.useSfpf = true;
+    ecfg.usePgu = true;
+    const ReplayOutcome fast = runFast(trace, "gshare", ecfg);
+    PredictorPtr pred = makePredictor("gshare", 12);
+    const PredicateGlobalUpdate pgu(*pred, ecfg.pgu);
+    std::uint64_t entries = 0;
+    for (std::uint64_t i = 0; i < trace.size(); ++i)
+        pgu.observeInto(trace.materialise(i), [&](const auto &) { ++entries; });
+    const std::uint64_t eightByteLayout = sizeof(ReplaySchedule) +
+        fast.stats.all.branches + 8 * entries;
+    EXPECT_LE(4 * trace.schedCache->bytes(), eightByteLayout);
 }
 
 // ---------------------------------------------------------------------
@@ -1586,6 +1736,48 @@ TEST(OutcomeLane, OffsetWindowsMatchOneWholeTraceBatch)
 TEST(OutcomeLane, TinyOffsetWindowsMatchOneWholeTraceBatch)
 {
     expectWindowsMatchWholeTrace(recordWorkload("interp", 12000), {1, 7});
+}
+
+TEST(FastReplayEquivalence, LiveWindowPguMatchesRunTraceAtEveryDelay)
+{
+    // A LiveWindow batch captures a private schedule whose stream
+    // starts with the carried queue. At delay 64 a define's bits stay
+    // pending across a window boundary; at delay 1 they ripen at the
+    // next event. Budgets of 4095 and 12289 end mid-window.
+    Workload wl = makeWorkload("interp", 42);
+    const Program prog = compileWorkload(wl, CompileOptions{}).prog;
+    for (const PguValue value : {PguValue::Rel, PguValue::BothWrites}) {
+        for (const bool sfpf : {false, true}) {
+            for (const unsigned delay : {1u, 8u, 64u}) {
+                for (const std::uint64_t n : {4095u, 12289u}) {
+                    EngineConfig ecfg;
+                    ecfg.useSfpf = sfpf;
+                    ecfg.usePgu = true;
+                    ecfg.pgu.value = value;
+                    ecfg.pgu.delay = delay;
+                    SCOPED_TRACE(testing::Message()
+                                 << (sfpf ? "+both" : "+pgu")
+                                 << (value == PguValue::Rel ? "/rel"
+                                                            : "/both-writes")
+                                 << "/delay " << delay << "/n " << n);
+                    PredictorPtr refPred = makePredictor("gshare", 12);
+                    PredictionEngine ref(*refPred, ecfg);
+                    Emulator refEmu(prog);
+                    wl.init(refEmu.state());
+                    ASSERT_EQ(runTrace(refEmu, ref, n), n);
+
+                    PredictorPtr pred = makePredictor("gshare", 12);
+                    PredictionEngine engine(*pred, ecfg);
+                    Emulator emu(prog);
+                    wl.init(emu.state());
+                    LiveWindow live;
+                    ASSERT_EQ(live.run(emu, engine, n), n);
+                    EXPECT_GT(engine.pguBitsInserted(), 0u);
+                    expectEquivalent(outcomeOf(ref, n), outcomeOf(engine, n));
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
