@@ -287,7 +287,7 @@ resumeFallsBackToFresh(const Status &status)
 }
 
 /** Wall-clock deadline for one cell attempt (RunSpec::watchdogMillis).
- *  Unarmed (0), it never expires and the cell loops run unsliced. */
+ *  Unarmed (0), it never expires and the cell loop runs unsliced. */
 struct CellDeadline
 {
     explicit CellDeadline(std::uint32_t millis)
@@ -319,13 +319,15 @@ deadlineStatus(const RunSpec &spec)
                       " ms watchdog deadline");
 }
 
-/** The consumer of a single-context cell: advance(n) runs up to n more
- *  instructions and returns how many ran. Fewer than n means the
- *  stream ended: the workload halted or the trace ran out. */
+/** The consumer of a cell: advance(n) runs up to n more instructions
+ *  (events, across all contexts of a multi-context cell) and returns
+ *  how many ran. Fewer than n means the stream ended: the workload
+ *  halted or the trace ran out, in every context. */
 using CellAdvance = std::function<std::uint64_t(std::uint64_t n)>;
 
 /**
- * The one loop every single-context cell runs. Each slice is the
+ * The one loop every cell runs, over @p budget instructions
+ * (RunSpec::maxInsts per context). Each slice is the
  * smallest of the remaining budget, the distance to the next
  * checkpoint (when @p save is set) and the heartbeat (when the
  * watchdog is armed); an unarmed, uncheckpointed cell therefore
@@ -335,14 +337,15 @@ using CellAdvance = std::function<std::uint64_t(std::uint64_t n)>;
  * instructions and once more where the cell ends.
  */
 Status
-runCellLoop(const RunSpec &spec, const CellAdvance &advance,
-            std::uint64_t &done, const std::function<Status()> &save)
+runCellLoop(const RunSpec &spec, std::uint64_t budget,
+            const CellAdvance &advance, std::uint64_t &done,
+            const std::function<Status()> &save)
 {
     const CellDeadline deadline(spec.watchdogMillis);
     const std::uint64_t every = save ? spec.checkpointEvery : 0;
     std::uint64_t sinceSave = 0;
-    while (done < spec.maxInsts) {
-        std::uint64_t slice = spec.maxInsts - done;
+    while (done < budget) {
+        std::uint64_t slice = budget - done;
         if (deadline.armed)
             slice = std::min(slice, heartbeatInsts);
         if (every)
@@ -352,7 +355,7 @@ runCellLoop(const RunSpec &spec, const CellAdvance &advance,
         sinceSave += ran;
         const bool ended = ran < slice;
         if (every &&
-            (ended || sinceSave == every || done == spec.maxInsts)) {
+            (ended || sinceSave == every || done == budget)) {
             Status saved = save();
             if (!saved.ok())
                 return saved;
@@ -581,25 +584,17 @@ writeCellOutputs(const RunSpec &spec, RunResult &result,
     return Status();
 }
 
-/** The single-engine cell's observational outputs. */
+/** The cell's observational outputs; @p engine is null for a
+ *  multi-context cell. */
 Status
 finishCellOutputs(const RunSpec &spec, RunResult &result,
-                  PredictionEngine &engine)
+                  PredictionEngine *engine)
 {
     if (spec.metricsDir.empty() && !spec.captureMetrics)
         return Status();
     return writeCellOutputs(spec, result,
-                            buildCellMetrics(spec, result, engine));
-}
-
-/** The multi-context cell's observational outputs. */
-Status
-finishMultiCtxOutputs(const RunSpec &spec, RunResult &result)
-{
-    if (spec.metricsDir.empty() && !spec.captureMetrics)
-        return Status();
-    return writeCellOutputs(spec, result,
-                            buildMultiCtxMetrics(spec, result));
+                            engine ? buildCellMetrics(spec, result, *engine)
+                                   : buildMultiCtxMetrics(spec, result));
 }
 
 /** The trace of a trace memo entry, or null while it is still
@@ -880,6 +875,23 @@ RunResult
 SweepRunner::executeSpec(const RunSpec &spec)
 {
     RunResult result;
+    const unsigned contexts = std::max(1u, spec.context.contexts);
+
+    // Only a single-context Trace cell has a checkpoint format (the
+    // pipeline and the interleaved emulator/engine set have none).
+    if (spec.checkpointEvery || !spec.resumePath.empty()) {
+        if (spec.mode == RunMode::Timed || contexts > 1) {
+            result.status = Status(
+                StatusCode::InvalidArgument,
+                "only single-context Trace cells checkpoint or resume");
+            return result;
+        }
+    }
+    if (contexts > 1 && spec.mode == RunMode::Timed) {
+        result.status = Status(StatusCode::InvalidArgument,
+                               "multi-context cells are Trace-mode only");
+        return result;
+    }
 
     Expected<ProgramHandle> program = compiledFor(spec);
     if (!program.ok()) {
@@ -894,7 +906,7 @@ SweepRunner::executeSpec(const RunSpec &spec)
     // shared decoded trace, so fast-replay, reference and Timed cells
     // of the same (workload, seed, budget) all report the same bytes.
     if (spec.characterize) {
-        if (spec.context.contexts > 1) {
+        if (contexts > 1) {
             result.status = Status(
                 StatusCode::InvalidArgument,
                 "characterize requires a single-context Trace or "
@@ -916,25 +928,38 @@ SweepRunner::executeSpec(const RunSpec &spec)
     }
     CellPredictor pred = std::move(made.value());
 
-    if (spec.context.contexts > 1) {
-        // Multi-context cells interleave N independent instruction
-        // streams through the ONE predictor built above; they are
-        // replay-only and cannot serialise mid-run (the interleaved
-        // emulator/engine set has no checkpoint format).
-        if (spec.mode != RunMode::Timed && spec.checkpointEvery == 0 &&
-            spec.resumePath.empty())
-            return executeMultiCtx(spec, cp, *pred.owned,
-                                   pred.gshare, std::move(result));
-        result.status = Status(
-            StatusCode::InvalidArgument,
-            spec.mode == RunMode::Timed
-                ? "multi-context cells are Trace-mode only"
-                : "multi-context cells cannot checkpoint or resume");
-        return result;
+    // Each context's stream: the shared decoded trace a fast-replay
+    // cell reads, or the cell's own emulator. Context c records and
+    // runs with its own measurement seed (== compile seed unless a
+    // cross-input spec says otherwise), so the decoded lanes stay
+    // shareable across cells the usual way.
+    std::vector<TraceHandle> traces;
+    std::vector<std::unique_ptr<Emulator>> emus;
+    for (unsigned c = 0; c < contexts; ++c) {
+        if (replaysDecodedTrace(spec)) {
+            Expected<TraceHandle> decoded =
+                decodedFor(spec, cp, contextSeed(spec, c));
+            if (!decoded.ok()) {
+                result.status = decoded.status();
+                return result;
+            }
+            traces.push_back(decoded.value());
+        } else {
+            Expected<std::unique_ptr<Emulator>> started =
+                startEmulator(spec, cp, contextSeed(spec, c));
+            if (!started.ok()) {
+                result.status = started.status();
+                return result;
+            }
+            emus.push_back(std::move(started.value()));
+        }
     }
 
     // Build the cell's consumer, then run it through the one cell
-    // loop. Four consumers, each exactly resumable:
+    // loop. Five consumers, each exactly resumable:
+    //  - multi-context: the MultiContextReplayer interleaving the
+    //    contexts through the ONE predictor built above, over their
+    //    decoded traces or, without fast replay, their emulators;
     //  - Timed: the pipeline over the cell's own emulator;
     //  - fast replay (docs/PERF.md): the batched engine loop over the
     //    shared pre-decoded trace, bit-identical to the reference
@@ -947,28 +972,44 @@ SweepRunner::executeSpec(const RunSpec &spec)
     //    boundary, so each save lands exactly at `done`, with the
     //    bytes the reference cell writes there;
     //  - reference (fastReplay off): runTrace over the cell's own
-    //    emulator, the oracle of the other three.
-    TraceHandle trace;
-    std::unique_ptr<Emulator> emu;
+    //    emulator, the oracle of the three single-context ones above.
+    std::optional<MultiContextReplayer> multi;
     std::optional<PredictionEngine> engine;
     std::optional<Pipeline> pipe;
     std::optional<LiveWindow> live;
+    std::uint64_t budget = spec.maxInsts;
     std::uint64_t done = 0;
     CellAdvance advance;
     std::function<Status()> save;
-    if (!replaysDecodedTrace(spec)) {
-        // The measured run's memory image comes from the measurement
-        // seed (== compile seed unless a cross-input spec says
-        // otherwise).
-        Expected<std::unique_ptr<Emulator>> started =
-            startEmulator(spec, cp, spec.seed);
-        if (!started.ok()) {
-            result.status = started.status();
-            return result;
+    if (contexts > 1) {
+        MultiCtxConfig mcfg;
+        mcfg.schedule.contexts = contexts;
+        mcfg.schedule.kind = spec.context.schedule;
+        mcfg.schedule.quantum = spec.context.quantum;
+        mcfg.schedule.seed = spec.context.scheduleSeed;
+        mcfg.sharedHistory = spec.context.shared;
+        mcfg.tagBits = spec.context.tagBits;
+        mcfg.engine = spec.engine;
+        if (!traces.empty()) {
+            std::vector<const DecodedTrace *> lanes;
+            for (const TraceHandle &trace : traces)
+                lanes.push_back(trace.get());
+            multi.emplace(*pred.owned, mcfg, std::move(lanes),
+                          spec.maxInsts);
+        } else {
+            std::vector<Emulator *> live_emus;
+            for (const std::unique_ptr<Emulator> &emu : emus)
+                live_emus.push_back(emu.get());
+            multi.emplace(*pred.owned, mcfg, std::move(live_emus),
+                          spec.maxInsts);
         }
-        emu = std::move(started.value());
-    }
-    if (spec.mode == RunMode::Timed) {
+        // The budget is per context; the cell loop counts events
+        // across all of them.
+        budget = spec.maxInsts > UINT64_MAX / contexts
+            ? UINT64_MAX
+            : spec.maxInsts * contexts;
+        advance = [&](std::uint64_t n) { return multi->advance(n); };
+    } else if (spec.mode == RunMode::Timed) {
         // The pipeline charges target penalties from the engine's
         // BTB/RAS outcomes, so every Timed cell arms target
         // modelling. Armed on a local copy AFTER fingerprinting:
@@ -979,19 +1020,12 @@ SweepRunner::executeSpec(const RunSpec &spec)
         pipe.emplace(*engine, spec.pipeline);
         advance = [&](std::uint64_t n) {
             const std::uint64_t before = pipe->stats().insts;
-            return pipe->run(*emu, n).insts - before;
+            return pipe->run(*emus[0], n).insts - before;
         };
-    } else if (replaysDecodedTrace(spec)) {
-        Expected<TraceHandle> decoded =
-            decodedFor(spec, cp, contextSeed(spec, 0));
-        if (!decoded.ok()) {
-            result.status = decoded.status();
-            return result;
-        }
-        trace = decoded.value();
+    } else if (!traces.empty()) {
         engine.emplace(*pred.owned, spec.engine);
         advance = [&](std::uint64_t n) {
-            return engine->processBatch(*trace, done, n) - done;
+            return engine->processBatch(*traces[0], done, n) - done;
         };
     } else {
         const std::uint64_t fp = specFingerprint(spec);
@@ -999,7 +1033,7 @@ SweepRunner::executeSpec(const RunSpec &spec)
         if (!spec.resumePath.empty()) {
             const std::string file =
                 derivedCheckpointPath(spec.resumePath, fp);
-            CheckpointRefs refs{emu.get(), &*engine, &done};
+            CheckpointRefs refs{emus[0].get(), &*engine, &done};
             Status status = loadCheckpoint(file, refs);
             result.resumed = status.ok();
             if (!status.ok() && !resumeFallsBackToFresh(status)) {
@@ -1014,7 +1048,8 @@ SweepRunner::executeSpec(const RunSpec &spec)
                 noteResumeFallback(spec, file, status);
                 engine.reset();
                 pred = std::move(makeCellPredictor(spec).value());
-                emu = std::move(startEmulator(spec, cp, spec.seed).value());
+                emus[0] = std::move(
+                    startEmulator(spec, cp, spec.seed).value());
                 engine.emplace(*pred.owned, spec.engine);
                 done = 0;
             }
@@ -1022,119 +1057,52 @@ SweepRunner::executeSpec(const RunSpec &spec)
         if (spec.fastReplay) {
             live.emplace();
             advance = [&](std::uint64_t n) {
-                return live->run(*emu, *engine, n);
+                return live->run(*emus[0], *engine, n);
             };
         } else {
             advance = [&](std::uint64_t n) {
-                return runTrace(*emu, *engine, n);
+                return runTrace(*emus[0], *engine, n);
             };
         }
         if (spec.checkpointEvery) {
             save = [&, file = derivedCheckpointPath(spec.checkpointPath,
                                                     fp)] {
-                CheckpointRefs refs{emu.get(), &*engine, &done};
+                CheckpointRefs refs{emus[0].get(), &*engine, &done};
                 return saveCheckpoint(file, refs);
             };
         }
     }
 
-    Status ran = runCellLoop(spec, advance, done, save);
+    Status ran = runCellLoop(spec, budget, advance, done, save);
     if (!ran.ok()) {
         result.status = std::move(ran);
         return result;
     }
-    if (pipe)
-        result.pipe = pipe->stats();
-    result.engine = engine->stats();
-    result.pguBits = engine->pguBitsInserted();
-    result.profile = engine->branchProfile();
+    if (multi) {
+        result.contexts.resize(contexts);
+        for (unsigned c = 0; c < contexts; ++c) {
+            ContextCellResult &ctx = result.contexts[c];
+            ctx.engine = multi->engine(c).stats();
+            ctx.profile = multi->engine(c).branchProfile();
+            ctx.pguBits = multi->engine(c).pguBitsInserted();
+            accumulateEngineStats(result.engine, ctx.engine);
+            result.pguBits += ctx.pguBits;
+        }
+    } else {
+        if (pipe)
+            result.pipe = pipe->stats();
+        result.engine = engine->stats();
+        result.pguBits = engine->pguBitsInserted();
+        result.profile = engine->branchProfile();
+    }
     if (pred.gshare) {
+        // A multi-context cell's shared predictor counts lookups from
+        // every context - cross-context aliasing IS the experiment.
         result.lookups = pred.gshare->lookupCount();
         result.conflicts = pred.gshare->conflictCount();
     }
-    result.status = finishCellOutputs(spec, result, *engine);
-    return result;
-}
-
-RunResult
-SweepRunner::executeMultiCtx(const RunSpec &spec,
-                             const CompiledProgram &program,
-                             BranchPredictor &pred,
-                             GSharePredictor *gshare, RunResult result)
-{
-    const unsigned n = spec.context.contexts;
-    MultiCtxConfig mcfg;
-    mcfg.schedule.contexts = n;
-    mcfg.schedule.kind = spec.context.schedule;
-    mcfg.schedule.quantum = spec.context.quantum;
-    mcfg.schedule.seed = spec.context.scheduleSeed;
-    mcfg.sharedHistory = spec.context.shared;
-    mcfg.tagBits = spec.context.tagBits;
-    mcfg.engine = spec.engine;
-    MultiContextReplayer replayer(pred, mcfg);
-
-    // The watchdog stops the replay between schedule slices; unarmed,
-    // the replayer is handed no stop predicate at all.
-    const CellDeadline deadline(spec.watchdogMillis);
-    bool overran = false;
-    std::function<bool()> stop;
-    if (deadline.armed)
-        stop = [&] { return overran = deadline.expired(); };
-
-    if (replaysDecodedTrace(spec)) {
-        // Context c records with its own measurement seed, so the
-        // decoded lanes stay shareable across cells the usual way.
-        std::vector<TraceHandle> handles;
-        std::vector<const DecodedTrace *> traces;
-        handles.reserve(n);
-        traces.reserve(n);
-        for (unsigned c = 0; c < n; ++c) {
-            Expected<TraceHandle> decoded =
-                decodedFor(spec, program, contextSeed(spec, c));
-            if (!decoded.ok()) {
-                result.status = decoded.status();
-                return result;
-            }
-            handles.push_back(decoded.value());
-            traces.push_back(handles.back().get());
-        }
-        replayer.replayDecoded(traces, spec.maxInsts, stop);
-    } else {
-        std::vector<std::unique_ptr<Emulator>> owned_emus;
-        std::vector<Emulator *> emus;
-        for (unsigned c = 0; c < n; ++c) {
-            Expected<std::unique_ptr<Emulator>> emu =
-                startEmulator(spec, program, contextSeed(spec, c));
-            if (!emu.ok()) {
-                result.status = emu.status();
-                return result;
-            }
-            emus.push_back(emu.value().get());
-            owned_emus.push_back(std::move(emu.value()));
-        }
-        replayer.replayEmulated(emus, spec.maxInsts, stop);
-    }
-    if (overran) {
-        result.status = deadlineStatus(spec);
-        return result;
-    }
-
-    result.contexts.resize(n);
-    for (unsigned c = 0; c < n; ++c) {
-        ContextCellResult &ctx = result.contexts[c];
-        ctx.engine = replayer.engine(c).stats();
-        ctx.profile = replayer.engine(c).branchProfile();
-        ctx.pguBits = replayer.engine(c).pguBitsInserted();
-        accumulateEngineStats(result.engine, ctx.engine);
-        result.pguBits += ctx.pguBits;
-    }
-    if (gshare) {
-        // The shared predictor's conflict profile counts lookups from
-        // every context - cross-context aliasing IS the experiment.
-        result.lookups = gshare->lookupCount();
-        result.conflicts = gshare->conflictCount();
-    }
-    result.status = finishMultiCtxOutputs(spec, result);
+    result.status = finishCellOutputs(spec, result,
+                                      engine ? &*engine : nullptr);
     return result;
 }
 

@@ -59,10 +59,6 @@
 #include "util/status.hh"
 #include "workloads/workload.hh"
 
-namespace pabp {
-class GSharePredictor;
-} // namespace pabp
-
 namespace pabp::bench {
 
 /** Builds a Workload from an input seed (memory image + profile). */
@@ -267,13 +263,14 @@ struct RunSpec
     /**
      * Per-attempt wall-clock watchdog, milliseconds; 0 = off. Armed,
      * every cell advances in slices of at most @ref heartbeatInsts
-     * instructions and checks the deadline between slices (a
-     * multi-context cell checks between schedule slices), so a cell
-     * stuck in a pathological configuration (a workload that never
-     * halts under an enormous budget) is reaped with
+     * instructions (events across all contexts of a multi-context
+     * cell) and checks the deadline between slices, so a cell stuck
+     * in a pathological configuration (a workload that never halts
+     * under an enormous budget) is reaped with
      * StatusCode::DeadlineExceeded instead of stalling its worker
      * forever. Slicing is unobservable in the results: the engine,
-     * reference and pipeline loops are exactly resumable. One stage
+     * reference and pipeline loops and the multi-context replayer are
+     * exactly resumable. One stage
      * is outside the deadline: recording the shared trace a
      * fast-replay cell consumes runs to the instruction budget in
      * one go.
@@ -519,15 +516,6 @@ class SweepRunner
      *  trace every replaying cell of that key consumes. */
     Expected<ReportHandle> characterizedFor(const RunSpec &spec,
                                             const CompiledProgram &program);
-    /** Multi-context execution (RunSpec::context.contexts > 1):
-     *  builds the per-context traces or emulators, drives the
-     *  MultiContextReplayer, and fills the per-context and aggregate
-     *  results. @p result arrives with the compile counters set. */
-    RunResult executeMultiCtx(const RunSpec &spec,
-                              const CompiledProgram &program,
-                              BranchPredictor &pred,
-                              GSharePredictor *gshare,
-                              RunResult result);
 
     unsigned jobs;
     std::size_t queueCapacity;

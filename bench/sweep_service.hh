@@ -87,7 +87,13 @@ struct ServiceConfig
     /** Cells handed to the runner per batch (0 = 4x runner jobs).
      *  Smaller batches commit sooner; the bytes are identical, and a
      *  trace shared across batches is still recorded once (the shard
-     *  holds one SweepRunner::TraceDemand over every pending cell). */
+     *  holds one SweepRunner::TraceDemand over every pending cell).
+     *  The barrier at each batch end idles workers, but it also
+     *  bounds the traces that record-ahead keeps live: one run() over
+     *  every pending cell was measured faster on the cold-campaign
+     *  benchmark but 32% higher in peak RSS (docs/PARALLEL.md, "Trace
+     *  lifetime"). A live-trace bound in the dispatch order would let
+     *  the service drop its batches and keep that throughput. */
     std::size_t batchCells = 0;
 };
 

@@ -8,7 +8,7 @@ namespace pabp {
 
 MultiContextReplayer::MultiContextReplayer(BranchPredictor &pred_,
                                            const MultiCtxConfig &config)
-    : cfg(config), pred(pred_)
+    : cfg(config), pred(pred_), sched(cfg.schedule)
 {
     const unsigned n = cfg.schedule.contexts;
     pabp_assert(n >= 1);
@@ -36,6 +36,31 @@ MultiContextReplayer::MultiContextReplayer(BranchPredictor &pred_,
     }
 }
 
+MultiContextReplayer::MultiContextReplayer(
+    BranchPredictor &pred_, const MultiCtxConfig &config,
+    std::vector<const DecodedTrace *> traces_,
+    std::uint64_t max_insts_per_context)
+    : MultiContextReplayer(pred_, config)
+{
+    pabp_assert(traces_.size() == engines.size());
+    traces = std::move(traces_);
+    cursor.assign(traces.size(), 0);
+    for (const DecodedTrace *trace : traces)
+        remaining.push_back(
+            std::min<std::uint64_t>(max_insts_per_context,
+                                    trace->size()));
+}
+
+MultiContextReplayer::MultiContextReplayer(
+    BranchPredictor &pred_, const MultiCtxConfig &config,
+    std::vector<Emulator *> emus_, std::uint64_t max_insts_per_context)
+    : MultiContextReplayer(pred_, config)
+{
+    pabp_assert(emus_.size() == engines.size());
+    emus = std::move(emus_);
+    remaining.assign(emus.size(), max_insts_per_context);
+}
+
 void
 MultiContextReplayer::beginSlice(unsigned ctx)
 {
@@ -53,88 +78,55 @@ MultiContextReplayer::endSlice(unsigned ctx)
     }
 }
 
-std::uint64_t
-MultiContextReplayer::drive(const Advance &advance,
-                            std::vector<std::uint64_t> &remaining,
-                            const Stop &stop)
+std::pair<std::uint64_t, bool>
+MultiContextReplayer::runContext(unsigned c, std::uint64_t len)
 {
-    const unsigned n = contexts();
-    std::vector<bool> done(n, false);
-    unsigned live = 0;
-    for (unsigned c = 0; c < n; ++c) {
-        if (remaining[c] == 0)
-            done[c] = true;
-        else
-            ++live;
+    if (emus.empty()) {
+        const std::uint64_t next =
+            engines[c]->processBatch(*traces[c], cursor[c], len);
+        const std::uint64_t ran = next - cursor[c];
+        cursor[c] = next;
+        return {ran, next >= traces[c]->size()};
     }
+    const std::uint64_t ran = runTrace(*emus[c], *engines[c], len);
+    return {ran, emus[c]->state().halted};
+}
 
-    ContextSchedule sched(cfg.schedule);
+std::uint64_t
+MultiContextReplayer::advance(std::uint64_t n)
+{
+    const unsigned count = contexts();
+    const auto live = [this] {
+        return std::any_of(remaining.begin(), remaining.end(),
+                           [](std::uint64_t r) { return r > 0; });
+    };
     std::uint64_t total = 0;
-    while (live > 0) {
-        const ContextSchedule::Slice s = sched.next();
-        unsigned c = s.context % n;
-        // A slice granted to an exhausted context rotates to the next
-        // live one - deterministically, so both replay paths redirect
-        // identically.
-        while (done[c])
-            c = (c + 1) % n;
-        const std::uint64_t len = std::min(s.length, remaining[c]);
+    while (total < n && live()) {
+        if (sliceLeft == 0) {
+            const ContextSchedule::Slice s = sched.next();
+            sliceCtx = s.context % count;
+            // A slice granted to an exhausted context rotates to the
+            // next live one - deterministically, so both replay paths
+            // redirect identically.
+            while (remaining[sliceCtx] == 0)
+                sliceCtx = (sliceCtx + 1) % count;
+            sliceLeft = std::min(s.length, remaining[sliceCtx]);
+        }
+        const unsigned c = sliceCtx;
+        const std::uint64_t len = std::min(sliceLeft, n - total);
         beginSlice(c);
-        const auto [ran, exhausted] = advance(c, len);
+        const auto [ran, exhausted] = runContext(c, len);
         endSlice(c);
-        pabp_assert(ran <= len);
+        pabp_assert(ran == len || exhausted);
         total += ran;
         remaining[c] -= ran;
-        if (exhausted || remaining[c] == 0) {
-            done[c] = true;
-            --live;
+        sliceLeft -= ran;
+        if (exhausted) {
+            remaining[c] = 0;
+            sliceLeft = 0;
         }
-        if (stop && stop())
-            break;
     }
     return total;
-}
-
-std::uint64_t
-MultiContextReplayer::replayDecoded(
-    const std::vector<const DecodedTrace *> &traces,
-    std::uint64_t max_insts_per_context, const Stop &stop)
-{
-    pabp_assert(traces.size() == engines.size());
-    std::vector<std::uint64_t> cursor(engines.size(), 0);
-    std::vector<std::uint64_t> remaining(engines.size());
-    for (std::size_t c = 0; c < traces.size(); ++c)
-        remaining[c] =
-            std::min<std::uint64_t>(max_insts_per_context,
-                                    traces[c]->size());
-    return drive(
-        [&](unsigned c,
-            std::uint64_t len) -> std::pair<std::uint64_t, bool> {
-            const std::uint64_t next =
-                engines[c]->processBatch(*traces[c], cursor[c], len);
-            const std::uint64_t ran = next - cursor[c];
-            cursor[c] = next;
-            return {ran, cursor[c] >= traces[c]->size()};
-        },
-        remaining, stop);
-}
-
-std::uint64_t
-MultiContextReplayer::replayEmulated(
-    const std::vector<Emulator *> &emus,
-    std::uint64_t max_insts_per_context, const Stop &stop)
-{
-    pabp_assert(emus.size() == engines.size());
-    std::vector<std::uint64_t> remaining(engines.size(),
-                                         max_insts_per_context);
-    return drive(
-        [&](unsigned c,
-            std::uint64_t len) -> std::pair<std::uint64_t, bool> {
-            const std::uint64_t ran =
-                runTrace(*emus[c], *engines[c], len);
-            return {ran, emus[c]->state().halted};
-        },
-        remaining, stop);
 }
 
 } // namespace pabp

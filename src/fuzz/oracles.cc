@@ -919,7 +919,8 @@ oracleJournal(const FuzzCase &c, const RunEnv &env)
 // ordinary single-stream batch loop - the schedule machinery adds
 // nothing. With contexts > 1 the fast (trace-lane) and reference
 // (live-emulator) interleaved replays must agree context for context,
-// and a repeated fast run must reproduce itself exactly.
+// and a repeated fast run, advanced in case-derived uneven pieces that
+// cut schedule slices, must reproduce the one-call run exactly.
 
 Status
 oracleMultiCtx(const FuzzCase &c, CaseContext &ctx)
@@ -946,8 +947,9 @@ oracleMultiCtx(const FuzzCase &c, CaseContext &ctx)
         if (!predB.ok())
             return predB.status();
 
-        MultiContextReplayer replayer(*predA.value(), mcfg);
-        replayer.replayDecoded({&trace}, c.maxInsts);
+        MultiContextReplayer replayer(*predA.value(), mcfg, {&trace},
+                                      c.maxInsts);
+        replayer.advance(UINT64_MAX);
 
         PredictionEngine single(*predB.value(), c.engine);
         single.processBatch(trace, 0, trace.size());
@@ -995,9 +997,8 @@ oracleMultiCtx(const FuzzCase &c, CaseContext &ctx)
         if (!p.ok())
             return p.status();
 
-    MultiContextReplayer fast(*preds[0].value(), mcfg);
-    const std::uint64_t fastTotal =
-        fast.replayDecoded(lanes, c.maxInsts);
+    MultiContextReplayer fast(*preds[0].value(), mcfg, lanes, c.maxInsts);
+    const std::uint64_t fastTotal = fast.advance(UINT64_MAX);
 
     std::vector<std::unique_ptr<Emulator>> emus;
     std::vector<Emulator *> emuPtrs;
@@ -1007,46 +1008,58 @@ oracleMultiCtx(const FuzzCase &c, CaseContext &ctx)
         makeFuzzWorkload(c.seed + k, c.gen).init(emus.back()->state());
         emuPtrs.push_back(emus.back().get());
     }
-    MultiContextReplayer ref(*preds[1].value(), mcfg);
-    const std::uint64_t refTotal =
-        ref.replayEmulated(emuPtrs, c.maxInsts);
+    MultiContextReplayer ref(*preds[1].value(), mcfg, emuPtrs,
+                             c.maxInsts);
+    const std::uint64_t refTotal = ref.advance(UINT64_MAX);
 
-    if (fastTotal != refTotal)
-        return diverged("multi-context processed-count mismatch: "
-                        "fast " + std::to_string(fastTotal) +
-                        " vs reference " + std::to_string(refTotal));
-    for (unsigned k = 0; k < n; ++k) {
-        PredictionEngine &f = fast.engine(k);
-        PredictionEngine &r = ref.engine(k);
-        const std::string who = "context " + std::to_string(k);
-        if (!(f.stats() == r.stats()))
-            return diverged("multi-context stats diverge between "
-                            "fast and reference replay for " + who +
-                            ":" + statsDiff(r.stats(), f.stats()));
-        if (!(f.branchProfile() == r.branchProfile()))
-            return diverged("multi-context per-branch profile "
-                            "diverges between fast and reference "
-                            "replay for " + who);
-        if (f.pguBitsInserted() != r.pguBitsInserted())
-            return diverged("multi-context PGU bits diverge between "
-                            "fast and reference replay for " + who);
-        if (metricsBytes(f) != metricsBytes(r))
-            return diverged("multi-context metrics bytes diverge "
-                            "between fast and reference replay for " +
-                            who);
+    // Context for context: stats, profile, PGU bits, metrics bytes.
+    const auto agree = [n](MultiContextReplayer &a, std::uint64_t aTotal,
+                           MultiContextReplayer &b, std::uint64_t bTotal,
+                           const std::string &between) -> Status {
+        if (aTotal != bTotal)
+            return diverged("multi-context processed-count mismatch "
+                            "between " + between + ": " +
+                            std::to_string(aTotal) + " vs " +
+                            std::to_string(bTotal));
+        for (unsigned k = 0; k < n; ++k) {
+            PredictionEngine &x = a.engine(k);
+            PredictionEngine &y = b.engine(k);
+            const std::string who =
+                between + " for context " + std::to_string(k);
+            if (!(x.stats() == y.stats()))
+                return diverged("multi-context stats diverge between " +
+                                who + ":" + statsDiff(x.stats(), y.stats()));
+            if (!(x.branchProfile() == y.branchProfile()))
+                return diverged("multi-context per-branch profile "
+                                "diverges between " + who);
+            if (x.pguBitsInserted() != y.pguBitsInserted())
+                return diverged("multi-context PGU bits diverge between " +
+                                who);
+            if (metricsBytes(x) != metricsBytes(y))
+                return diverged("multi-context metrics bytes diverge "
+                                "between " + who);
+        }
+        return {};
+    };
+    PABP_TRY(agree(ref, refTotal, fast, fastTotal,
+                   "reference and fast replay"));
+
+    // Determinism: the same lanes + schedule reproduce themselves,
+    // however the advances split the schedule slices.
+    MultiContextReplayer again(*preds[2].value(), mcfg, lanes,
+                               c.maxInsts);
+    Rng pieces(streamSeed(c.seed, 0x5c1));
+    std::uint64_t againTotal = 0;
+    for (;;) {
+        const std::uint64_t piece =
+            1 + pieces.below(2 * mcfg.schedule.quantum);
+        const std::uint64_t ran = again.advance(piece);
+        againTotal += ran;
+        if (ran < piece)
+            break;
     }
-
-    // Determinism: the same lanes + schedule reproduce themselves.
-    MultiContextReplayer again(*preds[2].value(), mcfg);
-    again.replayDecoded(lanes, c.maxInsts);
-    for (unsigned k = 0; k < n; ++k)
-        if (!(again.engine(k).stats() == fast.engine(k).stats()))
-            return diverged(
-                "multi-context replay is not deterministic: repeated "
-                "run diverges for context " + std::to_string(k) + ":" +
-                statsDiff(fast.engine(k).stats(),
-                          again.engine(k).stats()));
-    return {};
+    return agree(fast, fastTotal, again, againTotal,
+                 "one-call and piecewise fast replay");
 }
 
 Status

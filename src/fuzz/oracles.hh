@@ -37,8 +37,9 @@
  *  multictx:   interleaved multi-context replay (core/multictx.hh):
  *              a 1-context replay is byte-identical to the ordinary
  *              single-stream loop, and with contexts > 1 the fast and
- *              reference interleaved replays agree per context and
- *              reproduce themselves deterministically.
+ *              reference interleaved replays agree per context, and
+ *              a fast replay advanced in uneven pieces that cut
+ *              schedule slices reproduces the one-call replay.
  *
  * A divergence is reported as a FuzzReport with a descriptive Status;
  * setup problems (unknown predictor kind, unwritable scratch dir) are

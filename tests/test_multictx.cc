@@ -5,7 +5,8 @@
  * replay is byte-identical to the ordinary single-stream loop, fast
  * (batched decoded-trace) and reference (emulator) interleaved
  * replays agree per context across the schedule/sharing/tagging
- * grid, shared target structures suffer cross-context RAS
+ * grid, a replay advanced in uneven pieces equals the one-call
+ * replay, shared target structures suffer cross-context RAS
  * interference that partitioned ones do not, and the sweep runner
  * rejects the unsupported multi-context combinations with typed
  * errors while keeping fast and reference multi-context cells
@@ -14,8 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +33,8 @@
 #include "sim/emulator.hh"
 #include "sim/trace_io.hh"
 #include "sweep.hh"
+#include "util/metrics.hh"
+#include "util/stats.hh"
 #include "workloads/workload.hh"
 
 namespace pabp {
@@ -185,7 +191,21 @@ struct CtxOutcome
     std::vector<EngineStats> stats;
     std::vector<BranchProfile> profiles;
     std::vector<std::uint64_t> pguBits;
+    /** Each engine's metrics document (docs/OBSERVABILITY.md). */
+    std::vector<std::string> metrics;
 };
+
+std::string
+metricsBytes(PredictionEngine &engine)
+{
+    StatGroup group;
+    engine.registerStats(group);
+    MetricsExporter exporter;
+    exporter.addGroup(group);
+    std::ostringstream os;
+    exporter.writeJson(os);
+    return os.str();
+}
 
 CtxOutcome
 collect(MultiContextReplayer &replayer, std::uint64_t processed)
@@ -196,37 +216,66 @@ collect(MultiContextReplayer &replayer, std::uint64_t processed)
         out.stats.push_back(replayer.engine(c).stats());
         out.profiles.push_back(replayer.engine(c).branchProfile());
         out.pguBits.push_back(replayer.engine(c).pguBitsInserted());
+        out.metrics.push_back(metricsBytes(replayer.engine(c)));
     }
     return out;
 }
 
 using CtxSet = std::vector<const CtxFixture *>;
 
+/** A replayer together with what it borrows: the shared predictor
+ *  and, on the emulated path, one fresh emulator per context. */
+struct OwnedReplay
+{
+    PredictorPtr pred;
+    std::vector<std::unique_ptr<Emulator>> emus;
+    std::unique_ptr<MultiContextReplayer> replayer;
+};
+
+OwnedReplay
+makeReplay(const CtxSet &ctxs, const std::string &kind,
+           const MultiCtxConfig &cfg, bool emulated)
+{
+    OwnedReplay r;
+    r.pred = makePredictor(kind, 12);
+    if (emulated) {
+        std::vector<Emulator *> emus;
+        for (const CtxFixture *f : ctxs) {
+            r.emus.push_back(freshEmulator(*f));
+            emus.push_back(r.emus.back().get());
+        }
+        r.replayer = std::make_unique<MultiContextReplayer>(
+            *r.pred, cfg, emus, budget);
+    } else {
+        std::vector<const DecodedTrace *> traces;
+        for (const CtxFixture *f : ctxs)
+            traces.push_back(&f->trace);
+        r.replayer = std::make_unique<MultiContextReplayer>(
+            *r.pred, cfg, traces, budget);
+    }
+    return r;
+}
+
+CtxOutcome
+runWhole(const CtxSet &ctxs, const std::string &kind,
+         const MultiCtxConfig &cfg, bool emulated)
+{
+    OwnedReplay r = makeReplay(ctxs, kind, cfg, emulated);
+    return collect(*r.replayer, r.replayer->advance(UINT64_MAX));
+}
+
 CtxOutcome
 runFast(const CtxSet &ctxs, const std::string &kind,
         const MultiCtxConfig &cfg)
 {
-    PredictorPtr pred = makePredictor(kind, 12);
-    MultiContextReplayer replayer(*pred, cfg);
-    std::vector<const DecodedTrace *> traces;
-    for (const CtxFixture *f : ctxs)
-        traces.push_back(&f->trace);
-    return collect(replayer, replayer.replayDecoded(traces, budget));
+    return runWhole(ctxs, kind, cfg, false);
 }
 
 CtxOutcome
 runReference(const CtxSet &ctxs, const std::string &kind,
              const MultiCtxConfig &cfg)
 {
-    PredictorPtr pred = makePredictor(kind, 12);
-    MultiContextReplayer replayer(*pred, cfg);
-    std::vector<std::unique_ptr<Emulator>> owned;
-    std::vector<Emulator *> emus;
-    for (const CtxFixture *f : ctxs) {
-        owned.push_back(freshEmulator(*f));
-        emus.push_back(owned.back().get());
-    }
-    return collect(replayer, replayer.replayEmulated(emus, budget));
+    return runWhole(ctxs, kind, cfg, true);
 }
 
 void
@@ -239,6 +288,7 @@ expectEquivalent(const CtxOutcome &ref, const CtxOutcome &fast)
         EXPECT_EQ(ref.stats[c], fast.stats[c]);
         EXPECT_EQ(ref.profiles[c], fast.profiles[c]);
         EXPECT_EQ(ref.pguBits[c], fast.pguBits[c]);
+        EXPECT_EQ(ref.metrics[c], fast.metrics[c]);
         // Vacuity guard: every context must actually have run.
         EXPECT_GT(ref.stats[c].all.branches, 0u);
     }
@@ -418,6 +468,95 @@ TEST(MultiCtxReplay, ReplayIsDeterministic)
 }
 
 // ---------------------------------------------------------------------
+// Split advances: advance(n) continues a slice that n cut short, and
+// the history swap around each piece is exact, so a replay advanced
+// in any pieces equals the one-call replay byte for byte - what lets
+// the sweep's cell loop slice a multi-context cell at its heartbeat.
+
+/** Advance @p replayer in pieces cycling through 1, 7 and 1023
+ *  events, each cut short to end exactly at the next of @p stops
+ *  (event counts), until every context is exhausted. Returns the
+ *  events processed. */
+std::uint64_t
+advanceInPieces(MultiContextReplayer &replayer,
+                const std::vector<std::uint64_t> &stops)
+{
+    static const std::uint64_t cycle[] = {1, 7, 1023};
+    std::uint64_t done = 0;
+    for (unsigned k = 0;; ++k) {
+        std::uint64_t piece = cycle[k % 3];
+        for (const std::uint64_t stop : stops)
+            if (stop > done)
+                piece = std::min(piece, stop - done);
+        const std::uint64_t ran = replayer.advance(piece);
+        done += ran;
+        if (ran < piece)
+            return done;
+    }
+}
+
+TEST(MultiCtxReplay, SplitAdvancesMatchOneAdvance)
+{
+    CtxFixture a = makeCtx("interp", 42), b = makeCtx("bsort", 43);
+    CtxFixture c = makeCtx("filter", 44);
+    CtxSet ctxs = {&a, &b, &c};
+    for (bool emulated : {false, true}) {
+        for (ScheduleKind kind :
+             {ScheduleKind::RoundRobin, ScheduleKind::Bursty}) {
+            for (bool shared : {true, false}) {
+                std::string label = emulated ? "emulated/" : "decoded/";
+                label += scheduleKindName(kind);
+                label += shared ? "/shared" : "/part";
+                SCOPED_TRACE(label);
+                const MultiCtxConfig cfg =
+                    multiCtxConfig(3, kind, shared, 0);
+                const CtxOutcome once =
+                    runWhole(ctxs, "gshare", cfg, emulated);
+
+                // One event a call, noting where a slice ends (the
+                // next event is another context's) and where a
+                // context runs out.
+                OwnedReplay single =
+                    makeReplay(ctxs, "gshare", cfg, emulated);
+                MultiContextReplayer &r = *single.replayer;
+                std::vector<std::uint64_t> slice_ends, exhaustions;
+                std::uint64_t done = 0;
+                unsigned last = 3;
+                std::vector<std::uint64_t> insts(3, 0);
+                while (r.advance(1) == 1) {
+                    ++done;
+                    unsigned ran = 0;
+                    while (r.engine(ran).stats().insts == insts[ran])
+                        ++ran;
+                    ++insts[ran];
+                    if (last != 3 && ran != last)
+                        slice_ends.push_back(done - 1);
+                    if (insts[ran] == once.stats[ran].insts)
+                        exhaustions.push_back(done);
+                    last = ran;
+                }
+                expectEquivalent(once, collect(r, done));
+                ASSERT_GE(slice_ends.size(), 2u);
+                ASSERT_EQ(exhaustions.size(), 3u);
+                // The first context to run out does so mid-replay.
+                ASSERT_LT(exhaustions[0], done);
+
+                // Uneven pieces, one ending exactly at a slice end
+                // and one exactly at the first exhaustion.
+                OwnedReplay split =
+                    makeReplay(ctxs, "gshare", cfg, emulated);
+                const std::vector<std::uint64_t> stops = {
+                    slice_ends[slice_ends.size() / 2], exhaustions[0]};
+                expectEquivalent(
+                    once, collect(*split.replayer,
+                                  advanceInPieces(*split.replayer,
+                                                  stops)));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Target-structure interference: two well-nested call loops that
 // never miss a private RAS. Partitioned mode keeps that guarantee
 // per context; shared mode interleaves pushes and pops from both
@@ -503,6 +642,27 @@ TEST(MultiCtxSweep, RejectsCheckpointResumeAndTimedCells)
     timed.mode = RunMode::Timed;
     EXPECT_EQ(runner.runOne(timed).status.code(),
               StatusCode::InvalidArgument);
+
+    // Only single-context Trace cells checkpoint or resume: a
+    // single-context Timed cell asking to fails the same way, writing
+    // no checkpoint and flagging no resume fallback.
+    const std::string path = ::testing::TempDir() + "timed.ckpt";
+    RunSpec timedCkpt = multiCtxSpec(1, true, true);
+    timedCkpt.mode = RunMode::Timed;
+    timedCkpt.checkpointEvery = 5000;
+    timedCkpt.checkpointPath = path;
+    EXPECT_EQ(runner.runOne(timedCkpt).status.code(),
+              StatusCode::InvalidArgument);
+    EXPECT_FALSE(std::filesystem::exists(bench::derivedCheckpointPath(
+        path, bench::specFingerprint(timedCkpt))));
+
+    RunSpec timedResume = multiCtxSpec(1, true, true);
+    timedResume.mode = RunMode::Timed;
+    timedResume.resumePath = path;
+    const RunResult resumed = runner.runOne(timedResume);
+    EXPECT_EQ(resumed.status.code(), StatusCode::InvalidArgument);
+    EXPECT_FALSE(resumed.resumeFallback);
+    EXPECT_EQ(runner.resumeFallbacks(), 0u);
 }
 
 TEST(MultiCtxSweep, FastAndReferenceCellsAreByteIdentical)
@@ -544,10 +704,13 @@ TEST(MultiCtxSweep, FastAndReferenceCellsAreByteIdentical)
 
 TEST(MultiCtxSweep, ArmedWatchdogLeavesCellsByteIdentical)
 {
-    // The watchdog's stop predicate is checked between schedule
-    // slices and never reshapes the schedule: a deadline that does
-    // not fire must leave every byte where the unarmed cell put it.
-    // Shared history and tables, so the interleaving shows.
+    // Armed, the cell loop advances the replayer in heartbeat slices,
+    // and a deadline that does not fire must leave every byte where
+    // the unarmed cell put it. Shared history and tables, so the
+    // interleaving shows. 2 x 15,000 events stay under one heartbeat,
+    // so this cell is never cut; SweepRobustness.
+    // ArmedWatchdogSlicesWithoutMovingAByte runs 2-context cells that
+    // are.
     for (bool fast : {true, false}) {
         SCOPED_TRACE(fast ? "fast" : "reference");
         RunSpec plain = multiCtxSpec(2, true, fast);

@@ -32,6 +32,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -1046,10 +1047,11 @@ samePipe(const PipelineStats &a, const PipelineStats &b)
 
 TEST(SweepRobustness, ArmedWatchdogSlicesWithoutMovingAByte)
 {
-    // An armed watchdog advances every single-context consumer in
-    // heartbeat slices; with a deadline that never fires, the cells
-    // must measure exactly as the unsliced ones do. The budget spans
-    // three heartbeats.
+    // An armed watchdog advances every consumer in heartbeat slices;
+    // with a deadline that never fires, the cells must measure
+    // exactly as the unsliced ones do. The budget spans three
+    // heartbeats, and the 2-context cells' five, so their heartbeats
+    // cut schedule slices.
     const std::string ckpt = tempPath("sliced.ckpt");
     std::vector<RunSpec> specs;
     const auto add = [&]() -> RunSpec & {
@@ -1068,6 +1070,14 @@ TEST(SweepRobustness, ArmedWatchdogSlicesWithoutMovingAByte)
     RunSpec &checkpointing = add(); // live windows + checkpoints
     checkpointing.checkpointEvery = 50000;
     checkpointing.checkpointPath = ckpt;
+    for (bool fast : {true, false}) { // multi-context replayer
+        RunSpec &multi = add();
+        multi.fastReplay = fast;
+        multi.context.contexts = 2;
+        multi.context.schedule = ScheduleKind::Bursty;
+        multi.context.quantum = 1000;
+        multi.context.shared = false;
+    }
 
     SweepRunner runner(SweepRunner::Config{1, 0});
     const std::vector<RunResult> plain = runner.run(specs);
@@ -1081,12 +1091,24 @@ TEST(SweepRobustness, ArmedWatchdogSlicesWithoutMovingAByte)
         EXPECT_EQ(armed[i].engine, plain[i].engine) << i;
         EXPECT_EQ(armed[i].profile, plain[i].profile) << i;
         EXPECT_TRUE(samePipe(armed[i].pipe, plain[i].pipe)) << i;
-        EXPECT_EQ(armed[i].engine.insts, specs[i].maxInsts) << i;
+        EXPECT_EQ(armed[i].engine.insts,
+                  specs[i].maxInsts *
+                      std::max(1u, specs[i].context.contexts))
+            << i;
+        ASSERT_EQ(armed[i].contexts.size(), plain[i].contexts.size());
+        for (std::size_t c = 0; c < plain[i].contexts.size(); ++c) {
+            EXPECT_EQ(armed[i].contexts[c].engine,
+                      plain[i].contexts[c].engine) << i << "/" << c;
+            EXPECT_EQ(armed[i].contexts[c].profile,
+                      plain[i].contexts[c].profile) << i << "/" << c;
+            EXPECT_EQ(armed[i].contexts[c].pguBits,
+                      plain[i].contexts[c].pguBits) << i << "/" << c;
+        }
     }
+    EXPECT_EQ(plain[4].contexts.size(), 2u);
     EXPECT_GT(plain[2].pipe.cycles, 0u);
     std::remove(
-        derivedCheckpointPath(ckpt, specFingerprint(checkpointing))
-            .c_str());
+        derivedCheckpointPath(ckpt, specFingerprint(specs[3])).c_str());
 }
 
 /** 64-bit FNV-1a of a document: a golden that fits on one line. */
